@@ -32,6 +32,10 @@ class AnalyticsError(Exception):
     pass
 
 
+class UnknownTrajectoryError(AnalyticsError):
+    """A profile names a trajectory id that the trajectory set does not hold."""
+
+
 @dataclass(frozen=True)
 class UtilityProfile:
     values: tuple[float, ...]  # descending
@@ -163,13 +167,6 @@ def select_cut_points(
 # ============================================================================
 
 
-def _segment_trajectories(
-    tset: TrajectorySet, profile: UtilityProfile, segment: Segment
-) -> list[Trajectory]:
-    ids = profile.index_map[segment.start : segment.stop]
-    return [tset.by_id(i) for i in ids]
-
-
 def frequency_table(
     tset: TrajectorySet,
     profile: UtilityProfile,
@@ -180,15 +177,24 @@ def frequency_table(
     Reduction rows ((ref, deductible|exemption)): mean number of times the
     reference is applied per trajectory in the segment.  Action rows ((ref,
     action)): the reference's share of the trajectory's action count, averaged
-    over the segment, hence always in [0, 1].
+    over the segment, hence always in [0, 1].  Raises
+    :class:`UnknownTrajectoryError` when the profile names a trajectory id
+    that ``tset`` does not hold.
     """
+    by_id = {t.id: t for t in tset.trajectories}
     refs: dict[tuple[str, str], list[float]] = {}
 
     def ensure(key: tuple[str, str]) -> list[float]:
         return refs.setdefault(key, [0.0] * len(segments))
 
     for seg in segments:
-        members = _segment_trajectories(tset, profile, seg)
+        try:
+            members = [by_id[i] for i in profile.index_map[seg.start : seg.stop]]
+        except KeyError as exc:
+            raise UnknownTrajectoryError(
+                f"the profile names trajectory {exc.args[0]}, "
+                "which the trajectory set does not hold"
+            ) from None
         if not members:
             continue
         counts: dict[tuple[str, str], float] = {}

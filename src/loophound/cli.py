@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 from . import __version__, corpus_path
 from .analytics import (
+    UnknownTrajectoryError,
     detect_segments,
     frequency_table,
     read_profile_csv,
@@ -290,7 +291,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args.out)
     tset = _load_trajectories(out_dir)
     profile, segments = _load_profile(out_dir)
-    table = frequency_table(tset, profile, segments)
+    try:
+        table = frequency_table(tset, profile, segments)
+    except UnknownTrajectoryError as exc:
+        raise CliError(
+            f"{exc}; {PROFILE_FILE} is older than {TRAJECTORIES_FILE}, "
+            "run the profile stage again",
+            EXIT_STAGE_ORDER,
+        ) from exc
     try:
         write_stats_csv(out_dir / STATS_FILE, table)
     except OSError as exc:

@@ -327,15 +327,15 @@ class _Parser:
             self.expect("op", ".")
             raw.params.append((name.value, float(value.value), name))
         elif keyword == "action":
-            raw.actions.append(self.parse_action())
+            raw.actions.extend(self.parse_action())
         elif keyword == "reduction":
-            raw.reductions.append(self.parse_reduction())
+            raw.reductions.extend(self.parse_reduction())
         else:
             raise _SyntaxError(f"unknown statement keyword {keyword!r}", tok)
 
     # ------------------------------------------------------------------ rules
 
-    def parse_action(self) -> ActionRule:
+    def parse_action(self) -> list[ActionRule]:
         start = self.expect("ident", "action")
         name = self.expect("ident", what="action name")
         self.expect("op", "(")
@@ -368,18 +368,26 @@ class _Parser:
         adds, dels = self.parse_effects()
         self.expect("op", ";")
         self.expect("op", "}")
-        return ActionRule(
-            name=name.value,
-            legal_ref=ref.value,
-            params=tuple(params),
-            fresh_params=frozenset(fresh),
-            precondition=precondition,
-            add_effects=tuple(adds),
-            del_effects=tuple(dels),
-            span=(start.line, start.col),
-        )
+        # building a rule compiles its condition; one that cannot compile
+        # (a check on an unbound variable) is reported instead of kept
+        try:
+            return [
+                ActionRule(
+                    name=name.value,
+                    legal_ref=ref.value,
+                    params=tuple(params),
+                    fresh_params=frozenset(fresh),
+                    precondition=precondition,
+                    add_effects=tuple(adds),
+                    del_effects=tuple(dels),
+                    span=(start.line, start.col),
+                )
+            ]
+        except kernel.KernelError as exc:
+            self.error(f"action {name.value}/{ref.value}: {exc}", start)
+            return []
 
-    def parse_reduction(self) -> ReductionRule:
+    def parse_reduction(self) -> list[ReductionRule]:
         start = self.expect("ident", "reduction")
         ref = self.expect("string", what="legal reference string")
         self.expect("ident", "kind")
@@ -406,14 +414,20 @@ class _Parser:
             else:
                 new_rate = expr
         self.expect("op", "}")
-        return ReductionRule(
-            legal_ref=ref.value,
-            kind=kind.value,
-            condition=condition,
-            new_base=new_base,
-            new_rate=new_rate,
-            span=(start.line, start.col),
-        )
+        try:
+            return [
+                ReductionRule(
+                    legal_ref=ref.value,
+                    kind=kind.value,
+                    condition=condition,
+                    new_base=new_base,
+                    new_rate=new_rate,
+                    span=(start.line, start.col),
+                )
+            ]
+        except kernel.KernelError as exc:
+            self.error(f"reduction {kind.value}/{ref.value}: {exc}", start)
+            return []
 
     # ------------------------------------------------------ condition/effects
 
@@ -551,17 +565,14 @@ _SCENARIO_ONLY = "this statement belongs in a scenario or state document"
 
 def _validate_condition(
     cond: Condition,
-    bound: set[str],
     diagnostics: list[Diagnostic],
     span: tuple[int, int],
     allow_transaction: bool,
     context: str,
 ) -> None:
+    # negation safety is enforced when the rule is built: a condition that
+    # checks a variable nothing binds does not compile, and parsing reports it
     line, col = span
-    positive: set[str] = set(bound)
-    for item in cond:
-        if isinstance(item, Literal) and not item.negated:
-            positive.update(item.variables())
     for item in cond:
         if isinstance(item, Literal):
             if item.predicate == kernel.TRANSACTION_PRED:
@@ -604,19 +615,7 @@ def _validate_condition(
                         col,
                     )
                 )
-            if item.negated:
-                for v in item.variables():
-                    if v not in positive:
-                        diagnostics.append(
-                            Diagnostic(
-                                "error",
-                                f"{context}: variable {v!r} in a negated literal "
-                                "is not bound elsewhere",
-                                line,
-                                col,
-                            )
-                        )
-            elif any(a == WILDCARD for a in item.args):
+            if not item.negated and any(a == WILDCARD for a in item.args):
                 diagnostics.append(
                     Diagnostic(
                         "error",
@@ -625,17 +624,6 @@ def _validate_condition(
                         col,
                     )
                 )
-        else:
-            for v in item.variables():
-                if v not in positive:
-                    diagnostics.append(
-                        Diagnostic(
-                            "error",
-                            f"{context}: comparison on unbound variable {v!r}",
-                            line,
-                            col,
-                        )
-                    )
 
 
 def _validate_action(rule: ActionRule, diagnostics: list[Diagnostic]) -> None:
@@ -662,7 +650,6 @@ def _validate_action(rule: ActionRule, diagnostics: list[Diagnostic]) -> None:
         )
     _validate_condition(
         rule.precondition,
-        set(rule.params),
         diagnostics,
         rule.span,
         allow_transaction=False,
@@ -721,7 +708,6 @@ def _validate_reduction(rule: ReductionRule, diagnostics: list[Diagnostic]) -> N
     context = f"reduction {rule.kind}/{rule.legal_ref}"
     _validate_condition(
         rule.condition,
-        {SELF_VAR},
         diagnostics,
         rule.span,
         allow_transaction=True,

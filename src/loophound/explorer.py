@@ -39,7 +39,7 @@ from .kernel import (
     apply_action,
     initial_state,
 )
-from .taxation import TaxAssessment, evaluate_state
+from .taxation import ReductionRule, TaxAssessment, evaluate_state
 
 FORMAT_VERSION = 1
 
@@ -218,7 +218,8 @@ def explore(
     """Run the search and return the recorded trajectory set."""
     scenario = scenario_doc.scenario
     rates = ruleset.rates()
-    reductions = ruleset.reduction_rules
+    # assessment considers the reductions in key order
+    reductions = tuple(sorted(ruleset.reduction_rules, key=ReductionRule.key))
     rules = ruleset.action_rules
     domains = _domains(scenario)
     pool = scenario.company_pool
@@ -506,6 +507,11 @@ def read_jsonl(path) -> TrajectorySet:
                 complete=d["complete"],
                 terminal=d["terminal"],
             )
+        )
+    if len(trajectories) != header["trajectory_count"]:
+        raise ExplorerError(
+            f"corrupt trajectory file {path}: header announces "
+            f"{header['trajectory_count']} trajectories, file holds {len(trajectories)}"
         )
     return TrajectorySet(
         params=params,

@@ -1,4 +1,4 @@
-"""Transition-system kernel: ground facts, states, rule matching and action application.
+"""Transition-system kernel: ground facts, states, action grounding and application.
 
 A state is a finite set of ground facts over a closed predicate vocabulary.
 Action rules (parsed from the rule DSL, see :mod:`loophound.dsl`) describe
@@ -9,13 +9,23 @@ applicability and produces successor states.
 Variables follow the Prolog convention: identifiers starting with an
 uppercase letter are variables, everything else is a constant.  ``_`` is an
 anonymous wildcard, only meaningful inside literals.
+
+Conditions are evaluated by :mod:`loophound.join`.  Each action rule
+compiles its precondition once, when it is built: literal order in the
+source never changes a result, the join order follows bound arguments, and
+comparisons and negations run as soon as their variables are bound.
+Grounding lists a rule's actions in the product order of its free
+parameters' domains, then by the values of the sorted variable names.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+
+if TYPE_CHECKING:
+    from .join import CompiledCondition
 
 # ============================================================================
 # Predicate vocabulary
@@ -225,272 +235,6 @@ ConditionItem = Literal | Comparison
 Condition = tuple[ConditionItem, ...]
 
 
-# Preprocessing results are memoized by condition identity.  Conditions are
-# immutable tuples built once at parse time, so keying on id() is safe as long
-# as the cache keeps the condition alive (it does: the key's condition is
-# stored in the value).  Hashing the nested dataclasses on every lookup would
-# dominate the match cost otherwise.
-_CONDITION_CACHE: dict[int, tuple[Condition, dict]] = {}
-
-
-def _condition_info(condition: Condition) -> dict:
-    entry = _CONDITION_CACHE.get(id(condition))
-    if entry is not None and entry[0] is condition:
-        return entry[1]
-    seen: dict[str, None] = {}
-    for item in condition:
-        for v in item.variables():
-            seen.setdefault(v)
-    positives = tuple(
-        it for it in condition if isinstance(it, Literal) and not it.negated
-    )
-    deferred = tuple(
-        it for it in condition if not (isinstance(it, Literal) and not it.negated)
-    )
-    info = {
-        "variables": tuple(seen),
-        "positives": positives,
-        "deferred": deferred,
-        "plans": tuple(_literal_plan(lit) for lit in positives),
-        "positive_variables": frozenset(
-            v for lit in positives for v in lit.variables()
-        ),
-    }
-    _CONDITION_CACHE[id(condition)] = (condition, info)
-    return info
-
-
-def condition_variables(condition: Condition) -> list[str]:
-    return list(_condition_info(condition)["variables"])
-
-
-def condition_positive_variables(condition: Condition) -> frozenset[str]:
-    """Variables bound by the positive literals of ``condition``."""
-    return _condition_info(condition)["positive_variables"]
-
-
-# per-argument match plan: ("wild" | "var" | "const", term) for each position,
-# memoized on the literal instance
-def _literal_plan(literal: Literal) -> tuple[tuple[str, str], ...]:
-    plan = literal.__dict__.get("_plan")
-    if plan is None:
-        plan = []
-        for arg in literal.args:
-            if arg == WILDCARD:
-                plan.append(("wild", arg))
-            elif is_variable(arg):
-                plan.append(("var", arg))
-            else:
-                plan.append(("const", arg))
-        plan = tuple(plan)
-        object.__setattr__(literal, "_plan", plan)
-    return plan
-
-
-def _comparison_holds(cmp_: Comparison, binding: Mapping[str, str]) -> bool:
-    left = binding.get(cmp_.left, cmp_.left)
-    right = binding.get(cmp_.right, cmp_.right)
-    if is_variable(left) or is_variable(right):
-        raise KernelError(f"comparison on unbound variable: {cmp_}")
-    return (left == right) if cmp_.op == "==" else (left != right)
-
-
-def _literal_matches(
-    literal: Literal,
-    ground: Sequence[tuple[str, ...]],
-    binding: dict[str, str],
-) -> Iterable[dict[str, str]]:
-    """Yield extended bindings for one positive literal against ground tuples."""
-    plan = _literal_plan(literal)
-    for tup in ground:
-        new = None
-        ok = True
-        for (kind, pat), val in zip(plan, tup):
-            if kind == "wild":
-                continue
-            if kind == "var":
-                if new is not None and pat in new:
-                    bound = new[pat]
-                else:
-                    bound = binding.get(pat)
-                if bound is None:
-                    if new is None:
-                        new = {}
-                    new[pat] = val
-                elif bound != val:
-                    ok = False
-                    break
-            elif pat != val:
-                ok = False
-                break
-        if ok:
-            merged = dict(binding)
-            if new:
-                merged.update(new)
-            yield merged
-
-
-def _negated_literal_holds(
-    literal: Literal,
-    ground: Sequence[tuple[str, ...]],
-    binding: Mapping[str, str],
-) -> bool:
-    """True when no ground tuple matches; wildcards are existential inside the negation."""
-    plan = _literal_plan(literal)
-    for tup in ground:
-        ok = True
-        for (kind, pat), val in zip(plan, tup):
-            if kind == "wild":
-                continue
-            if kind == "var":
-                bound = binding.get(pat)
-                if bound is None:
-                    raise KernelError(
-                        f"unbound variable {pat!r} in negated literal {literal}"
-                    )
-                if bound != val:
-                    ok = False
-                    break
-            elif pat != val:
-                ok = False
-                break
-        if ok:
-            return False
-    return True
-
-
-def match(
-    state: State,
-    condition: Condition,
-    binding: Optional[Mapping[str, str]] = None,
-    extra_ground: Optional[Mapping[str, Sequence[tuple[str, ...]]]] = None,
-) -> list[dict[str, str]]:
-    """Enumerate all bindings of ``condition`` against ``state``.
-
-    Positive literals are matched in source order and bind variables; negated
-    literals and comparisons are checked as soon as their variables are bound.
-    ``extra_ground`` supplies ground tuples for predicates that do not live in
-    the state (transaction patterns).  Results are sorted lexicographically by
-    the values of the sorted variable names, so callers see a deterministic
-    order.
-    """
-    seed = dict(binding) if binding else {}
-    index = state.index
-
-    def ground_for(pred: str) -> Sequence[tuple[str, ...]]:
-        ground = index.get(pred)
-        if ground is not None:
-            return ground
-        if extra_ground and pred in extra_ground:
-            return extra_ground[pred]
-        raise KernelError(f"unknown predicate in condition: {pred!r}")
-
-    info = _condition_info(condition)
-    positives, deferred = info["positives"], info["deferred"]
-
-    def checks_pass(b: dict[str, str]) -> bool:
-        for item in deferred:
-            if isinstance(item, Comparison):
-                if not _comparison_holds(item, b):
-                    return False
-            else:
-                if not _negated_literal_holds(item, ground_for(item.predicate), b):
-                    return False
-        return True
-
-    results: list[dict[str, str]] = []
-
-    def walk(i: int, b: dict[str, str]) -> None:
-        if i == len(positives):
-            if checks_pass(b):
-                results.append(b)
-            return
-        lit = positives[i]
-        for nb in _literal_matches(lit, ground_for(lit.predicate), b):
-            walk(i + 1, nb)
-
-    walk(0, seed)
-
-    var_order = sorted(info["variables"])
-    results.sort(key=lambda b: tuple(b.get(v, "") for v in var_order))
-    # deduplicate identical bindings (possible when a literal re-matches)
-    unique: list[dict[str, str]] = []
-    for b in results:
-        if not unique or unique[-1] != b:
-            unique.append(b)
-    return unique
-
-
-def match_exists(
-    state: State,
-    condition: Condition,
-    binding: Optional[Mapping[str, str]] = None,
-    extra_ground: Optional[Mapping[str, Sequence[tuple[str, ...]]]] = None,
-) -> bool:
-    """True iff :func:`match` would return at least one binding.
-
-    Early-exit variant on the hot path of tax assessment: bindings are
-    extended in place with backtracking instead of copied per candidate.
-    """
-    b = dict(binding) if binding else {}
-    index = state.index
-
-    def ground_for(pred: str) -> Sequence[tuple[str, ...]]:
-        ground = index.get(pred)
-        if ground is not None:
-            return ground
-        if extra_ground and pred in extra_ground:
-            return extra_ground[pred]
-        raise KernelError(f"unknown predicate in condition: {pred!r}")
-
-    info = _condition_info(condition)
-    positives, deferred = info["positives"], info["deferred"]
-    plans = info["plans"]
-    grounds = [ground_for(lit.predicate) for lit in positives]
-    for g in grounds:
-        if not g:
-            return False  # a positive literal over an empty relation cannot match
-
-    n = len(positives)
-
-    def walk(i: int) -> bool:
-        if i == n:
-            for item in deferred:
-                if isinstance(item, Comparison):
-                    if not _comparison_holds(item, b):
-                        return False
-                elif not _negated_literal_holds(
-                    item, ground_for(item.predicate), b
-                ):
-                    return False
-            return True
-        plan = plans[i]
-        for tup in grounds[i]:
-            added: list[str] = []
-            ok = True
-            for (kind, pat), val in zip(plan, tup):
-                if kind == "wild":
-                    continue
-                if kind == "var":
-                    cur = b.get(pat)
-                    if cur is None:
-                        b[pat] = val
-                        added.append(pat)
-                    elif cur != val:
-                        ok = False
-                        break
-                elif pat != val:
-                    ok = False
-                    break
-            if ok and walk(i + 1):
-                return True
-            for k in added:
-                del b[k]
-        return False
-
-    return walk(0)
-
-
 # ============================================================================
 # Action rules and grounding
 # ============================================================================
@@ -506,6 +250,34 @@ class ActionRule:
     add_effects: tuple[Literal, ...]
     del_effects: tuple[Literal, ...]
     span: tuple[int, int] = field(default=(0, 0), compare=False)
+    # parameters no positive literal binds: grounding enumerates their domains
+    free_params: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # precondition compiled for grounding (fresh and free parameters seeded)
+    # and for checking a grounded action (every parameter seeded)
+    ground_join: CompiledCondition = field(init=False, repr=False, compare=False)
+    check_join: CompiledCondition = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        from .join import CompiledCondition  # join builds on this module
+
+        positive = {
+            v
+            for it in self.precondition
+            if isinstance(it, Literal) and not it.negated
+            for v in it.variables()
+        }
+        free = tuple(
+            p for p in self.params if p not in self.fresh_params and p not in positive
+        )
+        object.__setattr__(self, "free_params", free)
+        object.__setattr__(
+            self,
+            "ground_join",
+            CompiledCondition(self.precondition, bound=self.fresh_params | set(free)),
+        )
+        object.__setattr__(
+            self, "check_join", CompiledCondition(self.precondition, bound=self.params)
+        )
 
     def key(self) -> tuple[str, str]:
         return (self.name, self.legal_ref)
@@ -598,20 +370,8 @@ def ground_rule(
         seed[p] = cid
 
     types = rule.inferred_types()
-    cond_vars = set(condition_variables(rule.precondition))
-    positive_vars: set[str] = set()
-    for it in rule.precondition:
-        if isinstance(it, Literal) and not it.negated:
-            positive_vars.update(it.variables())
-
-    # parameters that no positive literal binds must be enumerated over their domain
-    free = [
-        p
-        for p in rule.params
-        if p not in seed and p not in positive_vars
-    ]
     free_domains = []
-    for p in free:
+    for p in rule.free_params:
         ty = types.get(p)
         if ty is None:
             raise KernelError(
@@ -619,24 +379,17 @@ def ground_rule(
             )
         free_domains.append(domains.for_type(ty))
 
-    grounded: list[GroundedAction] = []
+    join = rule.ground_join
+    slots = [(p, join.variables.index(p)) for p in sorted(rule.params)]
+    # distinct auxiliary-variable matches can collapse to the same parameter
+    # binding; the dict keeps the first of each, in order
+    grounded: dict[GroundedAction, None] = {}
     for combo in itertools.product(*free_domains):
-        b = dict(seed)
-        b.update(zip(free, combo))
-        for m in match(state, rule.precondition, b):
-            full = dict(b)
-            full.update(m)
-            # parameters must all be bound by now
-            binding = tuple(sorted((p, full[p]) for p in rule.params))
-            grounded.append(GroundedAction(rule.name, rule.legal_ref, binding))
-    # distinct auxiliary-variable matches can collapse to the same parameter binding
-    out: list[GroundedAction] = []
-    seen: set[GroundedAction] = set()
-    for g in grounded:
-        if g not in seen:
-            seen.add(g)
-            out.append(g)
-    return out
+        seed.update(zip(rule.free_params, combo))
+        for row in join.bindings(state, seed):
+            binding = tuple((p, row[i]) for p, i in slots)
+            grounded.setdefault(GroundedAction(rule.name, rule.legal_ref, binding))
+    return list(grounded)
 
 
 def applicable_actions(
@@ -690,7 +443,7 @@ def apply_action(
                 f"fresh parameter {p!r} of {action} must bind the lowest unused "
                 f"pool id ({expected!r})"
             )
-    if not match(state, rule.precondition, binding):
+    if not rule.check_join.exists(state, binding):
         raise KernelError(f"precondition of {action} does not hold")
 
     def instantiate(lit: Literal) -> Fact:

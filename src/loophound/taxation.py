@@ -25,13 +25,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .economy import ScenarioConfig, Transaction, company_flows
-from .kernel import (
-    Condition,
-    State,
-    condition_positive_variables,
-    match,
-    match_exists,
-)
+from .join import CompiledCondition
+from .kernel import Condition, Literal, State
 
 log = logging.getLogger(__name__)
 
@@ -98,6 +93,23 @@ class ReductionRule:
     new_base: LinExpr = BASE_IDENTITY
     new_rate: LinExpr = RATE_IDENTITY
     span: tuple[int, int] = field(default=(0, 0), compare=False)
+    # condition compiled to check one company (Self seeded) and to project
+    # the companies it holds for
+    join: CompiledCondition = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        condition = self.condition
+        if not any(
+            isinstance(it, Literal) and not it.negated and SELF_VAR in it.args
+            for it in condition
+        ):
+            # Self bound by no positive literal ranges over the existing companies
+            condition = (Literal("exists", (SELF_VAR,)),) + condition
+        object.__setattr__(
+            self,
+            "join",
+            CompiledCondition(condition, bound=(SELF_VAR,), project=(SELF_VAR,)),
+        )
 
     def key(self) -> tuple[str, str]:
         return (self.kind, self.legal_ref)
@@ -153,32 +165,13 @@ def transaction_patterns(
 def applicability_map(
     state: State,
     patterns: Mapping[str, Sequence[tuple[str, ...]]],
-    reductions: tuple[ReductionRule, ...],
+    reductions: Sequence[ReductionRule],
 ) -> dict[tuple[str, str], frozenset[str]]:
-    """Per-rule set of companies the rule is applicable to, in one match pass.
-
-    Rules binding Self in a positive literal are enumerated once with Self
-    free and grouped; others fall back to a per-company seeded check.
-    """
-    companies = state.companies()
-    out: dict[tuple[str, str], frozenset[str]] = {}
-    for rule in _sorted_reductions(reductions):
-        info_vars = condition_positive_variables(rule.condition)
-        if SELF_VAR in info_vars:
-            matched = {
-                b[SELF_VAR]
-                for b in match(state, rule.condition, None, extra_ground=patterns)
-            }
-        else:
-            matched = {
-                c
-                for c in companies
-                if match_exists(
-                    state, rule.condition, {SELF_VAR: c}, extra_ground=patterns
-                )
-            }
-        out[rule.key()] = frozenset(matched)
-    return out
+    """Per-rule set of companies the rule is applicable to."""
+    return {
+        rule.key(): frozenset(rule.join.project(state, SELF_VAR, patterns))
+        for rule in reductions
+    }
 
 
 def applicable_reductions(
@@ -191,23 +184,19 @@ def applicable_reductions(
     patterns: Optional[Mapping[str, Sequence[tuple[str, ...]]]] = None,
     applicability: Optional[Mapping[tuple[str, str], frozenset[str]]] = None,
 ) -> list[tuple[ReductionRule, float, float]]:
-    """Admissible (rule, new_base, new_rate) candidates for one return.
+    """Admissible (rule, new_base, new_rate) candidates for one return, in rule order.
 
     A candidate is rejected (with a log warning) when its evaluated new base
     is negative, its new rate leaves [0, 1], or it would increase the tax due.
     """
     if patterns is None:
         patterns = {"transaction": transaction_patterns(transactions)}
-    if not isinstance(reductions, tuple):
-        reductions = tuple(reductions)
     out: list[tuple[ReductionRule, float, float]] = []
-    for rule in _sorted_reductions(reductions):
+    for rule in reductions:
         if applicability is not None:
             if company not in applicability[rule.key()]:
                 continue
-        elif not match_exists(
-            state, rule.condition, {SELF_VAR: company}, extra_ground=patterns
-        ):
+        elif not rule.join.exists(state, {SELF_VAR: company}, patterns):
             continue
         new_base = rule.new_base.evaluate(base, rate)
         new_rate = rule.new_rate.evaluate(base, rate)
@@ -231,24 +220,6 @@ def applicable_reductions(
             continue
         out.append((rule, new_base, new_rate))
     return out
-
-
-# sorted-rule order memoized by sequence identity (rule tuples are built once
-# per parsed ruleset; the cached value keeps its key alive so ids stay valid)
-_SORTED_CACHE: dict[int, tuple[tuple[ReductionRule, ...], tuple[ReductionRule, ...]]] = {}
-
-
-def _sorted_reductions(
-    reductions: tuple[ReductionRule, ...],
-) -> tuple[ReductionRule, ...]:
-    entry = _SORTED_CACHE.get(id(reductions))
-    if entry is not None and entry[0] is reductions:
-        return entry[1]
-    ordered = tuple(sorted(reductions, key=lambda r: r.key()))
-    if len(_SORTED_CACHE) > 256:
-        _SORTED_CACHE.clear()
-    _SORTED_CACHE[id(reductions)] = (reductions, ordered)
-    return ordered
 
 
 def choose_reduction(
@@ -334,8 +305,6 @@ def assess_all(
     """One assessment per existing company, in sorted company order."""
     flows = company_flows(transactions)
     patterns = {"transaction": transaction_patterns(transactions)}
-    if not isinstance(reductions, tuple):
-        reductions = tuple(reductions)
     applicability = applicability_map(state, patterns, reductions)
     return [
         assess(

@@ -178,6 +178,36 @@ class TestStageOrder:
         assert "run the induce stage first" in capsys.readouterr().err
 
 
+class TestRunDirectoryIntegrity:
+    def test_truncated_trajectory_file_rejected(self, pipeline_dir, tmp_path, capsys):
+        lines = (pipeline_dir / "trajectories.jsonl").read_text().splitlines(True)
+        rows = len(lines) - 1
+        (tmp_path / "trajectories.jsonl").write_text("".join(lines[: 1 + rows // 2]))
+        assert main(["profile", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "corrupt trajectory file" in err
+        assert f"announces {rows} trajectories, file holds {rows // 2}" in err
+
+    def test_stale_profile_is_a_stage_order_violation(self, tmp_path, toy_files, capsys):
+        ruleset, scenario = toy_files
+
+        def explore(seed, expansions):
+            argv = ["explore", "--ruleset", str(ruleset), "--scenario", str(scenario),
+                    "--seed", str(seed), "--iterations", "10",
+                    "--expansions", str(expansions), "--out", str(tmp_path)]
+            assert main(argv) == 0
+            return read_jsonl(tmp_path / "trajectories.jsonl")
+
+        first = explore(3, 80)
+        assert main(["profile", "--out", str(tmp_path)]) == 0
+        second = explore(5, 5)
+        stale = {t.id for t in first.trajectories if t.complete}
+        assert stale - {t.id for t in second.trajectories}
+        assert main(["stats", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "run the profile stage again" in err
+
+
 class TestValidationErrors:
     def test_zero_iterations(self, tmp_path, capsys):
         code = main(["explore", "--iterations", "0", "--out", str(tmp_path)])

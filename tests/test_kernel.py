@@ -20,9 +20,8 @@ from loophound.kernel import (
     ground_rule,
     initial_state,
     make_fact,
-    match,
-    match_exists,
 )
+from loophound.join import CompiledCondition
 
 # ============================================================================
 # Brute-force condition-matching oracle
@@ -102,8 +101,13 @@ def oracle_match(state, condition, binding=None, extra_ground=None):
     return solutions
 
 
-def as_solution_set(bindings, variables):
-    return {tuple(sorted((v, b[v]) for v in variables if v in b)) for b in bindings}
+def expected_rows(state, condition, seed=None, extra_ground=None):
+    """Oracle solutions as engine rows: one value per sorted variable name,
+    sorted by those values, without duplicates."""
+    seed = dict(seed or {})
+    variables = sorted({v for item in condition for v in item.variables()} | set(seed))
+    solutions = oracle_match(state, condition, seed, extra_ground)
+    return sorted({tuple({**seed, **s}[v] for v in variables) for s in solutions})
 
 
 # ============================================================================
@@ -120,6 +124,7 @@ def small_state():
             make_fact("managed", ["c1", "bermuda"]),
             make_fact("ownsIP", ["p", "ip1"]),
             make_fact("isChildOf", ["c1", "p"]),
+            make_fact("rentsIP", ["p", "c1", "ip1"]),
         ],
     )
 
@@ -131,48 +136,86 @@ CONDITIONS = [
     (Literal("ownsIP", ("X", "I")), Literal("based", ("X", "usa"))),
     (Literal("exists", ("X",)), Literal("ownsIP", ("X", WILDCARD), negated=True)),
     (Literal("exists", ("X",)), Literal("rentsIP", (WILDCARD, "X", "ip1"), negated=True)),
+    (Literal("exists", ("X",)), Literal("rentsIP", (WILDCARD, "X", "ip2"), negated=True)),
     (Literal("isChildOf", ("C", "P")), Literal("based", ("C", "Cc")), Comparison("Cc", "!=", "usa")),
     (Literal("based", ("X", "nowhere")),),
+    (Comparison("Cc", "!=", "usa"), Literal("based", ("C", "Cc")), Literal("isChildOf", ("C", "P"))),
 ]
+
+
+def positive_variables(condition):
+    return sorted(
+        {v for it in condition if isinstance(it, Literal) and not it.negated for v in it.variables()}
+    )
 
 
 class TestMatchOracle:
     @pytest.mark.parametrize("condition", CONDITIONS)
     def test_match_equals_brute_force(self, condition):
         state = small_state()
-        got = match(state, condition)
-        expected = oracle_match(state, condition)
-        variables = sorted({v for item in condition for v in item.variables()})
-        assert as_solution_set(got, variables) == as_solution_set(expected, variables)
+        join = CompiledCondition(condition)
+        assert join.bindings(state, {}) == expected_rows(state, condition)
 
     @pytest.mark.parametrize("condition", CONDITIONS)
     def test_match_exists_agrees_with_match(self, condition):
         state = small_state()
-        assert match_exists(state, condition) == bool(match(state, condition))
+        variables = positive_variables(condition)
+        join = CompiledCondition(condition, project=variables)
+        rows = join.bindings(state, {})
+        assert join.exists(state, {}) == bool(rows)
+        for v in variables:
+            i = join.variables.index(v)
+            assert join.project(state, v) == {row[i] for row in rows}
 
     def test_seeded_binding_restricts_solutions(self):
         state = small_state()
         condition = (Literal("based", ("X", "C")),)
-        got = match(state, condition, {"X": "c1"})
-        expected = oracle_match(state, condition, {"X": "c1"})
-        assert as_solution_set(got, ["C"]) == as_solution_set(expected, ["C"])
+        join = CompiledCondition(condition, bound=("X",))
+        assert join.variables == ("C", "X")
+        assert join.bindings(state, {"X": "c1"}) == [("ireland", "c1")]
+        assert join.bindings(state, {"X": "c1"}) == expected_rows(state, condition, {"X": "c1"})
+        assert not join.exists(state, {"X": "c9"})
 
     def test_extra_ground_patterns_participate(self):
         state = small_state()
-        patterns = {"transaction": [("royalty", "c1", "p")]}
+        # a payment listed twice still gives one solution
+        patterns = {"transaction": [("royalty", "c1", "p"), ("royalty", "c1", "p")]}
         condition = (
             Literal("based", ("Self", "usa")),
             Literal("transaction", ("royalty", "X", "Self")),
         )
-        got = match(state, condition, extra_ground=patterns)
-        expected = oracle_match(state, condition, extra_ground=patterns)
-        keys = ["Self", "X"]
-        assert as_solution_set(got, keys) == as_solution_set(expected, keys)
-        assert match_exists(state, condition, extra_ground=patterns)
+        join = CompiledCondition(condition, project=("Self",))
+        rows = join.bindings(state, {}, patterns)
+        assert rows == [("p", "c1")]
+        assert rows == expected_rows(state, condition, extra_ground=patterns)
+        assert join.exists(state, {}, patterns)
+        assert join.project(state, "Self", patterns) == {"p"}
+        with pytest.raises(KernelError, match="unknown predicate"):
+            join.exists(state, {})
+
+    def test_comparison_on_variable_no_positive_literal_binds_raises(self):
+        with pytest.raises(KernelError, match="comparison"):
+            CompiledCondition((Literal("exists", ("X",)), Comparison("Y", "!=", "usa")))
+
+    def test_negation_on_unbound_variable_raises(self):
+        with pytest.raises(KernelError, match="negated literal"):
+            CompiledCondition((Literal("exists", ("X",)), Literal("based", ("Y", "usa"), negated=True)))
+
+    def test_projection_needs_a_positive_binder(self):
+        condition = (Literal("exists", ("X",)), Comparison("Y", "!=", "X"))
+        CompiledCondition(condition, bound=("Y",))
+        with pytest.raises(KernelError):
+            CompiledCondition(condition, bound=("Y",), project=("Y",))
 
 
 @st.composite
-def random_states_and_conditions(draw):
+def random_cases(draw):
+    """A state, transaction patterns, a condition and a seed for it.
+
+    Checks (negations and comparisons) sit anywhere in the condition,
+    before or after the literal that binds their variables; seeded
+    variables may appear in checks without a positive binder.
+    """
     companies = ["p", "c1", "c2"]
     countries = ["usa", "ireland", "bermuda"]
     ips = ["ip1", "ip2"]
@@ -183,6 +226,9 @@ def random_states_and_conditions(draw):
             facts.append(make_fact("managed", [company, draw(st.sampled_from(countries))]))
     owner = draw(st.sampled_from(companies))
     facts.append(make_fact("ownsIP", [owner, "ip1"]))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        pair = [draw(st.sampled_from(companies)), draw(st.sampled_from(companies))]
+        facts.append(make_fact("isChildOf", pair))
     # licensing edges must be acyclic with one licensor per (renter, ip);
     # drawing edges only from earlier to later companies guarantees both
     n_edges = draw(st.integers(min_value=0, max_value=3))
@@ -195,51 +241,83 @@ def random_states_and_conditions(draw):
             rented.add((companies[j], ip))
             facts.append(make_fact("rentsIP", [companies[i], companies[j], ip]))
     state = State(facts=frozenset(facts))
+    kinds = ["royalty", "commercial"]
+    patterns = {
+        "transaction": draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(kinds),
+                    st.sampled_from(companies),
+                    st.sampled_from(companies),
+                ),
+                max_size=3,
+            )
+        )
+    }
 
-    # negation safety: named variables in negated literals and comparisons
-    # must be introduced by an earlier positive literal
-    constants = ["p", "c1", "usa", "ireland", "ip1"]
-    variables = ["X", "Y"]
-    introduced: list[str] = []
-    n_items = draw(st.integers(min_value=1, max_value=4))
+    constants = ["p", "c1", "usa", "ireland", "ip1", "royalty"]
+    variables = ["X", "Y", "Z"]
+    predicates = [
+        ("based", 2), ("managed", 2), ("ownsIP", 2), ("rentsIP", 3),
+        ("exists", 1), ("isChildOf", 2), ("transaction", 3),
+    ]
     condition = []
-    predicates = [("based", 2), ("managed", 2), ("ownsIP", 2), ("rentsIP", 3), ("exists", 1)]
-    for _ in range(n_items):
-        kind = draw(st.sampled_from(["positive", "negative", "comparison"]))
-        if kind == "positive":
-            pred, arity = draw(st.sampled_from(predicates))
-            args = tuple(
-                draw(st.sampled_from(constants + variables)) for _ in range(arity)
-            )
-            condition.append(Literal(pred, args))
-            introduced.extend(a for a in args if a in variables and a not in introduced)
-        elif kind == "negative":
-            pred, arity = draw(st.sampled_from(predicates))
-            pool = constants + introduced + [WILDCARD]
-            args = tuple(draw(st.sampled_from(pool)) for _ in range(arity))
-            condition.append(Literal(pred, args, negated=True))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        pred, arity = draw(st.sampled_from(predicates))
+        if arity == 2 and draw(st.booleans()):
+            var = draw(st.sampled_from(variables))
+            args = (var, var)  # one variable twice in a literal
         else:
-            pool = constants + introduced
-            condition.append(
-                Comparison(
-                    draw(st.sampled_from(pool)),
-                    draw(st.sampled_from(["==", "!="])),
-                    draw(st.sampled_from(pool)),
-                )
+            args = tuple(draw(st.sampled_from(constants + variables)) for _ in range(arity))
+        condition.append(Literal(pred, args))
+    seed_vars = draw(st.lists(st.sampled_from(variables), unique=True, max_size=2))
+    seed = {v: draw(st.sampled_from(constants + ["c2"])) for v in seed_vars}
+    bindable = sorted(set(positive_variables(condition)) | set(seed))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if draw(st.booleans()):
+            pred, arity = draw(st.sampled_from(predicates))
+            pool = constants + bindable + [WILDCARD]
+            args = tuple(draw(st.sampled_from(pool)) for _ in range(arity))
+            item = Literal(pred, args, negated=True)
+        else:
+            pool = constants + bindable
+            item = Comparison(
+                draw(st.sampled_from(pool)),
+                draw(st.sampled_from(["==", "!="])),
+                draw(st.sampled_from(pool)),
             )
-    return state, tuple(condition)
+        condition.insert(draw(st.integers(min_value=0, max_value=len(condition))), item)
+    return state, patterns, tuple(condition), seed
 
 
 class TestMatchProperties:
-    @settings(max_examples=150, deadline=None)
-    @given(random_states_and_conditions())
+    @settings(max_examples=200, deadline=None)
+    @given(random_cases())
     def test_random_conditions_agree_with_oracle(self, case):
-        state, condition = case
-        got = match(state, condition)
-        expected = oracle_match(state, condition)
-        variables = sorted({v for item in condition for v in item.variables()})
-        assert as_solution_set(got, variables) == as_solution_set(expected, variables)
-        assert match_exists(state, condition) == bool(got)
+        state, patterns, condition, seed = case
+        join = CompiledCondition(condition, bound=seed)
+        rows = join.bindings(state, seed, patterns)
+        assert rows == expected_rows(state, condition, seed, patterns)
+        assert join.exists(state, seed, patterns) == bool(rows)
+        # literal order in the source never changes a result
+        reordered = CompiledCondition(tuple(reversed(condition)), bound=seed)
+        assert reordered.bindings(state, seed, patterns) == rows
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_cases())
+    def test_projection_agrees_with_oracle(self, case):
+        state, patterns, condition, _ = case
+        positive = positive_variables(condition)
+        checked = {v for it in condition if isinstance(it, Comparison) or it.negated for v in it.variables()}
+        if not checked <= set(positive):
+            with pytest.raises(KernelError):
+                CompiledCondition(condition)
+            return
+        join = CompiledCondition(condition, project=positive)
+        rows = expected_rows(state, condition, extra_ground=patterns)
+        for v in positive:
+            i = join.variables.index(v)
+            assert join.project(state, v, patterns) == {row[i] for row in rows}
 
 
 # ============================================================================

@@ -31,7 +31,7 @@ from loophound.taxation import (
     residence_country,
     transaction_patterns,
 )
-from loophound.kernel import match_exists
+from test_kernel import oracle_match
 
 
 # ------------------------------------------------------------------ fixture
@@ -222,11 +222,11 @@ class TestSandwichFixture:
             expected = frozenset(
                 c
                 for c in state.companies()
-                if match_exists(
-                    state, rule.condition, {SELF_VAR: c}, extra_ground=patterns
-                )
+                if oracle_match(state, rule.condition, {SELF_VAR: c}, patterns)
             )
             assert amap[rule.key()] == expected
+            for c in state.companies():
+                assert rule.join.exists(state, {SELF_VAR: c}, patterns) == (c in expected)
 
 
 # ---------------------------------------------------------------- residence
