@@ -2,7 +2,8 @@
 
 The package is organized in layers:
 
-- :mod:`loophound.kernel` -- ground facts, states, rule matching, actions
+- :mod:`loophound.kernel` -- ground facts, states, action grounding, actions
+- :mod:`loophound.join` -- rule conditions compiled into nested-loop joins
 - :mod:`loophound.dsl` -- the ``.lhl`` rule language (parse/validate/render)
 - :mod:`loophound.economy` -- commercial revenue, royalty cascades, transfers
 - :mod:`loophound.taxation` -- per-company assessment with legal reductions

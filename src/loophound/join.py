@@ -47,6 +47,7 @@ from .kernel import (
 # ground tuples of predicates that do not live in the state (transactions)
 Relations = Mapping[str, Sequence[tuple[str, ...]]]
 
+
 def _relation(extra: Optional[Relations], predicate: str) -> Sequence[tuple[str, ...]]:
     if extra is None or predicate not in extra:
         raise KernelError(f"unknown predicate in condition: {predicate!r}")
@@ -80,10 +81,9 @@ class CompiledCondition:
             _generate(f"_project{i}", condition, frozenset(), local, self.variables, var)
             for i, var in enumerate(targets)
         ]
-        self.source = "\n".join(sources)
         namespace = {"_relation": _relation}
         try:
-            exec(compile(self.source, "<condition>", "exec"), namespace)
+            exec(compile("\n".join(sources), "<condition>", "exec"), namespace)
         except SyntaxError as exc:  # more nested loops than Python allows
             raise KernelError(f"condition too large to compile: {exc.msg}") from exc
         self._solve = namespace["_solve"]
@@ -135,7 +135,9 @@ def _generate(
     bound = set(entry)
 
     def score(lit: Literal) -> int:
-        return sum(1 for a in lit.args if a != WILDCARD and (not is_variable(a) or a in bound))
+        return sum(
+            1 for a in lit.args if a != WILDCARD and (not is_variable(a) or a in bound)
+        )
 
     rest = list(positives)
     order: list[Literal] = []
@@ -202,8 +204,9 @@ def _generate(
     def emit_checks(step: int) -> None:
         for item in placed.get(step, ()):
             if isinstance(item, Comparison):
-                op = "!=" if item.op == "==" else "=="
-                lines.append(f"{indent}if {term(item.left)} {op} {term(item.right)}: {fail}")
+                op = "!=" if item.op == "==" else "=="  # the test that fails it
+                left, right = term(item.left), term(item.right)
+                lines.append(f"{indent}if {left} {op} {right}: {fail}")
             else:
                 lines.append(f"{indent}if {holds(item)}: {fail}")
 

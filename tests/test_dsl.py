@@ -133,6 +133,23 @@ class TestRulesetValidation:
         result = parse_ruleset(text)
         assert result.ok, errors_of(result)
 
+    def test_check_on_unbound_variable_rejected(self):
+        text = (
+            'reduction "r" kind deductible '
+            "{ when: X != usa, based(Self, C); new_base: 0.5 * Base; }\n"
+            'action addChild(P, fresh C) ref "x" '
+            "{ pre: exists(P), not based(Q, usa); eff: exists(C); }"
+        )
+        result = parse_ruleset(text)
+        assert not result.ok
+        messages = errors_of(result)
+        assert any(
+            "reduction deductible/r" in m and "'X' in comparison" in m for m in messages
+        )
+        assert any(
+            "action addChild/x" in m and "'Q' in negated literal" in m for m in messages
+        )
+
     def test_deductible_must_not_touch_rate(self):
         text = (
             'reduction "r" kind deductible '

@@ -173,7 +173,9 @@ class TestMatchOracle:
         join = CompiledCondition(condition, bound=("X",))
         assert join.variables == ("C", "X")
         assert join.bindings(state, {"X": "c1"}) == [("ireland", "c1")]
-        assert join.bindings(state, {"X": "c1"}) == expected_rows(state, condition, {"X": "c1"})
+        assert join.bindings(state, {"X": "c1"}) == expected_rows(
+            state, condition, {"X": "c1"}
+        )
         assert not join.exists(state, {"X": "c9"})
 
     def test_extra_ground_patterns_participate(self):
@@ -199,7 +201,9 @@ class TestMatchOracle:
 
     def test_negation_on_unbound_variable_raises(self):
         with pytest.raises(KernelError, match="negated literal"):
-            CompiledCondition((Literal("exists", ("X",)), Literal("based", ("Y", "usa"), negated=True)))
+            CompiledCondition(
+                (Literal("exists", ("X",)), Literal("based", ("Y", "usa"), negated=True))
+            )
 
     def test_projection_needs_a_positive_binder(self):
         condition = (Literal("exists", ("X",)), Comparison("Y", "!=", "X"))
@@ -308,7 +312,12 @@ class TestMatchProperties:
     def test_projection_agrees_with_oracle(self, case):
         state, patterns, condition, _ = case
         positive = positive_variables(condition)
-        checked = {v for it in condition if isinstance(it, Comparison) or it.negated for v in it.variables()}
+        checked = {
+            v
+            for it in condition
+            if isinstance(it, Comparison) or it.negated
+            for v in it.variables()
+        }
         if not checked <= set(positive):
             with pytest.raises(KernelError):
                 CompiledCondition(condition)
