@@ -326,16 +326,22 @@ class _Parser:
             value = self.expect("number", what="parameter value")
             self.expect("op", ".")
             raw.params.append((name.value, float(value.value), name))
-        elif keyword == "action":
-            raw.actions.extend(self.parse_action())
-        elif keyword == "reduction":
-            raw.reductions.extend(self.parse_reduction())
+        elif keyword in ("action", "reduction"):
+            # building a rule compiles its condition; one that cannot compile
+            # (a check on an unbound variable) is reported instead of kept
+            try:
+                if keyword == "action":
+                    raw.actions.append(self.parse_action())
+                else:
+                    raw.reductions.append(self.parse_reduction())
+            except kernel.KernelError as exc:
+                self.error(f"{keyword}: {exc}", tok)
         else:
             raise _SyntaxError(f"unknown statement keyword {keyword!r}", tok)
 
     # ------------------------------------------------------------------ rules
 
-    def parse_action(self) -> list[ActionRule]:
+    def parse_action(self) -> ActionRule:
         start = self.expect("ident", "action")
         name = self.expect("ident", what="action name")
         self.expect("op", "(")
@@ -368,26 +374,18 @@ class _Parser:
         adds, dels = self.parse_effects()
         self.expect("op", ";")
         self.expect("op", "}")
-        # building a rule compiles its condition; one that cannot compile
-        # (a check on an unbound variable) is reported instead of kept
-        try:
-            return [
-                ActionRule(
-                    name=name.value,
-                    legal_ref=ref.value,
-                    params=tuple(params),
-                    fresh_params=frozenset(fresh),
-                    precondition=precondition,
-                    add_effects=tuple(adds),
-                    del_effects=tuple(dels),
-                    span=(start.line, start.col),
-                )
-            ]
-        except kernel.KernelError as exc:
-            self.error(f"action {name.value}/{ref.value}: {exc}", start)
-            return []
+        return ActionRule(
+            name=name.value,
+            legal_ref=ref.value,
+            params=tuple(params),
+            fresh_params=frozenset(fresh),
+            precondition=precondition,
+            add_effects=tuple(adds),
+            del_effects=tuple(dels),
+            span=(start.line, start.col),
+        )
 
-    def parse_reduction(self) -> list[ReductionRule]:
+    def parse_reduction(self) -> ReductionRule:
         start = self.expect("ident", "reduction")
         ref = self.expect("string", what="legal reference string")
         self.expect("ident", "kind")
@@ -414,20 +412,14 @@ class _Parser:
             else:
                 new_rate = expr
         self.expect("op", "}")
-        try:
-            return [
-                ReductionRule(
-                    legal_ref=ref.value,
-                    kind=kind.value,
-                    condition=condition,
-                    new_base=new_base,
-                    new_rate=new_rate,
-                    span=(start.line, start.col),
-                )
-            ]
-        except kernel.KernelError as exc:
-            self.error(f"reduction {kind.value}/{ref.value}: {exc}", start)
-            return []
+        return ReductionRule(
+            legal_ref=ref.value,
+            kind=kind.value,
+            condition=condition,
+            new_base=new_base,
+            new_rate=new_rate,
+            span=(start.line, start.col),
+        )
 
     # ------------------------------------------------------ condition/effects
 

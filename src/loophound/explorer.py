@@ -39,7 +39,7 @@ from .kernel import (
     apply_action,
     initial_state,
 )
-from .taxation import ReductionRule, TaxAssessment, evaluate_state
+from .taxation import TaxAssessment, evaluate_state
 
 FORMAT_VERSION = 1
 
@@ -218,8 +218,7 @@ def explore(
     """Run the search and return the recorded trajectory set."""
     scenario = scenario_doc.scenario
     rates = ruleset.rates()
-    # assessment considers the reductions in key order
-    reductions = tuple(sorted(ruleset.reduction_rules, key=ReductionRule.key))
+    reductions = ruleset.reduction_rules
     rules = ruleset.action_rules
     domains = _domains(scenario)
     pool = scenario.company_pool

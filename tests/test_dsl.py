@@ -143,11 +143,14 @@ class TestRulesetValidation:
         result = parse_ruleset(text)
         assert not result.ok
         messages = errors_of(result)
+        # each error points at the statement that starts the offending rule
         assert any(
-            "reduction deductible/r" in m and "'X' in comparison" in m for m in messages
+            m.startswith("1:1: error: reduction:") and "'X' in comparison" in m
+            for m in messages
         )
         assert any(
-            "action addChild/x" in m and "'Q' in negated literal" in m for m in messages
+            m.startswith("2:1: error: action:") and "'Q' in negated literal" in m
+            for m in messages
         )
 
     def test_deductible_must_not_touch_rate(self):

@@ -22,83 +22,11 @@ from loophound.kernel import (
     make_fact,
 )
 from loophound.join import CompiledCondition
+from oracles import oracle_match
 
 # ============================================================================
-# Brute-force condition-matching oracle
+# Oracle solutions as engine rows
 # ============================================================================
-
-
-def oracle_literal_holds(state_atoms, patterns, literal, binding):
-    """Direct check of one literal under a full binding; wildcards existential."""
-    pool = list(state_atoms.get(literal.predicate, []))
-    pool += list(patterns.get(literal.predicate, []))
-    matching = []
-    for atom in pool:
-        if len(atom) != len(literal.args):
-            continue
-        ok = True
-        for term, value in zip(literal.args, atom):
-            if term == WILDCARD:
-                continue
-            resolved = binding.get(term, term)
-            if resolved != value:
-                ok = False
-                break
-        if ok:
-            matching.append(atom)
-    return (not matching) if literal.negated else bool(matching)
-
-
-def oracle_match(state, condition, binding=None, extra_ground=None):
-    """All solutions by exhaustive assignment over every constant in scope."""
-    binding = dict(binding or {})
-    patterns = dict(extra_ground or {})
-    state_atoms: dict[str, list[tuple[str, ...]]] = {}
-    constants: set[str] = set(binding.values())
-    for fact in state.facts:
-        state_atoms.setdefault(fact.predicate, []).append(tuple(fact.args))
-        constants.update(fact.args)
-    for pred, atoms in patterns.items():
-        for atom in atoms:
-            constants.update(atom)
-    for item in condition:
-        for term in item.variables() if hasattr(item, "variables") else []:
-            pass
-        if isinstance(item, Comparison):
-            for term in (item.left, item.right):
-                if not term[0].isupper() and term != WILDCARD:
-                    constants.add(term)
-        else:
-            for term in item.args:
-                if term != WILDCARD and not term[0].isupper():
-                    constants.add(term)
-
-    variables = []
-    for item in condition:
-        for term in item.variables():
-            if term not in binding and term not in variables:
-                variables.append(term)
-
-    solutions = []
-    for combo in itertools.product(sorted(constants), repeat=len(variables)):
-        candidate = dict(binding)
-        candidate.update(zip(variables, combo))
-        ok = True
-        for item in condition:
-            if isinstance(item, Comparison):
-                left = candidate.get(item.left, item.left)
-                right = candidate.get(item.right, item.right)
-                holds = (left == right) if item.op == "==" else (left != right)
-            else:
-                holds = oracle_literal_holds(state_atoms, patterns, item, candidate)
-            if not holds:
-                ok = False
-                break
-        if ok:
-            solution = {v: candidate[v] for v in variables}
-            if solution not in solutions:
-                solutions.append(solution)
-    return solutions
 
 
 def expected_rows(state, condition, seed=None, extra_ground=None):
@@ -195,6 +123,20 @@ class TestMatchOracle:
         with pytest.raises(KernelError, match="unknown predicate"):
             join.exists(state, {})
 
+    def test_checks_without_positive_literal_test_the_seed(self):
+        state = small_state()
+        condition = (
+            Comparison("X", "!=", "Y"),
+            Literal("ownsIP", ("X", WILDCARD), negated=True),
+        )
+        join = CompiledCondition(condition, bound=("X", "Y"))
+        for x, y in itertools.product(["p", "c1"], repeat=2):
+            seed = {"X": x, "Y": y}
+            rows = expected_rows(state, condition, seed)
+            assert join.bindings(state, seed) == rows
+            assert join.exists(state, seed) == bool(rows)
+        assert join.bindings(state, {"X": "c1", "Y": "p"}) == [("c1", "p")]
+
     def test_comparison_on_variable_no_positive_literal_binds_raises(self):
         with pytest.raises(KernelError, match="comparison"):
             CompiledCondition((Literal("exists", ("X",)), Comparison("Y", "!=", "usa")))
@@ -216,9 +158,11 @@ class TestMatchOracle:
 def random_cases(draw):
     """A state, transaction patterns, a condition and a seed for it.
 
-    Checks (negations and comparisons) sit anywhere in the condition,
-    before or after the literal that binds their variables; seeded
-    variables may appear in checks without a positive binder.
+    A condition has 0-4 positive literals and 0-4 checks (negations and
+    comparisons).  Checks sit anywhere in the condition, before or after
+    the literal that binds their variables; seeded variables may appear in
+    checks without a positive binder, and with no positive literal the
+    checks use only constants and seeded variables.
     """
     companies = ["p", "c1", "c2"]
     countries = ["usa", "ireland", "bermuda"]
@@ -266,7 +210,7 @@ def random_cases(draw):
         ("exists", 1), ("isChildOf", 2), ("transaction", 3),
     ]
     condition = []
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
         pred, arity = draw(st.sampled_from(predicates))
         if arity == 2 and draw(st.booleans()):
             var = draw(st.sampled_from(variables))
@@ -277,7 +221,7 @@ def random_cases(draw):
     seed_vars = draw(st.lists(st.sampled_from(variables), unique=True, max_size=2))
     seed = {v: draw(st.sampled_from(constants + ["c2"])) for v in seed_vars}
     bindable = sorted(set(positive_variables(condition)) | set(seed))
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
         if draw(st.booleans()):
             pred, arity = draw(st.sampled_from(predicates))
             pool = constants + bindable + [WILDCARD]

@@ -31,7 +31,7 @@ from loophound.taxation import (
     residence_country,
     transaction_patterns,
 )
-from test_kernel import oracle_match
+from oracles import oracle_match
 
 
 # ------------------------------------------------------------------ fixture
