@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.signal import find_peaks
 
-from .explorer import Trajectory, TrajectorySet
+from .explorer import TrajectorySet
 
 REFERENCE_PEAK_HEIGHT = 3.85
 # interquartile range of the reference profile the 3.85 constant was tuned
@@ -62,13 +62,6 @@ class FrequencyTable:
     # (legal_ref, type) -> one statistic per segment
     rows: dict[tuple[str, str], tuple[float, ...]]
     segment_count: int
-
-
-@dataclass(frozen=True)
-class CanonicalPlan:
-    trajectory_id: int
-    length: int
-    final_state_size: int
 
 
 def utility_profile(tset: TrajectorySet) -> UtilityProfile:
@@ -217,34 +210,6 @@ def frequency_table(
 
 
 # ============================================================================
-# Canonical plans
-# ============================================================================
-
-
-def canonicalize(tset: TrajectorySet) -> list[CanonicalPlan]:
-    """Minimal-length representative per final state (tie: lowest id).
-
-    With cost proportional to length, the shortest path to a state is also
-    the maximal-utility one, so each representative is canonical.
-    """
-    groups: dict[frozenset, Trajectory] = {}
-    for t in sorted(tset.trajectories, key=lambda t: (t.length, t.id)):
-        if not t.complete:
-            continue
-        groups.setdefault(t.state_key(), t)
-    plans = [
-        CanonicalPlan(
-            trajectory_id=t.id,
-            length=t.length,
-            final_state_size=len(t.final_state.facts),
-        )
-        for t in groups.values()
-    ]
-    plans.sort(key=lambda p: p.trajectory_id)
-    return plans
-
-
-# ============================================================================
 # CSV output
 # ============================================================================
 
@@ -286,9 +251,15 @@ def read_profile_csv(path) -> tuple[UtilityProfile, list[Segment]]:
         if header != ["index", "utility", "trajectory_id", "segment_id"]:
             raise AnalyticsError(f"{path}: not a profile table")
         for row in reader:
-            values.append(float(row[1]))
-            ids.append(int(row[2]))
-            seg_ids.append(int(row[3]))
+            try:
+                _, value, tid, seg = row
+                values.append(float(value))
+                ids.append(int(tid))
+                seg_ids.append(int(seg))
+            except ValueError as exc:
+                raise AnalyticsError(
+                    f"{path}: bad row {reader.line_num}: {row!r}"
+                ) from exc
     profile = UtilityProfile(values=tuple(values), index_map=tuple(ids))
     segments: list[Segment] = []
     if seg_ids:

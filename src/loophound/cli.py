@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 from . import __version__, corpus_path
 from .analytics import (
+    AnalyticsError,
     UnknownTrajectoryError,
     detect_segments,
     frequency_table,
@@ -174,7 +175,7 @@ def _load_profile(out_dir: Path):
         return read_profile_csv(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
-    except ValueError as exc:
+    except (ValueError, AnalyticsError) as exc:
         raise CliError(f"corrupt profile file {path}: {exc}", EXIT_VALIDATION) from exc
 
 
@@ -209,7 +210,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             tau0=args.tau0,
             max_steps=args.max_steps,
             cost_coefficient=args.cost,
-            threads=args.threads,
         )
     except ExplorerError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from exc
@@ -245,7 +245,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "tau0": params.tau0,
             "max_steps": params.max_steps,
             "cost": params.cost_coefficient,
-            "threads": params.threads,
         },
         hashes={
             "ruleset_sha256": tset.ruleset_sha256,
@@ -453,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     explore_cmd.add_argument("--tau0", type=float, default=5.0)
     explore_cmd.add_argument("--max-steps", type=int, default=12)
     explore_cmd.add_argument("--cost", type=float, default=1.0)
-    explore_cmd.add_argument("--threads", type=int, default=1)
+    # the search runs in one thread; the flag is accepted and ignored so that
+    # existing command lines keep working (perfbench/workloads.py passes it)
+    explore_cmd.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     _add_out_flag(explore_cmd)
     explore_cmd.set_defaults(func=cmd_explore)
 

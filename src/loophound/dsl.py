@@ -115,15 +115,6 @@ class RuleSetDoc:
     def rates(self) -> dict[str, float]:
         return dict(self.rate_table)
 
-    @property
-    def source_spans(self) -> dict[tuple[str, str], tuple[int, int]]:
-        spans: dict[tuple[str, str], tuple[int, int]] = {}
-        for r in self.action_rules:
-            spans[r.key()] = r.span
-        for r in self.reduction_rules:
-            spans[r.key()] = r.span
-        return spans
-
 
 @dataclass(frozen=True, eq=True)
 class StateSpec:
@@ -689,10 +680,6 @@ def _validate_action(rule: ActionRule, diagnostics: list[Diagnostic]) -> None:
                         col,
                     )
                 )
-    try:
-        rule.inferred_types()
-    except kernel.KernelError as exc:
-        diagnostics.append(Diagnostic("error", f"{context}: {exc}", line, col))
 
 
 def _validate_reduction(rule: ReductionRule, diagnostics: list[Diagnostic]) -> None:
@@ -1070,18 +1057,6 @@ def render_ruleset(doc: RuleSetDoc) -> str:
         chunks.append(_render_action(rule))
     for rule in doc.reduction_rules:
         chunks.append(_render_reduction(rule))
-    return "\n\n".join(chunks) + "\n"
-
-
-def render_state_spec(spec: StateSpec) -> str:
-    """Canonical state text; always starts with the declarations header."""
-    chunks = ["# state"]
-    decls = [f"company {c}." for c in spec.companies]
-    decls += [f"ip {i}." for i in spec.ips]
-    if decls:
-        chunks.append("\n".join(decls))
-    if spec.facts:
-        chunks.append("\n".join(f"fact {f}." for f in spec.facts))
     return "\n\n".join(chunks) + "\n"
 
 

@@ -14,15 +14,15 @@ States are deduplicated on their fact set: a node is expanded at most once,
 and a duplicate reached later keeps the shortest path.  Every terminal node
 (no applicable action, or the step cap) and every multi-nationally complete
 node is recorded as a trajectory.  All randomness flows from (seed,
-iteration), and workers only evaluate pure functions, so results are
-bit-identical for any thread count.
+iteration) and no step depends on set or hash order, so
+``trajectories.jsonl`` is byte-identical across processes and
+``PYTHONHASHSEED`` values.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -57,7 +57,6 @@ class SearchParams:
     tau0: float = 5.0
     max_steps: int = 12
     cost_coefficient: float = 1.0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.cost_coefficient <= 0:
@@ -70,8 +69,6 @@ class SearchParams:
             raise ExplorerError("iterations and expansions must be at least 1")
         if self.max_steps < 1:
             raise ExplorerError("max_steps must be at least 1")
-        if self.threads < 1:
-            raise ExplorerError("threads must be at least 1")
 
 
 def depth_weight(t: int, beta: float) -> float:
@@ -156,9 +153,6 @@ class Trajectory:
             total += a.tax_due
         return total
 
-    def state_key(self) -> frozenset[Fact]:
-        return self.final_state.key()
-
 
 @dataclass(frozen=True)
 class TrajectorySet:
@@ -170,12 +164,6 @@ class TrajectorySet:
 
     def complete_trajectories(self) -> list[Trajectory]:
         return [t for t in self.trajectories if t.complete]
-
-    def by_id(self, tid: int) -> Trajectory:
-        for t in self.trajectories:
-            if t.id == tid:
-                return t
-        raise KeyError(tid)
 
 
 def _doc_hash(text: str) -> str:
@@ -249,18 +237,6 @@ def explore(
     seen: dict[frozenset[Fact], int] = {s0.key(): 0}
     frontier: list[int] = [0]
 
-    def expand_one(node_index: int):
-        """Pure expansion: enumerate children of one node (no shared-state writes)."""
-        node = nodes[node_index]
-        acts = applicable_actions(
-            node.state, rules, domains, pool, max_steps=params.max_steps
-        )
-        children = []
-        for act in acts:
-            child_state = apply_action(node.state, act, rules, domains, pool)
-            children.append((act, child_state))
-        return node_index, children
-
     root_deadend = False
     for t in range(params.iterations):
         if not frontier:
@@ -275,22 +251,20 @@ def explore(
         chosen_set = set(chosen)
         frontier = [i for i in frontier if i not in chosen_set]
 
-        if params.threads > 1:
-            with ThreadPoolExecutor(max_workers=params.threads) as pool_exec:
-                expansions = list(pool_exec.map(expand_one, chosen))
-        else:
-            expansions = [expand_one(i) for i in chosen]
-
-        for node_index, children in expansions:
+        for node_index in chosen:
             node = nodes[node_index]
             node.expanded = True
-            if not children:
+            acts = applicable_actions(
+                node.state, rules, domains, pool, max_steps=params.max_steps
+            )
+            if not acts:
                 node.terminal = True
                 if node_index == 0:
                     root_deadend = True
                 continue
             parent_path = _path_actions(nodes, node_index)
-            for act, child_state in children:
+            for act in acts:
+                child_state = apply_action(node.state, act, rules, domains, pool)
                 key = child_state.key()
                 existing = seen.get(key)
                 if existing is not None:

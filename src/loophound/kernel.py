@@ -250,8 +250,10 @@ class ActionRule:
     add_effects: tuple[Literal, ...]
     del_effects: tuple[Literal, ...]
     span: tuple[int, int] = field(default=(0, 0), compare=False)
-    # parameters no positive literal binds: grounding enumerates their domains
+    # parameters no positive literal binds: grounding enumerates the domain
+    # of each one's entity type
     free_params: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    free_types: tuple[str, ...] = field(init=False, repr=False, compare=False)
     # precondition compiled for grounding (fresh and free parameters seeded)
     # and for checking a grounded action (every parameter seeded)
     ground_join: CompiledCondition = field(init=False, repr=False, compare=False)
@@ -269,7 +271,14 @@ class ActionRule:
         free = tuple(
             p for p in self.params if p not in self.fresh_params and p not in positive
         )
+        types = self.inferred_types()
+        for p in free:
+            if p not in types:
+                raise KernelError(
+                    f"cannot infer a domain for parameter {p!r} in rule {self.key()}"
+                )
         object.__setattr__(self, "free_params", free)
+        object.__setattr__(self, "free_types", tuple(types[p] for p in free))
         object.__setattr__(
             self,
             "ground_join",
@@ -285,16 +294,12 @@ class ActionRule:
     def inferred_types(self) -> dict[str, str]:
         """Variable -> entity type, inferred from literal positions."""
         types: dict[str, str] = {}
-        pools = itertools.chain(
-            ((lit, False) for lit in self.add_effects),
-            ((lit, False) for lit in self.del_effects),
-            (
-                (it, True)
-                for it in self.precondition
-                if isinstance(it, Literal)
-            ),
+        literals = itertools.chain(
+            self.add_effects,
+            self.del_effects,
+            (it for it in self.precondition if isinstance(it, Literal)),
         )
-        for lit, _ in pools:
+        for lit in literals:
             sig = PREDICATES.get(lit.predicate)
             if sig is None:
                 continue
@@ -369,16 +374,7 @@ def ground_rule(
             return []
         seed[p] = cid
 
-    types = rule.inferred_types()
-    free_domains = []
-    for p in rule.free_params:
-        ty = types.get(p)
-        if ty is None:
-            raise KernelError(
-                f"cannot infer a domain for parameter {p!r} in rule {rule.key()}"
-            )
-        free_domains.append(domains.for_type(ty))
-
+    free_domains = [domains.for_type(ty) for ty in rule.free_types]
     join = rule.ground_join
     slots = [(p, join.variables.index(p)) for p in sorted(rule.params)]
     # distinct auxiliary-variable matches can collapse to the same parameter

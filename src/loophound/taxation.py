@@ -93,8 +93,7 @@ class ReductionRule:
     new_base: LinExpr = BASE_IDENTITY
     new_rate: LinExpr = RATE_IDENTITY
     span: tuple[int, int] = field(default=(0, 0), compare=False)
-    # condition compiled to check one company (Self seeded) and to project
-    # the companies it holds for
+    # condition compiled to project the companies it holds for
     join: CompiledCondition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -108,7 +107,7 @@ class ReductionRule:
         object.__setattr__(
             self,
             "join",
-            CompiledCondition(condition, bound=(SELF_VAR,), project=(SELF_VAR,)),
+            CompiledCondition(condition, project=(SELF_VAR,)),
         )
 
     def key(self) -> tuple[str, str]:
@@ -175,28 +174,21 @@ def applicability_map(
 
 
 def applicable_reductions(
-    state: State,
-    transactions: Sequence[Transaction],
     company: str,
     base: float,
     rate: float,
     reductions: Sequence[ReductionRule],
-    patterns: Optional[Mapping[str, Sequence[tuple[str, ...]]]] = None,
-    applicability: Optional[Mapping[tuple[str, str], frozenset[str]]] = None,
+    applicability: Mapping[tuple[str, str], frozenset[str]],
 ) -> list[tuple[ReductionRule, float, float]]:
     """Admissible (rule, new_base, new_rate) candidates for one return, in rule order.
 
+    ``applicability`` is the :func:`applicability_map` of the assessed state.
     A candidate is rejected (with a log warning) when its evaluated new base
     is negative, its new rate leaves [0, 1], or it would increase the tax due.
     """
-    if patterns is None:
-        patterns = {"transaction": transaction_patterns(transactions)}
     out: list[tuple[ReductionRule, float, float]] = []
     for rule in reductions:
-        if applicability is not None:
-            if company not in applicability[rule.key()]:
-                continue
-        elif not rule.join.exists(state, {SELF_VAR: company}, patterns):
+        if company not in applicability[rule.key()]:
             continue
         new_base = rule.new_base.evaluate(base, rate)
         new_rate = rule.new_rate.evaluate(base, rate)
@@ -244,31 +236,19 @@ def choose_reduction(
 def assess(
     company: str,
     country: str,
-    transactions: Sequence[Transaction],
-    state: State,
     reductions: Sequence[ReductionRule],
     rates: TaxRateTable,
-    flows: Optional[Mapping[str, tuple[float, float]]] = None,
-    patterns: Optional[Mapping[str, Sequence[tuple[str, ...]]]] = None,
-    applicability: Optional[Mapping[tuple[str, str], frozenset[str]]] = None,
+    flows: Mapping[str, tuple[float, float]],
+    applicability: Mapping[tuple[str, str], frozenset[str]],
 ) -> TaxAssessment:
+    """One company's return: ``flows`` are the settled transactions'
+    ``company_flows``, ``applicability`` the state's :func:`applicability_map`."""
     if country not in rates:
         raise TaxationError(f"no statutory rate for country {country!r}")
-    if flows is None:
-        flows = company_flows(transactions)
     base, _ = flows.get(company, (0.0, 0.0))
     rate = float(rates[country])
 
-    candidates = applicable_reductions(
-        state,
-        transactions,
-        company,
-        base,
-        rate,
-        reductions,
-        patterns=patterns,
-        applicability=applicability,
-    )
+    candidates = applicable_reductions(company, base, rate, reductions, applicability)
     best_deductible = choose_reduction(
         [c for c in candidates if c[0].kind == DEDUCTIBLE]
     )
@@ -310,13 +290,10 @@ def assess_all(
         assess(
             company,
             residence_country(state, company),
-            transactions,
-            state,
             reductions,
             rates,
-            flows=flows,
-            patterns=patterns,
-            applicability=applicability,
+            flows,
+            applicability,
         )
         for company in state.companies()
     ]

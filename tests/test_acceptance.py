@@ -10,6 +10,9 @@ written into this file.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -36,7 +39,6 @@ from loophound.explorer import (
     explore,
     selection_distribution,
     trajectory_utility,
-    write_jsonl,
 )
 from loophound.induction import (
     Clause,
@@ -575,16 +577,24 @@ def test_criterion_7_royalty_cascade_oracle(capsys):
 # -------------------------------------------------------------- criterion 8
 
 
-def test_criterion_8_determinism_and_round_trip(
-    corpus_ruleset, corpus_scenario, tmp_path, capsys
-):
+def test_criterion_8_determinism_and_round_trip(tmp_path, capsys):
+    # two separate processes with different string-hash seeds: nothing in the
+    # output may depend on set or dict hash order, or on process state
     outputs = []
-    for threads in (1, 4):
-        params = SearchParams(seed=5, iterations=12, expansions=150, threads=threads)
-        tset = explore(corpus_ruleset, corpus_scenario, params)
-        path = tmp_path / f"threads_{threads}.jsonl"
-        write_jsonl(tset, path)
-        outputs.append(path.read_bytes())
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / f"hashseed_{hash_seed}"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "loophound.cli", "explore",
+                "--seed", "5", "--iterations", "12", "--expansions", "150",
+                "--out", str(out),
+            ],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / "trajectories.jsonl").read_bytes())
     identical = outputs[0] == outputs[1]
 
     ruleset_text = corpus_path("table1.lhl").read_text(encoding="utf-8")
@@ -602,7 +612,7 @@ def test_criterion_8_determinism_and_round_trip(
         capsys,
         8,
         ok,
-        f"trajectories.jsonl byte-identical across --threads 1 vs 4 "
+        f"trajectories.jsonl byte-identical across PYTHONHASHSEED 0 vs 12345 "
         f"({len(outputs[0])} bytes); corpus parse-render-parse round trip holds",
     )
 

@@ -9,7 +9,6 @@ implementation must agree exactly, including on tie-heavy inputs.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +22,6 @@ from loophound.analytics import (
     REFERENCE_PEAK_HEIGHT,
     Segment,
     UtilityProfile,
-    canonicalize,
     detect_segments,
     drop_series,
     frequency_table,
@@ -302,8 +300,9 @@ class TestUtilityProfile:
             reverse=True,
         )
         assert list(profile.values) == want
+        by_id = {t.id: t for t in desk_run.trajectories}
         for pos, tid in enumerate(profile.index_map):
-            assert desk_run.by_id(tid).utility == profile.values[pos]
+            assert by_id[tid].utility == profile.values[pos]
 
 
 # ---------------------------------------------------------- frequency table
@@ -371,56 +370,6 @@ class TestFrequencyTable:
         table = frequency_table(desk_run, profile, segments)
         keys = list(table.rows)
         assert keys == sorted(keys)
-
-
-# ------------------------------------------------------------- canonical
-
-
-class TestCanonicalize:
-    def test_shortest_representative_per_state(self):
-        shared = frozenset({make_fact("exists", ("a",))})
-        short = dataclasses.replace(
-            mk_trajectory(0, 10.0, length=2),
-            final_state=State(facts=shared, step_count=2, transfer_used=False),
-        )
-        long = dataclasses.replace(
-            mk_trajectory(1, 8.0, length=4),
-            final_state=State(facts=shared, step_count=4, transfer_used=False),
-        )
-        plans = canonicalize(mk_tset([long, short]))
-        assert len(plans) == 1
-        assert plans[0].trajectory_id == 0
-        assert plans[0].length == 2
-
-    def test_length_tie_keeps_lowest_id(self):
-        shared = frozenset({make_fact("exists", ("a",))})
-        t0 = dataclasses.replace(
-            mk_trajectory(0, 10.0, length=3),
-            final_state=State(facts=shared, step_count=3, transfer_used=False),
-        )
-        t1 = dataclasses.replace(
-            mk_trajectory(1, 10.0, length=3),
-            final_state=State(facts=shared, step_count=3, transfer_used=False),
-        )
-        plans = canonicalize(mk_tset([t1, t0]))
-        assert [p.trajectory_id for p in plans] == [0]
-
-    def test_incomplete_excluded(self):
-        plans = canonicalize(mk_tset([mk_trajectory(0, 5.0, complete=False)]))
-        assert plans == []
-
-    def test_representative_has_max_utility_in_group(self, desk_run):
-        """Cost grows with length, so the shortest plan is the best plan."""
-        plans = {p.trajectory_id: p for p in canonicalize(desk_run)}
-        groups: dict[frozenset, list[Trajectory]] = {}
-        for t in desk_run.trajectories:
-            if t.complete:
-                groups.setdefault(t.state_key(), []).append(t)
-        for members in groups.values():
-            rep_ids = [t.id for t in members if t.id in plans]
-            assert len(rep_ids) == 1
-            rep = desk_run.by_id(rep_ids[0])
-            assert rep.utility == max(t.utility for t in members)
 
 
 # ------------------------------------------------------------------- CSV

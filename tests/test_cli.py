@@ -146,7 +146,6 @@ class TestDeterminism:
                 "--seed", "11",
                 "--iterations", "8",
                 "--expansions", "60",
-                "--threads", "1" if name == "a" else "3",
                 "--out", str(out),
             ]
             started = time.monotonic()
@@ -187,6 +186,27 @@ class TestRunDirectoryIntegrity:
         err = capsys.readouterr().err
         assert "corrupt trajectory file" in err
         assert f"announces {rows} trajectories, file holds {rows // 2}" in err
+
+    @pytest.mark.parametrize(
+        "profile_text",
+        [
+            "a,b\n1,2\n",
+            "index,utility,trajectory_id,segment_id\n0,5.0,3\n",
+            "index,utility,trajectory_id,segment_id\n0,five,3,0\n",
+        ],
+        ids=["wrong-header", "short-row", "non-numeric"],
+    )
+    def test_malformed_profile_rejected(
+        self, toy_run_dir, tmp_path, capsys, profile_text
+    ):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "trajectories.jsonl").write_bytes(
+            (toy_run_dir / "trajectories.jsonl").read_bytes()
+        )
+        (run / "profile.csv").write_text(profile_text)
+        assert main(["stats", "--out", str(run)]) == 1
+        assert "corrupt profile file" in capsys.readouterr().err
 
     def test_stale_profile_is_a_stage_order_violation(self, tmp_path, toy_files, capsys):
         ruleset, scenario = toy_files

@@ -153,6 +153,36 @@ class TestRulesetValidation:
             for m in messages
         )
 
+    def test_untyped_free_parameter_rejected(self):
+        # Tag fills no typed position, so grounding has no domain for it
+        text = (
+            "rate usa 0.35.\n"
+            'action addChild(Parent, fresh Child, Tag) ref "x" {\n'
+            "  pre: exists(Parent), Tag != Parent;\n"
+            "  eff: exists(Child);\n"
+            "}\n"
+        )
+        result = parse_ruleset(text)
+        assert not result.ok
+        assert any(
+            m.startswith("2:1: error: action:")
+            and "cannot infer a domain for parameter 'Tag'" in m
+            for m in errors_of(result)
+        ), errors_of(result)
+
+    def test_conflicting_variable_types_rejected(self):
+        text = (
+            'action addChild(P, fresh C) ref "x" '
+            "{ pre: exists(P), based(Q, P); eff: exists(C); }"
+        )
+        result = parse_ruleset(text)
+        assert not result.ok
+        assert any(
+            m.startswith("1:1: error: action:")
+            and "'P' used with conflicting types" in m
+            for m in errors_of(result)
+        ), errors_of(result)
+
     def test_deductible_must_not_touch_rate(self):
         text = (
             'reduction "r" kind deductible '

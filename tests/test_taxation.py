@@ -225,8 +225,6 @@ class TestSandwichFixture:
                 if oracle_match(state, rule.condition, {SELF_VAR: c}, patterns)
             )
             assert amap[rule.key()] == expected
-            for c in state.companies():
-                assert rule.join.exists(state, {SELF_VAR: c}, patterns) == (c in expected)
 
 
 # ---------------------------------------------------------------- residence
@@ -254,6 +252,10 @@ class TestResidence:
 
 
 # ---------------------------------------------------- candidate selection
+
+
+def no_transactions_map(state, reductions):
+    return applicability_map(state, {"transaction": []}, reductions)
 
 
 def rule(ref: str, kind: str, condition=(), **expr) -> ReductionRule:
@@ -295,7 +297,8 @@ class TestAdmission:
         state = self.setup_state()
         with caplog.at_level(logging.WARNING, logger="loophound.taxation"):
             out = applicable_reductions(
-                state, [], "a0", 100.0, 0.35, (reduction,)
+                "a0", 100.0, 0.35, (reduction,),
+                no_transactions_map(state, (reduction,)),
             )
         return out, caplog.text
 
@@ -341,26 +344,32 @@ class TestStrictImprovement:
     def test_identity_deductible_not_applied(self):
         state = initial_state([make_fact("based", ("a0", "usa"))], ("a0",))
         identity = rule("noop", "deductible")  # new_base stays Base
-        a = assess("a0", "usa", [], state, (identity,), {"usa": 0.35})
+        a = assess(
+            "a0", "usa", (identity,), {"usa": 0.35}, {},
+            no_transactions_map(state, (identity,)),
+        )
         assert a.applied_reduction is None
         assert a.reduced_base == a.base
 
     def test_identity_exemption_not_applied(self):
         state = initial_state([make_fact("based", ("a0", "usa"))], ("a0",))
         identity = rule("noop", "exemption")  # new_rate stays Rate
-        a = assess("a0", "usa", [], state, (identity,), {"usa": 0.35})
+        a = assess(
+            "a0", "usa", (identity,), {"usa": 0.35}, {},
+            no_transactions_map(state, (identity,)),
+        )
         assert a.applied_exemption is None
         assert a.reduced_rate == a.rate
 
     def test_channels_are_independent(self):
         """A deductible rewrites only the base, an exemption only the rate."""
         state = initial_state([make_fact("based", ("a0", "usa"))], ("a0",))
-        txns = []
         flows = {"a0": (200.0, 0.0)}
         ded = rule("d", "deductible", base_coef=0.5)
         ex = rule("e", "exemption", rate_coef=0.5)
         a = assess(
-            "a0", "usa", txns, state, (ded, ex), {"usa": 0.4}, flows=flows
+            "a0", "usa", (ded, ex), {"usa": 0.4}, flows,
+            no_transactions_map(state, (ded, ex)),
         )
         assert (a.base, a.reduced_base) == (200.0, 100.0)
         assert (a.rate, a.reduced_rate) == (0.4, 0.2)
@@ -371,9 +380,8 @@ class TestStrictImprovement:
 
 class TestAssessErrors:
     def test_missing_statutory_rate(self):
-        state = initial_state([make_fact("based", ("a0", "usa"))], ("a0",))
         with pytest.raises(TaxationError, match="no statutory rate"):
-            assess("a0", "usa", [], state, (), {"germany": 0.3})
+            assess("a0", "usa", (), {"germany": 0.3}, {}, {})
 
 
 class TestNetProfit:
