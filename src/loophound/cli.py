@@ -133,9 +133,17 @@ def _update_manifest(
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 manifest = json.load(handle)
-        except (OSError, ValueError):
-            pass
-        manifest.setdefault("stages", {})
+        except OSError as exc:
+            raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
+        except ValueError as exc:
+            raise CliError(f"corrupt manifest file {path}: {exc}", EXIT_VALIDATION) from exc
+        if not isinstance(manifest, dict) or not isinstance(
+            manifest.setdefault("stages", {}), dict
+        ):
+            raise CliError(
+                f"corrupt manifest file {path}: expected a JSON object with a 'stages' object",
+                EXIT_VALIDATION,
+            )
         manifest["version"] = __version__
     if hashes:
         manifest.update(hashes)

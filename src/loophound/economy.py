@@ -133,7 +133,7 @@ def royalty_transactions(
     well-founded; sums are accumulated in sorted edge order to keep float
     results reproducible.
     """
-    edges = sorted(tuple(args) for args in state.index["rentsIP"])
+    edges = state.index["rentsIP"]  # sorted, like every index group
     commercial_by_company: dict[str, float] = {}
     for t in commercial:
         commercial_by_company[t.receiver] = (

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ from .kernel import (
     Domains,
     Fact,
     GroundedAction,
+    KernelError,
     State,
     applicable_actions,
     apply_action,
@@ -294,10 +295,8 @@ def explore(
                 seen[key] = child_index
                 if child_state.step_count >= params.max_steps:
                     child.terminal = True
-                    child_state.release_index()
                 else:
                     frontier.append(child_index)
-            node.state.release_index()
 
     if root_deadend:
         warnings.append("no applicable actions at the root state; empty result")
@@ -443,12 +442,17 @@ def read_jsonl(path) -> TrajectorySet:
             )
             for a in d["actions"]
         )
-        facts = frozenset(Fact(row[0], tuple(row[1:])) for row in d["final_state"])
-        state = State(
-            facts=facts,
-            step_count=d["length"],
-            transfer_used=any(a.name == "transferIP" for a in actions),
-        )
+        try:
+            state = State(
+                facts=frozenset(Fact(row[0], tuple(row[1:])) for row in d["final_state"]),
+                step_count=d["length"],
+                transfer_used=any(a.name == "transferIP" for a in actions),
+            )
+        except (KernelError, IndexError, TypeError) as exc:
+            raise ExplorerError(
+                f"corrupt trajectory file {path}: final state of trajectory "
+                f"{d['id']}: {exc}"
+            ) from exc
         transactions = tuple(
             Transaction(id=r[0], time=r[1], kind=r[2], sender=r[3], receiver=r[4], amount=r[5])
             for r in d["transactions"]

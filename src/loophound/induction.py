@@ -112,19 +112,21 @@ class ExampleBackground:
     trajectory_id: int
     facts: tuple[tuple[str, ...], ...]
     roles: tuple[tuple[str, str], ...]
+    # the facts grouped by predicate, in fact order
+    by_predicate: dict[str, tuple[tuple[str, ...], ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        grouped: dict[str, list[tuple[str, ...]]] = {}
+        for atom in self.facts:
+            grouped.setdefault(atom[0], []).append(atom)
+        object.__setattr__(
+            self, "by_predicate", {pred: tuple(atoms) for pred, atoms in grouped.items()}
+        )
 
     def role_map(self) -> dict[str, str]:
         return dict(self.roles)
-
-    def by_predicate(self) -> dict[str, tuple[tuple[str, ...], ...]]:
-        cached = self.__dict__.get("_by_predicate")
-        if cached is None:
-            grouped: dict[str, list[tuple[str, ...]]] = {}
-            for atom in self.facts:
-                grouped.setdefault(atom[0], []).append(atom)
-            cached = {pred: tuple(atoms) for pred, atoms in grouped.items()}
-            object.__setattr__(self, "_by_predicate", cached)
-        return cached
 
 
 @dataclass(frozen=True)
@@ -132,13 +134,10 @@ class BackgroundDB:
     examples: tuple[ExampleBackground, ...]
     excluded: tuple[int, ...] = ()
     warnings: tuple[str, ...] = ()
+    by_id: dict[int, ExampleBackground] = field(init=False, repr=False, compare=False)
 
-    def by_id(self) -> dict[int, ExampleBackground]:
-        cached = self.__dict__.get("_by_id")
-        if cached is None:
-            cached = {ex.trajectory_id: ex for ex in self.examples}
-            object.__setattr__(self, "_by_id", cached)
-        return cached
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "by_id", {ex.trajectory_id: ex for ex in self.examples})
 
 
 def build_background(tset: TrajectorySet, config: InductionConfig) -> BackgroundDB:
@@ -239,7 +238,7 @@ def canonical_clause(body: Iterable[ClauseLiteral]) -> Clause:
 def clause_covers(clause: Clause, example: ExampleBackground) -> bool:
     """Existential body matching against one trajectory's database."""
     binding: dict[str, str] = example.role_map()
-    by_pred = example.by_predicate()
+    by_pred = example.by_predicate
     body = clause.body
 
     def matches(index: int) -> bool:
@@ -343,7 +342,7 @@ def _score_clauses(
     negatives: Sequence[int],
     background: BackgroundDB,
 ) -> Metrics:
-    by_id = background.by_id()
+    by_id = background.by_id
     covered = covered_ids(clauses, background)
     tp = sum(1 for i in positives if i in by_id and i in covered)
     fn = sum(1 for i in positives if i in by_id and i not in covered)
@@ -427,7 +426,7 @@ def _search_clause(
     ips: Sequence[str],
 ) -> Optional[_Candidate]:
     """Beam search for the linked clause maximizing F1 on uncovered positives."""
-    by_id = background.by_id()
+    by_id = background.by_id
     total_uncovered = len(uncovered)
 
     def refine(parent: _Candidate) -> Iterator[_Candidate]:
@@ -498,7 +497,7 @@ def induce(
     """
     if not examples.positives:
         raise InductionError("cannot induce from an empty positive set")
-    by_id = background.by_id()
+    by_id = background.by_id
     positives = tuple(i for i in examples.positives if i in by_id)
     negatives = tuple(i for i in examples.negatives if i in by_id)
     if not positives:

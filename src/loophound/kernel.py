@@ -6,6 +6,11 @@ preconditions as conjunctions of literals and comparisons, and effects as
 fact additions/deletions.  The kernel grounds rules against a state, checks
 applicability and produces successor states.
 
+A state builds its per-predicate fact index, which every condition reads,
+once, when it is built, and checks its invariants on that index: one owner
+per IP, one ``based`` and one ``managed`` country per company, one licensor
+per (renter, IP) and acyclic licensing per IP.
+
 Variables follow the Prolog convention: identifiers starting with an
 uppercase letter are variables, everything else is a constant.  ``_`` is an
 anonymous wildcard, only meaningful inside literals.
@@ -89,39 +94,39 @@ def make_fact(predicate: str, args: Sequence[str]) -> Fact:
     return Fact(predicate, tuple(args))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
-    """Immutable set of ground facts plus bookkeeping for the one-shot transfer."""
+    """Immutable set of ground facts plus bookkeeping for the one-shot transfer.
+
+    ``index`` maps every predicate to the argument tuples of its facts, in
+    sorted order.  It is built, and the state's invariants checked, once,
+    when the state is built.
+    """
 
     facts: frozenset[Fact]
     step_count: int = 0
     transfer_used: bool = False
+    index: dict[str, tuple[tuple[str, ...], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        _validate_facts(self.facts)
-
-    # fact index by predicate, built lazily; frozen dataclasses still own a
-    # __dict__ so cached values can be slotted in without mutation semantics
-    @property
-    def index(self) -> dict[str, list[tuple[str, ...]]]:
-        cached = self.__dict__.get("_index")
-        if cached is None:
-            cached = {p: [] for p in PREDICATES}
-            for f in sorted(self.facts):
-                cached[f.predicate].append(f.args)
-            self.__dict__["_index"] = cached
-        return cached
-
-    def release_index(self) -> None:
-        """Drop the cached fact index (rebuilt lazily on next access)."""
-        self.__dict__.pop("_index", None)
-
-    def holds(self, fact: Fact) -> bool:
-        return fact in self.facts
+        grouped: dict[str, list[tuple[str, ...]]] = {p: [] for p in PREDICATES}
+        for f in sorted(self.facts):
+            rows = grouped.get(f.predicate)
+            if rows is None:
+                raise KernelError(f"unknown predicate in state: {f.predicate!r}")
+            if len(f.args) != len(PREDICATES[f.predicate]):
+                raise KernelError(f"bad arity in state fact: {f}")
+            rows.append(f.args)
+        # tuples, not lists: every retained state keeps its index
+        index = {p: tuple(rows) for p, rows in grouped.items()}
+        _validate_index(index)
+        object.__setattr__(self, "index", index)
 
     def companies(self) -> list[str]:
         """Existing company ids, sorted."""
-        return sorted(args[0] for args in self.index["exists"])
+        return [args[0] for args in self.index["exists"]]
 
     def key(self) -> frozenset[Fact]:
         """Deduplication key: the fact set itself."""
@@ -131,62 +136,38 @@ class State:
         return "{" + ", ".join(str(f) for f in sorted(self.facts)) + "}"
 
 
-def _validate_facts(facts: Iterable[Fact]) -> None:
-    owners: dict[str, str] = {}
-    based: dict[str, set[str]] = {}
-    managed: dict[str, set[str]] = {}
-    rents: dict[str, list[tuple[str, str]]] = {}
-    inbound: dict[tuple[str, str], str] = {}
-    for f in facts:
-        if f.predicate not in PREDICATES:
-            raise KernelError(f"unknown predicate in state: {f.predicate!r}")
-        if len(f.args) != len(PREDICATES[f.predicate]):
-            raise KernelError(f"bad arity in state fact: {f}")
-        if f.predicate == "ownsIP":
-            company, ip = f.args
-            if ip in owners and owners[ip] != company:
-                raise KernelError(f"ip {ip!r} has more than one owner")
-            owners[ip] = company
-        elif f.predicate == "based":
-            based.setdefault(f.args[0], set()).add(f.args[1])
-        elif f.predicate == "managed":
-            managed.setdefault(f.args[0], set()).add(f.args[1])
-        elif f.predicate == "rentsIP":
-            licensor, renter, ip = f.args
-            rents.setdefault(ip, []).append((licensor, renter))
-            key = (renter, ip)
-            if key in inbound and inbound[key] != licensor:
+def _validate_index(index: dict[str, tuple[tuple[str, ...], ...]]) -> None:
+    """Check the state invariants on a sorted, duplicate-free fact index."""
+    owners: set[str] = set()
+    for _, ip in index["ownsIP"]:
+        if ip in owners:
+            raise KernelError(f"ip {ip!r} has more than one owner")
+        owners.add(ip)
+    for predicate, where in (("based", "based in"), ("managed", "managed from")):
+        rows = index[predicate]
+        # sorted rows: a company with two countries has two adjacent rows
+        for (company, _), (following, _) in zip(rows, rows[1:]):
+            if company == following:
                 raise KernelError(
-                    f"company {renter!r} rents ip {ip!r} from more than one licensor"
+                    f"company {company!r} is {where} multiple countries"
                 )
-            inbound[key] = licensor
-    for company, countries in based.items():
-        if len(countries) > 1:
-            raise KernelError(f"company {company!r} is based in multiple countries")
-    for company, countries in managed.items():
-        if len(countries) > 1:
-            raise KernelError(f"company {company!r} is managed from multiple countries")
-    # licensing edges must stay acyclic per ip
-    for ip, edges in rents.items():
-        succ: dict[str, list[str]] = {}
-        for licensor, renter in edges:
-            succ.setdefault(licensor, []).append(renter)
-        seen: set[str] = set()
-        onpath: set[str] = set()
-
-        def visit(node: str) -> None:
-            if node in onpath:
-                raise KernelError(f"rentsIP edges form a cycle for ip {ip!r}")
-            if node in seen:
-                return
-            onpath.add(node)
-            for nxt in succ.get(node, ()):
-                visit(nxt)
-            onpath.discard(node)
-            seen.add(node)
-
-        for licensor in list(succ):
-            visit(licensor)
+    licensor_of: dict[tuple[str, str], str] = {}
+    for licensor, renter, ip in index["rentsIP"]:
+        if (renter, ip) in licensor_of:
+            raise KernelError(
+                f"company {renter!r} rents ip {ip!r} from more than one licensor"
+            )
+        licensor_of[(renter, ip)] = licensor
+    # one licensor per (renter, ip): a renter's licensor chain for an ip is
+    # acyclic exactly when it ends within as many steps as there are edges
+    for renter, ip in licensor_of:
+        company: Optional[str] = renter
+        for _ in range(len(licensor_of) + 1):
+            company = licensor_of.get((company, ip))
+            if company is None:
+                break
+        else:
+            raise KernelError(f"rentsIP edges form a cycle for ip {ip!r}")
 
 
 def initial_state(
@@ -319,12 +300,6 @@ class GroundedAction(NamedTuple):
     name: str
     legal_ref: str
     binding: tuple[tuple[str, str], ...]  # sorted (var, value) pairs
-
-    def value(self, var: str) -> str:
-        for k, v in self.binding:
-            if k == var:
-                return v
-        raise KeyError(var)
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.binding)

@@ -188,6 +188,48 @@ class TestRunDirectoryIntegrity:
         assert f"announces {rows} trajectories, file holds {rows // 2}" in err
 
     @pytest.mark.parametrize(
+        "bad_row,message",
+        [
+            (["ownsIP", "c9", "ip1"], "'ip1' has more than one owner"),
+            ([], "index out of range"),
+        ],
+        ids=["second-ip-owner", "empty-fact-row"],
+    )
+    def test_invalid_final_state_rejected(
+        self, toy_run_dir, tmp_path, capsys, bad_row, message
+    ):
+        header, first, *rest = (
+            (toy_run_dir / "trajectories.jsonl").read_text().splitlines(True)
+        )
+        row = json.loads(first)
+        row["final_state"].append(bad_row)
+        (tmp_path / "trajectories.jsonl").write_text(
+            "".join([header, json.dumps(row) + "\n", *rest])
+        )
+        assert main(["profile", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "corrupt trajectory file" in err
+        assert f"final state of trajectory {row['id']}: " in err
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "manifest_text",
+        ["[]\n", '{"stages": []}\n', '{"stages": [\n'],
+        ids=["not-an-object", "stages-not-an-object", "invalid-json"],
+    )
+    def test_corrupt_manifest_rejected_and_kept(
+        self, toy_files, tmp_path, capsys, manifest_text
+    ):
+        ruleset, scenario = toy_files
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(manifest_text)
+        argv = ["explore", "--ruleset", str(ruleset), "--scenario", str(scenario),
+                "--iterations", "1", "--expansions", "5", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert f"corrupt manifest file {manifest}" in capsys.readouterr().err
+        assert manifest.read_text() == manifest_text
+
+    @pytest.mark.parametrize(
         "profile_text",
         [
             "a,b\n1,2\n",

@@ -176,7 +176,7 @@ def oracle_best_single_clause(db, positives, negatives, vocabulary, max_literals
         {a[-1] for ex in db.examples for a in ex.facts if a[0] in ("ownsIP", "rentsIP")}
     )
     universe = oracle_literal_universe(countries, ips, vocabulary)
-    by_id = db.by_id()
+    by_id = db.by_id
     best = 0.0
     for size in range(1, max_literals + 1):
         for body in itertools.combinations(universe, size):

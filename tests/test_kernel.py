@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from loophound.kernel import (
     Comparison,
     Domains,
+    Fact,
     KernelError,
     Literal,
+    PREDICATES,
     State,
     WILDCARD,
     applicable_actions,
@@ -334,12 +336,12 @@ class TestGrounding:
         pool = toy_scenario.scenario.company_pool
         incorp = next(r for r in toy_ruleset.action_rules if r.name == "addChild")
         for action in ground_rule(incorp, state, domains, pool):
-            assert action.value("Child") == "c1"
+            assert action.as_dict()["Child"] == "c1"
         second = apply_action(
             state, ground_rule(incorp, state, domains, pool)[0], toy_ruleset.action_rules, domains, pool
         )
         for action in ground_rule(incorp, second, domains, pool):
-            assert action.value("Child") == "c2"
+            assert action.as_dict()["Child"] == "c2"
 
     def test_exhausted_pool_stops_incorporation(self, toy_ruleset, toy_scenario):
         domains = toy_domains(toy_scenario)
@@ -373,7 +375,7 @@ class TestApply:
         action = next(
             a
             for a in ground_rule(transfer, state, domains, pool)
-            if a.value("To") == "c1"
+            if a.as_dict()["To"] == "c1"
         )
         result = apply_action(state, action, toy_ruleset.action_rules, domains, pool)
         assert make_fact("ownsIP", ["c1", "ip1"]) in result.facts
@@ -436,3 +438,74 @@ class TestStateValidation:
     def test_variable_in_fact_rejected(self):
         with pytest.raises(KernelError):
             State(facts=frozenset([make_fact("based", ["p", "usa"]), make_fact("exists", ["P"])]))
+
+
+def rents(licensor, renter, ip="ip1"):
+    return Fact("rentsIP", (licensor, renter, ip))
+
+
+# raw fact sets that each break one state invariant, with the error they raise
+INVALID_STATES = {
+    "unknown-predicate": ([Fact("flies", ("p",))], "unknown predicate"),
+    "bad-arity": ([Fact("based", ("p",))], "bad arity"),
+    "two-ip-owners": (
+        [Fact("ownsIP", ("p", "ip1")), Fact("ownsIP", ("q", "ip1"))],
+        "more than one owner",
+    ),
+    "two-based-countries": (
+        [Fact("based", ("p", "usa")), Fact("based", ("p", "ireland"))],
+        "based in multiple countries",
+    ),
+    "two-managed-countries": (
+        [Fact("managed", ("p", "usa")), Fact("managed", ("p", "ireland"))],
+        "managed from multiple countries",
+    ),
+    "two-licensors": ([rents("p", "c"), rents("q", "c")], "more than one licensor"),
+    "two-cycle": ([rents("a", "b"), rents("b", "a")], "cycle for ip 'ip1'"),
+    # a rents from b, b from c, c from b: the chain from a only enters the cycle
+    "cycle-entered-from-outside": (
+        [rents("b", "a"), rents("c", "b"), rents("b", "c")],
+        "cycle for ip 'ip1'",
+    ),
+}
+
+
+class TestStateInvariants:
+    @pytest.mark.parametrize(
+        "facts,message", INVALID_STATES.values(), ids=INVALID_STATES.keys()
+    )
+    def test_broken_invariant_rejected(self, facts, message):
+        with pytest.raises(KernelError, match=message):
+            State(facts=frozenset(facts))
+
+    def test_licensing_forest_accepted(self):
+        # two trees for ip1, one shared renter chain for ip2: every renter has
+        # one licensor per ip, and c licenses a for ip2 while a licenses c for ip1
+        facts = frozenset(
+            [
+                Fact("ownsIP", ("a", "ip1")),
+                Fact("ownsIP", ("c", "ip2")),
+                rents("a", "b"),
+                rents("a", "c"),
+                rents("c", "d"),
+                rents("e", "f"),
+                rents("c", "a", "ip2"),
+                rents("a", "b", "ip2"),
+            ]
+        )
+        assert len(State(facts=facts).index["rentsIP"]) == 6
+
+    def test_index_groups_sorted_facts_by_predicate(self):
+        state = small_state()
+        ordered = sorted(state.facts)
+        assert state.index == {
+            p: tuple(f.args for f in ordered if f.predicate == p) for p in PREDICATES
+        }
+        assert state.companies() == ["c1", "p"]
+
+    def test_equal_facts_give_equal_states(self):
+        state = small_state()
+        twin = State(facts=frozenset(sorted(state.facts, reverse=True)))
+        assert twin == state
+        assert hash(twin) == hash(state)
+        assert twin != State(facts=state.facts, step_count=1)
