@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .explorer import TrajectorySet
 
@@ -144,6 +143,10 @@ def select_cut_points(
     """
     if len(drops) == 0:
         return []
+    # imported here: scipy.signal takes about a second to import, and only
+    # the profile stage needs it
+    from scipy.signal import find_peaks
+
     # pad so drops at the ends still count as local maxima
     padded = np.concatenate(([-np.inf], drops, [-np.inf]))
     peaks, _ = find_peaks(padded, height=height)

@@ -116,35 +116,38 @@ def _parse_documents(ruleset_path: Path, scenario_path: Path):
     return ruleset_result.document, scenario_result.document
 
 
-def _update_manifest(
+def _read_manifest(out_dir: Path) -> dict:
+    """The run directory's manifest, checked before the stage does any work."""
+    path = out_dir / MANIFEST_FILE
+    if not path.exists():
+        return {"format": 1, "tool": "loophound", "version": __version__, "stages": {}}
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
+    except ValueError as exc:
+        raise CliError(f"corrupt manifest file {path}: {exc}", EXIT_VALIDATION) from exc
+    if not isinstance(manifest, dict) or not isinstance(
+        manifest.setdefault("stages", {}), dict
+    ):
+        raise CliError(
+            f"corrupt manifest file {path}: expected a JSON object with a 'stages' object",
+            EXIT_VALIDATION,
+        )
+    manifest["version"] = __version__
+    return manifest
+
+
+def _write_manifest(
     out_dir: Path,
+    manifest: dict,
     stage: str,
     record: dict,
     hashes: Optional[dict] = None,
 ) -> None:
+    """Record the finished stage in ``manifest`` and write it back."""
     path = out_dir / MANIFEST_FILE
-    manifest: dict = {
-        "format": 1,
-        "tool": "loophound",
-        "version": __version__,
-        "stages": {},
-    }
-    if path.exists():
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
-        except ValueError as exc:
-            raise CliError(f"corrupt manifest file {path}: {exc}", EXIT_VALIDATION) from exc
-        if not isinstance(manifest, dict) or not isinstance(
-            manifest.setdefault("stages", {}), dict
-        ):
-            raise CliError(
-                f"corrupt manifest file {path}: expected a JSON object with a 'stages' object",
-                EXIT_VALIDATION,
-            )
-        manifest["version"] = __version__
     if hashes:
         manifest.update(hashes)
     record = dict(record)
@@ -225,6 +228,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     scenario_path = Path(args.scenario)
     ruleset, scenario = _parse_documents(ruleset_path, scenario_path)
     out_dir = _ensure_out_dir(args.out)
+    manifest = _read_manifest(out_dir)
     tset = explore(ruleset, scenario, params)
     try:
         write_jsonl(tset, out_dir / TRAJECTORIES_FILE)
@@ -237,8 +241,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
         f"explored {len(tset.trajectories)} trajectories "
         f"({complete} complete) -> {out_dir / TRAJECTORIES_FILE}"
     )
-    _update_manifest(
+    _write_manifest(
         out_dir,
+        manifest,
         "explore",
         {
             "command": "explore",
@@ -268,6 +273,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.peak_height is not None and args.peak_height <= 0:
         raise CliError("--peak-height must be positive", EXIT_VALIDATION)
     out_dir = _ensure_out_dir(args.out)
+    manifest = _read_manifest(out_dir)
     tset = _load_trajectories(out_dir)
     profile = utility_profile(tset)
     if len(profile.values) == 0:
@@ -281,8 +287,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
         f"profile over {len(profile.values)} complete trajectories, "
         f"{len(segments)} segment(s) -> {out_dir / PROFILE_FILE}"
     )
-    _update_manifest(
+    _write_manifest(
         out_dir,
+        manifest,
         "profile",
         {
             "command": "profile",
@@ -296,6 +303,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args.out)
+    manifest = _read_manifest(out_dir)
     tset = _load_trajectories(out_dir)
     profile, segments = _load_profile(out_dir)
     try:
@@ -314,7 +322,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         f"legal-reference frequencies for {table.segment_count} segment(s) "
         f"-> {out_dir / STATS_FILE}"
     )
-    _update_manifest(out_dir, "stats", {"command": "stats", "rows": len(table.rows)})
+    _write_manifest(
+        out_dir, manifest, "stats", {"command": "stats", "rows": len(table.rows)}
+    )
     return EXIT_OK
 
 
@@ -329,6 +339,7 @@ def _default_u_plus(out_dir: Path) -> float:
 
 def cmd_induce(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args.out)
+    manifest = _read_manifest(out_dir)
     tset = _load_trajectories(out_dir)
     u_plus = args.u_plus if args.u_plus is not None else _default_u_plus(out_dir)
     try:
@@ -337,7 +348,6 @@ def cmd_induce(args: argparse.Namespace) -> int:
             max_literals=args.max_literals,
             beam_width=args.beam_width,
             max_clauses=args.max_clauses,
-            top_k_edges=args.top_k,
         )
         examples = label(tset, u_plus)
         background = build_background(tset, config)
@@ -360,8 +370,9 @@ def cmd_induce(args: argparse.Namespace) -> int:
         f"{len(hypothesis.clauses)} clause(s), accuracy {accuracy}, f1 {f1} "
         f"-> {out_dir / HYPOTHESIS_JSON}"
     )
-    _update_manifest(
+    _write_manifest(
         out_dir,
+        manifest,
         "induce",
         {
             "command": "induce",
@@ -377,6 +388,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
 
 def cmd_policy(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args.out)
+    manifest = _read_manifest(out_dir)
     tset = _load_trajectories(out_dir)
     hypothesis, u_plus, _overall = _load_hypothesis(out_dir)
     try:
@@ -395,8 +407,9 @@ def cmd_policy(args: argparse.Namespace) -> int:
         f"welfare {report.welfare_kind}: Delta(H) = {delta}, verdict {report.verdict} "
         f"-> {out_dir / POLICY_FILE}"
     )
-    _update_manifest(
+    _write_manifest(
         out_dir,
+        manifest,
         "policy",
         {"command": "policy", "welfare": config.welfare_kind, "verdict": report.verdict},
     )
@@ -407,6 +420,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     if args.top_k < 1:
         raise CliError("--top-k must be at least 1", EXIT_VALIDATION)
     out_dir = _ensure_out_dir(args.out)
+    manifest = _read_manifest(out_dir)
     hypothesis, _u_plus, _overall = _load_hypothesis(out_dir)
     graph = scheme_graph(hypothesis, args.top_k)
     try:
@@ -415,8 +429,11 @@ def cmd_graph(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise CliError(f"cannot write graph: {exc}", EXIT_IO) from exc
     print(f"{len(graph.edges)} edge(s) -> {out_dir / DOT_FILE}, {out_dir / EDGES_FILE}")
-    _update_manifest(
-        out_dir, "graph", {"command": "graph", "top_k": args.top_k, "edges": len(graph.edges)}
+    _write_manifest(
+        out_dir,
+        manifest,
+        "graph",
+        {"command": "graph", "top_k": args.top_k, "edges": len(graph.edges)},
     )
     return EXIT_OK
 
@@ -481,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     induce_cmd.add_argument("--max-literals", type=int, default=7)
     induce_cmd.add_argument("--beam-width", type=int, default=64)
     induce_cmd.add_argument("--max-clauses", type=int, default=8)
-    induce_cmd.add_argument("--top-k", type=int, default=10)
     _add_out_flag(induce_cmd)
     induce_cmd.set_defaults(func=cmd_induce)
 

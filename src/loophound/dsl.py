@@ -1,4 +1,4 @@
-"""Parser, validator and pretty-printer for the ``.lhl`` rule language.
+"""Parser and pretty-printer for the ``.lhl`` rule language.
 
 The language is line-oriented with ``#`` comments and two layers of syntax:
 simple dot-terminated statements and block statements for rules.
@@ -33,6 +33,13 @@ In ``eff:`` a ``not`` prefix marks a fact deletion.  ``new_base``/``new_rate``
 are linear expressions over ``Base``, ``Rate`` and number literals; a
 ``deductible`` rule may only rewrite the base, an ``exemption`` only the rate.
 
+Each rule checks its own well-formedness when it is built (see
+:class:`~loophound.kernel.ActionRule` and
+:class:`~loophound.taxation.ReductionRule`); the parser reports the one error
+of a malformed rule at the rule's first token.  The checks that span a
+document stay here: which statements a document may hold, rates, duplicate
+rule keys and declared entities.
+
 Parsing is total: any input produces either a document or at least one error
 diagnostic, never an exception.  The pretty-printer emits a canonical layout
 whose re-parse is structurally equal to the original document (comments and
@@ -42,15 +49,13 @@ source positions are not preserved).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from . import kernel
 from .economy import EconomyError, ScenarioConfig
 from .kernel import (
-    ACTION_NAMES,
     PREDICATES,
-    WILDCARD,
     ActionRule,
     Comparison,
     Condition,
@@ -58,14 +63,7 @@ from .kernel import (
     Literal,
     is_variable,
 )
-from .taxation import (
-    BASE_IDENTITY,
-    RATE_IDENTITY,
-    REDUCTION_KINDS,
-    SELF_VAR,
-    LinExpr,
-    ReductionRule,
-)
+from .taxation import BASE_IDENTITY, RATE_IDENTITY, LinExpr, ReductionRule
 
 SCENARIO_PARAMS = ("royalty_rate", "transfer_price", "action_cost")
 
@@ -318,8 +316,8 @@ class _Parser:
             self.expect("op", ".")
             raw.params.append((name.value, float(value.value), name))
         elif keyword in ("action", "reduction"):
-            # building a rule compiles its condition; one that cannot compile
-            # (a check on an unbound variable) is reported instead of kept
+            # a rule checks itself when it is built; a malformed one is
+            # reported at its first token instead of kept
             try:
                 if keyword == "action":
                     raw.actions.append(self.parse_action())
@@ -381,12 +379,6 @@ class _Parser:
         ref = self.expect("string", what="legal reference string")
         self.expect("ident", "kind")
         kind = self.expect("ident", what="deductible or exemption")
-        if kind.value not in REDUCTION_KINDS:
-            raise _SyntaxError(
-                f"reduction kind must be one of {REDUCTION_KINDS}, "
-                f"found {kind.value!r}",
-                kind,
-            )
         self.expect("op", "{")
         self.expect("ident", "when")
         self.expect("op", ":")
@@ -539,194 +531,6 @@ class _SyntaxError(Exception):
 
 
 # ============================================================================
-# Validation
-# ============================================================================
-
-_RULESET_ONLY = "this statement belongs in a ruleset document"
-_SCENARIO_ONLY = "this statement belongs in a scenario or state document"
-
-
-def _validate_condition(
-    cond: Condition,
-    diagnostics: list[Diagnostic],
-    span: tuple[int, int],
-    allow_transaction: bool,
-    context: str,
-) -> None:
-    # negation safety is enforced when the rule is built: a condition that
-    # checks a variable nothing binds does not compile, and parsing reports it
-    line, col = span
-    for item in cond:
-        if isinstance(item, Literal):
-            if item.predicate == kernel.TRANSACTION_PRED:
-                if not allow_transaction:
-                    diagnostics.append(
-                        Diagnostic(
-                            "error",
-                            f"{context}: transaction patterns are only allowed "
-                            "in reduction conditions",
-                            line,
-                            col,
-                        )
-                    )
-                elif len(item.args) != 3:
-                    diagnostics.append(
-                        Diagnostic(
-                            "error",
-                            f"{context}: transaction pattern takes "
-                            "(kind, sender, receiver)",
-                            line,
-                            col,
-                        )
-                    )
-            elif item.predicate not in PREDICATES:
-                diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        f"{context}: unknown predicate {item.predicate!r}",
-                        line,
-                        col,
-                    )
-                )
-            elif len(item.args) != len(PREDICATES[item.predicate]):
-                diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        f"{context}: {item.predicate} expects "
-                        f"{len(PREDICATES[item.predicate])} argument(s)",
-                        line,
-                        col,
-                    )
-                )
-            if not item.negated and any(a == WILDCARD for a in item.args):
-                diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        f"{context}: wildcards are only allowed in negated literals",
-                        line,
-                        col,
-                    )
-                )
-
-
-def _validate_action(rule: ActionRule, diagnostics: list[Diagnostic]) -> None:
-    line, col = rule.span
-    context = f"action {rule.name}/{rule.legal_ref}"
-    if rule.name not in ACTION_NAMES:
-        diagnostics.append(
-            Diagnostic(
-                "error",
-                f"{context}: action name must be one of {ACTION_NAMES}",
-                line,
-                col,
-            )
-        )
-    if len(set(rule.params)) != len(rule.params):
-        diagnostics.append(
-            Diagnostic("error", f"{context}: duplicate parameter names", line, col)
-        )
-    if len(rule.fresh_params) > 1:
-        diagnostics.append(
-            Diagnostic(
-                "error", f"{context}: at most one fresh parameter is allowed", line, col
-            )
-        )
-    _validate_condition(
-        rule.precondition,
-        diagnostics,
-        rule.span,
-        allow_transaction=False,
-        context=context,
-    )
-    bound = set(rule.params)
-    for item in rule.precondition:
-        if isinstance(item, Literal) and not item.negated:
-            bound.update(item.variables())
-    for lit in rule.add_effects + rule.del_effects:
-        if lit.predicate not in PREDICATES:
-            diagnostics.append(
-                Diagnostic(
-                    "error",
-                    f"{context}: unknown predicate {lit.predicate!r} in effects",
-                    line,
-                    col,
-                )
-            )
-            continue
-        if len(lit.args) != len(PREDICATES[lit.predicate]):
-            diagnostics.append(
-                Diagnostic(
-                    "error",
-                    f"{context}: {lit.predicate} expects "
-                    f"{len(PREDICATES[lit.predicate])} argument(s) in effects",
-                    line,
-                    col,
-                )
-            )
-        for a in lit.args:
-            if a == WILDCARD:
-                diagnostics.append(
-                    Diagnostic(
-                        "error", f"{context}: wildcard in effect literal", line, col
-                    )
-                )
-            elif is_variable(a) and a not in bound:
-                diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        f"{context}: effect variable {a!r} is not bound by "
-                        "parameters or preconditions",
-                        line,
-                        col,
-                    )
-                )
-
-
-def _validate_reduction(rule: ReductionRule, diagnostics: list[Diagnostic]) -> None:
-    line, col = rule.span
-    context = f"reduction {rule.kind}/{rule.legal_ref}"
-    _validate_condition(
-        rule.condition,
-        diagnostics,
-        rule.span,
-        allow_transaction=True,
-        context=context,
-    )
-    mentions_self = any(
-        SELF_VAR in item.variables() for item in rule.condition
-    )
-    if not mentions_self:
-        diagnostics.append(
-            Diagnostic(
-                "error",
-                f"{context}: condition must mention the filing company Self",
-                line,
-                col,
-            )
-        )
-    if rule.kind == "deductible" and not rule.new_rate.is_rate_identity():
-        diagnostics.append(
-            Diagnostic(
-                "error",
-                f"{context}: a deductible may only rewrite the base "
-                "(new_rate must stay Rate)",
-                line,
-                col,
-            )
-        )
-    if rule.kind == "exemption" and not rule.new_base.is_base_identity():
-        diagnostics.append(
-            Diagnostic(
-                "error",
-                f"{context}: an exemption may only rewrite the rate "
-                "(new_base must stay Base)",
-                line,
-                col,
-            )
-        )
-
-
-# ============================================================================
 # Entry points
 # ============================================================================
 
@@ -793,10 +597,6 @@ def parse_ruleset(text: str) -> ParseResult:
                 Diagnostic("error", f"duplicate rule {key}", line, col)
             )
         seen_keys.add(key)
-    for rule in raw.actions:
-        _validate_action(rule, diagnostics)
-    for rule in raw.reductions:
-        _validate_reduction(rule, diagnostics)
 
     if any(d.severity == "error" for d in diagnostics):
         return ParseResult(None, tuple(diagnostics))

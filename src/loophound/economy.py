@@ -4,8 +4,9 @@ Money is denominated in millions of dollars.  A company generates commercial
 revenue in a country when it is based there, the country is not a tax haven,
 and the company owns or rents the IP.  Each licensing edge obliges the renter
 to forward ``royalty_rate`` times its commercial revenue plus the royalties it
-collects from its own sub-licensees, so royalty amounts are evaluated
-bottom-up along the (acyclic) licensing graph.
+collects from its own sub-licensees of the same IP, so royalty amounts are
+evaluated bottom-up along the licensing graph of each IP, which the state
+invariants keep acyclic.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .kernel import State
+from .kernel import TRANSACTION_KINDS, State
 
-COMMERCIAL = "commercial"
-ROYALTY = "royalty"
-TRANSFER = "transfer"
+COMMERCIAL, ROYALTY, TRANSFER = TRANSACTION_KINDS
 
 
 class EconomyError(Exception):
@@ -128,10 +127,11 @@ def royalty_transactions(
     """One royalty payment per licensing edge, evaluated bottom-up.
 
     For edge rentsIP(licensor, renter, ip) the renter pays
-    ``rate * (own commercial revenue + royalties received from sub-licensees)``.
-    The licensing graph is acyclic by state invariant, so the recursion is
-    well-founded; sums are accumulated in sorted edge order to keep float
-    results reproducible.
+    ``rate * (own commercial revenue + royalties received from sub-licensees)``,
+    where the sub-licensees are the renter's licensees of the same ip.  The
+    licensing graph of each ip is acyclic by state invariant, so the
+    recursion is well-founded; sums are accumulated in sorted edge order to
+    keep float results reproducible.
     """
     edges = state.index["rentsIP"]  # sorted, like every index group
     commercial_by_company: dict[str, float] = {}
@@ -140,11 +140,11 @@ def royalty_transactions(
             commercial_by_company.get(t.receiver, 0.0) + t.amount
         )
 
-    # renter -> list of (licensor, ip); sub-licensees of c are renters on edges
-    # where c is the licensor
-    out_edges: dict[str, list[tuple[str, str]]] = {}
+    # (licensor, ip) -> renters, in sorted order: the sub-licensees of c for
+    # an ip are the renters on the edges where c licenses that ip
+    sub_licensees: dict[tuple[str, str], list[str]] = {}
     for licensor, renter, ip in edges:
-        out_edges.setdefault(licensor, []).append((renter, ip))
+        sub_licensees.setdefault((licensor, ip), []).append(renter)
 
     payment: dict[tuple[str, str, str], float] = {}
 
@@ -153,8 +153,8 @@ def royalty_transactions(
         if key in payment:
             return payment[key]
         received = 0.0
-        for sub, sub_ip in sorted(out_edges.get(renter, ())):
-            received += royalty_out(sub, sub_ip, renter)
+        for sub in sub_licensees.get((renter, ip), ()):
+            received += royalty_out(sub, ip, renter)
         base = commercial_by_company.get(renter, 0.0) + received
         amount = scenario.royalty_rate * base
         payment[key] = amount

@@ -50,7 +50,6 @@ class InductionConfig:
     vocabulary: tuple[str, ...] = DEFAULT_VOCABULARY
     beam_width: int = 64
     max_clauses: int = 8
-    top_k_edges: int = 10
     role_binding: tuple[tuple[str, str], ...] = DEFAULT_ROLE_BINDING
 
     def __post_init__(self) -> None:
@@ -60,8 +59,6 @@ class InductionConfig:
             raise InductionError("beam_width must be at least 1")
         if self.max_clauses < 1:
             raise InductionError("max_clauses must be at least 1")
-        if self.top_k_edges < 1:
-            raise InductionError("top_k_edges must be at least 1")
         for predicate in self.vocabulary:
             if predicate not in PREDICATES:
                 raise InductionError(f"unknown vocabulary predicate {predicate!r}")

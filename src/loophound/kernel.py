@@ -11,9 +11,17 @@ once, when it is built, and checks its invariants on that index: one owner
 per IP, one ``based`` and one ``managed`` country per company, one licensor
 per (renter, IP) and acyclic licensing per IP.
 
+An action rule checks its own well-formedness when it is built, by the
+parser or by library code: known action name, distinct parameters, at most
+one ``fresh`` parameter, known predicates at their arity, no transaction
+pattern, wildcards only in negated literals and never in effects, and effect
+variables bound by a parameter or a positive literal.  It raises one
+:class:`KernelError` naming every problem found, so a malformed rule never
+exists and applying an action does not check its effects again.
+
 Variables follow the Prolog convention: identifiers starting with an
 uppercase letter are variables, everything else is a constant.  ``_`` is an
-anonymous wildcard, only meaningful inside literals.
+anonymous wildcard, allowed only inside negated literals.
 
 Conditions are evaluated by :mod:`loophound.join`.  Each action rule
 compiles its precondition once, when it is built: literal order in the
@@ -46,8 +54,10 @@ PREDICATES: dict[str, tuple[str, ...]] = {
     "exists": ("company",),
 }
 
-# transaction-pattern predicate usable in reduction conditions only
+# transaction-pattern predicate usable in reduction conditions only:
+# transaction(kind, sender, receiver)
 TRANSACTION_PRED = "transaction"
+TRANSACTION_KINDS = ("commercial", "royalty", "transfer")
 
 ACTION_NAMES = ("addChild", "rentIP", "transferIP")
 
@@ -216,6 +226,45 @@ ConditionItem = Literal | Comparison
 Condition = tuple[ConditionItem, ...]
 
 
+def _vocabulary_problems(lit: Literal) -> list[str]:
+    """Unknown predicate or wrong arity of a literal over the state vocabulary."""
+    signature = PREDICATES.get(lit.predicate)
+    if signature is None:
+        return [f"unknown predicate {lit.predicate!r} in {lit}"]
+    if len(lit.args) != len(signature):
+        return [f"{lit.predicate} expects {len(signature)} argument(s) in {lit}"]
+    return []
+
+
+def condition_problems(condition: Condition, transactions: bool = False) -> list[str]:
+    """Every problem of a rule condition's literals.
+
+    Each literal uses a known predicate with its arity, and wildcards appear
+    only in negated literals.  ``transaction(kind, sender, receiver)``
+    patterns are admitted only when ``transactions`` is true (reduction
+    conditions); a constant kind must be one of :data:`TRANSACTION_KINDS`.
+    """
+    problems: list[str] = []
+    for lit in condition:
+        if not isinstance(lit, Literal):
+            continue
+        if lit.predicate != TRANSACTION_PRED:
+            problems += _vocabulary_problems(lit)
+        elif not transactions:
+            problems.append(
+                f"transaction patterns are only allowed in reduction conditions: {lit}"
+            )
+        elif len(lit.args) != 3:
+            problems.append(f"transaction pattern takes (kind, sender, receiver): {lit}")
+        elif is_constant(lit.args[0]) and lit.args[0] not in TRANSACTION_KINDS:
+            problems.append(
+                f"transaction kind must be one of {TRANSACTION_KINDS}: {lit}"
+            )
+        if not lit.negated and WILDCARD in lit.args:
+            problems.append(f"wildcards are only allowed in negated literals: {lit}")
+    return problems
+
+
 # ============================================================================
 # Action rules and grounding
 # ============================================================================
@@ -249,6 +298,9 @@ class ActionRule:
             if isinstance(it, Literal) and not it.negated
             for v in it.variables()
         }
+        problems = self._problems(positive)
+        if problems:
+            raise KernelError(f"{self.name}/{self.legal_ref}: " + "; ".join(problems))
         free = tuple(
             p for p in self.params if p not in self.fresh_params and p not in positive
         )
@@ -269,6 +321,29 @@ class ActionRule:
             self, "check_join", CompiledCondition(self.precondition, bound=self.params)
         )
 
+    def _problems(self, positive: set[str]) -> list[str]:
+        """Every shape problem, given the variables positive literals bind."""
+        problems: list[str] = []
+        if self.name not in ACTION_NAMES:
+            problems.append(f"action name must be one of {ACTION_NAMES}")
+        if len(set(self.params)) != len(self.params):
+            problems.append("duplicate parameter names")
+        if len(self.fresh_params) > 1:
+            problems.append("at most one fresh parameter is allowed")
+        problems += condition_problems(self.precondition)
+        bound = positive.union(self.params)
+        for lit in self.add_effects + self.del_effects:
+            problems += _vocabulary_problems(lit)
+            if WILDCARD in lit.args:
+                problems.append(f"wildcard in effect literal {lit}")
+            problems += [
+                f"effect variable {v!r} in {lit} is not bound by parameters "
+                "or preconditions"
+                for v in lit.variables()
+                if v not in bound
+            ]
+        return problems
+
     def key(self) -> tuple[str, str]:
         return (self.name, self.legal_ref)
 
@@ -281,10 +356,7 @@ class ActionRule:
             (it for it in self.precondition if isinstance(it, Literal)),
         )
         for lit in literals:
-            sig = PREDICATES.get(lit.predicate)
-            if sig is None:
-                continue
-            for arg, ty in zip(lit.args, sig):
+            for arg, ty in zip(lit.args, PREDICATES[lit.predicate]):
                 if is_variable(arg):
                     prev = types.get(arg)
                     if prev is not None and prev != ty:
@@ -418,12 +490,7 @@ def apply_action(
         raise KernelError(f"precondition of {action} does not hold")
 
     def instantiate(lit: Literal) -> Fact:
-        args = []
-        for a in lit.args:
-            if a == WILDCARD:
-                raise KernelError(f"wildcard in effect literal of {rule.key()}")
-            args.append(binding.get(a, a))
-        return make_fact(lit.predicate, args)
+        return make_fact(lit.predicate, [binding.get(a, a) for a in lit.args])
 
     facts = set(state.facts)
     for lit in rule.del_effects:

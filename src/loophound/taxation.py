@@ -15,7 +15,12 @@ strictly improves its channel.  ``tax_due = reduced_base * reduced_rate``.
 
 The condition language is the kernel's, extended with transaction patterns
 ``transaction(kind, sender, receiver)``; the reserved variable ``Self`` is
-bound to the filing company.
+bound to the filing company.  A reduction rule checks itself when it is
+built: its kind is valid, its condition uses known predicates at their
+arity, wildcards only in negated literals and constant transaction kinds
+among ``commercial``, ``royalty`` and ``transfer``, it mentions ``Self``, and
+a deductible leaves the rate, an exemption the base, as it is.  It raises one
+:class:`~loophound.kernel.KernelError` naming every problem found.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Mapping, Optional, Sequence
 
 from .economy import ScenarioConfig, Transaction, company_flows
 from .join import CompiledCondition
-from .kernel import Condition, Literal, State
+from .kernel import Condition, KernelError, Literal, State, condition_problems
 
 log = logging.getLogger(__name__)
 
@@ -97,6 +102,22 @@ class ReductionRule:
     join: CompiledCondition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        problems: list[str] = []
+        if self.kind not in REDUCTION_KINDS:
+            problems.append(f"reduction kind must be one of {REDUCTION_KINDS}")
+        problems += condition_problems(self.condition, transactions=True)
+        if not any(SELF_VAR in item.variables() for item in self.condition):
+            problems.append(f"condition must mention the filing company {SELF_VAR}")
+        if self.kind == DEDUCTIBLE and not self.new_rate.is_rate_identity():
+            problems.append(
+                "a deductible may only rewrite the base (new_rate must stay Rate)"
+            )
+        if self.kind == EXEMPTION and not self.new_base.is_base_identity():
+            problems.append(
+                "an exemption may only rewrite the rate (new_base must stay Base)"
+            )
+        if problems:
+            raise KernelError(f"{self.kind}/{self.legal_ref}: " + "; ".join(problems))
         condition = self.condition
         if not any(
             isinstance(it, Literal) and not it.negated and SELF_VAR in it.args

@@ -226,8 +226,12 @@ class TestRunDirectoryIntegrity:
         argv = ["explore", "--ruleset", str(ruleset), "--scenario", str(scenario),
                 "--iterations", "1", "--expansions", "5", "--out", str(tmp_path)]
         assert main(argv) == 1
-        assert f"corrupt manifest file {manifest}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"corrupt manifest file {manifest}" in captured.err
         assert manifest.read_text() == manifest_text
+        # the manifest is checked before the search runs or writes anything
+        assert not (tmp_path / "trajectories.jsonl").exists()
+        assert "explored" not in captured.out
 
     @pytest.mark.parametrize(
         "profile_text",
@@ -325,6 +329,21 @@ class TestCheck:
         assert code == 0
         assert "ok: ruleset and state parse and validate" in capsys.readouterr().out
 
+    def test_unknown_transaction_kind_rejected(self, tmp_path, capsys):
+        ruleset = tmp_path / "typo.lhl"
+        ruleset.write_text(
+            "rate usa 0.35.\n"
+            'reduction "x" kind deductible {\n'
+            "  when: transaction(royalti, Self, R);\n"
+            "  new_base: 0.5 * Base;\n"
+            "}\n",
+            encoding="utf-8",
+        )
+        assert main(["check", str(ruleset), str(corpus_path("scenario.lhl"))]) == 1
+        err = capsys.readouterr().err
+        assert "2:1: error: reduction: deductible/x: transaction kind must be one of" in err
+        assert "transaction(royalti, Self, R)" in err
+
 
 class TestConsoleScript:
     def test_version_via_installed_script(self):
@@ -335,3 +354,14 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"loophound {__version__}"
+
+    def test_import_leaves_scipy_unloaded(self):
+        # only the profile stage needs scipy, which takes about a second to import
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, loophound.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -84,7 +84,7 @@ def oracle_cascade(state, scenario, commercial) -> dict[tuple, float]:
         for licensor, renter, ip in edges:
             received = 0.0
             for e2 in edges:
-                if e2[0] == renter:
+                if e2[0] == renter and e2[2] == ip:
                     received += payment[e2]
             base = revenue.get(renter, 0.0) + received
             updated[(licensor, renter, ip)] = scenario.royalty_rate * base
@@ -184,6 +184,42 @@ class TestRoyaltyCascade:
         assert by_pair[("c1", "c2")] == 27.0
         assert by_pair[("c2", "p")] == 114.3
         assert len(royalties) == 2
+
+    def two_ip_state(self, edges):
+        """a owns ip1 and b owns ip2; b and c earn 300 each in m1, a in the haven."""
+        facts = [
+            make_fact("based", ("a", "h1")),
+            make_fact("based", ("b", "m1")),
+            make_fact("based", ("c", "m1")),
+            make_fact("ownsIP", ("a", "ip1")),
+            make_fact("ownsIP", ("b", "ip2")),
+        ]
+        facts += [make_fact("rentsIP", edge) for edge in edges]
+        scenario = make_scenario(
+            revenue_table={"m1": 300.0},
+            declared_companies=("a", "b", "c"),
+            declared_ips=("ip1", "ip2"),
+        )
+        return scenario, initial_state(facts, ("a", "b", "c"))
+
+    def test_sub_licensees_of_another_ip_pay_nothing_upstream(self):
+        """a -ip1-> b -ip2-> c: b forwards only its own revenue to a."""
+        scenario, state = self.two_ip_state([("a", "b", "ip1"), ("b", "c", "ip2")])
+        commercial = commercial_transactions(state, scenario)
+        royalties = royalty_transactions(state, scenario, commercial)
+        by_pair = {(t.sender, t.receiver): t.amount for t in royalties}
+        assert by_pair == {("b", "a"): 270.0, ("c", "b"): 270.0}
+        expected = oracle_cascade(state, scenario, commercial)
+        assert by_pair == {(r, lic): amount for (lic, r, _), amount in expected.items()}
+
+    def test_licences_crossing_two_ips_settle(self):
+        """a licenses ip1 to b and b licenses ip2 to a: no royalty cycle."""
+        scenario, state = self.two_ip_state([("a", "b", "ip1"), ("b", "a", "ip2")])
+        royalties = [t for t in settle(state, scenario) if t.kind == ROYALTY]
+        assert {(t.sender, t.receiver): t.amount for t in royalties} == {
+            ("b", "a"): 270.0,
+            ("a", "b"): 0.0,
+        }
 
     def test_no_edges_no_royalties(self):
         scenario = make_scenario()

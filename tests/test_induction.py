@@ -663,7 +663,6 @@ class TestInductionConfig:
             {"max_literals": 0},
             {"beam_width": 0},
             {"max_clauses": 0},
-            {"top_k_edges": 0},
             {"vocabulary": ("nonsense",)},
             {"role_binding": (("lower", "ireland"),)},
             {"role_binding": (("A", "ireland"), ("A", "usa"))},

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loophound.kernel import (
+    ActionRule,
     Comparison,
     Domains,
     Fact,
@@ -438,6 +441,87 @@ class TestStateValidation:
     def test_variable_in_fact_rejected(self):
         with pytest.raises(KernelError):
             State(facts=frozenset([make_fact("based", ["p", "usa"]), make_fact("exists", ["P"])]))
+
+
+# a well-formed rule; each case below breaks it in one way
+LICENSE = ActionRule(
+    name="rentIP",
+    legal_ref="license",
+    params=("L", "R", "I"),
+    fresh_params=frozenset(),
+    precondition=(
+        Literal("ownsIP", ("L", "I")),
+        Literal("exists", ("R",)),
+        Comparison("L", "!=", "R"),
+    ),
+    add_effects=(Literal("rentsIP", ("L", "R", "I")),),
+    del_effects=(),
+)
+
+MALFORMED_ACTIONS = {
+    "unknown-name": ({"name": "fly"}, "action name must be one of"),
+    "duplicate-parameter": ({"params": ("L", "R", "L", "I")}, "duplicate parameter"),
+    "two-fresh": (
+        {"params": ("L", "R", "I", "A", "B"), "fresh_params": frozenset({"A", "B"})},
+        "at most one fresh parameter",
+    ),
+    "unknown-predicate": (
+        {"precondition": LICENSE.precondition + (Literal("owns", ("L",)),)},
+        "unknown predicate 'owns'",
+    ),
+    "precondition-arity": (
+        {"precondition": LICENSE.precondition + (Literal("exists", ("L", "R")),)},
+        "exists expects 1 argument",
+    ),
+    "positive-wildcard": (
+        {"precondition": LICENSE.precondition + (Literal("rentsIP", ("_", "L", "I")),)},
+        "wildcards are only allowed in negated literals",
+    ),
+    "transaction-in-action": (
+        {
+            "precondition": LICENSE.precondition
+            + (Literal("transaction", ("royalty", "L", "R")),)
+        },
+        "only allowed in reduction conditions",
+    ),
+    "unknown-effect-predicate": (
+        {"add_effects": (Literal("licenses", ("L", "R")),)},
+        "unknown predicate 'licenses'",
+    ),
+    "effect-arity": (
+        {"del_effects": (Literal("ownsIP", ("L",)),)},
+        "ownsIP expects 2 argument",
+    ),
+    "effect-wildcard": (
+        {"add_effects": (Literal("rentsIP", ("L", "_", "I")),)},
+        "wildcard in effect literal",
+    ),
+    "unbound-effect-variable": (
+        {"add_effects": (Literal("exists", ("Z",)),)},
+        "effect variable 'Z' in exists(Z) is not bound",
+    ),
+}
+
+
+class TestActionRuleValidation:
+    @pytest.mark.parametrize(
+        "changes,message", MALFORMED_ACTIONS.values(), ids=MALFORMED_ACTIONS.keys()
+    )
+    def test_malformed_rule_rejected_when_built(self, changes, message):
+        with pytest.raises(KernelError, match=re.escape(message)):
+            replace(LICENSE, **changes)
+
+    def test_one_error_names_every_problem(self):
+        with pytest.raises(KernelError) as info:
+            replace(
+                LICENSE,
+                name="fly",
+                add_effects=(Literal("rentsIP", ("L", "_", "Z")),),
+            )
+        message = str(info.value)
+        assert message.startswith("fly/license: action name must be one of")
+        assert "wildcard in effect literal rentsIP(L, _, Z)" in message
+        assert "effect variable 'Z'" in message
 
 
 def rents(licensor, renter, ip="ip1"):

@@ -9,11 +9,18 @@ recomputed by hand from the corpus rule text and are asserted exactly.
 from __future__ import annotations
 
 import logging
+import re
 
 import pytest
 
 from loophound.economy import company_flows
-from loophound.kernel import GroundedAction, Literal, initial_state, make_fact
+from loophound.kernel import (
+    GroundedAction,
+    KernelError,
+    Literal,
+    initial_state,
+    make_fact,
+)
 from loophound.taxation import (
     BASE_IDENTITY,
     RATE_IDENTITY,
@@ -258,7 +265,9 @@ def no_transactions_map(state, reductions):
     return applicability_map(state, {"transaction": []}, reductions)
 
 
-def rule(ref: str, kind: str, condition=(), **expr) -> ReductionRule:
+def rule(
+    ref: str, kind: str, condition=(Literal("exists", (SELF_VAR,)),), **expr
+) -> ReductionRule:
     if kind == "deductible":
         return ReductionRule(
             legal_ref=ref,
@@ -272,6 +281,94 @@ def rule(ref: str, kind: str, condition=(), **expr) -> ReductionRule:
         condition=condition,
         new_rate=LinExpr(**expr) if expr else RATE_IDENTITY,
     )
+
+
+ROYALTY_PAID = Literal("transaction", ("royalty", SELF_VAR, "R"))
+
+# (kind, condition, expressions) of malformed reductions, with the problem named
+MALFORMED_REDUCTIONS = {
+    "unknown-kind": ("credit", (ROYALTY_PAID,), {}, "reduction kind must be one of"),
+    "no-self": (
+        "deductible",
+        (Literal("based", ("C", "usa")),),
+        {},
+        "must mention the filing company Self",
+    ),
+    "unknown-predicate": (
+        "deductible",
+        (ROYALTY_PAID, Literal("resides", (SELF_VAR,))),
+        {},
+        "unknown predicate 'resides'",
+    ),
+    "arity": (
+        "deductible",
+        (Literal("based", (SELF_VAR,)),),
+        {},
+        "based expects 2 argument",
+    ),
+    "positive-wildcard": (
+        "deductible",
+        (Literal("based", (SELF_VAR, "_")),),
+        {},
+        "wildcards are only allowed in negated literals",
+    ),
+    "transaction-arity": (
+        "deductible",
+        (Literal("transaction", ("royalty", SELF_VAR)),),
+        {},
+        "transaction pattern takes (kind, sender, receiver)",
+    ),
+    "transaction-kind": (
+        "deductible",
+        (Literal("transaction", ("royalti", SELF_VAR, "R")),),
+        {},
+        "transaction kind must be one of",
+    ),
+    "deductible-rewrites-rate": (
+        "deductible",
+        (ROYALTY_PAID,),
+        {"new_rate": LinExpr(rate_coef=0.5)},
+        "a deductible may only rewrite the base",
+    ),
+    "exemption-rewrites-base": (
+        "exemption",
+        (ROYALTY_PAID,),
+        {"new_base": LinExpr(base_coef=0.5)},
+        "an exemption may only rewrite the rate",
+    ),
+}
+
+
+class TestReductionRuleValidation:
+    @pytest.mark.parametrize(
+        "kind,condition,expressions,message",
+        MALFORMED_REDUCTIONS.values(),
+        ids=MALFORMED_REDUCTIONS.keys(),
+    )
+    def test_malformed_rule_rejected_when_built(
+        self, kind, condition, expressions, message
+    ):
+        with pytest.raises(KernelError, match=re.escape(message)):
+            ReductionRule(legal_ref="r", kind=kind, condition=condition, **expressions)
+
+    def test_one_error_names_every_problem(self):
+        with pytest.raises(KernelError) as info:
+            ReductionRule(
+                legal_ref="r",
+                kind="exemption",
+                condition=(Literal("transaction", ("royalti", "X", "Y")),),
+                new_base=LinExpr(base_coef=0.5),
+            )
+        message = str(info.value)
+        assert message.startswith("exemption/r: transaction kind must be one of")
+        assert "must mention the filing company Self" in message
+        assert "an exemption may only rewrite the rate" in message
+
+    @pytest.mark.parametrize("kind", ["commercial", "royalty", "transfer", "K"])
+    def test_valid_or_variable_transaction_kind_accepted(self, kind):
+        condition = (Literal("transaction", (kind, SELF_VAR, "R")),)
+        rule = ReductionRule(legal_ref="r", kind="deductible", condition=condition)
+        assert rule.condition == condition
 
 
 class TestChooseReduction:
