@@ -7,11 +7,17 @@ to forward ``royalty_rate`` times its commercial revenue plus the royalties it
 collects from its own sub-licensees of the same IP, so royalty amounts are
 evaluated bottom-up along the licensing graph of each IP, which the state
 invariants keep acyclic.
+
+A state is settled in one pass: :func:`settle` finds the earning companies
+once, from one set of the companies with IP access, and builds each
+transaction once, with its ledger id.  Everything else about the state's
+money reads that ledger: :func:`company_flows` sums it once per state, and
+:func:`is_multinationally_complete` reads its commercial senders.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .kernel import TRANSACTION_KINDS, State
@@ -64,58 +70,75 @@ class Transaction(NamedTuple):
     amount: float
 
 
-def _residence_free_index(state: State) -> dict[str, str]:
-    return {args[0]: args[1] for args in state.index["based"]}
-
-
-def _has_ip_access(state: State, company: str) -> bool:
-    for args in state.index["ownsIP"]:
-        if args[0] == company:
-            return True
-    for args in state.index["rentsIP"]:
-        if args[1] == company:
-            return True
-    return False
-
-
 def earning_companies(state: State, scenario: ScenarioConfig) -> list[tuple[str, str]]:
     """Sorted (company, country) pairs with commercial revenue in ``state``."""
-    based = _residence_free_index(state)
+    based = dict(state.index["based"])
+    access = {owner for owner, _ in state.index["ownsIP"]}
+    access.update(renter for _, renter, _ in state.index["rentsIP"])
     out = []
-    for company in state.companies():
+    for company in state.companies():  # sorted, one country each
         country = based.get(company)
         if country is None or country in scenario.tax_havens:
             continue
-        if country not in scenario.revenue_table:
-            continue
-        if _has_ip_access(state, company):
+        if country in scenario.revenue_table and company in access:
             out.append((company, country))
-    return sorted(out)
+    return out
 
 
-def is_multinationally_complete(state: State, scenario: ScenarioConfig) -> bool:
-    """True iff every non-haven country hosts a revenue-generating company."""
-    covered = {country for _, country in earning_companies(state, scenario)}
+def is_multinationally_complete(
+    transactions: Sequence[Transaction], scenario: ScenarioConfig
+) -> bool:
+    """True iff every non-haven country hosts a revenue-generating company.
+
+    ``transactions`` is the state's :func:`settle` ledger: its commercial
+    transactions are sent by exactly the countries that host one.
+    """
+    covered = {t.sender for t in transactions if t.kind == COMMERCIAL}
     return all(c in covered for c in scenario.non_haven_countries())
 
 
 def commercial_transactions(
     state: State, scenario: ScenarioConfig, time: int = 0
 ) -> list[Transaction]:
-    """Market -> company revenue, one transaction per earning (company, country)."""
-    out = []
-    for company, country in earning_companies(state, scenario):
-        out.append(
-            Transaction(
-                id=-1,
-                time=time,
-                kind=COMMERCIAL,
-                sender=country,
-                receiver=company,
-                amount=float(scenario.revenue_table[country]),
-            )
+    """Market -> company revenue, one transaction per earning (company, country).
+
+    Ids count from 0, as the commercial part opens the settled ledger.
+    """
+    return [
+        Transaction(
+            id=i,
+            time=time,
+            kind=COMMERCIAL,
+            sender=country,
+            receiver=company,
+            amount=float(scenario.revenue_table[country]),
         )
-    return out
+        for i, (company, country) in enumerate(earning_companies(state, scenario))
+    ]
+
+
+def _royalty_out(
+    licensor: str,
+    renter: str,
+    ip: str,
+    rate: float,
+    revenue: dict[str, float],
+    sub_licensees: dict[tuple[str, str], list[str]],
+    payment: dict[tuple[str, str, str], float],
+) -> float:
+    """The renter's payment on edge rentsIP(licensor, renter, ip), memoized in
+    ``payment``.  A module function, not a closure: a recursive closure would
+    form a reference cycle on every call."""
+    key = (licensor, renter, ip)
+    amount = payment.get(key)
+    if amount is None:
+        received = 0.0
+        for sub in sub_licensees.get((renter, ip), ()):
+            received += _royalty_out(
+                renter, sub, ip, rate, revenue, sub_licensees, payment
+            )
+        amount = payment[key] = rate * (revenue.get(renter, 0.0) + received)
+    return amount
 
 
 def royalty_transactions(
@@ -131,14 +154,12 @@ def royalty_transactions(
     where the sub-licensees are the renter's licensees of the same ip.  The
     licensing graph of each ip is acyclic by state invariant, so the
     recursion is well-founded; sums are accumulated in sorted edge order to
-    keep float results reproducible.
+    keep float results reproducible.  Ids follow the commercial ones.
     """
     edges = state.index["rentsIP"]  # sorted, like every index group
-    commercial_by_company: dict[str, float] = {}
+    revenue: dict[str, float] = {}
     for t in commercial:
-        commercial_by_company[t.receiver] = (
-            commercial_by_company.get(t.receiver, 0.0) + t.amount
-        )
+        revenue[t.receiver] = revenue.get(t.receiver, 0.0) + t.amount
 
     # (licensor, ip) -> renters, in sorted order: the sub-licensees of c for
     # an ip are the renters on the edges where c licenses that ip
@@ -147,40 +168,31 @@ def royalty_transactions(
         sub_licensees.setdefault((licensor, ip), []).append(renter)
 
     payment: dict[tuple[str, str, str], float] = {}
-
-    def royalty_out(renter: str, ip: str, licensor: str) -> float:
-        key = (licensor, renter, ip)
-        if key in payment:
-            return payment[key]
-        received = 0.0
-        for sub in sub_licensees.get((renter, ip), ()):
-            received += royalty_out(sub, ip, renter)
-        base = commercial_by_company.get(renter, 0.0) + received
-        amount = scenario.royalty_rate * base
-        payment[key] = amount
-        return amount
-
-    out = []
-    for licensor, renter, ip in edges:
-        amount = royalty_out(renter, ip, licensor)
-        out.append(
-            Transaction(
-                id=-1,
-                time=time,
-                kind=ROYALTY,
-                sender=renter,
-                receiver=licensor,
-                amount=amount,
-            )
+    rate = scenario.royalty_rate
+    return [
+        Transaction(
+            id=i,
+            time=time,
+            kind=ROYALTY,
+            sender=renter,
+            receiver=licensor,
+            amount=_royalty_out(
+                licensor, renter, ip, rate, revenue, sub_licensees, payment
+            ),
         )
-    return out
+        for i, (licensor, renter, ip) in enumerate(edges, start=len(commercial))
+    ]
 
 
 def transfer_transaction(
     actions: Sequence,  # sequence of GroundedAction
     scenario: ScenarioConfig,
+    tid: int = -1,
 ) -> Optional[Transaction]:
-    """Payment for the one-shot IP transfer: the new owner pays the old owner."""
+    """Payment for the one-shot IP transfer: the new owner pays the old owner.
+
+    ``tid`` is its id in the ledger (-1 outside one).
+    """
     for step, action in enumerate(actions):
         if action.name == "transferIP":
             binding = action.as_dict()
@@ -199,7 +211,7 @@ def transfer_transaction(
                     raise EconomyError(f"cannot identify transfer parties in {action}")
                 receiver, sender = ordered[0], ordered[1]
             return Transaction(
-                id=-1,
+                id=tid,
                 time=step + 1,
                 kind=TRANSFER,
                 sender=sender,
@@ -216,16 +228,17 @@ def settle(
 ) -> list[Transaction]:
     """All transactions implied by ``state``: commercial, royalties, transfer.
 
-    Ids are assigned sequentially in the listed order, making the transaction
-    list a pure function of the state (plus the transfer step index taken from
-    the action history).
+    Ids are sequential in the listed order, each given when its transaction is
+    built, making the transaction list a pure function of the state (plus the
+    transfer step index taken from the action history).
     """
     time = state.step_count
-    commercial = commercial_transactions(state, scenario, time=time)
-    royalties = royalty_transactions(state, scenario, commercial, time=time)
-    transfer = transfer_transaction(actions, scenario)
-    ordered = commercial + royalties + ([transfer] if transfer else [])
-    return [t._replace(id=i) for i, t in enumerate(ordered)]
+    ledger = commercial_transactions(state, scenario, time=time)
+    ledger += royalty_transactions(state, scenario, ledger, time=time)
+    transfer = transfer_transaction(actions, scenario, tid=len(ledger))
+    if transfer is not None:
+        ledger.append(transfer)
+    return ledger
 
 
 def company_flows(

@@ -11,7 +11,10 @@ with ``P_depth`` a softmax of ``-depth/tau0`` and ``P_utility`` a softmax of
 utilities standardized by the frontier's interquartile range (floored at 1).
 
 States are deduplicated on their fact set: a node is expanded at most once,
-and a duplicate reached later keeps the shortest path.  Every terminal node
+and an unexpanded node reached again by a shorter path moves onto it, taking
+that path's state and evaluation (a node the step cap had closed rejoins the
+frontier).  The frontier's depths and utilities live in arrays indexed by
+node, so selection gathers them and a move updates them in place.  Every terminal node
 (no applicable action, or the step cap) and every multi-nationally complete
 node is recorded as a trajectory.  All randomness flows from (seed,
 iteration) and no step depends on set or hash order, so
@@ -176,17 +179,23 @@ def _doc_hash(text: str) -> str:
 # ============================================================================
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
-    state: State
-    depth: int
+    """One search node.  Its depth and utility live in the search's arrays,
+    indexed by node, which frontier selection reads."""
+
+    state: State  # its step_count is the node's depth
     parent: int  # index into the node table, -1 for the root
     action: Optional[GroundedAction]
-    p: float
-    utility: float
-    complete: bool
+    p: float = 0.0
+    complete: bool = False
     terminal: bool = False
     expanded: bool = False
+    # (transactions, assessments) of a node that is recorded as a trajectory
+    # from its evaluation on (complete, or at the step cap); None otherwise
+    evaluation: Optional[
+        tuple[tuple[Transaction, ...], tuple[TaxAssessment, ...]]
+    ] = None
 
 
 def _domains(scenario: ScenarioConfig) -> Domains:
@@ -220,37 +229,45 @@ def explore(
         transactions, assessments, p = evaluate_state(
             state, scenario, reductions, rates, actions
         )
-        complete = is_multinationally_complete(state, scenario)
-        return transactions, assessments, p, complete
+        complete = is_multinationally_complete(transactions, scenario)
+        return tuple(transactions), tuple(assessments), p, complete
 
-    _, _, p0, complete0 = evaluate(s0, ())
-    nodes: list[_Node] = [
-        _Node(
-            state=s0,
-            depth=0,
-            parent=-1,
-            action=None,
-            p=p0,
-            utility=trajectory_utility(p0, 0, cost),
-            complete=complete0,
+    nodes: list[_Node] = []
+    # per-node depth and utility, grown by doubling; frontier selection
+    # gathers them by node index
+    depth = np.empty(1024)
+    utility = np.empty(1024)
+
+    def evaluate_node(index: int, node: _Node, actions) -> None:
+        """Evaluate ``node`` on the path ``actions``; keep the evaluation when
+        the node is recorded as a trajectory whatever happens next."""
+        transactions, assessments, node.p, node.complete = evaluate(
+            node.state, actions
         )
-    ]
+        node.terminal = node.state.step_count >= params.max_steps
+        keep = node.terminal or node.complete
+        node.evaluation = (transactions, assessments) if keep else None
+        depth[index] = node.state.step_count
+        utility[index] = trajectory_utility(node.p, node.state.step_count, cost)
+
+    nodes.append(_Node(state=s0, parent=-1, action=None))
+    evaluate_node(0, nodes[0], ())
     seen: dict[frozenset[Fact], int] = {s0.key(): 0}
-    frontier: list[int] = [0]
+    frontier = np.array([0], dtype=np.intp)  # node indices
 
     root_deadend = False
     for t in range(params.iterations):
-        if not frontier:
+        if not frontier.size:
             break
-        depths = np.array([nodes[i].depth for i in frontier], dtype=float)
-        utils = np.array([nodes[i].utility for i in frontier], dtype=float)
-        probs = selection_distribution(depths, utils, t, params.beta, params.tau0)
-        k = min(params.expansions, len(frontier))
+        probs = selection_distribution(
+            depth[frontier], utility[frontier], t, params.beta, params.tau0
+        )
+        k = min(params.expansions, frontier.size)
         rng = np.random.default_rng([params.seed, t])
-        chosen_pos = rng.choice(len(frontier), size=k, replace=False, p=probs)
-        chosen = sorted(frontier[i] for i in chosen_pos)
-        chosen_set = set(chosen)
-        frontier = [i for i in frontier if i not in chosen_set]
+        chosen_pos = rng.choice(frontier.size, size=k, replace=False, p=probs)
+        chosen = np.sort(frontier[chosen_pos]).tolist()
+        frontier = np.delete(frontier, chosen_pos)
+        opened: list[int] = []  # nodes joining the frontier, in creation order
 
         for node_index in chosen:
             node = nodes[node_index]
@@ -270,62 +287,60 @@ def explore(
                 existing = seen.get(key)
                 if existing is not None:
                     other = nodes[existing]
-                    if child_state.step_count < other.depth and not other.expanded:
+                    if (
+                        child_state.step_count < other.state.step_count
+                        and not other.expanded
+                    ):
+                        # a shorter path to an unexpanded node: the node
+                        # takes this path's state and evaluation; a node
+                        # the step cap had closed opens
+                        was_open = not other.terminal
+                        other.state = child_state
                         other.parent = node_index
                         other.action = act
-                        other.depth = child_state.step_count
-                        other.utility = trajectory_utility(
-                            other.p, other.depth, cost
-                        )
+                        evaluate_node(existing, other, parent_path + (act,))
+                        if not (was_open or other.terminal):
+                            opened.append(existing)
                     continue
-                _, _, p_child, complete_child = evaluate(
-                    child_state, parent_path + (act,)
-                )
-                child = _Node(
-                    state=child_state,
-                    depth=child_state.step_count,
-                    parent=node_index,
-                    action=act,
-                    p=p_child,
-                    utility=trajectory_utility(p_child, child_state.step_count, cost),
-                    complete=complete_child,
-                )
+                if len(nodes) == depth.size:
+                    depth = np.concatenate([depth, np.empty_like(depth)])
+                    utility = np.concatenate([utility, np.empty_like(utility)])
+                child = _Node(state=child_state, parent=node_index, action=act)
                 nodes.append(child)
                 child_index = len(nodes) - 1
+                evaluate_node(child_index, child, parent_path + (act,))
                 seen[key] = child_index
-                if child_state.step_count >= params.max_steps:
-                    child.terminal = True
-                else:
-                    frontier.append(child_index)
+                if not child.terminal:
+                    opened.append(child_index)
+        frontier = np.concatenate([frontier, np.array(opened, dtype=np.intp)])
 
     if root_deadend:
         warnings.append("no applicable actions at the root state; empty result")
 
     trajectories: list[Trajectory] = []
-    tid = 0
-    for idx, node in enumerate(nodes):
-        if idx == 0:
-            continue  # the empty trajectory is excluded by definition
+    for idx in range(1, len(nodes)):  # the empty trajectory is excluded by definition
+        node = nodes[idx]
         if not (node.terminal or node.complete):
             continue
         actions = _path_actions(nodes, idx)
-        transactions, assessments, p, complete = evaluate(node.state, actions)
-        phi = cost * len(actions)
+        if node.evaluation is None:  # a dead end, found when expanded
+            transactions, assessments, _, _ = evaluate(node.state, actions)
+        else:
+            transactions, assessments = node.evaluation
         trajectories.append(
             Trajectory(
-                id=tid,
+                id=len(trajectories),
                 actions=actions,
                 final_state=node.state,
-                transactions=tuple(transactions),
-                assessments=tuple(assessments),
-                p=p,
-                phi=phi,
-                utility=trajectory_utility(p, len(actions), cost),
-                complete=complete,
+                transactions=transactions,
+                assessments=assessments,
+                p=node.p,
+                phi=cost * len(actions),
+                utility=trajectory_utility(node.p, len(actions), cost),
+                complete=node.complete,
                 terminal=node.terminal,
             )
         )
-        tid += 1
 
     return TrajectorySet(
         params=params,

@@ -9,7 +9,12 @@ applicability and produces successor states.
 A state builds its per-predicate fact index, which every condition reads,
 once, when it is built, and checks its invariants on that index: one owner
 per IP, one ``based`` and one ``managed`` country per company, one licensor
-per (renter, IP) and acyclic licensing per IP.
+per (renter, IP) and acyclic licensing per IP.  Applying an action builds
+the successor from its parent's index, the delta idea of incremental view
+maintenance (Gupta, Mumick and Subrahmanian, SIGMOD 1993): the groups of
+predicates the action's effects do not touch are shared with the parent,
+touched groups are edited, and the successor is fully re-validated, exactly
+as a state built from its facts.
 
 An action rule checks its own well-formedness when it is built, by the
 parser or by library code: known action name, distinct parameters, at most
@@ -133,6 +138,34 @@ class State:
         index = {p: tuple(rows) for p, rows in grouped.items()}
         _validate_index(index)
         object.__setattr__(self, "index", index)
+
+    def _successor(
+        self, deleted: Sequence[Fact], added: Sequence[Fact], transfer_used: bool
+    ) -> State:
+        """The state one step later, with ``deleted`` removed, then ``added`` added.
+
+        The facts must be :func:`make_fact` facts.  The successor is built
+        from this state's index: the groups of predicates the delta does not
+        touch are shared, touched groups are edited, and the result passes
+        the same full invariant check as a state built from its facts.
+        """
+        index = dict(self.index)
+        edited: dict[str, set[tuple[str, ...]]] = {}
+        for f in deleted:
+            edited.setdefault(f.predicate, set(index[f.predicate])).discard(f.args)
+        for f in added:
+            edited.setdefault(f.predicate, set(index[f.predicate])).add(f.args)
+        for predicate, rows in edited.items():
+            index[predicate] = tuple(sorted(rows))
+        _validate_index(index)
+        child = object.__new__(State)
+        object.__setattr__(
+            child, "facts", self.facts.difference(deleted).union(added)
+        )
+        object.__setattr__(child, "step_count", self.step_count + 1)
+        object.__setattr__(child, "transfer_used", transfer_used)
+        object.__setattr__(child, "index", index)
+        return child
 
     def companies(self) -> list[str]:
         """Existing company ids, sorted."""
@@ -489,16 +522,14 @@ def apply_action(
     if not rule.check_join.exists(state, binding):
         raise KernelError(f"precondition of {action} does not hold")
 
-    def instantiate(lit: Literal) -> Fact:
-        return make_fact(lit.predicate, [binding.get(a, a) for a in lit.args])
-
-    facts = set(state.facts)
-    for lit in rule.del_effects:
-        facts.discard(instantiate(lit))
-    for lit in rule.add_effects:
-        facts.add(instantiate(lit))
-    return State(
-        facts=frozenset(facts),
-        step_count=state.step_count + 1,
-        transfer_used=state.transfer_used or rule.name == "transferIP",
+    deleted = [
+        make_fact(lit.predicate, [binding.get(a, a) for a in lit.args])
+        for lit in rule.del_effects
+    ]
+    added = [
+        make_fact(lit.predicate, [binding.get(a, a) for a in lit.args])
+        for lit in rule.add_effects
+    ]
+    return state._successor(
+        deleted, added, state.transfer_used or rule.name == "transferIP"
     )

@@ -229,10 +229,3 @@ def write_policy_report(report: RestrictionReport, path) -> None:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
 
-
-def read_policy_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("kind") != "policy-report":
-        raise PolicyError(f"{path} does not contain a policy report")
-    return payload

@@ -21,14 +21,22 @@ arity, wildcards only in negated literals and constant transaction kinds
 among ``commercial``, ``royalty`` and ``transfer``, it mentions ``Self``, and
 a deductible leaves the rate, an exemption the base, as it is.  It raises one
 :class:`~loophound.kernel.KernelError` naming every problem found.
+
+A state is evaluated in one pass (:func:`evaluate_state`): it is settled
+once, its company flows are summed once, and assessment and profit both
+read them.  Each rule's condition is projected once per state onto the
+companies it holds for (:func:`applicability_map`); that map is inverted
+into company -> applicable rules, in rule order, and each return reads only
+its company's rules, through the one :func:`assess` path.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
+from . import economy  # settle is looked up per call, where tracing can wrap it
 from .economy import ScenarioConfig, Transaction, company_flows
 from .join import CompiledCondition
 from .kernel import Condition, KernelError, Literal, State, condition_problems
@@ -138,8 +146,7 @@ class ReductionRule:
 TaxRateTable = Mapping[str, float]
 
 
-@dataclass(frozen=True)
-class TaxAssessment:
+class TaxAssessment(NamedTuple):
     company: str
     country: str
     base: float  # statutory base: total inflows
@@ -164,15 +171,15 @@ class TaxAssessment:
 # ============================================================================
 
 
-def residence_country(state: State, company: str) -> str:
-    """Management seat wins over country of incorporation."""
-    for args in state.index["managed"]:
-        if args[0] == company:
-            return args[1]
-    for args in state.index["based"]:
-        if args[0] == company:
-            return args[1]
-    raise TaxationError(f"company {company!r} is resident nowhere")
+def residence_countries(state: State) -> dict[str, str]:
+    """Company -> residence country: management seat wins over country of
+    incorporation.  Raises if an existing company is resident nowhere."""
+    residence = dict(state.index["based"])
+    residence.update(state.index["managed"])
+    for company in state.companies():
+        if company not in residence:
+            raise TaxationError(f"company {company!r} is resident nowhere")
+    return residence
 
 
 def transaction_patterns(
@@ -194,23 +201,34 @@ def applicability_map(
     }
 
 
+def rules_by_company(
+    applicability: Mapping[tuple[str, str], frozenset[str]],
+    reductions: Sequence[ReductionRule],
+) -> dict[str, list[ReductionRule]]:
+    """Invert an :func:`applicability_map`: company -> the rules applicable to
+    it, in rule order."""
+    out: dict[str, list[ReductionRule]] = {}
+    for rule in reductions:
+        for company in applicability[rule.key()]:
+            out.setdefault(company, []).append(rule)
+    return out
+
+
 def applicable_reductions(
     company: str,
     base: float,
     rate: float,
-    reductions: Sequence[ReductionRule],
-    applicability: Mapping[tuple[str, str], frozenset[str]],
+    rules: Sequence[ReductionRule],
 ) -> list[tuple[ReductionRule, float, float]]:
     """Admissible (rule, new_base, new_rate) candidates for one return, in rule order.
 
-    ``applicability`` is the :func:`applicability_map` of the assessed state.
-    A candidate is rejected (with a log warning) when its evaluated new base
-    is negative, its new rate leaves [0, 1], or it would increase the tax due.
+    ``rules`` are the reductions applicable to ``company`` (its entry in
+    :func:`rules_by_company`).  A candidate is rejected (with a log warning)
+    when its evaluated new base is negative, its new rate leaves [0, 1], or
+    it would increase the tax due.
     """
     out: list[tuple[ReductionRule, float, float]] = []
-    for rule in reductions:
-        if company not in applicability[rule.key()]:
-            continue
+    for rule in rules:
         new_base = rule.new_base.evaluate(base, rate)
         new_rate = rule.new_rate.evaluate(base, rate)
         if new_base < 0.0:
@@ -257,19 +275,19 @@ def choose_reduction(
 def assess(
     company: str,
     country: str,
-    reductions: Sequence[ReductionRule],
+    rules: Sequence[ReductionRule],
     rates: TaxRateTable,
     flows: Mapping[str, tuple[float, float]],
-    applicability: Mapping[tuple[str, str], frozenset[str]],
 ) -> TaxAssessment:
-    """One company's return: ``flows`` are the settled transactions'
-    ``company_flows``, ``applicability`` the state's :func:`applicability_map`."""
+    """One company's return: ``rules`` are the reductions applicable to it
+    (see :func:`rules_by_company`), ``flows`` the settled transactions'
+    ``company_flows``."""
     if country not in rates:
         raise TaxationError(f"no statutory rate for country {country!r}")
     base, _ = flows.get(company, (0.0, 0.0))
     rate = float(rates[country])
 
-    candidates = applicable_reductions(company, base, rate, reductions, applicability)
+    candidates = applicable_reductions(company, base, rate, rules)
     best_deductible = choose_reduction(
         [c for c in candidates if c[0].kind == DEDUCTIBLE]
     )
@@ -285,52 +303,51 @@ def assess(
         reduced_rate, applied_exemption = best_exemption[2], best_exemption[0].legal_ref
 
     return TaxAssessment(
-        company=company,
-        country=country,
-        base=base,
-        rate=rate,
-        reduced_base=reduced_base,
-        reduced_rate=reduced_rate,
-        applied_reduction=applied_reduction,
-        applied_exemption=applied_exemption,
-        tax_due=reduced_base * reduced_rate,
+        company,
+        country,
+        base,
+        rate,
+        reduced_base,
+        reduced_rate,
+        applied_reduction,
+        applied_exemption,
+        reduced_base * reduced_rate,
     )
 
 
 def assess_all(
     state: State,
     transactions: Sequence[Transaction],
+    flows: Mapping[str, tuple[float, float]],
     reductions: Sequence[ReductionRule],
     rates: TaxRateTable,
 ) -> list[TaxAssessment]:
-    """One assessment per existing company, in sorted company order."""
-    flows = company_flows(transactions)
+    """One assessment per existing company, in sorted company order.
+
+    ``flows`` are the ``company_flows`` of ``transactions``.
+    """
     patterns = {"transaction": transaction_patterns(transactions)}
-    applicability = applicability_map(state, patterns, reductions)
+    applicable = rules_by_company(
+        applicability_map(state, patterns, reductions), reductions
+    )
+    residence = residence_countries(state)
     return [
-        assess(
-            company,
-            residence_country(state, company),
-            reductions,
-            rates,
-            flows,
-            applicability,
-        )
+        assess(company, residence[company], applicable.get(company, ()), rates, flows)
         for company in state.companies()
     ]
 
 
 def net_profit(
-    transactions: Sequence[Transaction],
+    flows: Mapping[str, tuple[float, float]],
     assessments: Sequence[TaxAssessment],
 ) -> float:
     """Group-wide profit: company inflows minus outflows minus taxes.
 
-    Intra-group payments cancel, so this equals market inflows minus total
-    tax; both are accumulated in one fixed order (sorted companies, then
-    assessment order) to keep float results reproducible.
+    ``flows`` are the settled transactions' ``company_flows``.  Intra-group
+    payments cancel, so this equals market inflows minus total tax; both
+    are accumulated in one fixed order (sorted companies, then assessment
+    order) to keep float results reproducible.
     """
-    flows = company_flows(transactions)
     total = 0.0
     for company in sorted(flows):
         fin, fout = flows[company]
@@ -347,9 +364,13 @@ def evaluate_state(
     rates: TaxRateTable,
     actions: Sequence = (),
 ) -> tuple[list[Transaction], list[TaxAssessment], float]:
-    """Full economic evaluation of one state: transactions, assessments, profit."""
-    from .economy import settle
+    """Full economic evaluation of one state, in one pass: transactions,
+    assessments, profit.
 
-    transactions = settle(state, scenario, actions)
-    assessments = assess_all(state, transactions, reductions, rates)
-    return transactions, assessments, net_profit(transactions, assessments)
+    The state is settled once and its company flows are summed once;
+    assessment and profit both read them.
+    """
+    transactions = economy.settle(state, scenario, actions)
+    flows = company_flows(transactions)
+    assessments = assess_all(state, transactions, flows, reductions, rates)
+    return transactions, assessments, net_profit(flows, assessments)

@@ -1,7 +1,9 @@
-"""Shared fixtures: bundled corpus documents and reference search runs."""
+"""Shared fixtures and helpers: bundled corpus documents, reference search runs,
+random action paths and a reader for policy reports."""
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from loophound import corpus_path
 from loophound.dsl import parse_ruleset, parse_scenario
 from loophound.explorer import SearchParams, explore
+from loophound.kernel import Domains, applicable_actions, apply_action, initial_state
+from loophound.policy import PolicyError
 
 # A small two-market world used by the exhaustive oracles.  The rules mirror
 # the bundled corpus subset needed for incorporation and licensing.
@@ -50,6 +54,53 @@ ip ip1.
 fact based(p, usa).
 fact ownsIP(p, ip1).
 """
+
+
+def scenario_domains(scenario) -> Domains:
+    """The entity domains a search over ``scenario`` grounds rules with."""
+    return Domains(
+        companies=tuple(
+            sorted(set(scenario.declared_companies) | set(scenario.company_pool))
+        ),
+        countries=scenario.countries,
+        ips=scenario.declared_ips,
+    )
+
+
+def walk(ruleset, scenario_doc, choices):
+    """The action path ``choices`` pick from the scenario's initial state.
+
+    Each choice indexes, modulo their number, the actions applicable in the
+    current state; the walk stops early at a state with none.  Returns the
+    states along the path, the initial one first, and the actions taken.
+    """
+    scenario = scenario_doc.scenario
+    domains = scenario_domains(scenario)
+    states = [initial_state(scenario_doc.state.facts, scenario_doc.state.companies)]
+    actions = []
+    for choice in choices:
+        acts = applicable_actions(
+            states[-1], ruleset.action_rules, domains, scenario.company_pool
+        )
+        if not acts:
+            break
+        actions.append(acts[choice % len(acts)])
+        states.append(
+            apply_action(
+                states[-1], actions[-1], ruleset.action_rules, domains,
+                scenario.company_pool,
+            )
+        )
+    return states, tuple(actions)
+
+
+def read_policy_report(path) -> dict:
+    """The payload of a ``policy_report.json``; PolicyError for another file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    if payload.get("kind") != "policy-report":
+        raise PolicyError(f"{path} does not contain a policy report")
+    return payload
 
 
 @pytest.fixture(scope="session")

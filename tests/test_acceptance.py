@@ -30,6 +30,7 @@ from loophound.economy import (
     commercial_transactions,
     is_multinationally_complete,
     royalty_transactions,
+    settle,
 )
 from loophound.explorer import (
     SearchParams,
@@ -408,7 +409,7 @@ def _bfs_terminal_sets(ruleset, scenario_doc, max_steps):
             actions = applicable_actions(state, rules, domains, pool, max_steps=max_steps)
             if not actions and not is_root:
                 terminal.add(state.key())
-        if not is_root and is_multinationally_complete(state, scenario):
+        if not is_root and is_multinationally_complete(settle(state, scenario), scenario):
             complete.add(state.key())
         for action in actions:
             child = apply_action(state, action, rules, domains, pool)

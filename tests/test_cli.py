@@ -18,9 +18,8 @@ import pytest
 from loophound import __version__, corpus_path
 from loophound.cli import main
 from loophound.explorer import read_jsonl
-from loophound.policy import read_policy_report
 
-from conftest import TOY_RULESET, TOY_SCENARIO
+from conftest import TOY_RULESET, TOY_SCENARIO, read_policy_report
 
 
 @pytest.fixture(scope="session")

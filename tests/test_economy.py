@@ -265,15 +265,15 @@ class TestEarning:
     def test_completeness_requires_every_market(self):
         scenario = make_scenario()
         partial = forest_state(["m1", "m1"], [None, 0], scenario)
-        assert not is_multinationally_complete(partial, scenario)
+        assert not is_multinationally_complete(settle(partial, scenario), scenario)
         full = forest_state(["m1", "m2"], [None, 0], scenario)
-        assert is_multinationally_complete(full, scenario)
+        assert is_multinationally_complete(settle(full, scenario), scenario)
 
     def test_haven_not_required_for_completeness(self):
         scenario = make_scenario()
         state = forest_state(["m1", "m2"], [None, 0], scenario)
         # no company sits in h1, yet the state is complete
-        assert is_multinationally_complete(state, scenario)
+        assert is_multinationally_complete(settle(state, scenario), scenario)
 
     def test_corpus_scenario_initial_state_incomplete(self, corpus_scenario):
         config = corpus_scenario.scenario
@@ -281,7 +281,7 @@ class TestEarning:
             corpus_scenario.state.facts, corpus_scenario.state.companies
         )
         # only p exists, based in usa; four other markets are uncovered
-        assert not is_multinationally_complete(state, config)
+        assert not is_multinationally_complete(settle(state, config), config)
         assert earning_companies(state, config) == [("p", "usa")]
 
 

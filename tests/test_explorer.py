@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from loophound.dsl import parse_ruleset
-from loophound.economy import is_multinationally_complete
+from loophound.economy import is_multinationally_complete, settle
 from loophound.explorer import (
     ExplorerError,
     SearchParams,
@@ -22,12 +22,10 @@ from loophound.explorer import (
     trajectory_utility,
     write_jsonl,
 )
-from loophound.kernel import (
-    Domains,
-    applicable_actions,
-    apply_action,
-    initial_state,
-)
+from loophound.kernel import applicable_actions, apply_action, initial_state
+from loophound.taxation import evaluate_state
+
+from conftest import scenario_domains
 
 
 # -------------------------------------------------------------- parameters
@@ -163,13 +161,7 @@ def bfs_oracle(ruleset, scenario_doc, max_steps):
     searcher's no-empty-trajectory convention.
     """
     scenario = scenario_doc.scenario
-    domains = Domains(
-        companies=tuple(
-            sorted(set(scenario.declared_companies) | set(scenario.company_pool))
-        ),
-        countries=scenario.countries,
-        ips=scenario.declared_ips,
-    )
+    domains = scenario_domains(scenario)
     rules = ruleset.action_rules
     pool = scenario.company_pool
     s0 = initial_state(scenario_doc.state.facts, scenario_doc.state.companies)
@@ -182,13 +174,13 @@ def bfs_oracle(ruleset, scenario_doc, max_steps):
         is_root = state.step_count == 0
         if state.step_count >= max_steps:
             terminal.add(state.key())
-            if is_multinationally_complete(state, scenario):
+            if is_multinationally_complete(settle(state, scenario), scenario):
                 complete.add(state.key())
             continue
         acts = applicable_actions(state, rules, domains, pool, max_steps=max_steps)
         if not acts and not is_root:
             terminal.add(state.key())
-        if not is_root and is_multinationally_complete(state, scenario):
+        if not is_root and is_multinationally_complete(settle(state, scenario), scenario):
             complete.add(state.key())
         for act in acts:
             child = apply_action(state, act, rules, domains, pool)
@@ -235,27 +227,22 @@ class TestExhaustiveEquality:
         params = SearchParams(seed=3, iterations=10, expansions=50, max_steps=5)
         tset = explore(toy_ruleset, toy_scenario, params)
         assert tset.trajectories
-        scenario = toy_scenario.scenario
-        domains = Domains(
-            companies=tuple(
-                sorted(
-                    set(scenario.declared_companies) | set(scenario.company_pool)
-                )
-            ),
-            countries=scenario.countries,
-            ips=scenario.declared_ips,
-        )
         for t in tset.trajectories:
-            state = initial_state(
-                toy_scenario.state.facts, toy_scenario.state.companies
-            )
-            for act in t.actions:
-                state = apply_action(
-                    state, act, toy_ruleset.action_rules, domains,
-                    scenario.company_pool,
-                )
+            state = replay(toy_ruleset, toy_scenario, t.actions)
             assert state.key() == t.final_state.key()
             assert state.step_count == t.length
+
+
+def replay(ruleset, scenario_doc, actions):
+    """The state an action path reaches from the scenario's initial state."""
+    scenario = scenario_doc.scenario
+    domains = scenario_domains(scenario)
+    state = initial_state(scenario_doc.state.facts, scenario_doc.state.companies)
+    for act in actions:
+        state = apply_action(
+            state, act, ruleset.action_rules, domains, scenario.company_pool
+        )
+    return state
 
 
 # --------------------------------------------------------------- invariants
@@ -289,7 +276,7 @@ class TestTrajectoryInvariants:
         scenario = corpus_scenario.scenario
         for t in desk_run.trajectories[:50]:
             assert t.complete == is_multinationally_complete(
-                t.final_state, scenario
+                settle(t.final_state, scenario), scenario
             )
 
 
@@ -305,6 +292,63 @@ class TestDeadEnds:
         tset = explore(result.document, toy_scenario, params)
         assert tset.trajectories == ()
         assert any("no applicable actions" in w for w in tset.warnings)
+
+
+# Two routes of different lengths to one fact set: "license-seat" licenses
+# the IP and moves the renter's seat in one step, "license" then "seat" take
+# two.
+SEAT_RULES = """
+action rentIP(Licensor, Renter, Ip) ref "license-seat" {
+  pre: ownsIP(Licensor, Ip), exists(Renter), Licensor != Renter,
+       not rentsIP(_, Renter, Ip), not managed(Renter, _);
+  eff: rentsIP(Licensor, Renter, Ip), managed(Renter, germany);
+}
+
+action rentIP(Licensor, Renter, Ip) ref "seat" {
+  pre: rentsIP(Licensor, Renter, Ip), not managed(Renter, _);
+  eff: managed(Renter, germany);
+}
+"""
+
+
+class TestShorterPath:
+    """A known, unexpanded node reached again by a shorter path takes that
+    path: its state, its evaluation, and, when the step cap had closed it, a
+    place on the frontier.  Both searches below meet some fact set by the
+    longer route first; the second meets one at the step cap."""
+
+    @pytest.mark.parametrize(
+        "seed,iterations,expansions,max_steps", [(3, 20, 30, 12), (0, 10, 5, 4)]
+    )
+    def test_trajectories_match_their_recorded_path(
+        self, corpus_ruleset_text, corpus_scenario, seed, iterations, expansions,
+        max_steps,
+    ):
+        result = parse_ruleset(corpus_ruleset_text + SEAT_RULES)
+        assert result.ok, [str(d) for d in result.diagnostics]
+        ruleset = result.document
+        scenario = corpus_scenario.scenario
+        params = SearchParams(
+            seed=seed, iterations=iterations, expansions=expansions,
+            max_steps=max_steps,
+        )
+        tset = explore(ruleset, corpus_scenario, params)
+        assert tset.trajectories
+        for t in tset.trajectories:
+            state = replay(ruleset, corpus_scenario, t.actions)
+            # facts, step_count and transfer_used
+            assert t.final_state == state
+            transactions, assessments, p = evaluate_state(
+                state, scenario, ruleset.reduction_rules, ruleset.rates(), t.actions
+            )
+            assert t.transactions == tuple(transactions)
+            assert t.assessments == tuple(assessments)
+            assert t.p == p
+            if t.terminal and t.length < max_steps:
+                assert not applicable_actions(
+                    state, ruleset.action_rules, scenario_domains(scenario),
+                    scenario.company_pool, max_steps=max_steps,
+                )
 
 
 # ---------------------------------------------------------- reproducibility

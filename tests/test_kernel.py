@@ -15,6 +15,7 @@ from loophound.kernel import (
     Comparison,
     Domains,
     Fact,
+    GroundedAction,
     KernelError,
     Literal,
     PREDICATES,
@@ -27,6 +28,7 @@ from loophound.kernel import (
     make_fact,
 )
 from loophound.join import CompiledCondition
+from conftest import scenario_domains, walk
 from oracles import oracle_match
 
 # ============================================================================
@@ -593,3 +595,102 @@ class TestStateInvariants:
         assert twin == state
         assert hash(twin) == hash(state)
         assert twin != State(facts=state.facts, step_count=1)
+
+
+# ============================================================================
+# Successors built from the parent's index
+# ============================================================================
+
+
+def instantiated(lits, binding):
+    return {Fact(lit.predicate, tuple(binding.get(a, a) for a in lit.args)) for lit in lits}
+
+
+def scratch_successor(state, action, rules):
+    """The successor built from its fact set, with the effects applied by hand."""
+    rule = next(r for r in rules if r.key() == (action.name, action.legal_ref))
+    binding = action.as_dict()
+    facts = (state.facts - instantiated(rule.del_effects, binding)) | instantiated(
+        rule.add_effects, binding
+    )
+    return State(
+        frozenset(facts),
+        state.step_count + 1,
+        state.transfer_used or rule.name == "transferIP",
+    )
+
+
+def outcome(build):
+    """The state ``build`` returns with its index, or the KernelError it raises."""
+    try:
+        state = build()
+    except KernelError as exc:
+        return ("error", str(exc))
+    return ("state", state, state.index)
+
+
+# rules without the corpus's guards: each can break a state invariant
+UNGUARDED = tuple(
+    ActionRule(
+        name=name,
+        legal_ref=ref,
+        params=params,
+        fresh_params=frozenset(),
+        precondition=tuple(Literal("exists", (p,)) for p in params[:1]),
+        add_effects=(Literal(predicate, params),),
+        del_effects=(),
+    )
+    for name, ref, predicate, params in (
+        ("rentIP", "any-license", "rentsIP", ("L", "R", "I")),
+        ("rentIP", "seize", "ownsIP", ("C", "I")),
+        ("addChild", "rebase", "based", ("C", "Country")),
+        ("addChild", "reseat", "managed", ("C", "Seat")),
+    )
+)
+
+
+class TestSuccessor:
+    """``apply_action`` builds a successor from its parent's index; it must
+    equal the state built from the successor's facts."""
+
+    @given(choices=st.lists(st.integers(min_value=0), max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_successor_equals_state_built_from_scratch(
+        self, corpus_ruleset, corpus_scenario, choices
+    ):
+        states, actions = walk(corpus_ruleset, corpus_scenario, choices)
+        for parent, action, child in zip(states, actions, states[1:]):
+            scratch = scratch_successor(parent, action, corpus_ruleset.action_rules)
+            assert child.facts == scratch.facts
+            assert child.index == scratch.index
+            assert child.step_count == scratch.step_count
+            assert child.transfer_used == scratch.transfer_used
+
+    @given(
+        choices=st.lists(st.integers(min_value=0), max_size=8),
+        pick=st.integers(min_value=0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_broken_invariant_raises_the_same_error_on_both_paths(
+        self, corpus_ruleset, corpus_scenario, choices, pick
+    ):
+        states, _ = walk(corpus_ruleset, corpus_scenario, choices)
+        state = states[-1]
+        scenario = corpus_scenario.scenario
+        domains = scenario_domains(scenario)
+        pool = scenario.company_pool
+        acts = applicable_actions(state, UNGUARDED, domains, pool)
+        action = acts[pick % len(acts)]
+        incremental = outcome(
+            lambda: apply_action(state, action, UNGUARDED, domains, pool)
+        )
+        assert incremental == outcome(
+            lambda: scratch_successor(state, action, UNGUARDED)
+        )
+
+    def test_a_broken_invariant_is_caught(self, corpus_scenario):
+        state = initial_state(corpus_scenario.state.facts, corpus_scenario.state.companies)
+        scenario = corpus_scenario.scenario
+        rebase = GroundedAction("addChild", "rebase", (("C", "p"), ("Country", "ireland")))
+        with pytest.raises(KernelError, match="based in multiple countries"):
+            apply_action(state, rebase, UNGUARDED, scenario_domains(scenario), scenario.company_pool)

@@ -28,11 +28,12 @@ from loophound.policy import (
     WelfareConfig,
     delta_restriction,
     delta_set,
-    read_policy_report,
     welfare,
     write_policy_report,
 )
 from loophound.taxation import TaxAssessment
+
+from conftest import read_policy_report
 
 
 ROLE_FACTS = [

@@ -12,8 +12,15 @@ import logging
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loophound.economy import company_flows
+from loophound.economy import (
+    company_flows,
+    earning_companies,
+    is_multinationally_complete,
+    settle,
+)
 from loophound.kernel import (
     GroundedAction,
     KernelError,
@@ -27,6 +34,7 @@ from loophound.taxation import (
     SELF_VAR,
     LinExpr,
     ReductionRule,
+    TaxAssessment,
     TaxationError,
     applicability_map,
     applicable_reductions,
@@ -35,9 +43,11 @@ from loophound.taxation import (
     choose_reduction,
     evaluate_state,
     net_profit,
-    residence_country,
+    residence_countries,
+    rules_by_company,
     transaction_patterns,
 )
+from conftest import walk
 from oracles import oracle_match
 
 
@@ -246,23 +256,25 @@ class TestResidence:
             ],
             ("c1",),
         )
-        assert residence_country(state, "c1") == "bermuda"
+        assert residence_countries(state)["c1"] == "bermuda"
 
     def test_incorporation_fallback(self):
         state = initial_state([make_fact("based", ("c1", "ireland"))], ("c1",))
-        assert residence_country(state, "c1") == "ireland"
+        assert residence_countries(state)["c1"] == "ireland"
 
     def test_resident_nowhere_raises(self):
         state = initial_state([], ("c1",))
         with pytest.raises(TaxationError, match="resident nowhere"):
-            residence_country(state, "c1")
+            residence_countries(state)
 
 
 # ---------------------------------------------------- candidate selection
 
 
-def no_transactions_map(state, reductions):
-    return applicability_map(state, {"transaction": []}, reductions)
+def applicable_without_transactions(state, company, reductions):
+    """The reductions applicable to ``company`` in ``state``, with no ledger."""
+    amap = applicability_map(state, {"transaction": []}, reductions)
+    return rules_by_company(amap, reductions).get(company, [])
 
 
 def rule(
@@ -394,8 +406,8 @@ class TestAdmission:
         state = self.setup_state()
         with caplog.at_level(logging.WARNING, logger="loophound.taxation"):
             out = applicable_reductions(
-                "a0", 100.0, 0.35, (reduction,),
-                no_transactions_map(state, (reduction,)),
+                "a0", 100.0, 0.35,
+                applicable_without_transactions(state, "a0", (reduction,)),
             )
         return out, caplog.text
 
@@ -442,8 +454,9 @@ class TestStrictImprovement:
         state = initial_state([make_fact("based", ("a0", "usa"))], ("a0",))
         identity = rule("noop", "deductible")  # new_base stays Base
         a = assess(
-            "a0", "usa", (identity,), {"usa": 0.35}, {},
-            no_transactions_map(state, (identity,)),
+            "a0", "usa",
+            applicable_without_transactions(state, "a0", (identity,)),
+            {"usa": 0.35}, {},
         )
         assert a.applied_reduction is None
         assert a.reduced_base == a.base
@@ -452,8 +465,9 @@ class TestStrictImprovement:
         state = initial_state([make_fact("based", ("a0", "usa"))], ("a0",))
         identity = rule("noop", "exemption")  # new_rate stays Rate
         a = assess(
-            "a0", "usa", (identity,), {"usa": 0.35}, {},
-            no_transactions_map(state, (identity,)),
+            "a0", "usa",
+            applicable_without_transactions(state, "a0", (identity,)),
+            {"usa": 0.35}, {},
         )
         assert a.applied_exemption is None
         assert a.reduced_rate == a.rate
@@ -465,8 +479,9 @@ class TestStrictImprovement:
         ded = rule("d", "deductible", base_coef=0.5)
         ex = rule("e", "exemption", rate_coef=0.5)
         a = assess(
-            "a0", "usa", (ded, ex), {"usa": 0.4}, flows,
-            no_transactions_map(state, (ded, ex)),
+            "a0", "usa",
+            applicable_without_transactions(state, "a0", (ded, ex)),
+            {"usa": 0.4}, flows,
         )
         assert (a.base, a.reduced_base) == (200.0, 100.0)
         assert (a.rate, a.reduced_rate) == (0.4, 0.2)
@@ -478,7 +493,7 @@ class TestStrictImprovement:
 class TestAssessErrors:
     def test_missing_statutory_rate(self):
         with pytest.raises(TaxationError, match="no statutory rate"):
-            assess("a0", "usa", (), {"germany": 0.3}, {}, {})
+            assess("a0", "usa", (), {"germany": 0.3}, {})
 
 
 class TestNetProfit:
@@ -488,5 +503,75 @@ class TestNetProfit:
         total = sum(fin - fout for fin, fout in flows.values())
         market = sum(t.amount for t in txns if t.kind == "commercial")
         assert total == pytest.approx(market, rel=1e-12)
-        recomputed = net_profit(txns, assessments)
+        recomputed = net_profit(flows, assessments)
         assert recomputed == 1100.125
+
+
+# ------------------------------------------------------ one-pass evaluation
+
+
+def composed_evaluation(state, scenario, reductions, rates, actions):
+    """Evaluation composed from its parts, rule by rule, without the one pass:
+    settle, then each rule's applicability to each company on its own, then
+    candidate choice, then profit."""
+    ledger = settle(state, scenario, actions)
+    flows = company_flows(ledger)
+    patterns = {"transaction": transaction_patterns(ledger)}
+    managed = {f.args[0]: f.args[1] for f in state.facts if f.predicate == "managed"}
+    based = {f.args[0]: f.args[1] for f in state.facts if f.predicate == "based"}
+    assessments = []
+    for company in state.companies():
+        country = managed.get(company, based.get(company))
+        base, _ = flows.get(company, (0.0, 0.0))
+        rate = float(rates[country])
+        candidates = []
+        for rule in reductions:
+            if company in rule.join.project(state, SELF_VAR, patterns):
+                candidates += applicable_reductions(company, base, rate, [rule])
+        deductible = choose_reduction([c for c in candidates if c[0].kind == "deductible"])
+        exemption = choose_reduction([c for c in candidates if c[0].kind == "exemption"])
+        reduced_base, applied_reduction = base, None
+        if deductible is not None and deductible[1] < base:
+            reduced_base, applied_reduction = deductible[1], deductible[0].legal_ref
+        reduced_rate, applied_exemption = rate, None
+        if exemption is not None and exemption[2] < rate:
+            reduced_rate, applied_exemption = exemption[2], exemption[0].legal_ref
+        assessments.append(
+            TaxAssessment(
+                company=company,
+                country=country,
+                base=base,
+                rate=rate,
+                reduced_base=reduced_base,
+                reduced_rate=reduced_rate,
+                applied_reduction=applied_reduction,
+                applied_exemption=applied_exemption,
+                tax_due=reduced_base * reduced_rate,
+            )
+        )
+    covered = {country for _, country in earning_companies(state, scenario)}
+    complete = all(c in covered for c in scenario.non_haven_countries())
+    return ledger, assessments, net_profit(flows, assessments), complete
+
+
+class TestOnePassEvaluation:
+    @given(choices=st.lists(st.integers(min_value=0), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_composition_of_its_parts(
+        self, corpus_ruleset, corpus_scenario, choices
+    ):
+        states, actions = walk(corpus_ruleset, corpus_scenario, choices)
+        scenario = corpus_scenario.scenario
+        reductions = corpus_ruleset.reduction_rules
+        rates = corpus_ruleset.rates()
+        state = states[-1]
+        transactions, assessments, p = evaluate_state(
+            state, scenario, reductions, rates, actions
+        )
+        ledger, expected, expected_p, complete = composed_evaluation(
+            state, scenario, reductions, rates, actions
+        )
+        assert transactions == ledger
+        assert assessments == expected
+        assert p == expected_p
+        assert is_multinationally_complete(transactions, scenario) == complete
