@@ -409,7 +409,9 @@ def _bfs_terminal_sets(ruleset, scenario_doc, max_steps):
             actions = applicable_actions(state, rules, domains, pool, max_steps=max_steps)
             if not actions and not is_root:
                 terminal.add(state.key())
-        if not is_root and is_multinationally_complete(settle(state, scenario), scenario):
+        if not is_root and is_multinationally_complete(
+            settle(state, scenario), scenario
+        ):
             complete.add(state.key())
         for action in actions:
             child = apply_action(state, action, rules, domains, pool)

@@ -180,7 +180,9 @@ def bfs_oracle(ruleset, scenario_doc, max_steps):
         acts = applicable_actions(state, rules, domains, pool, max_steps=max_steps)
         if not acts and not is_root:
             terminal.add(state.key())
-        if not is_root and is_multinationally_complete(settle(state, scenario), scenario):
+        if not is_root and is_multinationally_complete(
+            settle(state, scenario), scenario
+        ):
             complete.add(state.key())
         for act in acts:
             child = apply_action(state, act, rules, domains, pool)

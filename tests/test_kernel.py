@@ -603,7 +603,9 @@ class TestStateInvariants:
 
 
 def instantiated(lits, binding):
-    return {Fact(lit.predicate, tuple(binding.get(a, a) for a in lit.args)) for lit in lits}
+    return {
+        Fact(lit.predicate, tuple(binding.get(a, a) for a in lit.args)) for lit in lits
+    }
 
 
 def scratch_successor(state, action, rules):
@@ -688,9 +690,14 @@ class TestSuccessor:
             lambda: scratch_successor(state, action, UNGUARDED)
         )
 
-    def test_a_broken_invariant_is_caught(self, corpus_scenario):
-        state = initial_state(corpus_scenario.state.facts, corpus_scenario.state.companies)
+    def test_a_broken_invariant_is_caught(self, corpus_ruleset, corpus_scenario):
+        states, _ = walk(corpus_ruleset, corpus_scenario, ())
         scenario = corpus_scenario.scenario
-        rebase = GroundedAction("addChild", "rebase", (("C", "p"), ("Country", "ireland")))
+        rebase = GroundedAction(
+            "addChild", "rebase", (("C", "p"), ("Country", "ireland"))
+        )
         with pytest.raises(KernelError, match="based in multiple countries"):
-            apply_action(state, rebase, UNGUARDED, scenario_domains(scenario), scenario.company_pool)
+            apply_action(
+                states[0], rebase, UNGUARDED, scenario_domains(scenario),
+                scenario.company_pool,
+            )

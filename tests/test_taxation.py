@@ -528,8 +528,12 @@ def composed_evaluation(state, scenario, reductions, rates, actions):
         for rule in reductions:
             if company in rule.join.project(state, SELF_VAR, patterns):
                 candidates += applicable_reductions(company, base, rate, [rule])
-        deductible = choose_reduction([c for c in candidates if c[0].kind == "deductible"])
-        exemption = choose_reduction([c for c in candidates if c[0].kind == "exemption"])
+        deductible = choose_reduction(
+            [c for c in candidates if c[0].kind == "deductible"]
+        )
+        exemption = choose_reduction(
+            [c for c in candidates if c[0].kind == "exemption"]
+        )
         reduced_base, applied_reduction = base, None
         if deductible is not None and deductible[1] < base:
             reduced_base, applied_reduction = deductible[1], deductible[0].legal_ref
