@@ -10,6 +10,7 @@ frequency tables then show which legal references drive each family.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -135,27 +136,40 @@ def select_cut_points(
 ) -> list[int]:
     """Qualifying drop indices: local maxima >= height, spaced >= min_distance.
 
-    Local maxima (plateau-aware, reported at the plateau middle) come from
-    scipy; the distance filter is applied here with a fixed tie order
-    (largest drop first, then lowest index) because scipy's own filter
-    resolves equal-magnitude ties via an unstable sort and is therefore not
-    reproducible across versions.
+    Local maxima are plateau-aware and reported at the plateau middle (see
+    :func:`_local_maxima`).  The distance filter keeps a fixed tie order,
+    largest drop first, then lowest index, so that equal drops always resolve
+    the same way.
     """
-    if len(drops) == 0:
-        return []
-    # imported here: scipy.signal takes about a second to import, and only
-    # the profile stage needs it
-    from scipy.signal import find_peaks
-
     # pad so drops at the ends still count as local maxima
-    padded = np.concatenate(([-np.inf], drops, [-np.inf]))
-    peaks, _ = find_peaks(padded, height=height)
-    candidates = [int(p - 1) for p in peaks]
+    padded = [-math.inf, *drops.tolist(), -math.inf]
+    candidates = [p - 1 for p in _local_maxima(padded) if padded[p] >= height]
     chosen: list[int] = []
     for idx in sorted(candidates, key=lambda i: (-drops[i], i)):
         if all(abs(idx - c) >= min_distance for c in chosen):
             chosen.append(idx)
     return sorted(chosen)
+
+
+def _local_maxima(values: Sequence[float]) -> list[int]:
+    """Indices of the local maxima of ``values``, ends excluded.
+
+    A maximum is a strict rise, a flat run, then a strict fall; it is
+    reported at the middle of the flat run, rounded down.  This is the rule
+    of ``scipy.signal.find_peaks``.
+    """
+    peaks: list[int] = []
+    i, last = 1, len(values) - 1
+    while i < last:
+        if values[i - 1] < values[i]:
+            ahead = i + 1
+            while ahead < last and values[ahead] == values[i]:
+                ahead += 1
+            if values[ahead] < values[i]:
+                peaks.append((i + ahead - 1) // 2)
+                i = ahead
+        i += 1
+    return peaks
 
 
 # ============================================================================

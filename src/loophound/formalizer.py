@@ -21,6 +21,7 @@ with validation failures.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import urllib.error
@@ -156,8 +157,8 @@ class RemoteBackend:
     ) -> None:
         if not endpoint:
             raise FormalizerError("remote backend needs a non-empty endpoint URL")
-        if timeout <= 0:
-            raise FormalizerError("timeout must be positive")
+        if not 0 < timeout < math.inf:
+            raise FormalizerError(f"timeout must be finite and positive, not {timeout!r}")
         self.endpoint = endpoint
         self.auth_token = auth_token
         self.timeout = timeout
@@ -169,7 +170,16 @@ class RemoteBackend:
         if not endpoint:
             raise FormalizerError(f"environment variable {ENDPOINT_ENV} is not set")
         token = env.get(TOKEN_ENV) or None
-        timeout = float(env.get(TIMEOUT_ENV, "10"))
+        raw = env.get(TIMEOUT_ENV, "10")
+        try:
+            timeout = float(raw)
+        except ValueError:
+            timeout = math.nan  # rejected below, naming the variable
+        if not 0 < timeout < math.inf:
+            raise FormalizerError(
+                f"environment variable {TIMEOUT_ENV} must be a finite positive "
+                f"number of seconds, not {raw!r}"
+            )
         return cls(endpoint=endpoint, auth_token=token, timeout=timeout)
 
     def generate(

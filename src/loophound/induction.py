@@ -8,6 +8,15 @@ fact vocabulary; a trajectory is covered when some clause body matches its own
 background database.  Learning is greedy set cover with a beam search over
 linked clauses, scored by F1 on the not-yet-covered positives.
 
+Coverage is computed on example bitsets, sharing one table across all
+candidate clauses in the manner of the query packs of Blockeel et al. (JAIR
+2002).  Example ``k`` of a :class:`BackgroundDB` is bit ``k`` of an int
+mask.  The database maps every *lifted* vocabulary fact, one whose company
+arguments may each be replaced by the role variable bound to that company, to
+the mask of the examples that hold it.  A clause's coverage is then the OR,
+over the assignments of its non-role variables, of the AND of its literals'
+masks; see :func:`clause_covers`.
+
 The learned hypothesis is rendered as a weighted scheme graph: every body
 literal becomes an edge carrying its clause's F1 score.
 """
@@ -15,10 +24,11 @@ literal becomes an edge carrying its clause's F1 score.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .explorer import Trajectory, TrajectorySet
 from .kernel import PREDICATES, is_variable
@@ -109,18 +119,6 @@ class ExampleBackground:
     trajectory_id: int
     facts: tuple[tuple[str, ...], ...]
     roles: tuple[tuple[str, str], ...]
-    # the facts grouped by predicate, in fact order
-    by_predicate: dict[str, tuple[tuple[str, ...], ...]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        grouped: dict[str, list[tuple[str, ...]]] = {}
-        for atom in self.facts:
-            grouped.setdefault(atom[0], []).append(atom)
-        object.__setattr__(
-            self, "by_predicate", {pred: tuple(atoms) for pred, atoms in grouped.items()}
-        )
 
     def role_map(self) -> dict[str, str]:
         return dict(self.roles)
@@ -128,13 +126,78 @@ class ExampleBackground:
 
 @dataclass(frozen=True)
 class BackgroundDB:
+    """The example backgrounds, indexed once for clause coverage.
+
+    Example ``k`` of ``examples`` is bit ``k`` of every example mask, and
+    ``bit_of`` maps trajectory ids to bits.  ``fact_masks`` maps each lifted
+    vocabulary fact to the mask of the examples holding it, and
+    ``position_values`` holds the values seen at each (predicate, argument
+    position) of a vocabulary fact.  Every example binds the same role
+    variables, ``role_variables``.
+    """
+
     examples: tuple[ExampleBackground, ...]
     excluded: tuple[int, ...] = ()
     warnings: tuple[str, ...] = ()
-    by_id: dict[int, ExampleBackground] = field(init=False, repr=False, compare=False)
+    bit_of: dict[int, int] = field(init=False, repr=False, compare=False)
+    role_variables: frozenset[str] = field(init=False, repr=False, compare=False)
+    fact_masks: dict[tuple[str, ...], int] = field(init=False, repr=False, compare=False)
+    position_values: dict[tuple[str, int], frozenset[str]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "by_id", {ex.trajectory_id: ex for ex in self.examples})
+        role_variables = frozenset(
+            variable for variable, _ in (self.examples[0].roles if self.examples else ())
+        )
+        bit_of: dict[int, int] = {}
+        fact_masks: dict[tuple[str, ...], int] = {}
+        values: dict[tuple[str, int], set[str]] = {}
+        for bit, example in enumerate(self.examples):
+            if example.trajectory_id in bit_of:
+                raise InductionError(f"duplicate example id {example.trajectory_id}")
+            if frozenset(variable for variable, _ in example.roles) != role_variables:
+                raise InductionError(
+                    f"example {example.trajectory_id} binds other role variables "
+                    "than the first example"
+                )
+            bit_of[example.trajectory_id] = bit
+            lifts: dict[str, list[str]] = {}
+            for variable, company in example.roles:
+                lifts.setdefault(company, []).append(variable)
+            for atom in example.facts:
+                if atom[0] == ROLE_PREDICATE:
+                    continue
+                for position, value in enumerate(atom[1:]):
+                    values.setdefault((atom[0], position), set()).add(value)
+                for args in itertools.product(
+                    *([value, *lifts.get(value, ())] for value in atom[1:])
+                ):
+                    key = (atom[0], *args)
+                    fact_masks[key] = fact_masks.get(key, 0) | 1 << bit
+        object.__setattr__(self, "bit_of", bit_of)
+        object.__setattr__(self, "role_variables", role_variables)
+        object.__setattr__(self, "fact_masks", fact_masks)
+        object.__setattr__(
+            self, "position_values", {key: frozenset(v) for key, v in values.items()}
+        )
+
+    def mask(self, ids: Iterable[int]) -> int:
+        """The mask of the examples with these trajectory ids; others are ignored."""
+        mask = 0
+        for trajectory_id in ids:
+            bit = self.bit_of.get(trajectory_id)
+            if bit is not None:
+                mask |= 1 << bit
+        return mask
+
+    def ids(self, mask: int) -> frozenset[int]:
+        """The trajectory ids of the examples in ``mask``."""
+        return frozenset(
+            example.trajectory_id
+            for bit, example in enumerate(self.examples)
+            if mask >> bit & 1
+        )
 
 
 def build_background(tset: TrajectorySet, config: InductionConfig) -> BackgroundDB:
@@ -187,8 +250,9 @@ def build_background(tset: TrajectorySet, config: InductionConfig) -> Background
     )
 
 
-@dataclass(frozen=True)
-class ClauseLiteral:
+class ClauseLiteral(NamedTuple):
+    """One body literal; literals order by predicate, then by arguments."""
+
     predicate: str
     args: tuple[str, ...]
 
@@ -219,63 +283,93 @@ class Clause:
 
 def canonical_clause(body: Iterable[ClauseLiteral]) -> Clause:
     """Sort literals and rename fresh variables by order of first appearance."""
-    ordered = sorted(set(body), key=lambda lit: (lit.predicate, lit.args))
+    ordered = sorted(set(body))
     renaming: dict[str, str] = {}
     for lit in ordered:
         for term in lit.args:
-            if is_variable(term) and term not in HEAD_VARIABLES and term not in renaming:
+            if term not in renaming and term not in HEAD_VARIABLES and is_variable(term):
                 renaming[term] = f"Ip{len(renaming)}"
+    if all(old == new for old, new in renaming.items()):
+        return Clause(body=tuple(ordered))
     renamed = [
         ClauseLiteral(lit.predicate, tuple(renaming.get(t, t) for t in lit.args))
         for lit in ordered
     ]
-    return Clause(body=tuple(sorted(set(renamed), key=lambda lit: (lit.predicate, lit.args))))
+    return Clause(body=tuple(sorted(set(renamed))))
 
 
-def clause_covers(clause: Clause, example: ExampleBackground) -> bool:
-    """Existential body matching against one trajectory's database."""
-    binding: dict[str, str] = example.role_map()
-    by_pred = example.by_predicate
-    body = clause.body
+def clause_covers(clause: Clause, db: BackgroundDB) -> int:
+    """The mask of the examples in ``db`` whose background entails the body.
 
-    def matches(index: int) -> bool:
-        if index == len(body):
-            return True
-        literal = body[index]
-        atoms = by_pred.get(literal.predicate, ())
-        for atom in atoms:
-            if len(atom) - 1 != len(literal.args):
+    Role variables stay in the literals, as in the lifted facts.  Every other
+    variable ranges over the values seen at all of its positions, which is
+    exact because a literal holds only on a value seen at its position.  The
+    mask is the OR, over those assignments, of the AND of the literals'
+    masks; an empty body covers every example.
+    """
+    role_variables = db.role_variables
+    position_values = db.position_values
+    fact_masks = db.fact_masks
+    covered = (1 << len(db.examples)) - 1
+    # free variables in order of first appearance, with their domains; each
+    # literal is looked up once the last of its free variables is bound, and
+    # the literals without one are looked up at once
+    free: dict[str, int] = {}
+    domains: list[frozenset[str]] = []
+    stages: list[list[ClauseLiteral]] = [[]]
+    for literal in clause.body:
+        stage = 0
+        for position, term in enumerate(literal.args):
+            if term in role_variables or not is_variable(term):
                 continue
-            added: list[str] = []
-            ok = True
-            for term, value in zip(literal.args, atom[1:]):
-                if is_variable(term):
-                    bound = binding.get(term)
-                    if bound is None:
-                        binding[term] = value
-                        added.append(term)
-                    elif bound != value:
-                        ok = False
-                        break
-                elif term != value:
-                    ok = False
-                    break
-            if ok and matches(index + 1):
-                return True
-            for term in added:
-                del binding[term]
-        return False
+            seen = position_values.get((literal.predicate, position), frozenset())
+            level = free.get(term)
+            if level is None:
+                level = free[term] = len(domains)
+                domains.append(seen)
+                stages.append([])
+            else:
+                domains[level] &= seen
+            stage = max(stage, level + 1)
+        if stage:
+            stages[stage].append(literal)
+        else:
+            covered &= fact_masks.get((literal.predicate, *literal.args), 0)
+    if not free or not covered:
+        return covered
+    variables = list(free)
+    binding: dict[str, str] = {}
 
-    return matches(0)
+    def extend(level: int, mask: int) -> int:
+        if level == len(variables) or not mask:
+            return mask
+        variable = variables[level]
+        union = 0
+        for value in domains[level]:
+            binding[variable] = value
+            narrowed = mask
+            for literal in stages[level + 1]:
+                narrowed &= fact_masks.get(
+                    (literal.predicate, *[binding.get(t, t) for t in literal.args]), 0
+                )
+            union |= extend(level + 1, narrowed)
+            if union == mask:
+                break
+        return union
+
+    return extend(0, covered)
+
+
+def _union_mask(clauses: Iterable[Clause], db: BackgroundDB) -> int:
+    covered = 0
+    for clause in clauses:
+        covered |= clause_covers(clause, db)
+    return covered
 
 
 def covered_ids(clauses: Sequence[Clause], db: BackgroundDB) -> frozenset[int]:
     """Ids of examples entailed by any clause of the set."""
-    covered: set[int] = set()
-    for example in db.examples:
-        if any(clause_covers(clause, example) for clause in clauses):
-            covered.add(example.trajectory_id)
-    return frozenset(covered)
+    return db.ids(_union_mask(clauses, db))
 
 
 @dataclass(frozen=True)
@@ -330,38 +424,32 @@ def evaluate(
     hypothesis: Hypothesis, examples: LabeledExamples, background: BackgroundDB
 ) -> Metrics:
     """Score clause-set entailment against the labels."""
-    return _score_clauses(hypothesis.clauses, examples.positives, examples.negatives, background)
+    return _score_clauses(
+        hypothesis.clauses,
+        background.mask(examples.positives),
+        background.mask(examples.negatives),
+        background,
+    )
 
 
 def _score_clauses(
-    clauses: Sequence[Clause],
-    positives: Sequence[int],
-    negatives: Sequence[int],
-    background: BackgroundDB,
+    clauses: Sequence[Clause], positive: int, negative: int, background: BackgroundDB
 ) -> Metrics:
-    by_id = background.by_id
-    covered = covered_ids(clauses, background)
-    tp = sum(1 for i in positives if i in by_id and i in covered)
-    fn = sum(1 for i in positives if i in by_id and i not in covered)
-    fp = sum(1 for i in negatives if i in by_id and i in covered)
-    tn = sum(1 for i in negatives if i in by_id and i not in covered)
-    return Metrics.from_counts(tp, fp, tn, fn)
+    """Counts of the positive and negative example masks the clauses cover."""
+    covered = _union_mask(clauses, background)
+    tp = (covered & positive).bit_count()
+    fp = (covered & negative).bit_count()
+    return Metrics.from_counts(
+        tp, fp, negative.bit_count() - fp, positive.bit_count() - tp
+    )
 
 
-def _constant_pools(
-    examples: Sequence[ExampleBackground], vocabulary: Sequence[str]
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def _constant_pools(background: BackgroundDB) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Country and IP constants observed anywhere in the databases."""
-    countries: set[str] = set()
-    ips: set[str] = set()
-    for example in examples:
-        for atom in example.facts:
-            if atom[0] == "managed" and len(atom) == 3:
-                countries.add(atom[2])
-            elif atom[0] == "ownsIP" and len(atom) == 3:
-                ips.add(atom[2])
-            elif atom[0] == "rentsIP" and len(atom) == 4:
-                ips.add(atom[3])
+    values = background.position_values
+    empty: frozenset[str] = frozenset()
+    countries = values.get(("managed", 1), empty)
+    ips = values.get(("ownsIP", 1), empty) | values.get(("rentsIP", 2), empty)
     return tuple(sorted(countries)), tuple(sorted(ips))
 
 
@@ -399,8 +487,8 @@ def _candidate_literals(
 class _Candidate:
     clause: Clause
     serial: str
-    pos_covered: frozenset[int]
-    neg_covered: frozenset[int]
+    pos_covered: int  # example masks
+    neg_covered: int
     f1: float
 
     def key(self) -> tuple:
@@ -415,60 +503,56 @@ def _clause_f1(tp: int, fp: int, fn: int) -> float:
 
 
 def _search_clause(
-    uncovered: frozenset[int],
-    negatives: frozenset[int],
+    uncovered: int,
+    negatives: int,
     background: BackgroundDB,
     config: InductionConfig,
     countries: Sequence[str],
     ips: Sequence[str],
 ) -> Optional[_Candidate]:
-    """Beam search for the linked clause maximizing F1 on uncovered positives."""
-    by_id = background.by_id
-    total_uncovered = len(uncovered)
+    """Beam search for the linked clause maximizing F1 on uncovered positives.
 
-    def refine(parent: _Candidate) -> Iterator[_Candidate]:
-        for literal in _candidate_literals(parent.clause, config.vocabulary, countries, ips):
-            if literal in parent.clause.body:
-                continue
-            clause = canonical_clause(parent.clause.body + (literal,))
-            if len(clause.body) != len(parent.clause.body) + 1:
-                continue
-            # a refinement can only shrink coverage, so restrict the checks
-            pos = frozenset(
-                i for i in parent.pos_covered if clause_covers(clause, by_id[i])
-            )
-            if not pos:
-                continue
-            neg = frozenset(
-                i for i in parent.neg_covered if clause_covers(clause, by_id[i])
-            )
-            f1 = _clause_f1(len(pos), len(neg), total_uncovered - len(pos))
-            yield _Candidate(
-                clause=clause,
-                serial=clause.serialize(),
-                pos_covered=pos,
-                neg_covered=neg,
-                f1=f1,
-            )
-
+    ``uncovered`` and ``negatives`` are example masks.  A refinement reached
+    from several parents is scored once per level, since its coverage does
+    not depend on the parent it came from.
+    """
+    total_uncovered = uncovered.bit_count()
     root = _Candidate(
         clause=Clause(body=()),
         serial="",
         pos_covered=uncovered,
         neg_covered=negatives,
-        f1=_clause_f1(total_uncovered, len(negatives), 0),
+        f1=_clause_f1(total_uncovered, negatives.bit_count(), 0),
     )
     beam: list[_Candidate] = [root]
     best: Optional[_Candidate] = None
     for _ in range(config.max_literals):
-        seen: set[str] = set()
+        seen: set[tuple[ClauseLiteral, ...]] = set()
         pool: list[_Candidate] = []
         for parent in beam:
-            for candidate in refine(parent):
-                if candidate.serial in seen:
+            body = parent.clause.body
+            for literal in _candidate_literals(parent.clause, config.vocabulary, countries, ips):
+                if literal in body:
                     continue
-                seen.add(candidate.serial)
-                pool.append(candidate)
+                clause = canonical_clause(body + (literal,))
+                if len(clause.body) != len(body) + 1 or clause.body in seen:
+                    continue
+                seen.add(clause.body)
+                covered = clause_covers(clause, background)
+                pos = covered & uncovered
+                if not pos:
+                    continue
+                neg = covered & negatives
+                tp = pos.bit_count()
+                pool.append(
+                    _Candidate(
+                        clause=clause,
+                        serial=clause.serialize(),
+                        pos_covered=pos,
+                        neg_covered=neg,
+                        f1=_clause_f1(tp, neg.bit_count(), total_uncovered - tp),
+                    )
+                )
         if not pool:
             break
         pool.sort(key=_Candidate.key)
@@ -494,33 +578,31 @@ def induce(
     """
     if not examples.positives:
         raise InductionError("cannot induce from an empty positive set")
-    by_id = background.by_id
-    positives = tuple(i for i in examples.positives if i in by_id)
-    negatives = tuple(i for i in examples.negatives if i in by_id)
+    positives = background.mask(examples.positives)
+    negatives = background.mask(examples.negatives)
     if not positives:
         raise InductionError("all positive examples were excluded from the background")
-    countries, ips = _constant_pools(background.examples, config.vocabulary)
-    uncovered = frozenset(positives)
-    negative_set = frozenset(negatives)
+    countries, ips = _constant_pools(background)
+    uncovered = positives
     clauses: list[Clause] = []
     warnings: list[str] = []
     while uncovered and len(clauses) < config.max_clauses:
-        found = _search_clause(uncovered, negative_set, background, config, countries, ips)
+        found = _search_clause(uncovered, negatives, background, config, countries, ips)
         if found is None or found.f1 <= 0.0:
             if not clauses:
                 warnings.append("no clause with positive score exists; hypothesis is empty")
             else:
                 warnings.append(
-                    f"{len(uncovered)} positive example(s) left uncovered; "
+                    f"{uncovered.bit_count()} positive example(s) left uncovered; "
                     "no further clause has positive score"
                 )
             break
         clauses.append(found.clause)
-        uncovered = uncovered - found.pos_covered
+        uncovered &= ~found.pos_covered
     if uncovered and len(clauses) == config.max_clauses:
         warnings.append(
             f"clause budget {config.max_clauses} reached with "
-            f"{len(uncovered)} positive example(s) uncovered"
+            f"{uncovered.bit_count()} positive example(s) uncovered"
         )
     metrics = tuple(
         _score_clauses((clause,), positives, negatives, background) for clause in clauses

@@ -151,6 +151,23 @@ class TestCutPointOracle:
         want = oracle_cut_points(drops, height, min_distance)
         assert got == want
 
+    @given(
+        drops=st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=0, max_size=60
+        ),
+        height=st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 3.0]),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_local_maxima_match_scipy_find_peaks(self, drops, height):
+        # scipy is a test-only dependency: the reference the scan follows
+        from scipy.signal import find_peaks
+
+        padded = np.concatenate(([-np.inf], drops, [-np.inf]))
+        peaks, _ = find_peaks(padded, height=height)
+        # with min_distance 1 the distance filter keeps every candidate
+        got = select_cut_points(np.asarray(drops, dtype=float), height, 1)
+        assert got == [int(p) - 1 for p in peaks]
+
     def test_equal_drops_resolve_by_lowest_index(self):
         # two equal qualifying drops closer than min_distance: lowest wins
         drops = np.array([0.0, 4.0, 0.0, 4.0, 0.0])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 import subprocess
 import sys
 import time
@@ -355,7 +356,7 @@ class TestConsoleScript:
         assert proc.stdout.strip() == f"loophound {__version__}"
 
     def test_import_leaves_scipy_unloaded(self):
-        # only the profile stage needs scipy, which takes about a second to import
+        # scipy is a test-only dependency and takes about a second to import
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, loophound.cli; print('scipy' in sys.modules)"],
@@ -364,3 +365,20 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_profile_stage_leaves_scipy_unloaded(self, pipeline_dir, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        script = (
+            "import sys; from loophound.cli import main; "
+            f"code = main(['profile', '--min-distance', '5', '--out', {str(run)!r}]); "
+            "print(code, 'scipy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+        # the stage segmented the profile again, to the same bytes
+        want = (pipeline_dir / "profile.csv").read_bytes()
+        assert (run / "profile.csv").read_bytes() == want

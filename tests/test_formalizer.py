@@ -366,3 +366,16 @@ class TestRemoteBackend:
         assert backend.timeout == 10.0
         with pytest.raises(FormalizerError, match=ENDPOINT_ENV):
             RemoteBackend.from_environment({})
+
+    @pytest.mark.parametrize("raw", ["abc", "", "nan", "inf", "-inf", "0", "-2"])
+    def test_from_environment_rejects_a_bad_timeout(self, raw):
+        env = {ENDPOINT_ENV: "http://x", TIMEOUT_ENV: raw}
+        with pytest.raises(FormalizerError, match=TIMEOUT_ENV):
+            RemoteBackend.from_environment(env)
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -1.0])
+    def test_constructor_rejects_a_timeout_that_is_not_finite_and_positive(
+        self, timeout
+    ):
+        with pytest.raises(FormalizerError, match="timeout"):
+            RemoteBackend("http://x", timeout=timeout)

@@ -14,16 +14,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loophound.analytics import detect_segments, utility_profile
-from loophound.explorer import SearchParams, Trajectory, TrajectorySet
+from loophound.explorer import SearchParams, Trajectory, TrajectorySet, explore
 from loophound.induction import (
     DEFAULT_ROLE_BINDING,
     DEFAULT_VOCABULARY,
     HEAD_VARIABLES,
+    ROLE_PREDICATE,
     Clause,
     ClauseLiteral,
     BackgroundDB,
+    ExampleBackground,
     Hypothesis,
     InductionConfig,
     InductionError,
@@ -176,7 +180,7 @@ def oracle_best_single_clause(db, positives, negatives, vocabulary, max_literals
         {a[-1] for ex in db.examples for a in ex.facts if a[0] in ("ownsIP", "rentsIP")}
     )
     universe = oracle_literal_universe(countries, ips, vocabulary)
-    by_id = db.by_id
+    by_id = {ex.trajectory_id: ex for ex in db.examples}
     best = 0.0
     for size in range(1, max_literals + 1):
         for body in itertools.combinations(universe, size):
@@ -424,8 +428,9 @@ class TestClauseBasics:
         bodies = [tuple(rng.sample(universe, rng.randint(1, 3))) for _ in range(120)]
         for body in bodies:
             clause = canonical_clause(body)
-            for ex in db.examples:
-                assert clause_covers(clause, ex) == oracle_covers(clause, ex)
+            covered = clause_covers(clause, db)
+            for bit, ex in enumerate(db.examples):
+                assert bool(covered >> bit & 1) == oracle_covers(clause, ex)
 
     def test_covered_ids_union(self):
         tset = separable_instance()
@@ -435,6 +440,142 @@ class TestClauseBasics:
         both = covered_ids([c_bermuda, c_edge], db)
         assert both == frozenset({0, 1, 2})
         assert covered_ids([], db) == frozenset()
+
+
+# ------------------------------------------------- coverage on example masks
+
+# Terms of random clause bodies: role variables, fresh variables that also
+# stand in company positions, and constants, company ones included.
+_COMPANIES = ("i0", "n0", "u0", "g0", "x1")
+_COUNTRIES = ("bermuda", "ireland")
+_IPS = ("ip1", "ip2")
+_FRESH = ("Ip0", "Ip1")
+_COMPANY_TERMS = HEAD_VARIABLES + _FRESH + ("i0", "n0", "x1")
+_VOCABULARY_FACTS = (
+    [("managed", c, k) for c in _COMPANIES for k in _COUNTRIES]
+    + [("ownsIP", c, ip) for c in _COMPANIES for ip in _IPS]
+    + [("rentsIP", a, b, ip) for a in _COMPANIES for b in _COMPANIES for ip in _IPS]
+)
+
+random_literals = st.one_of(
+    st.builds(
+        lambda c, k: ClauseLiteral("managed", (c, k)),
+        st.sampled_from(_COMPANY_TERMS),
+        st.sampled_from(_COUNTRIES + _FRESH),
+    ),
+    st.builds(
+        lambda c, ip: ClauseLiteral("ownsIP", (c, ip)),
+        st.sampled_from(_COMPANY_TERMS),
+        st.sampled_from(_IPS + _FRESH),
+    ),
+    st.builds(
+        lambda a, b, ip: ClauseLiteral("rentsIP", (a, b, ip)),
+        st.sampled_from(_COMPANY_TERMS),
+        st.sampled_from(_COMPANY_TERMS),
+        st.sampled_from(_IPS + _FRESH),
+    ),
+)
+random_bodies = st.lists(random_literals, max_size=4).map(tuple)
+
+
+@st.composite
+def random_backgrounds(draw):
+    """Up to six examples over two IPs; every example binds A-C, some D too."""
+    variables = draw(st.sampled_from([HEAD_VARIABLES, HEAD_VARIABLES[:3]]))
+    examples = []
+    for tid in range(draw(st.integers(min_value=1, max_value=6))):
+        roles = tuple((v, draw(st.sampled_from(_COMPANIES))) for v in variables)
+        facts = draw(st.sets(st.sampled_from(_VOCABULARY_FACTS), max_size=10))
+        facts |= {(ROLE_PREDICATE, v, company) for v, company in roles}
+        examples.append(
+            ExampleBackground(trajectory_id=tid, facts=tuple(sorted(facts)), roles=roles)
+        )
+    return BackgroundDB(examples=tuple(examples))
+
+
+def full_rename(body) -> Clause:
+    """canonical_clause without its identity-renaming shortcut."""
+    ordered = sorted(set(body), key=lambda lit: (lit.predicate, lit.args))
+    renaming: dict[str, str] = {}
+    for lit in ordered:
+        for term in lit.args:
+            if is_variable(term) and term not in HEAD_VARIABLES and term not in renaming:
+                renaming[term] = f"Ip{len(renaming)}"
+    renamed = [
+        ClauseLiteral(lit.predicate, tuple(renaming.get(t, t) for t in lit.args))
+        for lit in ordered
+    ]
+    return Clause(body=tuple(sorted(set(renamed), key=lambda lit: (lit.predicate, lit.args))))
+
+
+class TestCoverageMasks:
+    @given(db=random_backgrounds(), bodies=st.lists(random_bodies, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, db, bodies):
+        clauses = [Clause(body=body) for body in bodies]
+        union: set[int] = set()
+        for clause in clauses:
+            want = {ex.trajectory_id for ex in db.examples if oracle_covers(clause, ex)}
+            assert db.ids(clause_covers(clause, db)) == want
+            assert covered_ids([clause], db) == want
+            union |= want
+        assert covered_ids(clauses, db) == union
+
+    @given(db=random_backgrounds())
+    @settings(max_examples=50, deadline=None)
+    def test_empty_body_covers_every_example(self, db):
+        assert clause_covers(Clause(body=()), db) == db.mask(db.bit_of)
+        assert covered_ids([Clause(body=())], db) == frozenset(db.bit_of)
+
+    def test_free_head_variable_ranges_over_companies(self):
+        # without D in the role binding, D is an ordinary variable
+        config = InductionConfig(u_plus=50.0, role_binding=DEFAULT_ROLE_BINDING[:3])
+        db = build_background(small_instance(), config)
+        assert db.role_variables == frozenset("ABC")
+        reverse = Clause(body=(ClauseLiteral("rentsIP", ("D", "A", "ip1")),))
+        assert covered_ids([reverse], db) == frozenset({4})
+        for clause in (reverse, Clause(body=(ClauseLiteral("rentsIP", ("A", "D", "Ip0")),))):
+            want = {ex.trajectory_id for ex in db.examples if oracle_covers(clause, ex)}
+            assert covered_ids([clause], db) == want
+
+    def test_masks_and_ids_follow_example_order(self):
+        db = build_background(small_instance(), InductionConfig(u_plus=50.0))
+        reversed_db = BackgroundDB(examples=tuple(reversed(db.examples)))
+        assert db.mask([0, 5, 99]) == 0b100001
+        assert reversed_db.mask([0, 5, 99]) == 0b100001
+        assert reversed_db.mask([0, 4]) == 0b100010
+        assert reversed_db.ids(0b100010) == frozenset({0, 4})
+
+    def test_duplicate_example_ids_are_rejected(self):
+        db = build_background(small_instance(), InductionConfig(u_plus=50.0))
+        with pytest.raises(InductionError, match="duplicate example id 0"):
+            BackgroundDB(examples=(db.examples[0], db.examples[0]))
+
+    def test_examples_must_bind_the_same_role_variables(self):
+        full = build_background(small_instance(), InductionConfig(u_plus=50.0))
+        short = build_background(
+            small_instance(),
+            InductionConfig(u_plus=50.0, role_binding=DEFAULT_ROLE_BINDING[:3]),
+        )
+        with pytest.raises(InductionError, match="other role variables"):
+            BackgroundDB(examples=(full.examples[0], short.examples[1]))
+
+
+class TestCanonicalClause:
+    @given(body=random_bodies)
+    @settings(max_examples=300, deadline=None)
+    def test_identity_shortcut_equals_full_rename(self, body):
+        assert canonical_clause(body) == full_rename(body)
+
+    def test_identity_and_proper_renamings(self):
+        already = [
+            ClauseLiteral("rentsIP", ("A", "B", "Ip0")),
+            ClauseLiteral("ownsIP", ("B", "Ip1")),
+        ]
+        renamed = [ClauseLiteral("ownsIP", ("A", "Ip1")), ClauseLiteral("ownsIP", ("B", "Ip0"))]
+        for body in (already, renamed):
+            assert canonical_clause(body) == full_rename(body)
+        assert canonical_clause(renamed).serialize() == "ownsIP(A, Ip0), ownsIP(B, Ip1)"
 
 
 # ---------------------------------------------------------------- search
@@ -509,6 +650,57 @@ class TestInduce:
         assert len(hypothesis.clauses) <= 1
         if hypothesis.clauses:
             assert hypothesis.clause_metrics[0].f1 == pytest.approx(2 / 3)
+
+    # Hypotheses learned from desk-scale runs of the bundled corpus (20
+    # iterations x 200 expansions), at a percentile of the complete
+    # utilities as u_plus, with the default configuration.  Each pins the
+    # clauses, per-clause (tp, fp, tn, fn) and overall (tp, fp, tn, fn, f1).
+    DESK_HYPOTHESES = {
+        (7, 75): (
+            [
+                "rentsIP(B, D, Ip0)",
+                "managed(A, bermuda), rentsIP(D, B, Ip0)",
+                "rentsIP(A, B, Ip0), rentsIP(A, D, Ip0)",
+            ],
+            [(4, 0, 18, 2), (1, 0, 18, 5), (1, 0, 18, 5)],
+            (6, 0, 18, 0, 1.0),
+        ),
+        (5, 50): (
+            ["rentsIP(C, B, Ip0)", "rentsIP(A, D, Ip0)"],
+            [(7, 4, 6, 2), (4, 0, 10, 5)],
+            (9, 4, 6, 0, 0.8181818181818181),
+        ),
+    }
+
+    @pytest.mark.parametrize("seed, percentile", sorted(DESK_HYPOTHESES))
+    def test_desk_run_hypothesis(
+        self, seed, percentile, desk_run, corpus_ruleset, corpus_scenario
+    ):
+        if seed == desk_run.params.seed:
+            tset = desk_run
+        else:
+            params = dataclasses.replace(desk_run.params, seed=seed)
+            tset = explore(corpus_ruleset, corpus_scenario, params)
+        u_plus = float(np.percentile(utility_profile(tset).values, percentile))
+        config = InductionConfig(u_plus=u_plus)
+        examples = label(tset, u_plus)
+        db = build_background(tset, config)
+        hypothesis = induce(examples, db, config)
+        overall = evaluate(hypothesis, examples, db)
+        clauses, per_clause, totals = self.DESK_HYPOTHESES[(seed, percentile)]
+        assert [c.serialize() for c in hypothesis.clauses] == clauses
+        assert [
+            (m.true_positives, m.false_positives, m.true_negatives, m.false_negatives)
+            for m in hypothesis.clause_metrics
+        ] == per_clause
+        assert (
+            overall.true_positives,
+            overall.false_positives,
+            overall.true_negatives,
+            overall.false_negatives,
+            overall.f1,
+        ) == totals
+        assert hypothesis.warnings == ()
 
     def test_evaluate_is_order_invariant(self):
         config, examples, db = self.setup(small_instance())
