@@ -232,9 +232,9 @@ def frequency_table(
 
 
 def write_profile_csv(
-    path,
     profile: UtilityProfile,
     segments: Sequence[Segment],
+    path,
 ) -> None:
     seg_of = {}
     for seg in segments:
@@ -247,7 +247,7 @@ def write_profile_csv(
             w.writerow([i, repr(u), tid, seg_of[i]])
 
 
-def write_stats_csv(path, table: FrequencyTable) -> None:
+def write_stats_csv(table: FrequencyTable, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         header = ["ref", "type"] + [
@@ -266,7 +266,7 @@ def read_profile_csv(path) -> tuple[UtilityProfile, list[Segment]]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["index", "utility", "trajectory_id", "segment_id"]:
-            raise AnalyticsError(f"{path}: not a profile table")
+            raise AnalyticsError("not a profile table")
         for row in reader:
             try:
                 _, value, tid, seg = row
@@ -274,9 +274,7 @@ def read_profile_csv(path) -> tuple[UtilityProfile, list[Segment]]:
                 ids.append(int(tid))
                 seg_ids.append(int(seg))
             except ValueError as exc:
-                raise AnalyticsError(
-                    f"{path}: bad row {reader.line_num}: {row!r}"
-                ) from exc
+                raise AnalyticsError(f"bad row {reader.line_num}: {row!r}") from exc
     profile = UtilityProfile(values=tuple(values), index_map=tuple(ids))
     segments: list[Segment] = []
     if seg_ids:

@@ -10,7 +10,10 @@ Each pipeline stage reads and writes files in a run directory (``--out``):
 * graph    -> scheme.dot, scheme_edges.csv (requires hypothesis.json)
 
 Every stage records itself in the single manifest.json of the run directory.
-Exit codes: 0 success, 1 validation or usage error, 2 IO error, 3 stage-order
+Each stage input is read through one loader (:func:`_load`) and each file
+written through one writer (:func:`_write`), which writes a temporary
+sibling and moves it into place.  Exit codes: 0 success, 1 validation or
+usage error (a malformed input file included), 2 IO error, 3 stage-order
 violation (a prerequisite stage's output is missing).
 """
 
@@ -18,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -67,6 +72,13 @@ DOT_FILE = "scheme.dot"
 EDGES_FILE = "scheme_edges.csv"
 MANIFEST_FILE = "manifest.json"
 
+# what a stage input holds, as named in "corrupt <kind> file" errors
+_INPUT_KINDS = {
+    TRAJECTORIES_FILE: "trajectory",
+    PROFILE_FILE: "profile",
+    HYPOTHESIS_JSON: "hypothesis",
+}
+
 _WELFARE_ALIASES = {
     "mean_tax": "mean_tax_collected",
     "total_tax": "total_tax_collected",
@@ -94,15 +106,6 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
-
-
-def _require_stage_file(out_dir: Path, name: str, producer: str) -> Path:
-    path = out_dir / name
-    if not path.exists():
-        raise CliError(
-            f"{path} not found; run the {producer} stage first", EXIT_STAGE_ORDER
-        )
-    return path
 
 
 def _parse_documents(ruleset_path: Path, scenario_path: Path):
@@ -147,18 +150,32 @@ def _write_manifest(
     hashes: Optional[dict] = None,
 ) -> None:
     """Record the finished stage in ``manifest`` and write it back."""
-    path = out_dir / MANIFEST_FILE
     if hashes:
         manifest.update(hashes)
     record = dict(record)
     record["completed_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     manifest["stages"][stage] = record
+    _write(out_dir / MANIFEST_FILE, _write_json, manifest)
+
+
+def _write_json(payload: dict, path: Path) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.write("\n")
+
+
+def _write(path: Path, writer, *args) -> None:
+    """``writer(*args, tmp)`` to a temporary sibling ``tmp`` of ``path``, then
+    moved onto ``path`` in one step: a write that fails leaves the previous
+    file as it was, and no temporary file behind."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        writer(*args, tmp)
+        os.replace(tmp, path)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _ensure_out_dir(raw: str) -> Path:
@@ -170,34 +187,24 @@ def _ensure_out_dir(raw: str) -> Path:
     return out_dir
 
 
-def _load_trajectories(out_dir: Path):
-    path = _require_stage_file(out_dir, TRAJECTORIES_FILE, "explore")
+def _load(out_dir: Path, name: str, producer: str, reader):
+    """``reader(path)`` of the input ``name`` that the ``producer`` stage
+    writes: exit 3 when it is missing, 2 when it cannot be read, and 1 when
+    its content is malformed."""
+    path = out_dir / name
+    if not path.exists():
+        raise CliError(
+            f"{path} not found; run the {producer} stage first", EXIT_STAGE_ORDER
+        )
     try:
-        return read_jsonl(path)
+        return reader(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"corrupt trajectory file {path}: {exc}", EXIT_VALIDATION) from exc
-
-
-def _load_profile(out_dir: Path):
-    path = _require_stage_file(out_dir, PROFILE_FILE, "profile")
-    try:
-        return read_profile_csv(path)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
-    except (ValueError, AnalyticsError) as exc:
-        raise CliError(f"corrupt profile file {path}: {exc}", EXIT_VALIDATION) from exc
-
-
-def _load_hypothesis(out_dir: Path):
-    path = _require_stage_file(out_dir, HYPOTHESIS_JSON, "induce")
-    try:
-        return read_hypothesis_json(path)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
-    except (ValueError, KeyError, InductionError) as exc:
-        raise CliError(f"corrupt hypothesis file {path}: {exc}", EXIT_VALIDATION) from exc
+    # ValueError: bytes that are not UTF-8 text
+    except (ValueError, ExplorerError, AnalyticsError, InductionError) as exc:
+        raise CliError(
+            f"corrupt {_INPUT_KINDS[name]} file {path}: {exc}", EXIT_VALIDATION
+        ) from exc
 
 
 # ============================================================================
@@ -230,10 +237,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args.out)
     manifest = _read_manifest(out_dir)
     tset = explore(ruleset, scenario, params)
-    try:
-        write_jsonl(tset, out_dir / TRAJECTORIES_FILE)
-    except OSError as exc:
-        raise CliError(f"cannot write trajectories: {exc}", EXIT_IO) from exc
+    _write(out_dir / TRAJECTORIES_FILE, write_jsonl, tset)
     for warning in tset.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     complete = sum(1 for t in tset.trajectories if t.complete)
@@ -251,13 +255,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 "ruleset": str(ruleset_path),
                 "scenario": str(scenario_path),
             },
-            "seed": params.seed,
-            "iterations": params.iterations,
-            "expansions": params.expansions,
-            "beta": params.beta,
-            "tau0": params.tau0,
-            "max_steps": params.max_steps,
-            "cost": params.cost_coefficient,
+            **asdict(params),
         },
         hashes={
             "ruleset_sha256": tset.ruleset_sha256,
@@ -274,15 +272,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
         raise CliError("--peak-height must be positive", EXIT_VALIDATION)
     out_dir = _ensure_out_dir(args.out)
     manifest = _read_manifest(out_dir)
-    tset = _load_trajectories(out_dir)
+    tset = _load(out_dir, TRAJECTORIES_FILE, "explore", read_jsonl)
     profile = utility_profile(tset)
     if len(profile.values) == 0:
         raise CliError("no complete trajectories; cannot build a profile", EXIT_VALIDATION)
     segments = detect_segments(profile, args.peak_height, args.min_distance)
-    try:
-        write_profile_csv(out_dir / PROFILE_FILE, profile, segments)
-    except OSError as exc:
-        raise CliError(f"cannot write profile: {exc}", EXIT_IO) from exc
+    _write(out_dir / PROFILE_FILE, write_profile_csv, profile, segments)
     print(
         f"profile over {len(profile.values)} complete trajectories, "
         f"{len(segments)} segment(s) -> {out_dir / PROFILE_FILE}"
@@ -304,8 +299,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args.out)
     manifest = _read_manifest(out_dir)
-    tset = _load_trajectories(out_dir)
-    profile, segments = _load_profile(out_dir)
+    tset = _load(out_dir, TRAJECTORIES_FILE, "explore", read_jsonl)
+    profile, segments = _load(out_dir, PROFILE_FILE, "profile", read_profile_csv)
     try:
         table = frequency_table(tset, profile, segments)
     except UnknownTrajectoryError as exc:
@@ -314,10 +309,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "run the profile stage again",
             EXIT_STAGE_ORDER,
         ) from exc
-    try:
-        write_stats_csv(out_dir / STATS_FILE, table)
-    except OSError as exc:
-        raise CliError(f"cannot write stats: {exc}", EXIT_IO) from exc
+    _write(out_dir / STATS_FILE, write_stats_csv, table)
     print(
         f"legal-reference frequencies for {table.segment_count} segment(s) "
         f"-> {out_dir / STATS_FILE}"
@@ -329,7 +321,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _default_u_plus(out_dir: Path) -> float:
-    profile, segments = _load_profile(out_dir)
+    profile, segments = _load(out_dir, PROFILE_FILE, "profile", read_profile_csv)
     if len(segments) < 2:
         raise CliError(
             "profile has a single segment; supply --u-plus explicitly", EXIT_VALIDATION
@@ -340,7 +332,7 @@ def _default_u_plus(out_dir: Path) -> float:
 def cmd_induce(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args.out)
     manifest = _read_manifest(out_dir)
-    tset = _load_trajectories(out_dir)
+    tset = _load(out_dir, TRAJECTORIES_FILE, "explore", read_jsonl)
     u_plus = args.u_plus if args.u_plus is not None else _default_u_plus(out_dir)
     try:
         config = InductionConfig(
@@ -357,11 +349,10 @@ def cmd_induce(args: argparse.Namespace) -> int:
         overall = evaluate(hypothesis, examples, background)
     except InductionError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from exc
-    try:
-        write_hypothesis_json(hypothesis, examples, overall, out_dir / HYPOTHESIS_JSON)
-        write_hypothesis_text(hypothesis, overall, out_dir / HYPOTHESIS_TEXT)
-    except OSError as exc:
-        raise CliError(f"cannot write hypothesis: {exc}", EXIT_IO) from exc
+    _write(
+        out_dir / HYPOTHESIS_JSON, write_hypothesis_json, hypothesis, examples, overall
+    )
+    _write(out_dir / HYPOTHESIS_TEXT, write_hypothesis_text, hypothesis, overall)
     for warning in hypothesis.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     accuracy = "undefined" if overall.accuracy is None else f"{overall.accuracy:.4f}"
@@ -389,8 +380,10 @@ def cmd_induce(args: argparse.Namespace) -> int:
 def cmd_policy(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args.out)
     manifest = _read_manifest(out_dir)
-    tset = _load_trajectories(out_dir)
-    hypothesis, u_plus, _overall = _load_hypothesis(out_dir)
+    tset = _load(out_dir, TRAJECTORIES_FILE, "explore", read_jsonl)
+    hypothesis, u_plus, _overall = _load(
+        out_dir, HYPOTHESIS_JSON, "induce", read_hypothesis_json
+    )
     try:
         config = WelfareConfig(welfare_kind=_WELFARE_ALIASES[args.welfare])
         examples = label(tset, u_plus)
@@ -398,10 +391,7 @@ def cmd_policy(args: argparse.Namespace) -> int:
         report = delta_restriction(tset, hypothesis, examples, background, config)
     except (PolicyError, InductionError) as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from exc
-    try:
-        write_policy_report(report, out_dir / POLICY_FILE)
-    except OSError as exc:
-        raise CliError(f"cannot write policy report: {exc}", EXIT_IO) from exc
+    _write(out_dir / POLICY_FILE, write_policy_report, report)
     delta = "undefined" if report.delta_h is None else f"{report.delta_h:.6f}"
     print(
         f"welfare {report.welfare_kind}: Delta(H) = {delta}, verdict {report.verdict} "
@@ -421,13 +411,12 @@ def cmd_graph(args: argparse.Namespace) -> int:
         raise CliError("--top-k must be at least 1", EXIT_VALIDATION)
     out_dir = _ensure_out_dir(args.out)
     manifest = _read_manifest(out_dir)
-    hypothesis, _u_plus, _overall = _load_hypothesis(out_dir)
+    hypothesis, _u_plus, _overall = _load(
+        out_dir, HYPOTHESIS_JSON, "induce", read_hypothesis_json
+    )
     graph = scheme_graph(hypothesis, args.top_k)
-    try:
-        write_dot(graph, out_dir / DOT_FILE)
-        write_edges_csv(graph, out_dir / EDGES_FILE)
-    except OSError as exc:
-        raise CliError(f"cannot write graph: {exc}", EXIT_IO) from exc
+    _write(out_dir / DOT_FILE, write_dot, graph)
+    _write(out_dir / EDGES_FILE, write_edges_csv, graph)
     print(f"{len(graph.edges)} edge(s) -> {out_dir / DOT_FILE}, {out_dir / EDGES_FILE}")
     _write_manifest(
         out_dir,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -282,7 +282,7 @@ def explore(
                 continue
             parent_path = _path_actions(nodes, node_index)
             for act in acts:
-                child_state = apply_action(node.state, act, rules, domains, pool)
+                child_state = apply_action(node.state, act, rules, pool)
                 key = child_state.key()
                 existing = seen.get(key)
                 if existing is not None:
@@ -365,10 +365,6 @@ def _path_actions(nodes: list[_Node], index: int) -> tuple[GroundedAction, ...]:
 # ============================================================================
 
 
-def _action_to_json(a: GroundedAction) -> dict:
-    return {"name": a.name, "ref": a.legal_ref, "args": dict(a.binding)}
-
-
 def _trajectory_to_json(t: Trajectory) -> dict:
     return {
         "id": t.id,
@@ -378,42 +374,70 @@ def _trajectory_to_json(t: Trajectory) -> dict:
         "p": t.p,
         "phi": t.phi,
         "utility": t.utility,
-        "actions": [_action_to_json(a) for a in t.actions],
+        "actions": [
+            {"name": a.name, "ref": a.legal_ref, "args": dict(a.binding)}
+            for a in t.actions
+        ],
         "final_state": sorted([f.predicate, *f.args] for f in t.final_state.facts),
-        "transactions": [
-            [tx.id, tx.time, tx.kind, tx.sender, tx.receiver, tx.amount]
-            for tx in t.transactions
-        ],
-        "assessments": [
-            {
-                "company": a.company,
-                "country": a.country,
-                "base": a.base,
-                "rate": a.rate,
-                "reduced_base": a.reduced_base,
-                "reduced_rate": a.reduced_rate,
-                "applied_reduction": a.applied_reduction,
-                "applied_exemption": a.applied_exemption,
-                "tax_due": a.tax_due,
-            }
-            for a in t.assessments
-        ],
+        "transactions": [list(tx) for tx in t.transactions],
+        "assessments": [a._asdict() for a in t.assessments],
     }
+
+
+_PARAM_FIELDS = tuple(f.name for f in fields(SearchParams))
+
+
+def _field(row: dict, key: str, *types: type):
+    """``row[key]``, which must be exactly of one of ``types``: JSON ``true``
+    is not a number."""
+    value = row[key]
+    if type(value) not in types:
+        raise TypeError(f"{key} is {value!r}")
+    return value
+
+
+def _trajectory_from_json(row: dict) -> Trajectory:
+    """The trajectory of one line.  A malformed row raises KeyError,
+    IndexError, TypeError, ValueError or AttributeError; a final state that
+    breaks a state invariant raises an :class:`ExplorerError` naming the
+    trajectory."""
+    actions = tuple(
+        GroundedAction(
+            _field(a, "name", str),
+            _field(a, "ref", str),
+            tuple(sorted(a["args"].items())),
+        )
+        for a in row["actions"]
+    )
+    if row["length"] != len(actions):
+        raise ValueError(f"length {row['length']!r} but {len(actions)} actions")
+    try:
+        final_state = State(
+            facts=frozenset(Fact(r[0], tuple(r[1:])) for r in row["final_state"]),
+            step_count=len(actions),
+            transfer_used=any(a.name == "transferIP" for a in actions),
+        )
+    except (KernelError, IndexError, TypeError) as exc:
+        raise ExplorerError(f"final state of trajectory {row['id']}: {exc}") from exc
+    return Trajectory(
+        id=_field(row, "id", int),
+        actions=actions,
+        final_state=final_state,
+        transactions=tuple(Transaction(*tx) for tx in row["transactions"]),
+        assessments=tuple(TaxAssessment(**a) for a in row["assessments"]),
+        p=_field(row, "p", int, float),
+        phi=_field(row, "phi", int, float),
+        utility=_field(row, "utility", int, float),
+        complete=_field(row, "complete", bool),
+        terminal=_field(row, "terminal", bool),
+    )
 
 
 def write_jsonl(tset: TrajectorySet, path) -> None:
     header = {
         "format": FORMAT_VERSION,
         "kind": "trajectory-set",
-        "params": {
-            "seed": tset.params.seed,
-            "iterations": tset.params.iterations,
-            "expansions": tset.params.expansions,
-            "beta": tset.params.beta,
-            "tau0": tset.params.tau0,
-            "max_steps": tset.params.max_steps,
-            "cost_coefficient": tset.params.cost_coefficient,
-        },
+        "params": asdict(tset.params),
         "ruleset_sha256": tset.ruleset_sha256,
         "scenario_sha256": tset.scenario_sha256,
         "trajectory_count": len(tset.trajectories),
@@ -431,84 +455,41 @@ def write_jsonl(tset: TrajectorySet, path) -> None:
 
 
 def read_jsonl(path) -> TrajectorySet:
+    """The trajectory set of a file written by :func:`write_jsonl`.  Malformed
+    content raises one :class:`ExplorerError` naming the header or the
+    trajectory at fault."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines:
-        raise ExplorerError(f"{path}: empty trajectory file")
-    header = json.loads(lines[0])
-    if header.get("format") != FORMAT_VERSION or header.get("kind") != "trajectory-set":
-        raise ExplorerError(f"{path}: not a format-{FORMAT_VERSION} trajectory set")
-    hp = header["params"]
-    params = SearchParams(
-        seed=hp["seed"],
-        iterations=hp["iterations"],
-        expansions=hp["expansions"],
-        beta=hp["beta"],
-        tau0=hp["tau0"],
-        max_steps=hp["max_steps"],
-        cost_coefficient=hp["cost_coefficient"],
-    )
+        raise ExplorerError("empty trajectory file")
+    try:
+        header = json.loads(lines[0])
+    except ValueError as exc:
+        raise ExplorerError(f"header: {exc}") from exc
+    if not (
+        isinstance(header, dict)
+        and header.get("format") == FORMAT_VERSION
+        and header.get("kind") == "trajectory-set"
+    ):
+        raise ExplorerError(f"not a format-{FORMAT_VERSION} trajectory set")
+    params = header.get("params")
+    if not isinstance(params, dict) or set(params) != set(_PARAM_FIELDS):
+        raise ExplorerError(f"header params must be exactly {', '.join(_PARAM_FIELDS)}")
+    try:
+        params = SearchParams(**params)
+        hashes = (header["ruleset_sha256"], header["scenario_sha256"])
+        count = header["trajectory_count"]
+        warnings = tuple(header.get("warnings", ()))
+    except (KeyError, TypeError) as exc:
+        raise ExplorerError(f"header: {type(exc).__name__}: {exc}") from exc
     trajectories = []
-    for line in lines[1:]:
-        d = json.loads(line)
-        actions = tuple(
-            GroundedAction(
-                a["name"], a["ref"], tuple(sorted(a["args"].items()))
-            )
-            for a in d["actions"]
-        )
+    for n, line in enumerate(lines[1:]):
         try:
-            state = State(
-                facts=frozenset(Fact(row[0], tuple(row[1:])) for row in d["final_state"]),
-                step_count=d["length"],
-                transfer_used=any(a.name == "transferIP" for a in actions),
-            )
-        except (KernelError, IndexError, TypeError) as exc:
-            raise ExplorerError(
-                f"corrupt trajectory file {path}: final state of trajectory "
-                f"{d['id']}: {exc}"
-            ) from exc
-        transactions = tuple(
-            Transaction(id=r[0], time=r[1], kind=r[2], sender=r[3], receiver=r[4], amount=r[5])
-            for r in d["transactions"]
-        )
-        assessments = tuple(
-            TaxAssessment(
-                company=a["company"],
-                country=a["country"],
-                base=a["base"],
-                rate=a["rate"],
-                reduced_base=a["reduced_base"],
-                reduced_rate=a["reduced_rate"],
-                applied_reduction=a["applied_reduction"],
-                applied_exemption=a["applied_exemption"],
-                tax_due=a["tax_due"],
-            )
-            for a in d["assessments"]
-        )
-        trajectories.append(
-            Trajectory(
-                id=d["id"],
-                actions=actions,
-                final_state=state,
-                transactions=transactions,
-                assessments=assessments,
-                p=d["p"],
-                phi=d["phi"],
-                utility=d["utility"],
-                complete=d["complete"],
-                terminal=d["terminal"],
-            )
-        )
-    if len(trajectories) != header["trajectory_count"]:
+            trajectories.append(_trajectory_from_json(json.loads(line)))
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ExplorerError(f"trajectory {n}: {type(exc).__name__}: {exc}") from exc
+    if len(trajectories) != count:
         raise ExplorerError(
-            f"corrupt trajectory file {path}: header announces "
-            f"{header['trajectory_count']} trajectories, file holds {len(trajectories)}"
+            f"header announces {count} trajectories, file holds {len(trajectories)}"
         )
-    return TrajectorySet(
-        params=params,
-        ruleset_sha256=header["ruleset_sha256"],
-        scenario_sha256=header["scenario_sha256"],
-        trajectories=tuple(trajectories),
-        warnings=tuple(header.get("warnings", ())),
-    )
+    return TrajectorySet(params, *hashes, tuple(trajectories), warnings)

@@ -26,9 +26,9 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .explorer import Trajectory, TrajectorySet
 from .kernel import PREDICATES, is_variable
@@ -384,6 +384,14 @@ class Metrics:
     sensitivity: Optional[float]
     f1: Optional[float]
 
+    def __post_init__(self) -> None:
+        values = astuple(self)
+        if not (
+            all(type(v) is int and v >= 0 for v in values[:4])
+            and all(v is None or type(v) is float for v in values[4:])
+        ):
+            raise InductionError(f"malformed metrics: {self}")
+
     @classmethod
     def from_counts(cls, tp: int, fp: int, tn: int, fn: int) -> "Metrics":
         total = tp + fp + tn + fn
@@ -668,34 +676,6 @@ def write_edges_csv(graph: SchemeGraph, path) -> None:
             writer.writerow([edge.source, edge.target, edge.label, repr(edge.weight)])
 
 
-def _metrics_to_json(metrics: Metrics) -> dict:
-    return {
-        "true_positives": metrics.true_positives,
-        "false_positives": metrics.false_positives,
-        "true_negatives": metrics.true_negatives,
-        "false_negatives": metrics.false_negatives,
-        "accuracy": metrics.accuracy,
-        "precision": metrics.precision,
-        "specificity": metrics.specificity,
-        "sensitivity": metrics.sensitivity,
-        "f1": metrics.f1,
-    }
-
-
-def _metrics_from_json(payload: Mapping) -> Metrics:
-    return Metrics(
-        true_positives=int(payload["true_positives"]),
-        false_positives=int(payload["false_positives"]),
-        true_negatives=int(payload["true_negatives"]),
-        false_negatives=int(payload["false_negatives"]),
-        accuracy=payload["accuracy"],
-        precision=payload["precision"],
-        specificity=payload["specificity"],
-        sensitivity=payload["sensitivity"],
-        f1=payload["f1"],
-    )
-
-
 def write_hypothesis_json(
     hypothesis: Hypothesis,
     examples: LabeledExamples,
@@ -710,10 +690,10 @@ def write_hypothesis_json(
         "negatives": len(examples.negatives),
         "clauses": [
             {"body": [{"predicate": lit.predicate, "args": list(lit.args)} for lit in clause.body],
-             "metrics": _metrics_to_json(metrics)}
+             "metrics": asdict(metrics)}
             for clause, metrics in zip(hypothesis.clauses, hypothesis.clause_metrics)
         ],
-        "overall_metrics": _metrics_to_json(overall),
+        "overall_metrics": asdict(overall),
         "warnings": list(hypothesis.warnings),
     }
     with open(path, "w", encoding="utf-8") as handle:
@@ -722,26 +702,37 @@ def write_hypothesis_json(
 
 
 def read_hypothesis_json(path) -> tuple[Hypothesis, float, Metrics]:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("kind") != "hypothesis":
-        raise InductionError(f"{path} does not contain a hypothesis document")
-    clauses: list[Clause] = []
-    metrics: list[Metrics] = []
-    for entry in payload["clauses"]:
-        body = tuple(
-            ClauseLiteral(predicate=item["predicate"], args=tuple(item["args"]))
-            for item in entry["body"]
+    """Hypothesis, ``u_plus`` and overall metrics of a document written by
+    :func:`write_hypothesis_json`; a malformed document raises
+    :class:`InductionError`."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        payload = json.loads(text)
+        if not isinstance(payload, dict) or payload.get("kind") != "hypothesis":
+            raise InductionError("not a hypothesis document")
+        clauses, metrics = [], []
+        for entry in payload["clauses"]:
+            body = tuple(
+                ClauseLiteral(item["predicate"], tuple(item["args"]))
+                for item in entry["body"]
+            )
+            for lit in body:
+                arity = len(PREDICATES.get(lit.predicate, ()))
+                if not arity or len(lit.args) != arity or any(
+                    type(a) is not str for a in lit.args
+                ):
+                    raise InductionError(f"malformed clause body literal {lit}")
+            clauses.append(Clause(body=body))
+            metrics.append(Metrics(**entry["metrics"]))
+        hypothesis = Hypothesis(
+            clauses=tuple(clauses),
+            clause_metrics=tuple(metrics),
+            warnings=tuple(payload.get("warnings", [])),
         )
-        clauses.append(Clause(body=body))
-        metrics.append(_metrics_from_json(entry["metrics"]))
-    hypothesis = Hypothesis(
-        clauses=tuple(clauses),
-        clause_metrics=tuple(metrics),
-        warnings=tuple(payload.get("warnings", [])),
-    )
-    overall = _metrics_from_json(payload["overall_metrics"])
-    return hypothesis, float(payload["u_plus"]), overall
+        overall = Metrics(**payload["overall_metrics"])
+        return hypothesis, float(payload["u_plus"]), overall
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InductionError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def write_hypothesis_text(hypothesis: Hypothesis, overall: Metrics, path) -> None:

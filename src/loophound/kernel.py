@@ -494,7 +494,6 @@ def apply_action(
     state: State,
     action: GroundedAction,
     rules: Sequence[ActionRule],
-    domains: Domains,
     pool: Sequence[str],
 ) -> State:
     """Successor state after ``action``; raises KernelError if not applicable."""

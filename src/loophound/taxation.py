@@ -25,9 +25,9 @@ a deductible leaves the rate, an exemption the base, as it is.  It raises one
 A state is evaluated in one pass (:func:`evaluate_state`): it is settled
 once, its company flows are summed once, and assessment and profit both
 read them.  Each rule's condition is projected once per state onto the
-companies it holds for (:func:`applicability_map`); that map is inverted
-into company -> applicable rules, in rule order, and each return reads only
-its company's rules, through the one :func:`assess` path.
+companies it holds for, giving company -> applicable rules, in rule order
+(:func:`applicability_map`); each return reads only its company's rules,
+through the one :func:`assess` path.
 """
 
 from __future__ import annotations
@@ -193,23 +193,12 @@ def applicability_map(
     state: State,
     patterns: Mapping[str, Sequence[tuple[str, ...]]],
     reductions: Sequence[ReductionRule],
-) -> dict[tuple[str, str], frozenset[str]]:
-    """Per-rule set of companies the rule is applicable to."""
-    return {
-        rule.key(): frozenset(rule.join.project(state, SELF_VAR, patterns))
-        for rule in reductions
-    }
-
-
-def rules_by_company(
-    applicability: Mapping[tuple[str, str], frozenset[str]],
-    reductions: Sequence[ReductionRule],
 ) -> dict[str, list[ReductionRule]]:
-    """Invert an :func:`applicability_map`: company -> the rules applicable to
-    it, in rule order."""
+    """Company -> the reductions applicable to it, in rule order.  Each
+    rule's condition is projected once onto the companies it holds for."""
     out: dict[str, list[ReductionRule]] = {}
     for rule in reductions:
-        for company in applicability[rule.key()]:
+        for company in rule.join.project(state, SELF_VAR, patterns):
             out.setdefault(company, []).append(rule)
     return out
 
@@ -223,7 +212,7 @@ def applicable_reductions(
     """Admissible (rule, new_base, new_rate) candidates for one return, in rule order.
 
     ``rules`` are the reductions applicable to ``company`` (its entry in
-    :func:`rules_by_company`).  A candidate is rejected (with a log warning)
+    :func:`applicability_map`).  A candidate is rejected (with a log warning)
     when its evaluated new base is negative, its new rate leaves [0, 1], or
     it would increase the tax due.
     """
@@ -280,7 +269,7 @@ def assess(
     flows: Mapping[str, tuple[float, float]],
 ) -> TaxAssessment:
     """One company's return: ``rules`` are the reductions applicable to it
-    (see :func:`rules_by_company`), ``flows`` the settled transactions'
+    (see :func:`applicability_map`), ``flows`` the settled transactions'
     ``company_flows``."""
     if country not in rates:
         raise TaxationError(f"no statutory rate for country {country!r}")
@@ -327,9 +316,7 @@ def assess_all(
     ``flows`` are the ``company_flows`` of ``transactions``.
     """
     patterns = {"transaction": transaction_patterns(transactions)}
-    applicable = rules_by_company(
-        applicability_map(state, patterns, reductions), reductions
-    )
+    applicable = applicability_map(state, patterns, reductions)
     residence = residence_countries(state)
     return [
         assess(company, residence[company], applicable.get(company, ()), rates, flows)

@@ -87,8 +87,7 @@ def walk(ruleset, scenario_doc, choices):
         actions.append(acts[choice % len(acts)])
         states.append(
             apply_action(
-                states[-1], actions[-1], ruleset.action_rules, domains,
-                scenario.company_pool,
+                states[-1], actions[-1], ruleset.action_rules, scenario.company_pool
             )
         )
     return states, tuple(actions)

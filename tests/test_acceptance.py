@@ -295,7 +295,7 @@ def test_criterion_4_short_plans_attain_max_utility(
             continue
         for action in applicable_actions(state, rules, domains, pool, max_steps=6):
             stack.append(
-                (apply_action(state, action, rules, domains, pool), actions + (action,))
+                (apply_action(state, action, rules, pool), actions + (action,))
             )
 
     violations = 0
@@ -414,7 +414,7 @@ def _bfs_terminal_sets(ruleset, scenario_doc, max_steps):
         ):
             complete.add(state.key())
         for action in actions:
-            child = apply_action(state, action, rules, domains, pool)
+            child = apply_action(state, action, rules, pool)
             if child.key() not in seen:
                 seen.add(child.key())
                 queue.append(child)

@@ -400,7 +400,7 @@ class TestCsvRoundTrip:
         )
         segments = detect_segments(profile, peak_height=10.0, min_distance=1)
         path = tmp_path / "profile.csv"
-        write_profile_csv(path, profile, segments)
+        write_profile_csv(profile, segments, path)
         back_profile, back_segments = read_profile_csv(path)
         assert back_profile.values == profile.values  # repr survives exactly
         assert back_profile.index_map == profile.index_map
@@ -421,7 +421,7 @@ class TestCsvRoundTrip:
         segments = detect_segments(profile, peak_height=5.0, min_distance=1)
         table = frequency_table(desk_run, profile, segments)
         path = tmp_path / "stats.csv"
-        write_stats_csv(path, table)
+        write_stats_csv(table, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["ref", "type"] + [

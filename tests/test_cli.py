@@ -16,11 +16,58 @@ import time
 
 import pytest
 
-from loophound import __version__, corpus_path
+from loophound import __version__, cli, corpus_path
 from loophound.cli import main
 from loophound.explorer import read_jsonl
 
 from conftest import TOY_RULESET, TOY_SCENARIO, read_policy_report
+
+
+def _replaced(doc, path, value):
+    """``doc`` with the item at the key ``path`` set to ``value``."""
+    if not path:
+        return value
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+DESK_PARAMS = {"seed": 7, "iterations": 20, "expansions": 200, "beta": 0.01,
+               "tau0": 5.0, "max_steps": 12, "cost_coefficient": 1.0}
+
+# defect -> (key path into [header, *rows], new value, part of the message)
+TRAJECTORY_DEFECTS = {
+    "five-element-transaction": (
+        (1, "transactions"), [[0, 1, "commercial", "germany", "c1"]], "'amount'"
+    ),
+    "row-not-an-object": ((1,), [], "trajectory 0: TypeError"),
+    "header-not-an-object": ((0,), [], "not a format-1 trajectory set"),
+    "actions-not-a-list": ((1, "actions"), 5, "trajectory 0: TypeError"),
+    "utility-not-a-number": ((1, "utility"), "x", "utility is 'x'"),
+    "length-not-a-number": ((1, "length"), "x", "length 'x'"),
+    "params-missing-a-field": (
+        (0, "params"),
+        {k: v for k, v in DESK_PARAMS.items() if k != "cost_coefficient"},
+        "params must be exactly",
+    ),
+    "params-unknown-field": (
+        (0, "params"), {**DESK_PARAMS, "threads": 1}, "params must be exactly"
+    ),
+}
+
+# defect -> (key path into hypothesis.json, new value)
+HYPOTHESIS_DEFECTS = {
+    "not-an-object": ((), []),
+    "clauses-not-a-list": (("clauses",), 5),
+    "args-not-a-list": (("clauses", 0, "body", 0, "args"), 5),
+    "f1-not-a-number": (("clauses", 0, "metrics", "f1"), "x"),
+    "body-item-not-an-object": (("clauses", 0, "body", 0), 5),
+    "unknown-predicate": (("clauses", 0, "body", 0, "predicate"), "ownsIp"),
+    "wrong-arity": (("clauses", 0, "body", 0, "args"), ["A"]),
+    "u_plus-null": (("u_plus",), None),
+}
 
 
 @pytest.fixture(scope="session")
@@ -73,7 +120,8 @@ def pipeline_dir(tmp_path_factory):
 
 class TestPipeline:
     def test_all_outputs_written(self, pipeline_dir):
-        for name in [
+        # and no temporary file of a write is left behind
+        assert sorted(p.name for p in pipeline_dir.iterdir()) == sorted([
             "trajectories.jsonl",
             "profile.csv",
             "stats.csv",
@@ -83,8 +131,7 @@ class TestPipeline:
             "scheme.dot",
             "scheme_edges.csv",
             "manifest.json",
-        ]:
-            assert (pipeline_dir / name).exists(), name
+        ])
 
     def test_single_manifest_records_every_stage(self, pipeline_dir):
         manifest = json.loads((pipeline_dir / "manifest.json").read_text())
@@ -95,6 +142,8 @@ class TestPipeline:
         }
         assert len(manifest["ruleset_sha256"]) == 64
         assert len(manifest["scenario_sha256"]) == 64
+        explore = manifest["stages"]["explore"]
+        assert (explore["seed"], explore["cost_coefficient"]) == (7, 1.0)
         for record in manifest["stages"].values():
             assert "completed_at" in record
 
@@ -212,6 +261,33 @@ class TestRunDirectoryIntegrity:
         assert f"final state of trajectory {row['id']}: " in err
         assert message in err
 
+    @pytest.mark.parametrize("defect", sorted(TRAJECTORY_DEFECTS))
+    def test_malformed_trajectory_file_rejected(
+        self, pipeline_dir, tmp_path, capsys, defect
+    ):
+        path, value, message = TRAJECTORY_DEFECTS[defect]
+        text = (pipeline_dir / "trajectories.jsonl").read_text()
+        lines = _replaced([json.loads(line) for line in text.splitlines()], path, value)
+        (tmp_path / "trajectories.jsonl").write_text(
+            "".join(json.dumps(line) + "\n" for line in lines)
+        )
+        assert main(["profile", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "corrupt trajectory file" in err
+        assert message in err
+
+    @pytest.mark.parametrize("defect", sorted(HYPOTHESIS_DEFECTS))
+    @pytest.mark.parametrize("stage", ["graph", "policy"])
+    def test_malformed_hypothesis_file_rejected(
+        self, pipeline_dir, tmp_path, capsys, defect, stage
+    ):
+        path, value = HYPOTHESIS_DEFECTS[defect]
+        doc = json.loads((pipeline_dir / "hypothesis.json").read_text())
+        (tmp_path / "hypothesis.json").write_text(json.dumps(_replaced(doc, path, value)))
+        shutil.copy(pipeline_dir / "trajectories.jsonl", tmp_path)
+        assert main([stage, "--out", str(tmp_path)]) == 1
+        assert "corrupt hypothesis file" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "manifest_text",
         ["[]\n", '{"stages": []}\n', '{"stages": [\n'],
@@ -272,6 +348,26 @@ class TestRunDirectoryIntegrity:
         assert main(["stats", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "run the profile stage again" in err
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", ["write_profile_csv", "_write_json"])
+    def test_failed_write_leaves_the_previous_file(
+        self, pipeline_dir, tmp_path, monkeypatch, capsys, writer
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+
+        def torn_write(*args):
+            args[-1].write_text("index,utility,traj")
+            raise OSError(28, "No space left on device")
+
+        # the stage writes profile.csv (to the same bytes), then manifest.json
+        monkeypatch.setattr(cli, writer, torn_write)
+        assert main(["profile", "--min-distance", "5", "--out", str(run)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 class TestValidationErrors:

@@ -185,7 +185,7 @@ def bfs_oracle(ruleset, scenario_doc, max_steps):
         ):
             complete.add(state.key())
         for act in acts:
-            child = apply_action(state, act, rules, domains, pool)
+            child = apply_action(state, act, rules, pool)
             key = child.key()
             if key in seen:
                 continue
@@ -242,7 +242,7 @@ def replay(ruleset, scenario_doc, actions):
     state = initial_state(scenario_doc.state.facts, scenario_doc.state.companies)
     for act in actions:
         state = apply_action(
-            state, act, ruleset.action_rules, domains, scenario.company_pool
+            state, act, ruleset.action_rules, scenario.company_pool
         )
     return state
 

@@ -342,9 +342,8 @@ class TestGrounding:
         incorp = next(r for r in toy_ruleset.action_rules if r.name == "addChild")
         for action in ground_rule(incorp, state, domains, pool):
             assert action.as_dict()["Child"] == "c1"
-        second = apply_action(
-            state, ground_rule(incorp, state, domains, pool)[0], toy_ruleset.action_rules, domains, pool
-        )
+        first = ground_rule(incorp, state, domains, pool)[0]
+        second = apply_action(state, first, toy_ruleset.action_rules, pool)
         for action in ground_rule(incorp, second, domains, pool):
             assert action.as_dict()["Child"] == "c2"
 
@@ -382,7 +381,7 @@ class TestApply:
             for a in ground_rule(transfer, state, domains, pool)
             if a.as_dict()["To"] == "c1"
         )
-        result = apply_action(state, action, toy_ruleset.action_rules, domains, pool)
+        result = apply_action(state, action, toy_ruleset.action_rules, pool)
         assert make_fact("ownsIP", ["c1", "ip1"]) in result.facts
         assert make_fact("ownsIP", ["p", "ip1"]) not in result.facts
         assert result.step_count == state.step_count + 1
@@ -404,11 +403,11 @@ class TestApply:
         pool = toy_scenario.scenario.company_pool
         transfer = next(r for r in toy_ruleset.action_rules if r.name == "transferIP")
         action = ground_rule(transfer, state, domains, pool)[0]
-        after = apply_action(state, action, toy_ruleset.action_rules, domains, pool)
+        after = apply_action(state, action, toy_ruleset.action_rules, pool)
         names = {a.name for a in applicable_actions(after, toy_ruleset.action_rules, domains, pool)}
         assert "transferIP" not in names
         with pytest.raises(KernelError):
-            apply_action(after, action, toy_ruleset.action_rules, domains, pool)
+            apply_action(after, action, toy_ruleset.action_rules, pool)
 
     def test_max_steps_cuts_off_actions(self, toy_ruleset, toy_scenario):
         state = initial_state(
@@ -684,7 +683,7 @@ class TestSuccessor:
         acts = applicable_actions(state, UNGUARDED, domains, pool)
         action = acts[pick % len(acts)]
         incremental = outcome(
-            lambda: apply_action(state, action, UNGUARDED, domains, pool)
+            lambda: apply_action(state, action, UNGUARDED, pool)
         )
         assert incremental == outcome(
             lambda: scratch_successor(state, action, UNGUARDED)
@@ -697,7 +696,4 @@ class TestSuccessor:
             "addChild", "rebase", (("C", "p"), ("Country", "ireland"))
         )
         with pytest.raises(KernelError, match="based in multiple countries"):
-            apply_action(
-                states[0], rebase, UNGUARDED, scenario_domains(scenario),
-                scenario.company_pool,
-            )
+            apply_action(states[0], rebase, UNGUARDED, scenario.company_pool)
