@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .explorer import TrajectorySet
 
 REFERENCE_PEAK_HEIGHT = 3.85
@@ -78,20 +76,32 @@ def resolve_peak_height(profile_values: Sequence[float]) -> float:
     """Default drop threshold: the 3.85 reference constant rescaled by IQR."""
     if len(profile_values) == 0:
         return REFERENCE_PEAK_HEIGHT
-    arr = np.asarray(profile_values, dtype=float)
-    q1, q3 = np.percentile(arr, [25.0, 75.0])
-    iqr = float(q3 - q1)
+    ordered = sorted(map(float, profile_values))
+    iqr = _percentile(ordered, 0.75) - _percentile(ordered, 0.25)
     if iqr <= 0.0:
         return REFERENCE_PEAK_HEIGHT
     return REFERENCE_PEAK_HEIGHT * (iqr / REFERENCE_IQR)
 
 
-def drop_series(profile_values: Sequence[float]) -> np.ndarray:
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q`` quantile of the ascending ``ordered``, bit for bit as
+    ``numpy.percentile``'s default ``linear`` method computes it: the virtual
+    index ``(n-1)*q`` and numpy's two-sided interpolation, which approaches
+    the upper neighbour from above when the fraction is at least one half."""
+    index = (len(ordered) - 1) * q
+    lo = math.floor(index)
+    g = index - lo
+    a = ordered[lo]
+    b = ordered[min(lo + 1, len(ordered) - 1)]
+    d = b - a
+    return b - d * (1.0 - g) if g >= 0.5 else a + d * g
+
+
+def drop_series(profile_values: Sequence[float]) -> list[float]:
     """Magnitude of the negative forward difference, one value per gap."""
-    arr = np.asarray(profile_values, dtype=float)
-    if arr.size < 2:
-        return np.zeros(0)
-    return np.clip(-np.diff(arr), 0.0, None)
+    return [
+        max(a - b, 0.0) for a, b in zip(profile_values, profile_values[1:])
+    ]
 
 
 def detect_segments(
@@ -132,7 +142,7 @@ def detect_segments(
 
 
 def select_cut_points(
-    drops: np.ndarray, height: float, min_distance: int
+    drops: Sequence[float], height: float, min_distance: int
 ) -> list[int]:
     """Qualifying drop indices: local maxima >= height, spaced >= min_distance.
 
@@ -142,7 +152,7 @@ def select_cut_points(
     the same way.
     """
     # pad so drops at the ends still count as local maxima
-    padded = [-math.inf, *drops.tolist(), -math.inf]
+    padded = [-math.inf, *drops, -math.inf]
     candidates = [p - 1 for p in _local_maxima(padded) if padded[p] >= height]
     chosen: list[int] = []
     for idx in sorted(candidates, key=lambda i: (-drops[i], i)):

@@ -27,9 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, get_args, get_type_hints
 
 from .dsl import RuleSetDoc, ScenarioDoc, render_ruleset, render_scenario
 from .economy import ScenarioConfig, Transaction, is_multinationally_complete
@@ -44,6 +42,9 @@ from .kernel import (
     initial_state,
 )
 from .taxation import TaxAssessment, evaluate_state
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FORMAT_VERSION = 1
 
@@ -90,6 +91,8 @@ def selection_distribution(
     tau0: float,
 ) -> np.ndarray:
     """Mixed selection probabilities over the frontier; sums to 1."""
+    import numpy as np  # only the search needs numpy: other stages start without it
+
     depths = np.asarray(depths, dtype=float)
     utilities = np.asarray(utilities, dtype=float)
     if depths.shape != utilities.shape or depths.ndim != 1 or depths.size == 0:
@@ -214,6 +217,8 @@ def explore(
     params: SearchParams,
 ) -> TrajectorySet:
     """Run the search and return the recorded trajectory set."""
+    import numpy as np
+
     scenario = scenario_doc.scenario
     rates = ruleset.rates()
     reductions = ruleset.reduction_rules
@@ -396,6 +401,27 @@ def _field(row: dict, key: str, *types: type):
     return value
 
 
+def _json_types(record_type) -> tuple[tuple[type, ...], ...]:
+    """Per field, in order, the decoded JSON types a record field accepts: a
+    float field takes any number, an Optional field null too."""
+    return tuple(
+        (int, float) if hint is float else get_args(hint) or (hint,)
+        for hint in get_type_hints(record_type).values()
+    )
+
+
+_TRANSACTION_TYPES = _json_types(Transaction)
+_ASSESSMENT_TYPES = _json_types(TaxAssessment)
+
+
+def _record(record, types: tuple[tuple[type, ...], ...]):
+    """``record``, each of whose fields must be exactly of one of its ``types``."""
+    for key, value, allowed in zip(record._fields, record, types):
+        if type(value) not in allowed:
+            raise TypeError(f"{key} is {value!r}")
+    return record
+
+
 def _trajectory_from_json(row: dict) -> Trajectory:
     """The trajectory of one line.  A malformed row raises KeyError,
     IndexError, TypeError, ValueError or AttributeError; a final state that
@@ -423,8 +449,12 @@ def _trajectory_from_json(row: dict) -> Trajectory:
         id=_field(row, "id", int),
         actions=actions,
         final_state=final_state,
-        transactions=tuple(Transaction(*tx) for tx in row["transactions"]),
-        assessments=tuple(TaxAssessment(**a) for a in row["assessments"]),
+        transactions=tuple(
+            _record(Transaction(*tx), _TRANSACTION_TYPES) for tx in row["transactions"]
+        ),
+        assessments=tuple(
+            _record(TaxAssessment(**a), _ASSESSMENT_TYPES) for a in row["assessments"]
+        ),
         p=_field(row, "p", int, float),
         phi=_field(row, "phi", int, float),
         utility=_field(row, "utility", int, float),

@@ -31,6 +31,7 @@ from loophound.analytics import (
     utility_profile,
     write_profile_csv,
     write_stats_csv,
+    _percentile,
 )
 from loophound.explorer import Trajectory, TrajectorySet, SearchParams
 from loophound.kernel import GroundedAction, State, make_fact
@@ -181,13 +182,48 @@ class TestCutPointOracle:
         assert select_cut_points(np.zeros(0), 1.0, 1) == []
 
 
+# profile-like values: repeated values, both signs, small and large magnitudes
+PROFILE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -3.5, 22.784, 1000.0]),
+    st.floats(min_value=-1e9, max_value=1e9),
+    st.floats(min_value=-1e-3, max_value=1e-3),
+)
+
+
 class TestDropSeries:
     def test_negative_forward_difference(self):
         got = drop_series([10.0, 10.0, 4.0, 6.0])
-        assert got.tolist() == [0.0, 6.0, 0.0]  # rises clip to zero
+        assert got == [0.0, 6.0, 0.0]  # rises clip to zero
 
     def test_short_input(self):
-        assert drop_series([5.0]).tolist() == []
+        assert drop_series([5.0]) == []
+
+    @given(values=st.lists(PROFILE_VALUES, max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy(self, values):
+        # numpy is the oracle the pure-Python series replaced
+        want = np.clip(-np.diff(np.asarray(values, dtype=float)), 0.0, None)
+        assert drop_series(values) == want.tolist()
+
+
+class TestPercentileOracle:
+    @given(values=st.lists(PROFILE_VALUES, min_size=1, max_size=300))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_numpy_linear_percentile(self, values):
+        # exact equality: the IQR, and so every cut, must not move
+        ordered = sorted(values)
+        want = np.percentile(values, [25.0, 75.0]).tolist()
+        assert [_percentile(ordered, 0.25), _percentile(ordered, 0.75)] == want
+        iqr = want[1] - want[0]
+        height = REFERENCE_PEAK_HEIGHT * (iqr / REFERENCE_IQR)
+        assert resolve_peak_height(values) == (
+            height if iqr > 0.0 else REFERENCE_PEAK_HEIGHT
+        )
+
+    def test_interpolates_from_the_upper_neighbour_at_one_half(self):
+        # the virtual index is 1.5: -1.214 + 20.794 * 0.5 rounds to
+        # 9.182999999999998, 19.58 - 20.794 * 0.5 to numpy's 9.183
+        assert _percentile([-7.0, -1.214, 19.58], 0.75) == 9.183
 
 
 # ------------------------------------------------------------ segmentation

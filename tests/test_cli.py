@@ -47,6 +47,12 @@ TRAJECTORY_DEFECTS = {
     "actions-not-a-list": ((1, "actions"), 5, "trajectory 0: TypeError"),
     "utility-not-a-number": ((1, "utility"), "x", "utility is 'x'"),
     "length-not-a-number": ((1, "length"), "x", "length 'x'"),
+    "transaction-amount-not-a-number": (
+        (1, "transactions", 0, 5), True, "amount is True"
+    ),
+    "assessment-tax-due-not-a-number": (
+        (1, "assessments", 0, "tax_due"), "x", "tax_due is 'x'"
+    ),
     "params-missing-a-field": (
         (0, "params"),
         {k: v for k, v in DESK_PARAMS.items() if k != "cost_coefficient"},
@@ -56,6 +62,43 @@ TRAJECTORY_DEFECTS = {
         (0, "params"), {**DESK_PARAMS, "threads": 1}, "params must be exactly"
     ),
 }
+
+
+def _write_defect(pipeline_dir, out, defect):
+    """Write ``out/trajectories.jsonl``: the pipeline's file with ``defect``
+    of TRAJECTORY_DEFECTS applied.  Returns the part of the message."""
+    path, value, message = TRAJECTORY_DEFECTS[defect]
+    text = (pipeline_dir / "trajectories.jsonl").read_text()
+    lines = _replaced([json.loads(line) for line in text.splitlines()], path, value)
+    (out / "trajectories.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in lines)
+    )
+    return message
+
+
+# analysis stage -> the files it writes; the pipeline fixture's flags
+ANALYSIS_OUTPUTS = {
+    "profile": ["profile.csv"],
+    "stats": ["stats.csv"],
+    "induce": ["hypothesis.json", "hypothesis.txt"],
+    "policy": ["policy_report.json"],
+    "graph": ["scheme.dot", "scheme_edges.csv"],
+}
+ANALYSIS_FLAGS = {"profile": ["--min-distance", "5"]}
+
+
+def _run_in_subprocess(argv, module):
+    """(exit code, whether ``module`` was imported) of ``main(argv)`` run in
+    a fresh interpreter."""
+    script = (
+        "import sys; from loophound.cli import main; "
+        f"code = main({argv!r}); print(code, {module!r} in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.splitlines()[-1].split()
+    return int(code), loaded == "True"
+
 
 # defect -> (key path into hypothesis.json, new value)
 HYPOTHESIS_DEFECTS = {
@@ -265,13 +308,20 @@ class TestRunDirectoryIntegrity:
     def test_malformed_trajectory_file_rejected(
         self, pipeline_dir, tmp_path, capsys, defect
     ):
-        path, value, message = TRAJECTORY_DEFECTS[defect]
-        text = (pipeline_dir / "trajectories.jsonl").read_text()
-        lines = _replaced([json.loads(line) for line in text.splitlines()], path, value)
-        (tmp_path / "trajectories.jsonl").write_text(
-            "".join(json.dumps(line) + "\n" for line in lines)
-        )
+        message = _write_defect(pipeline_dir, tmp_path, defect)
         assert main(["profile", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "corrupt trajectory file" in err
+        assert message in err
+
+    @pytest.mark.parametrize("stage", ["stats", "induce", "policy"])
+    def test_every_loader_rejects_a_mistyped_record_field(
+        self, pipeline_dir, tmp_path, capsys, stage
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        message = _write_defect(pipeline_dir, run, "assessment-tax-due-not-a-number")
+        assert main([stage, "--out", str(run)]) == 1
         err = capsys.readouterr().err
         assert "corrupt trajectory file" in err
         assert message in err
@@ -465,16 +515,38 @@ class TestConsoleScript:
     def test_profile_stage_leaves_scipy_unloaded(self, pipeline_dir, tmp_path):
         run = tmp_path / "run"
         shutil.copytree(pipeline_dir, run)
-        script = (
-            "import sys; from loophound.cli import main; "
-            f"code = main(['profile', '--min-distance', '5', '--out', {str(run)!r}]); "
-            "print(code, 'scipy' in sys.modules)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False"
+        argv = ["profile", "--min-distance", "5", "--out", str(run)]
+        assert _run_in_subprocess(argv, "scipy") == (0, False)
         # the stage segmented the profile again, to the same bytes
         want = (pipeline_dir / "profile.csv").read_bytes()
         assert (run / "profile.csv").read_bytes() == want
+
+    def test_import_leaves_numpy_unloaded(self):
+        # numpy takes longer to import than the whole package; only the
+        # search's frontier sampling needs it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, loophound.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_check_leaves_numpy_unloaded(self):
+        argv = ["check", str(corpus_path("table1.lhl")), str(corpus_path("scenario.lhl"))]
+        assert _run_in_subprocess(argv, "numpy") == (0, False)
+
+    @pytest.mark.parametrize("stage", sorted(ANALYSIS_OUTPUTS))
+    def test_analysis_stage_leaves_numpy_unloaded(self, pipeline_dir, tmp_path, stage):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        argv = [stage, *ANALYSIS_FLAGS.get(stage, []), "--out", str(run)]
+        assert _run_in_subprocess(argv, "numpy") == (0, False)
+        for name in ANALYSIS_OUTPUTS[stage]:
+            assert (run / name).read_bytes() == (pipeline_dir / name).read_bytes()
+
+    def test_explore_loads_numpy(self, tmp_path):
+        argv = ["explore", "--seed", "7", "--iterations", "2", "--expansions", "5",
+                "--out", str(tmp_path)]
+        assert _run_in_subprocess(argv, "numpy") == (0, True)
