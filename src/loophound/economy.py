@@ -13,6 +13,14 @@ once, from one set of the companies with IP access, and builds each
 transaction once, with its ledger id.  Everything else about the state's
 money reads that ledger: :func:`company_flows` sums it once per state, and
 :func:`is_multinationally_complete` reads its commercial senders.
+
+Many states share a ledger: facts :func:`settle` never reads, such as
+``isChildOf`` and ``managed``, leave it as it is.  :func:`ledger_key` is
+exactly what it reads (the ``exists``, ``based``, ``ownsIP`` and
+``rentsIP`` facts, the step count, and the step and action of the first
+``transferIP``).  A search hands :func:`settle` the ledgers it has settled,
+by key, and each key is settled once; the key is defined here, next to the
+code that reads those inputs, so no other module has to know them.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .kernel import TRANSACTION_KINDS, State
+from .kernel import TRANSACTION_KINDS, GroundedAction, State
 
 COMMERCIAL, ROYALTY, TRANSFER = TRANSACTION_KINDS
 
@@ -184,6 +192,16 @@ def royalty_transactions(
     ]
 
 
+def _first_transfer(
+    actions: Sequence[GroundedAction],
+) -> Optional[tuple[int, GroundedAction]]:
+    """(step, action) of the first ``transferIP`` in ``actions``, or None."""
+    for step, action in enumerate(actions):
+        if action.name == "transferIP":
+            return step, action
+    return None
+
+
 def transfer_transaction(
     actions: Sequence,  # sequence of GroundedAction
     scenario: ScenarioConfig,
@@ -193,52 +211,86 @@ def transfer_transaction(
 
     ``tid`` is its id in the ledger (-1 outside one).
     """
-    for step, action in enumerate(actions):
-        if action.name == "transferIP":
-            binding = action.as_dict()
-            sender = receiver = None
-            # the bundled rule names its params From/To; fall back to effect
-            # conventions if a custom rule renames them
-            for var, value in binding.items():
-                low = var.lower()
-                if low in ("to", "buyer", "newowner"):
-                    sender = value
-                elif low in ("from", "seller", "oldowner"):
-                    receiver = value
-            if sender is None or receiver is None:
-                ordered = [v for _, v in sorted(binding.items())]
-                if len(ordered) < 2:
-                    raise EconomyError(f"cannot identify transfer parties in {action}")
-                receiver, sender = ordered[0], ordered[1]
-            return Transaction(
-                id=tid,
-                time=step + 1,
-                kind=TRANSFER,
-                sender=sender,
-                receiver=receiver,
-                amount=float(scenario.transfer_price),
-            )
-    return None
+    first = _first_transfer(actions)
+    if first is None:
+        return None
+    step, action = first
+    binding = action.as_dict()
+    sender = receiver = None
+    # the bundled rule names its params From/To; fall back to effect
+    # conventions if a custom rule renames them
+    for var, value in binding.items():
+        low = var.lower()
+        if low in ("to", "buyer", "newowner"):
+            sender = value
+        elif low in ("from", "seller", "oldowner"):
+            receiver = value
+    if sender is None or receiver is None:
+        ordered = [v for _, v in sorted(binding.items())]
+        if len(ordered) < 2:
+            raise EconomyError(f"cannot identify transfer parties in {action}")
+        receiver, sender = ordered[0], ordered[1]
+    return Transaction(
+        id=tid,
+        time=step + 1,
+        kind=TRANSFER,
+        sender=sender,
+        receiver=receiver,
+        amount=float(scenario.transfer_price),
+    )
+
+
+def ledger_key(state: State, actions: Sequence[GroundedAction]) -> tuple:
+    """Everything :func:`settle` reads of ``state`` and its path ``actions``:
+    the ``exists``, ``based``, ``ownsIP`` and ``rentsIP`` facts, the step
+    count, and the step and action of the first ``transferIP``.  States with
+    equal keys have equal ledgers under one scenario."""
+    index = state.index
+    return (
+        index["exists"],
+        index["based"],
+        index["ownsIP"],
+        index["rentsIP"],
+        state.step_count,
+        _first_transfer(actions),
+    )
 
 
 def settle(
     state: State,
     scenario: ScenarioConfig,
     actions: Sequence = (),
-) -> list[Transaction]:
+    ledgers: Optional[dict[tuple, tuple[Transaction, ...]]] = None,
+) -> tuple[Transaction, ...]:
     """All transactions implied by ``state``: commercial, royalties, transfer.
 
     Ids are sequential in the listed order, each given when its transaction is
     built, making the transaction list a pure function of the state (plus the
     transfer step index taken from the action history).
+
+    ``ledgers``, when given, maps :func:`ledger_key` to the ledgers already
+    settled under ``scenario``: a key found there returns its ledger, and a
+    ledger settled anew is added to it.
     """
+    if ledgers is None:
+        return _settle(state, scenario, actions)
+    key = ledger_key(state, actions)
+    ledger = ledgers.get(key)
+    if ledger is None:
+        ledger = ledgers[key] = _settle(state, scenario, actions)
+    return ledger
+
+
+def _settle(
+    state: State, scenario: ScenarioConfig, actions: Sequence
+) -> tuple[Transaction, ...]:
     time = state.step_count
     ledger = commercial_transactions(state, scenario, time=time)
     ledger += royalty_transactions(state, scenario, ledger, time=time)
     transfer = transfer_transaction(actions, scenario, tid=len(ledger))
     if transfer is not None:
         ledger.append(transfer)
-    return ledger
+    return tuple(ledger)
 
 
 def company_flows(

@@ -20,10 +20,18 @@ node is recorded as a trajectory.  All randomness flows from (seed,
 iteration) and no step depends on set or hash order, so
 ``trajectories.jsonl`` is byte-identical across processes and
 ``PYTHONHASHSEED`` values.
+
+One search evaluates its states through one
+:class:`~loophound.taxation.EvaluationMemo`, so each distinct ledger and
+each distinct tax return is computed once, however many states share it.
+The search pauses the cyclic garbage collector: its heap of nodes, states
+and records holds no reference cycles, so every collection would only
+traverse it, and the caller's setting is restored when the search ends.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
@@ -41,7 +49,7 @@ from .kernel import (
     apply_action,
     initial_state,
 )
-from .taxation import TaxAssessment, evaluate_state
+from .taxation import EvaluationMemo, TaxAssessment, evaluate_state
 
 if TYPE_CHECKING:
     import numpy as np
@@ -216,7 +224,25 @@ def explore(
     scenario_doc: ScenarioDoc,
     params: SearchParams,
 ) -> TrajectorySet:
-    """Run the search and return the recorded trajectory set."""
+    """Run the search and return the recorded trajectory set.
+
+    The cyclic garbage collector is paused while the search runs and left
+    enabled or disabled, as the caller had it, when it returns or raises.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _search(ruleset, scenario_doc, params)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _search(
+    ruleset: RuleSetDoc,
+    scenario_doc: ScenarioDoc,
+    params: SearchParams,
+) -> TrajectorySet:
     import numpy as np
 
     scenario = scenario_doc.scenario
@@ -229,13 +255,14 @@ def explore(
 
     warnings: list[str] = []
     s0 = initial_state(scenario_doc.state.facts, scenario_doc.state.companies)
+    memo = EvaluationMemo()
 
     def evaluate(state: State, actions: Sequence[GroundedAction]):
         transactions, assessments, p = evaluate_state(
-            state, scenario, reductions, rates, actions
+            state, scenario, reductions, rates, memo, actions
         )
         complete = is_multinationally_complete(transactions, scenario)
-        return tuple(transactions), tuple(assessments), p, complete
+        return transactions, tuple(assessments), p, complete
 
     nodes: list[_Node] = []
     # per-node depth and utility, grown by doubling; frontier selection
@@ -484,16 +511,22 @@ def write_jsonl(tset: TrajectorySet, path) -> None:
             )
 
 
+def _reject_constant(name: str):
+    """``parse_constant`` of the reader: every number of a trajectory file
+    is finite, so ``NaN``, ``Infinity`` and ``-Infinity`` mark it corrupt."""
+    raise ValueError(f"{name} is not a finite number")
+
+
 def read_jsonl(path) -> TrajectorySet:
     """The trajectory set of a file written by :func:`write_jsonl`.  Malformed
-    content raises one :class:`ExplorerError` naming the header or the
-    trajectory at fault."""
+    content, a non-finite number included, raises one :class:`ExplorerError`
+    naming the header or the trajectory at fault."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines:
         raise ExplorerError("empty trajectory file")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(lines[0], parse_constant=_reject_constant)
     except ValueError as exc:
         raise ExplorerError(f"header: {exc}") from exc
     if not (
@@ -515,7 +548,8 @@ def read_jsonl(path) -> TrajectorySet:
     trajectories = []
     for n, line in enumerate(lines[1:]):
         try:
-            trajectories.append(_trajectory_from_json(json.loads(line)))
+            row = json.loads(line, parse_constant=_reject_constant)
+            trajectories.append(_trajectory_from_json(row))
         except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise ExplorerError(f"trajectory {n}: {type(exc).__name__}: {exc}") from exc
     if len(trajectories) != count:

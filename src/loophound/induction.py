@@ -337,27 +337,39 @@ def clause_covers(clause: Clause, db: BackgroundDB) -> int:
             covered &= fact_masks.get((literal.predicate, *literal.args), 0)
     if not free or not covered:
         return covered
-    variables = list(free)
-    binding: dict[str, str] = {}
+    return _extend_cover(0, covered, list(free), domains, stages, fact_masks, {})
 
-    def extend(level: int, mask: int) -> int:
-        if level == len(variables) or not mask:
-            return mask
-        variable = variables[level]
-        union = 0
-        for value in domains[level]:
-            binding[variable] = value
-            narrowed = mask
-            for literal in stages[level + 1]:
-                narrowed &= fact_masks.get(
-                    (literal.predicate, *[binding.get(t, t) for t in literal.args]), 0
-                )
-            union |= extend(level + 1, narrowed)
-            if union == mask:
-                break
-        return union
 
-    return extend(0, covered)
+def _extend_cover(
+    level: int,
+    mask: int,
+    variables: list[str],
+    domains: list[frozenset[str]],
+    stages: list[list[ClauseLiteral]],
+    fact_masks: dict[tuple[str, ...], int],
+    binding: dict[str, str],
+) -> int:
+    """The part of ``mask`` covered once ``variables[level:]`` are bound too,
+    each over its domain, the literals of each stage narrowing the mask as
+    their last free variable is bound.  A module function, not a closure: a
+    recursive closure would form a reference cycle on every call."""
+    if level == len(variables) or not mask:
+        return mask
+    variable = variables[level]
+    union = 0
+    for value in domains[level]:
+        binding[variable] = value
+        narrowed = mask
+        for literal in stages[level + 1]:
+            narrowed &= fact_masks.get(
+                (literal.predicate, *[binding.get(t, t) for t in literal.args]), 0
+            )
+        union |= _extend_cover(
+            level + 1, narrowed, variables, domains, stages, fact_masks, binding
+        )
+        if union == mask:
+            break
+    return union
 
 
 def _union_mask(clauses: Iterable[Clause], db: BackgroundDB) -> int:

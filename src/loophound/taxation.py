@@ -25,9 +25,20 @@ a deductible leaves the rate, an exemption the base, as it is.  It raises one
 A state is evaluated in one pass (:func:`evaluate_state`): it is settled
 once, its company flows are summed once, and assessment and profit both
 read them.  Each rule's condition is projected once per state onto the
-companies it holds for, giving company -> applicable rules, in rule order
-(:func:`applicability_map`); each return reads only its company's rules,
-through the one :func:`assess` path.
+companies it holds for, giving company -> positions of the applicable
+rules, in rule order (:func:`applicability_map`); each return reads only
+its company's rules, through the one :func:`assess` path.
+
+Settling and assessing are pure, and a search meets the same inputs many
+times over (a bench-shape search of the bundled corpus, seed 7, settles
+17,936 states into 3,600 distinct ledgers and files 70,732 returns, 1,053
+of them distinct), so each search keeps one :class:`EvaluationMemo` and
+computes each distinct input once.  A ledger is keyed on exactly what
+settling reads (:func:`economy.ledger_key`); a return on its company,
+residence country, the positions of its applicable reductions and its
+base, with the rates fixed for the search.  Applicability is not
+memoized: its input is the whole state with its ledger, and almost every
+state a search evaluates is new.
 """
 
 from __future__ import annotations
@@ -193,13 +204,14 @@ def applicability_map(
     state: State,
     patterns: Mapping[str, Sequence[tuple[str, ...]]],
     reductions: Sequence[ReductionRule],
-) -> dict[str, list[ReductionRule]]:
-    """Company -> the reductions applicable to it, in rule order.  Each
-    rule's condition is projected once onto the companies it holds for."""
-    out: dict[str, list[ReductionRule]] = {}
-    for rule in reductions:
+) -> dict[str, tuple[int, ...]]:
+    """Company -> the positions in ``reductions`` of the rules applicable to
+    it, in rule order.  Each rule's condition is projected once onto the
+    companies it holds for."""
+    out: dict[str, tuple[int, ...]] = {}
+    for position, rule in enumerate(reductions):
         for company in rule.join.project(state, SELF_VAR, patterns):
-            out.setdefault(company, []).append(rule)
+            out[company] = out.get(company, ()) + (position,)
     return out
 
 
@@ -211,10 +223,12 @@ def applicable_reductions(
 ) -> list[tuple[ReductionRule, float, float]]:
     """Admissible (rule, new_base, new_rate) candidates for one return, in rule order.
 
-    ``rules`` are the reductions applicable to ``company`` (its entry in
-    :func:`applicability_map`).  A candidate is rejected (with a log warning)
+    ``rules`` are the reductions applicable to ``company`` (at the positions
+    of its entry in :func:`applicability_map`).  A candidate is rejected (with a log warning)
     when its evaluated new base is negative, its new rate leaves [0, 1], or
-    it would increase the tax due.
+    it would increase the tax due.  :func:`evaluate_state` assesses each
+    distinct return once per search, so a rejection is logged once per
+    distinct return, not once per state.
     """
     out: list[tuple[ReductionRule, float, float]] = []
     for rule in rules:
@@ -269,8 +283,8 @@ def assess(
     flows: Mapping[str, tuple[float, float]],
 ) -> TaxAssessment:
     """One company's return: ``rules`` are the reductions applicable to it
-    (see :func:`applicability_map`), ``flows`` the settled transactions'
-    ``company_flows``."""
+    (their positions are its entry in :func:`applicability_map`), ``flows``
+    the settled transactions' ``company_flows``."""
     if country not in rates:
         raise TaxationError(f"no statutory rate for country {country!r}")
     base, _ = flows.get(company, (0.0, 0.0))
@@ -304,26 +318,6 @@ def assess(
     )
 
 
-def assess_all(
-    state: State,
-    transactions: Sequence[Transaction],
-    flows: Mapping[str, tuple[float, float]],
-    reductions: Sequence[ReductionRule],
-    rates: TaxRateTable,
-) -> list[TaxAssessment]:
-    """One assessment per existing company, in sorted company order.
-
-    ``flows`` are the ``company_flows`` of ``transactions``.
-    """
-    patterns = {"transaction": transaction_patterns(transactions)}
-    applicable = applicability_map(state, patterns, reductions)
-    residence = residence_countries(state)
-    return [
-        assess(company, residence[company], applicable.get(company, ()), rates, flows)
-        for company in state.companies()
-    ]
-
-
 def net_profit(
     flows: Mapping[str, tuple[float, float]],
     assessments: Sequence[TaxAssessment],
@@ -344,20 +338,53 @@ def net_profit(
     return total
 
 
+class EvaluationMemo:
+    """The ledgers and returns one search has computed, for its one
+    scenario, sequence of reductions and rate table.
+
+    ``ledgers`` maps :func:`economy.ledger_key` to a settled ledger (see
+    :func:`economy.settle`).  ``returns`` maps (company, residence country,
+    positions of its applicable reductions, base) to its
+    :class:`TaxAssessment`: everything :func:`assess` reads but the rates.
+    """
+
+    __slots__ = ("ledgers", "returns")
+
+    def __init__(self) -> None:
+        self.ledgers: dict[tuple, tuple[Transaction, ...]] = {}
+        self.returns: dict[tuple, TaxAssessment] = {}
+
+
 def evaluate_state(
     state: State,
     scenario: ScenarioConfig,
     reductions: Sequence[ReductionRule],
     rates: TaxRateTable,
+    memo: EvaluationMemo,
     actions: Sequence = (),
-) -> tuple[list[Transaction], list[TaxAssessment], float]:
+) -> tuple[tuple[Transaction, ...], list[TaxAssessment], float]:
     """Full economic evaluation of one state, in one pass: transactions,
-    assessments, profit.
+    assessments (one per existing company, in sorted company order), profit.
 
     The state is settled once and its company flows are summed once;
-    assessment and profit both read them.
+    assessment and profit both read them.  ``memo`` holds the ledgers and
+    returns already computed under the same scenario, reductions and rates;
+    only the ones it lacks are computed, and added to it.
     """
-    transactions = economy.settle(state, scenario, actions)
+    transactions = economy.settle(state, scenario, actions, memo.ledgers)
     flows = company_flows(transactions)
-    assessments = assess_all(state, transactions, flows, reductions, rates)
+    patterns = {"transaction": transaction_patterns(transactions)}
+    applicable = applicability_map(state, patterns, reductions)
+    residence = residence_countries(state)
+    returns = memo.returns
+    assessments = []
+    for company in state.companies():
+        country = residence[company]
+        positions = applicable.get(company, ())
+        key = (company, country, positions, flows.get(company, (0.0, 0.0))[0])
+        assessment = returns.get(key)
+        if assessment is None:
+            rules = [reductions[i] for i in positions]
+            assessment = returns[key] = assess(company, country, rules, rates, flows)
+        assessments.append(assessment)
     return transactions, assessments, net_profit(flows, assessments)

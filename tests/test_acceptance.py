@@ -62,7 +62,7 @@ from loophound.kernel import (
     make_fact,
 )
 from loophound.policy import WelfareConfig, delta_restriction
-from loophound.taxation import TaxAssessment, evaluate_state
+from loophound.taxation import EvaluationMemo, TaxAssessment, evaluate_state
 
 
 def announce(capsys, number: int, ok: bool, detail: str) -> None:
@@ -286,7 +286,8 @@ def test_criterion_4_short_plans_attain_max_utility(
             )
             if cache_key not in profit_cache:
                 _, _, p = evaluate_state(
-                    state, scenario, toy_ruleset.reduction_rules, rates, actions
+                    state, scenario, toy_ruleset.reduction_rules, rates,
+                    EvaluationMemo(), actions,
                 )
                 profit_cache[cache_key] = p
             utility = trajectory_utility(profit_cache[cache_key], len(actions), 1.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -46,6 +47,13 @@ TRAJECTORY_DEFECTS = {
     "header-not-an-object": ((0,), [], "not a format-1 trajectory set"),
     "actions-not-a-list": ((1, "actions"), 5, "trajectory 0: TypeError"),
     "utility-not-a-number": ((1, "utility"), "x", "utility is 'x'"),
+    "utility-nan": ((1, "utility"), math.nan, "NaN is not a finite number"),
+    "transaction-amount-infinite": (
+        (1, "transactions", 0, 5), -math.inf, "-Infinity is not a finite number"
+    ),
+    "params-beta-infinite": (
+        (0, "params"), {**DESK_PARAMS, "beta": math.inf}, "header: Infinity"
+    ),
     "length-not-a-number": ((1, "length"), "x", "length 'x'"),
     "transaction-amount-not-a-number": (
         (1, "transactions", 0, 5), True, "amount is True"

@@ -5,11 +5,13 @@ reproducibility of the serialized trajectory stream.
 from __future__ import annotations
 
 import collections
+import gc
 import math
 
 import numpy as np
 import pytest
 
+import loophound.explorer as explorer_module
 from loophound.dsl import parse_ruleset
 from loophound.economy import is_multinationally_complete, settle
 from loophound.explorer import (
@@ -23,7 +25,7 @@ from loophound.explorer import (
     write_jsonl,
 )
 from loophound.kernel import applicable_actions, apply_action, initial_state
-from loophound.taxation import evaluate_state
+from loophound.taxation import EvaluationMemo, evaluate_state
 
 from conftest import scenario_domains
 
@@ -341,7 +343,8 @@ class TestShorterPath:
             # facts, step_count and transfer_used
             assert t.final_state == state
             transactions, assessments, p = evaluate_state(
-                state, scenario, ruleset.reduction_rules, ruleset.rates(), t.actions
+                state, scenario, ruleset.reduction_rules, ruleset.rates(),
+                EvaluationMemo(), t.actions,
             )
             assert t.transactions == tuple(transactions)
             assert t.assessments == tuple(assessments)
@@ -413,3 +416,100 @@ class TestReproducibility:
         empty.write_text("")
         with pytest.raises(ExplorerError):
             read_jsonl(empty)
+
+
+# ------------------------------------------------------- evaluation memo
+
+
+class TestEvaluationMemo:
+    def test_every_evaluation_equals_a_fresh_memo(
+        self, corpus_ruleset, corpus_scenario, monkeypatch
+    ):
+        """Each state of a desk-shape search, recorded or not, evaluates as
+        it would with nothing memoized."""
+        calls = []
+        memos = set()
+
+        def spy(state, scenario, reductions, rates, memo, actions=()):
+            result = evaluate_state(state, scenario, reductions, rates, memo, actions)
+            calls.append((state, actions, result))
+            memos.add(memo)
+            return result
+
+        monkeypatch.setattr(explorer_module, "evaluate_state", spy)
+        params = SearchParams(seed=7, iterations=20, expansions=200)
+        tset = explore(corpus_ruleset, corpus_scenario, params)
+        (memo,) = memos
+        scenario = corpus_scenario.scenario
+        reductions = corpus_ruleset.reduction_rules
+        rates = corpus_ruleset.rates()
+        for state, actions, result in calls:
+            fresh = evaluate_state(
+                state, scenario, reductions, rates, EvaluationMemo(), actions
+            )
+            assert result == fresh, [str(a) for a in actions]
+        recorded = {t.final_state.key() for t in tset.trajectories}
+        evaluated = {state.key() for state, _, _ in calls}
+        assert recorded and evaluated - recorded
+        # the memo was used: fewer ledgers and returns than evaluations
+        assert len(memo.ledgers) < len(calls)
+        assert len(memo.returns) < sum(len(r[1]) for _, _, r in calls)
+
+
+# ------------------------------------------------------ garbage collector
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector disabled, after one full collection, for the
+    test; enabled again afterwards."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+class TestCollectorPause:
+    def test_warm_search_leaves_no_cyclic_garbage(
+        self, corpus_ruleset, corpus_scenario, collector_off
+    ):
+        params = SearchParams(seed=7, iterations=6, expansions=60)
+        explore(corpus_ruleset, corpus_scenario, params)  # imports, first calls
+        gc.collect()
+        explore(corpus_ruleset, corpus_scenario, params)
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_the_callers_setting(
+        self, toy_ruleset, toy_scenario, monkeypatch, enabled
+    ):
+        during = []
+
+        def spy(*args):
+            during.append(gc.isenabled())
+            return evaluate_state(*args)
+
+        monkeypatch.setattr(explorer_module, "evaluate_state", spy)
+        params = SearchParams(seed=1, iterations=3, expansions=10, max_steps=4)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            explore(toy_ruleset, toy_scenario, params)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert during and not any(during)
+
+    def test_restores_the_collector_when_the_search_raises(
+        self, toy_ruleset, toy_scenario, monkeypatch
+    ):
+        def failing(*args):
+            assert not gc.isenabled()
+            raise RuntimeError("evaluation failed")
+
+        monkeypatch.setattr(explorer_module, "evaluate_state", failing)
+        params = SearchParams(seed=1, iterations=3, expansions=10, max_steps=4)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="evaluation failed"):
+            explore(toy_ruleset, toy_scenario, params)
+        assert gc.isenabled()

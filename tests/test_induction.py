@@ -9,6 +9,7 @@ the same score on small instances.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import random
 
@@ -537,6 +538,22 @@ class TestCoverageMasks:
         for clause in (reverse, Clause(body=(ClauseLiteral("rentsIP", ("A", "D", "Ip0")),))):
             want = {ex.trajectory_id for ex in db.examples if oracle_covers(clause, ex)}
             assert covered_ids([clause], db) == want
+
+    def test_free_variables_leave_no_cyclic_garbage(self):
+        db = build_background(small_instance(), InductionConfig(u_plus=50.0))
+        # E and Ip0 are free: the cover recurses over their values
+        clause = Clause(body=(ClauseLiteral("rentsIP", ("E", "B", "Ip0")),))
+        want = {ex.trajectory_id for ex in db.examples if oracle_covers(clause, ex)}
+        assert want
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                assert db.ids(clause_covers(clause, db)) == want
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0
 
     def test_masks_and_ids_follow_example_order(self):
         db = build_background(small_instance(), InductionConfig(u_plus=50.0))

@@ -25,6 +25,7 @@ from loophound.kernel import (
     GroundedAction,
     KernelError,
     Literal,
+    State,
     initial_state,
     make_fact,
 )
@@ -32,6 +33,7 @@ from loophound.taxation import (
     BASE_IDENTITY,
     RATE_IDENTITY,
     SELF_VAR,
+    EvaluationMemo,
     LinExpr,
     ReductionRule,
     TaxAssessment,
@@ -39,7 +41,6 @@ from loophound.taxation import (
     applicability_map,
     applicable_reductions,
     assess,
-    assess_all,
     choose_reduction,
     evaluate_state,
     net_profit,
@@ -114,6 +115,7 @@ def sandwich(corpus_ruleset, corpus_scenario):
         corpus_scenario.scenario,
         corpus_ruleset.reduction_rules,
         corpus_ruleset.rates(),
+        EvaluationMemo(),
         actions,
     )
     by_company = {a.company: a for a in assessments}
@@ -219,10 +221,9 @@ class TestSandwichFixture:
         """USA-wte applies to p yet loses to the cheaper election rate."""
         state, _, txns, _, by_company, _ = sandwich
         patterns = {"transaction": transaction_patterns(txns)}
-        amap = applicability_map(
-            state, patterns, corpus_ruleset.reduction_rules
-        )
-        assert "USA-wte" in [r.legal_ref for r in amap["p"]]
+        reductions = corpus_ruleset.reduction_rules
+        amap = applicability_map(state, patterns, reductions)
+        assert "USA-wte" in [reductions[i].legal_ref for i in amap["p"]]
         assert by_company["p"].applied_exemption == "check-the-box"
 
     def test_applicability_map_matches_seeded_checks(
@@ -233,12 +234,12 @@ class TestSandwichFixture:
         amap = applicability_map(state, patterns, corpus_ruleset.reduction_rules)
         assert set(amap) <= set(state.companies())
         for company in state.companies():
-            expected = [
-                rule
-                for rule in corpus_ruleset.reduction_rules
+            expected = tuple(
+                position
+                for position, rule in enumerate(corpus_ruleset.reduction_rules)
                 if oracle_match(state, rule.condition, {SELF_VAR: company}, patterns)
-            ]
-            assert amap.get(company, []) == expected, company
+            )
+            assert amap.get(company, ()) == expected, company
 
 
 # ---------------------------------------------------------------- residence
@@ -271,7 +272,7 @@ class TestResidence:
 def applicable_without_transactions(state, company, reductions):
     """The reductions applicable to ``company`` in ``state``, with no ledger."""
     amap = applicability_map(state, {"transaction": []}, reductions)
-    return amap.get(company, [])
+    return [reductions[i] for i in amap.get(company, ())]
 
 
 def rule(
@@ -555,6 +556,68 @@ def composed_evaluation(state, scenario, reductions, rates, actions):
     return ledger, assessments, net_profit(flows, assessments), complete
 
 
+class TestEvaluationMemo:
+    def test_seat_and_parent_facts_share_a_ledger(
+        self, sandwich, corpus_ruleset, corpus_scenario
+    ):
+        """``managed`` and ``isChildOf`` facts leave the ledger as it is, so
+        one ledger serves all three states; the seat moves c1's residence,
+        so its return is not shared."""
+        state, actions, *_ = sandwich
+        scenario = corpus_scenario.scenario
+        reductions = corpus_ruleset.reduction_rules
+        rates = corpus_ruleset.rates()
+        variants = [state] + [
+            initial_state(
+                [f for f in state.facts if f.predicate != dropped], state.companies()
+            )
+            for dropped in ("managed", "isChildOf")
+        ]
+        memo = EvaluationMemo()
+        results = [
+            evaluate_state(v, scenario, reductions, rates, memo, actions)
+            for v in variants
+        ]
+        assert len(memo.ledgers) == 1
+        assert all(r[0] is results[0][0] for r in results)
+        for variant, result in zip(variants, results):
+            fresh = evaluate_state(
+                variant, scenario, reductions, rates, EvaluationMemo(), actions
+            )
+            assert result == fresh
+        seated = {a.company: a for a in results[0][1]}
+        unseated = {a.company: a for a in results[1][1]}
+        assert (seated["c1"].country, unseated["c1"].country) == ("bermuda", "ireland")
+        assert len(memo.returns) > len(state.companies())
+
+    def test_step_count_and_transfer_step_key_the_ledger(
+        self, sandwich, corpus_ruleset, corpus_scenario
+    ):
+        """Equal facts settle to different ledgers when the step count or
+        the step of the transfer differs: both set transaction times."""
+        state, actions, *_ = sandwich
+        scenario = corpus_scenario.scenario
+        reductions = corpus_ruleset.reduction_rules
+        rates = corpus_ruleset.rates()
+        later = State(
+            facts=state.facts,
+            step_count=state.step_count + 1,
+            transfer_used=state.transfer_used,
+        )
+        transfer_first = (actions[3],) + actions[:3] + actions[4:]
+        cases = [(state, actions), (later, actions), (state, transfer_first)]
+        memo = EvaluationMemo()
+        for case_state, case_actions in cases:
+            result = evaluate_state(
+                case_state, scenario, reductions, rates, memo, case_actions
+            )
+            fresh = evaluate_state(
+                case_state, scenario, reductions, rates, EvaluationMemo(), case_actions
+            )
+            assert result == fresh
+        assert len(memo.ledgers) == 3
+
+
 class TestOnePassEvaluation:
     @given(choices=st.lists(st.integers(min_value=0), max_size=12))
     @settings(max_examples=100, deadline=None)
@@ -567,7 +630,7 @@ class TestOnePassEvaluation:
         rates = corpus_ruleset.rates()
         state = states[-1]
         transactions, assessments, p = evaluate_state(
-            state, scenario, reductions, rates, actions
+            state, scenario, reductions, rates, EvaluationMemo(), actions
         )
         ledger, expected, expected_p, complete = composed_evaluation(
             state, scenario, reductions, rates, actions
