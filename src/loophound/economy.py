@@ -80,9 +80,9 @@ class Transaction(NamedTuple):
 
 def earning_companies(state: State, scenario: ScenarioConfig) -> list[tuple[str, str]]:
     """Sorted (company, country) pairs with commercial revenue in ``state``."""
-    based = dict(state.index["based"])
-    access = {owner for owner, _ in state.index["ownsIP"]}
-    access.update(renter for _, renter, _ in state.index["rentsIP"])
+    based = dict(state.rows("based"))
+    access = {owner for owner, _ in state.rows("ownsIP")}
+    access.update(renter for _, renter, _ in state.rows("rentsIP"))
     out = []
     for company in state.companies():  # sorted, one country each
         country = based.get(company)
@@ -164,7 +164,7 @@ def royalty_transactions(
     recursion is well-founded; sums are accumulated in sorted edge order to
     keep float results reproducible.  Ids follow the commercial ones.
     """
-    edges = state.index["rentsIP"]  # sorted, like every index group
+    edges = state.rows("rentsIP")  # sorted, like every group
     revenue: dict[str, float] = {}
     for t in commercial:
         revenue[t.receiver] = revenue.get(t.receiver, 0.0) + t.amount
@@ -245,12 +245,11 @@ def ledger_key(state: State, actions: Sequence[GroundedAction]) -> tuple:
     the ``exists``, ``based``, ``ownsIP`` and ``rentsIP`` facts, the step
     count, and the step and action of the first ``transferIP``.  States with
     equal keys have equal ledgers under one scenario."""
-    index = state.index
     return (
-        index["exists"],
-        index["based"],
-        index["ownsIP"],
-        index["rentsIP"],
+        state.rows("exists"),
+        state.rows("based"),
+        state.rows("ownsIP"),
+        state.rows("rentsIP"),
         state.step_count,
         _first_transfer(actions),
     )

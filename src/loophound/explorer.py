@@ -10,7 +10,8 @@ so later iterations concentrate on the high-utility frontier:
 with ``P_depth`` a softmax of ``-depth/tau0`` and ``P_utility`` a softmax of
 utilities standardized by the frontier's interquartile range (floored at 1).
 
-States are deduplicated on their fact set: a node is expanded at most once,
+States are deduplicated on their groups (see :class:`~loophound.kernel.State`),
+one-to-one with their fact sets: a node is expanded at most once,
 and an unexpanded node reached again by a shorter path moves onto it, taking
 that path's state and evaluation (a node the step cap had closed rejoins the
 frontier).  The frontier's depths and utilities live in arrays indexed by
@@ -34,12 +35,14 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence, get_args, get_type_hints
 
 from .dsl import RuleSetDoc, ScenarioDoc, render_ruleset, render_scenario
 from .economy import ScenarioConfig, Transaction, is_multinationally_complete
 from .kernel import (
+    ActionRules,
     Domains,
     Fact,
     GroundedAction,
@@ -72,6 +75,11 @@ class SearchParams:
     cost_coefficient: float = 1.0
 
     def __post_init__(self) -> None:
+        # nan slips through the range checks below (every comparison with it
+        # is false) and inf passes them, but either breaks the softmax
+        for name in ("beta", "tau0", "cost_coefficient"):
+            if not math.isfinite(getattr(self, name)):
+                raise ExplorerError(f"{name} must be finite")
         if self.cost_coefficient <= 0:
             raise ExplorerError("cost_coefficient must be positive")
         if self.tau0 <= 0:
@@ -248,7 +256,7 @@ def _search(
     scenario = scenario_doc.scenario
     rates = ruleset.rates()
     reductions = ruleset.reduction_rules
-    rules = ruleset.action_rules
+    rules = ActionRules(ruleset.action_rules)
     domains = _domains(scenario)
     pool = scenario.company_pool
     cost = params.cost_coefficient
@@ -284,7 +292,7 @@ def _search(
 
     nodes.append(_Node(state=s0, parent=-1, action=None))
     evaluate_node(0, nodes[0], ())
-    seen: dict[frozenset[Fact], int] = {s0.key(): 0}
+    seen: dict[tuple, int] = {s0.key(): 0}
     frontier = np.array([0], dtype=np.intp)  # node indices
 
     root_deadend = False
@@ -410,7 +418,7 @@ def _trajectory_to_json(t: Trajectory) -> dict:
             {"name": a.name, "ref": a.legal_ref, "args": dict(a.binding)}
             for a in t.actions
         ],
-        "final_state": sorted([f.predicate, *f.args] for f in t.final_state.facts),
+        "final_state": [[f.predicate, *f.args] for f in t.final_state.facts()],
         "transactions": [list(tx) for tx in t.transactions],
         "assessments": [a._asdict() for a in t.assessments],
     }
@@ -465,8 +473,8 @@ def _trajectory_from_json(row: dict) -> Trajectory:
     if row["length"] != len(actions):
         raise ValueError(f"length {row['length']!r} but {len(actions)} actions")
     try:
-        final_state = State(
-            facts=frozenset(Fact(r[0], tuple(r[1:])) for r in row["final_state"]),
+        final_state = State.from_facts(
+            (Fact(r[0], tuple(r[1:])) for r in row["final_state"]),
             step_count=len(actions),
             transfer_used=any(a.name == "transferIP" for a in actions),
         )

@@ -214,9 +214,8 @@ def build_background(tset: TrajectorySet, config: InductionConfig) -> Background
     for trajectory in sorted(tset.complete_trajectories(), key=lambda t: t.id):
         state = trajectory.final_state
         based: dict[str, list[str]] = {}
-        for fact in state.facts:
-            if fact.predicate == "based":
-                based.setdefault(fact.args[1], []).append(fact.args[0])
+        for company, country in state.rows("based"):
+            based.setdefault(country, []).append(company)
         roles: list[tuple[str, str]] = []
         missing: Optional[str] = None
         for variable, country in sorted(role_map.items()):
@@ -233,9 +232,9 @@ def build_background(tset: TrajectorySet, config: InductionConfig) -> Background
             )
             continue
         atoms = [
-            (fact.predicate,) + tuple(fact.args)
-            for fact in state.facts
-            if fact.predicate in vocabulary
+            (predicate, *args)
+            for predicate in vocabulary
+            for args in state.rows(predicate)
         ]
         atoms.extend((ROLE_PREDICATE, variable, company) for variable, company in roles)
         examples.append(

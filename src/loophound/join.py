@@ -14,8 +14,8 @@ interpreting it per call.
   bound they are.  Literal order in the source never changes a result.
 * **Checks.**  Comparisons and negated literals run at the first loop level
   where all their variables are bound.  A literal whose arguments are all
-  bound is a membership test on the state's fact set; a negated literal
-  with a wildcard scans its relation.
+  bound is a membership test on its predicate's group of the state; a
+  negated literal with a wildcard scans its relation.
 * **Entry points.**  :meth:`~CompiledCondition.bindings` lists every
   solution, sorted by the values of the sorted variable names and
   deduplicated; :meth:`~CompiledCondition.exists` stops at the first one;
@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .kernel import (
-    PREDICATES,
+    GROUP,
     WILDCARD,
     Comparison,
     Condition,
@@ -87,19 +87,19 @@ class CompiledCondition:
         self, state: State, seed: Mapping[str, str], extra: Optional[Relations] = None
     ) -> list[tuple[str, ...]]:
         """Every solution as a row over :attr:`variables`, sorted and distinct."""
-        return sorted(set(self._solve(state.index, state.facts, extra, seed, False)))
+        return sorted(set(self._solve(state.groups, extra, seed, False)))
 
     def exists(
         self, state: State, seed: Mapping[str, str], extra: Optional[Relations] = None
     ) -> bool:
         """True iff the condition has a solution extending ``seed``."""
-        return bool(self._solve(state.index, state.facts, extra, seed, True))
+        return bool(self._solve(state.groups, extra, seed, True))
 
     def project(
         self, state: State, var: str, extra: Optional[Relations] = None
     ) -> set[str]:
         """Distinct values of ``var`` over all solutions, with nothing seeded."""
-        return self._project[var](state.index, state.facts, extra, None, False)
+        return self._project[var](state.groups, extra, None, False)
 
 
 def _generate(
@@ -110,7 +110,7 @@ def _generate(
     variables: Sequence[str],
     target: Optional[str] = None,
 ) -> str:
-    """Source of ``fname(index, facts, extra, seed, first)``.
+    """Source of ``fname(groups, extra, seed, first)``.
 
     Without a ``target`` the function lists solution rows over
     ``variables``, stopping after the first when ``first`` is true; with one
@@ -173,22 +173,19 @@ def _generate(
         """Expression true iff the fully bound ``lit`` (wildcards aside) matches."""
         rel = relations[lit.predicate]
         if WILDCARD not in lit.args:
-            row = tup([term(a) for a in lit.args])
-            if lit.predicate in PREDICATES:
-                # a plain tuple equals and hashes like the Fact it spells
-                return f"({lit.predicate!r}, {row}) in facts"
-            return f"{row} in {rel}"
+            # a state's group holds a few rows: scanning the tuple beats bisect
+            return f"{tup([term(a) for a in lit.args])} in {rel}"
         unpack = ["_" if a == WILDCARD else f"_w{i}" for i, a in enumerate(lit.args)]
         tests = [f"_w{i} == {term(a)}" for i, a in enumerate(lit.args) if a != WILDCARD]
         if not tests:
             return f"bool({rel})"
         return f"any({' and '.join(tests)} for {', '.join(unpack)}, in {rel})"
 
-    lines = [f"def {fname}(index, facts, extra, seed, first):"]
+    lines = [f"def {fname}(groups, extra, seed, first):"]
     for v in sorted(entry):
         lines.append(f"    {local[v]} = seed[{v!r}]")
     for pred, rel in relations.items():
-        source = f"index[{pred!r}]" if pred in PREDICATES else f"_relation(extra, {pred!r})"
+        source = f"groups[{GROUP[pred]}]" if pred in GROUP else f"_relation(extra, {pred!r})"
         lines.append(f"    {rel} = {source}")
     lines.append("    out = []" if target is None else "    out = set()")
 

@@ -6,15 +6,23 @@ preconditions as conjunctions of literals and comparisons, and effects as
 fact additions/deletions.  The kernel grounds rules against a state, checks
 applicability and produces successor states.
 
-A state builds its per-predicate fact index, which every condition reads,
-once, when it is built, and checks its invariants on that index: one owner
-per IP, one ``based`` and one ``managed`` country per company, one licensor
-per (renter, IP) and acyclic licensing per IP.  Applying an action builds
-the successor from its parent's index, the delta idea of incremental view
-maintenance (Gupta, Mumick and Subrahmanian, SIGMOD 1993): the groups of
-predicates the action's effects do not touch are shared with the parent,
-touched groups are edited, and the successor is fully re-validated, exactly
-as a state built from its facts.
+A state holds its facts once, as one tuple of per-predicate groups in
+:data:`PREDICATES` order, each the sorted, distinct argument tuples of that
+predicate's facts.  Every condition reads the groups by position; the group
+tuple is the state's deduplication key; readers that want facts iterate the
+groups.  The invariants are checked on the groups when a state is built: one
+owner per IP, one ``based`` and one ``managed`` country per company, one
+licensor per (renter, IP) and acyclic licensing per IP.
+
+Each action rule compiles its effects, when it is built, into per-group
+templates of deleted and added rows over the values of its effect
+variables.  Applying a grounded action fills them and builds the successor
+from its parent's groups, the delta idea of incremental view maintenance
+(Gupta, Mumick and Subrahmanian, SIGMOD 1993): groups the effects do not
+touch are the parent's own objects, so a successor costs one tuple of
+groups plus its edited groups, the structural sharing of persistent data
+structures (Driscoll, Sarnak, Sleator and Tarjan, JCSS 1989).  The successor
+is fully re-validated, exactly as a state built from its facts.
 
 An action rule checks its own well-formedness when it is built, by the
 parser or by library code: known action name, distinct parameters, at most
@@ -40,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     from .join import CompiledCondition
@@ -109,85 +117,102 @@ def make_fact(predicate: str, args: Sequence[str]) -> Fact:
     return Fact(predicate, tuple(args))
 
 
+# position of each predicate's group in a state's groups
+GROUP: dict[str, int] = {p: i for i, p in enumerate(PREDICATES)}
+
+# (predicate, position) pairs in predicate-name order: facts in sorted order
+_BY_NAME = tuple(sorted(GROUP.items()))
+
+# the argument tuples of one predicate's facts, sorted and distinct
+Rows = tuple[tuple[str, ...], ...]
+
+
 @dataclass(frozen=True, slots=True)
 class State:
     """Immutable set of ground facts plus bookkeeping for the one-shot transfer.
 
-    ``index`` maps every predicate to the argument tuples of its facts, in
-    sorted order.  It is built, and the state's invariants checked, once,
-    when the state is built.
+    ``groups`` holds, per predicate in :data:`PREDICATES` order, the sorted,
+    distinct argument tuples of its facts.  The groups are the state's only
+    copy of its facts: they are its deduplication key, and with the step
+    count and the transfer flag they define its equality.  The state's
+    invariants are checked once, when it is built.
     """
 
-    facts: frozenset[Fact]
+    groups: tuple[Rows, ...]
     step_count: int = 0
     transfer_used: bool = False
-    index: dict[str, tuple[tuple[str, ...], ...]] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
-        grouped: dict[str, list[tuple[str, ...]]] = {p: [] for p in PREDICATES}
-        for f in sorted(self.facts):
-            rows = grouped.get(f.predicate)
-            if rows is None:
-                raise KernelError(f"unknown predicate in state: {f.predicate!r}")
-            if len(f.args) != len(PREDICATES[f.predicate]):
-                raise KernelError(f"bad arity in state fact: {f}")
-            rows.append(f.args)
-        # tuples, not lists: every retained state keeps its index
-        index = {p: tuple(rows) for p, rows in grouped.items()}
-        _validate_index(index)
-        object.__setattr__(self, "index", index)
+        if type(self.groups) is not tuple or len(self.groups) != len(PREDICATES):
+            raise KernelError(f"a state holds one group per predicate: {self.groups!r}")
+        for (predicate, signature), rows in zip(PREDICATES.items(), self.groups):
+            if type(rows) is not tuple:
+                raise KernelError(f"group of {predicate} is not a tuple: {rows!r}")
+            for row in rows:
+                if len(row) != len(signature):
+                    raise KernelError(f"bad arity in state fact: {Fact(predicate, row)}")
+            for row, following in zip(rows, rows[1:]):
+                if not row < following:
+                    raise KernelError(f"group of {predicate} is not sorted and distinct")
+        _validate_index(self.groups)
 
-    def _successor(
-        self, deleted: Sequence[Fact], added: Sequence[Fact], transfer_used: bool
+    @classmethod
+    def from_facts(
+        cls, facts: Iterable[Fact], step_count: int = 0, transfer_used: bool = False
     ) -> State:
-        """The state one step later, with ``deleted`` removed, then ``added`` added.
+        """The state holding exactly ``facts``, duplicates merged."""
+        grouped: list[list[tuple[str, ...]]] = [[] for _ in PREDICATES]
+        for f in set(facts):
+            position = GROUP.get(f.predicate)
+            if position is None:
+                raise KernelError(f"unknown predicate in state: {f.predicate!r}")
+            grouped[position].append(f.args)
+        return cls(tuple(tuple(sorted(rows)) for rows in grouped), step_count, transfer_used)
 
-        The facts must be :func:`make_fact` facts.  The successor is built
-        from this state's index: the groups of predicates the delta does not
-        touch are shared, touched groups are edited, and the result passes
-        the same full invariant check as a state built from its facts.
-        """
-        index = dict(self.index)
-        edited: dict[str, set[tuple[str, ...]]] = {}
-        for f in deleted:
-            edited.setdefault(f.predicate, set(index[f.predicate])).discard(f.args)
-        for f in added:
-            edited.setdefault(f.predicate, set(index[f.predicate])).add(f.args)
-        for predicate, rows in edited.items():
-            index[predicate] = tuple(sorted(rows))
-        _validate_index(index)
+    @staticmethod
+    def _successor(
+        groups: tuple[Rows, ...], step_count: int, transfer_used: bool
+    ) -> State:
+        """A state from groups built sorted and distinct by :func:`apply_action`,
+        after the same full invariant check as a state built from its facts."""
+        _validate_index(groups)
         child = object.__new__(State)
-        object.__setattr__(
-            child, "facts", self.facts.difference(deleted).union(added)
-        )
-        object.__setattr__(child, "step_count", self.step_count + 1)
+        object.__setattr__(child, "groups", groups)
+        object.__setattr__(child, "step_count", step_count)
         object.__setattr__(child, "transfer_used", transfer_used)
-        object.__setattr__(child, "index", index)
         return child
+
+    def rows(self, predicate: str) -> Rows:
+        """The argument tuples of the state's ``predicate`` facts, sorted."""
+        return self.groups[GROUP[predicate]]
+
+    def facts(self) -> Iterator[Fact]:
+        """Every fact, sorted by predicate name, then arguments."""
+        for predicate, position in _BY_NAME:
+            for row in self.groups[position]:
+                yield Fact(predicate, row)
 
     def companies(self) -> list[str]:
         """Existing company ids, sorted."""
-        return [args[0] for args in self.index["exists"]]
+        return [args[0] for args in self.groups[GROUP["exists"]]]
 
-    def key(self) -> frozenset[Fact]:
-        """Deduplication key: the fact set itself."""
-        return self.facts
+    def key(self) -> tuple[Rows, ...]:
+        """Deduplication key: the groups, one-to-one with the fact set."""
+        return self.groups
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(f) for f in sorted(self.facts)) + "}"
+        return "{" + ", ".join(str(f) for f in self.facts()) + "}"
 
 
-def _validate_index(index: dict[str, tuple[tuple[str, ...], ...]]) -> None:
-    """Check the state invariants on a sorted, duplicate-free fact index."""
+def _validate_index(groups: tuple[Rows, ...]) -> None:
+    """Check the state invariants on a state's groups, each sorted and distinct."""
     owners: set[str] = set()
-    for _, ip in index["ownsIP"]:
+    for _, ip in groups[GROUP["ownsIP"]]:
         if ip in owners:
             raise KernelError(f"ip {ip!r} has more than one owner")
         owners.add(ip)
     for predicate, where in (("based", "based in"), ("managed", "managed from")):
-        rows = index[predicate]
+        rows = groups[GROUP[predicate]]
         # sorted rows: a company with two countries has two adjacent rows
         for (company, _), (following, _) in zip(rows, rows[1:]):
             if company == following:
@@ -195,7 +220,7 @@ def _validate_index(index: dict[str, tuple[tuple[str, ...], ...]]) -> None:
                     f"company {company!r} is {where} multiple countries"
                 )
     licensor_of: dict[tuple[str, str], str] = {}
-    for licensor, renter, ip in index["rentsIP"]:
+    for licensor, renter, ip in groups[GROUP["rentsIP"]]:
         if (renter, ip) in licensor_of:
             raise KernelError(
                 f"company {renter!r} rents ip {ip!r} from more than one licensor"
@@ -220,7 +245,7 @@ def initial_state(
     full = set(facts)
     for c in declared_companies:
         full.add(Fact("exists", (c,)))
-    return State(facts=frozenset(full), step_count=0, transfer_used=False)
+    return State.from_facts(full)
 
 
 # ============================================================================
@@ -321,6 +346,15 @@ class ActionRule:
     # and for checking a grounded action (every parameter seeded)
     ground_join: CompiledCondition = field(init=False, repr=False, compare=False)
     check_join: CompiledCondition = field(init=False, repr=False, compare=False)
+    # effects compiled for applying a grounded action: the variables whose
+    # values fill effect arguments, the constants of the effects, and per
+    # touched group (position, deleted rows, added rows), each row a tuple of
+    # indices into the variables' values followed by the constants
+    effect_variables: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    effect_constants: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    delta: tuple[
+        tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]], ...
+    ] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         from .join import CompiledCondition  # join builds on this module
@@ -352,6 +386,29 @@ class ActionRule:
         )
         object.__setattr__(
             self, "check_join", CompiledCondition(self.precondition, bound=self.params)
+        )
+        self._compile_effects()
+
+    def _compile_effects(self) -> None:
+        """Compile the effects into per-group row templates (see ``delta``)."""
+        effects = self.del_effects + self.add_effects
+        variables = sorted({v for lit in effects for v in lit.variables()})
+        constants = sorted({a for lit in effects for a in lit.args if not is_variable(a)})
+        slot = {term: i for i, term in enumerate(variables + constants)}
+        edits: dict[int, tuple[list, list]] = {}
+        for lits, side in ((self.del_effects, 0), (self.add_effects, 1)):
+            for lit in lits:
+                rows = edits.setdefault(GROUP[lit.predicate], ([], []))[side]
+                rows.append(tuple(slot[a] for a in lit.args))
+        object.__setattr__(self, "effect_variables", tuple(variables))
+        object.__setattr__(self, "effect_constants", tuple(constants))
+        object.__setattr__(
+            self,
+            "delta",
+            tuple(
+                (position, tuple(deleted), tuple(added))
+                for position, (deleted, added) in sorted(edits.items())
+            ),
         )
 
     def _problems(self, positive: set[str]) -> list[str]:
@@ -432,10 +489,29 @@ class Domains:
         raise KernelError(f"unknown entity type: {ty!r}")
 
 
+class ActionRules:
+    """A ruleset's action rules, sorted by key, with a key -> rule map.
+
+    Build it once per search and pass it to :func:`applicable_actions` and
+    :func:`apply_action`; given a plain sequence of rules, each call builds
+    its own.
+    """
+
+    def __init__(self, rules: Iterable[ActionRule]) -> None:
+        self.ordered: tuple[ActionRule, ...] = tuple(sorted(rules, key=ActionRule.key))
+        self.by_key: dict[tuple[str, str], ActionRule] = {}
+        for rule in self.ordered:  # a repeated key finds the first rule
+            self.by_key.setdefault(rule.key(), rule)
+
+
+def _action_rules(rules: ActionRules | Iterable[ActionRule]) -> ActionRules:
+    return rules if isinstance(rules, ActionRules) else ActionRules(rules)
+
+
 def _lowest_unused_pool_id(state: State, pool: Sequence[str]) -> Optional[str]:
-    existing = {args[0] for args in state.index["exists"]}
+    existing = state.groups[GROUP["exists"]]
     for cid in pool:
-        if cid not in existing:
+        if (cid,) not in existing:
             return cid
     return None
 
@@ -470,7 +546,7 @@ def ground_rule(
 
 def applicable_actions(
     state: State,
-    rules: Sequence[ActionRule],
+    rules: ActionRules | Sequence[ActionRule],
     domains: Domains,
     pool: Sequence[str],
     max_steps: Optional[int] = None,
@@ -483,7 +559,7 @@ def applicable_actions(
     if max_steps is not None and state.step_count >= max_steps:
         return []
     out: list[GroundedAction] = []
-    for rule in sorted(rules, key=lambda r: r.key()):
+    for rule in _action_rules(rules).ordered:
         if rule.name == "transferIP" and state.transfer_used:
             continue
         out.extend(ground_rule(rule, state, domains, pool))
@@ -493,15 +569,17 @@ def applicable_actions(
 def apply_action(
     state: State,
     action: GroundedAction,
-    rules: Sequence[ActionRule],
+    rules: ActionRules | Sequence[ActionRule],
     pool: Sequence[str],
 ) -> State:
-    """Successor state after ``action``; raises KernelError if not applicable."""
-    rule = None
-    for r in rules:
-        if r.key() == (action.name, action.legal_ref):
-            rule = r
-            break
+    """Successor state after ``action``; raises KernelError if not applicable.
+
+    The successor shares every group the action's effects do not touch with
+    ``state``; each touched group is rebuilt from the rule's compiled delta,
+    deletions before additions, and the successor passes the same full
+    invariant check as a state built from its facts.
+    """
+    rule = _action_rules(rules).by_key.get((action.name, action.legal_ref))
     if rule is None:
         raise KernelError(f"no rule for action {action}")
     if rule.name == "transferIP" and state.transfer_used:
@@ -521,14 +599,20 @@ def apply_action(
     if not rule.check_join.exists(state, binding):
         raise KernelError(f"precondition of {action} does not hold")
 
-    deleted = [
-        make_fact(lit.predicate, [binding.get(a, a) for a in lit.args])
-        for lit in rule.del_effects
-    ]
-    added = [
-        make_fact(lit.predicate, [binding.get(a, a) for a in lit.args])
-        for lit in rule.add_effects
-    ]
-    return state._successor(
-        deleted, added, state.transfer_used or rule.name == "transferIP"
+    values = tuple(binding.get(v, v) for v in rule.effect_variables)
+    for value in values:
+        if not is_constant(value):
+            raise KernelError(f"fact argument must be a ground constant: {value!r}")
+    values += rule.effect_constants
+    fill = values.__getitem__
+    groups = list(state.groups)
+    for position, deleted, added in rule.delta:
+        rows = set(groups[position])
+        rows.difference_update([tuple(map(fill, slots)) for slots in deleted])
+        rows.update([tuple(map(fill, slots)) for slots in added])
+        groups[position] = tuple(sorted(rows))
+    return State._successor(
+        tuple(groups),
+        state.step_count + 1,
+        state.transfer_used or rule.name == "transferIP",
     )

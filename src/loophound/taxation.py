@@ -185,8 +185,8 @@ class TaxAssessment(NamedTuple):
 def residence_countries(state: State) -> dict[str, str]:
     """Company -> residence country: management seat wins over country of
     incorporation.  Raises if an existing company is resident nowhere."""
-    residence = dict(state.index["based"])
-    residence.update(state.index["managed"])
+    residence = dict(state.rows("based"))
+    residence.update(state.rows("managed"))
     for company in state.companies():
         if company not in residence:
             raise TaxationError(f"company {company!r} is resident nowhere")

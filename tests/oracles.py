@@ -34,7 +34,7 @@ def oracle_match(state, condition, binding=None, extra_ground=None):
     patterns = dict(extra_ground or {})
     state_atoms: dict[str, list[tuple[str, ...]]] = {}
     constants: set[str] = set(binding.values())
-    for fact in state.facts:
+    for fact in state.facts():
         state_atoms.setdefault(fact.predicate, []).append(tuple(fact.args))
         constants.update(fact.args)
     for pred, atoms in patterns.items():

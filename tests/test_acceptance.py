@@ -90,7 +90,7 @@ def _mk_trajectory(tid: int, utility: float, tax: float, extra_facts=()) -> Traj
     return Trajectory(
         id=tid,
         actions=(),
-        final_state=State(facts=facts, step_count=0, transfer_used=False),
+        final_state=State.from_facts(facts, step_count=0, transfer_used=False),
         transactions=(),
         assessments=(
             TaxAssessment(
@@ -475,7 +475,7 @@ def test_criterion_6_search_matches_exhaustive(toy_ruleset, toy_scenario, capsys
 def _fixed_point_cascade(state, scenario, commercial):
     """Iterate royalty payments to a fixed point, summing received payments
     in sorted edge order to mirror the engine's accumulation order."""
-    edges = sorted(tuple(args) for args in state.index["rentsIP"])
+    edges = sorted(tuple(args) for args in state.rows("rentsIP"))
     revenue: dict = {}
     for t in commercial:
         revenue[t.receiver] = revenue.get(t.receiver, 0.0) + t.amount

@@ -74,7 +74,7 @@ def oracle_cut_points(drops, height, min_distance):
 
 
 def mk_state(n_facts: int = 0) -> State:
-    return State(facts=frozenset(), step_count=0, transfer_used=False)
+    return State.from_facts(frozenset(), step_count=0, transfer_used=False)
 
 
 def mk_trajectory(
@@ -111,7 +111,7 @@ def mk_trajectory(
     return Trajectory(
         id=tid,
         actions=actions,
-        final_state=State(
+        final_state=State.from_facts(
             facts=frozenset({make_fact("exists", (f"e{k}",)) for k in range(facts)}),
             step_count=n,
             transfer_used=False,

@@ -434,6 +434,16 @@ class TestValidationErrors:
         assert code == 1
         assert "iterations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [("--beta", "inf", "beta"), ("--tau0", "nan", "tau0"), ("--cost", "nan", "cost")],
+    )
+    def test_non_finite_search_parameter(self, tmp_path, capsys, flag, value, field):
+        code = main(["explore", flag, value, "--out", str(tmp_path)])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "trajectories.jsonl").exists()
+
     def test_min_distance_below_one(self, tmp_path, capsys):
         assert main(["profile", "--min-distance", "0", "--out", str(tmp_path)]) == 1
         assert "--min-distance" in capsys.readouterr().err

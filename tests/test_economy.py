@@ -74,7 +74,7 @@ def oracle_cascade(state, scenario, commercial) -> dict[tuple, float]:
     accumulation order of the implementation, so a converged fixed point is
     bitwise equal to the recursive bottom-up evaluation.
     """
-    edges = sorted(tuple(args) for args in state.index["rentsIP"])
+    edges = sorted(tuple(args) for args in state.rows("rentsIP"))
     revenue: dict[str, float] = {}
     for t in commercial:
         revenue[t.receiver] = revenue.get(t.receiver, 0.0) + t.amount

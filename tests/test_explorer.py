@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import collections
 import gc
+import hashlib
 import math
 
 import numpy as np
@@ -49,6 +50,12 @@ class TestSearchParams:
             {"iterations": 0},
             {"expansions": 0},
             {"max_steps": 0},
+            {"beta": math.inf},
+            {"beta": math.nan},
+            {"tau0": math.nan},
+            {"tau0": math.inf},
+            {"cost_coefficient": math.nan},
+            {"cost_coefficient": math.inf},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -371,6 +378,19 @@ class TestReproducibility:
         a, _ = self.run_bytes(toy_ruleset, toy_scenario, params, tmp_path, "a.jsonl")
         b, _ = self.run_bytes(toy_ruleset, toy_scenario, params, tmp_path, "b.jsonl")
         assert a == b
+
+    def test_bench_shape_bytes_are_pinned(
+        self, corpus_ruleset, corpus_scenario, tmp_path
+    ):
+        # the corpus search at seed 7, 50 x 60, as the pipeline benchmark's
+        # ``reference`` workload runs it
+        params = SearchParams(seed=7, iterations=50, expansions=60)
+        data, _ = self.run_bytes(
+            corpus_ruleset, corpus_scenario, params, tmp_path, "bench.jsonl"
+        )
+        assert hashlib.sha256(data).hexdigest() == (
+            "8ee107848c1002341472ae68acce842312184cfbfa86e2349c065b166df84417"
+        )
 
     def test_jsonl_round_trip(self, toy_ruleset, toy_scenario, tmp_path):
         params = SearchParams(seed=11, iterations=8, expansions=40, max_steps=6)

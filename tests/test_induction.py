@@ -70,7 +70,7 @@ def mk_trajectory(tid: int, utility: float, extra_facts=(), *, complete=True):
     return Trajectory(
         id=tid,
         actions=(),
-        final_state=State(facts=facts, step_count=0, transfer_used=False),
+        final_state=State.from_facts(facts, step_count=0, transfer_used=False),
         transactions=(),
         assessments=(),
         p=utility,
@@ -372,7 +372,7 @@ class TestBuildBackground:
     def test_missing_role_country_excludes_with_warning(self):
         stripped = dataclasses.replace(
             mk_trajectory(7, 100.0),
-            final_state=State(
+            final_state=State.from_facts(
                 facts=frozenset(
                     make_fact(p, a) for p, a in ROLE_FACTS if a[1] != "germany"
                 ),

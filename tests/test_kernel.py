@@ -15,6 +15,7 @@ from loophound.kernel import (
     Comparison,
     Domains,
     Fact,
+    GROUP,
     GroundedAction,
     KernelError,
     Literal,
@@ -195,7 +196,7 @@ def random_cases(draw):
         if (companies[j], ip) not in rented:
             rented.add((companies[j], ip))
             facts.append(make_fact("rentsIP", [companies[i], companies[j], ip]))
-    state = State(facts=frozenset(facts))
+    state = State.from_facts(frozenset(facts))
     kinds = ["royalty", "commercial"]
     patterns = {
         "transaction": draw(
@@ -296,7 +297,7 @@ def toy_domains(toy_scenario):
 
 def oracle_groundings(rule, state, domains, pool):
     """Enumerate every parameter assignment and filter by the oracle matcher."""
-    existing = {f.args[0] for f in state.facts if f.predicate == "exists"}
+    existing = {f.args[0] for f in state.facts() if f.predicate == "exists"}
     fresh_value = None
     for cid in pool:
         if cid not in existing:
@@ -382,12 +383,12 @@ class TestApply:
             if a.as_dict()["To"] == "c1"
         )
         result = apply_action(state, action, toy_ruleset.action_rules, pool)
-        assert make_fact("ownsIP", ["c1", "ip1"]) in result.facts
-        assert make_fact("ownsIP", ["p", "ip1"]) not in result.facts
+        assert make_fact("ownsIP", ["c1", "ip1"]) in result.facts()
+        assert make_fact("ownsIP", ["p", "ip1"]) not in result.facts()
         assert result.step_count == state.step_count + 1
         assert result.transfer_used
         # immutability of the source state
-        assert make_fact("ownsIP", ["p", "ip1"]) in state.facts
+        assert make_fact("ownsIP", ["p", "ip1"]) in state.facts()
         assert not state.transfer_used
 
     def test_transfer_is_one_shot(self, toy_ruleset, toy_scenario):
@@ -441,7 +442,7 @@ class TestStateValidation:
 
     def test_variable_in_fact_rejected(self):
         with pytest.raises(KernelError):
-            State(facts=frozenset([make_fact("based", ["p", "usa"]), make_fact("exists", ["P"])]))
+            State.from_facts(frozenset([make_fact("based", ["p", "usa"]), make_fact("exists", ["P"])]))
 
 
 # a well-formed rule; each case below breaks it in one way
@@ -555,13 +556,18 @@ INVALID_STATES = {
 }
 
 
+def with_based(*rows):
+    """Groups holding ``rows`` as the ``based`` group (the first) and nothing else."""
+    return (rows,) + ((),) * (len(PREDICATES) - 1)
+
+
 class TestStateInvariants:
     @pytest.mark.parametrize(
         "facts,message", INVALID_STATES.values(), ids=INVALID_STATES.keys()
     )
     def test_broken_invariant_rejected(self, facts, message):
         with pytest.raises(KernelError, match=message):
-            State(facts=frozenset(facts))
+            State.from_facts(frozenset(facts))
 
     def test_licensing_forest_accepted(self):
         # two trees for ip1, one shared renter chain for ip2: every renter has
@@ -578,22 +584,50 @@ class TestStateInvariants:
                 rents("a", "b", "ip2"),
             ]
         )
-        assert len(State(facts=facts).index["rentsIP"]) == 6
+        assert len(State.from_facts(facts).rows("rentsIP")) == 6
 
     def test_index_groups_sorted_facts_by_predicate(self):
         state = small_state()
-        ordered = sorted(state.facts)
-        assert state.index == {
-            p: tuple(f.args for f in ordered if f.predicate == p) for p in PREDICATES
-        }
+        ordered = sorted(state.facts())
+        assert list(state.facts()) == ordered
+        assert state.groups == tuple(
+            tuple(f.args for f in ordered if f.predicate == p) for p in PREDICATES
+        )
+        assert all(state.rows(p) is state.groups[GROUP[p]] for p in PREDICATES)
+        assert state.key() is state.groups
         assert state.companies() == ["c1", "p"]
 
     def test_equal_facts_give_equal_states(self):
         state = small_state()
-        twin = State(facts=frozenset(sorted(state.facts, reverse=True)))
+        twin = State.from_facts(sorted(state.facts(), reverse=True))
         assert twin == state
         assert hash(twin) == hash(state)
-        assert twin != State(facts=state.facts, step_count=1)
+        assert twin.key() == state.key()
+        assert twin != State.from_facts(state.facts(), step_count=1)
+        assert twin != State.from_facts(state.facts(), transfer_used=True)
+
+    def test_state_holds_no_dict_or_frozenset(self):
+        state = small_state()
+        assert not hasattr(state, "__dict__")
+        assert list(State.__slots__) == ["groups", "step_count", "transfer_used"]
+        assert type(state.groups) is tuple and len(state.groups) == len(PREDICATES)
+        for rows in state.groups:
+            assert type(rows) is tuple
+            assert all(type(row) is tuple for row in rows)
+
+    @pytest.mark.parametrize(
+        "groups,message",
+        [
+            ((), "one group per predicate"),
+            (((),) * 5 + ([],), "not a tuple"),
+            (with_based(("p",)), "bad arity"),
+            (with_based(("p", "usa"), ("c", "usa")), "not sorted and distinct"),
+            (with_based(("p", "usa"), ("p", "usa")), "not sorted and distinct"),
+        ],
+    )
+    def test_malformed_groups_rejected(self, groups, message):
+        with pytest.raises(KernelError, match=message):
+            State(groups)
 
 
 # ============================================================================
@@ -611,23 +645,23 @@ def scratch_successor(state, action, rules):
     """The successor built from its fact set, with the effects applied by hand."""
     rule = next(r for r in rules if r.key() == (action.name, action.legal_ref))
     binding = action.as_dict()
-    facts = (state.facts - instantiated(rule.del_effects, binding)) | instantiated(
+    facts = (set(state.facts()) - instantiated(rule.del_effects, binding)) | instantiated(
         rule.add_effects, binding
     )
-    return State(
-        frozenset(facts),
+    return State.from_facts(
+        facts,
         state.step_count + 1,
         state.transfer_used or rule.name == "transferIP",
     )
 
 
 def outcome(build):
-    """The state ``build`` returns with its index, or the KernelError it raises."""
+    """The state ``build`` returns with its groups, or the KernelError it raises."""
     try:
         state = build()
     except KernelError as exc:
         return ("error", str(exc))
-    return ("state", state, state.index)
+    return ("state", state, state.groups)
 
 
 # rules without the corpus's guards: each can break a state invariant
@@ -662,10 +696,26 @@ class TestSuccessor:
         states, actions = walk(corpus_ruleset, corpus_scenario, choices)
         for parent, action, child in zip(states, actions, states[1:]):
             scratch = scratch_successor(parent, action, corpus_ruleset.action_rules)
-            assert child.facts == scratch.facts
-            assert child.index == scratch.index
+            assert list(child.facts()) == list(scratch.facts())
+            assert child.groups == scratch.groups
             assert child.step_count == scratch.step_count
             assert child.transfer_used == scratch.transfer_used
+
+    @given(choices=st.lists(st.integers(min_value=0), max_size=12))
+    @settings(max_examples=50, deadline=None)
+    def test_untouched_groups_are_the_parents(
+        self, corpus_ruleset, corpus_scenario, choices
+    ):
+        rules = {r.key(): r for r in corpus_ruleset.action_rules}
+        states, actions = walk(corpus_ruleset, corpus_scenario, choices)
+        for parent, action, child in zip(states, actions, states[1:]):
+            rule = rules[(action.name, action.legal_ref)]
+            touched = {lit.predicate for lit in rule.add_effects + rule.del_effects}
+            for predicate in PREDICATES:
+                if predicate not in touched:
+                    assert child.rows(predicate) is parent.rows(predicate)
+                else:
+                    assert child.rows(predicate) is not parent.rows(predicate)
 
     @given(
         choices=st.lists(st.integers(min_value=0), max_size=8),

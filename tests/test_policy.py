@@ -60,7 +60,7 @@ def mk_trajectory(
     return Trajectory(
         id=tid,
         actions=(),
-        final_state=State(facts=facts, step_count=0, transfer_used=False),
+        final_state=State.from_facts(facts, step_count=0, transfer_used=False),
         transactions=(),
         assessments=(
             TaxAssessment(

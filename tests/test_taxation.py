@@ -515,8 +515,8 @@ def composed_evaluation(state, scenario, reductions, rates, actions):
     ledger = settle(state, scenario, actions)
     flows = company_flows(ledger)
     patterns = {"transaction": transaction_patterns(ledger)}
-    managed = {f.args[0]: f.args[1] for f in state.facts if f.predicate == "managed"}
-    based = {f.args[0]: f.args[1] for f in state.facts if f.predicate == "based"}
+    managed = {f.args[0]: f.args[1] for f in state.facts() if f.predicate == "managed"}
+    based = {f.args[0]: f.args[1] for f in state.facts() if f.predicate == "based"}
     assessments = []
     for company in state.companies():
         country = managed.get(company, based.get(company))
@@ -569,7 +569,7 @@ class TestEvaluationMemo:
         rates = corpus_ruleset.rates()
         variants = [state] + [
             initial_state(
-                [f for f in state.facts if f.predicate != dropped], state.companies()
+                [f for f in state.facts() if f.predicate != dropped], state.companies()
             )
             for dropped in ("managed", "isChildOf")
         ]
@@ -600,7 +600,7 @@ class TestEvaluationMemo:
         reductions = corpus_ruleset.reduction_rules
         rates = corpus_ruleset.rates()
         later = State(
-            facts=state.facts,
+            groups=state.groups,
             step_count=state.step_count + 1,
             transfer_used=state.transfer_used,
         )
