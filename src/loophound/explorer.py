@@ -25,9 +25,12 @@ iteration) and no step depends on set or hash order, so
 One search evaluates its states through one
 :class:`~loophound.taxation.EvaluationMemo`, so each distinct ledger and
 each distinct tax return is computed once, however many states share it.
-The search pauses the cyclic garbage collector: its heap of nodes, states
-and records holds no reference cycles, so every collection would only
-traverse it, and the caller's setting is restored when the search ends.
+It grounds and applies actions through one
+:class:`~loophound.kernel.ActionRules`, whose tables make its equal
+actions, rows and groups one object each.  The search pauses the cyclic
+garbage collector: its heap of nodes, states and records holds no reference
+cycles, so every collection would only traverse it, and the caller's
+setting is restored when the search ends.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .kernel import (
     applicable_actions,
     apply_action,
     initial_state,
+    is_constant,
 )
 from .taxation import EvaluationMemo, TaxAssessment, evaluate_state
 
@@ -262,7 +266,9 @@ def _search(
     cost = params.cost_coefficient
 
     warnings: list[str] = []
-    s0 = initial_state(scenario_doc.state.facts, scenario_doc.state.companies)
+    s0 = initial_state(
+        scenario_doc.state.facts, scenario_doc.state.companies, rules.table
+    )
     memo = EvaluationMemo()
 
     def evaluate(state: State, actions: Sequence[GroundedAction]):
@@ -457,19 +463,31 @@ def _record(record, types: tuple[tuple[type, ...], ...]):
     return record
 
 
-def _trajectory_from_json(row: dict) -> Trajectory:
-    """The trajectory of one line.  A malformed row raises KeyError,
-    IndexError, TypeError, ValueError or AttributeError; a final state that
-    breaks a state invariant raises an :class:`ExplorerError` naming the
-    trajectory."""
-    actions = tuple(
-        GroundedAction(
-            _field(a, "name", str),
-            _field(a, "ref", str),
-            tuple(sorted(a["args"].items())),
-        )
-        for a in row["actions"]
+def _action_from_json(a: dict, table: dict) -> GroundedAction:
+    """The grounded action of one ``actions`` entry, as ``table``'s object for
+    its value.  Each binding value must be a ground constant, checked once,
+    when the table first meets the action."""
+    action = GroundedAction(
+        _field(a, "name", str), _field(a, "ref", str), tuple(sorted(a["args"].items()))
     )
+    shared = table.get(action)
+    if shared is None:
+        for variable, value in action.binding:
+            if type(value) is not str or not is_constant(value):
+                raise ValueError(
+                    f"{action.name} binds {variable} to {value!r}, not a constant"
+                )
+        shared = table[action] = action
+    return shared
+
+
+def _trajectory_from_json(row: dict, table: dict) -> Trajectory:
+    """The trajectory of one line, its actions, rows and groups ``table``'s
+    objects for their values.  A malformed row raises KeyError, IndexError,
+    TypeError, ValueError or AttributeError; a final state that is not a
+    valid state of ground constants raises an :class:`ExplorerError` naming
+    the trajectory."""
+    actions = tuple(_action_from_json(a, table) for a in row["actions"])
     if row["length"] != len(actions):
         raise ValueError(f"length {row['length']!r} but {len(actions)} actions")
     try:
@@ -477,6 +495,7 @@ def _trajectory_from_json(row: dict) -> Trajectory:
             (Fact(r[0], tuple(r[1:])) for r in row["final_state"]),
             step_count=len(actions),
             transfer_used=any(a.name == "transferIP" for a in actions),
+            table=table,
         )
     except (KernelError, IndexError, TypeError) as exc:
         raise ExplorerError(f"final state of trajectory {row['id']}: {exc}") from exc
@@ -528,38 +547,46 @@ def _reject_constant(name: str):
 def read_jsonl(path) -> TrajectorySet:
     """The trajectory set of a file written by :func:`write_jsonl`.  Malformed
     content, a non-finite number included, raises one :class:`ExplorerError`
-    naming the header or the trajectory at fault."""
+    naming the header or the trajectory at fault.
+
+    The file is read one line at a time.  One table for the whole read makes
+    equal actions, final-state rows and final-state groups of all its
+    trajectories one object each (see :mod:`loophound.kernel`)."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
-        raise ExplorerError("empty trajectory file")
-    try:
-        header = json.loads(lines[0], parse_constant=_reject_constant)
-    except ValueError as exc:
-        raise ExplorerError(f"header: {exc}") from exc
-    if not (
-        isinstance(header, dict)
-        and header.get("format") == FORMAT_VERSION
-        and header.get("kind") == "trajectory-set"
-    ):
-        raise ExplorerError(f"not a format-{FORMAT_VERSION} trajectory set")
-    params = header.get("params")
-    if not isinstance(params, dict) or set(params) != set(_PARAM_FIELDS):
-        raise ExplorerError(f"header params must be exactly {', '.join(_PARAM_FIELDS)}")
-    try:
-        params = SearchParams(**params)
-        hashes = (header["ruleset_sha256"], header["scenario_sha256"])
-        count = header["trajectory_count"]
-        warnings = tuple(header.get("warnings", ()))
-    except (KeyError, TypeError) as exc:
-        raise ExplorerError(f"header: {type(exc).__name__}: {exc}") from exc
-    trajectories = []
-    for n, line in enumerate(lines[1:]):
+        lines = (line for line in fh if line.strip())
+        first = next(lines, None)
+        if first is None:
+            raise ExplorerError("empty trajectory file")
         try:
-            row = json.loads(line, parse_constant=_reject_constant)
-            trajectories.append(_trajectory_from_json(row))
-        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ExplorerError(f"trajectory {n}: {type(exc).__name__}: {exc}") from exc
+            header = json.loads(first, parse_constant=_reject_constant)
+        except ValueError as exc:
+            raise ExplorerError(f"header: {exc}") from exc
+        if not (
+            isinstance(header, dict)
+            and header.get("format") == FORMAT_VERSION
+            and header.get("kind") == "trajectory-set"
+        ):
+            raise ExplorerError(f"not a format-{FORMAT_VERSION} trajectory set")
+        params = header.get("params")
+        if not isinstance(params, dict) or set(params) != set(_PARAM_FIELDS):
+            raise ExplorerError(
+                f"header params must be exactly {', '.join(_PARAM_FIELDS)}"
+            )
+        try:
+            params = SearchParams(**params)
+            hashes = (header["ruleset_sha256"], header["scenario_sha256"])
+            count = header["trajectory_count"]
+            warnings = tuple(header.get("warnings", ()))
+        except (KeyError, TypeError) as exc:
+            raise ExplorerError(f"header: {type(exc).__name__}: {exc}") from exc
+        table: dict = {}
+        trajectories = []
+        for n, line in enumerate(lines):
+            try:
+                row = json.loads(line, parse_constant=_reject_constant)
+                trajectories.append(_trajectory_from_json(row, table))
+            except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+                raise ExplorerError(f"trajectory {n}: {type(exc).__name__}: {exc}") from exc
     if len(trajectories) != count:
         raise ExplorerError(
             f"header announces {count} trajectories, file holds {len(trajectories)}"

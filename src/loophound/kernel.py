@@ -24,6 +24,16 @@ groups plus its edited groups, the structural sharing of persistent data
 structures (Driscoll, Sarnak, Sleator and Tarjan, JCSS 1989).  The successor
 is fully re-validated, exactly as a state built from its facts.
 
+Equal rows and groups are one object, the hash-consing of Filliâtre and
+Conchon ("Type-safe modular hash-consing", ML Workshop 2006): a table maps
+each distinct row and group built so far to its one object, and a row or a
+group built again is replaced by the table's.  A search keeps its tables on
+its :class:`ActionRules`, with one table per rule of its grounded actions by
+parameter values; a decode of a trajectory file keeps one table for the
+whole read.  The tables live as long as the search or the read that owns
+them, so two searches share nothing.  Records that hold floats are never
+shared: equality merges ``0.0`` with ``-0.0`` and ``1`` with ``True``.
+
 An action rule checks its own well-formedness when it is built, by the
 parser or by library code: known action name, distinct parameters, at most
 one ``fresh`` parameter, known predicates at their arity, no transaction
@@ -158,16 +168,35 @@ class State:
 
     @classmethod
     def from_facts(
-        cls, facts: Iterable[Fact], step_count: int = 0, transfer_used: bool = False
+        cls,
+        facts: Iterable[Fact],
+        step_count: int = 0,
+        transfer_used: bool = False,
+        table: Optional[dict] = None,
     ) -> State:
-        """The state holding exactly ``facts``, duplicates merged."""
-        grouped: list[list[tuple[str, ...]]] = [[] for _ in PREDICATES]
-        for f in set(facts):
-            position = GROUP.get(f.predicate)
+        """The state holding exactly ``facts``, duplicates merged.
+
+        Every argument must be a string that :func:`is_constant` accepts;
+        each distinct row is checked once, when ``table`` first meets it.
+        The state's rows and groups are ``table``'s objects for their values,
+        so states built through one table share them (see the module
+        docstring); without a table the call uses its own.
+        """
+        table = {} if table is None else table
+        grouped: list[set[tuple[str, ...]]] = [set() for _ in PREDICATES]
+        for predicate, args in facts:
+            position = GROUP.get(predicate)
             if position is None:
-                raise KernelError(f"unknown predicate in state: {f.predicate!r}")
-            grouped[position].append(f.args)
-        return cls(tuple(tuple(sorted(rows)) for rows in grouped), step_count, transfer_used)
+                raise KernelError(f"unknown predicate in state: {predicate!r}")
+            row = table.get(args)
+            if row is None:
+                for a in args:
+                    if type(a) is not str or not is_constant(a):
+                        raise KernelError(f"fact argument must be a ground constant: {a!r}")
+                row = table[args] = args
+            grouped[position].add(row)
+        groups = tuple(_group(rows, table) for rows in grouped)
+        return cls(groups, step_count, transfer_used)
 
     @staticmethod
     def _successor(
@@ -202,6 +231,13 @@ class State:
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(f) for f in self.facts()) + "}"
+
+
+def _group(rows: Iterable[tuple[str, ...]], table: dict) -> Rows:
+    """The sorted tuple of the distinct ``rows``, as ``table``'s one object
+    for its value."""
+    group = tuple(sorted(rows))
+    return table.setdefault(group, group)
 
 
 def _validate_index(groups: tuple[Rows, ...]) -> None:
@@ -239,13 +275,16 @@ def _validate_index(groups: tuple[Rows, ...]) -> None:
 
 
 def initial_state(
-    facts: Iterable[Fact], declared_companies: Iterable[str]
+    facts: Iterable[Fact],
+    declared_companies: Iterable[str],
+    table: Optional[dict] = None,
 ) -> State:
-    """Initial state: declared facts plus exists() for every declared company."""
+    """Initial state: declared facts plus exists() for every declared company,
+    built through ``table`` as :meth:`State.from_facts` builds."""
     full = set(facts)
     for c in declared_companies:
         full.add(Fact("exists", (c,)))
-    return State.from_facts(full)
+    return State.from_facts(full, table=table)
 
 
 # ============================================================================
@@ -346,6 +385,8 @@ class ActionRule:
     # and for checking a grounded action (every parameter seeded)
     ground_join: CompiledCondition = field(init=False, repr=False, compare=False)
     check_join: CompiledCondition = field(init=False, repr=False, compare=False)
+    # per parameter in sorted order, its index in a ground_join solution row
+    param_slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # effects compiled for applying a grounded action: the variables whose
     # values fill effect arguments, the constants of the effects, and per
     # touched group (position, deleted rows, added rows), each row a tuple of
@@ -379,10 +420,14 @@ class ActionRule:
                 )
         object.__setattr__(self, "free_params", free)
         object.__setattr__(self, "free_types", tuple(types[p] for p in free))
+        ground_join = CompiledCondition(
+            self.precondition, bound=self.fresh_params | set(free)
+        )
+        object.__setattr__(self, "ground_join", ground_join)
         object.__setattr__(
             self,
-            "ground_join",
-            CompiledCondition(self.precondition, bound=self.fresh_params | set(free)),
+            "param_slots",
+            tuple(ground_join.variables.index(p) for p in sorted(self.params)),
         )
         object.__setattr__(
             self, "check_join", CompiledCondition(self.precondition, bound=self.params)
@@ -490,11 +535,16 @@ class Domains:
 
 
 class ActionRules:
-    """A ruleset's action rules, sorted by key, with a key -> rule map.
+    """A ruleset's action rules, sorted by key, with a key -> rule map, and
+    the hash-consing tables of one search.
 
     Build it once per search and pass it to :func:`applicable_actions` and
     :func:`apply_action`; given a plain sequence of rules, each call builds
-    its own.
+    its own.  Its tables live as long as the search: ``actions`` holds, per
+    rule of ``ordered``, the grounded actions built so far by their
+    parameter values, and ``table`` every distinct row and group the search
+    built, so equal actions, rows and groups of one search are one object
+    and two searches share none.
     """
 
     def __init__(self, rules: Iterable[ActionRule]) -> None:
@@ -502,6 +552,11 @@ class ActionRules:
         self.by_key: dict[tuple[str, str], ActionRule] = {}
         for rule in self.ordered:  # a repeated key finds the first rule
             self.by_key.setdefault(rule.key(), rule)
+        # per rule, not per key: rules sharing a key may name parameters apart
+        self.actions: tuple[dict[tuple[str, ...], GroundedAction], ...] = tuple(
+            {} for _ in self.ordered
+        )
+        self.table: dict[tuple, tuple] = {}
 
 
 def _action_rules(rules: ActionRules | Iterable[ActionRule]) -> ActionRules:
@@ -521,8 +576,14 @@ def ground_rule(
     state: State,
     domains: Domains,
     pool: Sequence[str],
+    actions: Optional[dict[tuple[str, ...], GroundedAction]] = None,
 ) -> list[GroundedAction]:
-    """All groundings of one rule whose precondition holds in ``state``."""
+    """All groundings of one rule whose precondition holds in ``state``.
+
+    ``actions`` is the rule's table of grounded actions by parameter values
+    (see :class:`ActionRules`): an action is built only for values it does
+    not hold yet.  Without a table the call uses its own.
+    """
     seed: dict[str, str] = {}
     for p in rule.fresh_params:
         cid = _lowest_unused_pool_id(state, pool)
@@ -530,18 +591,26 @@ def ground_rule(
             return []
         seed[p] = cid
 
+    table = {} if actions is None else actions
     free_domains = [domains.for_type(ty) for ty in rule.free_types]
     join = rule.ground_join
-    slots = [(p, join.variables.index(p)) for p in sorted(rule.params)]
+    slots = rule.param_slots
     # distinct auxiliary-variable matches can collapse to the same parameter
-    # binding; the dict keeps the first of each, in order
-    grounded: dict[GroundedAction, None] = {}
+    # values; the dict keeps the first of each, in order
+    grounded: dict[tuple[str, ...], GroundedAction] = {}
     for combo in itertools.product(*free_domains):
         seed.update(zip(rule.free_params, combo))
         for row in join.bindings(state, seed):
-            binding = tuple((p, row[i]) for p, i in slots)
-            grounded.setdefault(GroundedAction(rule.name, rule.legal_ref, binding))
-    return list(grounded)
+            values = tuple([row[i] for i in slots])
+            if values in grounded:
+                continue
+            action = table.get(values)
+            if action is None:
+                binding = tuple(zip(sorted(rule.params), values))
+                action = GroundedAction(rule.name, rule.legal_ref, binding)
+                table[values] = action
+            grounded[values] = action
+    return list(grounded.values())
 
 
 def applicable_actions(
@@ -559,10 +628,11 @@ def applicable_actions(
     if max_steps is not None and state.step_count >= max_steps:
         return []
     out: list[GroundedAction] = []
-    for rule in _action_rules(rules).ordered:
+    rules = _action_rules(rules)
+    for rule, actions in zip(rules.ordered, rules.actions):
         if rule.name == "transferIP" and state.transfer_used:
             continue
-        out.extend(ground_rule(rule, state, domains, pool))
+        out.extend(ground_rule(rule, state, domains, pool, actions))
     return out
 
 
@@ -576,10 +646,12 @@ def apply_action(
 
     The successor shares every group the action's effects do not touch with
     ``state``; each touched group is rebuilt from the rule's compiled delta,
-    deletions before additions, and the successor passes the same full
+    deletions before additions, and each added row and rebuilt group is the
+    rules' table's object for its value.  The successor passes the same full
     invariant check as a state built from its facts.
     """
-    rule = _action_rules(rules).by_key.get((action.name, action.legal_ref))
+    rules = _action_rules(rules)
+    rule = rules.by_key.get((action.name, action.legal_ref))
     if rule is None:
         raise KernelError(f"no rule for action {action}")
     if rule.name == "transferIP" and state.transfer_used:
@@ -605,12 +677,15 @@ def apply_action(
             raise KernelError(f"fact argument must be a ground constant: {value!r}")
     values += rule.effect_constants
     fill = values.__getitem__
+    table = rules.table
     groups = list(state.groups)
     for position, deleted, added in rule.delta:
         rows = set(groups[position])
         rows.difference_update([tuple(map(fill, slots)) for slots in deleted])
-        rows.update([tuple(map(fill, slots)) for slots in added])
-        groups[position] = tuple(sorted(rows))
+        for slots in added:
+            row = tuple(map(fill, slots))
+            rows.add(table.setdefault(row, row))
+        groups[position] = _group(rows, table)
     return State._successor(
         tuple(groups),
         state.step_count + 1,

@@ -55,6 +55,9 @@ TRAJECTORY_DEFECTS = {
         (0, "params"), {**DESK_PARAMS, "beta": math.inf}, "header: Infinity"
     ),
     "length-not-a-number": ((1, "length"), "x", "length 'x'"),
+    "binding-not-a-constant": (
+        (1, "actions", 0, "args"), {"Parent": "Zed"}, "binds Parent to 'Zed'"
+    ),
     "transaction-amount-not-a-number": (
         (1, "transactions", 0, 5), True, "amount is True"
     ),
@@ -292,8 +295,9 @@ class TestRunDirectoryIntegrity:
         [
             (["ownsIP", "c9", "ip1"], "'ip1' has more than one owner"),
             ([], "index out of range"),
+            (["exists", "Zed"], "fact argument must be a ground constant: 'Zed'"),
         ],
-        ids=["second-ip-owner", "empty-fact-row"],
+        ids=["second-ip-owner", "empty-fact-row", "variable-argument"],
     )
     def test_invalid_final_state_rejected(
         self, toy_run_dir, tmp_path, capsys, bad_row, message

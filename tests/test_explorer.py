@@ -7,6 +7,7 @@ from __future__ import annotations
 import collections
 import gc
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -436,6 +437,106 @@ class TestReproducibility:
         empty.write_text("")
         with pytest.raises(ExplorerError):
             read_jsonl(empty)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda row: row["final_state"].append(["exists", "Zed"]),
+                "final state of trajectory 0: fact argument must be a ground constant: 'Zed'",
+            ),
+            (
+                lambda row: row["final_state"].append(["exists", 1]),
+                "final state of trajectory 0: fact argument must be a ground constant: 1",
+            ),
+            (
+                lambda row: row["final_state"].append(["exists", True]),
+                "final state of trajectory 0: fact argument must be a ground constant: True",
+            ),
+            (
+                lambda row: row["actions"][0]["args"].update(Parent="_"),
+                "trajectory 0: ValueError: addChild binds Parent to '_', not a constant",
+            ),
+            (
+                lambda row: row["actions"][0]["args"].update(Parent=1),
+                "trajectory 0: ValueError: addChild binds Parent to 1, not a constant",
+            ),
+        ],
+        ids=[
+            "variable-fact", "number-fact", "boolean-fact",
+            "wildcard-binding", "number-binding",
+        ],
+    )
+    def test_read_rejects_non_constant_arguments(
+        self, toy_ruleset, toy_scenario, tmp_path, edit, message
+    ):
+        params = SearchParams(seed=11, iterations=8, expansions=40, max_steps=6)
+        path = tmp_path / "t.jsonl"
+        write_jsonl(explore(toy_ruleset, toy_scenario, params), path)
+        header, first, *rest = path.read_text().splitlines(True)
+        row = json.loads(first)
+        assert row["actions"][0]["name"] == "addChild"
+        edit(row)
+        path.write_text("".join([header, json.dumps(row) + "\n", *rest]))
+        with pytest.raises(ExplorerError) as info:
+            read_jsonl(path)
+        assert message in str(info.value)
+
+    def test_read_skips_blank_lines(self, toy_ruleset, toy_scenario, tmp_path):
+        params = SearchParams(seed=11, iterations=8, expansions=40, max_steps=6)
+        path = tmp_path / "t.jsonl"
+        write_jsonl(explore(toy_ruleset, toy_scenario, params), path)
+        lines = path.read_text().splitlines(True)
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text("\n \n" + "\n".join(lines) + "\n\n")
+        assert read_jsonl(spaced) == read_jsonl(path)
+
+
+# ----------------------------------------------------------- hash-consing
+
+
+def assert_one_object_per_value(values):
+    """Equal members of ``values`` are one object, and some values repeat."""
+    assert len({id(v) for v in values}) == len(set(values)) < len(values)
+
+
+@pytest.fixture(scope="module")
+def bench_run(corpus_ruleset, corpus_scenario):
+    """The corpus search at seed 7, 50 x 60, the benchmark's shape."""
+    params = SearchParams(seed=7, iterations=50, expansions=60)
+    return explore(corpus_ruleset, corpus_scenario, params)
+
+
+def shared_parts(tset):
+    """The final-state groups, the rows in them and the actions of every
+    trajectory of ``tset``, with repeats."""
+    groups = [g for t in tset.trajectories for g in t.final_state.groups]
+    rows = [row for g in groups for row in g]
+    actions = [a for t in tset.trajectories for a in t.actions]
+    return groups, rows, actions
+
+
+class TestSharing:
+    """One search, and one read of a trajectory file, hold one object per
+    distinct action, row and group."""
+
+    def test_one_object_per_value_in_a_search(self, bench_run):
+        for values in shared_parts(bench_run):
+            assert_one_object_per_value(values)
+
+    def test_two_searches_share_nothing(self, bench_run, desk_run):
+        first, second = shared_parts(bench_run), shared_parts(desk_run)
+        for values, others in zip(first[::2], second[::2]):  # groups, actions
+            objects = {v: v for v in values if v}  # () is one object in CPython
+            equal = [v for v in others if v in objects]
+            assert equal
+            assert not any(objects[v] is v for v in equal)
+
+    def test_one_object_per_value_in_a_read(self, bench_run, tmp_path):
+        path = tmp_path / "bench.jsonl"
+        write_jsonl(bench_run, path)
+        for values in shared_parts(read_jsonl(path)):
+            assert_one_object_per_value(values)
 
 
 # ------------------------------------------------------- evaluation memo
