@@ -25,7 +25,7 @@ code that reads those inputs, so no other module has to know them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .kernel import TRANSACTION_KINDS, GroundedAction, State
@@ -50,6 +50,8 @@ class ScenarioConfig:
     action_cost: float = 1.0
     declared_companies: tuple[str, ...] = ()
     declared_ips: tuple[str, ...] = ()
+    # the countries a multinationally complete state earns revenue in
+    non_havens: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.royalty_rate <= 1.0:
@@ -64,9 +66,9 @@ class ScenarioConfig:
                 raise EconomyError(f"haven {h!r} is not a declared country")
             if h in self.revenue_table:
                 raise EconomyError(f"haven {h!r} must not carry commercial revenue")
-
-    def non_haven_countries(self) -> tuple[str, ...]:
-        return tuple(c for c in self.countries if c not in self.tax_havens)
+        object.__setattr__(
+            self, "non_havens", frozenset(self.countries).difference(self.tax_havens)
+        )
 
 
 class Transaction(NamedTuple):
@@ -102,7 +104,7 @@ def is_multinationally_complete(
     transactions are sent by exactly the countries that host one.
     """
     covered = {t.sender for t in transactions if t.kind == COMMERCIAL}
-    return all(c in covered for c in scenario.non_haven_countries())
+    return covered.issuperset(scenario.non_havens)
 
 
 def commercial_transactions(

@@ -10,9 +10,10 @@ A state holds its facts once, as one tuple of per-predicate groups in
 :data:`PREDICATES` order, each the sorted, distinct argument tuples of that
 predicate's facts.  Every condition reads the groups by position; the group
 tuple is the state's deduplication key; readers that want facts iterate the
-groups.  The invariants are checked on the groups when a state is built: one
-owner per IP, one ``based`` and one ``managed`` country per company, one
-licensor per (renter, IP) and acyclic licensing per IP.
+groups.  Every invariant is a check of one group: one owner per IP, one
+``based`` and one ``managed`` country per company, and one licensor per
+(renter, IP) with acyclic licensing per IP.  A state built from its groups
+or its facts runs every check on every group.
 
 Each action rule compiles its effects, when it is built, into per-group
 templates of deleted and added rows over the values of its effect
@@ -21,18 +22,22 @@ from its parent's groups, the delta idea of incremental view maintenance
 (Gupta, Mumick and Subrahmanian, SIGMOD 1993): groups the effects do not
 touch are the parent's own objects, so a successor costs one tuple of
 groups plus its edited groups, the structural sharing of persistent data
-structures (Driscoll, Sarnak, Sleator and Tarjan, JCSS 1989).  The successor
-is fully re-validated, exactly as a state built from its facts.
+structures (Driscoll, Sarnak, Sleator and Tarjan, JCSS 1989).  The parent's
+groups have passed their checks, so only an edited group needs one.
 
 Equal rows and groups are one object, the hash-consing of Filliâtre and
 Conchon ("Type-safe modular hash-consing", ML Workshop 2006): a table maps
 each distinct row and group built so far to its one object, and a row or a
-group built again is replaced by the table's.  A search keeps its tables on
-its :class:`ActionRules`, with one table per rule of its grounded actions by
-parameter values; a decode of a trajectory file keeps one table for the
-whole read.  The tables live as long as the search or the read that owns
-them, so two searches share nothing.  Records that hold floats are never
-shared: equality merges ``0.0`` with ``-0.0`` and ``1`` with ``True``.
+group built again is replaced by the table's.  Work that depends only on a
+distinct object is then done once per table.  A search keeps its tables on
+its :class:`ActionRules`: one table per rule of its grounded actions by
+parameter values; each grounded action compiled once, with its delta
+filled; and, per predicate, every edited group that has passed the
+predicate's check, so each distinct group is checked once per search.  A
+decode of a trajectory file keeps one table for the whole read.  The tables
+live as long as the search or the read that owns them, so two searches
+share nothing.  Records that hold floats are never shared: equality merges
+``0.0`` with ``-0.0`` and ``1`` with ``True``.
 
 An action rule checks its own well-formedness when it is built, by the
 parser or by library code: known action name, distinct parameters, at most
@@ -58,7 +63,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 if TYPE_CHECKING:
     from .join import CompiledCondition
@@ -164,7 +177,8 @@ class State:
             for row, following in zip(rows, rows[1:]):
                 if not row < following:
                     raise KernelError(f"group of {predicate} is not sorted and distinct")
-        _validate_index(self.groups)
+        for check, rows in zip(_CHECK, self.groups):
+            check(rows)
 
     @classmethod
     def from_facts(
@@ -180,7 +194,8 @@ class State:
         each distinct row is checked once, when ``table`` first meets it.
         The state's rows and groups are ``table``'s objects for their values,
         so states built through one table share them (see the module
-        docstring); without a table the call uses its own.
+        docstring); without a table the call uses its own.  Its groups enter
+        ``table`` only once the state has passed its checks.
         """
         table = {} if table is None else table
         grouped: list[set[tuple[str, ...]]] = [set() for _ in PREDICATES]
@@ -195,16 +210,19 @@ class State:
                         raise KernelError(f"fact argument must be a ground constant: {a!r}")
                 row = table[args] = args
             grouped[position].add(row)
-        groups = tuple(_group(rows, table) for rows in grouped)
-        return cls(groups, step_count, transfer_used)
+        built = (tuple(sorted(rows)) for rows in grouped)
+        groups = tuple(table.get(group, group) for group in built)
+        state = cls(groups, step_count, transfer_used)
+        for group in groups:
+            table.setdefault(group, group)
+        return state
 
     @staticmethod
     def _successor(
         groups: tuple[Rows, ...], step_count: int, transfer_used: bool
     ) -> State:
         """A state from groups built sorted and distinct by :func:`apply_action`,
-        after the same full invariant check as a state built from its facts."""
-        _validate_index(groups)
+        each of which has passed its predicate's check."""
         child = object.__new__(State)
         object.__setattr__(child, "groups", groups)
         object.__setattr__(child, "step_count", step_count)
@@ -233,30 +251,27 @@ class State:
         return "{" + ", ".join(str(f) for f in self.facts()) + "}"
 
 
-def _group(rows: Iterable[tuple[str, ...]], table: dict) -> Rows:
-    """The sorted tuple of the distinct ``rows``, as ``table``'s one object
-    for its value."""
-    group = tuple(sorted(rows))
-    return table.setdefault(group, group)
-
-
-def _validate_index(groups: tuple[Rows, ...]) -> None:
-    """Check the state invariants on a state's groups, each sorted and distinct."""
+def _one_owner_per_ip(rows: Rows) -> None:
     owners: set[str] = set()
-    for _, ip in groups[GROUP["ownsIP"]]:
+    for _, ip in rows:
         if ip in owners:
             raise KernelError(f"ip {ip!r} has more than one owner")
         owners.add(ip)
-    for predicate, where in (("based", "based in"), ("managed", "managed from")):
-        rows = groups[GROUP[predicate]]
+
+
+def _one_country_per_company(where: str) -> Callable[[Rows], None]:
+    def check(rows: Rows) -> None:
         # sorted rows: a company with two countries has two adjacent rows
         for (company, _), (following, _) in zip(rows, rows[1:]):
             if company == following:
-                raise KernelError(
-                    f"company {company!r} is {where} multiple countries"
-                )
+                raise KernelError(f"company {company!r} is {where} multiple countries")
+
+    return check
+
+
+def _acyclic_licensing(rows: Rows) -> None:
     licensor_of: dict[tuple[str, str], str] = {}
-    for licensor, renter, ip in groups[GROUP["rentsIP"]]:
+    for licensor, renter, ip in rows:
         if (renter, ip) in licensor_of:
             raise KernelError(
                 f"company {renter!r} rents ip {ip!r} from more than one licensor"
@@ -272,6 +287,22 @@ def _validate_index(groups: tuple[Rows, ...]) -> None:
                 break
         else:
             raise KernelError(f"rentsIP edges form a cycle for ip {ip!r}")
+
+
+def _unconstrained(rows: Rows) -> None:
+    """``isChildOf`` and ``exists`` groups carry no invariant."""
+
+
+# per predicate, in PREDICATES order, the check of its group's invariants
+_CHECK: tuple[Callable[[Rows], None], ...] = tuple(
+    {
+        "based": _one_country_per_company("based in"),
+        "managed": _one_country_per_company("managed from"),
+        "ownsIP": _one_owner_per_ip,
+        "rentsIP": _acyclic_licensing,
+    }.get(predicate, _unconstrained)
+    for predicate in PREDICATES
+)
 
 
 def initial_state(
@@ -534,17 +565,37 @@ class Domains:
         raise KernelError(f"unknown entity type: {ty!r}")
 
 
+class _CompiledAction(NamedTuple):
+    """A grounded action as :func:`apply_action` compiles it for a search."""
+
+    rule: ActionRule
+    binding: dict[str, str]
+    # per touched group, in PREDICATES order: (position, deleted rows, added
+    # rows), the added rows being the search's objects
+    delta: tuple[
+        tuple[int, tuple[tuple[str, ...], ...], tuple[tuple[str, ...], ...]], ...
+    ]
+
+
 class ActionRules:
     """A ruleset's action rules, sorted by key, with a key -> rule map, and
-    the hash-consing tables of one search.
+    the tables of one search.
 
     Build it once per search and pass it to :func:`applicable_actions` and
     :func:`apply_action`; given a plain sequence of rules, each call builds
-    its own.  Its tables live as long as the search: ``actions`` holds, per
-    rule of ``ordered``, the grounded actions built so far by their
-    parameter values, and ``table`` every distinct row and group the search
-    built, so equal actions, rows and groups of one search are one object
-    and two searches share none.
+    its own.  Its tables live as long as the search, so two searches share
+    nothing:
+
+    - ``actions`` holds, per rule of ``ordered``, the grounded actions built
+      so far by their parameter values, and ``table`` every distinct row and
+      group the search built, so equal actions, rows and groups of one
+      search are one object;
+    - ``compiled`` holds each grounded action :func:`apply_action` has met,
+      compiled once: its rule, its binding and its filled delta;
+    - ``checked`` holds, per predicate, every group :func:`apply_action` has
+      built for it, each of which passed that predicate's check.  The
+      tables are per predicate because a group's value does not say whose
+      invariant it satisfies.
     """
 
     def __init__(self, rules: Iterable[ActionRule]) -> None:
@@ -557,6 +608,8 @@ class ActionRules:
             {} for _ in self.ordered
         )
         self.table: dict[tuple, tuple] = {}
+        self.compiled: dict[GroundedAction, _CompiledAction] = {}
+        self.checked: tuple[dict[Rows, Rows], ...] = tuple({} for _ in PREDICATES)
 
 
 def _action_rules(rules: ActionRules | Iterable[ActionRule]) -> ActionRules:
@@ -644,23 +697,28 @@ def apply_action(
 ) -> State:
     """Successor state after ``action``; raises KernelError if not applicable.
 
+    The first time ``rules`` meets ``action`` it compiles it (see
+    :class:`ActionRules`), after the checks that do not depend on the state:
+    a known rule, a binding for every parameter and a constant for every
+    effect value.  An action that fails them is never stored, so it fails
+    on every call.  The checks that depend on the state follow, on every
+    call: the one-shot transfer is unused, a fresh parameter binds the
+    lowest unused pool id and the precondition holds.
+
     The successor shares every group the action's effects do not touch with
-    ``state``; each touched group is rebuilt from the rule's compiled delta,
-    deletions before additions, and each added row and rebuilt group is the
-    rules' table's object for its value.  The successor passes the same full
-    invariant check as a state built from its facts.
+    ``state``; each touched group is rebuilt from the compiled delta,
+    deletions before additions.  A rebuilt group that ``rules`` has not
+    checked for its predicate yet is checked, then stored, so each distinct
+    group is checked once per search, and the successor holds only groups
+    that passed their predicate's check, as a state built from its facts.
     """
     rules = _action_rules(rules)
-    rule = rules.by_key.get((action.name, action.legal_ref))
-    if rule is None:
-        raise KernelError(f"no rule for action {action}")
+    compiled = rules.compiled.get(action)
+    if compiled is None:
+        compiled = rules.compiled[action] = _compile_action(action, rules)
+    rule, binding, delta = compiled
     if rule.name == "transferIP" and state.transfer_used:
         raise KernelError(f"transfer already used, cannot apply {action}")
-
-    binding = action.as_dict()
-    for p in rule.params:
-        if p not in binding:
-            raise KernelError(f"action {action} misses binding for {p!r}")
     for p in rule.fresh_params:
         expected = _lowest_unused_pool_id(state, pool)
         if expected is None or binding[p] != expected:
@@ -671,23 +729,46 @@ def apply_action(
     if not rule.check_join.exists(state, binding):
         raise KernelError(f"precondition of {action} does not hold")
 
-    values = tuple(binding.get(v, v) for v in rule.effect_variables)
-    for value in values:
-        if not is_constant(value):
-            raise KernelError(f"fact argument must be a ground constant: {value!r}")
-    values += rule.effect_constants
-    fill = values.__getitem__
     table = rules.table
+    checked = rules.checked
     groups = list(state.groups)
-    for position, deleted, added in rule.delta:
+    for position, deleted, added in delta:
         rows = set(groups[position])
-        rows.difference_update([tuple(map(fill, slots)) for slots in deleted])
-        for slots in added:
-            row = tuple(map(fill, slots))
-            rows.add(table.setdefault(row, row))
-        groups[position] = _group(rows, table)
+        rows.difference_update(deleted)
+        rows.update(added)
+        group = tuple(sorted(rows))
+        shared = checked[position].get(group)
+        if shared is None:
+            _CHECK[position](group)
+            shared = checked[position][group] = table.setdefault(group, group)
+        groups[position] = shared
     return State._successor(
         tuple(groups),
         state.step_count + 1,
         state.transfer_used or rule.name == "transferIP",
     )
+
+
+def _compile_action(action: GroundedAction, rules: ActionRules) -> _CompiledAction:
+    """``action`` compiled for :func:`apply_action`, after the checks that do
+    not depend on a state."""
+    rule = rules.by_key.get((action.name, action.legal_ref))
+    if rule is None:
+        raise KernelError(f"no rule for action {action}")
+    binding = action.as_dict()
+    for p in rule.params:
+        if p not in binding:
+            raise KernelError(f"action {action} misses binding for {p!r}")
+    values = tuple(binding.get(v, v) for v in rule.effect_variables)
+    for value in values:
+        if not is_constant(value):
+            raise KernelError(f"fact argument must be a ground constant: {value!r}")
+    fill = (values + rule.effect_constants).__getitem__
+    table = rules.table
+    delta = []
+    for position, deleted, added in rule.delta:
+        deleted_rows = tuple(tuple(map(fill, slots)) for slots in deleted)
+        filled = (tuple(map(fill, slots)) for slots in added)
+        added_rows = tuple(table.setdefault(row, row) for row in filled)
+        delta.append((position, deleted_rows, added_rows))
+    return _CompiledAction(rule, binding, tuple(delta))

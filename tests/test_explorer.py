@@ -5,6 +5,7 @@ reproducibility of the serialized trajectory stream.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import gc
 import hashlib
 import json
@@ -255,6 +256,67 @@ def replay(ruleset, scenario_doc, actions):
             state, act, ruleset.action_rules, scenario.company_pool
         )
     return state
+
+
+class TestReplayOracle:
+    """Each recorded trajectory of a tiny search, rebuilt from the root with
+    fresh tables and every check on every step, and evaluated with nothing
+    memoized, gives its record."""
+
+    # (iterations, expansions, max_steps): 4 x 20 records step-capped paths
+    # only; 14 x 40 at 10 steps also reaches complete ones on both rulesets
+    SHAPES = ((4, 20, 4), (14, 40, 10))
+
+    @pytest.mark.parametrize("reductions", [True, False], ids=["corpus", "statutory"])
+    def test_each_trajectory_rebuilds_and_evaluates_to_its_record(
+        self, corpus_ruleset, corpus_scenario, reductions
+    ):
+        ruleset = (
+            corpus_ruleset
+            if reductions
+            else dataclasses.replace(corpus_ruleset, reduction_rules=())
+        )
+        scenario = corpus_scenario.scenario
+        domains = scenario_domains(scenario)
+        records = []
+        for iterations, expansions, max_steps in self.SHAPES:
+            params = SearchParams(
+                seed=7,
+                iterations=iterations,
+                expansions=expansions,
+                max_steps=max_steps,
+            )
+            tset = explore(ruleset, corpus_scenario, params)
+            records += [(t, max_steps) for t in tset.trajectories]
+        assert any(t.complete for t, _ in records)
+        assert any(not t.complete for t, _ in records)
+        for t, max_steps in records:
+            state = replay(ruleset, corpus_scenario, t.actions)
+            final = t.final_state
+            assert state.groups == final.groups
+            assert state.step_count == final.step_count == t.length
+            assert state.transfer_used == final.transfer_used
+            transactions, assessments, p = evaluate_state(
+                state,
+                scenario,
+                ruleset.reduction_rules,
+                ruleset.rates(),
+                EvaluationMemo(),
+                t.actions,
+            )
+            assert transactions == t.transactions
+            assert tuple(assessments) == t.assessments
+            assert p == t.p
+            assert is_multinationally_complete(transactions, scenario) == t.complete
+            # recorded when terminal or complete; terminal at the step cap, or
+            # when expanded without an applicable action
+            at_cap = state.step_count >= max_steps
+            assert t.terminal or t.complete
+            assert t.terminal or not at_cap
+            if t.terminal and not at_cap:
+                assert not applicable_actions(
+                    state, ruleset.action_rules, domains, scenario.company_pool
+                )
 
 
 # --------------------------------------------------------------- invariants

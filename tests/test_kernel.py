@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from loophound.kernel import (
     ActionRule,
+    ActionRules,
     Comparison,
     Domains,
     Fact,
@@ -568,6 +569,11 @@ class TestStateInvariants:
     def test_broken_invariant_rejected(self, facts, message):
         with pytest.raises(KernelError, match=message):
             State.from_facts(frozenset(facts))
+        table = {}
+        with pytest.raises(KernelError, match=message):
+            State.from_facts(frozenset(facts), table=table)
+        # a rejected state leaves its rows in the table, but none of its groups
+        assert all(type(a) is str for value in table for a in value)
 
     def test_licensing_forest_accepted(self):
         # two trees for ip1, one shared renter chain for ip2: every renter has
@@ -738,6 +744,12 @@ class TestSuccessor:
         assert incremental == outcome(
             lambda: scratch_successor(state, action, UNGUARDED)
         )
+        # one ActionRules for the whole walk: its tables already hold what
+        # the action built, or failed to build, from every state before
+        shared = ActionRules(UNGUARDED)
+        for earlier in states:
+            outcome(lambda: apply_action(earlier, action, shared, pool))
+        assert outcome(lambda: apply_action(state, action, shared, pool)) == incremental
 
     def test_a_broken_invariant_is_caught(self, corpus_ruleset, corpus_scenario):
         states, _ = walk(corpus_ruleset, corpus_scenario, ())
@@ -747,3 +759,80 @@ class TestSuccessor:
         )
         with pytest.raises(KernelError, match="based in multiple countries"):
             apply_action(states[0], rebase, UNGUARDED, scenario.company_pool)
+
+    def test_a_broken_invariant_is_caught_on_every_application(
+        self, corpus_ruleset, corpus_scenario
+    ):
+        """A group that fails its check is never stored, so one ActionRules
+        rejects it again, also when another state rebuilds it."""
+        states, _ = walk(corpus_ruleset, corpus_scenario, ())
+        pool = corpus_scenario.scenario.company_pool
+        rules = ActionRules(UNGUARDED)
+        rebase = GroundedAction(
+            "addChild", "rebase", (("C", "p"), ("Country", "ireland"))
+        )
+        reseat = GroundedAction("addChild", "reseat", (("C", "p"), ("Seat", "usa")))
+        second = apply_action(states[0], reseat, rules, pool)
+        assert second.rows("based") is states[0].rows("based")
+        for state in (states[0], states[0], second):
+            with pytest.raises(KernelError, match="based in multiple countries"):
+                apply_action(state, rebase, rules, pool)
+        assert rebase in rules.compiled
+        assert (("p", "ireland"), ("p", "usa")) not in rules.checked[GROUP["based"]]
+
+    def test_a_group_is_checked_for_each_predicate_that_holds_it(self):
+        """A group that passed one predicate's check is checked again when
+        another predicate's group takes the same rows."""
+        adopt = ActionRule(
+            name="addChild",
+            legal_ref="adopt",
+            params=("C", "P"),
+            fresh_params=frozenset(),
+            precondition=(Literal("exists", ("C",)),),
+            add_effects=(Literal("isChildOf", ("C", "P")),),
+            del_effects=(),
+        )
+        rules = ActionRules(UNGUARDED + (adopt,))
+        # companies named like countries: isChildOf rows can equal based rows
+        state = initial_state(
+            [make_fact("based", ["p", "usa"])], ["p", "ireland", "usa"], rules.table
+        )
+        for parent in ("ireland", "usa"):
+            state = apply_action(
+                state,
+                GroundedAction("addChild", "adopt", (("C", "p"), ("P", parent))),
+                rules,
+                (),
+            )
+        bad = (("p", "ireland"), ("p", "usa"))
+        assert state.rows("isChildOf") == bad
+        rebase = GroundedAction(
+            "addChild", "rebase", (("C", "p"), ("Country", "ireland"))
+        )
+        with pytest.raises(KernelError, match="based in multiple countries"):
+            apply_action(state, rebase, rules, ())
+
+    @pytest.mark.parametrize(
+        "binding,ref,message",
+        [
+            ((("C", "p"), ("Country", "ireland")), "relocate", "no rule for action"),
+            ((("C", "p"),), "rebase", "misses binding for 'Country'"),
+            (
+                (("C", "p"), ("Country", "Ireland")),
+                "rebase",
+                "fact argument must be a ground constant: 'Ireland'",
+            ),
+        ],
+        ids=["unknown-rule", "missing-binding", "variable-value"],
+    )
+    def test_a_malformed_action_fails_on_every_call_and_is_never_stored(
+        self, corpus_ruleset, corpus_scenario, binding, ref, message
+    ):
+        states, _ = walk(corpus_ruleset, corpus_scenario, ())
+        pool = corpus_scenario.scenario.company_pool
+        rules = ActionRules(UNGUARDED)
+        action = GroundedAction("addChild", ref, binding)
+        for _ in range(2):
+            with pytest.raises(KernelError, match=re.escape(message)):
+                apply_action(states[0], action, rules, pool)
+        assert rules.compiled == {}

@@ -552,7 +552,9 @@ def composed_evaluation(state, scenario, reductions, rates, actions):
             )
         )
     covered = {country for _, country in earning_companies(state, scenario)}
-    complete = all(c in covered for c in scenario.non_haven_countries())
+    complete = all(
+        c in covered for c in scenario.countries if c not in scenario.tax_havens
+    )
     return ledger, assessments, net_profit(flows, assessments), complete
 
 
