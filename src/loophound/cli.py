@@ -116,7 +116,17 @@ def _parse_documents(ruleset_path: Path, scenario_path: Path):
         print(str(diagnostic), file=sys.stderr)
     if not ruleset_result.ok or not scenario_result.ok:
         raise CliError("input documents failed validation", EXIT_VALIDATION)
-    return ruleset_result.document, scenario_result.document
+    ruleset, scenario = ruleset_result.document, scenario_result.document
+    # a company may become resident in any scenario country
+    rates = ruleset.rates()
+    missing = [c for c in scenario.scenario.countries if c not in rates]
+    if missing:
+        raise CliError(
+            f"{ruleset_path}: no statutory rate for scenario country "
+            + ", ".join(map(repr, missing)),
+            EXIT_VALIDATION,
+        )
+    return ruleset, scenario
 
 
 def _read_manifest(out_dir: Path) -> dict:

@@ -690,6 +690,30 @@ def parse_state_spec(text: str) -> ParseResult:
     return ParseResult(spec, tuple(diagnostics))
 
 
+def _check_initial_state(
+    raw: _RawStatements, spec: StateSpec, diagnostics: list[Diagnostic]
+) -> None:
+    """Every declared company has a residence, and the declared facts pass
+    the state invariants (see :mod:`loophound.kernel`)."""
+    resident = {f.args[0] for f in spec.facts if f.predicate in ("based", "managed")}
+    for name, tok in raw.companies:
+        if name not in resident:
+            resident.add(name)  # one diagnostic per company
+            diagnostics.append(
+                Diagnostic(
+                    "error",
+                    f"company {name!r} is resident nowhere: "
+                    "it needs a based or managed fact",
+                    tok.line,
+                    tok.col,
+                )
+            )
+    try:
+        kernel.initial_state(spec.facts, spec.companies)
+    except kernel.KernelError as exc:
+        diagnostics.append(Diagnostic("error", f"initial state: {exc}", 1, 1))
+
+
 def parse_scenario(text: str) -> ParseResult:
     """Parse a scenario document: state spec plus markets, pool and parameters."""
     parser = _Parser(text)
@@ -748,6 +772,7 @@ def parse_scenario(text: str) -> ParseResult:
                         1,
                     )
                 )
+        _check_initial_state(raw, spec, diagnostics)
     if spec is None or any(d.severity == "error" for d in diagnostics):
         return ParseResult(None, tuple(diagnostics))
 

@@ -214,11 +214,6 @@ class _Node:
     complete: bool = False
     terminal: bool = False
     expanded: bool = False
-    # (transactions, assessments) of a node that is recorded as a trajectory
-    # from its evaluation on (complete, or at the step cap); None otherwise
-    evaluation: Optional[
-        tuple[tuple[Transaction, ...], tuple[TaxAssessment, ...]]
-    ] = None
 
 
 def _domains(scenario: ScenarioConfig) -> Domains:
@@ -285,14 +280,9 @@ def _search(
     utility = np.empty(1024)
 
     def evaluate_node(index: int, node: _Node, actions) -> None:
-        """Evaluate ``node`` on the path ``actions``; keep the evaluation when
-        the node is recorded as a trajectory whatever happens next."""
-        transactions, assessments, node.p, node.complete = evaluate(
-            node.state, actions
-        )
+        """Evaluate ``node`` on the path ``actions``."""
+        _, _, node.p, node.complete = evaluate(node.state, actions)
         node.terminal = node.state.step_count >= params.max_steps
-        keep = node.terminal or node.complete
-        node.evaluation = (transactions, assessments) if keep else None
         depth[index] = node.state.step_count
         utility[index] = trajectory_utility(node.p, node.state.step_count, cost)
 
@@ -363,16 +353,15 @@ def _search(
     if root_deadend:
         warnings.append("no applicable actions at the root state; empty result")
 
+    # nodes keep no evaluation: each record is evaluated again, and the memo
+    # already holds its ledger and returns
     trajectories: list[Trajectory] = []
     for idx in range(1, len(nodes)):  # the empty trajectory is excluded by definition
         node = nodes[idx]
         if not (node.terminal or node.complete):
             continue
         actions = _path_actions(nodes, idx)
-        if node.evaluation is None:  # a dead end, found when expanded
-            transactions, assessments, _, _ = evaluate(node.state, actions)
-        else:
-            transactions, assessments = node.evaluation
+        transactions, assessments, _, _ = evaluate(node.state, actions)
         trajectories.append(
             Trajectory(
                 id=len(trajectories),

@@ -15,9 +15,8 @@ groups.  Every invariant is a check of one group: one owner per IP, one
 (renter, IP) with acyclic licensing per IP.  A state built from its groups
 or its facts runs every check on every group.
 
-Each action rule compiles its effects, when it is built, into per-group
-templates of deleted and added rows over the values of its effect
-variables.  Applying a grounded action fills them and builds the successor
+Applying a grounded action fills its rule's effects with its binding into
+per-group deleted and added rows, once per search, and builds the successor
 from its parent's groups, the delta idea of incremental view maintenance
 (Gupta, Mumick and Subrahmanian, SIGMOD 1993): groups the effects do not
 touch are the parent's own objects, so a successor costs one tuple of
@@ -42,10 +41,11 @@ share nothing.  Records that hold floats are never shared: equality merges
 An action rule checks its own well-formedness when it is built, by the
 parser or by library code: known action name, distinct parameters, at most
 one ``fresh`` parameter, known predicates at their arity, no transaction
-pattern, wildcards only in negated literals and never in effects, and effect
-variables bound by a parameter or a positive literal.  It raises one
-:class:`KernelError` naming every problem found, so a malformed rule never
-exists and applying an action does not check its effects again.
+pattern, wildcards only in negated literals and never in effects, and every
+effect variable a parameter, since a grounded action binds only its
+parameters.  It raises one :class:`KernelError` naming every problem found,
+so a malformed rule never exists and applying an action does not check its
+effects again.
 
 Variables follow the Prolog convention: identifiers starting with an
 uppercase letter are variables, everything else is a constant.  ``_`` is an
@@ -418,28 +418,19 @@ class ActionRule:
     check_join: CompiledCondition = field(init=False, repr=False, compare=False)
     # per parameter in sorted order, its index in a ground_join solution row
     param_slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # effects compiled for applying a grounded action: the variables whose
-    # values fill effect arguments, the constants of the effects, and per
-    # touched group (position, deleted rows, added rows), each row a tuple of
-    # indices into the variables' values followed by the constants
-    effect_variables: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    effect_constants: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    delta: tuple[
-        tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]], ...
-    ] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         from .join import CompiledCondition  # join builds on this module
 
+        problems = self._problems()
+        if problems:
+            raise KernelError(f"{self.name}/{self.legal_ref}: " + "; ".join(problems))
         positive = {
             v
             for it in self.precondition
             if isinstance(it, Literal) and not it.negated
             for v in it.variables()
         }
-        problems = self._problems(positive)
-        if problems:
-            raise KernelError(f"{self.name}/{self.legal_ref}: " + "; ".join(problems))
         free = tuple(
             p for p in self.params if p not in self.fresh_params and p not in positive
         )
@@ -463,32 +454,9 @@ class ActionRule:
         object.__setattr__(
             self, "check_join", CompiledCondition(self.precondition, bound=self.params)
         )
-        self._compile_effects()
 
-    def _compile_effects(self) -> None:
-        """Compile the effects into per-group row templates (see ``delta``)."""
-        effects = self.del_effects + self.add_effects
-        variables = sorted({v for lit in effects for v in lit.variables()})
-        constants = sorted({a for lit in effects for a in lit.args if not is_variable(a)})
-        slot = {term: i for i, term in enumerate(variables + constants)}
-        edits: dict[int, tuple[list, list]] = {}
-        for lits, side in ((self.del_effects, 0), (self.add_effects, 1)):
-            for lit in lits:
-                rows = edits.setdefault(GROUP[lit.predicate], ([], []))[side]
-                rows.append(tuple(slot[a] for a in lit.args))
-        object.__setattr__(self, "effect_variables", tuple(variables))
-        object.__setattr__(self, "effect_constants", tuple(constants))
-        object.__setattr__(
-            self,
-            "delta",
-            tuple(
-                (position, tuple(deleted), tuple(added))
-                for position, (deleted, added) in sorted(edits.items())
-            ),
-        )
-
-    def _problems(self, positive: set[str]) -> list[str]:
-        """Every shape problem, given the variables positive literals bind."""
+    def _problems(self) -> list[str]:
+        """Every shape problem of the rule."""
         problems: list[str] = []
         if self.name not in ACTION_NAMES:
             problems.append(f"action name must be one of {ACTION_NAMES}")
@@ -497,16 +465,15 @@ class ActionRule:
         if len(self.fresh_params) > 1:
             problems.append("at most one fresh parameter is allowed")
         problems += condition_problems(self.precondition)
-        bound = positive.union(self.params)
         for lit in self.add_effects + self.del_effects:
             problems += _vocabulary_problems(lit)
             if WILDCARD in lit.args:
                 problems.append(f"wildcard in effect literal {lit}")
+            # a grounded action binds its parameters only
             problems += [
-                f"effect variable {v!r} in {lit} is not bound by parameters "
-                "or preconditions"
+                f"effect variable {v!r} in {lit} is not bound by a parameter"
                 for v in lit.variables()
-                if v not in bound
+                if v not in self.params
             ]
         return problems
 
@@ -673,7 +640,14 @@ def applicable_actions(
     pool: Sequence[str],
     max_steps: Optional[int] = None,
 ) -> list[GroundedAction]:
-    """All applicable grounded actions, ordered by (name, legal_ref, binding).
+    """All applicable grounded actions, rule by rule in (name, legal_ref)
+    order.
+
+    Within a rule, actions follow the product order of its free parameters'
+    domains as ``domains`` lists them (a search lists companies sorted and
+    countries and IPs in declaration order), then the values of the sorted
+    variable names: at the corpus root, ``EU-incorp`` lists germany,
+    netherlands, ireland.
 
     ``transferIP`` rules are suppressed once the one-shot transfer has been
     used.  When ``max_steps`` is given and reached, no action is applicable.
@@ -759,16 +733,18 @@ def _compile_action(action: GroundedAction, rules: ActionRules) -> _CompiledActi
     for p in rule.params:
         if p not in binding:
             raise KernelError(f"action {action} misses binding for {p!r}")
-    values = tuple(binding.get(v, v) for v in rule.effect_variables)
-    for value in values:
-        if not is_constant(value):
-            raise KernelError(f"fact argument must be a ground constant: {value!r}")
-    fill = (values + rule.effect_constants).__getitem__
+    # per touched group, deleted rows and added rows, the binding filled in
+    edits: dict[int, tuple[list, list]] = {}
+    for effects, side in ((rule.del_effects, 0), (rule.add_effects, 1)):
+        for lit in effects:
+            row = tuple([binding.get(a, a) for a in lit.args])
+            for value in row:
+                if not is_constant(value):
+                    raise KernelError(f"fact argument must be a ground constant: {value!r}")
+            edits.setdefault(GROUP[lit.predicate], ([], []))[side].append(row)
     table = rules.table
-    delta = []
-    for position, deleted, added in rule.delta:
-        deleted_rows = tuple(tuple(map(fill, slots)) for slots in deleted)
-        filled = (tuple(map(fill, slots)) for slots in added)
-        added_rows = tuple(table.setdefault(row, row) for row in filled)
-        delta.append((position, deleted_rows, added_rows))
-    return _CompiledAction(rule, binding, tuple(delta))
+    delta = tuple(
+        (position, tuple(deleted), tuple(table.setdefault(row, row) for row in added))
+        for position, (deleted, added) in sorted(edits.items())
+    )
+    return _CompiledAction(rule, binding, delta)

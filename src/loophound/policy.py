@@ -46,7 +46,6 @@ class PolicyError(Exception):
 @dataclass(frozen=True)
 class WelfareConfig:
     welfare_kind: str = "mean_tax_collected"
-    description: str = ""
 
     def __post_init__(self) -> None:
         if self.welfare_kind not in WELFARE_KINDS:
@@ -54,8 +53,10 @@ class WelfareConfig:
                 f"unknown welfare kind {self.welfare_kind!r}; "
                 f"expected one of {', '.join(WELFARE_KINDS)}"
             )
-        if not self.description:
-            object.__setattr__(self, "description", _KIND_DESCRIPTIONS[self.welfare_kind])
+
+    @property
+    def description(self) -> str:
+        return _KIND_DESCRIPTIONS[self.welfare_kind]
 
 
 def _trajectory_value(trajectory: Trajectory, kind: str) -> float:

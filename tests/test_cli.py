@@ -98,15 +98,18 @@ ANALYSIS_OUTPUTS = {
 ANALYSIS_FLAGS = {"profile": ["--min-distance", "5"]}
 
 
-def _run_in_subprocess(argv, module):
+def _run_in_subprocess(argv, module, stderr=None):
     """(exit code, whether ``module`` was imported) of ``main(argv)`` run in
-    a fresh interpreter."""
+    a fresh interpreter; the run's standard error is appended to the list
+    ``stderr`` when one is given."""
     script = (
         "import sys; from loophound.cli import main; "
         f"code = main({argv!r}); print(code, {module!r} in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    if stderr is not None:
+        stderr.append(proc.stderr)
     code, loaded = proc.stdout.splitlines()[-1].split()
     return int(code), loaded == "True"
 
@@ -479,6 +482,65 @@ class TestValidationErrors:
     def test_unknown_welfare_kind(self, tmp_path, capsys):
         assert main(["policy", "--welfare", "gdp", "--out", str(tmp_path)]) == 1
         assert "invalid choice" in capsys.readouterr().err
+
+
+# corpus edit -> (document, text removed, text appended, part of the message);
+# each edited pair of documents used to pass ``check`` and crash ``explore``
+DOCUMENT_DEFECTS = {
+    "missing-rate": (
+        "table1.lhl", "rate bermuda 0.0.\n", "",
+        "no statutory rate for scenario country 'bermuda'",
+    ),
+    "company-resident-nowhere": (
+        "scenario.lhl", "", "company q.\n", "company 'q' is resident nowhere",
+    ),
+    "two-countries-of-incorporation": (
+        "scenario.lhl", "", "fact based(p, germany).\n",
+        "company 'p' is based in multiple countries",
+    ),
+    "effect-variable-not-a-parameter": (
+        "table1.lhl", "",
+        'action rentIP(Licensor, Renter, Ip) ref "upstream" {\n'
+        "  pre: rentsIP(X, Licensor, Ip), exists(Renter), Licensor != Renter,\n"
+        "       X != Renter, not rentsIP(_, Renter, Ip), not ownsIP(Renter, Ip);\n"
+        "  eff: rentsIP(X, Renter, Ip);\n"
+        "}\n",
+        "effect variable 'X' in rentsIP(X, Renter, Ip) is not bound",
+    ),
+}
+
+
+class TestDocumentDefects:
+    @pytest.mark.parametrize("command", ["check", "explore"])
+    @pytest.mark.parametrize(
+        "document,removed,appended,message",
+        DOCUMENT_DEFECTS.values(),
+        ids=DOCUMENT_DEFECTS.keys(),
+    )
+    def test_rejected_by_both_commands(
+        self, tmp_path, command, document, removed, appended, message
+    ):
+        paths = {}
+        for name in ("table1.lhl", "scenario.lhl"):
+            text = corpus_path(name).read_text(encoding="utf-8")
+            if name == document:
+                assert removed in text
+                text = text.replace(removed, "") + appended
+            paths[name] = tmp_path / name
+            paths[name].write_text(text, encoding="utf-8")
+        ruleset, scenario = str(paths["table1.lhl"]), str(paths["scenario.lhl"])
+        out = tmp_path / "run"
+        argv = {
+            "check": ["check", ruleset, scenario],
+            "explore": ["explore", "--ruleset", ruleset, "--scenario", scenario,
+                        "--iterations", "2", "--expansions", "5", "--out", str(out)],
+        }[command]
+        stderr = []
+        assert _run_in_subprocess(argv, "numpy", stderr) == (1, False)
+        (err,) = stderr
+        assert "Traceback" not in err
+        assert sum(message in line for line in err.splitlines()) == 1
+        assert not (out / "trajectories.jsonl").exists()
 
 
 class TestIoErrors:

@@ -28,7 +28,7 @@ from loophound.explorer import (
     write_jsonl,
 )
 from loophound.kernel import applicable_actions, apply_action, initial_state
-from loophound.taxation import EvaluationMemo, evaluate_state
+from loophound.taxation import DEDUCTIBLE, EXEMPTION, EvaluationMemo, evaluate_state
 
 from conftest import scenario_domains
 
@@ -455,10 +455,20 @@ class TestReproducibility:
             "8ee107848c1002341472ae68acce842312184cfbfa86e2349c065b166df84417"
         )
 
-    def test_jsonl_round_trip(self, toy_ruleset, toy_scenario, tmp_path):
+    def test_jsonl_round_trip(self, toy_ruleset, toy_scenario, desk_run, tmp_path):
         params = SearchParams(seed=11, iterations=8, expansions=40, max_steps=6)
-        tset = explore(toy_ruleset, toy_scenario, params)
-        path = tmp_path / "rt.jsonl"
+        toy_run = explore(toy_ruleset, toy_scenario, params)
+        # the toy ruleset has no reductions; the corpus run's records carry
+        # applied deductibles and exemptions
+        applied = {
+            kind for t in desk_run.trajectories for _, kind in t.applied_reduction_refs()
+        }
+        assert applied == {DEDUCTIBLE, EXEMPTION}
+        for tset in (toy_run, desk_run):
+            self.assert_round_trip(tset, tmp_path / "rt.jsonl")
+
+    @staticmethod
+    def assert_round_trip(tset, path):
         write_jsonl(tset, path)
         back = read_jsonl(path)
         assert back.params == tset.params

@@ -503,6 +503,14 @@ MALFORMED_ACTIONS = {
         {"add_effects": (Literal("exists", ("Z",)),)},
         "effect variable 'Z' in exists(Z) is not bound",
     ),
+    # a grounded action binds only its parameters: X would have no value
+    "effect-variable-bound-by-precondition-only": (
+        {
+            "precondition": LICENSE.precondition + (Literal("rentsIP", ("X", "L", "I")),),
+            "add_effects": (Literal("rentsIP", ("X", "R", "I")),),
+        },
+        "effect variable 'X' in rentsIP(X, R, I) is not bound",
+    ),
 }
 
 
