@@ -40,7 +40,14 @@ from .analytics import (
     write_stats_csv,
 )
 from .dsl import parse_ruleset, parse_scenario
-from .explorer import ExplorerError, SearchParams, explore, read_jsonl, write_jsonl
+from .explorer import (
+    ExplorerError,
+    SearchParams,
+    check_rates,
+    explore,
+    read_jsonl,
+    write_jsonl,
+)
 from .induction import (
     InductionConfig,
     InductionError,
@@ -117,15 +124,10 @@ def _parse_documents(ruleset_path: Path, scenario_path: Path):
     if not ruleset_result.ok or not scenario_result.ok:
         raise CliError("input documents failed validation", EXIT_VALIDATION)
     ruleset, scenario = ruleset_result.document, scenario_result.document
-    # a company may become resident in any scenario country
-    rates = ruleset.rates()
-    missing = [c for c in scenario.scenario.countries if c not in rates]
-    if missing:
-        raise CliError(
-            f"{ruleset_path}: no statutory rate for scenario country "
-            + ", ".join(map(repr, missing)),
-            EXIT_VALIDATION,
-        )
+    try:
+        check_rates(ruleset, scenario)
+    except ExplorerError as exc:
+        raise CliError(f"{ruleset_path}: {exc}", EXIT_VALIDATION) from exc
     return ruleset, scenario
 
 

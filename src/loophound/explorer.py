@@ -14,8 +14,8 @@ States are deduplicated on their groups (see :class:`~loophound.kernel.State`),
 one-to-one with their fact sets: a node is expanded at most once,
 and an unexpanded node reached again by a shorter path moves onto it, taking
 that path's state and evaluation (a node the step cap had closed rejoins the
-frontier).  The frontier's depths and utilities live in arrays indexed by
-node, so selection gathers them and a move updates them in place.  Every terminal node
+frontier).  The nodes' depths, profits and utilities live in arrays indexed
+by node, so selection gathers them and a move updates them in place.  Every terminal node
 (no applicable action, or the step cap) and every multi-nationally complete
 node is recorded as a trajectory.  All randomness flows from (seed,
 iteration) and no step depends on set or hash order, so
@@ -27,7 +27,9 @@ One search evaluates its states through one
 each distinct tax return is computed once, however many states share it.
 It grounds and applies actions through one
 :class:`~loophound.kernel.ActionRules`, whose tables make its equal
-actions, rows and groups one object each.  The search pauses the cyclic
+actions, rows and groups one object each; with them it grounds each rule,
+checks each precondition and builds each edited group once per distinct
+value of the groups that step reads.  The search pauses the cyclic
 garbage collector: its heap of nodes, states and records holds no reference
 cycles, so every collection would only traverse it, and the caller's
 setting is restored when the search ends.
@@ -204,13 +206,13 @@ def _doc_hash(text: str) -> str:
 
 @dataclass(slots=True)
 class _Node:
-    """One search node.  Its depth and utility live in the search's arrays,
-    indexed by node, which frontier selection reads."""
+    """One search node.  Its depth, profit and utility live in the search's
+    arrays, indexed by node: frontier selection reads depths and utilities,
+    and a record reads its profit."""
 
     state: State  # its step_count is the node's depth
     parent: int  # index into the node table, -1 for the root
     action: Optional[GroundedAction]
-    p: float = 0.0
     complete: bool = False
     terminal: bool = False
     expanded: bool = False
@@ -226,6 +228,18 @@ def _domains(scenario: ScenarioConfig) -> Domains:
     )
 
 
+def check_rates(ruleset: RuleSetDoc, scenario_doc: ScenarioDoc) -> None:
+    """Raise :class:`ExplorerError` naming every scenario country that has no
+    statutory rate in ``ruleset``: a company may become resident in any
+    scenario country, and its return needs that country's rate."""
+    rates = ruleset.rates()
+    missing = [c for c in scenario_doc.scenario.countries if c not in rates]
+    if missing:
+        raise ExplorerError(
+            "no statutory rate for scenario country " + ", ".join(map(repr, missing))
+        )
+
+
 def explore(
     ruleset: RuleSetDoc,
     scenario_doc: ScenarioDoc,
@@ -233,9 +247,12 @@ def explore(
 ) -> TrajectorySet:
     """Run the search and return the recorded trajectory set.
 
-    The cyclic garbage collector is paused while the search runs and left
-    enabled or disabled, as the caller had it, when it returns or raises.
+    The documents are checked with :func:`check_rates` before the search
+    starts.  The cyclic garbage collector is paused while the search runs
+    and left enabled or disabled, as the caller had it, when it returns or
+    raises.
     """
+    check_rates(ruleset, scenario_doc)
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -274,17 +291,20 @@ def _search(
         return transactions, tuple(assessments), p, complete
 
     nodes: list[_Node] = []
-    # per-node depth and utility, grown by doubling; frontier selection
-    # gathers them by node index
+    # per-node depth, profit and utility, grown by doubling; frontier
+    # selection gathers depths and utilities by node index.  A float64 holds
+    # a Python float exactly, so a record reads its profit back unchanged.
     depth = np.empty(1024)
+    profit = np.empty(1024)
     utility = np.empty(1024)
 
     def evaluate_node(index: int, node: _Node, actions) -> None:
         """Evaluate ``node`` on the path ``actions``."""
-        _, _, node.p, node.complete = evaluate(node.state, actions)
+        _, _, p, node.complete = evaluate(node.state, actions)
         node.terminal = node.state.step_count >= params.max_steps
         depth[index] = node.state.step_count
-        utility[index] = trajectory_utility(node.p, node.state.step_count, cost)
+        profit[index] = p
+        utility[index] = trajectory_utility(p, node.state.step_count, cost)
 
     nodes.append(_Node(state=s0, parent=-1, action=None))
     evaluate_node(0, nodes[0], ())
@@ -340,6 +360,7 @@ def _search(
                     continue
                 if len(nodes) == depth.size:
                     depth = np.concatenate([depth, np.empty_like(depth)])
+                    profit = np.concatenate([profit, np.empty_like(profit)])
                     utility = np.concatenate([utility, np.empty_like(utility)])
                 child = _Node(state=child_state, parent=node_index, action=act)
                 nodes.append(child)
@@ -362,6 +383,7 @@ def _search(
             continue
         actions = _path_actions(nodes, idx)
         transactions, assessments, _, _ = evaluate(node.state, actions)
+        p = float(profit[idx])
         trajectories.append(
             Trajectory(
                 id=len(trajectories),
@@ -369,9 +391,9 @@ def _search(
                 final_state=node.state,
                 transactions=transactions,
                 assessments=assessments,
-                p=node.p,
+                p=p,
                 phi=cost * len(actions),
-                utility=trajectory_utility(node.p, len(actions), cost),
+                utility=trajectory_utility(p, len(actions), cost),
                 complete=node.complete,
                 terminal=node.terminal,
             )

@@ -21,6 +21,11 @@ interpreting it per call.
   deduplicated; :meth:`~CompiledCondition.exists` stops at the first one;
   :meth:`~CompiledCondition.project` collects the distinct values of one
   variable and leaves the inner loops as soon as a value is recorded.
+* **Reads.**  :attr:`~CompiledCondition.reads` lists the positions of the
+  state groups the generated code indexes, one per predicate of the
+  condition's literals.  Every entry point is a function of those groups,
+  the seed and the extra relations alone, so a caller may key a result on
+  the groups at ``reads`` (see :class:`loophound.kernel.ActionRules`).
 """
 
 from __future__ import annotations
@@ -56,6 +61,12 @@ class CompiledCondition:
     ``project`` and runs with nothing bound.  Raises :class:`KernelError`
     when a comparison or negated literal uses a variable that neither
     ``bound`` nor a positive literal binds.
+
+    ``reads`` holds, sorted, the position in a state's groups of each
+    predicate that a literal of the condition names, negated or not: the
+    generated code indexes the groups at these positions and nowhere else,
+    so two states whose groups agree there give every entry point the same
+    result for the same seed and extra relations.
     """
 
     def __init__(
@@ -65,6 +76,15 @@ class CompiledCondition:
         project: Iterable[str] = (),
     ) -> None:
         entry = frozenset(bound)
+        self.reads: tuple[int, ...] = tuple(
+            sorted(
+                {
+                    GROUP[item.predicate]
+                    for item in condition
+                    if isinstance(item, Literal) and item.predicate in GROUP
+                }
+            )
+        )
         names = {v for item in condition for v in item.variables()} | entry
         # solution rows hold one value per variable, in this order
         self.variables: tuple[str, ...] = tuple(sorted(names))

@@ -32,8 +32,19 @@ distinct object is then done once per table.  A search keeps its tables on
 its :class:`ActionRules`: one table per rule of its grounded actions by
 parameter values; each grounded action compiled once, with its delta
 filled; and, per predicate, every edited group that has passed the
-predicate's check, so each distinct group is checked once per search.  A
-decode of a trajectory file keeps one table for the whole read.  The tables
+predicate's check, so each distinct group is checked once per search.
+
+Grounding, the precondition and an edit are each a pure function of the
+groups they read, so the search computes each once per distinct read set,
+Michie's memo function ("Memo functions and machine learning", Nature
+1968).  A compiled condition knows the group positions its generated code
+indexes (:attr:`~loophound.join.CompiledCondition.reads`); a rule with a
+fresh parameter also reads ``exists``.  :class:`ActionRules` keeps a rule's
+groundings by the groups it reads (and by the domains and pool), a
+compiled action's precondition result by the groups its check reads, and
+each edited group by its parent group and delta entry.  Equal groups being
+one object, a key's equality test is a few identity checks.  A decode of a
+trajectory file keeps one table for the whole read.  The tables
 live as long as the search or the read that owns them, so two searches
 share nothing.  Records that hold floats are never shared: equality merges
 ``0.0`` with ``-0.0`` and ``1`` with ``True``.
@@ -62,6 +73,7 @@ parameters' domains, then by the values of the sorted variable names.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -538,10 +550,14 @@ class _CompiledAction(NamedTuple):
     rule: ActionRule
     binding: dict[str, str]
     # per touched group, in PREDICATES order: (position, deleted rows, added
-    # rows), the added rows being the search's objects
+    # rows, the search's edited groups of this entry by parent group), the
+    # added rows being the search's objects
     delta: tuple[
-        tuple[int, tuple[tuple[str, ...], ...], tuple[tuple[str, ...], ...]], ...
+        tuple[int, tuple[tuple[str, ...], ...], tuple[tuple[str, ...], ...], dict], ...
     ]
+    # the key of the groups the precondition reads, and its result by key
+    key: Callable[[tuple[Rows, ...]], object]
+    holds: dict[object, bool]
 
 
 class ActionRules:
@@ -557,12 +573,30 @@ class ActionRules:
       so far by their parameter values, and ``table`` every distinct row and
       group the search built, so equal actions, rows and groups of one
       search are one object;
+    - ``groundings`` holds, per (domains, pool) a caller grounds with and
+      per rule of ``ordered``, the rule's groundings by the key
+      ``ground_keys`` takes of a state's groups: the groups its
+      precondition reads (``ground_join.reads``), and ``exists`` for a rule
+      with a fresh parameter, whose lowest unused pool id scans it;
     - ``compiled`` holds each grounded action :func:`apply_action` has met,
-      compiled once: its rule, its binding and its filled delta;
+      compiled once: its rule, its binding, its filled delta and its
+      precondition's result by the groups ``check_join`` reads;
+    - ``edited`` holds, per distinct delta entry (position, deleted rows,
+      added rows), the group it makes of each parent group met so far;
     - ``checked`` holds, per predicate, every group :func:`apply_action` has
       built for it, each of which passed that predicate's check.  The
       tables are per predicate because a group's value does not say whose
       invariant it satisfies.
+
+    A read-set key is sound because grounding, the precondition and an edit
+    are pure functions of what they read: the generated joins index the
+    state's groups at their ``reads`` and nowhere else, and an edit reads
+    its parent group alone.  Two states that agree on those groups get the
+    same result, which is computed once per distinct key, Michie's memo
+    function ("Memo functions and machine learning", Nature 1968).  What
+    else a result depends on is outside the tables: the domains and pool
+    key ``groundings``, and the one-shot transfer, the step cap and the
+    fresh-id check are tested on every call.
     """
 
     def __init__(self, rules: Iterable[ActionRule]) -> None:
@@ -574,9 +608,30 @@ class ActionRules:
         self.actions: tuple[dict[tuple[str, ...], GroundedAction], ...] = tuple(
             {} for _ in self.ordered
         )
+        self.ground_keys: tuple[Callable[[tuple[Rows, ...]], object], ...] = tuple(
+            _key(
+                set(rule.ground_join.reads)
+                | ({GROUP["exists"]} if rule.fresh_params else set())
+            )
+            for rule in self.ordered
+        )
+        self.groundings: dict[
+            tuple[Domains, tuple[str, ...]],
+            tuple[dict[object, tuple[GroundedAction, ...]], ...],
+        ] = {}
         self.table: dict[tuple, tuple] = {}
         self.compiled: dict[GroundedAction, _CompiledAction] = {}
+        self.edited: dict[tuple[int, Rows, Rows], dict[Rows, Rows]] = {}
         self.checked: tuple[dict[Rows, Rows], ...] = tuple({} for _ in PREDICATES)
+
+
+def _key(reads: Iterable[int]) -> Callable[[tuple[Rows, ...]], object]:
+    """The key of a state's groups at the positions ``reads``: one group, a
+    tuple of them in position order, or ``()`` for none."""
+    positions = sorted(reads)
+    if not positions:
+        return lambda groups: ()
+    return operator.itemgetter(*positions)
 
 
 def _action_rules(rules: ActionRules | Iterable[ActionRule]) -> ActionRules:
@@ -651,15 +706,31 @@ def applicable_actions(
 
     ``transferIP`` rules are suppressed once the one-shot transfer has been
     used.  When ``max_steps`` is given and reached, no action is applicable.
+    Each rule is grounded by :func:`ground_rule` once per distinct value of
+    the groups it reads, for the ``domains`` and ``pool`` given (see
+    :class:`ActionRules`).
     """
     if max_steps is not None and state.step_count >= max_steps:
         return []
-    out: list[GroundedAction] = []
     rules = _action_rules(rules)
-    for rule, actions in zip(rules.ordered, rules.actions):
+    context = (domains, tuple(pool))
+    tables = rules.groundings.get(context)
+    if tables is None:
+        tables = rules.groundings[context] = tuple({} for _ in rules.ordered)
+    groups = state.groups
+    out: list[GroundedAction] = []
+    for rule, key, groundings, actions in zip(
+        rules.ordered, rules.ground_keys, tables, rules.actions
+    ):
         if rule.name == "transferIP" and state.transfer_used:
             continue
-        out.extend(ground_rule(rule, state, domains, pool, actions))
+        read = key(groups)
+        grounded = groundings.get(read)
+        if grounded is None:
+            grounded = groundings[read] = tuple(
+                ground_rule(rule, state, domains, pool, actions)
+            )
+        out.extend(grounded)
     return out
 
 
@@ -677,20 +748,24 @@ def apply_action(
     effect value.  An action that fails them is never stored, so it fails
     on every call.  The checks that depend on the state follow, on every
     call: the one-shot transfer is unused, a fresh parameter binds the
-    lowest unused pool id and the precondition holds.
+    lowest unused pool id and the precondition holds.  The precondition
+    join runs once per distinct value of the groups it reads, and its
+    result, true or false, is kept with the compiled action.
 
     The successor shares every group the action's effects do not touch with
-    ``state``; each touched group is rebuilt from the compiled delta,
-    deletions before additions.  A rebuilt group that ``rules`` has not
-    checked for its predicate yet is checked, then stored, so each distinct
-    group is checked once per search, and the successor holds only groups
-    that passed their predicate's check, as a state built from its facts.
+    ``state``; each touched group is built from the compiled delta,
+    deletions before additions, once per distinct parent group and delta
+    entry.  A built group that ``rules`` has not checked for its predicate
+    yet is checked, then stored, so each distinct group is checked once per
+    search, and the successor holds only groups that passed their
+    predicate's check, as a state built from its facts.  A group that fails
+    its check is never stored, so it fails on every call.
     """
     rules = _action_rules(rules)
     compiled = rules.compiled.get(action)
     if compiled is None:
         compiled = rules.compiled[action] = _compile_action(action, rules)
-    rule, binding, delta = compiled
+    rule, binding, delta, key, holds = compiled
     if rule.name == "transferIP" and state.transfer_used:
         raise KernelError(f"transfer already used, cannot apply {action}")
     for p in rule.fresh_params:
@@ -700,27 +775,47 @@ def apply_action(
                 f"fresh parameter {p!r} of {action} must bind the lowest unused "
                 f"pool id ({expected!r})"
             )
-    if not rule.check_join.exists(state, binding):
+    parents = state.groups
+    read = key(parents)
+    held = holds.get(read)
+    if held is None:
+        held = holds[read] = rule.check_join.exists(state, binding)
+    if not held:
         raise KernelError(f"precondition of {action} does not hold")
 
-    table = rules.table
-    checked = rules.checked
-    groups = list(state.groups)
-    for position, deleted, added in delta:
-        rows = set(groups[position])
-        rows.difference_update(deleted)
-        rows.update(added)
-        group = tuple(sorted(rows))
-        shared = checked[position].get(group)
-        if shared is None:
-            _CHECK[position](group)
-            shared = checked[position][group] = table.setdefault(group, group)
-        groups[position] = shared
+    groups = list(parents)
+    for position, deleted, added, edited in delta:
+        parent = parents[position]
+        group = edited.get(parent)
+        if group is None:
+            group = edited[parent] = _edit(parent, position, deleted, added, rules)
+        groups[position] = group
     return State._successor(
         tuple(groups),
         state.step_count + 1,
         state.transfer_used or rule.name == "transferIP",
     )
+
+
+def _edit(
+    parent: Rows,
+    position: int,
+    deleted: Rows,
+    added: Rows,
+    rules: ActionRules,
+) -> Rows:
+    """The group at ``position`` after deleting ``deleted`` from ``parent``
+    and adding ``added``, as the search's checked object for its value."""
+    rows = set(parent)
+    rows.difference_update(deleted)
+    rows.update(added)
+    group = tuple(sorted(rows))
+    checked = rules.checked[position]
+    shared = checked.get(group)
+    if shared is None:
+        _CHECK[position](group)
+        shared = checked[group] = rules.table.setdefault(group, group)
+    return shared
 
 
 def _compile_action(action: GroundedAction, rules: ActionRules) -> _CompiledAction:
@@ -743,8 +838,8 @@ def _compile_action(action: GroundedAction, rules: ActionRules) -> _CompiledActi
                     raise KernelError(f"fact argument must be a ground constant: {value!r}")
             edits.setdefault(GROUP[lit.predicate], ([], []))[side].append(row)
     table = rules.table
-    delta = tuple(
-        (position, tuple(deleted), tuple(table.setdefault(row, row) for row in added))
-        for position, (deleted, added) in sorted(edits.items())
-    )
-    return _CompiledAction(rule, binding, delta)
+    delta = []
+    for position, (deleted, added) in sorted(edits.items()):
+        entry = (position, tuple(deleted), tuple(table.setdefault(row, row) for row in added))
+        delta.append((*entry, rules.edited.setdefault(entry, {})))
+    return _CompiledAction(rule, binding, tuple(delta), _key(rule.check_join.reads), {})

@@ -368,6 +368,41 @@ class TestDeadEnds:
         assert any("no applicable actions" in w for w in tset.warnings)
 
 
+class TestMissingRates:
+    @pytest.mark.parametrize(
+        "removed,message",
+        [
+            (("bermuda",), "no statutory rate for scenario country 'bermuda'"),
+            (
+                ("netherlands", "bermuda"),
+                "no statutory rate for scenario country 'netherlands', 'bermuda'",
+            ),
+        ],
+    )
+    def test_explore_rejects_before_the_search(
+        self, corpus_ruleset_text, corpus_scenario, monkeypatch, removed, message
+    ):
+        """A library caller gets one ExplorerError naming every country
+        without a rate, and no state is evaluated."""
+        text = corpus_ruleset_text
+        for country in removed:
+            (line,) = [
+                row for row in text.splitlines(True) if row.startswith(f"rate {country} ")
+            ]
+            text = text.replace(line, "")
+        result = parse_ruleset(text)
+        assert result.ok
+        calls = []
+        monkeypatch.setattr(
+            explorer_module, "evaluate_state", lambda *args: calls.append(args)
+        )
+        params = SearchParams(seed=7, iterations=3, expansions=5)
+        with pytest.raises(ExplorerError) as raised:
+            explore(result.document, corpus_scenario, params)
+        assert str(raised.value) == message
+        assert calls == []
+
+
 # Two routes of different lengths to one fact set: "license-seat" licenses
 # the IP and moves the renter's seat in one step, "license" then "seat" take
 # two.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from loophound.kernel import (
     make_fact,
 )
 from loophound.join import CompiledCondition
+from loophound.taxation import SELF_VAR
 from conftest import scenario_domains, walk
 from oracles import oracle_match
 
@@ -844,3 +846,221 @@ class TestSuccessor:
             with pytest.raises(KernelError, match=re.escape(message)):
                 apply_action(states[0], action, rules, pool)
         assert rules.compiled == {}
+
+
+# ============================================================================
+# Read sets and the search's tables
+# ============================================================================
+
+
+class RecordingGroups(tuple):
+    """A state's groups that record every position they are read at."""
+
+    def __new__(cls, groups):
+        self = super().__new__(cls, groups)
+        self.read = set()
+        return self
+
+    def __getitem__(self, index):
+        self.read.add(index)
+        return tuple.__getitem__(self, index)
+
+
+def recording(state):
+    """A stand-in for ``state`` whose groups record their reads: the joins,
+    ``ground_rule`` and the pool scan read a state through ``groups`` only."""
+    return SimpleNamespace(groups=RecordingGroups(state.groups))
+
+
+def key_reads(key, state):
+    """The positions a table key function reads of ``state``'s groups."""
+    groups = RecordingGroups(state.groups)
+    key(groups)
+    return groups.read
+
+
+def walk_states(ruleset, scenario_doc, walks):
+    return [state for choices in walks for state in walk(ruleset, scenario_doc, choices)[0]]
+
+
+# a fresh parameter and no literal: grounding reads exists for the pool scan
+SPAWN = ActionRule(
+    name="addChild",
+    legal_ref="spawn",
+    params=("Child", "Country"),
+    fresh_params=frozenset({"Child"}),
+    precondition=(),
+    add_effects=(Literal("exists", ("Child",)), Literal("based", ("Child", "Country"))),
+    del_effects=(),
+)
+
+# walks from the corpus root reaching every rule, a used transfer and an
+# exhausted pool
+CORPUS_WALKS = ((), (0, 0, 0, 0), (5, 11, 3, 7), (9, 2, 40, 1, 17, 6), (30, 30, 30))
+
+
+class TestReads:
+    """A compiled condition reads the state's groups at its ``reads`` and
+    nowhere else, so a result keyed on those groups is sound."""
+
+    def test_corpus_action_rules_read_only_their_reads(
+        self, corpus_ruleset, corpus_scenario
+    ):
+        scenario = corpus_scenario.scenario
+        domains = scenario_domains(scenario)
+        pool = scenario.company_pool
+        rules = ActionRules(corpus_ruleset.action_rules + (SPAWN,))
+        states = walk_states(corpus_ruleset, corpus_scenario, CORPUS_WALKS)
+        assert any(s.transfer_used for s in states)
+        assert any(len(s.companies()) == 4 for s in states)
+        grounded_somewhere = set()
+        for state in states:
+            for rule, key in zip(rules.ordered, rules.ground_keys):
+                view = recording(state)
+                actions = ground_rule(rule, view, domains, pool)
+                assert actions == ground_rule(rule, state, domains, pool)
+                assert view.groups.read <= key_reads(key, state), rule.key()
+                if actions:
+                    grounded_somewhere.add(rule.key())
+                for free in itertools.product(
+                    *(domains.for_type(ty) for ty in rule.free_types)
+                ):
+                    seed = dict(zip(rule.free_params, free))
+                    seed.update((p, pool[0]) for p in rule.fresh_params)
+                    view = recording(state)
+                    rule.ground_join.bindings(view, seed)
+                    assert view.groups.read <= set(rule.ground_join.reads)
+                for action in actions:
+                    view = recording(state)
+                    assert rule.check_join.exists(view, action.as_dict())
+                    assert view.groups.read <= set(rule.check_join.reads)
+        assert grounded_somewhere == {rule.key() for rule in rules.ordered}
+
+    def test_corpus_reductions_read_only_their_reads(
+        self, corpus_ruleset, corpus_scenario
+    ):
+        states = walk_states(corpus_ruleset, corpus_scenario, CORPUS_WALKS)
+        kinds = ("commercial", "royalty", "transfer")
+        for state in states:
+            companies = state.companies()
+            # every transaction between existing companies: joins reach
+            # their innermost loops
+            patterns = {
+                "transaction": list(itertools.product(kinds, companies, companies))
+            }
+            for reduction in corpus_ruleset.reduction_rules:
+                view = recording(state)
+                held = reduction.join.project(view, SELF_VAR, patterns)
+                assert held == reduction.join.project(state, SELF_VAR, patterns)
+                assert view.groups.read <= set(reduction.join.reads), reduction.key()
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_cases())
+    def test_random_conditions_read_only_their_reads(self, case):
+        state, patterns, condition, seed = case
+        join = CompiledCondition(condition, bound=seed)
+        view = recording(state)
+        rows = join.bindings(view, seed, patterns)
+        join.exists(view, seed, patterns)
+        assert rows == join.bindings(state, seed, patterns)
+        assert view.groups.read <= set(join.reads)
+        try:
+            projecting = CompiledCondition(condition, project=positive_variables(condition))
+        except KernelError:  # a check on a variable no positive literal binds
+            return
+        for v in positive_variables(condition):
+            view = recording(state)
+            projecting.project(view, v, patterns)
+            assert view.groups.read <= set(projecting.reads)
+
+
+@pytest.fixture(scope="module")
+def shared_corpus_rules(corpus_ruleset):
+    """One ActionRules for every walk of the module, as one search keeps."""
+    return ActionRules(corpus_ruleset.action_rules)
+
+
+class TestSearchTables:
+    """The tables of one ActionRules give what fresh tables give, however
+    many states and pools have filled them."""
+
+    @given(choices=st.lists(st.integers(min_value=0), max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_tables_equal_fresh_rules(
+        self, corpus_ruleset, corpus_scenario, shared_corpus_rules, choices
+    ):
+        rules = corpus_ruleset.action_rules
+        shared = shared_corpus_rules
+        scenario = corpus_scenario.scenario
+        pool = scenario.company_pool
+        domains = scenario_domains(scenario)
+        state = initial_state(
+            corpus_scenario.state.facts, corpus_scenario.state.companies, shared.table
+        )
+        previous = []
+        for choice in choices:
+            acts = applicable_actions(state, shared, domains, pool)
+            assert acts == applicable_actions(state, rules, domains, pool)
+            # the previous state's actions too: some of them no longer apply
+            for act in acts + previous:
+                assert outcome(lambda: apply_action(state, act, shared, pool)) == outcome(
+                    lambda: apply_action(state, act, rules, pool)
+                )
+            if not acts:
+                break
+            previous = acts
+            state = apply_action(state, acts[choice % len(acts)], shared, pool)
+
+    def test_an_inapplicable_action_fails_on_every_call(
+        self, corpus_ruleset, corpus_scenario
+    ):
+        scenario = corpus_scenario.scenario
+        pool = scenario.company_pool
+        rules = ActionRules(corpus_ruleset.action_rules)
+        states, _ = walk(corpus_ruleset, corpus_scenario, ())
+        root = states[0]
+        license_ = GroundedAction(
+            "rentIP", "license", (("Ip", "ip1"), ("Licensor", "p"), ("Renter", "c1"))
+        )
+        incorporate = GroundedAction(
+            "addChild", "USA-incorp", (("Child", "c1"), ("Parent", "p"))
+        )
+        with pytest.raises(KernelError, match="precondition .* does not hold"):
+            apply_action(root, license_, rules, pool)  # c1 does not exist yet
+        with_c1 = apply_action(root, incorporate, rules, pool)
+        licensed = apply_action(with_c1, license_, rules, pool)
+        for _ in range(2):  # c1 rents ip1 already
+            with pytest.raises(KernelError, match="precondition .* does not hold"):
+                apply_action(licensed, license_, rules, pool)
+        with pytest.raises(KernelError, match="precondition .* does not hold"):
+            apply_action(root, license_, rules, pool)
+        assert apply_action(with_c1, license_, rules, pool) == licensed
+
+    def test_one_table_serves_two_pools(self, corpus_ruleset, corpus_scenario):
+        rules = corpus_ruleset.action_rules
+        shared = ActionRules(rules)
+        scenario = corpus_scenario.scenario
+        pools = (scenario.company_pool, tuple(reversed(scenario.company_pool)))
+        # one domain for both pools: they hold the same company ids
+        domains = scenario_domains(scenario)
+        root = initial_state(corpus_scenario.state.facts, corpus_scenario.state.companies)
+        states = [root]
+        for pool in pools:
+            acts = applicable_actions(root, rules, domains, pool)
+            states.append(apply_action(root, acts[0], rules, pool))
+        groundings = []
+        for _ in range(2):  # the second round finds every table filled
+            for pool in pools:
+                for state in states:
+                    acts = applicable_actions(state, shared, domains, pool)
+                    assert acts == applicable_actions(state, rules, domains, pool)
+                    groundings.append(acts)
+        # the pools differ in the id a fresh parameter binds
+        assert groundings[0] != groundings[len(states)]
+        every = {act for acts in groundings for act in acts}
+        for pool in pools:
+            for state in states:
+                for act in sorted(every):
+                    assert outcome(lambda: apply_action(state, act, shared, pool)) == outcome(
+                        lambda: apply_action(state, act, rules, pool)
+                    )
