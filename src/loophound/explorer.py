@@ -25,6 +25,11 @@ iteration) and no step depends on set or hash order, so
 One search evaluates its states through one
 :class:`~loophound.taxation.EvaluationMemo`, so each distinct ledger and
 each distinct tax return is computed once, however many states share it.
+Settling reads one thing of a state's path, its IP sale
+(:class:`~loophound.economy.Transfer`); an expanded node finds its own by
+walking up to the node its ``transferIP`` made, and a child takes it, or
+makes it, so no node's path is built to evaluate it.  Only records rebuild
+their paths.
 It grounds and applies actions through one
 :class:`~loophound.kernel.ActionRules`, whose tables make its equal
 actions, rows and groups one object each; with them it grounds each rule,
@@ -42,10 +47,18 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING, Optional, Sequence, get_args, get_type_hints
+from typing import TYPE_CHECKING, Optional, get_args, get_type_hints
 
 from .dsl import RuleSetDoc, ScenarioDoc, render_ruleset, render_scenario
-from .economy import ScenarioConfig, Transaction, is_multinationally_complete
+# is_multinationally_complete is no longer called here: a ledger carries its
+# completeness.  The name stays importable from this module, where
+# perfbench/traced_stage.py wraps it.
+from .economy import (  # noqa: F401
+    ScenarioConfig,
+    Transaction,
+    Transfer,
+    is_multinationally_complete,
+)
 from .kernel import (
     ActionRules,
     Domains,
@@ -281,14 +294,7 @@ def _search(
     s0 = initial_state(
         scenario_doc.state.facts, scenario_doc.state.companies, rules.table
     )
-    memo = EvaluationMemo()
-
-    def evaluate(state: State, actions: Sequence[GroundedAction]):
-        transactions, assessments, p = evaluate_state(
-            state, scenario, reductions, rates, memo, actions
-        )
-        complete = is_multinationally_complete(transactions, scenario)
-        return transactions, tuple(assessments), p, complete
+    memo = EvaluationMemo(scenario, reductions, rates)
 
     nodes: list[_Node] = []
     # per-node depth, profit and utility, grown by doubling; frontier
@@ -298,16 +304,17 @@ def _search(
     profit = np.empty(1024)
     utility = np.empty(1024)
 
-    def evaluate_node(index: int, node: _Node, actions) -> None:
-        """Evaluate ``node`` on the path ``actions``."""
-        _, _, p, node.complete = evaluate(node.state, actions)
+    def evaluate_node(index: int, node: _Node, transfer: Optional[Transfer]) -> None:
+        """Evaluate ``node``, whose path's IP sale is ``transfer``."""
+        ledger, _, p = evaluate_state(node.state, memo, transfer)
+        node.complete = ledger.complete
         node.terminal = node.state.step_count >= params.max_steps
         depth[index] = node.state.step_count
         profit[index] = p
         utility[index] = trajectory_utility(p, node.state.step_count, cost)
 
     nodes.append(_Node(state=s0, parent=-1, action=None))
-    evaluate_node(0, nodes[0], ())
+    evaluate_node(0, nodes[0], None)
     seen: dict[tuple, int] = {s0.key(): 0}
     frontier = np.array([0], dtype=np.intp)  # node indices
 
@@ -336,9 +343,16 @@ def _search(
                 if node_index == 0:
                     root_deadend = True
                 continue
-            parent_path = _path_actions(nodes, node_index)
+            transfer = _transfer(nodes, node_index, rules)
             for act in acts:
                 child_state = apply_action(node.state, act, rules, pool)
+                # the one-shot sale: a child's transfer is its parent's, or
+                # the action that makes it
+                child_transfer = transfer
+                if act.name == "transferIP":
+                    child_transfer = Transfer(
+                        node.state.step_count, *rules.transfer_parties(act)
+                    )
                 key = child_state.key()
                 existing = seen.get(key)
                 if existing is not None:
@@ -354,7 +368,7 @@ def _search(
                         other.state = child_state
                         other.parent = node_index
                         other.action = act
-                        evaluate_node(existing, other, parent_path + (act,))
+                        evaluate_node(existing, other, child_transfer)
                         if not (was_open or other.terminal):
                             opened.append(existing)
                     continue
@@ -365,7 +379,7 @@ def _search(
                 child = _Node(state=child_state, parent=node_index, action=act)
                 nodes.append(child)
                 child_index = len(nodes) - 1
-                evaluate_node(child_index, child, parent_path + (act,))
+                evaluate_node(child_index, child, child_transfer)
                 seen[key] = child_index
                 if not child.terminal:
                     opened.append(child_index)
@@ -382,15 +396,17 @@ def _search(
         if not (node.terminal or node.complete):
             continue
         actions = _path_actions(nodes, idx)
-        transactions, assessments, _, _ = evaluate(node.state, actions)
+        ledger, assessments, _ = evaluate_state(
+            node.state, memo, _transfer(nodes, idx, rules)
+        )
         p = float(profit[idx])
         trajectories.append(
             Trajectory(
                 id=len(trajectories),
                 actions=actions,
                 final_state=node.state,
-                transactions=transactions,
-                assessments=assessments,
+                transactions=ledger.transactions,
+                assessments=tuple(assessments),
                 p=p,
                 phi=cost * len(actions),
                 utility=trajectory_utility(p, len(actions), cost),
@@ -406,6 +422,17 @@ def _search(
         trajectories=tuple(trajectories),
         warnings=tuple(warnings),
     )
+
+
+def _transfer(nodes: list[_Node], index: int, rules: ActionRules) -> Optional[Transfer]:
+    """The IP sale on the path to node ``index``, found by walking up to the
+    node its ``transferIP`` made; None when the path has none."""
+    node = nodes[index]
+    if not node.state.transfer_used:
+        return None
+    while node.action.name != "transferIP":  # type: ignore[union-attr]
+        node = nodes[node.parent]
+    return Transfer(node.state.step_count - 1, *rules.transfer_parties(node.action))
 
 
 def _path_actions(nodes: list[_Node], index: int) -> tuple[GroundedAction, ...]:

@@ -5,9 +5,13 @@ into Python source, one straight-line nest of ``for`` loops over the
 per-predicate tuples of a state, and ``exec``-s it once, when the rule that
 owns the condition is built.  This is the technique of Soufflé (Jordan,
 Scholz and Subotić, CAV 2016): compile each Datalog rule instead of
-interpreting it per call.
+interpreting it per call.  :func:`compile_projection` goes one step further
+and compiles a whole set of conditions that run together, a ruleset's
+reductions, into one function that binds each relation once and shares it
+across them, as multiple-query optimization shares the scans of queries
+evaluated together (Sellis, TODS 1988).
 
-* **Join order.**  A projection starts from the positive literal that binds
+* **Join order.**  A projection starts from a positive literal that binds
   the projected variable.  After that, the next literal is the one with the
   most constant or already-bound arguments, ties going by source order, as
   Leapfrog Triejoin (Veldhuizen, ICDT 2014) orders its variables by how
@@ -19,8 +23,9 @@ interpreting it per call.
 * **Entry points.**  :meth:`~CompiledCondition.bindings` lists every
   solution, sorted by the values of the sorted variable names and
   deduplicated; :meth:`~CompiledCondition.exists` stops at the first one;
-  :meth:`~CompiledCondition.project` collects the distinct values of one
-  variable and leaves the inner loops as soon as a value is recorded.
+  the function that :func:`compile_projection` builds collects, per condition,
+  the distinct values of one variable and leaves the inner loops as soon as
+  a value is recorded.
 * **Reads.**  :attr:`~CompiledCondition.reads` lists the positions of the
   state groups the generated code indexes, one per predicate of the
   condition's literals.  Every entry point is a function of those groups,
@@ -30,10 +35,12 @@ interpreting it per call.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .kernel import (
     GROUP,
+    TRANSACTION_KINDS,
+    TRANSACTION_PRED,
     WILDCARD,
     Comparison,
     Condition,
@@ -54,13 +61,12 @@ def _relation(extra: Optional[Relations], predicate: str) -> Sequence[tuple[str,
 
 
 class CompiledCondition:
-    """One condition compiled into generated joins.
+    """One condition compiled into a generated join.
 
     Every seed passed to :meth:`bindings` and :meth:`exists` binds exactly
-    the variables in ``bound``.  :meth:`project` accepts the variables in
-    ``project`` and runs with nothing bound.  Raises :class:`KernelError`
-    when a comparison or negated literal uses a variable that neither
-    ``bound`` nor a positive literal binds.
+    the variables in ``bound``.  Raises :class:`KernelError` when a
+    comparison or negated literal uses a variable that neither ``bound``
+    nor a positive literal binds.
 
     ``reads`` holds, sorted, the position in a state's groups of each
     predicate that a literal of the condition names, negated or not: the
@@ -69,12 +75,7 @@ class CompiledCondition:
     result for the same seed and extra relations.
     """
 
-    def __init__(
-        self,
-        condition: Condition,
-        bound: Iterable[str] = (),
-        project: Iterable[str] = (),
-    ) -> None:
+    def __init__(self, condition: Condition, bound: Iterable[str] = ()) -> None:
         entry = frozenset(bound)
         self.reads: tuple[int, ...] = tuple(
             sorted(
@@ -89,19 +90,32 @@ class CompiledCondition:
         # solution rows hold one value per variable, in this order
         self.variables: tuple[str, ...] = tuple(sorted(names))
         local = {v: f"v{i}" for i, v in enumerate(self.variables)}
-        targets = tuple(project)
-        sources = [_generate("_solve", condition, entry, local, self.variables)]
-        sources += [
-            _generate(f"_project{i}", condition, frozenset(), local, self.variables, var)
-            for i, var in enumerate(targets)
-        ]
-        namespace = {"_relation": _relation}
-        try:
-            exec(compile("\n".join(sources), "<condition>", "exec"), namespace)
-        except SyntaxError as exc:  # more nested loops than Python allows
-            raise KernelError(f"condition too large to compile: {exc.msg}") from exc
-        self._solve = namespace["_solve"]
-        self._project = {var: namespace[f"_project{i}"] for i, var in enumerate(targets)}
+        order, placed = _plan(condition, entry)
+        relations: dict[str, str] = {}
+        for lit in condition:
+            if isinstance(lit, Literal) and lit.predicate not in relations:
+                relations[lit.predicate] = f"r{len(relations)}"
+        lines = ["def _solve(groups, extra, seed, first):"]
+        for v in sorted(entry):
+            lines.append(f"    {local[v]} = seed[{v!r}]")
+        for pred, rel in relations.items():
+            if pred in GROUP:
+                lines.append(f"    {rel} = groups[{GROUP[pred]}]")
+            else:
+                lines.append(f"    {rel} = _relation(extra, {pred!r})")
+        lines.append("    out = []")
+
+        def rename(lit: Literal) -> Literal:
+            return Literal(relations[lit.predicate], lit.args, lit.negated)
+
+        indent, _ = _emit_join(
+            lines, [rename(lit) for lit in order], _rename_checks(placed, rename),
+            entry, local, "    ", "return out",
+        )
+        lines.append(f"{indent}out.append({_tuple([local[v] for v in self.variables])})")
+        lines.append(f"{indent}if first: return out")
+        lines.append("    return out")
+        self._solve = _compile("\n".join(lines) + "\n", "_solve", {"_relation": _relation})
 
     def bindings(
         self, state: State, seed: Mapping[str, str], extra: Optional[Relations] = None
@@ -115,26 +129,104 @@ class CompiledCondition:
         """True iff the condition has a solution extending ``seed``."""
         return bool(self._solve(state.groups, extra, seed, True))
 
-    def project(
-        self, state: State, var: str, extra: Optional[Relations] = None
-    ) -> set[str]:
-        """Distinct values of ``var`` over all solutions, with nothing seeded."""
-        return self._project[var](state.groups, extra, None, False)
+
+# per transaction kind, its position in the rows a projection is handed
+_KIND = {kind: i for i, kind in enumerate(TRANSACTION_KINDS)}
+
+# (a state's groups, per kind its transactions' (sender, receiver) pairs)
+# -> value of the target -> positions of the conditions that hold for it
+Projection = Callable[[tuple, Sequence], dict[str, tuple[int, ...]]]
 
 
-def _generate(
-    fname: str,
-    condition: Condition,
-    entry: frozenset[str],
-    local: Mapping[str, str],
-    variables: Sequence[str],
-    target: Optional[str] = None,
-) -> str:
-    """Source of ``fname(groups, extra, seed, first)``.
+def compile_projection(conditions: Sequence[Condition], target: str) -> Projection:
+    """One generated function for all ``conditions``: given a state's groups
+    and, per kind of :data:`~loophound.kernel.TRANSACTION_KINDS`, the
+    (sender, receiver) pairs of its transactions, it maps each value of
+    ``target`` for which some condition has a solution to the positions of
+    those conditions in ``conditions``, in order.
 
-    Without a ``target`` the function lists solution rows over
-    ``variables``, stopping after the first when ``first`` is true; with one
-    it returns the set of the target's values.
+    The function binds each relation the conditions name once, for all of
+    them: the state's groups by position, and a transaction literal of a
+    constant kind ranges over that kind's pairs (one of a variable kind
+    over every kind's).  Each condition then runs as its own join, starting
+    from a positive literal that binds ``target``, and leaves its inner
+    loops as soon as a value is recorded.  A condition is skipped without
+    a loop when one of its positive literals ranges over an empty relation,
+    or a check on constants alone fails.  Raises :class:`KernelError` when a
+    check uses a variable no positive literal binds, or no positive literal
+    binds ``target``.
+    """
+    relations: dict[str, str] = {}  # source expression -> local name
+
+    def relation(lit: Literal) -> Literal:
+        """``lit`` over the local name of the relation it ranges over."""
+        if lit.predicate != TRANSACTION_PRED:
+            source, args = f"groups[{GROUP[lit.predicate]}]", lit.args
+        elif is_variable(lit.args[0]) or lit.args[0] == WILDCARD:
+            source, args = "_every_kind(rows)", lit.args
+        elif lit.args[0] in _KIND:
+            source, args = f"rows[{_KIND[lit.args[0]]}]", lit.args[1:]
+        else:  # a kind no transaction has
+            source, args = "()", lit.args[1:]
+        name = relations.setdefault(source, f"r{len(relations)}")
+        return Literal(name, args, lit.negated)
+
+    blocks: list[str] = []
+    for position, condition in enumerate(conditions):
+        names = sorted({v for item in condition for v in item.variables()})
+        local = {v: f"v{i}" for i, v in enumerate(names)}
+        order, placed = _plan(condition, frozenset(), target)
+        order = [relation(lit) for lit in order]
+        placed = _rename_checks(placed, relation)
+        # checks on constants alone, and an empty relation a positive literal
+        # ranges over, rule the condition out before any loop
+        guard = sorted({lit.predicate for lit in order})
+        guard += [f"not ({_fails(item, local)})" for item in placed.pop(-1, ())]
+        lines = [f"    if {' and '.join(guard)}:", "        found = set()"]
+        indent, loops = _emit_join(
+            lines, order, placed, frozenset(), local, "        ", "continue",
+            skip=f"if {local[target]} in found: continue",
+        )
+        lines.append(f"{indent}found.add({local[target]})")
+        if len(loops) > 1:
+            lines.append(f"{indent}break")
+            # a recorded value leaves every loop inside the first one
+            for outer in reversed(loops[2:]):
+                lines += [f"{outer}else:", f"{outer}    continue", f"{outer}break"]
+        lines += [
+            "        for value in found:",
+            f"            out[value] = out.get(value, ()) + ({position},)",
+        ]
+        blocks.append("\n".join(lines))
+    head = ["def _project(groups, rows):"]
+    head += [f"    {name} = {source}" for source, name in relations.items()]
+    head.append("    out = {}")
+    source = "\n".join(head + blocks + ["    return out"]) + "\n"
+    return _compile(source, "_project", {"_every_kind": _every_kind})
+
+
+def _every_kind(rows: Sequence[Sequence[tuple[str, str]]]) -> list[tuple[str, str, str]]:
+    """(kind, sender, receiver) of every transaction, kind by kind."""
+    return [(kind, *pair) for kind, pairs in zip(TRANSACTION_KINDS, rows) for pair in pairs]
+
+
+def _compile(source: str, name: str, namespace: dict) -> Callable:
+    """The function ``name`` that ``source`` defines.  The function is taken
+    out of its namespace, so the two form no reference cycle."""
+    try:
+        exec(compile(source, "<condition>", "exec"), namespace)
+    except SyntaxError as exc:  # more nested loops than Python allows
+        raise KernelError(f"condition too large to compile: {exc.msg}") from exc
+    return namespace.pop(name)
+
+
+def _plan(
+    condition: Condition, entry: frozenset[str], target: Optional[str] = None
+) -> tuple[list[Literal], dict[int, list]]:
+    """The join order of the condition's positive literals, and its checks
+    by the step after which each runs (-1: on entry).
+
+    With a ``target`` the join starts from a positive literal that binds it.
     """
     positives = [it for it in condition if isinstance(it, Literal) and not it.negated]
     checks = [it for it in condition if not (isinstance(it, Literal) and not it.negated)]
@@ -145,7 +237,6 @@ def _generate(
                 kind = "comparison" if isinstance(item, Comparison) else "negated literal"
                 raise KernelError(f"unbound variable {v!r} in {kind} {item}")
 
-    # join order
     bound = set(entry)
 
     def score(lit: Literal) -> int:
@@ -177,55 +268,76 @@ def _generate(
             step += 1
             known.update(order[step].variables())
         placed.setdefault(step, []).append(item)
+    return order, placed
 
-    def term(t: str) -> str:
-        return local[t] if is_variable(t) else repr(t)
 
-    def tup(items: Sequence[str]) -> str:
-        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+def _rename_checks(
+    placed: dict[int, list], rename: Callable[[Literal], Literal]
+) -> dict[int, list]:
+    """``placed`` with each negated literal over its relation's local name."""
+    return {
+        step: [item if isinstance(item, Comparison) else rename(item) for item in items]
+        for step, items in placed.items()
+    }
 
-    relations: dict[str, str] = {}
-    for lit in condition:
-        if isinstance(lit, Literal) and lit.predicate not in relations:
-            relations[lit.predicate] = f"r{len(relations)}"
 
-    def holds(lit: Literal) -> str:
-        """Expression true iff the fully bound ``lit`` (wildcards aside) matches."""
-        rel = relations[lit.predicate]
-        if WILDCARD not in lit.args:
-            # a state's group holds a few rows: scanning the tuple beats bisect
-            return f"{tup([term(a) for a in lit.args])} in {rel}"
-        unpack = ["_" if a == WILDCARD else f"_w{i}" for i, a in enumerate(lit.args)]
-        tests = [f"_w{i} == {term(a)}" for i, a in enumerate(lit.args) if a != WILDCARD]
-        if not tests:
-            return f"bool({rel})"
-        return f"any({' and '.join(tests)} for {', '.join(unpack)}, in {rel})"
+def _tuple(items: Sequence[str]) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
-    lines = [f"def {fname}(groups, extra, seed, first):"]
-    for v in sorted(entry):
-        lines.append(f"    {local[v]} = seed[{v!r}]")
-    for pred, rel in relations.items():
-        source = f"groups[{GROUP[pred]}]" if pred in GROUP else f"_relation(extra, {pred!r})"
-        lines.append(f"    {rel} = {source}")
-    lines.append("    out = []" if target is None else "    out = set()")
 
-    indent, fail = "    ", "return out"
-    loops: list[str] = []  # indentation of each open for statement
+def _term(t: str, local: Mapping[str, str]) -> str:
+    return local[t] if is_variable(t) else repr(t)
+
+
+def _holds(lit: Literal, local: Mapping[str, str]) -> str:
+    """Expression true iff the fully bound ``lit`` (wildcards aside) matches
+    a row of the relation whose local name is its predicate."""
+    rel = lit.predicate
+    if WILDCARD not in lit.args:
+        # a state's group holds a few rows: scanning the tuple beats bisect
+        return f"{_tuple([_term(a, local) for a in lit.args])} in {rel}"
+    unpack = ["_" if a == WILDCARD else f"_w{i}" for i, a in enumerate(lit.args)]
+    tests = [f"_w{i} == {_term(a, local)}" for i, a in enumerate(lit.args) if a != WILDCARD]
+    if not tests:
+        return f"bool({rel})"
+    return f"any({' and '.join(tests)} for {', '.join(unpack)}, in {rel})"
+
+
+def _fails(item, local: Mapping[str, str]) -> str:
+    """Expression true iff the fully bound check ``item`` fails."""
+    if isinstance(item, Comparison):
+        op = "!=" if item.op == "==" else "=="  # the test that fails it
+        return f"{_term(item.left, local)} {op} {_term(item.right, local)}"
+    return _holds(item, local)
+
+
+def _emit_join(
+    lines: list[str],
+    order: Sequence[Literal],
+    placed: Mapping[int, list],
+    entry: frozenset[str],
+    local: Mapping[str, str],
+    indent: str,
+    fail: str,
+    skip: Optional[str] = None,
+) -> tuple[str, list[str]]:
+    """Append to ``lines`` the loops of a join over ``order``, each literal's
+    predicate the local name of its relation, with the checks of ``placed``
+    after their steps; a check that fails runs ``fail`` outside every loop
+    and ``continue`` inside.  ``skip``, when given, is the first statement
+    of the outermost loop.  Returns the indentation of the innermost body
+    and the indentation of each loop, outermost first."""
+    loops: list[str] = []
 
     def emit_checks(step: int) -> None:
         for item in placed.get(step, ()):
-            if isinstance(item, Comparison):
-                op = "!=" if item.op == "==" else "=="  # the test that fails it
-                left, right = term(item.left), term(item.right)
-                lines.append(f"{indent}if {left} {op} {right}: {fail}")
-            else:
-                lines.append(f"{indent}if {holds(item)}: {fail}")
+            lines.append(f"{indent}if {_fails(item, local)}: {fail}")
 
     emit_checks(-1)
     known = set(entry)
     for step, lit in enumerate(order):
         if all(a in known for a in lit.variables()):
-            lines.append(f"{indent}if not {holds(lit)}: {fail}")
+            lines.append(f"{indent}if not {_holds(lit, local)}: {fail}")
         else:
             unpack, tests = [], []
             for i, a in enumerate(lit.args):
@@ -236,25 +348,13 @@ def _generate(
                     unpack.append("_")
                 else:
                     unpack.append(f"_{step}_{i}")
-                    tests.append(f"_{step}_{i} != {term(a)}")
-            lines.append(f"{indent}for {', '.join(unpack)}, in {relations[lit.predicate]}:")
+                    tests.append(f"_{step}_{i} != {_term(a, local)}")
+            lines.append(f"{indent}for {', '.join(unpack)}, in {lit.predicate}:")
             loops.append(indent)
             indent, fail = indent + "    ", "continue"
             if tests:
                 lines.append(f"{indent}if {' or '.join(tests)}: continue")
-            if target is not None and step == 0:
-                lines.append(f"{indent}if {local[target]} in out: continue")
+            if skip is not None and step == 0:
+                lines.append(f"{indent}{skip}")
         emit_checks(step)
-
-    if target is None:
-        lines.append(f"{indent}out.append({tup([local[v] for v in variables])})")
-        lines.append(f"{indent}if first: return out")
-    else:
-        lines.append(f"{indent}out.add({local[target]})")
-        if len(loops) > 1:
-            lines.append(f"{indent}break")
-            # a recorded value leaves every loop inside the first one
-            for outer in reversed(loops[2:]):
-                lines += [f"{outer}else:", f"{outer}    continue", f"{outer}break"]
-    lines.append("    return out")
-    return "\n".join(lines) + "\n"
+    return indent, loops

@@ -52,11 +52,13 @@ share nothing.  Records that hold floats are never shared: equality merges
 An action rule checks its own well-formedness when it is built, by the
 parser or by library code: known action name, distinct parameters, at most
 one ``fresh`` parameter, known predicates at their arity, no transaction
-pattern, wildcards only in negated literals and never in effects, and every
+pattern, wildcards only in negated literals and never in effects, every
 effect variable a parameter, since a grounded action binds only its
-parameters.  It raises one :class:`KernelError` naming every problem found,
-so a malformed rule never exists and applying an action does not check its
-effects again.
+parameters, and for ``transferIP`` one deleted ``ownsIP(Seller, Ip)`` and
+one added ``ownsIP(Buyer, Ip)``, which name the parties of the sale
+(:attr:`ActionRule.parties`).  It raises one :class:`KernelError` naming
+every problem found, so a malformed rule never exists and applying an
+action does not check its effects again.
 
 Variables follow the Prolog convention: identifiers starting with an
 uppercase letter are variables, everything else is a constant.  ``_`` is an
@@ -430,6 +432,9 @@ class ActionRule:
     check_join: CompiledCondition = field(init=False, repr=False, compare=False)
     # per parameter in sorted order, its index in a ground_join solution row
     param_slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # of a transferIP rule, the (seller, buyer) parameters its effects name;
+    # () for the other rules
+    parties: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         from .join import CompiledCondition  # join builds on this module
@@ -466,6 +471,7 @@ class ActionRule:
         object.__setattr__(
             self, "check_join", CompiledCondition(self.precondition, bound=self.params)
         )
+        object.__setattr__(self, "parties", _transfer_parties(self) or ())
 
     def _problems(self) -> list[str]:
         """Every shape problem of the rule."""
@@ -487,6 +493,11 @@ class ActionRule:
                 for v in lit.variables()
                 if v not in self.params
             ]
+        if self.name == "transferIP" and _transfer_parties(self) is None:
+            problems.append(
+                "transferIP must delete one ownsIP(Seller, Ip) and add one "
+                "ownsIP(Buyer, Ip), Seller and Buyer distinct parameters"
+            )
         return problems
 
     def key(self) -> tuple[str, str]:
@@ -511,6 +522,22 @@ class ActionRule:
                         )
                     types[arg] = ty
         return types
+
+
+def _transfer_parties(rule: ActionRule) -> Optional[tuple[str, str]]:
+    """(seller, buyer) parameters of a ``transferIP`` rule: the owner in its
+    one deleted ``ownsIP`` effect and the owner in its one added ``ownsIP``
+    effect, both of one IP.  None when the effects do not have that shape."""
+    deleted = [lit.args for lit in rule.del_effects if lit.predicate == "ownsIP"]
+    added = [lit.args for lit in rule.add_effects if lit.predicate == "ownsIP"]
+    if len(deleted) != 1 or len(added) != 1 or {len(deleted[0]), len(added[0])} != {2}:
+        return None
+    (seller, sold), (buyer, bought) = deleted[0], added[0]
+    if sold != bought or seller == buyer:
+        return None
+    if seller not in rule.params or buyer not in rule.params:
+        return None
+    return seller, buyer
 
 
 class GroundedAction(NamedTuple):
@@ -623,6 +650,15 @@ class ActionRules:
         self.compiled: dict[GroundedAction, _CompiledAction] = {}
         self.edited: dict[tuple[int, Rows, Rows], dict[Rows, Rows]] = {}
         self.checked: tuple[dict[Rows, Rows], ...] = tuple({} for _ in PREDICATES)
+
+    def transfer_parties(self, action: GroundedAction) -> tuple[str, str]:
+        """(seller, buyer) of a ``transferIP`` action: the values it binds to
+        the parameters its rule's ``ownsIP`` effects name (see
+        :attr:`ActionRule.parties`), the rule being the one
+        :func:`apply_action` applies it with."""
+        seller, buyer = self.by_key[action.name, action.legal_ref].parties
+        binding = dict(action.binding)
+        return binding[seller], binding[buyer]
 
 
 def _key(reads: Iterable[int]) -> Callable[[tuple[Rows, ...]], object]:

@@ -22,23 +22,29 @@ among ``commercial``, ``royalty`` and ``transfer``, it mentions ``Self``, and
 a deductible leaves the rate, an exemption the base, as it is.  It raises one
 :class:`~loophound.kernel.KernelError` naming every problem found.
 
-A state is evaluated in one pass (:func:`evaluate_state`): it is settled
-once, its company flows are summed once, and assessment and profit both
-read them.  Each rule's condition is projected once per state onto the
-companies it holds for, giving company -> positions of the applicable
-rules, in rule order (:func:`applicability_map`); each return reads only
-its company's rules, through the one :func:`assess` path.
+A state is evaluated in one pass (:func:`evaluate_state`).  Its
+:class:`~loophound.economy.Ledger` is settled once per search and carries
+what assessment and profit read: each company's inflow, which is its base,
+the market sum, the completeness flag and the transaction rows by kind.
+The search compiles all its reductions into one generated function
+(:func:`loophound.join.compile_projection`) that maps each company to the
+positions of the rules applicable to it, in rule order
+(:func:`applicability_map`); each return reads only its company's rules,
+through the one :func:`assess` path, and the profit is the market sum minus
+each tax due, in assessment order.
 
 Settling and assessing are pure, and a search meets the same inputs many
-times over (a bench-shape search of the bundled corpus, seed 7, settles
-17,936 states into 3,600 distinct ledgers and files 70,732 returns, 1,053
-of them distinct), so each search keeps one :class:`EvaluationMemo` and
-computes each distinct input once.  A ledger is keyed on exactly what
-settling reads (:func:`economy.ledger_key`); a return on its company,
-residence country, the positions of its applicable reductions and its
-base, with the rates fixed for the search.  Applicability is not
-memoized: its input is the whole state with its ledger, and almost every
-state a search evaluates is new.
+times over (the bench-shape search of the bundled corpus, seed 7, 50 x 60,
+evaluates 17,962 states over 3,600 distinct ledgers and files 70,836
+returns, 1,053 of them distinct), so each search keeps one
+:class:`EvaluationMemo` and computes each distinct ledger and return once.
+Applicability is not memoized: it reads the ``based``, ``managed`` and
+``isChildOf`` groups as well as the ledger, and almost every state a search
+evaluates is new, so a table keyed on them would hold about one entry per
+state the search evaluates.  The generated function makes each evaluation
+cheap instead: it binds each relation once for all rules, and skips a rule
+whose positive literal ranges over an empty relation, as every corpus
+reduction does on a ledger with no royalty (37% of those evaluations).
 """
 
 from __future__ import annotations
@@ -48,9 +54,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import economy  # settle is looked up per call, where tracing can wrap it
-from .economy import ScenarioConfig, Transaction, company_flows
-from .join import CompiledCondition
-from .kernel import Condition, KernelError, Literal, State, condition_problems
+from .economy import Ledger, Ledgers, ScenarioConfig, Transfer
+from .join import compile_projection
+from .kernel import GROUP, Condition, KernelError, Literal, State, condition_problems
 
 log = logging.getLogger(__name__)
 
@@ -117,8 +123,9 @@ class ReductionRule:
     new_base: LinExpr = BASE_IDENTITY
     new_rate: LinExpr = RATE_IDENTITY
     span: tuple[int, int] = field(default=(0, 0), compare=False)
-    # condition compiled to project the companies it holds for
-    join: CompiledCondition = field(init=False, repr=False, compare=False)
+    # the condition as it is matched: Self ranges over the existing companies
+    # when no positive literal binds it
+    query: Condition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         problems: list[str] = []
@@ -144,11 +151,8 @@ class ReductionRule:
         ):
             # Self bound by no positive literal ranges over the existing companies
             condition = (Literal("exists", (SELF_VAR,)),) + condition
-        object.__setattr__(
-            self,
-            "join",
-            CompiledCondition(condition, project=(SELF_VAR,)),
-        )
+        compile_projection((condition,), SELF_VAR)  # raises on a bad condition
+        object.__setattr__(self, "query", condition)
 
     def key(self) -> tuple[str, str]:
         return (self.kind, self.legal_ref)
@@ -181,38 +185,29 @@ class TaxAssessment(NamedTuple):
 # Residency and applicability
 # ============================================================================
 
+_BASED, _MANAGED, _EXISTS = GROUP["based"], GROUP["managed"], GROUP["exists"]
+
 
 def residence_countries(state: State) -> dict[str, str]:
     """Company -> residence country: management seat wins over country of
     incorporation.  Raises if an existing company is resident nowhere."""
-    residence = dict(state.rows("based"))
-    residence.update(state.rows("managed"))
-    for company in state.companies():
+    groups = state.groups
+    residence = dict(groups[_BASED])
+    residence.update(groups[_MANAGED])
+    for (company,) in groups[_EXISTS]:
         if company not in residence:
             raise TaxationError(f"company {company!r} is resident nowhere")
     return residence
 
 
-def transaction_patterns(
-    transactions: Sequence[Transaction],
-) -> list[tuple[str, str, str]]:
-    """Ground (kind, sender, receiver) triples for condition matching."""
-    return [(t.kind, t.sender, t.receiver) for t in transactions]
-
-
 def applicability_map(
-    state: State,
-    patterns: Mapping[str, Sequence[tuple[str, ...]]],
-    reductions: Sequence[ReductionRule],
+    state: State, ledger: Ledger, memo: EvaluationMemo
 ) -> dict[str, tuple[int, ...]]:
-    """Company -> the positions in ``reductions`` of the rules applicable to
-    it, in rule order.  Each rule's condition is projected once onto the
-    companies it holds for."""
-    out: dict[str, tuple[int, ...]] = {}
-    for position, rule in enumerate(reductions):
-        for company in rule.join.project(state, SELF_VAR, patterns):
-            out[company] = out.get(company, ()) + (position,)
-    return out
+    """Company -> the positions in ``memo.reductions`` of the rules
+    applicable to it in ``state`` with its ``ledger``, in rule order: one
+    call of the memo's generated function (see
+    :func:`loophound.join.compile_projection`)."""
+    return memo.applicable(state.groups, ledger.rows)
 
 
 def applicable_reductions(
@@ -278,16 +273,15 @@ def choose_reduction(
 def assess(
     company: str,
     country: str,
+    base: float,
     rules: Sequence[ReductionRule],
     rates: TaxRateTable,
-    flows: Mapping[str, tuple[float, float]],
 ) -> TaxAssessment:
-    """One company's return: ``rules`` are the reductions applicable to it
-    (their positions are its entry in :func:`applicability_map`), ``flows``
-    the settled transactions' ``company_flows``."""
+    """One company's return: ``base`` is its inflow in the settled ledger,
+    ``rules`` the reductions applicable to it (their positions are its
+    entry in :func:`applicability_map`)."""
     if country not in rates:
         raise TaxationError(f"no statutory rate for country {country!r}")
-    base, _ = flows.get(company, (0.0, 0.0))
     rate = float(rates[country])
 
     candidates = applicable_reductions(company, base, rate, rules)
@@ -318,73 +312,69 @@ def assess(
     )
 
 
-def net_profit(
-    flows: Mapping[str, tuple[float, float]],
-    assessments: Sequence[TaxAssessment],
-) -> float:
-    """Group-wide profit: company inflows minus outflows minus taxes.
-
-    ``flows`` are the settled transactions' ``company_flows``.  Intra-group
-    payments cancel, so this equals market inflows minus total tax; both
-    are accumulated in one fixed order (sorted companies, then assessment
-    order) to keep float results reproducible.
-    """
-    total = 0.0
-    for company in sorted(flows):
-        fin, fout = flows[company]
-        total += fin - fout
-    for a in assessments:
-        total -= a.tax_due
-    return total
-
-
 class EvaluationMemo:
-    """The ledgers and returns one search has computed, for its one
-    scenario, sequence of reductions and rate table.
+    """What one search evaluates with, and what it has computed: its one
+    scenario, sequence of reductions and rate table; ``applicable``, the
+    function generated from those reductions (see :func:`applicability_map`);
+    its ledgers and returns.
 
-    ``ledgers`` maps :func:`economy.ledger_key` to a settled ledger (see
-    :func:`economy.settle`).  ``returns`` maps (company, residence country,
+    ``ledgers`` maps what settling reads to the
+    :class:`~loophound.economy.Ledger` settled from it (see
+    :func:`economy.settle`): its transactions, each company's inflow, the
+    market sum, the completeness flag and the rows by transaction kind, all
+    computed once, on a miss.  ``returns`` maps (company, residence country,
     positions of its applicable reductions, base) to its
     :class:`TaxAssessment`: everything :func:`assess` reads but the rates.
+    Applicability has no table: its input is the state's groups with the
+    ledger, new for almost every evaluation (see the module docstring).
     """
 
-    __slots__ = ("ledgers", "returns")
+    __slots__ = ("scenario", "reductions", "rates", "applicable", "ledgers", "returns")
 
-    def __init__(self) -> None:
-        self.ledgers: dict[tuple, tuple[Transaction, ...]] = {}
+    def __init__(
+        self,
+        scenario: ScenarioConfig,
+        reductions: Sequence[ReductionRule],
+        rates: TaxRateTable,
+    ) -> None:
+        self.scenario = scenario
+        self.reductions = tuple(reductions)
+        self.rates = rates
+        self.applicable = compile_projection(
+            [rule.query for rule in self.reductions], SELF_VAR
+        )
+        self.ledgers = Ledgers()
         self.returns: dict[tuple, TaxAssessment] = {}
 
 
 def evaluate_state(
-    state: State,
-    scenario: ScenarioConfig,
-    reductions: Sequence[ReductionRule],
-    rates: TaxRateTable,
-    memo: EvaluationMemo,
-    actions: Sequence = (),
-) -> tuple[tuple[Transaction, ...], list[TaxAssessment], float]:
-    """Full economic evaluation of one state, in one pass: transactions,
-    assessments (one per existing company, in sorted company order), profit.
+    state: State, memo: EvaluationMemo, transfer: Optional[Transfer] = None
+) -> tuple[Ledger, list[TaxAssessment], float]:
+    """Full economic evaluation of one state whose path's IP sale is
+    ``transfer``, in one pass: its ledger, its assessments (one per existing
+    company, in sorted company order) and its profit.
 
-    The state is settled once and its company flows are summed once;
-    assessment and profit both read them.  ``memo`` holds the ledgers and
-    returns already computed under the same scenario, reductions and rates;
-    only the ones it lacks are computed, and added to it.
+    The ledger comes from ``memo`` when it was settled before; the
+    applicable reductions are found anew, and each return is assessed once
+    per memo.  The profit is the ledger's market sum minus each tax due, in
+    assessment order.
     """
-    transactions = economy.settle(state, scenario, actions, memo.ledgers)
-    flows = company_flows(transactions)
-    patterns = {"transaction": transaction_patterns(transactions)}
-    applicable = applicability_map(state, patterns, reductions)
+    ledger = economy.settle(state, memo.scenario, transfer, memo.ledgers)
+    applicable = applicability_map(state, ledger, memo)
     residence = residence_countries(state)
     returns = memo.returns
     assessments = []
-    for company in state.companies():
+    profit = ledger.market
+    for (company,), base in zip(state.groups[_EXISTS], ledger.inflows):
         country = residence[company]
         positions = applicable.get(company, ())
-        key = (company, country, positions, flows.get(company, (0.0, 0.0))[0])
+        key = (company, country, positions, base)
         assessment = returns.get(key)
         if assessment is None:
-            rules = [reductions[i] for i in positions]
-            assessment = returns[key] = assess(company, country, rules, rates, flows)
+            rules = [memo.reductions[i] for i in positions]
+            assessment = returns[key] = assess(
+                company, country, base, rules, memo.rates
+            )
         assessments.append(assessment)
-    return transactions, assessments, net_profit(flows, assessments)
+        profit -= assessment.tax_due
+    return ledger, assessments, profit

@@ -1,10 +1,15 @@
-"""Brute-force condition matching: the reference the join engine is tested against."""
+"""Brute-force condition matching, the reference the join engine is tested
+against, and a state's evaluation with nothing memoized."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 
-from loophound.kernel import WILDCARD, Comparison
+from loophound.economy import Transfer, company_flows, earning_companies, settle
+from loophound.join import CompiledCondition
+from loophound.kernel import TRANSACTION_KINDS, WILDCARD, Comparison
+from loophound.taxation import SELF_VAR, assess
 
 
 def oracle_literal_holds(state_atoms, patterns, literal, binding):
@@ -76,3 +81,73 @@ def oracle_match(state, condition, binding=None, extra_ground=None):
             if solution not in solutions:
                 solutions.append(solution)
     return solutions
+
+
+def path_transfer(ruleset, actions):
+    """The :class:`~loophound.economy.Transfer` of an action path, read off
+    its ``transferIP`` rule's effects: the owner its deleted ``ownsIP``
+    names sells, the owner its added ``ownsIP`` names buys.  None when the
+    path makes no sale."""
+    for step, action in enumerate(actions):
+        if action.name != "transferIP":
+            continue
+        rule = next(
+            r for r in ruleset.action_rules if r.key() == (action.name, action.legal_ref)
+        )
+        (sold,) = [lit for lit in rule.del_effects if lit.predicate == "ownsIP"]
+        (bought,) = [lit for lit in rule.add_effects if lit.predicate == "ownsIP"]
+        binding = dict(action.binding)
+        return Transfer(step, binding[sold.args[0]], binding[bought.args[0]])
+    return None
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(condition):
+    """The condition compiled once per test session: compiling is not what
+    the oracle checks, and every evaluation of a search would repeat it."""
+    return CompiledCondition(condition)
+
+
+def evaluate_from_scratch(state, scenario, reductions, rates, transfer):
+    """What ``evaluate_state`` gives, computed with nothing memoized: a ledger
+    settled anew, each rule's applicability from its condition's
+    ``bindings`` over the ledger's transactions, each return assessed, and
+    the profit summed as inflows minus outflows over the sorted companies,
+    then minus each tax.  Returns (transactions, assessments, profit,
+    complete)."""
+    transactions = settle(state, scenario, transfer).transactions
+    flows = company_flows(transactions)
+    patterns = {"transaction": [(t.kind, t.sender, t.receiver) for t in transactions]}
+    holders = []
+    for rule in reductions:
+        join = _compiled(rule.query)
+        column = join.variables.index(SELF_VAR)
+        holders.append({row[column] for row in join.bindings(state, {}, patterns)})
+    managed = dict(state.rows("managed"))
+    based = dict(state.rows("based"))
+    assessments = []
+    for company in state.companies():
+        rules = [rule for rule, held in zip(reductions, holders) if company in held]
+        base = flows.get(company, (0.0, 0.0))[0]
+        country = managed.get(company, based.get(company))
+        assessments.append(assess(company, country, base, rules, rates))
+    profit = 0.0
+    for company in sorted(flows):
+        fin, fout = flows[company]
+        profit += fin - fout
+    for a in assessments:
+        profit -= a.tax_due
+    covered = {country for _, country in earning_companies(state, scenario)}
+    complete = all(
+        c in covered for c in scenario.countries if c not in scenario.tax_havens
+    )
+    return transactions, assessments, profit, complete
+
+
+def kind_rows(patterns):
+    """``patterns``' ``transaction`` triples as a projection takes them: per
+    kind of TRANSACTION_KINDS, the (sender, receiver) pairs, in order."""
+    triples = patterns.get("transaction", ())
+    return tuple(
+        tuple((s, r) for k, s, r in triples if k == kind) for kind in TRANSACTION_KINDS
+    )

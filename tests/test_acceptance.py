@@ -28,7 +28,6 @@ from loophound.dsl import (
 from loophound.economy import (
     ScenarioConfig,
     commercial_transactions,
-    is_multinationally_complete,
     royalty_transactions,
     settle,
 )
@@ -63,6 +62,7 @@ from loophound.kernel import (
 )
 from loophound.policy import WelfareConfig, delta_restriction
 from loophound.taxation import EvaluationMemo, TaxAssessment, evaluate_state
+from oracles import path_transfer
 
 
 def announce(capsys, number: int, ok: bool, detail: str) -> None:
@@ -286,8 +286,9 @@ def test_criterion_4_short_plans_attain_max_utility(
             )
             if cache_key not in profit_cache:
                 _, _, p = evaluate_state(
-                    state, scenario, toy_ruleset.reduction_rules, rates,
-                    EvaluationMemo(), actions,
+                    state,
+                    EvaluationMemo(scenario, toy_ruleset.reduction_rules, rates),
+                    path_transfer(toy_ruleset, actions),
                 )
                 profit_cache[cache_key] = p
             utility = trajectory_utility(profit_cache[cache_key], len(actions), 1.0)
@@ -410,9 +411,7 @@ def _bfs_terminal_sets(ruleset, scenario_doc, max_steps):
             actions = applicable_actions(state, rules, domains, pool, max_steps=max_steps)
             if not actions and not is_root:
                 terminal.add(state.key())
-        if not is_root and is_multinationally_complete(
-            settle(state, scenario), scenario
-        ):
+        if not is_root and settle(state, scenario).complete:
             complete.add(state.key())
         for action in actions:
             child = apply_action(state, action, rules, pool)

@@ -507,6 +507,15 @@ DOCUMENT_DEFECTS = {
         "}\n",
         "effect variable 'X' in rentsIP(X, Renter, Ip) is not bound",
     ),
+    # the seller and buyer of a sale are read off its ownsIP effects
+    "transfer-without-a-seller": (
+        "table1.lhl", "",
+        'action transferIP(From, To, Ip) ref "gift" {\n'
+        "  pre: ownsIP(From, Ip), exists(To), From != To;\n"
+        "  eff: ownsIP(To, Ip);\n"
+        "}\n",
+        "transferIP must delete one ownsIP(Seller, Ip) and add one ownsIP(Buyer, Ip)",
+    ),
 }
 
 

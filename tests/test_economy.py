@@ -25,9 +25,9 @@ from loophound.economy import (
     is_multinationally_complete,
     royalty_transactions,
     settle,
-    transfer_transaction,
 )
-from loophound.kernel import GroundedAction, initial_state, make_fact
+from loophound.economy import Transfer
+from loophound.kernel import initial_state, make_fact
 
 
 # ------------------------------------------------------------------ helpers
@@ -215,7 +215,7 @@ class TestRoyaltyCascade:
     def test_licences_crossing_two_ips_settle(self):
         """a licenses ip1 to b and b licenses ip2 to a: no royalty cycle."""
         scenario, state = self.two_ip_state([("a", "b", "ip1"), ("b", "a", "ip2")])
-        royalties = [t for t in settle(state, scenario) if t.kind == ROYALTY]
+        royalties = [t for t in settle(state, scenario).transactions if t.kind == ROYALTY]
         assert {(t.sender, t.receiver): t.amount for t in royalties} == {
             ("b", "a"): 270.0,
             ("a", "b"): 0.0,
@@ -264,16 +264,18 @@ class TestEarning:
 
     def test_completeness_requires_every_market(self):
         scenario = make_scenario()
-        partial = forest_state(["m1", "m1"], [None, 0], scenario)
-        assert not is_multinationally_complete(settle(partial, scenario), scenario)
-        full = forest_state(["m1", "m2"], [None, 0], scenario)
-        assert is_multinationally_complete(settle(full, scenario), scenario)
+        partial = settle(forest_state(["m1", "m1"], [None, 0], scenario), scenario)
+        assert not is_multinationally_complete(partial.transactions, scenario)
+        assert not partial.complete
+        full = settle(forest_state(["m1", "m2"], [None, 0], scenario), scenario)
+        assert is_multinationally_complete(full.transactions, scenario)
+        assert full.complete
 
     def test_haven_not_required_for_completeness(self):
         scenario = make_scenario()
         state = forest_state(["m1", "m2"], [None, 0], scenario)
         # no company sits in h1, yet the state is complete
-        assert is_multinationally_complete(settle(state, scenario), scenario)
+        assert settle(state, scenario).complete
 
     def test_corpus_scenario_initial_state_incomplete(self, corpus_scenario):
         config = corpus_scenario.scenario
@@ -281,7 +283,7 @@ class TestEarning:
             corpus_scenario.state.facts, corpus_scenario.state.companies
         )
         # only p exists, based in usa; four other markets are uncovered
-        assert not is_multinationally_complete(settle(state, config), config)
+        assert not settle(state, config).complete
         assert earning_companies(state, config) == [("p", "usa")]
 
 
@@ -301,32 +303,34 @@ class TestCommercial:
 
 
 class TestTransfer:
-    def mk_action(self, step_actions):
-        return step_actions
+    """The sale's payment in the ledger :func:`settle` builds."""
 
     def test_buyer_pays_seller(self):
         scenario = make_scenario()
-        noise = GroundedAction(
-            name="addChild",
-            legal_ref="toy-incorp",
-            binding=(("Child", "a1"), ("Country", "m1"), ("Parent", "a0")),
-        )
-        transfer = GroundedAction(
-            name="transferIP",
-            legal_ref="transfer",
-            binding=(("From", "a0"), ("Ip", "ip1"), ("To", "a1")),
-        )
-        t = transfer_transaction([noise, transfer], scenario)
-        assert t is not None
+        state = forest_state(["m1", "m2"], [None, None], scenario)
+        plain = settle(state, scenario).transactions
+        # the sale was the second action of the path
+        ledger = settle(state, scenario, Transfer(1, seller="a0", buyer="a1"))
+        *rest, t = ledger.transactions
+        assert tuple(rest) == plain
+        assert t.id == len(plain)
         assert t.kind == TRANSFER
         assert t.sender == "a1"  # new owner pays
         assert t.receiver == "a0"
         assert t.amount == 50.0
-        assert t.time == 2  # transfer was the second action
+        assert t.time == 2
+        assert ledger.rows[2] == (("a1", "a0"),)
+        # the payment moves money inside the group: inflows change, the
+        # market sum does not
+        assert ledger.inflows == (100.0 + 50.0, 0.0)
+        assert ledger.market == settle(state, scenario).market == 100.0
 
     def test_no_transfer_returns_none(self):
         scenario = make_scenario()
-        assert transfer_transaction([], scenario) is None
+        state = forest_state(["m1", "m2"], [None, 0], scenario)
+        ledger = settle(state, scenario)
+        assert all(t.kind != TRANSFER for t in ledger.transactions)
+        assert ledger.rows[2] == ()
 
 
 class TestSettle:
@@ -337,7 +341,7 @@ class TestSettle:
 
     def test_ids_sequential_and_ordered(self):
         scenario, state = self.build()
-        out = settle(state, scenario)
+        out = settle(state, scenario).transactions
         assert [t.id for t in out] == list(range(len(out)))
         kinds = [t.kind for t in out]
         assert kinds == sorted(kinds, key=[COMMERCIAL, ROYALTY, TRANSFER].index)
@@ -348,15 +352,24 @@ class TestSettle:
 
     def test_flows_conserve_commercial_inflow(self):
         scenario, state = self.build()
-        out = settle(state, scenario)
+        ledger = settle(state, scenario)
+        out = ledger.transactions
         flows = company_flows(out)
         net = sum(fin - fout for fin, fout in flows.values())
         commercial_total = sum(t.amount for t in out if t.kind == COMMERCIAL)
         assert net == pytest.approx(commercial_total, rel=1e-12)
+        assert ledger.market == pytest.approx(commercial_total, rel=1e-12)
+        assert ledger.inflows == tuple(
+            flows.get(c, (0.0, 0.0))[0] for c in state.companies()
+        )
+        assert ledger.rows == tuple(
+            tuple((t.sender, t.receiver) for t in out if t.kind == kind)
+            for kind in (COMMERCIAL, ROYALTY, TRANSFER)
+        )
 
     def test_internal_transfers_cancel(self):
         scenario, state = self.build()
-        out = settle(state, scenario)
+        out = settle(state, scenario).transactions
         flows = company_flows(out)
         for t in out:
             if t.kind != COMMERCIAL:

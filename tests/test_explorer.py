@@ -10,13 +10,14 @@ import gc
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import loophound.explorer as explorer_module
-from loophound.dsl import parse_ruleset
-from loophound.economy import is_multinationally_complete, settle
+from loophound.dsl import parse_ruleset, parse_scenario
+from loophound.economy import settle
 from loophound.explorer import (
     ExplorerError,
     SearchParams,
@@ -28,9 +29,10 @@ from loophound.explorer import (
     write_jsonl,
 )
 from loophound.kernel import applicable_actions, apply_action, initial_state
-from loophound.taxation import DEDUCTIBLE, EXEMPTION, EvaluationMemo, evaluate_state
+from loophound.taxation import DEDUCTIBLE, EXEMPTION, evaluate_state
 
-from conftest import scenario_domains
+from conftest import TOY_RULESET, TOY_SCENARIO, scenario_domains
+from oracles import evaluate_from_scratch, path_transfer
 
 
 # -------------------------------------------------------------- parameters
@@ -185,15 +187,13 @@ def bfs_oracle(ruleset, scenario_doc, max_steps):
         is_root = state.step_count == 0
         if state.step_count >= max_steps:
             terminal.add(state.key())
-            if is_multinationally_complete(settle(state, scenario), scenario):
+            if settle(state, scenario).complete:
                 complete.add(state.key())
             continue
         acts = applicable_actions(state, rules, domains, pool, max_steps=max_steps)
         if not acts and not is_root:
             terminal.add(state.key())
-        if not is_root and is_multinationally_complete(
-            settle(state, scenario), scenario
-        ):
+        if not is_root and settle(state, scenario).complete:
             complete.add(state.key())
         for act in acts:
             child = apply_action(state, act, rules, pool)
@@ -258,6 +258,68 @@ def replay(ruleset, scenario_doc, actions):
     return state
 
 
+def renamed_ruleset(text: str):
+    """``text`` with the transfer rule's parameters ``From`` and ``To``
+    renamed ``Giver`` and ``Taker``: their sorted order, and with it the
+    order of groundings, stays the same."""
+    rule = 'action transferIP(From, To, Ip) ref "transfer" {'
+    start = text.index(rule)
+    end = text.index("}", start)
+    block = re.sub(r"\bFrom\b", "Giver", text[start:end])
+    block = re.sub(r"\bTo\b", "Taker", block)
+    result = parse_ruleset(text[:start] + block + text[end:])
+    assert result.ok, [str(d) for d in result.diagnostics]
+    return result.document
+
+
+@pytest.fixture(scope="module")
+def renamed_corpus(corpus_ruleset_text):
+    return renamed_ruleset(corpus_ruleset_text)
+
+
+def assert_evaluates_to_its_record(ruleset, scenario_doc, t):
+    """``t``'s path, replayed from the root with fresh tables, reaches its
+    final state, which evaluates to ``t``'s record with nothing memoized."""
+    state = replay(ruleset, scenario_doc, t.actions)
+    final = t.final_state
+    assert state.groups == final.groups
+    assert state.step_count == final.step_count == t.length
+    assert state.transfer_used == final.transfer_used
+    transactions, assessments, p, complete = evaluate_from_scratch(
+        state,
+        scenario_doc.scenario,
+        ruleset.reduction_rules,
+        ruleset.rates(),
+        path_transfer(ruleset, t.actions),
+    )
+    assert transactions == t.transactions
+    assert tuple(assessments) == t.assessments
+    assert p == t.p
+    assert complete == t.complete
+    return state
+
+
+# Two routes of different lengths to one fact set, with the sale at a
+# different step on each: "seat-direct" moves a child's seat to ireland in
+# one step, "seat-via" then "seat-move" take two.
+SEAT_TRANSFER_RULES = """
+action rentIP(Licensor, Renter, Ip) ref "seat-direct" {
+  pre: isChildOf(Renter, Licensor), ownsIP(X, Ip), not managed(Renter, _);
+  eff: managed(Renter, ireland);
+}
+
+action rentIP(Licensor, Renter, Ip) ref "seat-via" {
+  pre: isChildOf(Renter, Licensor), ownsIP(X, Ip), not managed(Renter, _);
+  eff: managed(Renter, usa);
+}
+
+action rentIP(Licensor, Renter, Ip) ref "seat-move" {
+  pre: isChildOf(Renter, Licensor), ownsIP(X, Ip), managed(Renter, usa);
+  eff: not managed(Renter, usa), managed(Renter, ireland);
+}
+"""
+
+
 class TestReplayOracle:
     """Each recorded trajectory of a tiny search, rebuilt from the root with
     fresh tables and every check on every step, and evaluated with nothing
@@ -267,15 +329,15 @@ class TestReplayOracle:
     # only; 14 x 40 at 10 steps also reaches complete ones on both rulesets
     SHAPES = ((4, 20, 4), (14, 40, 10))
 
-    @pytest.mark.parametrize("reductions", [True, False], ids=["corpus", "statutory"])
+    @pytest.mark.parametrize("ruleset_name", ["corpus", "statutory", "renamed"])
     def test_each_trajectory_rebuilds_and_evaluates_to_its_record(
-        self, corpus_ruleset, corpus_scenario, reductions
+        self, corpus_ruleset, renamed_corpus, corpus_scenario, ruleset_name
     ):
-        ruleset = (
-            corpus_ruleset
-            if reductions
-            else dataclasses.replace(corpus_ruleset, reduction_rules=())
-        )
+        ruleset = {
+            "corpus": corpus_ruleset,
+            "statutory": dataclasses.replace(corpus_ruleset, reduction_rules=()),
+            "renamed": renamed_corpus,
+        }[ruleset_name]
         scenario = corpus_scenario.scenario
         domains = scenario_domains(scenario)
         records = []
@@ -290,24 +352,9 @@ class TestReplayOracle:
             records += [(t, max_steps) for t in tset.trajectories]
         assert any(t.complete for t, _ in records)
         assert any(not t.complete for t, _ in records)
+        assert any(a.name == "transferIP" for t, _ in records for a in t.actions)
         for t, max_steps in records:
-            state = replay(ruleset, corpus_scenario, t.actions)
-            final = t.final_state
-            assert state.groups == final.groups
-            assert state.step_count == final.step_count == t.length
-            assert state.transfer_used == final.transfer_used
-            transactions, assessments, p = evaluate_state(
-                state,
-                scenario,
-                ruleset.reduction_rules,
-                ruleset.rates(),
-                EvaluationMemo(),
-                t.actions,
-            )
-            assert transactions == t.transactions
-            assert tuple(assessments) == t.assessments
-            assert p == t.p
-            assert is_multinationally_complete(transactions, scenario) == t.complete
+            state = assert_evaluates_to_its_record(ruleset, corpus_scenario, t)
             # recorded when terminal or complete; terminal at the step cap, or
             # when expanded without an applicable action
             at_cap = state.step_count >= max_steps
@@ -317,6 +364,36 @@ class TestReplayOracle:
                 assert not applicable_actions(
                     state, ruleset.action_rules, domains, scenario.company_pool
                 )
+
+    def test_a_shorter_path_moves_the_sale_to_its_own_step(self, monkeypatch):
+        """A node reached again by a shorter path, before it was expanded,
+        is evaluated with that path's sale, which sits at another step; the
+        search below records such a node."""
+        result = parse_ruleset(TOY_RULESET + SEAT_TRANSFER_RULES)
+        assert result.ok, [str(d) for d in result.diagnostics]
+        ruleset, scenario_doc = result.document, parse_scenario(TOY_SCENARIO).document
+        transfers: dict = {}  # state groups -> sale of each evaluation, in order
+
+        def spy(state, memo, transfer=None):
+            transfers.setdefault(state.groups, []).append((state.step_count, transfer))
+            return evaluate_state(state, memo, transfer)
+
+        monkeypatch.setattr(explorer_module, "evaluate_state", spy)
+        params = SearchParams(seed=2, iterations=10, expansions=30, max_steps=6)
+        tset = explore(ruleset, scenario_doc, params)
+        moved = 0
+        for t in tset.trajectories:
+            assert_evaluates_to_its_record(ruleset, scenario_doc, t)
+            *searched, recorded = transfers[t.final_state.groups]
+            sale = path_transfer(ruleset, t.actions)
+            # the record and the node's last evaluation in the search both
+            # read the sale of the path the node ended on
+            assert recorded == searched[-1] == (t.length, sale)
+            moved += sale is not None and any(
+                step > t.length and earlier is not None and earlier.step != sale.step
+                for step, earlier in searched
+            )
+        assert moved
 
 
 # --------------------------------------------------------------- invariants
@@ -349,9 +426,7 @@ class TestTrajectoryInvariants:
     def test_complete_means_all_markets_covered(self, desk_run, corpus_scenario):
         scenario = corpus_scenario.scenario
         for t in desk_run.trajectories[:50]:
-            assert t.complete == is_multinationally_complete(
-                settle(t.final_state, scenario), scenario
-            )
+            assert t.complete == settle(t.final_state, scenario).complete
 
 
 class TestDeadEnds:
@@ -444,16 +519,9 @@ class TestShorterPath:
         tset = explore(ruleset, corpus_scenario, params)
         assert tset.trajectories
         for t in tset.trajectories:
-            state = replay(ruleset, corpus_scenario, t.actions)
+            state = assert_evaluates_to_its_record(ruleset, corpus_scenario, t)
             # facts, step_count and transfer_used
             assert t.final_state == state
-            transactions, assessments, p = evaluate_state(
-                state, scenario, ruleset.reduction_rules, ruleset.rates(),
-                EvaluationMemo(), t.actions,
-            )
-            assert t.transactions == tuple(transactions)
-            assert t.assessments == tuple(assessments)
-            assert t.p == p
             if t.terminal and t.length < max_steps:
                 assert not applicable_actions(
                     state, ruleset.action_rules, scenario_domains(scenario),
@@ -649,39 +717,91 @@ class TestSharing:
 # ------------------------------------------------------- evaluation memo
 
 
+def evaluations_against_the_oracle(ruleset, scenario_doc, monkeypatch):
+    """Every evaluation of a desk-shape search at seed 7 of ``ruleset``,
+    each compared with its evaluation with nothing memoized.  Returns the
+    trajectory set, the search's one memo and the evaluations as (state,
+    sale, result)."""
+    calls = []
+    memos = set()
+
+    def spy(state, memo, transfer=None):
+        result = evaluate_state(state, memo, transfer)
+        calls.append((state, transfer, result))
+        memos.add(memo)
+        return result
+
+    monkeypatch.setattr(explorer_module, "evaluate_state", spy)
+    params = SearchParams(seed=7, iterations=20, expansions=200)
+    tset = explore(ruleset, scenario_doc, params)
+    (memo,) = memos
+    scenario = scenario_doc.scenario
+    reductions = ruleset.reduction_rules
+    rates = ruleset.rates()
+    for state, transfer, (ledger, assessments, p) in calls:
+        expected = evaluate_from_scratch(state, scenario, reductions, rates, transfer)
+        assert (ledger.transactions, assessments, p, ledger.complete) == expected
+    return tset, memo, calls
+
+
 class TestEvaluationMemo:
     def test_every_evaluation_equals_a_fresh_memo(
         self, corpus_ruleset, corpus_scenario, monkeypatch
     ):
         """Each state of a desk-shape search, recorded or not, evaluates as
         it would with nothing memoized."""
-        calls = []
-        memos = set()
-
-        def spy(state, scenario, reductions, rates, memo, actions=()):
-            result = evaluate_state(state, scenario, reductions, rates, memo, actions)
-            calls.append((state, actions, result))
-            memos.add(memo)
-            return result
-
-        monkeypatch.setattr(explorer_module, "evaluate_state", spy)
-        params = SearchParams(seed=7, iterations=20, expansions=200)
-        tset = explore(corpus_ruleset, corpus_scenario, params)
-        (memo,) = memos
-        scenario = corpus_scenario.scenario
-        reductions = corpus_ruleset.reduction_rules
-        rates = corpus_ruleset.rates()
-        for state, actions, result in calls:
-            fresh = evaluate_state(
-                state, scenario, reductions, rates, EvaluationMemo(), actions
-            )
-            assert result == fresh, [str(a) for a in actions]
+        tset, memo, calls = evaluations_against_the_oracle(
+            corpus_ruleset, corpus_scenario, monkeypatch
+        )
         recorded = {t.final_state.key() for t in tset.trajectories}
         evaluated = {state.key() for state, _, _ in calls}
         assert recorded and evaluated - recorded
         # the memo was used: fewer ledgers and returns than evaluations
         assert len(memo.ledgers) < len(calls)
         assert len(memo.returns) < sum(len(r[1]) for _, _, r in calls)
+        # a ledger's transactions are one object per value across ledgers
+        shared = [t for ledger in memo.ledgers.values() for t in ledger.transactions]
+        assert len({id(t) for t in shared}) == len(set(shared)) < len(shared)
+
+    @pytest.mark.parametrize("ruleset_name", ["statutory", "renamed"])
+    def test_every_evaluation_equals_the_oracle(
+        self, corpus_ruleset, renamed_corpus, corpus_scenario, monkeypatch,
+        ruleset_name,
+    ):
+        ruleset = {
+            "statutory": dataclasses.replace(corpus_ruleset, reduction_rules=()),
+            "renamed": renamed_corpus,
+        }[ruleset_name]
+        evaluations_against_the_oracle(ruleset, corpus_scenario, monkeypatch)
+
+
+class TestRenaming:
+    """Metamorphic relation (Chen, Cheung and Yiu 1998): renaming the
+    transfer rule's parameters without changing their sorted order changes
+    nothing but the names."""
+
+    def test_renamed_transfer_parameters_give_the_same_trajectories(
+        self, desk_run, renamed_corpus, corpus_scenario, tmp_path
+    ):
+        renamed = explore(renamed_corpus, corpus_scenario, desk_run.params)
+        write_jsonl(desk_run, tmp_path / "corpus.jsonl")
+        write_jsonl(renamed, tmp_path / "renamed.jsonl")
+        names = {"Giver": "From", "Taker": "To"}
+        lines = []
+        for name in ("corpus.jsonl", "renamed.jsonl"):
+            header, *rows = [
+                json.loads(line)
+                for line in (tmp_path / name).read_text(encoding="utf-8").splitlines()
+            ]
+            del header["ruleset_sha256"]
+            for row in rows:
+                for action in row["actions"]:
+                    action["args"] = {names.get(k, k): v for k, v in action["args"].items()}
+            lines.append([header, *rows])
+        corpus, renamed_lines = lines
+        # the corpus run pays for a sale (a transaction's third field is its kind)
+        assert any(tx[2] == "transfer" for row in corpus[1:] for tx in row["transactions"])
+        assert renamed_lines == corpus
 
 
 # ------------------------------------------------------ garbage collector

@@ -30,10 +30,18 @@ from loophound.kernel import (
     initial_state,
     make_fact,
 )
-from loophound.join import CompiledCondition
+from loophound.join import CompiledCondition, compile_projection
 from loophound.taxation import SELF_VAR
 from conftest import scenario_domains, walk
-from oracles import oracle_match
+from oracles import kind_rows, oracle_match
+
+
+def projected(condition, state, var, patterns=None):
+    """The values of ``var`` over the solutions of ``condition``, from the
+    generated projection of that one condition."""
+    found = compile_projection([condition], var)(state.groups, kind_rows(patterns or {}))
+    assert set(found.values()) <= {(0,)}
+    return set(found)
 
 # ============================================================================
 # Oracle solutions as engine rows
@@ -99,12 +107,12 @@ class TestMatchOracle:
     def test_match_exists_agrees_with_match(self, condition):
         state = small_state()
         variables = positive_variables(condition)
-        join = CompiledCondition(condition, project=variables)
+        join = CompiledCondition(condition)
         rows = join.bindings(state, {})
         assert join.exists(state, {}) == bool(rows)
         for v in variables:
             i = join.variables.index(v)
-            assert join.project(state, v) == {row[i] for row in rows}
+            assert projected(condition, state, v) == {row[i] for row in rows}
 
     def test_seeded_binding_restricts_solutions(self):
         state = small_state()
@@ -125,12 +133,12 @@ class TestMatchOracle:
             Literal("based", ("Self", "usa")),
             Literal("transaction", ("royalty", "X", "Self")),
         )
-        join = CompiledCondition(condition, project=("Self",))
+        join = CompiledCondition(condition)
         rows = join.bindings(state, {}, patterns)
         assert rows == [("p", "c1")]
         assert rows == expected_rows(state, condition, extra_ground=patterns)
         assert join.exists(state, {}, patterns)
-        assert join.project(state, "Self", patterns) == {"p"}
+        assert projected(condition, state, "Self", patterns) == {"p"}
         with pytest.raises(KernelError, match="unknown predicate"):
             join.exists(state, {})
 
@@ -162,7 +170,9 @@ class TestMatchOracle:
         condition = (Literal("exists", ("X",)), Comparison("Y", "!=", "X"))
         CompiledCondition(condition, bound=("Y",))
         with pytest.raises(KernelError):
-            CompiledCondition(condition, bound=("Y",), project=("Y",))
+            compile_projection([condition], "Y")
+        with pytest.raises(KernelError, match="no positive literal binds"):
+            compile_projection([condition[:1]], "Y")
 
 
 @st.composite
@@ -276,12 +286,15 @@ class TestMatchProperties:
         if not checked <= set(positive):
             with pytest.raises(KernelError):
                 CompiledCondition(condition)
+            for v in positive:
+                with pytest.raises(KernelError):
+                    compile_projection([condition], v)
             return
-        join = CompiledCondition(condition, project=positive)
+        join = CompiledCondition(condition)
         rows = expected_rows(state, condition, extra_ground=patterns)
         for v in positive:
             i = join.variables.index(v)
-            assert join.project(state, v, patterns) == {row[i] for row in rows}
+            assert projected(condition, state, v, patterns) == {row[i] for row in rows}
 
 
 # ============================================================================
@@ -948,11 +961,21 @@ class TestReads:
             patterns = {
                 "transaction": list(itertools.product(kinds, companies, companies))
             }
+            reads = set()
             for reduction in corpus_ruleset.reduction_rules:
                 view = recording(state)
-                held = reduction.join.project(view, SELF_VAR, patterns)
-                assert held == reduction.join.project(state, SELF_VAR, patterns)
-                assert view.groups.read <= set(reduction.join.reads), reduction.key()
+                held = projected(reduction.query, view, SELF_VAR, patterns)
+                assert held == projected(reduction.query, state, SELF_VAR, patterns)
+                join = CompiledCondition(reduction.query)
+                assert view.groups.read <= set(join.reads), reduction.key()
+                reads.update(join.reads)
+            # the one function of all the reductions reads their groups alone
+            applicable = compile_projection(
+                [r.query for r in corpus_ruleset.reduction_rules], SELF_VAR
+            )
+            view = recording(state)
+            applicable(view.groups, kind_rows(patterns))
+            assert view.groups.read <= reads
 
     @settings(max_examples=200, deadline=None)
     @given(random_cases())
@@ -965,13 +988,13 @@ class TestReads:
         assert rows == join.bindings(state, seed, patterns)
         assert view.groups.read <= set(join.reads)
         try:
-            projecting = CompiledCondition(condition, project=positive_variables(condition))
+            reads = set(CompiledCondition(condition).reads)
         except KernelError:  # a check on a variable no positive literal binds
             return
         for v in positive_variables(condition):
             view = recording(state)
-            projecting.project(view, v, patterns)
-            assert view.groups.read <= set(projecting.reads)
+            projected(condition, view, v, patterns)
+            assert view.groups.read <= reads
 
 
 @pytest.fixture(scope="module")

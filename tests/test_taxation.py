@@ -16,12 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loophound.economy import (
+    Transfer,
     company_flows,
     earning_companies,
     is_multinationally_complete,
     settle,
 )
+from loophound.join import CompiledCondition, compile_projection
 from loophound.kernel import (
+    WILDCARD,
+    Comparison,
     GroundedAction,
     KernelError,
     Literal,
@@ -43,15 +47,24 @@ from loophound.taxation import (
     assess,
     choose_reduction,
     evaluate_state,
-    net_profit,
     residence_countries,
-    transaction_patterns,
 )
 from conftest import walk
-from oracles import oracle_match
+from oracles import evaluate_from_scratch, oracle_match, path_transfer
 
 
 # ------------------------------------------------------------------ fixture
+
+
+def corpus_memo(ruleset, scenario_doc):
+    """A fresh memo for the corpus reductions and rates over ``scenario_doc``."""
+    return EvaluationMemo(
+        scenario_doc.scenario, ruleset.reduction_rules, ruleset.rates()
+    )
+
+
+# p sold ip1 to c1 in the fourth action of the sandwich's path
+SANDWICH_TRANSFER = Transfer(3, seller="p", buyer="c1")
 
 
 @pytest.fixture(scope="module")
@@ -110,14 +123,10 @@ def sandwich(corpus_ruleset, corpus_scenario):
             (("Ip", "ip1"), ("Licensor", "c2"), ("Renter", "p")),
         ),
     )
-    txns, assessments, profit = evaluate_state(
-        state,
-        corpus_scenario.scenario,
-        corpus_ruleset.reduction_rules,
-        corpus_ruleset.rates(),
-        EvaluationMemo(),
-        actions,
+    ledger, assessments, profit = evaluate_state(
+        state, corpus_memo(corpus_ruleset, corpus_scenario), SANDWICH_TRANSFER
     )
+    txns = ledger.transactions
     by_company = {a.company: a for a in assessments}
     return state, actions, txns, assessments, by_company, profit
 
@@ -216,22 +225,25 @@ class TestSandwichFixture:
         assert profit == pytest.approx(market - taxes, rel=1e-12)
 
     def test_treaty_relief_applicable_but_beaten(
-        self, sandwich, corpus_ruleset
+        self, sandwich, corpus_ruleset, corpus_scenario
     ):
         """USA-wte applies to p yet loses to the cheaper election rate."""
-        state, _, txns, _, by_company, _ = sandwich
-        patterns = {"transaction": transaction_patterns(txns)}
+        state, _, _, _, by_company, _ = sandwich
+        memo = corpus_memo(corpus_ruleset, corpus_scenario)
+        ledger = settle(state, corpus_scenario.scenario, SANDWICH_TRANSFER)
         reductions = corpus_ruleset.reduction_rules
-        amap = applicability_map(state, patterns, reductions)
+        amap = applicability_map(state, ledger, memo)
         assert "USA-wte" in [reductions[i].legal_ref for i in amap["p"]]
         assert by_company["p"].applied_exemption == "check-the-box"
 
     def test_applicability_map_matches_seeded_checks(
-        self, sandwich, corpus_ruleset
+        self, sandwich, corpus_ruleset, corpus_scenario
     ):
         state, _, txns, *_ = sandwich
-        patterns = {"transaction": transaction_patterns(txns)}
-        amap = applicability_map(state, patterns, corpus_ruleset.reduction_rules)
+        patterns = {"transaction": [(t.kind, t.sender, t.receiver) for t in txns]}
+        memo = corpus_memo(corpus_ruleset, corpus_scenario)
+        ledger = settle(state, corpus_scenario.scenario, SANDWICH_TRANSFER)
+        amap = applicability_map(state, ledger, memo)
         assert set(amap) <= set(state.companies())
         for company in state.companies():
             expected = tuple(
@@ -271,7 +283,8 @@ class TestResidence:
 
 def applicable_without_transactions(state, company, reductions):
     """The reductions applicable to ``company`` in ``state``, with no ledger."""
-    amap = applicability_map(state, {"transaction": []}, reductions)
+    applicable = compile_projection([r.query for r in reductions], SELF_VAR)
+    amap = applicable(state.groups, ((), (), ()))
     return [reductions[i] for i in amap.get(company, ())]
 
 
@@ -452,9 +465,9 @@ class TestStrictImprovement:
         state = initial_state([make_fact("based", ("a0", "usa"))], ("a0",))
         identity = rule("noop", "deductible")  # new_base stays Base
         a = assess(
-            "a0", "usa",
+            "a0", "usa", 0.0,
             applicable_without_transactions(state, "a0", (identity,)),
-            {"usa": 0.35}, {},
+            {"usa": 0.35},
         )
         assert a.applied_reduction is None
         assert a.reduced_base == a.base
@@ -463,9 +476,9 @@ class TestStrictImprovement:
         state = initial_state([make_fact("based", ("a0", "usa"))], ("a0",))
         identity = rule("noop", "exemption")  # new_rate stays Rate
         a = assess(
-            "a0", "usa",
+            "a0", "usa", 0.0,
             applicable_without_transactions(state, "a0", (identity,)),
-            {"usa": 0.35}, {},
+            {"usa": 0.35},
         )
         assert a.applied_exemption is None
         assert a.reduced_rate == a.rate
@@ -473,13 +486,12 @@ class TestStrictImprovement:
     def test_channels_are_independent(self):
         """A deductible rewrites only the base, an exemption only the rate."""
         state = initial_state([make_fact("based", ("a0", "usa"))], ("a0",))
-        flows = {"a0": (200.0, 0.0)}
         ded = rule("d", "deductible", base_coef=0.5)
         ex = rule("e", "exemption", rate_coef=0.5)
         a = assess(
-            "a0", "usa",
+            "a0", "usa", 200.0,
             applicable_without_transactions(state, "a0", (ded, ex)),
-            {"usa": 0.4}, flows,
+            {"usa": 0.4},
         )
         assert (a.base, a.reduced_base) == (200.0, 100.0)
         assert (a.rate, a.reduced_rate) == (0.4, 0.2)
@@ -491,30 +503,34 @@ class TestStrictImprovement:
 class TestAssessErrors:
     def test_missing_statutory_rate(self):
         with pytest.raises(TaxationError, match="no statutory rate"):
-            assess("a0", "usa", (), {"germany": 0.3}, {})
+            assess("a0", "usa", 0.0, (), {"germany": 0.3})
 
 
 class TestNetProfit:
-    def test_intra_group_payments_cancel(self, sandwich):
-        _, _, txns, assessments, _, _ = sandwich
+    def test_intra_group_payments_cancel(self, sandwich, corpus_scenario):
+        state, _, txns, assessments, _, _ = sandwich
         flows = company_flows(txns)
         total = sum(fin - fout for fin, fout in flows.values())
         market = sum(t.amount for t in txns if t.kind == "commercial")
         assert total == pytest.approx(market, rel=1e-12)
-        recomputed = net_profit(flows, assessments)
+        # the ledger's market sum, less each tax in assessment order
+        recomputed = settle(state, corpus_scenario.scenario, SANDWICH_TRANSFER).market
+        for a in assessments:
+            recomputed -= a.tax_due
         assert recomputed == 1100.125
 
 
 # ------------------------------------------------------ one-pass evaluation
 
 
-def composed_evaluation(state, scenario, reductions, rates, actions):
+def composed_evaluation(state, scenario, reductions, rates, transfer):
     """Evaluation composed from its parts, rule by rule, without the one pass:
-    settle, then each rule's applicability to each company on its own, then
-    candidate choice, then profit."""
-    ledger = settle(state, scenario, actions)
+    a ledger settled anew, then each rule's applicability to each company on
+    its own, from its condition's bindings, then candidate choice, then
+    profit."""
+    ledger = settle(state, scenario, transfer).transactions
     flows = company_flows(ledger)
-    patterns = {"transaction": transaction_patterns(ledger)}
+    patterns = {"transaction": [(t.kind, t.sender, t.receiver) for t in ledger]}
     managed = {f.args[0]: f.args[1] for f in state.facts() if f.predicate == "managed"}
     based = {f.args[0]: f.args[1] for f in state.facts() if f.predicate == "based"}
     assessments = []
@@ -524,7 +540,8 @@ def composed_evaluation(state, scenario, reductions, rates, actions):
         rate = float(rates[country])
         candidates = []
         for rule in reductions:
-            if company in rule.join.project(state, SELF_VAR, patterns):
+            seed = {SELF_VAR: company}
+            if CompiledCondition(rule.query, bound=seed).exists(state, seed, patterns):
                 candidates += applicable_reductions(company, base, rate, [rule])
         deductible = choose_reduction(
             [c for c in candidates if c[0].kind == "deductible"]
@@ -551,11 +568,17 @@ def composed_evaluation(state, scenario, reductions, rates, actions):
                 tax_due=reduced_base * reduced_rate,
             )
         )
+    profit = 0.0
+    for company in sorted(flows):
+        fin, fout = flows[company]
+        profit += fin - fout
+    for a in assessments:
+        profit -= a.tax_due
     covered = {country for _, country in earning_companies(state, scenario)}
     complete = all(
         c in covered for c in scenario.countries if c not in scenario.tax_havens
     )
-    return ledger, assessments, net_profit(flows, assessments), complete
+    return ledger, assessments, profit, complete
 
 
 class TestEvaluationMemo:
@@ -575,16 +598,13 @@ class TestEvaluationMemo:
             )
             for dropped in ("managed", "isChildOf")
         ]
-        memo = EvaluationMemo()
-        results = [
-            evaluate_state(v, scenario, reductions, rates, memo, actions)
-            for v in variants
-        ]
+        memo = EvaluationMemo(scenario, reductions, rates)
+        results = [evaluate_state(v, memo, SANDWICH_TRANSFER) for v in variants]
         assert len(memo.ledgers) == 1
         assert all(r[0] is results[0][0] for r in results)
         for variant, result in zip(variants, results):
             fresh = evaluate_state(
-                variant, scenario, reductions, rates, EvaluationMemo(), actions
+                variant, EvaluationMemo(scenario, reductions, rates), SANDWICH_TRANSFER
             )
             assert result == fresh
         seated = {a.company: a for a in results[0][1]}
@@ -606,15 +626,17 @@ class TestEvaluationMemo:
             step_count=state.step_count + 1,
             transfer_used=state.transfer_used,
         )
-        transfer_first = (actions[3],) + actions[:3] + actions[4:]
-        cases = [(state, actions), (later, actions), (state, transfer_first)]
-        memo = EvaluationMemo()
-        for case_state, case_actions in cases:
-            result = evaluate_state(
-                case_state, scenario, reductions, rates, memo, case_actions
-            )
+        transfer_first = SANDWICH_TRANSFER._replace(step=0)
+        cases = [
+            (state, SANDWICH_TRANSFER),
+            (later, SANDWICH_TRANSFER),
+            (state, transfer_first),
+        ]
+        memo = EvaluationMemo(scenario, reductions, rates)
+        for case_state, transfer in cases:
+            result = evaluate_state(case_state, memo, transfer)
             fresh = evaluate_state(
-                case_state, scenario, reductions, rates, EvaluationMemo(), case_actions
+                case_state, EvaluationMemo(scenario, reductions, rates), transfer
             )
             assert result == fresh
         assert len(memo.ledgers) == 3
@@ -631,13 +653,145 @@ class TestOnePassEvaluation:
         reductions = corpus_ruleset.reduction_rules
         rates = corpus_ruleset.rates()
         state = states[-1]
-        transactions, assessments, p = evaluate_state(
-            state, scenario, reductions, rates, EvaluationMemo(), actions
+        transfer = path_transfer(corpus_ruleset, actions)
+        ledger, assessments, p = evaluate_state(
+            state, EvaluationMemo(scenario, reductions, rates), transfer
         )
-        ledger, expected, expected_p, complete = composed_evaluation(
-            state, scenario, reductions, rates, actions
+        transactions, expected, expected_p, complete = composed_evaluation(
+            state, scenario, reductions, rates, transfer
         )
-        assert transactions == ledger
+        assert ledger.transactions == transactions
         assert assessments == expected
         assert p == expected_p
+        assert ledger.complete == complete
         assert is_multinationally_complete(transactions, scenario) == complete
+        assert (transactions, assessments, p, complete) == evaluate_from_scratch(
+            state, scenario, reductions, rates, transfer
+        )
+
+
+# items a generated reduction condition draws from: transaction literals of
+# every kind, of a variable kind and negated, and literals over the state
+GENERATED_ITEMS = (
+    Literal("transaction", ("royalty", SELF_VAR, "R")),
+    Literal("transaction", ("commercial", "M", SELF_VAR)),
+    Literal("transaction", ("transfer", SELF_VAR, "R")),
+    Literal("transaction", ("transfer", "R", SELF_VAR)),
+    Literal("transaction", ("K", "R", SELF_VAR)),
+    Literal("transaction", ("transfer", SELF_VAR, WILDCARD), negated=True),
+    Literal("transaction", ("royalty", WILDCARD, SELF_VAR), negated=True),
+    Literal("transaction", ("commercial", "usa", SELF_VAR), negated=True),
+    Literal("based", (SELF_VAR, "C")),
+    Literal("based", ("R", "C")),
+    Literal("managed", (SELF_VAR, WILDCARD), negated=True),
+    Literal("managed", ("R", "bermuda"), negated=True),
+    Literal("isChildOf", (SELF_VAR, "P")),
+    Literal("ownsIP", (SELF_VAR, WILDCARD), negated=True),
+    Comparison("C", "!=", "usa"),
+    Comparison("R", "!=", SELF_VAR),
+)
+
+
+@st.composite
+def generated_reductions(draw):
+    """One to four reductions whose conditions are drawn from
+    ``GENERATED_ITEMS``; a condition whose checks no positive literal binds
+    is drawn again."""
+    items = st.lists(st.sampled_from(GENERATED_ITEMS), min_size=1, max_size=4, unique=True)
+    count, rules = draw(st.integers(min_value=1, max_value=4)), []
+    while len(rules) < count:
+        condition = tuple(draw(items))
+        kind = draw(st.sampled_from(["deductible", "exemption"]))
+        coef = {"base_coef" if kind == "deductible" else "rate_coef": 0.5}
+        try:
+            rules.append(rule(f"g{len(rules)}", kind, condition, **coef))
+        except KernelError:  # no Self, or a check no positive literal binds
+            continue
+    return tuple(rules)
+
+
+class TestGeneratedReductions:
+    """The one generated applicability function, and the evaluation built on
+    it, agree with each condition's own bindings on generated rules."""
+
+    @given(
+        reductions=generated_reductions(),
+        choices=st.lists(st.integers(min_value=0), max_size=10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_evaluation_equals_the_oracle(
+        self, corpus_ruleset, corpus_scenario, reductions, choices
+    ):
+        states, actions = walk(corpus_ruleset, corpus_scenario, choices)
+        scenario = corpus_scenario.scenario
+        rates = corpus_ruleset.rates()
+        state, transfer = states[-1], path_transfer(corpus_ruleset, actions)
+        memo = EvaluationMemo(scenario, reductions, rates)
+        ledger, assessments, p = evaluate_state(state, memo, transfer)
+        assert (ledger.transactions, assessments, p, ledger.complete) == (
+            evaluate_from_scratch(state, scenario, reductions, rates, transfer)
+        )
+        patterns = {
+            "transaction": [(t.kind, t.sender, t.receiver) for t in ledger.transactions]
+        }
+        amap = applicability_map(state, ledger, memo)
+        for company in state.companies():
+            expected = tuple(
+                i
+                for i, reduction in enumerate(reductions)
+                if oracle_match(state, reduction.query, {SELF_VAR: company}, patterns)
+            )
+            assert amap.get(company, ()) == expected
+
+    def test_negated_transaction_over_an_empty_relation_holds(self, sandwich):
+        state, *_ = sandwich
+        no_sale = rule(
+            "no-sale", "deductible",
+            (Literal("transaction", ("transfer", SELF_VAR, WILDCARD), negated=True),),
+            base_coef=0.5,
+        )
+        sold = rule(
+            "sold", "deductible",
+            (Literal("transaction", ("transfer", SELF_VAR, "R")),),
+            base_coef=0.5,
+        )
+        applicable = compile_projection([no_sale.query, sold.query], SELF_VAR)
+        companies = set(state.companies())
+        # no transfer in the ledger: the negated literal holds for everyone,
+        # the positive one is skipped
+        assert applicable(state.groups, ((), (), ())) == dict.fromkeys(companies, (0,))
+        # c1 paid p for the IP
+        paid = applicable(state.groups, ((), (), (("c1", "p"),)))
+        assert paid == {**dict.fromkeys(companies - {"c1"}, (0,)), "c1": (1,)}
+
+    def test_commercial_and_transfer_kinds_and_no_transaction_literal(
+        self, sandwich, corpus_scenario
+    ):
+        state, *_ = sandwich
+        earns_at_home = rule(
+            "home", "exemption",
+            (
+                Literal("based", (SELF_VAR, "C")),
+                Literal("transaction", ("commercial", "C", SELF_VAR)),
+            ),
+            rate_coef=0.5,
+        )
+        bought = rule(
+            "bought", "exemption",
+            (Literal("transaction", ("transfer", SELF_VAR, "R")),),
+            rate_coef=0.5,
+        )
+        parent = rule(
+            "parent", "deductible",
+            (Literal("isChildOf", ("C", SELF_VAR)),),
+            base_coef=0.5,
+        )
+        applicable = compile_projection(
+            [r.query for r in (earns_at_home, bought, parent)], SELF_VAR
+        )
+        ledger = settle(state, corpus_scenario.scenario, SANDWICH_TRANSFER)
+        # every company earns in its country of incorporation; c1 bought the
+        # IP; p is every child's parent
+        assert applicable(state.groups, ledger.rows) == {
+            "p": (0, 2), "c1": (0, 1), "c2": (0,), "c3": (0,),
+        }
