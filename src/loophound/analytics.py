@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .explorer import TrajectorySet
+from .explorer import TrajectorySet, percentile
 
 REFERENCE_PEAK_HEIGHT = 3.85
 # interquartile range of the reference profile the 3.85 constant was tuned
@@ -77,24 +77,10 @@ def resolve_peak_height(profile_values: Sequence[float]) -> float:
     if len(profile_values) == 0:
         return REFERENCE_PEAK_HEIGHT
     ordered = sorted(map(float, profile_values))
-    iqr = _percentile(ordered, 0.75) - _percentile(ordered, 0.25)
+    iqr = percentile(ordered, 0.75) - percentile(ordered, 0.25)
     if iqr <= 0.0:
         return REFERENCE_PEAK_HEIGHT
     return REFERENCE_PEAK_HEIGHT * (iqr / REFERENCE_IQR)
-
-
-def _percentile(ordered: Sequence[float], q: float) -> float:
-    """The ``q`` quantile of the ascending ``ordered``, bit for bit as
-    ``numpy.percentile``'s default ``linear`` method computes it: the virtual
-    index ``(n-1)*q`` and numpy's two-sided interpolation, which approaches
-    the upper neighbour from above when the fraction is at least one half."""
-    index = (len(ordered) - 1) * q
-    lo = math.floor(index)
-    g = index - lo
-    a = ordered[lo]
-    b = ordered[min(lo + 1, len(ordered) - 1)]
-    d = b - a
-    return b - d * (1.0 - g) if g >= 0.5 else a + d * g
 
 
 def drop_series(profile_values: Sequence[float]) -> list[float]:

@@ -15,11 +15,28 @@ written through one writer (:func:`_write`), which writes a temporary
 sibling and moves it into place.  Exit codes: 0 success, 1 validation or
 usage error (a malformed input file included), 2 IO error, 3 stage-order
 violation (a prerequisite stage's output is missing).
+
+A stage imports only the layers it runs, when it runs:
+
+* check    -> :mod:`~loophound.dsl` (with the kernel, economy, taxation and
+  the join compiler its rules are built with)
+* explore  -> that, :mod:`~loophound.explorer` and numpy
+* profile, stats -> :mod:`~loophound.explorer` (the trajectory reader) and
+  :mod:`~loophound.analytics`
+* induce, graph  -> :mod:`~loophound.explorer` and :mod:`~loophound.induction`
+  (induce reads profile.csv with :mod:`~loophound.analytics` too)
+* policy   -> those and :mod:`~loophound.policy`
+
+The functions and classes the commands use are attributes of this module,
+imported and bound on their first lookup (the module ``__getattr__``), and
+the commands look them up on the module: a function set here in place of
+one, as ``perfbench/traced_stage.py`` sets its tracing wrappers, is what runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -29,40 +46,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__, corpus_path
-from .analytics import (
-    AnalyticsError,
-    UnknownTrajectoryError,
-    detect_segments,
-    frequency_table,
-    read_profile_csv,
-    utility_profile,
-    write_profile_csv,
-    write_stats_csv,
-)
-from .dsl import parse_ruleset, parse_scenario
-from .explorer import (
-    ExplorerError,
-    SearchParams,
-    check_rates,
-    explore,
-    read_jsonl,
-    write_jsonl,
-)
-from .induction import (
-    InductionConfig,
-    InductionError,
-    build_background,
-    evaluate,
-    induce,
-    label,
-    read_hypothesis_json,
-    scheme_graph,
-    write_dot,
-    write_edges_csv,
-    write_hypothesis_json,
-    write_hypothesis_text,
-)
-from .policy import PolicyError, WelfareConfig, delta_restriction, write_policy_report
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -79,11 +62,59 @@ DOT_FILE = "scheme.dot"
 EDGES_FILE = "scheme_edges.csv"
 MANIFEST_FILE = "manifest.json"
 
-# what a stage input holds, as named in "corrupt <kind> file" errors
-_INPUT_KINDS = {
-    TRAJECTORIES_FILE: "trajectory",
-    PROFILE_FILE: "profile",
-    HYPOTHESIS_JSON: "hypothesis",
+# the stage functions and classes the commands use, by the module that
+# defines them; the commands look each up through _cli, this module
+_LAZY = {
+    "dsl": ("parse_ruleset", "parse_scenario", "rate_problem"),
+    "explorer": ("ExplorerError", "SearchParams", "explore", "read_jsonl", "write_jsonl"),
+    "analytics": (
+        "AnalyticsError",
+        "UnknownTrajectoryError",
+        "detect_segments",
+        "frequency_table",
+        "read_profile_csv",
+        "utility_profile",
+        "write_profile_csv",
+        "write_stats_csv",
+    ),
+    "induction": (
+        "InductionConfig",
+        "InductionError",
+        "build_background",
+        "evaluate",
+        "induce",
+        "label",
+        "read_hypothesis_json",
+        "scheme_graph",
+        "write_dot",
+        "write_edges_csv",
+        "write_hypothesis_json",
+        "write_hypothesis_text",
+    ),
+    "policy": ("PolicyError", "WelfareConfig", "delta_restriction", "write_policy_report"),
+}
+_HOMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """The stage function or class ``name``, imported with its module and
+    bound into this module on the first lookup."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]
+
+# per stage input: what it holds, as named in "corrupt <kind> file" errors;
+# the stage that writes it; the reader of it and the error that reader
+# raises on malformed content, both looked up through _cli
+_INPUTS = {
+    TRAJECTORIES_FILE: ("trajectory", "explore", "read_jsonl", "ExplorerError"),
+    PROFILE_FILE: ("profile", "profile", "read_profile_csv", "AnalyticsError"),
+    HYPOTHESIS_JSON: ("hypothesis", "induce", "read_hypothesis_json", "InductionError"),
 }
 
 _WELFARE_ALIASES = {
@@ -116,18 +147,17 @@ def _read_text(path: Path) -> str:
 
 
 def _parse_documents(ruleset_path: Path, scenario_path: Path):
-    ruleset_result = parse_ruleset(_read_text(ruleset_path))
-    scenario_result = parse_scenario(_read_text(scenario_path))
+    ruleset_result = _cli.parse_ruleset(_read_text(ruleset_path))
+    scenario_result = _cli.parse_scenario(_read_text(scenario_path))
     diagnostics = list(ruleset_result.diagnostics) + list(scenario_result.diagnostics)
     for diagnostic in diagnostics:
         print(str(diagnostic), file=sys.stderr)
     if not ruleset_result.ok or not scenario_result.ok:
         raise CliError("input documents failed validation", EXIT_VALIDATION)
     ruleset, scenario = ruleset_result.document, scenario_result.document
-    try:
-        check_rates(ruleset, scenario)
-    except ExplorerError as exc:
-        raise CliError(f"{ruleset_path}: {exc}", EXIT_VALIDATION) from exc
+    problem = _cli.rate_problem(ruleset, scenario)
+    if problem is not None:
+        raise CliError(f"{ruleset_path}: {problem}", EXIT_VALIDATION)
     return ruleset, scenario
 
 
@@ -199,24 +229,23 @@ def _ensure_out_dir(raw: str) -> Path:
     return out_dir
 
 
-def _load(out_dir: Path, name: str, producer: str, reader):
-    """``reader(path)`` of the input ``name`` that the ``producer`` stage
-    writes: exit 3 when it is missing, 2 when it cannot be read, and 1 when
-    its content is malformed."""
+def _load(out_dir: Path, name: str):
+    """The content of the stage input ``name``, read by its reader (see
+    ``_INPUTS``): exit 3 when it is missing, 2 when it cannot be read, and 1
+    when its content is malformed."""
+    kind, producer, reader, error = _INPUTS[name]
     path = out_dir / name
     if not path.exists():
         raise CliError(
             f"{path} not found; run the {producer} stage first", EXIT_STAGE_ORDER
         )
     try:
-        return reader(path)
+        return getattr(_cli, reader)(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
     # ValueError: bytes that are not UTF-8 text
-    except (ValueError, ExplorerError, AnalyticsError, InductionError) as exc:
-        raise CliError(
-            f"corrupt {_INPUT_KINDS[name]} file {path}: {exc}", EXIT_VALIDATION
-        ) from exc
+    except (ValueError, getattr(_cli, error)) as exc:
+        raise CliError(f"corrupt {kind} file {path}: {exc}", EXIT_VALIDATION) from exc
 
 
 # ============================================================================
@@ -232,7 +261,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_explore(args: argparse.Namespace) -> int:
     try:
-        params = SearchParams(
+        params = _cli.SearchParams(
             seed=args.seed,
             iterations=args.iterations,
             expansions=args.expansions,
@@ -241,15 +270,21 @@ def cmd_explore(args: argparse.Namespace) -> int:
             max_steps=args.max_steps,
             cost_coefficient=args.cost,
         )
-    except ExplorerError as exc:
+    except _cli.ExplorerError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from exc
-    ruleset_path = Path(args.ruleset)
-    scenario_path = Path(args.scenario)
+    # the bundled documents, when no path is given, are looked up here, so
+    # that a missing one fails this stage alone
+    ruleset_path = Path(
+        corpus_path("table1.lhl") if args.ruleset is None else args.ruleset
+    )
+    scenario_path = Path(
+        corpus_path("scenario.lhl") if args.scenario is None else args.scenario
+    )
     ruleset, scenario = _parse_documents(ruleset_path, scenario_path)
     out_dir = _ensure_out_dir(args.out)
     manifest = _read_manifest(out_dir)
-    tset = explore(ruleset, scenario, params)
-    _write(out_dir / TRAJECTORIES_FILE, write_jsonl, tset)
+    tset = _cli.explore(ruleset, scenario, params)
+    _write(out_dir / TRAJECTORIES_FILE, _cli.write_jsonl, tset)
     for warning in tset.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     complete = sum(1 for t in tset.trajectories if t.complete)
@@ -284,12 +319,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
         raise CliError("--peak-height must be positive", EXIT_VALIDATION)
     out_dir = _ensure_out_dir(args.out)
     manifest = _read_manifest(out_dir)
-    tset = _load(out_dir, TRAJECTORIES_FILE, "explore", read_jsonl)
-    profile = utility_profile(tset)
+    tset = _load(out_dir, TRAJECTORIES_FILE)
+    profile = _cli.utility_profile(tset)
     if len(profile.values) == 0:
         raise CliError("no complete trajectories; cannot build a profile", EXIT_VALIDATION)
-    segments = detect_segments(profile, args.peak_height, args.min_distance)
-    _write(out_dir / PROFILE_FILE, write_profile_csv, profile, segments)
+    segments = _cli.detect_segments(profile, args.peak_height, args.min_distance)
+    _write(out_dir / PROFILE_FILE, _cli.write_profile_csv, profile, segments)
     print(
         f"profile over {len(profile.values)} complete trajectories, "
         f"{len(segments)} segment(s) -> {out_dir / PROFILE_FILE}"
@@ -311,17 +346,17 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args.out)
     manifest = _read_manifest(out_dir)
-    tset = _load(out_dir, TRAJECTORIES_FILE, "explore", read_jsonl)
-    profile, segments = _load(out_dir, PROFILE_FILE, "profile", read_profile_csv)
+    tset = _load(out_dir, TRAJECTORIES_FILE)
+    profile, segments = _load(out_dir, PROFILE_FILE)
     try:
-        table = frequency_table(tset, profile, segments)
-    except UnknownTrajectoryError as exc:
+        table = _cli.frequency_table(tset, profile, segments)
+    except _cli.UnknownTrajectoryError as exc:
         raise CliError(
             f"{exc}; {PROFILE_FILE} is older than {TRAJECTORIES_FILE}, "
             "run the profile stage again",
             EXIT_STAGE_ORDER,
         ) from exc
-    _write(out_dir / STATS_FILE, write_stats_csv, table)
+    _write(out_dir / STATS_FILE, _cli.write_stats_csv, table)
     print(
         f"legal-reference frequencies for {table.segment_count} segment(s) "
         f"-> {out_dir / STATS_FILE}"
@@ -333,7 +368,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _default_u_plus(out_dir: Path) -> float:
-    profile, segments = _load(out_dir, PROFILE_FILE, "profile", read_profile_csv)
+    profile, segments = _load(out_dir, PROFILE_FILE)
     if len(segments) < 2:
         raise CliError(
             "profile has a single segment; supply --u-plus explicitly", EXIT_VALIDATION
@@ -344,27 +379,27 @@ def _default_u_plus(out_dir: Path) -> float:
 def cmd_induce(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args.out)
     manifest = _read_manifest(out_dir)
-    tset = _load(out_dir, TRAJECTORIES_FILE, "explore", read_jsonl)
+    tset = _load(out_dir, TRAJECTORIES_FILE)
     u_plus = args.u_plus if args.u_plus is not None else _default_u_plus(out_dir)
     try:
-        config = InductionConfig(
+        config = _cli.InductionConfig(
             u_plus=u_plus,
             max_literals=args.max_literals,
             beam_width=args.beam_width,
             max_clauses=args.max_clauses,
         )
-        examples = label(tset, u_plus)
-        background = build_background(tset, config)
+        examples = _cli.label(tset, u_plus)
+        background = _cli.build_background(tset, config)
         for warning in list(examples.warnings) + list(background.warnings):
             print(f"warning: {warning}", file=sys.stderr)
-        hypothesis = induce(examples, background, config)
-        overall = evaluate(hypothesis, examples, background)
-    except InductionError as exc:
+        hypothesis = _cli.induce(examples, background, config)
+        overall = _cli.evaluate(hypothesis, examples, background)
+    except _cli.InductionError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from exc
     _write(
-        out_dir / HYPOTHESIS_JSON, write_hypothesis_json, hypothesis, examples, overall
+        out_dir / HYPOTHESIS_JSON, _cli.write_hypothesis_json, hypothesis, examples, overall
     )
-    _write(out_dir / HYPOTHESIS_TEXT, write_hypothesis_text, hypothesis, overall)
+    _write(out_dir / HYPOTHESIS_TEXT, _cli.write_hypothesis_text, hypothesis, overall)
     for warning in hypothesis.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     accuracy = "undefined" if overall.accuracy is None else f"{overall.accuracy:.4f}"
@@ -392,18 +427,16 @@ def cmd_induce(args: argparse.Namespace) -> int:
 def cmd_policy(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args.out)
     manifest = _read_manifest(out_dir)
-    tset = _load(out_dir, TRAJECTORIES_FILE, "explore", read_jsonl)
-    hypothesis, u_plus, _overall = _load(
-        out_dir, HYPOTHESIS_JSON, "induce", read_hypothesis_json
-    )
+    tset = _load(out_dir, TRAJECTORIES_FILE)
+    hypothesis, u_plus, _overall = _load(out_dir, HYPOTHESIS_JSON)
     try:
-        config = WelfareConfig(welfare_kind=_WELFARE_ALIASES[args.welfare])
-        examples = label(tset, u_plus)
-        background = build_background(tset, InductionConfig(u_plus=u_plus))
-        report = delta_restriction(tset, hypothesis, examples, background, config)
-    except (PolicyError, InductionError) as exc:
+        config = _cli.WelfareConfig(welfare_kind=_WELFARE_ALIASES[args.welfare])
+        examples = _cli.label(tset, u_plus)
+        background = _cli.build_background(tset, _cli.InductionConfig(u_plus=u_plus))
+        report = _cli.delta_restriction(tset, hypothesis, examples, background, config)
+    except (_cli.PolicyError, _cli.InductionError) as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from exc
-    _write(out_dir / POLICY_FILE, write_policy_report, report)
+    _write(out_dir / POLICY_FILE, _cli.write_policy_report, report)
     delta = "undefined" if report.delta_h is None else f"{report.delta_h:.6f}"
     print(
         f"welfare {report.welfare_kind}: Delta(H) = {delta}, verdict {report.verdict} "
@@ -423,12 +456,10 @@ def cmd_graph(args: argparse.Namespace) -> int:
         raise CliError("--top-k must be at least 1", EXIT_VALIDATION)
     out_dir = _ensure_out_dir(args.out)
     manifest = _read_manifest(out_dir)
-    hypothesis, _u_plus, _overall = _load(
-        out_dir, HYPOTHESIS_JSON, "induce", read_hypothesis_json
-    )
-    graph = scheme_graph(hypothesis, args.top_k)
-    _write(out_dir / DOT_FILE, write_dot, graph)
-    _write(out_dir / EDGES_FILE, write_edges_csv, graph)
+    hypothesis, _u_plus, _overall = _load(out_dir, HYPOTHESIS_JSON)
+    graph = _cli.scheme_graph(hypothesis, args.top_k)
+    _write(out_dir / DOT_FILE, _cli.write_dot, graph)
+    _write(out_dir / EDGES_FILE, _cli.write_edges_csv, graph)
     print(f"{len(graph.edges)} edge(s) -> {out_dir / DOT_FILE}, {out_dir / EDGES_FILE}")
     _write_manifest(
         out_dir,
@@ -466,10 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     explore_cmd = commands.add_parser("explore", help="run the randomized trajectory search")
     explore_cmd.add_argument(
-        "--ruleset", default=str(corpus_path("table1.lhl")), help="ruleset document path"
+        "--ruleset", help="ruleset document path (default: the bundled table1.lhl)"
     )
     explore_cmd.add_argument(
-        "--scenario", default=str(corpus_path("scenario.lhl")), help="scenario document path"
+        "--scenario", help="scenario document path (default: the bundled scenario.lhl)"
     )
     explore_cmd.add_argument("--seed", type=int, default=7)
     explore_cmd.add_argument("--iterations", type=int, default=50)
@@ -528,12 +559,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (ExplorerError, InductionError, PolicyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        # a stage's own errors, looked up only when an exception gets this
+        # far: a stage that succeeds, --help and --version import none of
+        # their modules for them
+        if not isinstance(exc, (_cli.ExplorerError, _cli.InductionError, _cli.PolicyError)):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

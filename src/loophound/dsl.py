@@ -38,7 +38,8 @@ Each rule checks its own well-formedness when it is built (see
 :class:`~loophound.taxation.ReductionRule`); the parser reports the one error
 of a malformed rule at the rule's first token.  The checks that span a
 document stay here: which statements a document may hold, rates, duplicate
-rule keys and declared entities.
+rule keys and declared entities; :func:`rate_problem` checks a ruleset
+against a scenario.
 
 Parsing is total: any input produces either a document or at least one error
 diagnostic, never an exception.  The pretty-printer emits a canonical layout
@@ -125,6 +126,17 @@ class StateSpec:
 class ScenarioDoc:
     state: StateSpec
     scenario: ScenarioConfig
+
+
+def rate_problem(ruleset: RuleSetDoc, scenario_doc: ScenarioDoc) -> Optional[str]:
+    """The problem naming every scenario country that has no statutory rate
+    in ``ruleset``, or None when each has one: a company may become resident
+    in any scenario country, and its return needs that country's rate."""
+    rates = ruleset.rates()
+    missing = [c for c in scenario_doc.scenario.countries if c not in rates]
+    if not missing:
+        return None
+    return "no statutory rate for scenario country " + ", ".join(map(repr, missing))
 
 
 # ============================================================================

@@ -49,7 +49,6 @@ import math
 from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Optional, get_args, get_type_hints
 
-from .dsl import RuleSetDoc, ScenarioDoc, render_ruleset, render_scenario
 # is_multinationally_complete is no longer called here: a ledger carries its
 # completeness.  The name stays importable from this module, where
 # perfbench/traced_stage.py wraps it.
@@ -75,6 +74,8 @@ from .taxation import EvaluationMemo, TaxAssessment, evaluate_state
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .dsl import RuleSetDoc, ScenarioDoc
 
 FORMAT_VERSION = 1
 
@@ -138,8 +139,8 @@ def selection_distribution(
     p_depth = np.exp(logits_d)
     p_depth /= p_depth.sum()
 
-    q1, q3 = np.percentile(utilities, [25.0, 75.0])
-    sigma = max(1.0, float(q3 - q1))
+    q1, q3 = quartiles(utilities)
+    sigma = max(1.0, q3 - q1)
     logits_u = (utilities - utilities.max()) / sigma
     p_utility = np.exp(logits_u)
     p_utility /= p_utility.sum()
@@ -147,6 +148,49 @@ def selection_distribution(
     w = depth_weight(t, beta)
     p = w * p_depth + (1.0 - w) * p_utility
     return p / p.sum()
+
+
+def _neighbours(n: int, q: float) -> tuple[int, int, float]:
+    """The positions ``(lo, hi)`` of the two order statistics of ``n`` values
+    that numpy's ``linear`` percentile interpolates between for the quantile
+    ``q``, and the fraction ``g`` it weighs them with.  They come from the
+    virtual index ``(n-1)*q``; at or past the last position numpy takes the
+    last value twice and measures ``g`` from the index -1 it marks it with."""
+    index = (n - 1) * q
+    if index >= n - 1:
+        return n - 1, n - 1, index + 1.0
+    lo = math.floor(index)
+    return lo, lo + 1, index - lo
+
+
+def percentile(values, q: float) -> float:
+    """The ``q`` quantile of ``values`` by ``numpy.percentile``'s default
+    ``linear`` method, computed as numpy computes it from the same two order
+    statistics: its two-sided interpolation approaches the upper neighbour
+    from above when the fraction is at least one half.  ``values`` need only
+    be in order at the two positions :func:`_neighbours` names, as an
+    ascending sequence is, and an array partitioned at them."""
+    lo, hi, g = _neighbours(len(values), q)
+    a, b = values[lo], values[hi]
+    d = b - a
+    return b - d * (1.0 - g) if g >= 0.5 else a + d * g
+
+
+def quartiles(values: np.ndarray) -> tuple[float, float]:
+    """``numpy.percentile(values, [25, 75])`` bit for bit, from a copy of
+    ``values`` partitioned at the positions numpy partitions at: the four
+    neighbours, and the first and last, so that equal values, 0.0 and -0.0
+    among them, land where they land in numpy.  ``numpy.percentile`` finds
+    those positions with ``numpy.unique``, whose first call imports
+    ``numpy.ma``; the search needs nothing else of it."""
+    import numpy as np
+
+    n = len(values)
+    kth = {0, n - 1}
+    for q in (0.25, 0.75):
+        kth.update(_neighbours(n, q)[:2])
+    ordered = np.partition(values, sorted(kth))
+    return float(percentile(ordered, 0.25)), float(percentile(ordered, 0.75))
 
 
 def trajectory_utility(p: float, length: int, cost_coefficient: float) -> float:
@@ -241,18 +285,6 @@ def _domains(scenario: ScenarioConfig) -> Domains:
     )
 
 
-def check_rates(ruleset: RuleSetDoc, scenario_doc: ScenarioDoc) -> None:
-    """Raise :class:`ExplorerError` naming every scenario country that has no
-    statutory rate in ``ruleset``: a company may become resident in any
-    scenario country, and its return needs that country's rate."""
-    rates = ruleset.rates()
-    missing = [c for c in scenario_doc.scenario.countries if c not in rates]
-    if missing:
-        raise ExplorerError(
-            "no statutory rate for scenario country " + ", ".join(map(repr, missing))
-        )
-
-
 def explore(
     ruleset: RuleSetDoc,
     scenario_doc: ScenarioDoc,
@@ -260,26 +292,41 @@ def explore(
 ) -> TrajectorySet:
     """Run the search and return the recorded trajectory set.
 
-    The documents are checked with :func:`check_rates` before the search
-    starts.  The cyclic garbage collector is paused while the search runs
-    and left enabled or disabled, as the caller had it, when it returns or
-    raises.
+    The documents are checked with :func:`loophound.dsl.rate_problem` before
+    the search starts: a scenario country without a statutory rate raises
+    :class:`ExplorerError`.  The cyclic garbage collector is paused while
+    the search runs and left enabled or disabled, as the caller had it, when
+    it returns or raises.
     """
-    check_rates(ruleset, scenario_doc)
+    # the only use of the document layer here: the stages that read
+    # trajectories load this module without it
+    from .dsl import rate_problem, render_ruleset, render_scenario
+
+    problem = rate_problem(ruleset, scenario_doc)
+    if problem is not None:
+        raise ExplorerError(problem)
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _search(ruleset, scenario_doc, params)
+        trajectories, warnings = _search(ruleset, scenario_doc, params)
     finally:
         if collecting:
             gc.enable()
+    return TrajectorySet(
+        params=params,
+        ruleset_sha256=_doc_hash(render_ruleset(ruleset)),
+        scenario_sha256=_doc_hash(render_scenario(scenario_doc)),
+        trajectories=trajectories,
+        warnings=warnings,
+    )
 
 
 def _search(
     ruleset: RuleSetDoc,
     scenario_doc: ScenarioDoc,
     params: SearchParams,
-) -> TrajectorySet:
+) -> tuple[tuple[Trajectory, ...], tuple[str, ...]]:
+    """The recorded trajectories and the warnings of one search."""
     import numpy as np
 
     scenario = scenario_doc.scenario
@@ -415,13 +462,7 @@ def _search(
             )
         )
 
-    return TrajectorySet(
-        params=params,
-        ruleset_sha256=_doc_hash(render_ruleset(ruleset)),
-        scenario_sha256=_doc_hash(render_scenario(scenario_doc)),
-        trajectories=tuple(trajectories),
-        warnings=tuple(warnings),
-    )
+    return tuple(trajectories), tuple(warnings)
 
 
 def _transfer(nodes: list[_Node], index: int, rules: ActionRules) -> Optional[Transfer]:

@@ -55,7 +55,6 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import economy  # settle is looked up per call, where tracing can wrap it
 from .economy import Ledger, Ledgers, ScenarioConfig, Transfer
-from .join import compile_projection
 from .kernel import GROUP, Condition, KernelError, Literal, State, condition_problems
 
 log = logging.getLogger(__name__)
@@ -151,6 +150,10 @@ class ReductionRule:
         ):
             # Self bound by no positive literal ranges over the existing companies
             condition = (Literal("exists", (SELF_VAR,)),) + condition
+        # join is loaded where a condition compiles: stages that only read
+        # recorded returns load this module without it
+        from .join import compile_projection
+
         compile_projection((condition,), SELF_VAR)  # raises on a bad condition
         object.__setattr__(self, "query", condition)
 
@@ -337,6 +340,8 @@ class EvaluationMemo:
         reductions: Sequence[ReductionRule],
         rates: TaxRateTable,
     ) -> None:
+        from .join import compile_projection
+
         self.scenario = scenario
         self.reductions = tuple(reductions)
         self.rates = rates

@@ -1,10 +1,13 @@
 """Brute-force condition matching, the reference the join engine is tested
-against, and a state's evaluation with nothing memoized."""
+against, a state's evaluation with nothing memoized, and the frontier's
+selection distribution with its quartiles from ``numpy.percentile``."""
 
 from __future__ import annotations
 
 import functools
 import itertools
+
+import numpy as np
 
 from loophound.economy import Transfer, company_flows, earning_companies, settle
 from loophound.join import CompiledCondition
@@ -151,3 +154,23 @@ def kind_rows(patterns):
     return tuple(
         tuple((s, r) for k, s, r in triples if k == kind) for kind in TRANSACTION_KINDS
     )
+
+
+def selection_with_percentile(depths, utilities, t, beta, tau0):
+    """The search's selection distribution over a frontier, its utility
+    quartiles taken by ``numpy.percentile``: a depth softmax at temperature
+    ``tau0`` mixed with a utility softmax scaled by the interquartile range
+    (floored at 1), the depth weight 1/(1+beta*t)."""
+    depths = np.asarray(depths, dtype=float)
+    utilities = np.asarray(utilities, dtype=float)
+    logits_d = -depths / tau0
+    logits_d -= logits_d.max()
+    p_depth = np.exp(logits_d)
+    p_depth /= p_depth.sum()
+    q1, q3 = np.percentile(utilities, [25.0, 75.0])
+    sigma = max(1.0, float(q3 - q1))
+    p_utility = np.exp((utilities - utilities.max()) / sigma)
+    p_utility /= p_utility.sum()
+    w = 1.0 / (1.0 + beta * t)
+    p = w * p_depth + (1.0 - w) * p_utility
+    return p / p.sum()

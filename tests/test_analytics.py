@@ -31,9 +31,8 @@ from loophound.analytics import (
     utility_profile,
     write_profile_csv,
     write_stats_csv,
-    _percentile,
 )
-from loophound.explorer import Trajectory, TrajectorySet, SearchParams
+from loophound.explorer import Trajectory, TrajectorySet, SearchParams, percentile
 from loophound.kernel import GroundedAction, State, make_fact
 from loophound.taxation import TaxAssessment
 
@@ -213,7 +212,7 @@ class TestPercentileOracle:
         # exact equality: the IQR, and so every cut, must not move
         ordered = sorted(values)
         want = np.percentile(values, [25.0, 75.0]).tolist()
-        assert [_percentile(ordered, 0.25), _percentile(ordered, 0.75)] == want
+        assert [percentile(ordered, 0.25), percentile(ordered, 0.75)] == want
         iqr = want[1] - want[0]
         height = REFERENCE_PEAK_HEIGHT * (iqr / REFERENCE_IQR)
         assert resolve_peak_height(values) == (
@@ -223,7 +222,7 @@ class TestPercentileOracle:
     def test_interpolates_from_the_upper_neighbour_at_one_half(self):
         # the virtual index is 1.5: -1.214 + 20.794 * 0.5 rounds to
         # 9.182999999999998, 19.58 - 20.794 * 0.5 to numpy's 9.183
-        assert _percentile([-7.0, -1.214, 19.58], 0.75) == 9.183
+        assert percentile([-7.0, -1.214, 19.58], 0.75) == 9.183
 
 
 # ------------------------------------------------------------ segmentation

@@ -7,6 +7,7 @@ failures.  One subprocess test covers the installed console script.
 
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import math
@@ -14,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +114,76 @@ def _run_in_subprocess(argv, module, stderr=None):
         stderr.append(proc.stderr)
     code, loaded = proc.stdout.splitlines()[-1].split()
     return int(code), loaded == "True"
+
+
+def _loaded_modules(argv, modules):
+    """(exit code, the ones of ``modules`` imported) of ``main(argv)`` run in
+    a fresh interpreter."""
+    script = (
+        f"import sys; from loophound.cli import main; code = main({argv!r}); "
+        f"print(code, *[m for m in {modules!r} if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    return int(code), set(loaded)
+
+
+# stage -> the modules its process must not import
+STAGE_UNLOADED = {
+    "check": ("loophound.explorer", "loophound.analytics", "loophound.induction",
+              "loophound.policy", "numpy"),
+    "explore": ("numpy.ma", "loophound.analytics", "loophound.induction",
+                "loophound.policy"),
+    "profile": ("loophound.dsl", "loophound.join", "loophound.induction",
+                "loophound.policy", "numpy"),
+    "stats": ("loophound.dsl", "loophound.join", "loophound.induction",
+              "loophound.policy", "numpy"),
+    "induce": ("loophound.dsl", "loophound.join"),
+    "policy": ("loophound.dsl", "loophound.join"),
+    "graph": ("loophound.dsl", "loophound.join", "loophound.policy"),
+}
+
+
+def _traced_cli_names():
+    """The names perfbench/traced_stage.py wraps on ``loophound.cli``, read
+    from its TRACED table without importing it."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "traced_stage.py"
+    for node in ast.parse(source.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]:
+            traced = ast.literal_eval(node.value)
+            return sorted({name for module, name, _ in traced if module == "loophound.cli"})
+    raise AssertionError(f"no TRACED table in {source}")
+
+
+TRACED_CLI_NAMES = _traced_cli_names()
+
+# traced name -> the stage that calls it
+TRACED_STAGES = {
+    "parse_ruleset": "check",
+    "parse_scenario": "check",
+    "explore": "explore",
+    "write_jsonl": "explore",
+    "read_jsonl": "profile",
+    "utility_profile": "profile",
+    "detect_segments": "profile",
+    "frequency_table": "stats",
+    "build_background": "induce",
+    "induce": "induce",
+    "evaluate": "induce",
+    "delta_restriction": "policy",
+}
+
+
+def _stage_argv(stage, run):
+    """A command line of ``stage`` in the run directory ``run``: ``check``
+    reads the bundled corpus, ``explore`` makes a two-iteration search."""
+    if stage == "check":
+        return ["check", str(corpus_path("table1.lhl")), str(corpus_path("scenario.lhl"))]
+    if stage == "explore":
+        return ["explore", "--seed", "7", "--iterations", "2", "--expansions", "5",
+                "--out", str(run)]
+    return [stage, *ANALYSIS_FLAGS.get(stage, []), "--out", str(run)]
 
 
 # defect -> (key path into hypothesis.json, new value)
@@ -435,6 +507,69 @@ class TestAtomicWrites:
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
+class TestTracedNames:
+    """perfbench/traced_stage.py traces a stage by setting a wrapper in
+    place of a function on ``loophound.cli``; the commands must call it."""
+
+    def test_every_name_resolves_in_a_fresh_interpreter(self):
+        script = (
+            "import loophound.cli as cli; "
+            f"print(*[callable(getattr(cli, name)) for name in {TRACED_CLI_NAMES!r}])"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"] * len(TRACED_CLI_NAMES)
+
+    @pytest.mark.parametrize("name", TRACED_CLI_NAMES)
+    def test_a_wrapper_set_on_the_module_is_called(
+        self, pipeline_dir, tmp_path, monkeypatch, name
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        wrapped = getattr(cli, name)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+        assert main(_stage_argv(TRACED_STAGES[name], run)) == 0
+        assert calls
+
+
+class TestMissingCorpus:
+    """A bundled document that cannot be found fails only the stage that
+    reads it: explore's defaults are looked up when it runs."""
+
+    @pytest.fixture
+    def no_corpus(self, monkeypatch):
+        def missing(name):
+            raise FileNotFoundError(f"no bundled corpus file named {name!r}")
+
+        monkeypatch.setattr(cli, "corpus_path", missing)
+
+    def test_graph_still_runs(self, no_corpus, pipeline_dir, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        assert main(["graph", "--out", str(run)]) == 0
+        assert (run / "scheme.dot").read_bytes() == (pipeline_dir / "scheme.dot").read_bytes()
+
+    def test_explore_without_paths_exits_2(self, no_corpus, tmp_path, capsys):
+        assert main(["explore", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: no bundled corpus file named 'table1.lhl'"]
+        assert not (tmp_path / "trajectories.jsonl").exists()
+
+    def test_help_names_the_bundled_documents(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explore", "--help"])
+        assert exit_info.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "(default: the bundled table1.lhl)" in out
+        assert "(default: the bundled scenario.lhl)" in out
+
+
 class TestValidationErrors:
     def test_zero_iterations(self, tmp_path, capsys):
         code = main(["explore", "--iterations", "0", "--out", str(tmp_path)])
@@ -638,6 +773,16 @@ class TestConsoleScript:
         assert _run_in_subprocess(argv, "numpy") == (0, False)
         for name in ANALYSIS_OUTPUTS[stage]:
             assert (run / name).read_bytes() == (pipeline_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("stage", sorted(STAGE_UNLOADED))
+    def test_stage_loads_only_its_layers(self, pipeline_dir, tmp_path, stage):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        unloaded = STAGE_UNLOADED[stage]
+        code, loaded = _loaded_modules(_stage_argv(stage, run), (*unloaded, "numpy"))
+        assert code == 0
+        assert loaded & set(unloaded) == set()
+        assert ("numpy" in loaded) == (stage == "explore")
 
     def test_explore_loads_numpy(self, tmp_path):
         argv = ["explore", "--seed", "7", "--iterations", "2", "--expansions", "5",

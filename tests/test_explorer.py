@@ -14,6 +14,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import loophound.explorer as explorer_module
 from loophound.dsl import parse_ruleset, parse_scenario
@@ -23,6 +25,8 @@ from loophound.explorer import (
     SearchParams,
     depth_weight,
     explore,
+    percentile,
+    quartiles,
     read_jsonl,
     selection_distribution,
     trajectory_utility,
@@ -32,7 +36,7 @@ from loophound.kernel import applicable_actions, apply_action, initial_state
 from loophound.taxation import DEDUCTIBLE, EXEMPTION, evaluate_state
 
 from conftest import TOY_RULESET, TOY_SCENARIO, scenario_domains
-from oracles import evaluate_from_scratch, path_transfer
+from oracles import evaluate_from_scratch, path_transfer, selection_with_percentile
 
 
 # -------------------------------------------------------------- parameters
@@ -147,6 +151,55 @@ class TestSelectionDistribution:
             selection_distribution([1.0, 2.0], [1.0], 0, 0.01, 5.0)
         with pytest.raises(ExplorerError):
             selection_distribution([], [], 0, 0.01, 5.0)
+
+
+# frontier utilities: ties, both zeros, and magnitudes up to 1e300, whose
+# differences stay finite
+UTILITIES = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 22.784, 1e300, -1e300]),
+        st.floats(min_value=-1e300, max_value=1e300),
+        st.floats(min_value=-1e3, max_value=1e3),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+class TestQuartiles:
+    @given(values=UTILITIES)
+    @example(values=[-0.0])
+    @example(values=[0.0])
+    @example(values=[-0.0, 0.0, -0.0, 0.0, 0.0])
+    @example(values=[0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0])
+    @example(values=[5.0] * 7)
+    @example(values=[-1e300, 1e300, 3.0])
+    @settings(max_examples=400, deadline=None)
+    def test_equal_numpy_percentile_bit_for_bit(self, values):
+        # one partition at numpy's own positions, then the shared percentile:
+        # the same 64 bits as numpy's, the sign of a zero included
+        u = np.array(values)
+        got = np.array(quartiles(u))
+        assert got.tobytes() == np.percentile(u, [25.0, 75.0]).tobytes()
+        assert u.tolist() == values  # the input is not reordered
+
+    @given(
+        frontier=st.lists(
+            st.tuples(st.integers(0, 12), st.floats(min_value=-1e6, max_value=1e6)),
+            min_size=1,
+            max_size=120,
+        ),
+        t=st.integers(0, 500),
+        beta=st.sampled_from([0.0, 0.01, 0.5]),
+        tau0=st.sampled_from([0.5, 5.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_selection_equals_the_percentile_oracle(self, frontier, t, beta, tau0):
+        depths = np.array([float(d) for d, _ in frontier])
+        utilities = np.array([u for _, u in frontier])
+        got = selection_distribution(depths, utilities, t, beta, tau0)
+        want = selection_with_percentile(depths, utilities, t, beta, tau0)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTrajectoryUtility:
