@@ -31,10 +31,11 @@ walking up to the node its ``transferIP`` made, and a child takes it, or
 makes it, so no node's path is built to evaluate it.  Only records rebuild
 their paths.
 It grounds and applies actions through one
-:class:`~loophound.kernel.ActionRules`, whose tables make its equal
-actions, rows and groups one object each; with them it grounds each rule,
-checks each precondition and builds each edited group once per distinct
-value of the groups that step reads.  The search pauses the cyclic
+:class:`~loophound.kernel.ActionRules`, its world of rules, domains and
+pool, whose tables make its equal rows and groups one object each; with
+them it grounds each rule and checks each precondition once per distinct
+value of the groups that step reads, and edits each group once per action
+and parent group.  The search pauses the cyclic
 garbage collector: its heap of nodes, states and records holds no reference
 cycles, so every collection would only traverse it, and the caller's
 setting is restored when the search ends.
@@ -332,9 +333,7 @@ def _search(
     scenario = scenario_doc.scenario
     rates = ruleset.rates()
     reductions = ruleset.reduction_rules
-    rules = ActionRules(ruleset.action_rules)
-    domains = _domains(scenario)
-    pool = scenario.company_pool
+    rules = ActionRules(ruleset.action_rules, _domains(scenario), scenario.company_pool)
     cost = params.cost_coefficient
 
     warnings: list[str] = []
@@ -382,9 +381,7 @@ def _search(
         for node_index in chosen:
             node = nodes[node_index]
             node.expanded = True
-            acts = applicable_actions(
-                node.state, rules, domains, pool, max_steps=params.max_steps
-            )
+            acts = applicable_actions(node.state, rules, max_steps=params.max_steps)
             if not acts:
                 node.terminal = True
                 if node_index == 0:
@@ -392,7 +389,7 @@ def _search(
                 continue
             transfer = _transfer(nodes, node_index, rules)
             for act in acts:
-                child_state = apply_action(node.state, act, rules, pool)
+                child_state = apply_action(node.state, act, rules)
                 # the one-shot sale: a child's transfer is its parent's, or
                 # the action that makes it
                 child_transfer = transfer

@@ -15,39 +15,18 @@ groups.  Every invariant is a check of one group: one owner per IP, one
 (renter, IP) with acyclic licensing per IP.  A state built from its groups
 or its facts runs every check on every group.
 
-Applying a grounded action fills its rule's effects with its binding into
-per-group deleted and added rows, once per search, and builds the successor
-from its parent's groups, the delta idea of incremental view maintenance
-(Gupta, Mumick and Subrahmanian, SIGMOD 1993): groups the effects do not
-touch are the parent's own objects, so a successor costs one tuple of
-groups plus its edited groups, the structural sharing of persistent data
-structures (Driscoll, Sarnak, Sleator and Tarjan, JCSS 1989).  The parent's
-groups have passed their checks, so only an edited group needs one.
-
-Equal rows and groups are one object, the hash-consing of Filliâtre and
-Conchon ("Type-safe modular hash-consing", ML Workshop 2006): a table maps
-each distinct row and group built so far to its one object, and a row or a
-group built again is replaced by the table's.  Work that depends only on a
-distinct object is then done once per table.  A search keeps its tables on
-its :class:`ActionRules`: one table per rule of its grounded actions by
-parameter values; each grounded action compiled once, with its delta
-filled; and, per predicate, every edited group that has passed the
-predicate's check, so each distinct group is checked once per search.
-
-Grounding, the precondition and an edit are each a pure function of the
-groups they read, so the search computes each once per distinct read set,
-Michie's memo function ("Memo functions and machine learning", Nature
-1968).  A compiled condition knows the group positions its generated code
-indexes (:attr:`~loophound.join.CompiledCondition.reads`); a rule with a
-fresh parameter also reads ``exists``.  :class:`ActionRules` keeps a rule's
-groundings by the groups it reads (and by the domains and pool), a
-compiled action's precondition result by the groups its check reads, and
-each edited group by its parent group and delta entry.  Equal groups being
-one object, a key's equality test is a few identity checks.  A decode of a
-trajectory file keeps one table for the whole read.  The tables
-live as long as the search or the read that owns them, so two searches
-share nothing.  Records that hold floats are never shared: equality merges
-``0.0`` with ``-0.0`` and ``1`` with ``True``.
+A successor shares every group its action's effects do not touch with its
+parent, the structural sharing of persistent data structures (Driscoll,
+Sarnak, Sleator and Tarjan, JCSS 1989); each touched group is its parent's
+group with the action's deleted and added rows applied, the delta of
+incremental view maintenance (Gupta, Mumick and Subrahmanian, SIGMOD 1993).
+The parent's groups have passed their checks, so only an edited group needs
+one.  A search grounds, checks and edits through one :class:`ActionRules`,
+which keeps each result by the groups it read and makes equal rows and
+groups one object, the hash-consing of Filliâtre and Conchon ("Type-safe
+modular hash-consing", ML Workshop 2006); a decode of a trajectory file
+keeps one such table for the whole read.  Records that hold floats are
+never shared: equality merges ``0.0`` with ``-0.0`` and ``1`` with ``True``.
 
 An action rule checks its own well-formedness when it is built, by the
 parser or by library code: known action name, distinct parameters, at most
@@ -577,64 +556,51 @@ class _CompiledAction(NamedTuple):
     rule: ActionRule
     binding: dict[str, str]
     # per touched group, in PREDICATES order: (position, deleted rows, added
-    # rows, the search's edited groups of this entry by parent group), the
-    # added rows being the search's objects
-    delta: tuple[
-        tuple[int, tuple[tuple[str, ...], ...], tuple[tuple[str, ...], ...], dict], ...
-    ]
+    # rows, the group this entry made of each parent group so far), the added
+    # rows being the search's objects
+    delta: tuple[tuple[int, Rows, Rows, dict[Rows, Rows]], ...]
     # the key of the groups the precondition reads, and its result by key
     key: Callable[[tuple[Rows, ...]], object]
     holds: dict[object, bool]
 
 
 class ActionRules:
-    """A ruleset's action rules, sorted by key, with a key -> rule map, and
-    the tables of one search.
+    """One search's world, its action rules grounded over ``domains`` with
+    fresh ids from ``pool``, and the search's tables.
 
-    Build it once per search and pass it to :func:`applicable_actions` and
-    :func:`apply_action`; given a plain sequence of rules, each call builds
-    its own.  Its tables live as long as the search, so two searches share
-    nothing:
+    ``ordered`` holds the rules sorted by key and ``by_key`` the rule of each
+    key; two rules with one (name, legal_ref) raise a :class:`KernelError`.
+    Grounding, a precondition and an edit are pure functions of the groups
+    they read, so each runs once per distinct read set, Michie's memo
+    function ("Memo functions and machine learning", Nature 1968):
 
-    - ``actions`` holds, per rule of ``ordered``, the grounded actions built
-      so far by their parameter values, and ``table`` every distinct row and
-      group the search built, so equal actions, rows and groups of one
-      search are one object;
-    - ``groundings`` holds, per (domains, pool) a caller grounds with and
-      per rule of ``ordered``, the rule's groundings by the key
-      ``ground_keys`` takes of a state's groups: the groups its
-      precondition reads (``ground_join.reads``), and ``exists`` for a rule
-      with a fresh parameter, whose lowest unused pool id scans it;
+    - ``groundings`` holds, per rule of ``ordered``, its grounded actions by
+      the key ``ground_keys`` takes of a state's groups: those its
+      precondition reads, and ``exists`` for a rule with a fresh parameter;
     - ``compiled`` holds each grounded action :func:`apply_action` has met,
-      compiled once: its rule, its binding, its filled delta and its
-      precondition's result by the groups ``check_join`` reads;
-    - ``edited`` holds, per distinct delta entry (position, deleted rows,
-      added rows), the group it makes of each parent group met so far;
-    - ``checked`` holds, per predicate, every group :func:`apply_action` has
-      built for it, each of which passed that predicate's check.  The
-      tables are per predicate because a group's value does not say whose
-      invariant it satisfies.
+      with its rule, its binding, its precondition's result by the groups
+      ``check_join`` reads, and per touched group its deleted and added rows
+      and the group they made of each parent group;
+    - ``table`` holds every distinct row and checked group the search built,
+      so equal rows and groups are one object and a read-set key compares
+      by a few identity checks.
 
-    A read-set key is sound because grounding, the precondition and an edit
-    are pure functions of what they read: the generated joins index the
-    state's groups at their ``reads`` and nowhere else, and an edit reads
-    its parent group alone.  Two states that agree on those groups get the
-    same result, which is computed once per distinct key, Michie's memo
-    function ("Memo functions and machine learning", Nature 1968).  What
-    else a result depends on is outside the tables: the domains and pool
-    key ``groundings``, and the one-shot transfer, the step cap and the
-    fresh-id check are tested on every call.
+    The tables live as long as the search, so two searches share nothing.
+    The one-shot transfer, the step cap and the fresh-id check are tested on
+    every call.
     """
 
-    def __init__(self, rules: Iterable[ActionRule]) -> None:
+    def __init__(
+        self, rules: Iterable[ActionRule], domains: Domains, pool: Sequence[str]
+    ) -> None:
         self.ordered: tuple[ActionRule, ...] = tuple(sorted(rules, key=ActionRule.key))
+        self.domains = domains
+        self.pool = tuple(pool)
         self.by_key: dict[tuple[str, str], ActionRule] = {}
-        for rule in self.ordered:  # a repeated key finds the first rule
-            self.by_key.setdefault(rule.key(), rule)
-        # per rule, not per key: rules sharing a key may name parameters apart
-        self.actions: tuple[dict[tuple[str, ...], GroundedAction], ...] = tuple(
-            {} for _ in self.ordered
-        )
+        for rule in self.ordered:
+            if rule.key() in self.by_key:
+                raise KernelError(f"duplicate rule {rule.key()}")
+            self.by_key[rule.key()] = rule
         self.ground_keys: tuple[Callable[[tuple[Rows, ...]], object], ...] = tuple(
             _key(
                 set(rule.ground_join.reads)
@@ -642,20 +608,16 @@ class ActionRules:
             )
             for rule in self.ordered
         )
-        self.groundings: dict[
-            tuple[Domains, tuple[str, ...]],
-            tuple[dict[object, tuple[GroundedAction, ...]], ...],
-        ] = {}
+        self.groundings: tuple[dict[object, tuple[GroundedAction, ...]], ...] = tuple(
+            {} for _ in self.ordered
+        )
         self.table: dict[tuple, tuple] = {}
         self.compiled: dict[GroundedAction, _CompiledAction] = {}
-        self.edited: dict[tuple[int, Rows, Rows], dict[Rows, Rows]] = {}
-        self.checked: tuple[dict[Rows, Rows], ...] = tuple({} for _ in PREDICATES)
 
     def transfer_parties(self, action: GroundedAction) -> tuple[str, str]:
         """(seller, buyer) of a ``transferIP`` action: the values it binds to
         the parameters its rule's ``ownsIP`` effects name (see
-        :attr:`ActionRule.parties`), the rule being the one
-        :func:`apply_action` applies it with."""
+        :attr:`ActionRule.parties`)."""
         seller, buyer = self.by_key[action.name, action.legal_ref].parties
         binding = dict(action.binding)
         return binding[seller], binding[buyer]
@@ -670,10 +632,6 @@ def _key(reads: Iterable[int]) -> Callable[[tuple[Rows, ...]], object]:
     return operator.itemgetter(*positions)
 
 
-def _action_rules(rules: ActionRules | Iterable[ActionRule]) -> ActionRules:
-    return rules if isinstance(rules, ActionRules) else ActionRules(rules)
-
-
 def _lowest_unused_pool_id(state: State, pool: Sequence[str]) -> Optional[str]:
     existing = state.groups[GROUP["exists"]]
     for cid in pool:
@@ -683,18 +641,9 @@ def _lowest_unused_pool_id(state: State, pool: Sequence[str]) -> Optional[str]:
 
 
 def ground_rule(
-    rule: ActionRule,
-    state: State,
-    domains: Domains,
-    pool: Sequence[str],
-    actions: Optional[dict[tuple[str, ...], GroundedAction]] = None,
+    rule: ActionRule, state: State, domains: Domains, pool: Sequence[str]
 ) -> list[GroundedAction]:
-    """All groundings of one rule whose precondition holds in ``state``.
-
-    ``actions`` is the rule's table of grounded actions by parameter values
-    (see :class:`ActionRules`): an action is built only for values it does
-    not hold yet.  Without a table the call uses its own.
-    """
+    """All groundings of one rule whose precondition holds in ``state``."""
     seed: dict[str, str] = {}
     for p in rule.fresh_params:
         cid = _lowest_unused_pool_id(state, pool)
@@ -702,8 +651,8 @@ def ground_rule(
             return []
         seed[p] = cid
 
-    table = {} if actions is None else actions
     free_domains = [domains.for_type(ty) for ty in rule.free_types]
+    names = sorted(rule.params)
     join = rule.ground_join
     slots = rule.param_slots
     # distinct auxiliary-variable matches can collapse to the same parameter
@@ -713,69 +662,48 @@ def ground_rule(
         seed.update(zip(rule.free_params, combo))
         for row in join.bindings(state, seed):
             values = tuple([row[i] for i in slots])
-            if values in grounded:
-                continue
-            action = table.get(values)
-            if action is None:
-                binding = tuple(zip(sorted(rule.params), values))
-                action = GroundedAction(rule.name, rule.legal_ref, binding)
-                table[values] = action
-            grounded[values] = action
+            if values not in grounded:
+                grounded[values] = GroundedAction(
+                    rule.name, rule.legal_ref, tuple(zip(names, values))
+                )
     return list(grounded.values())
 
 
 def applicable_actions(
-    state: State,
-    rules: ActionRules | Sequence[ActionRule],
-    domains: Domains,
-    pool: Sequence[str],
-    max_steps: Optional[int] = None,
+    state: State, rules: ActionRules, max_steps: Optional[int] = None
 ) -> list[GroundedAction]:
     """All applicable grounded actions, rule by rule in (name, legal_ref)
     order.
 
     Within a rule, actions follow the product order of its free parameters'
-    domains as ``domains`` lists them (a search lists companies sorted and
-    countries and IPs in declaration order), then the values of the sorted
-    variable names: at the corpus root, ``EU-incorp`` lists germany,
+    domains as ``rules.domains`` lists them (a search lists companies sorted
+    and countries and IPs in declaration order), then the values of the
+    sorted variable names: at the corpus root, ``EU-incorp`` lists germany,
     netherlands, ireland.
 
     ``transferIP`` rules are suppressed once the one-shot transfer has been
     used.  When ``max_steps`` is given and reached, no action is applicable.
     Each rule is grounded by :func:`ground_rule` once per distinct value of
-    the groups it reads, for the ``domains`` and ``pool`` given (see
-    :class:`ActionRules`).
+    the groups it reads (see :class:`ActionRules`).
     """
     if max_steps is not None and state.step_count >= max_steps:
         return []
-    rules = _action_rules(rules)
-    context = (domains, tuple(pool))
-    tables = rules.groundings.get(context)
-    if tables is None:
-        tables = rules.groundings[context] = tuple({} for _ in rules.ordered)
     groups = state.groups
     out: list[GroundedAction] = []
-    for rule, key, groundings, actions in zip(
-        rules.ordered, rules.ground_keys, tables, rules.actions
-    ):
+    for rule, key, groundings in zip(rules.ordered, rules.ground_keys, rules.groundings):
         if rule.name == "transferIP" and state.transfer_used:
             continue
         read = key(groups)
         grounded = groundings.get(read)
         if grounded is None:
             grounded = groundings[read] = tuple(
-                ground_rule(rule, state, domains, pool, actions)
+                ground_rule(rule, state, rules.domains, rules.pool)
             )
         out.extend(grounded)
     return out
 
 
-def apply_action(
-    state: State,
-    action: GroundedAction,
-    rules: ActionRules | Sequence[ActionRule],
-    pool: Sequence[str],
-) -> State:
+def apply_action(state: State, action: GroundedAction, rules: ActionRules) -> State:
     """Successor state after ``action``; raises KernelError if not applicable.
 
     The first time ``rules`` meets ``action`` it compiles it (see
@@ -784,20 +712,16 @@ def apply_action(
     effect value.  An action that fails them is never stored, so it fails
     on every call.  The checks that depend on the state follow, on every
     call: the one-shot transfer is unused, a fresh parameter binds the
-    lowest unused pool id and the precondition holds.  The precondition
-    join runs once per distinct value of the groups it reads, and its
-    result, true or false, is kept with the compiled action.
+    lowest unused id of ``rules.pool`` and the precondition holds, its join
+    run once per distinct value of the groups it reads.
 
     The successor shares every group the action's effects do not touch with
-    ``state``; each touched group is built from the compiled delta,
-    deletions before additions, once per distinct parent group and delta
-    entry.  A built group that ``rules`` has not checked for its predicate
-    yet is checked, then stored, so each distinct group is checked once per
-    search, and the successor holds only groups that passed their
+    ``state``.  Each touched group is built from the compiled delta,
+    deletions before additions, and checked, once per distinct parent group
+    and delta entry, so the successor holds only groups that passed their
     predicate's check, as a state built from its facts.  A group that fails
     its check is never stored, so it fails on every call.
     """
-    rules = _action_rules(rules)
     compiled = rules.compiled.get(action)
     if compiled is None:
         compiled = rules.compiled[action] = _compile_action(action, rules)
@@ -805,7 +729,7 @@ def apply_action(
     if rule.name == "transferIP" and state.transfer_used:
         raise KernelError(f"transfer already used, cannot apply {action}")
     for p in rule.fresh_params:
-        expected = _lowest_unused_pool_id(state, pool)
+        expected = _lowest_unused_pool_id(state, rules.pool)
         if expected is None or binding[p] != expected:
             raise KernelError(
                 f"fresh parameter {p!r} of {action} must bind the lowest unused "
@@ -824,7 +748,7 @@ def apply_action(
         parent = parents[position]
         group = edited.get(parent)
         if group is None:
-            group = edited[parent] = _edit(parent, position, deleted, added, rules)
+            group = edited[parent] = _edit(parent, position, deleted, added, rules.table)
         groups[position] = group
     return State._successor(
         tuple(groups),
@@ -833,25 +757,15 @@ def apply_action(
     )
 
 
-def _edit(
-    parent: Rows,
-    position: int,
-    deleted: Rows,
-    added: Rows,
-    rules: ActionRules,
-) -> Rows:
+def _edit(parent: Rows, position: int, deleted: Rows, added: Rows, table: dict) -> Rows:
     """The group at ``position`` after deleting ``deleted`` from ``parent``
-    and adding ``added``, as the search's checked object for its value."""
+    and adding ``added``, checked, as ``table``'s object for its value."""
     rows = set(parent)
     rows.difference_update(deleted)
     rows.update(added)
     group = tuple(sorted(rows))
-    checked = rules.checked[position]
-    shared = checked.get(group)
-    if shared is None:
-        _CHECK[position](group)
-        shared = checked[group] = rules.table.setdefault(group, group)
-    return shared
+    _CHECK[position](group)
+    return table.setdefault(group, group)
 
 
 def _compile_action(action: GroundedAction, rules: ActionRules) -> _CompiledAction:
@@ -876,6 +790,6 @@ def _compile_action(action: GroundedAction, rules: ActionRules) -> _CompiledActi
     table = rules.table
     delta = []
     for position, (deleted, added) in sorted(edits.items()):
-        entry = (position, tuple(deleted), tuple(table.setdefault(row, row) for row in added))
-        delta.append((*entry, rules.edited.setdefault(entry, {})))
+        shared = tuple(table.setdefault(row, row) for row in added)
+        delta.append((position, tuple(deleted), shared, {}))
     return _CompiledAction(rule, binding, tuple(delta), _key(rule.check_join.reads), {})

@@ -11,7 +11,13 @@ import pytest
 from loophound import corpus_path
 from loophound.dsl import parse_ruleset, parse_scenario
 from loophound.explorer import SearchParams, explore
-from loophound.kernel import Domains, applicable_actions, apply_action, initial_state
+from loophound.kernel import (
+    ActionRules,
+    Domains,
+    applicable_actions,
+    apply_action,
+    initial_state,
+)
 from loophound.policy import PolicyError
 
 # A small two-market world used by the exhaustive oracles.  The rules mirror
@@ -67,6 +73,12 @@ def scenario_domains(scenario) -> Domains:
     )
 
 
+def scenario_rules(rules, scenario) -> ActionRules:
+    """``rules`` over the domains and pool a search over ``scenario`` grounds
+    with, with empty tables."""
+    return ActionRules(rules, scenario_domains(scenario), scenario.company_pool)
+
+
 def walk(ruleset, scenario_doc, choices):
     """The action path ``choices`` pick from the scenario's initial state.
 
@@ -74,22 +86,15 @@ def walk(ruleset, scenario_doc, choices):
     current state; the walk stops early at a state with none.  Returns the
     states along the path, the initial one first, and the actions taken.
     """
-    scenario = scenario_doc.scenario
-    domains = scenario_domains(scenario)
+    rules = scenario_rules(ruleset.action_rules, scenario_doc.scenario)
     states = [initial_state(scenario_doc.state.facts, scenario_doc.state.companies)]
     actions = []
     for choice in choices:
-        acts = applicable_actions(
-            states[-1], ruleset.action_rules, domains, scenario.company_pool
-        )
+        acts = applicable_actions(states[-1], rules)
         if not acts:
             break
         actions.append(acts[choice % len(acts)])
-        states.append(
-            apply_action(
-                states[-1], actions[-1], ruleset.action_rules, scenario.company_pool
-            )
-        )
+        states.append(apply_action(states[-1], actions[-1], rules))
     return states, tuple(actions)
 
 

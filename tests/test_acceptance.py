@@ -53,6 +53,7 @@ from loophound.induction import (
     scheme_graph,
 )
 from loophound.kernel import (
+    ActionRules,
     Domains,
     State,
     applicable_actions,
@@ -262,8 +263,7 @@ def test_criterion_4_short_plans_attain_max_utility(
         countries=scenario.countries,
         ips=scenario.declared_ips,
     )
-    rules = toy_ruleset.action_rules
-    pool = scenario.company_pool
+    rules = ActionRules(toy_ruleset.action_rules, domains, scenario.company_pool)
     rates = toy_ruleset.rates()
     s0 = initial_state(toy_scenario.state.facts, toy_scenario.state.companies)
 
@@ -295,10 +295,8 @@ def test_criterion_4_short_plans_attain_max_utility(
             groups.setdefault(state.key(), []).append((len(actions), utility))
         if state.step_count >= 6:
             continue
-        for action in applicable_actions(state, rules, domains, pool, max_steps=6):
-            stack.append(
-                (apply_action(state, action, rules, pool), actions + (action,))
-            )
+        for action in applicable_actions(state, rules, max_steps=6):
+            stack.append((apply_action(state, action, rules), actions + (action,)))
 
     violations = 0
     for members in groups.values():
@@ -395,8 +393,7 @@ def _bfs_terminal_sets(ruleset, scenario_doc, max_steps):
         countries=scenario.countries,
         ips=scenario.declared_ips,
     )
-    rules = ruleset.action_rules
-    pool = scenario.company_pool
+    rules = ActionRules(ruleset.action_rules, domains, scenario.company_pool)
     s0 = initial_state(scenario_doc.state.facts, scenario_doc.state.companies)
     seen = {s0.key()}
     queue = [s0]
@@ -408,13 +405,13 @@ def _bfs_terminal_sets(ruleset, scenario_doc, max_steps):
         if state.step_count >= max_steps:
             terminal.add(state.key())
         else:
-            actions = applicable_actions(state, rules, domains, pool, max_steps=max_steps)
+            actions = applicable_actions(state, rules, max_steps=max_steps)
             if not actions and not is_root:
                 terminal.add(state.key())
         if not is_root and settle(state, scenario).complete:
             complete.add(state.key())
         for action in actions:
-            child = apply_action(state, action, rules, pool)
+            child = apply_action(state, action, rules)
             if child.key() not in seen:
                 seen.add(child.key())
                 queue.append(child)

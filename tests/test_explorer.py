@@ -32,10 +32,10 @@ from loophound.explorer import (
     trajectory_utility,
     write_jsonl,
 )
-from loophound.kernel import applicable_actions, apply_action, initial_state
+from loophound.kernel import KernelError, applicable_actions, apply_action, initial_state
 from loophound.taxation import DEDUCTIBLE, EXEMPTION, evaluate_state
 
-from conftest import TOY_RULESET, TOY_SCENARIO, scenario_domains
+from conftest import TOY_RULESET, TOY_SCENARIO, scenario_rules
 from oracles import evaluate_from_scratch, path_transfer, selection_with_percentile
 
 
@@ -227,9 +227,7 @@ def bfs_oracle(ruleset, scenario_doc, max_steps):
     searcher's no-empty-trajectory convention.
     """
     scenario = scenario_doc.scenario
-    domains = scenario_domains(scenario)
-    rules = ruleset.action_rules
-    pool = scenario.company_pool
+    rules = scenario_rules(ruleset.action_rules, scenario)
     s0 = initial_state(scenario_doc.state.facts, scenario_doc.state.companies)
 
     seen = {s0.key()}
@@ -243,13 +241,13 @@ def bfs_oracle(ruleset, scenario_doc, max_steps):
             if settle(state, scenario).complete:
                 complete.add(state.key())
             continue
-        acts = applicable_actions(state, rules, domains, pool, max_steps=max_steps)
+        acts = applicable_actions(state, rules, max_steps=max_steps)
         if not acts and not is_root:
             terminal.add(state.key())
         if not is_root and settle(state, scenario).complete:
             complete.add(state.key())
         for act in acts:
-            child = apply_action(state, act, rules, pool)
+            child = apply_action(state, act, rules)
             key = child.key()
             if key in seen:
                 continue
@@ -300,13 +298,12 @@ class TestExhaustiveEquality:
 
 
 def replay(ruleset, scenario_doc, actions):
-    """The state an action path reaches from the scenario's initial state."""
-    scenario = scenario_doc.scenario
-    domains = scenario_domains(scenario)
+    """The state an action path reaches from the scenario's initial state,
+    each step applied with fresh tables."""
     state = initial_state(scenario_doc.state.facts, scenario_doc.state.companies)
     for act in actions:
         state = apply_action(
-            state, act, ruleset.action_rules, scenario.company_pool
+            state, act, scenario_rules(ruleset.action_rules, scenario_doc.scenario)
         )
     return state
 
@@ -392,7 +389,6 @@ class TestReplayOracle:
             "renamed": renamed_corpus,
         }[ruleset_name]
         scenario = corpus_scenario.scenario
-        domains = scenario_domains(scenario)
         records = []
         for iterations, expansions, max_steps in self.SHAPES:
             params = SearchParams(
@@ -415,7 +411,7 @@ class TestReplayOracle:
             assert t.terminal or not at_cap
             if t.terminal and not at_cap:
                 assert not applicable_actions(
-                    state, ruleset.action_rules, domains, scenario.company_pool
+                    state, scenario_rules(ruleset.action_rules, scenario)
                 )
 
     def test_a_shorter_path_moves_the_sale_to_its_own_step(self, monkeypatch):
@@ -531,6 +527,35 @@ class TestMissingRates:
         assert calls == []
 
 
+class TestDuplicateRules:
+    def test_explore_rejects_a_repeated_rule_key_before_the_search(
+        self, toy_ruleset, toy_scenario, monkeypatch
+    ):
+        """A library-built ruleset with two rules of one (name, legal_ref),
+        which the parser would reject, raises before any state is grounded
+        or evaluated."""
+        twin = parse_ruleset(
+            'action addChild(Owner, fresh Sub, Country) ref "twin" {\n'
+            "  pre: exists(Owner);\n"
+            "  eff: exists(Sub), based(Sub, Country);\n"
+            "}\n"
+        ).document.action_rules[0]
+        twin = dataclasses.replace(twin, legal_ref="toy-incorp")
+        ruleset = dataclasses.replace(
+            toy_ruleset, action_rules=toy_ruleset.action_rules + (twin,)
+        )
+        calls = []
+        for name in ("applicable_actions", "evaluate_state"):
+            monkeypatch.setattr(
+                explorer_module, name, lambda *args, **kwargs: calls.append(args)
+            )
+        params = SearchParams(seed=0, iterations=3, expansions=10)
+        message = re.escape("duplicate rule ('addChild', 'toy-incorp')")
+        with pytest.raises(KernelError, match=message):
+            explore(ruleset, toy_scenario, params)
+        assert calls == []
+
+
 # Two routes of different lengths to one fact set: "license-seat" licenses
 # the IP and moves the renter's seat in one step, "license" then "seat" take
 # two.
@@ -577,8 +602,8 @@ class TestShorterPath:
             assert t.final_state == state
             if t.terminal and t.length < max_steps:
                 assert not applicable_actions(
-                    state, ruleset.action_rules, scenario_domains(scenario),
-                    scenario.company_pool, max_steps=max_steps,
+                    state, scenario_rules(ruleset.action_rules, scenario),
+                    max_steps=max_steps,
                 )
 
 
@@ -745,11 +770,12 @@ def shared_parts(tset):
 
 
 class TestSharing:
-    """One search, and one read of a trajectory file, hold one object per
-    distinct action, row and group."""
+    """One search holds one object per distinct row and group, and one read
+    of a trajectory file one per distinct action, row and group."""
 
     def test_one_object_per_value_in_a_search(self, bench_run):
-        for values in shared_parts(bench_run):
+        groups, rows, _ = shared_parts(bench_run)
+        for values in (groups, rows):
             assert_one_object_per_value(values)
 
     def test_two_searches_share_nothing(self, bench_run, desk_run):

@@ -32,7 +32,7 @@ from loophound.kernel import (
 )
 from loophound.join import CompiledCondition, compile_projection
 from loophound.taxation import SELF_VAR
-from conftest import scenario_domains, walk
+from conftest import scenario_domains, scenario_rules, walk
 from oracles import kind_rows, oracle_match
 
 
@@ -311,6 +311,12 @@ def toy_domains(toy_scenario):
     )
 
 
+def toy_rules(toy_ruleset, toy_scenario):
+    """The toy ruleset's world: its rules over the toy domains and pool."""
+    pool = toy_scenario.scenario.company_pool
+    return ActionRules(toy_ruleset.action_rules, toy_domains(toy_scenario), pool)
+
+
 def oracle_groundings(rule, state, domains, pool):
     """Enumerate every parameter assignment and filter by the oracle matcher."""
     existing = {f.args[0] for f in state.facts() if f.predicate == "exists"}
@@ -360,7 +366,7 @@ class TestGrounding:
         for action in ground_rule(incorp, state, domains, pool):
             assert action.as_dict()["Child"] == "c1"
         first = ground_rule(incorp, state, domains, pool)[0]
-        second = apply_action(state, first, toy_ruleset.action_rules, pool)
+        second = apply_action(state, first, toy_rules(toy_ruleset, toy_scenario))
         for action in ground_rule(incorp, second, domains, pool):
             assert action.as_dict()["Child"] == "c2"
 
@@ -398,7 +404,7 @@ class TestApply:
             for a in ground_rule(transfer, state, domains, pool)
             if a.as_dict()["To"] == "c1"
         )
-        result = apply_action(state, action, toy_ruleset.action_rules, pool)
+        result = apply_action(state, action, toy_rules(toy_ruleset, toy_scenario))
         assert make_fact("ownsIP", ["c1", "ip1"]) in result.facts()
         assert make_fact("ownsIP", ["p", "ip1"]) not in result.facts()
         assert result.step_count == state.step_count + 1
@@ -420,20 +426,20 @@ class TestApply:
         pool = toy_scenario.scenario.company_pool
         transfer = next(r for r in toy_ruleset.action_rules if r.name == "transferIP")
         action = ground_rule(transfer, state, domains, pool)[0]
-        after = apply_action(state, action, toy_ruleset.action_rules, pool)
-        names = {a.name for a in applicable_actions(after, toy_ruleset.action_rules, domains, pool)}
+        rules = toy_rules(toy_ruleset, toy_scenario)
+        after = apply_action(state, action, rules)
+        names = {a.name for a in applicable_actions(after, rules)}
         assert "transferIP" not in names
         with pytest.raises(KernelError):
-            apply_action(after, action, toy_ruleset.action_rules, pool)
+            apply_action(after, action, rules)
 
     def test_max_steps_cuts_off_actions(self, toy_ruleset, toy_scenario):
         state = initial_state(
             declared_companies=["p"],
             facts=[make_fact("based", ["p", "usa"]), make_fact("ownsIP", ["p", "ip1"])],
         )
-        domains = toy_domains(toy_scenario)
-        pool = toy_scenario.scenario.company_pool
-        assert applicable_actions(state, toy_ruleset.action_rules, domains, pool, max_steps=0) == []
+        rules = toy_rules(toy_ruleset, toy_scenario)
+        assert applicable_actions(state, rules, max_steps=0) == []
 
     def test_inapplicable_action_rejected(self, toy_ruleset, toy_scenario):
         state = initial_state(
@@ -713,6 +719,23 @@ UNGUARDED = tuple(
 )
 
 
+class TestActionRules:
+    def test_a_repeated_rule_key_is_rejected(self, corpus_scenario):
+        """Two rules of one (name, legal_ref) make no world: an action names
+        its rule by that key alone."""
+        rebase = UNGUARDED[2]
+        twin = replace(
+            rebase,
+            params=("Firm", "Place"),
+            precondition=(Literal("exists", ("Firm",)),),
+            add_effects=(Literal("based", ("Firm", "Place")),),
+        )
+        message = re.escape("duplicate rule ('addChild', 'rebase')")
+        for rules in (UNGUARDED + (twin,), (rebase, rebase)):
+            with pytest.raises(KernelError, match=message):
+                scenario_rules(rules, corpus_scenario.scenario)
+
+
 class TestSuccessor:
     """``apply_action`` builds a successor from its parent's index; it must
     equal the state built from the successor's facts."""
@@ -757,22 +780,20 @@ class TestSuccessor:
         states, _ = walk(corpus_ruleset, corpus_scenario, choices)
         state = states[-1]
         scenario = corpus_scenario.scenario
-        domains = scenario_domains(scenario)
-        pool = scenario.company_pool
-        acts = applicable_actions(state, UNGUARDED, domains, pool)
+        acts = applicable_actions(state, scenario_rules(UNGUARDED, scenario))
         action = acts[pick % len(acts)]
         incremental = outcome(
-            lambda: apply_action(state, action, UNGUARDED, pool)
+            lambda: apply_action(state, action, scenario_rules(UNGUARDED, scenario))
         )
         assert incremental == outcome(
             lambda: scratch_successor(state, action, UNGUARDED)
         )
         # one ActionRules for the whole walk: its tables already hold what
         # the action built, or failed to build, from every state before
-        shared = ActionRules(UNGUARDED)
+        shared = scenario_rules(UNGUARDED, scenario)
         for earlier in states:
-            outcome(lambda: apply_action(earlier, action, shared, pool))
-        assert outcome(lambda: apply_action(state, action, shared, pool)) == incremental
+            outcome(lambda: apply_action(earlier, action, shared))
+        assert outcome(lambda: apply_action(state, action, shared)) == incremental
 
     def test_a_broken_invariant_is_caught(self, corpus_ruleset, corpus_scenario):
         states, _ = walk(corpus_ruleset, corpus_scenario, ())
@@ -781,7 +802,7 @@ class TestSuccessor:
             "addChild", "rebase", (("C", "p"), ("Country", "ireland"))
         )
         with pytest.raises(KernelError, match="based in multiple countries"):
-            apply_action(states[0], rebase, UNGUARDED, scenario.company_pool)
+            apply_action(states[0], rebase, scenario_rules(UNGUARDED, scenario))
 
     def test_a_broken_invariant_is_caught_on_every_application(
         self, corpus_ruleset, corpus_scenario
@@ -789,19 +810,18 @@ class TestSuccessor:
         """A group that fails its check is never stored, so one ActionRules
         rejects it again, also when another state rebuilds it."""
         states, _ = walk(corpus_ruleset, corpus_scenario, ())
-        pool = corpus_scenario.scenario.company_pool
-        rules = ActionRules(UNGUARDED)
+        rules = scenario_rules(UNGUARDED, corpus_scenario.scenario)
         rebase = GroundedAction(
             "addChild", "rebase", (("C", "p"), ("Country", "ireland"))
         )
         reseat = GroundedAction("addChild", "reseat", (("C", "p"), ("Seat", "usa")))
-        second = apply_action(states[0], reseat, rules, pool)
+        second = apply_action(states[0], reseat, rules)
         assert second.rows("based") is states[0].rows("based")
         for state in (states[0], states[0], second):
             with pytest.raises(KernelError, match="based in multiple countries"):
-                apply_action(state, rebase, rules, pool)
+                apply_action(state, rebase, rules)
         assert rebase in rules.compiled
-        assert (("p", "ireland"), ("p", "usa")) not in rules.checked[GROUP["based"]]
+        assert (("p", "ireland"), ("p", "usa")) not in rules.table
 
     def test_a_group_is_checked_for_each_predicate_that_holds_it(self):
         """A group that passed one predicate's check is checked again when
@@ -815,8 +835,9 @@ class TestSuccessor:
             add_effects=(Literal("isChildOf", ("C", "P")),),
             del_effects=(),
         )
-        rules = ActionRules(UNGUARDED + (adopt,))
         # companies named like countries: isChildOf rows can equal based rows
+        names = ("ireland", "p", "usa")
+        rules = ActionRules(UNGUARDED + (adopt,), Domains(names, names, ()), ())
         state = initial_state(
             [make_fact("based", ["p", "usa"])], ["p", "ireland", "usa"], rules.table
         )
@@ -825,7 +846,6 @@ class TestSuccessor:
                 state,
                 GroundedAction("addChild", "adopt", (("C", "p"), ("P", parent))),
                 rules,
-                (),
             )
         bad = (("p", "ireland"), ("p", "usa"))
         assert state.rows("isChildOf") == bad
@@ -833,7 +853,7 @@ class TestSuccessor:
             "addChild", "rebase", (("C", "p"), ("Country", "ireland"))
         )
         with pytest.raises(KernelError, match="based in multiple countries"):
-            apply_action(state, rebase, rules, ())
+            apply_action(state, rebase, rules)
 
     @pytest.mark.parametrize(
         "binding,ref,message",
@@ -852,12 +872,11 @@ class TestSuccessor:
         self, corpus_ruleset, corpus_scenario, binding, ref, message
     ):
         states, _ = walk(corpus_ruleset, corpus_scenario, ())
-        pool = corpus_scenario.scenario.company_pool
-        rules = ActionRules(UNGUARDED)
+        rules = scenario_rules(UNGUARDED, corpus_scenario.scenario)
         action = GroundedAction("addChild", ref, binding)
         for _ in range(2):
             with pytest.raises(KernelError, match=re.escape(message)):
-                apply_action(states[0], action, rules, pool)
+                apply_action(states[0], action, rules)
         assert rules.compiled == {}
 
 
@@ -922,7 +941,7 @@ class TestReads:
         scenario = corpus_scenario.scenario
         domains = scenario_domains(scenario)
         pool = scenario.company_pool
-        rules = ActionRules(corpus_ruleset.action_rules + (SPAWN,))
+        rules = scenario_rules(corpus_ruleset.action_rules + (SPAWN,), scenario)
         states = walk_states(corpus_ruleset, corpus_scenario, CORPUS_WALKS)
         assert any(s.transfer_used for s in states)
         assert any(len(s.companies()) == 4 for s in states)
@@ -998,48 +1017,47 @@ class TestReads:
 
 
 @pytest.fixture(scope="module")
-def shared_corpus_rules(corpus_ruleset):
+def shared_corpus_rules(corpus_ruleset, corpus_scenario):
     """One ActionRules for every walk of the module, as one search keeps."""
-    return ActionRules(corpus_ruleset.action_rules)
+    return scenario_rules(corpus_ruleset.action_rules, corpus_scenario.scenario)
 
 
 class TestSearchTables:
     """The tables of one ActionRules give what fresh tables give, however
-    many states and pools have filled them."""
+    many states have filled them."""
 
     @given(choices=st.lists(st.integers(min_value=0), max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_shared_tables_equal_fresh_rules(
         self, corpus_ruleset, corpus_scenario, shared_corpus_rules, choices
     ):
-        rules = corpus_ruleset.action_rules
         shared = shared_corpus_rules
         scenario = corpus_scenario.scenario
-        pool = scenario.company_pool
-        domains = scenario_domains(scenario)
+
+        def fresh():
+            return scenario_rules(corpus_ruleset.action_rules, scenario)
+
         state = initial_state(
             corpus_scenario.state.facts, corpus_scenario.state.companies, shared.table
         )
         previous = []
         for choice in choices:
-            acts = applicable_actions(state, shared, domains, pool)
-            assert acts == applicable_actions(state, rules, domains, pool)
+            acts = applicable_actions(state, shared)
+            assert acts == applicable_actions(state, fresh())
             # the previous state's actions too: some of them no longer apply
             for act in acts + previous:
-                assert outcome(lambda: apply_action(state, act, shared, pool)) == outcome(
-                    lambda: apply_action(state, act, rules, pool)
+                assert outcome(lambda: apply_action(state, act, shared)) == outcome(
+                    lambda: apply_action(state, act, fresh())
                 )
             if not acts:
                 break
             previous = acts
-            state = apply_action(state, acts[choice % len(acts)], shared, pool)
+            state = apply_action(state, acts[choice % len(acts)], shared)
 
     def test_an_inapplicable_action_fails_on_every_call(
         self, corpus_ruleset, corpus_scenario
     ):
-        scenario = corpus_scenario.scenario
-        pool = scenario.company_pool
-        rules = ActionRules(corpus_ruleset.action_rules)
+        rules = scenario_rules(corpus_ruleset.action_rules, corpus_scenario.scenario)
         states, _ = walk(corpus_ruleset, corpus_scenario, ())
         root = states[0]
         license_ = GroundedAction(
@@ -1049,41 +1067,45 @@ class TestSearchTables:
             "addChild", "USA-incorp", (("Child", "c1"), ("Parent", "p"))
         )
         with pytest.raises(KernelError, match="precondition .* does not hold"):
-            apply_action(root, license_, rules, pool)  # c1 does not exist yet
-        with_c1 = apply_action(root, incorporate, rules, pool)
-        licensed = apply_action(with_c1, license_, rules, pool)
+            apply_action(root, license_, rules)  # c1 does not exist yet
+        with_c1 = apply_action(root, incorporate, rules)
+        licensed = apply_action(with_c1, license_, rules)
         for _ in range(2):  # c1 rents ip1 already
             with pytest.raises(KernelError, match="precondition .* does not hold"):
-                apply_action(licensed, license_, rules, pool)
+                apply_action(licensed, license_, rules)
         with pytest.raises(KernelError, match="precondition .* does not hold"):
-            apply_action(root, license_, rules, pool)
-        assert apply_action(with_c1, license_, rules, pool) == licensed
+            apply_action(root, license_, rules)
+        assert apply_action(with_c1, license_, rules) == licensed
 
-    def test_one_table_serves_two_pools(self, corpus_ruleset, corpus_scenario):
+    def test_two_pools_in_two_worlds_equal_fresh_worlds(
+        self, corpus_ruleset, corpus_scenario
+    ):
         rules = corpus_ruleset.action_rules
-        shared = ActionRules(rules)
         scenario = corpus_scenario.scenario
         pools = (scenario.company_pool, tuple(reversed(scenario.company_pool)))
         # one domain for both pools: they hold the same company ids
         domains = scenario_domains(scenario)
+        worlds = [ActionRules(rules, domains, pool) for pool in pools]
         root = initial_state(corpus_scenario.state.facts, corpus_scenario.state.companies)
         states = [root]
         for pool in pools:
-            acts = applicable_actions(root, rules, domains, pool)
-            states.append(apply_action(root, acts[0], rules, pool))
+            fresh = ActionRules(rules, domains, pool)
+            states.append(apply_action(root, applicable_actions(root, fresh)[0], fresh))
         groundings = []
         for _ in range(2):  # the second round finds every table filled
-            for pool in pools:
+            for world in worlds:
                 for state in states:
-                    acts = applicable_actions(state, shared, domains, pool)
-                    assert acts == applicable_actions(state, rules, domains, pool)
+                    acts = applicable_actions(state, world)
+                    fresh = ActionRules(rules, domains, world.pool)
+                    assert acts == applicable_actions(state, fresh)
                     groundings.append(acts)
         # the pools differ in the id a fresh parameter binds
         assert groundings[0] != groundings[len(states)]
         every = {act for acts in groundings for act in acts}
-        for pool in pools:
+        for world in worlds:
             for state in states:
                 for act in sorted(every):
-                    assert outcome(lambda: apply_action(state, act, shared, pool)) == outcome(
-                        lambda: apply_action(state, act, rules, pool)
+                    fresh = ActionRules(rules, domains, world.pool)
+                    assert outcome(lambda: apply_action(state, act, world)) == outcome(
+                        lambda: apply_action(state, act, fresh)
                     )
