@@ -31,8 +31,10 @@ walking up to the node its ``transferIP`` made, and a child takes it, or
 makes it, so no node's path is built to evaluate it.  Only records rebuild
 their paths.
 It grounds and applies actions through one
-:class:`~loophound.kernel.ActionRules`, its world of rules, domains and
-pool, whose tables make its equal rows and groups one object each; with
+:class:`~loophound.kernel.ActionRules`, the world :func:`search_world`
+builds: the rules grounded over the scenario's companies and pool, sorted,
+its countries and its declared IPs.  The world's tables make its equal
+rows and groups one object each; with
 them it grounds each rule and checks each precondition once per distinct
 value of the groups that step reads, and edits each group once per action
 and parent group.  The search pauses the cyclic
@@ -48,18 +50,18 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING, Optional, get_args, get_type_hints
+from typing import TYPE_CHECKING, Iterable, Optional, get_args, get_type_hints
 
 # is_multinationally_complete is no longer called here: a ledger carries its
 # completeness.  The name stays importable from this module, where
 # perfbench/traced_stage.py wraps it.
-from .economy import (  # noqa: F401
-    ScenarioConfig,
+from .economy import (
     Transaction,
     Transfer,
-    is_multinationally_complete,
+    is_multinationally_complete,  # noqa: F401
 )
 from .kernel import (
+    ActionRule,
     ActionRules,
     Domains,
     Fact,
@@ -276,14 +278,23 @@ class _Node:
     expanded: bool = False
 
 
-def _domains(scenario: ScenarioConfig) -> Domains:
-    return Domains(
-        companies=tuple(
-            sorted(set(scenario.declared_companies) | set(scenario.company_pool))
-        ),
-        countries=scenario.countries,
-        ips=scenario.declared_ips,
-    )
+def search_world(
+    action_rules: Iterable[ActionRule], scenario_doc: ScenarioDoc
+) -> tuple[ActionRules, State]:
+    """The world a search over ``scenario_doc`` plans in, and its root.
+
+    ``action_rules`` are grounded over three domains: the companies, the
+    scenario's declared companies and its ``pool`` together, sorted; its
+    countries; and its declared IPs.  Fresh parameters bind ids from the
+    pool.  The root is the scenario's initial state, built on the world's
+    ``table``.  Every search, replay and oracle builds its world here.
+    """
+    scenario = scenario_doc.scenario
+    companies = set(scenario.declared_companies) | set(scenario.company_pool)
+    domains = Domains(tuple(sorted(companies)), scenario.countries, scenario.declared_ips)
+    rules = ActionRules(action_rules, domains, scenario.company_pool)
+    state = scenario_doc.state
+    return rules, initial_state(state.facts, state.companies, rules.table)
 
 
 def explore(
@@ -333,13 +344,10 @@ def _search(
     scenario = scenario_doc.scenario
     rates = ruleset.rates()
     reductions = ruleset.reduction_rules
-    rules = ActionRules(ruleset.action_rules, _domains(scenario), scenario.company_pool)
+    rules, s0 = search_world(ruleset.action_rules, scenario_doc)
     cost = params.cost_coefficient
 
     warnings: list[str] = []
-    s0 = initial_state(
-        scenario_doc.state.facts, scenario_doc.state.companies, rules.table
-    )
     memo = EvaluationMemo(scenario, reductions, rates)
 
     nodes: list[_Node] = []

@@ -30,7 +30,7 @@ from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .explorer import Trajectory, TrajectorySet
+from .explorer import TrajectorySet
 from .kernel import PREDICATES, is_variable
 
 HEAD_PREDICATE = "taxScheme"

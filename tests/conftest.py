@@ -10,14 +10,8 @@ import pytest
 
 from loophound import corpus_path
 from loophound.dsl import parse_ruleset, parse_scenario
-from loophound.explorer import SearchParams, explore
-from loophound.kernel import (
-    ActionRules,
-    Domains,
-    applicable_actions,
-    apply_action,
-    initial_state,
-)
+from loophound.explorer import SearchParams, explore, search_world
+from loophound.kernel import applicable_actions, apply_action
 from loophound.policy import PolicyError
 
 # A small two-market world used by the exhaustive oracles.  The rules mirror
@@ -62,23 +56,6 @@ fact ownsIP(p, ip1).
 """
 
 
-def scenario_domains(scenario) -> Domains:
-    """The entity domains a search over ``scenario`` grounds rules with."""
-    return Domains(
-        companies=tuple(
-            sorted(set(scenario.declared_companies) | set(scenario.company_pool))
-        ),
-        countries=scenario.countries,
-        ips=scenario.declared_ips,
-    )
-
-
-def scenario_rules(rules, scenario) -> ActionRules:
-    """``rules`` over the domains and pool a search over ``scenario`` grounds
-    with, with empty tables."""
-    return ActionRules(rules, scenario_domains(scenario), scenario.company_pool)
-
-
 def walk(ruleset, scenario_doc, choices):
     """The action path ``choices`` pick from the scenario's initial state.
 
@@ -86,8 +63,8 @@ def walk(ruleset, scenario_doc, choices):
     current state; the walk stops early at a state with none.  Returns the
     states along the path, the initial one first, and the actions taken.
     """
-    rules = scenario_rules(ruleset.action_rules, scenario_doc.scenario)
-    states = [initial_state(scenario_doc.state.facts, scenario_doc.state.companies)]
+    rules, root = search_world(ruleset.action_rules, scenario_doc)
+    states = [root]
     actions = []
     for choice in choices:
         acts = applicable_actions(states[-1], rules)

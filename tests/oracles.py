@@ -1,17 +1,26 @@
 """Brute-force condition matching, the reference the join engine is tested
-against, a state's evaluation with nothing memoized, and the frontier's
-selection distribution with its quartiles from ``numpy.percentile``."""
+against, a state's evaluation with nothing memoized, the frontier's
+selection distribution with its quartiles from ``numpy.percentile``, and an
+exhaustive breadth-first search of a scenario's states."""
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 
 import numpy as np
 
 from loophound.economy import Transfer, company_flows, earning_companies, settle
+from loophound.explorer import search_world
 from loophound.join import CompiledCondition
-from loophound.kernel import TRANSACTION_KINDS, WILDCARD, Comparison
+from loophound.kernel import (
+    TRANSACTION_KINDS,
+    WILDCARD,
+    Comparison,
+    applicable_actions,
+    apply_action,
+)
 from loophound.taxation import SELF_VAR, assess
 
 
@@ -174,3 +183,44 @@ def selection_with_percentile(depths, utilities, t, beta, tau0):
     w = 1.0 / (1.0 + beta * t)
     p = w * p_depth + (1.0 - w) * p_utility
     return p / p.sum()
+
+
+def bfs_oracle(ruleset, scenario_doc, max_steps):
+    """Exhaustive breadth-first enumeration of the search's world, dedup on
+    fact sets.
+
+    Returns (terminal_keys, complete_keys) where terminal covers both
+    dead ends and the depth cutoff; the root is excluded to mirror the
+    searcher's no-empty-trajectory convention.  A search whose budget
+    covers its frontier records these sets (:func:`recorded_sets`).
+    """
+    scenario = scenario_doc.scenario
+    rules, s0 = search_world(ruleset.action_rules, scenario_doc)
+    seen = {s0.key()}
+    queue = collections.deque([s0])
+    terminal, complete = set(), set()
+    while queue:
+        state = queue.popleft()
+        is_root = state.step_count == 0
+        acts = ()
+        if state.step_count >= max_steps:
+            terminal.add(state.key())
+        else:
+            acts = applicable_actions(state, rules, max_steps=max_steps)
+            if not acts and not is_root:
+                terminal.add(state.key())
+        if not is_root and settle(state, scenario).complete:
+            complete.add(state.key())
+        for act in acts:
+            child = apply_action(state, act, rules)
+            if child.key() not in seen:
+                seen.add(child.key())
+                queue.append(child)
+    return terminal, complete
+
+
+def recorded_sets(tset):
+    """The keys of ``tset``'s terminal and of its complete final states, as
+    :func:`bfs_oracle` returns them."""
+    terminal = {t.final_state.key() for t in tset.trajectories if t.terminal}
+    return terminal, {t.final_state.key() for t in tset.trajectories if t.complete}

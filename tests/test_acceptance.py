@@ -4,12 +4,11 @@ Every check prints a single line straight to the terminal (bypassing pytest
 capture) before asserting, so a full run always shows the verdict per
 criterion.  Statistical requirements run against the bundled corpus at the
 reference scale; exactness requirements run against independent oracles
-written into this file.
+written into this file or ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import subprocess
 import sys
@@ -29,7 +28,6 @@ from loophound.economy import (
     ScenarioConfig,
     commercial_transactions,
     royalty_transactions,
-    settle,
 )
 from loophound.explorer import (
     SearchParams,
@@ -37,6 +35,7 @@ from loophound.explorer import (
     TrajectorySet,
     depth_weight,
     explore,
+    search_world,
     selection_distribution,
     trajectory_utility,
 )
@@ -53,8 +52,6 @@ from loophound.induction import (
     scheme_graph,
 )
 from loophound.kernel import (
-    ActionRules,
-    Domains,
     State,
     applicable_actions,
     apply_action,
@@ -63,7 +60,7 @@ from loophound.kernel import (
 )
 from loophound.policy import WelfareConfig, delta_restriction
 from loophound.taxation import EvaluationMemo, TaxAssessment, evaluate_state
-from oracles import path_transfer
+from oracles import bfs_oracle, path_transfer, recorded_sets
 
 
 def announce(capsys, number: int, ok: bool, detail: str) -> None:
@@ -256,16 +253,8 @@ def test_criterion_4_short_plans_attain_max_utility(
     within every final-state group, a minimal-length path must attain the
     group's maximal utility (profit depends only on the final state)."""
     scenario = toy_scenario.scenario
-    domains = Domains(
-        companies=tuple(
-            sorted(set(scenario.declared_companies) | set(scenario.company_pool))
-        ),
-        countries=scenario.countries,
-        ips=scenario.declared_ips,
-    )
-    rules = ActionRules(toy_ruleset.action_rules, domains, scenario.company_pool)
+    rules, s0 = search_world(toy_ruleset.action_rules, toy_scenario)
     rates = toy_ruleset.rates()
-    s0 = initial_state(toy_scenario.state.facts, toy_scenario.state.companies)
 
     # settle() depends on the path only through the transfer binding, so the
     # profit cache may key on (facts, transfer) without assuming the theorem
@@ -384,40 +373,6 @@ def test_criterion_5_restriction_gain(full_products, capsys):
 # -------------------------------------------------------------- criterion 6
 
 
-def _bfs_terminal_sets(ruleset, scenario_doc, max_steps):
-    scenario = scenario_doc.scenario
-    domains = Domains(
-        companies=tuple(
-            sorted(set(scenario.declared_companies) | set(scenario.company_pool))
-        ),
-        countries=scenario.countries,
-        ips=scenario.declared_ips,
-    )
-    rules = ActionRules(ruleset.action_rules, domains, scenario.company_pool)
-    s0 = initial_state(scenario_doc.state.facts, scenario_doc.state.companies)
-    seen = {s0.key()}
-    queue = [s0]
-    terminal, complete = set(), set()
-    while queue:
-        state = queue.pop()
-        is_root = state.step_count == 0
-        actions = ()
-        if state.step_count >= max_steps:
-            terminal.add(state.key())
-        else:
-            actions = applicable_actions(state, rules, max_steps=max_steps)
-            if not actions and not is_root:
-                terminal.add(state.key())
-        if not is_root and settle(state, scenario).complete:
-            complete.add(state.key())
-        for action in actions:
-            child = apply_action(state, action, rules)
-            if child.key() not in seen:
-                seen.add(child.key())
-                queue.append(child)
-    return terminal, complete
-
-
 def test_criterion_6_search_matches_exhaustive(toy_ruleset, toy_scenario, capsys):
     # alpha_t: exact equality with an independent recomputation
     alpha_exact = all(
@@ -449,10 +404,8 @@ def test_criterion_6_search_matches_exhaustive(toy_ruleset, toy_scenario, capsys
     # budget >= frontier degenerates the sampler into breadth-first search
     params = SearchParams(seed=13, iterations=25, expansions=100_000, max_steps=6)
     tset = explore(toy_ruleset, toy_scenario, params)
-    got_terminal = {t.final_state.key() for t in tset.trajectories if t.terminal}
-    got_complete = {t.final_state.key() for t in tset.trajectories if t.complete}
-    want_terminal, want_complete = _bfs_terminal_sets(toy_ruleset, toy_scenario, 6)
-    sets_ok = got_terminal == want_terminal and got_complete == want_complete
+    want_terminal, want_complete = bfs_oracle(toy_ruleset, toy_scenario, 6)
+    sets_ok = recorded_sets(tset) == (want_terminal, want_complete)
 
     ok = alpha_exact and softmax_ok and sets_ok
     announce(

@@ -18,7 +18,6 @@ from loophound.economy import (
     TRANSFER,
     EconomyError,
     ScenarioConfig,
-    Transaction,
     commercial_transactions,
     company_flows,
     earning_companies,

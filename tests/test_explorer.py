@@ -4,7 +4,6 @@ reproducibility of the serialized trajectory stream.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import gc
 import hashlib
@@ -25,18 +24,24 @@ from loophound.explorer import (
     SearchParams,
     depth_weight,
     explore,
-    percentile,
     quartiles,
     read_jsonl,
+    search_world,
     selection_distribution,
     trajectory_utility,
     write_jsonl,
 )
-from loophound.kernel import KernelError, applicable_actions, apply_action, initial_state
+from loophound.kernel import KernelError, applicable_actions, apply_action
 from loophound.taxation import DEDUCTIBLE, EXEMPTION, evaluate_state
 
-from conftest import TOY_RULESET, TOY_SCENARIO, scenario_rules
-from oracles import evaluate_from_scratch, path_transfer, selection_with_percentile
+from conftest import TOY_RULESET, TOY_SCENARIO
+from oracles import (
+    bfs_oracle,
+    evaluate_from_scratch,
+    path_transfer,
+    recorded_sets,
+    selection_with_percentile,
+)
 
 
 # -------------------------------------------------------------- parameters
@@ -219,43 +224,6 @@ class TestTrajectoryUtility:
 # --------------------------------------------------- exhaustive BFS oracle
 
 
-def bfs_oracle(ruleset, scenario_doc, max_steps):
-    """Exhaustive breadth-first enumeration, dedup on fact sets.
-
-    Returns (terminal_keys, complete_keys) where terminal covers both
-    dead ends and the depth cutoff; the root is excluded to mirror the
-    searcher's no-empty-trajectory convention.
-    """
-    scenario = scenario_doc.scenario
-    rules = scenario_rules(ruleset.action_rules, scenario)
-    s0 = initial_state(scenario_doc.state.facts, scenario_doc.state.companies)
-
-    seen = {s0.key()}
-    queue = collections.deque([s0])
-    terminal, complete = set(), set()
-    while queue:
-        state = queue.popleft()
-        is_root = state.step_count == 0
-        if state.step_count >= max_steps:
-            terminal.add(state.key())
-            if settle(state, scenario).complete:
-                complete.add(state.key())
-            continue
-        acts = applicable_actions(state, rules, max_steps=max_steps)
-        if not acts and not is_root:
-            terminal.add(state.key())
-        if not is_root and settle(state, scenario).complete:
-            complete.add(state.key())
-        for act in acts:
-            child = apply_action(state, act, rules)
-            key = child.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            queue.append(child)
-    return terminal, complete
-
-
 class TestExhaustiveEquality:
     def test_search_equals_bfs_when_budget_covers_frontier(
         self, toy_ruleset, toy_scenario
@@ -266,17 +234,7 @@ class TestExhaustiveEquality:
             seed=0, iterations=25, expansions=100_000, max_steps=max_steps
         )
         tset = explore(toy_ruleset, toy_scenario, params)
-        got_terminal = {
-            t.final_state.key() for t in tset.trajectories if t.terminal
-        }
-        got_complete = {
-            t.final_state.key() for t in tset.trajectories if t.complete
-        }
-        want_terminal, want_complete = bfs_oracle(
-            toy_ruleset, toy_scenario, max_steps
-        )
-        assert got_terminal == want_terminal
-        assert got_complete == want_complete
+        assert recorded_sets(tset) == bfs_oracle(toy_ruleset, toy_scenario, max_steps)
 
     def test_recorded_states_are_unique(self, toy_ruleset, toy_scenario):
         params = SearchParams(seed=0, iterations=25, expansions=100_000, max_steps=5)
@@ -297,14 +255,71 @@ class TestExhaustiveEquality:
             assert state.step_count == t.length
 
 
+# the toy world with two declared companies, q before p, and the pool
+# reversed: neither is in sorted order
+UNSORTED_SCENARIO = (
+    TOY_SCENARIO.replace("pool c1 c2.", "pool c2 c1.")
+    .replace("company p.", "company q.\ncompany p.")
+    .replace("fact ownsIP(p, ip1).", "fact ownsIP(p, ip1).\nfact based(q, ireland).")
+)
+
+
+class TestSearchWorld:
+    """``search_world`` builds the world ``explore`` searches: the rules
+    over the sorted companies and pool, the countries and the IPs, and the
+    root on that world's table."""
+
+    DOMAINS = {
+        "toy": (("c1", "c2", "p"), ("usa", "ireland"), ("ip1",)),
+        "corpus": (
+            ("c1", "c2", "c3", "p"),
+            ("usa", "germany", "netherlands", "ireland", "bermuda"),
+            ("ip1",),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", ["toy", "corpus"])
+    def test_explore_searches_the_world_it_builds(self, request, monkeypatch, name):
+        ruleset = request.getfixturevalue(f"{name}_ruleset")
+        scenario_doc = request.getfixturevalue(f"{name}_scenario")
+        rules, root = search_world(ruleset.action_rules, scenario_doc)
+        domains = rules.domains
+        assert (domains.companies, domains.countries, domains.ips) == self.DOMAINS[name]
+        assert rules.pool == scenario_doc.scenario.company_pool
+        for group in root.groups:
+            assert rules.table[group] is group
+            assert all(rules.table[row] is row for row in group)
+        searched = []
+
+        def spy(state, world, max_steps=None):
+            searched.append((state, world))
+            return applicable_actions(state, world, max_steps)
+
+        monkeypatch.setattr(explorer_module, "applicable_actions", spy)
+        explore(ruleset, scenario_doc, SearchParams(seed=1, iterations=3, expansions=5))
+        (world,) = {world for _, world in searched}
+        assert searched[0][0] == root
+        assert (world.domains, world.pool, world.ordered) == (
+            domains, rules.pool, rules.ordered
+        )
+
+    def test_search_over_unsorted_companies_equals_bfs(self, toy_ruleset):
+        scenario_doc = parse_scenario(UNSORTED_SCENARIO).document
+        assert scenario_doc.state.companies == ("q", "p")
+        rules, _ = search_world(toy_ruleset.action_rules, scenario_doc)
+        assert rules.domains.companies == ("c1", "c2", "p", "q")
+        params = SearchParams(seed=0, iterations=25, expansions=100_000, max_steps=6)
+        want = bfs_oracle(toy_ruleset, scenario_doc, 6)
+        assert recorded_sets(explore(toy_ruleset, scenario_doc, params)) == want
+        assert all(want)
+
+
 def replay(ruleset, scenario_doc, actions):
     """The state an action path reaches from the scenario's initial state,
-    each step applied with fresh tables."""
-    state = initial_state(scenario_doc.state.facts, scenario_doc.state.companies)
+    each step applied in a fresh world."""
+    _, state = search_world(ruleset.action_rules, scenario_doc)
     for act in actions:
-        state = apply_action(
-            state, act, scenario_rules(ruleset.action_rules, scenario_doc.scenario)
-        )
+        state = apply_action(state, act, search_world(ruleset.action_rules, scenario_doc)[0])
     return state
 
 
@@ -388,7 +403,6 @@ class TestReplayOracle:
             "statutory": dataclasses.replace(corpus_ruleset, reduction_rules=()),
             "renamed": renamed_corpus,
         }[ruleset_name]
-        scenario = corpus_scenario.scenario
         records = []
         for iterations, expansions, max_steps in self.SHAPES:
             params = SearchParams(
@@ -411,7 +425,7 @@ class TestReplayOracle:
             assert t.terminal or not at_cap
             if t.terminal and not at_cap:
                 assert not applicable_actions(
-                    state, scenario_rules(ruleset.action_rules, scenario)
+                    state, search_world(ruleset.action_rules, corpus_scenario)[0]
                 )
 
     def test_a_shorter_path_moves_the_sale_to_its_own_step(self, monkeypatch):
@@ -589,7 +603,6 @@ class TestShorterPath:
         result = parse_ruleset(corpus_ruleset_text + SEAT_RULES)
         assert result.ok, [str(d) for d in result.diagnostics]
         ruleset = result.document
-        scenario = corpus_scenario.scenario
         params = SearchParams(
             seed=seed, iterations=iterations, expansions=expansions,
             max_steps=max_steps,
@@ -602,7 +615,7 @@ class TestShorterPath:
             assert t.final_state == state
             if t.terminal and t.length < max_steps:
                 assert not applicable_actions(
-                    state, scenario_rules(ruleset.action_rules, scenario),
+                    state, search_world(ruleset.action_rules, corpus_scenario)[0],
                     max_steps=max_steps,
                 )
 

@@ -32,7 +32,6 @@ from loophound.induction import (
     Hypothesis,
     InductionConfig,
     InductionError,
-    LabeledExamples,
     Metrics,
     build_background,
     canonical_clause,
@@ -49,7 +48,6 @@ from loophound.induction import (
     write_hypothesis_text,
 )
 from loophound.kernel import State, is_variable, make_fact
-from loophound.taxation import TaxAssessment
 
 
 # ------------------------------------------------------------------ helpers

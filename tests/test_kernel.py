@@ -30,9 +30,10 @@ from loophound.kernel import (
     initial_state,
     make_fact,
 )
+from loophound.explorer import search_world
 from loophound.join import CompiledCondition, compile_projection
 from loophound.taxation import SELF_VAR
-from conftest import scenario_domains, scenario_rules, walk
+from conftest import walk
 from oracles import kind_rows, oracle_match
 
 
@@ -302,21 +303,6 @@ class TestMatchProperties:
 # ============================================================================
 
 
-def toy_domains(toy_scenario):
-    scenario = toy_scenario.scenario
-    return Domains(
-        companies=tuple(toy_scenario.state.companies) + scenario.company_pool,
-        countries=scenario.countries,
-        ips=tuple(toy_scenario.state.ips),
-    )
-
-
-def toy_rules(toy_ruleset, toy_scenario):
-    """The toy ruleset's world: its rules over the toy domains and pool."""
-    pool = toy_scenario.scenario.company_pool
-    return ActionRules(toy_ruleset.action_rules, toy_domains(toy_scenario), pool)
-
-
 def oracle_groundings(rule, state, domains, pool):
     """Enumerate every parameter assignment and filter by the oracle matcher."""
     existing = {f.args[0] for f in state.facts() if f.predicate == "exists"}
@@ -344,35 +330,26 @@ def oracle_groundings(rule, state, domains, pool):
 
 class TestGrounding:
     def test_ground_rule_matches_enumeration_oracle(self, toy_ruleset, toy_scenario):
-        state = initial_state(
-            declared_companies=list(toy_scenario.state.companies),
-            facts=list(toy_scenario.state.facts),
-        )
-        domains = toy_domains(toy_scenario)
-        pool = toy_scenario.scenario.company_pool
+        rules, state = search_world(toy_ruleset.action_rules, toy_scenario)
+        domains, pool = rules.domains, rules.pool
         for rule in toy_ruleset.action_rules:
             got = {g.binding for g in ground_rule(rule, state, domains, pool)}
             expected = oracle_groundings(rule, state, domains, pool)
             assert got == expected, rule.key()
 
     def test_fresh_binds_lowest_unused_pool_id(self, toy_ruleset, toy_scenario):
-        state = initial_state(
-            declared_companies=list(toy_scenario.state.companies),
-            facts=list(toy_scenario.state.facts),
-        )
-        domains = toy_domains(toy_scenario)
-        pool = toy_scenario.scenario.company_pool
+        rules, state = search_world(toy_ruleset.action_rules, toy_scenario)
+        domains, pool = rules.domains, rules.pool
         incorp = next(r for r in toy_ruleset.action_rules if r.name == "addChild")
         for action in ground_rule(incorp, state, domains, pool):
             assert action.as_dict()["Child"] == "c1"
         first = ground_rule(incorp, state, domains, pool)[0]
-        second = apply_action(state, first, toy_rules(toy_ruleset, toy_scenario))
+        second = apply_action(state, first, rules)
         for action in ground_rule(incorp, second, domains, pool):
             assert action.as_dict()["Child"] == "c2"
 
     def test_exhausted_pool_stops_incorporation(self, toy_ruleset, toy_scenario):
-        domains = toy_domains(toy_scenario)
-        pool = toy_scenario.scenario.company_pool
+        rules, _ = search_world(toy_ruleset.action_rules, toy_scenario)
         state = initial_state(
             declared_companies=["p", "c1", "c2"],
             facts=[
@@ -383,7 +360,7 @@ class TestGrounding:
             ],
         )
         incorp = next(r for r in toy_ruleset.action_rules if r.name == "addChild")
-        assert ground_rule(incorp, state, domains, pool) == []
+        assert ground_rule(incorp, state, rules.domains, rules.pool) == []
 
 
 class TestApply:
@@ -396,15 +373,14 @@ class TestApply:
                 make_fact("ownsIP", ["p", "ip1"]),
             ],
         )
-        domains = toy_domains(toy_scenario)
-        pool = toy_scenario.scenario.company_pool
+        rules, _ = search_world(toy_ruleset.action_rules, toy_scenario)
         transfer = next(r for r in toy_ruleset.action_rules if r.name == "transferIP")
         action = next(
             a
-            for a in ground_rule(transfer, state, domains, pool)
+            for a in ground_rule(transfer, state, rules.domains, rules.pool)
             if a.as_dict()["To"] == "c1"
         )
-        result = apply_action(state, action, toy_rules(toy_ruleset, toy_scenario))
+        result = apply_action(state, action, rules)
         assert make_fact("ownsIP", ["c1", "ip1"]) in result.facts()
         assert make_fact("ownsIP", ["p", "ip1"]) not in result.facts()
         assert result.step_count == state.step_count + 1
@@ -422,11 +398,9 @@ class TestApply:
                 make_fact("ownsIP", ["p", "ip1"]),
             ],
         )
-        domains = toy_domains(toy_scenario)
-        pool = toy_scenario.scenario.company_pool
+        rules, _ = search_world(toy_ruleset.action_rules, toy_scenario)
         transfer = next(r for r in toy_ruleset.action_rules if r.name == "transferIP")
-        action = ground_rule(transfer, state, domains, pool)[0]
-        rules = toy_rules(toy_ruleset, toy_scenario)
+        action = ground_rule(transfer, state, rules.domains, rules.pool)[0]
         after = apply_action(state, action, rules)
         names = {a.name for a in applicable_actions(after, rules)}
         assert "transferIP" not in names
@@ -434,22 +408,13 @@ class TestApply:
             apply_action(after, action, rules)
 
     def test_max_steps_cuts_off_actions(self, toy_ruleset, toy_scenario):
-        state = initial_state(
-            declared_companies=["p"],
-            facts=[make_fact("based", ["p", "usa"]), make_fact("ownsIP", ["p", "ip1"])],
-        )
-        rules = toy_rules(toy_ruleset, toy_scenario)
+        rules, state = search_world(toy_ruleset.action_rules, toy_scenario)
         assert applicable_actions(state, rules, max_steps=0) == []
 
     def test_inapplicable_action_rejected(self, toy_ruleset, toy_scenario):
-        state = initial_state(
-            declared_companies=["p"],
-            facts=[make_fact("based", ["p", "usa"]), make_fact("ownsIP", ["p", "ip1"])],
-        )
-        domains = toy_domains(toy_scenario)
-        pool = toy_scenario.scenario.company_pool
+        rules, state = search_world(toy_ruleset.action_rules, toy_scenario)
         transfer = next(r for r in toy_ruleset.action_rules if r.name == "transferIP")
-        bogus = ground_rule(transfer, state, domains, pool)
+        bogus = ground_rule(transfer, state, rules.domains, rules.pool)
         assert bogus == []  # nobody to transfer to
 
 
@@ -733,7 +698,7 @@ class TestActionRules:
         message = re.escape("duplicate rule ('addChild', 'rebase')")
         for rules in (UNGUARDED + (twin,), (rebase, rebase)):
             with pytest.raises(KernelError, match=message):
-                scenario_rules(rules, corpus_scenario.scenario)
+                search_world(rules, corpus_scenario)
 
 
 class TestSuccessor:
@@ -779,30 +744,28 @@ class TestSuccessor:
     ):
         states, _ = walk(corpus_ruleset, corpus_scenario, choices)
         state = states[-1]
-        scenario = corpus_scenario.scenario
-        acts = applicable_actions(state, scenario_rules(UNGUARDED, scenario))
+        acts = applicable_actions(state, search_world(UNGUARDED, corpus_scenario)[0])
         action = acts[pick % len(acts)]
         incremental = outcome(
-            lambda: apply_action(state, action, scenario_rules(UNGUARDED, scenario))
+            lambda: apply_action(state, action, search_world(UNGUARDED, corpus_scenario)[0])
         )
         assert incremental == outcome(
             lambda: scratch_successor(state, action, UNGUARDED)
         )
         # one ActionRules for the whole walk: its tables already hold what
         # the action built, or failed to build, from every state before
-        shared = scenario_rules(UNGUARDED, scenario)
+        shared = search_world(UNGUARDED, corpus_scenario)[0]
         for earlier in states:
             outcome(lambda: apply_action(earlier, action, shared))
         assert outcome(lambda: apply_action(state, action, shared)) == incremental
 
     def test_a_broken_invariant_is_caught(self, corpus_ruleset, corpus_scenario):
         states, _ = walk(corpus_ruleset, corpus_scenario, ())
-        scenario = corpus_scenario.scenario
         rebase = GroundedAction(
             "addChild", "rebase", (("C", "p"), ("Country", "ireland"))
         )
         with pytest.raises(KernelError, match="based in multiple countries"):
-            apply_action(states[0], rebase, scenario_rules(UNGUARDED, scenario))
+            apply_action(states[0], rebase, search_world(UNGUARDED, corpus_scenario)[0])
 
     def test_a_broken_invariant_is_caught_on_every_application(
         self, corpus_ruleset, corpus_scenario
@@ -810,7 +773,7 @@ class TestSuccessor:
         """A group that fails its check is never stored, so one ActionRules
         rejects it again, also when another state rebuilds it."""
         states, _ = walk(corpus_ruleset, corpus_scenario, ())
-        rules = scenario_rules(UNGUARDED, corpus_scenario.scenario)
+        rules, _ = search_world(UNGUARDED, corpus_scenario)
         rebase = GroundedAction(
             "addChild", "rebase", (("C", "p"), ("Country", "ireland"))
         )
@@ -872,7 +835,7 @@ class TestSuccessor:
         self, corpus_ruleset, corpus_scenario, binding, ref, message
     ):
         states, _ = walk(corpus_ruleset, corpus_scenario, ())
-        rules = scenario_rules(UNGUARDED, corpus_scenario.scenario)
+        rules, _ = search_world(UNGUARDED, corpus_scenario)
         action = GroundedAction("addChild", ref, binding)
         for _ in range(2):
             with pytest.raises(KernelError, match=re.escape(message)):
@@ -938,10 +901,8 @@ class TestReads:
     def test_corpus_action_rules_read_only_their_reads(
         self, corpus_ruleset, corpus_scenario
     ):
-        scenario = corpus_scenario.scenario
-        domains = scenario_domains(scenario)
-        pool = scenario.company_pool
-        rules = scenario_rules(corpus_ruleset.action_rules + (SPAWN,), scenario)
+        rules, _ = search_world(corpus_ruleset.action_rules + (SPAWN,), corpus_scenario)
+        domains, pool = rules.domains, rules.pool
         states = walk_states(corpus_ruleset, corpus_scenario, CORPUS_WALKS)
         assert any(s.transfer_used for s in states)
         assert any(len(s.companies()) == 4 for s in states)
@@ -1017,9 +978,10 @@ class TestReads:
 
 
 @pytest.fixture(scope="module")
-def shared_corpus_rules(corpus_ruleset, corpus_scenario):
-    """One ActionRules for every walk of the module, as one search keeps."""
-    return scenario_rules(corpus_ruleset.action_rules, corpus_scenario.scenario)
+def shared_corpus_world(corpus_ruleset, corpus_scenario):
+    """One world and its root for every walk of the module, as one search
+    keeps."""
+    return search_world(corpus_ruleset.action_rules, corpus_scenario)
 
 
 class TestSearchTables:
@@ -1029,17 +991,13 @@ class TestSearchTables:
     @given(choices=st.lists(st.integers(min_value=0), max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_shared_tables_equal_fresh_rules(
-        self, corpus_ruleset, corpus_scenario, shared_corpus_rules, choices
+        self, corpus_ruleset, corpus_scenario, shared_corpus_world, choices
     ):
-        shared = shared_corpus_rules
-        scenario = corpus_scenario.scenario
+        shared, state = shared_corpus_world
 
         def fresh():
-            return scenario_rules(corpus_ruleset.action_rules, scenario)
+            return search_world(corpus_ruleset.action_rules, corpus_scenario)[0]
 
-        state = initial_state(
-            corpus_scenario.state.facts, corpus_scenario.state.companies, shared.table
-        )
         previous = []
         for choice in choices:
             acts = applicable_actions(state, shared)
@@ -1057,7 +1015,7 @@ class TestSearchTables:
     def test_an_inapplicable_action_fails_on_every_call(
         self, corpus_ruleset, corpus_scenario
     ):
-        rules = scenario_rules(corpus_ruleset.action_rules, corpus_scenario.scenario)
+        rules, _ = search_world(corpus_ruleset.action_rules, corpus_scenario)
         states, _ = walk(corpus_ruleset, corpus_scenario, ())
         root = states[0]
         license_ = GroundedAction(
@@ -1084,7 +1042,7 @@ class TestSearchTables:
         scenario = corpus_scenario.scenario
         pools = (scenario.company_pool, tuple(reversed(scenario.company_pool)))
         # one domain for both pools: they hold the same company ids
-        domains = scenario_domains(scenario)
+        domains = search_world(rules, corpus_scenario)[0].domains
         worlds = [ActionRules(rules, domains, pool) for pool in pools]
         root = initial_state(corpus_scenario.state.facts, corpus_scenario.state.companies)
         states = [root]
