@@ -106,8 +106,8 @@ def detect_segments(
     if min_distance < 1:
         raise AnalyticsError("min_distance must be at least 1")
     height = resolve_peak_height(profile.values) if peak_height is None else peak_height
-    if height <= 0:
-        raise AnalyticsError("peak_height must be positive")
+    if not (math.isfinite(height) and height > 0):
+        raise AnalyticsError("peak_height must be positive and finite")
 
     n = len(profile)
     if n < 2:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -315,8 +316,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     if args.min_distance < 1:
         raise CliError("--min-distance must be at least 1", EXIT_VALIDATION)
-    if args.peak_height is not None and args.peak_height <= 0:
-        raise CliError("--peak-height must be positive", EXIT_VALIDATION)
+    height = args.peak_height
+    if height is not None and not (math.isfinite(height) and height > 0):
+        raise CliError("--peak-height must be positive and finite", EXIT_VALIDATION)
     out_dir = _ensure_out_dir(args.out)
     manifest = _read_manifest(out_dir)
     tset = _load(out_dir, TRAJECTORIES_FILE)

@@ -389,7 +389,8 @@ def _search(
         for node_index in chosen:
             node = nodes[node_index]
             node.expanded = True
-            acts = applicable_actions(node.state, rules, max_steps=params.max_steps)
+            # the frontier holds no node at the step cap
+            acts = applicable_actions(node.state, rules)
             if not acts:
                 node.terminal = True
                 if node_index == 0:
@@ -622,9 +623,10 @@ def write_jsonl(tset: TrajectorySet, path) -> None:
             )
 
 
-def _reject_constant(name: str):
-    """``parse_constant`` of the reader: every number of a trajectory file
-    is finite, so ``NaN``, ``Infinity`` and ``-Infinity`` mark it corrupt."""
+def reject_constant(name: str):
+    """``parse_constant`` of the readers of trajectory and hypothesis files:
+    every number they hold is finite, so ``NaN``, ``Infinity`` and
+    ``-Infinity`` mark a file corrupt."""
     raise ValueError(f"{name} is not a finite number")
 
 
@@ -642,7 +644,7 @@ def read_jsonl(path) -> TrajectorySet:
         if first is None:
             raise ExplorerError("empty trajectory file")
         try:
-            header = json.loads(first, parse_constant=_reject_constant)
+            header = json.loads(first, parse_constant=reject_constant)
         except ValueError as exc:
             raise ExplorerError(f"header: {exc}") from exc
         if not (
@@ -667,7 +669,7 @@ def read_jsonl(path) -> TrajectorySet:
         trajectories = []
         for n, line in enumerate(lines):
             try:
-                row = json.loads(line, parse_constant=_reject_constant)
+                row = json.loads(line, parse_constant=reject_constant)
                 trajectories.append(_trajectory_from_json(row, table))
             except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
                 raise ExplorerError(f"trajectory {n}: {type(exc).__name__}: {exc}") from exc

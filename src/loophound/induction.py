@@ -26,11 +26,12 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .explorer import TrajectorySet
+from .explorer import TrajectorySet, reject_constant
 from .kernel import PREDICATES, is_variable
 
 HEAD_PREDICATE = "taxScheme"
@@ -63,6 +64,8 @@ class InductionConfig:
     role_binding: tuple[tuple[str, str], ...] = DEFAULT_ROLE_BINDING
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.u_plus):
+            raise InductionError(f"u_plus must be a finite number, not {self.u_plus!r}")
         if self.max_literals < 1:
             raise InductionError("max_literals must be at least 1")
         if self.beam_width < 1:
@@ -714,11 +717,11 @@ def write_hypothesis_json(
 
 def read_hypothesis_json(path) -> tuple[Hypothesis, float, Metrics]:
     """Hypothesis, ``u_plus`` and overall metrics of a document written by
-    :func:`write_hypothesis_json`; a malformed document raises
-    :class:`InductionError`."""
+    :func:`write_hypothesis_json`; a malformed document, a non-finite number
+    included, raises :class:`InductionError`."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_constant=reject_constant)
         if not isinstance(payload, dict) or payload.get("kind") != "hypothesis":
             raise InductionError("not a hypothesis document")
         clauses, metrics = [], []

@@ -22,10 +22,9 @@ evaluated together (Sellis, TODS 1988).
   negated literal with a wildcard scans its relation.
 * **Entry points.**  :meth:`~CompiledCondition.bindings` lists every
   solution, sorted by the values of the sorted variable names and
-  deduplicated; :meth:`~CompiledCondition.exists` stops at the first one;
-  the function that :func:`compile_projection` builds collects, per condition,
-  the distinct values of one variable and leaves the inner loops as soon as
-  a value is recorded.
+  deduplicated; the function that :func:`compile_projection` builds
+  collects, per condition, the distinct values of one variable and leaves
+  the inner loops as soon as a value is recorded.
 * **Reads.**  :attr:`~CompiledCondition.reads` lists the positions of the
   state groups the generated code indexes, one per predicate of the
   condition's literals.  Every entry point is a function of those groups,
@@ -63,15 +62,15 @@ def _relation(extra: Optional[Relations], predicate: str) -> Sequence[tuple[str,
 class CompiledCondition:
     """One condition compiled into a generated join.
 
-    Every seed passed to :meth:`bindings` and :meth:`exists` binds exactly
-    the variables in ``bound``.  Raises :class:`KernelError` when a
-    comparison or negated literal uses a variable that neither ``bound``
-    nor a positive literal binds.
+    Every seed passed to :meth:`bindings` binds exactly the variables in
+    ``bound``.  Raises :class:`KernelError` when a comparison or negated
+    literal uses a variable that neither ``bound`` nor a positive literal
+    binds.
 
     ``reads`` holds, sorted, the position in a state's groups of each
     predicate that a literal of the condition names, negated or not: the
     generated code indexes the groups at these positions and nowhere else,
-    so two states whose groups agree there give every entry point the same
+    so two states whose groups agree there give :meth:`bindings` the same
     result for the same seed and extra relations.
     """
 
@@ -95,7 +94,7 @@ class CompiledCondition:
         for lit in condition:
             if isinstance(lit, Literal) and lit.predicate not in relations:
                 relations[lit.predicate] = f"r{len(relations)}"
-        lines = ["def _solve(groups, extra, seed, first):"]
+        lines = ["def _solve(groups, extra, seed):"]
         for v in sorted(entry):
             lines.append(f"    {local[v]} = seed[{v!r}]")
         for pred, rel in relations.items():
@@ -113,7 +112,6 @@ class CompiledCondition:
             entry, local, "    ", "return out",
         )
         lines.append(f"{indent}out.append({_tuple([local[v] for v in self.variables])})")
-        lines.append(f"{indent}if first: return out")
         lines.append("    return out")
         self._solve = _compile("\n".join(lines) + "\n", "_solve", {"_relation": _relation})
 
@@ -121,13 +119,7 @@ class CompiledCondition:
         self, state: State, seed: Mapping[str, str], extra: Optional[Relations] = None
     ) -> list[tuple[str, ...]]:
         """Every solution as a row over :attr:`variables`, sorted and distinct."""
-        return sorted(set(self._solve(state.groups, extra, seed, False)))
-
-    def exists(
-        self, state: State, seed: Mapping[str, str], extra: Optional[Relations] = None
-    ) -> bool:
-        """True iff the condition has a solution extending ``seed``."""
-        return bool(self._solve(state.groups, extra, seed, True))
+        return sorted(set(self._solve(state.groups, extra, seed)))
 
 
 # per transaction kind, its position in the rows a projection is handed

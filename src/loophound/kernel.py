@@ -406,9 +406,7 @@ class ActionRule:
     free_params: tuple[str, ...] = field(init=False, repr=False, compare=False)
     free_types: tuple[str, ...] = field(init=False, repr=False, compare=False)
     # precondition compiled for grounding (fresh and free parameters seeded)
-    # and for checking a grounded action (every parameter seeded)
     ground_join: CompiledCondition = field(init=False, repr=False, compare=False)
-    check_join: CompiledCondition = field(init=False, repr=False, compare=False)
     # per parameter in sorted order, its index in a ground_join solution row
     param_slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # of a transferIP rule, the (seller, buyer) parameters its effects name;
@@ -446,9 +444,6 @@ class ActionRule:
             self,
             "param_slots",
             tuple(ground_join.variables.index(p) for p in sorted(self.params)),
-        )
-        object.__setattr__(
-            self, "check_join", CompiledCondition(self.precondition, bound=self.params)
         )
         object.__setattr__(self, "parties", _transfer_parties(self) or ())
 
@@ -550,44 +545,37 @@ class Domains:
         raise KernelError(f"unknown entity type: {ty!r}")
 
 
-class _CompiledAction(NamedTuple):
-    """A grounded action as :func:`apply_action` compiles it for a search."""
-
-    rule: ActionRule
-    binding: dict[str, str]
-    # per touched group, in PREDICATES order: (position, deleted rows, added
-    # rows, the group this entry made of each parent group so far), the added
-    # rows being the search's objects
-    delta: tuple[tuple[int, Rows, Rows, dict[Rows, Rows]], ...]
-    # the key of the groups the precondition reads, and its result by key
-    key: Callable[[tuple[Rows, ...]], object]
-    holds: dict[object, bool]
+# per group an action's effects touch, in PREDICATES order: (position, deleted
+# rows, added rows, the group this entry made of each parent group so far),
+# the added rows being the search's objects
+Delta = tuple[tuple[int, Rows, Rows, dict[Rows, Rows]], ...]
 
 
 class ActionRules:
     """One search's world, its action rules grounded over ``domains`` with
     fresh ids from ``pool``, and the search's tables.
 
-    ``ordered`` holds the rules sorted by key and ``by_key`` the rule of each
-    key; two rules with one (name, legal_ref) raise a :class:`KernelError`.
-    Grounding, a precondition and an edit are pure functions of the groups
-    they read, so each runs once per distinct read set, Michie's memo
-    function ("Memo functions and machine learning", Nature 1968):
+    ``ordered`` holds the rules sorted by key and ``index`` the position in
+    ``ordered`` of each key; two rules with one (name, legal_ref) raise a
+    :class:`KernelError`, and so does a domain value or pool id that is not
+    a ground constant, since grounding binds parameters to them.  Grounding
+    and an edit are pure functions of the groups they read, so each runs
+    once per distinct read set, Michie's memo function ("Memo functions and
+    machine learning", Nature 1968):
 
-    - ``groundings`` holds, per rule of ``ordered``, its grounded actions by
-      the key ``ground_keys`` takes of a state's groups: those its
-      precondition reads, and ``exists`` for a rule with a fresh parameter;
-    - ``compiled`` holds each grounded action :func:`apply_action` has met,
-      with its rule, its binding, its precondition's result by the groups
-      ``check_join`` reads, and per touched group its deleted and added rows
-      and the group they made of each parent group;
+    - ``groundings`` holds, per rule of ``ordered``, its grounding by the
+      key ``ground_keys`` takes of a state's groups: those its precondition
+      reads, and ``exists`` for a rule with a fresh parameter.  A grounding
+      is a dict whose keys are the rule's actions in grounding order, so
+      that :func:`apply_action` tests an action's membership in one lookup;
+    - ``compiled`` holds, for each action :func:`apply_action` has applied,
+      its :data:`Delta`: per touched group its deleted and added rows and
+      the group they made of each parent group;
     - ``table`` holds every distinct row and checked group the search built,
       so equal rows and groups are one object and a read-set key compares
       by a few identity checks.
 
     The tables live as long as the search, so two searches share nothing.
-    The one-shot transfer, the step cap and the fresh-id check are tested on
-    every call.
     """
 
     def __init__(
@@ -596,11 +584,14 @@ class ActionRules:
         self.ordered: tuple[ActionRule, ...] = tuple(sorted(rules, key=ActionRule.key))
         self.domains = domains
         self.pool = tuple(pool)
-        self.by_key: dict[tuple[str, str], ActionRule] = {}
-        for rule in self.ordered:
-            if rule.key() in self.by_key:
+        self.index: dict[tuple[str, str], int] = {}
+        for position, rule in enumerate(self.ordered):
+            if rule.key() in self.index:
                 raise KernelError(f"duplicate rule {rule.key()}")
-            self.by_key[rule.key()] = rule
+            self.index[rule.key()] = position
+        for value in (*domains.companies, *domains.countries, *domains.ips, *self.pool):
+            if type(value) is not str or not is_constant(value):
+                raise KernelError(f"domain value must be a ground constant: {value!r}")
         self.ground_keys: tuple[Callable[[tuple[Rows, ...]], object], ...] = tuple(
             _key(
                 set(rule.ground_join.reads)
@@ -608,17 +599,17 @@ class ActionRules:
             )
             for rule in self.ordered
         )
-        self.groundings: tuple[dict[object, tuple[GroundedAction, ...]], ...] = tuple(
+        self.groundings: tuple[dict[object, dict[GroundedAction, None]], ...] = tuple(
             {} for _ in self.ordered
         )
         self.table: dict[tuple, tuple] = {}
-        self.compiled: dict[GroundedAction, _CompiledAction] = {}
+        self.compiled: dict[GroundedAction, Delta] = {}
 
     def transfer_parties(self, action: GroundedAction) -> tuple[str, str]:
         """(seller, buyer) of a ``transferIP`` action: the values it binds to
         the parameters its rule's ``ownsIP`` effects name (see
         :attr:`ActionRule.parties`)."""
-        seller, buyer = self.by_key[action.name, action.legal_ref].parties
+        seller, buyer = self.ordered[self.index[action.name, action.legal_ref]].parties
         binding = dict(action.binding)
         return binding[seller], binding[buyer]
 
@@ -669,80 +660,76 @@ def ground_rule(
     return list(grounded.values())
 
 
-def applicable_actions(
-    state: State, rules: ActionRules, max_steps: Optional[int] = None
-) -> list[GroundedAction]:
+def rule_actions(
+    state: State, rules: ActionRules, position: int
+) -> dict[GroundedAction, None]:
+    """The actions of the rule at ``position`` of ``rules.ordered`` that
+    apply in ``state``, the keys of the returned dict in grounding order.
+
+    This is the one definition of applicability: an action applies exactly
+    when its rule's precondition holds under its binding, STRIPS semantics
+    (Fikes and Nilsson, AIJ 1971), which :func:`ground_rule` enumerates.  A
+    ``transferIP`` rule has no action once the one-shot transfer is used.
+    The rule is grounded once per distinct value of the groups it reads
+    (see :class:`ActionRules`); the caller must not change the dict.
+    """
+    rule = rules.ordered[position]
+    if state.transfer_used and rule.name == "transferIP":
+        return {}
+    groundings = rules.groundings[position]
+    read = rules.ground_keys[position](state.groups)
+    grounded = groundings.get(read)
+    if grounded is None:
+        grounded = groundings[read] = dict.fromkeys(
+            ground_rule(rule, state, rules.domains, rules.pool)
+        )
+    return grounded
+
+
+def applicable_actions(state: State, rules: ActionRules) -> list[GroundedAction]:
     """All applicable grounded actions, rule by rule in (name, legal_ref)
-    order.
+    order, as :func:`rule_actions` lists them.
 
     Within a rule, actions follow the product order of its free parameters'
     domains as ``rules.domains`` lists them (a search lists companies sorted
     and countries and IPs in declaration order), then the values of the
     sorted variable names: at the corpus root, ``EU-incorp`` lists germany,
     netherlands, ireland.
-
-    ``transferIP`` rules are suppressed once the one-shot transfer has been
-    used.  When ``max_steps`` is given and reached, no action is applicable.
-    Each rule is grounded by :func:`ground_rule` once per distinct value of
-    the groups it reads (see :class:`ActionRules`).
     """
-    if max_steps is not None and state.step_count >= max_steps:
-        return []
-    groups = state.groups
     out: list[GroundedAction] = []
-    for rule, key, groundings in zip(rules.ordered, rules.ground_keys, rules.groundings):
-        if rule.name == "transferIP" and state.transfer_used:
-            continue
-        read = key(groups)
-        grounded = groundings.get(read)
-        if grounded is None:
-            grounded = groundings[read] = tuple(
-                ground_rule(rule, state, rules.domains, rules.pool)
-            )
-        out.extend(grounded)
+    for position in range(len(rules.ordered)):
+        out.extend(rule_actions(state, rules, position))
     return out
 
 
 def apply_action(state: State, action: GroundedAction, rules: ActionRules) -> State:
-    """Successor state after ``action``; raises KernelError if not applicable.
+    """Successor state after ``action``; raises KernelError unless
+    :func:`rule_actions` lists ``action`` for its rule in ``state``.
 
-    The first time ``rules`` meets ``action`` it compiles it (see
-    :class:`ActionRules`), after the checks that do not depend on the state:
-    a known rule, a binding for every parameter and a constant for every
-    effect value.  An action that fails them is never stored, so it fails
-    on every call.  The checks that depend on the state follow, on every
-    call: the one-shot transfer is unused, a fresh parameter binds the
-    lowest unused id of ``rules.pool`` and the precondition holds, its join
-    run once per distinct value of the groups it reads.
+    An action applies exactly when it equals one its rule's grounding lists:
+    the rule's name and legal reference, and a binding of every parameter
+    and no other variable, sorted by variable name, under which the
+    precondition holds, a free parameter bound to a value of its type's
+    domain and a fresh one to the lowest unused pool id.  The first time
+    ``rules`` applies ``action`` it compiles its :data:`Delta` (see
+    :class:`ActionRules`).
 
     The successor shares every group the action's effects do not touch with
-    ``state``.  Each touched group is built from the compiled delta,
-    deletions before additions, and checked, once per distinct parent group
-    and delta entry, so the successor holds only groups that passed their
-    predicate's check, as a state built from its facts.  A group that fails
-    its check is never stored, so it fails on every call.
+    ``state``.  Each touched group is built from the delta, deletions before
+    additions, and checked, once per distinct parent group and delta entry,
+    so the successor holds only groups that passed their predicate's check,
+    as a state built from its facts.  A group that fails its check is never
+    stored, so it fails on every call.
     """
-    compiled = rules.compiled.get(action)
-    if compiled is None:
-        compiled = rules.compiled[action] = _compile_action(action, rules)
-    rule, binding, delta, key, holds = compiled
-    if rule.name == "transferIP" and state.transfer_used:
-        raise KernelError(f"transfer already used, cannot apply {action}")
-    for p in rule.fresh_params:
-        expected = _lowest_unused_pool_id(state, rules.pool)
-        if expected is None or binding[p] != expected:
-            raise KernelError(
-                f"fresh parameter {p!r} of {action} must bind the lowest unused "
-                f"pool id ({expected!r})"
-            )
-    parents = state.groups
-    read = key(parents)
-    held = holds.get(read)
-    if held is None:
-        held = holds[read] = rule.check_join.exists(state, binding)
-    if not held:
+    at = rules.index.get((action.name, action.legal_ref))
+    if at is None:
+        raise KernelError(f"no rule for action {action}")
+    if action not in rule_actions(state, rules, at):
         raise KernelError(f"precondition of {action} does not hold")
-
+    delta = rules.compiled.get(action)
+    if delta is None:
+        delta = rules.compiled[action] = _delta(rules.ordered[at], action, rules.table)
+    parents = state.groups
     groups = list(parents)
     for position, deleted, added, edited in delta:
         parent = parents[position]
@@ -753,7 +740,7 @@ def apply_action(state: State, action: GroundedAction, rules: ActionRules) -> St
     return State._successor(
         tuple(groups),
         state.step_count + 1,
-        state.transfer_used or rule.name == "transferIP",
+        state.transfer_used or action.name == "transferIP",
     )
 
 
@@ -768,28 +755,17 @@ def _edit(parent: Rows, position: int, deleted: Rows, added: Rows, table: dict) 
     return table.setdefault(group, group)
 
 
-def _compile_action(action: GroundedAction, rules: ActionRules) -> _CompiledAction:
-    """``action`` compiled for :func:`apply_action`, after the checks that do
-    not depend on a state."""
-    rule = rules.by_key.get((action.name, action.legal_ref))
-    if rule is None:
-        raise KernelError(f"no rule for action {action}")
+def _delta(rule: ActionRule, action: GroundedAction, table: dict) -> Delta:
+    """The :data:`Delta` of ``action``, a grounding of ``rule``, its added
+    rows ``table``'s objects."""
     binding = action.as_dict()
-    for p in rule.params:
-        if p not in binding:
-            raise KernelError(f"action {action} misses binding for {p!r}")
     # per touched group, deleted rows and added rows, the binding filled in
     edits: dict[int, tuple[list, list]] = {}
     for effects, side in ((rule.del_effects, 0), (rule.add_effects, 1)):
         for lit in effects:
             row = tuple([binding.get(a, a) for a in lit.args])
-            for value in row:
-                if not is_constant(value):
-                    raise KernelError(f"fact argument must be a ground constant: {value!r}")
             edits.setdefault(GROUP[lit.predicate], ([], []))[side].append(row)
-    table = rules.table
-    delta = []
-    for position, (deleted, added) in sorted(edits.items()):
-        shared = tuple(table.setdefault(row, row) for row in added)
-        delta.append((position, tuple(deleted), shared, {}))
-    return _CompiledAction(rule, binding, tuple(delta), _key(rule.check_join.reads), {})
+    return tuple(
+        (position, tuple(deleted), tuple(table.setdefault(row, row) for row in added), {})
+        for position, (deleted, added) in sorted(edits.items())
+    )

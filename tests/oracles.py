@@ -206,7 +206,7 @@ def bfs_oracle(ruleset, scenario_doc, max_steps):
         if state.step_count >= max_steps:
             terminal.add(state.key())
         else:
-            acts = applicable_actions(state, rules, max_steps=max_steps)
+            acts = applicable_actions(state, rules)
             if not acts and not is_root:
                 terminal.add(state.key())
         if not is_root and settle(state, scenario).complete:

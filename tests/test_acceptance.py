@@ -284,7 +284,7 @@ def test_criterion_4_short_plans_attain_max_utility(
             groups.setdefault(state.key(), []).append((len(actions), utility))
         if state.step_count >= 6:
             continue
-        for action in applicable_actions(state, rules, max_steps=6):
+        for action in applicable_actions(state, rules):
             stack.append((apply_action(state, action, rules), actions + (action,)))
 
     violations = 0

@@ -289,8 +289,9 @@ class TestDetectSegments:
         assert [(s.start, s.stop) for s in a] == [(s.start, s.stop) for s in b]
 
     def test_invalid_parameters(self):
-        with pytest.raises(AnalyticsError):
-            detect_segments(profile_of([1.0, 2.0]), peak_height=0.0)
+        for height in (0.0, float("nan"), float("inf")):
+            with pytest.raises(AnalyticsError):
+                detect_segments(profile_of([1.0, 2.0]), peak_height=height)
         with pytest.raises(AnalyticsError):
             detect_segments(profile_of([1.0, 2.0]), peak_height=1.0, min_distance=0)
 

@@ -196,6 +196,7 @@ HYPOTHESIS_DEFECTS = {
     "unknown-predicate": (("clauses", 0, "body", 0, "predicate"), "ownsIp"),
     "wrong-arity": (("clauses", 0, "body", 0, "args"), ["A"]),
     "u_plus-null": (("u_plus",), None),
+    "u_plus-nan": (("u_plus",), float("nan")),
 }
 
 
@@ -345,6 +346,11 @@ class TestStageOrder:
     def test_stats_needs_profile(self, toy_run_dir, capsys):
         assert main(["stats", "--out", str(toy_run_dir)]) == 3
         assert "run the profile stage first" in capsys.readouterr().err
+
+    def test_induce_rejects_a_non_finite_u_plus(self, toy_run_dir, capsys):
+        for value in ("nan", "inf"):
+            assert main(["induce", "--u-plus", value, "--out", str(toy_run_dir)]) == 1
+            assert "u_plus must be a finite number" in capsys.readouterr().err
 
     def test_induce_without_u_plus_needs_profile(self, toy_run_dir, capsys):
         assert main(["induce", "--out", str(toy_run_dir)]) == 3
@@ -591,11 +597,12 @@ class TestValidationErrors:
         assert "--min-distance" in capsys.readouterr().err
 
     def test_non_positive_peak_height(self, tmp_path, capsys):
-        code = main(
-            ["profile", "--peak-height", "0", "--out", str(tmp_path)]
-        )
-        assert code == 1
-        assert "--peak-height" in capsys.readouterr().err
+        for height in ("0", "nan", "inf"):
+            code = main(
+                ["profile", "--peak-height", height, "--out", str(tmp_path)]
+            )
+            assert code == 1
+            assert "--peak-height" in capsys.readouterr().err
 
     def test_graph_top_k_below_one(self, tmp_path, capsys):
         assert main(["graph", "--top-k", "0", "--out", str(tmp_path)]) == 1

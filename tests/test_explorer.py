@@ -291,9 +291,9 @@ class TestSearchWorld:
             assert all(rules.table[row] is row for row in group)
         searched = []
 
-        def spy(state, world, max_steps=None):
+        def spy(state, world):
             searched.append((state, world))
-            return applicable_actions(state, world, max_steps)
+            return applicable_actions(state, world)
 
         monkeypatch.setattr(explorer_module, "applicable_actions", spy)
         explore(ruleset, scenario_doc, SearchParams(seed=1, iterations=3, expansions=5))
@@ -615,8 +615,7 @@ class TestShorterPath:
             assert t.final_state == state
             if t.terminal and t.length < max_steps:
                 assert not applicable_actions(
-                    state, search_world(ruleset.action_rules, corpus_scenario)[0],
-                    max_steps=max_steps,
+                    state, search_world(ruleset.action_rules, corpus_scenario)[0]
                 )
 
 

@@ -874,8 +874,10 @@ class TestInductionConfig:
             {"role_binding": (("lower", "ireland"),)},
             {"role_binding": (("A", "ireland"), ("A", "usa"))},
             {"role_binding": (("A", "Var"),)},
+            {"u_plus": float("nan")},
+            {"u_plus": float("inf")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InductionError):
-            InductionConfig(u_plus=1.0, **kwargs)
+            InductionConfig(**{"u_plus": 1.0, **kwargs})

@@ -110,7 +110,6 @@ class TestMatchOracle:
         variables = positive_variables(condition)
         join = CompiledCondition(condition)
         rows = join.bindings(state, {})
-        assert join.exists(state, {}) == bool(rows)
         for v in variables:
             i = join.variables.index(v)
             assert projected(condition, state, v) == {row[i] for row in rows}
@@ -124,7 +123,7 @@ class TestMatchOracle:
         assert join.bindings(state, {"X": "c1"}) == expected_rows(
             state, condition, {"X": "c1"}
         )
-        assert not join.exists(state, {"X": "c9"})
+        assert join.bindings(state, {"X": "c9"}) == []
 
     def test_extra_ground_patterns_participate(self):
         state = small_state()
@@ -138,10 +137,9 @@ class TestMatchOracle:
         rows = join.bindings(state, {}, patterns)
         assert rows == [("p", "c1")]
         assert rows == expected_rows(state, condition, extra_ground=patterns)
-        assert join.exists(state, {}, patterns)
         assert projected(condition, state, "Self", patterns) == {"p"}
         with pytest.raises(KernelError, match="unknown predicate"):
-            join.exists(state, {})
+            join.bindings(state, {})
 
     def test_checks_without_positive_literal_test_the_seed(self):
         state = small_state()
@@ -154,7 +152,6 @@ class TestMatchOracle:
             seed = {"X": x, "Y": y}
             rows = expected_rows(state, condition, seed)
             assert join.bindings(state, seed) == rows
-            assert join.exists(state, seed) == bool(rows)
         assert join.bindings(state, {"X": "c1", "Y": "p"}) == [("c1", "p")]
 
     def test_comparison_on_variable_no_positive_literal_binds_raises(self):
@@ -268,7 +265,6 @@ class TestMatchProperties:
         join = CompiledCondition(condition, bound=seed)
         rows = join.bindings(state, seed, patterns)
         assert rows == expected_rows(state, condition, seed, patterns)
-        assert join.exists(state, seed, patterns) == bool(rows)
         # literal order in the source never changes a result
         reordered = CompiledCondition(tuple(reversed(condition)), bound=seed)
         assert reordered.bindings(state, seed, patterns) == rows
@@ -406,10 +402,6 @@ class TestApply:
         assert "transferIP" not in names
         with pytest.raises(KernelError):
             apply_action(after, action, rules)
-
-    def test_max_steps_cuts_off_actions(self, toy_ruleset, toy_scenario):
-        rules, state = search_world(toy_ruleset.action_rules, toy_scenario)
-        assert applicable_actions(state, rules, max_steps=0) == []
 
     def test_inapplicable_action_rejected(self, toy_ruleset, toy_scenario):
         rules, state = search_world(toy_ruleset.action_rules, toy_scenario)
@@ -700,6 +692,18 @@ class TestActionRules:
             with pytest.raises(KernelError, match=message):
                 search_world(rules, corpus_scenario)
 
+    def test_a_domain_value_that_is_not_a_constant_is_rejected(self):
+        """Grounding binds parameters to domain values and pool ids, so each
+        must be a ground constant for the states it builds to hold only
+        constants."""
+        message = "domain value must be a ground constant: 'Ireland'"
+        for domains, pool in (
+            (Domains(("p",), ("Ireland",), ()), ()),
+            (Domains(("p",), ("usa",), ()), ("Ireland",)),
+        ):
+            with pytest.raises(KernelError, match=re.escape(message)):
+                ActionRules(UNGUARDED, domains, pool)
+
 
 class TestSuccessor:
     """``apply_action`` builds a successor from its parent's index; it must
@@ -822,11 +826,11 @@ class TestSuccessor:
         "binding,ref,message",
         [
             ((("C", "p"), ("Country", "ireland")), "relocate", "no rule for action"),
-            ((("C", "p"),), "rebase", "misses binding for 'Country'"),
+            ((("C", "p"),), "rebase", "precondition of addChild[rebase](C=p) does not hold"),
             (
                 (("C", "p"), ("Country", "Ireland")),
                 "rebase",
-                "fact argument must be a ground constant: 'Ireland'",
+                "precondition of addChild[rebase](C=p, Country=Ireland) does not hold",
             ),
         ],
         ids=["unknown-rule", "missing-binding", "variable-value"],
@@ -923,10 +927,6 @@ class TestReads:
                     view = recording(state)
                     rule.ground_join.bindings(view, seed)
                     assert view.groups.read <= set(rule.ground_join.reads)
-                for action in actions:
-                    view = recording(state)
-                    assert rule.check_join.exists(view, action.as_dict())
-                    assert view.groups.read <= set(rule.check_join.reads)
         assert grounded_somewhere == {rule.key() for rule in rules.ordered}
 
     def test_corpus_reductions_read_only_their_reads(
@@ -964,7 +964,6 @@ class TestReads:
         join = CompiledCondition(condition, bound=seed)
         view = recording(state)
         rows = join.bindings(view, seed, patterns)
-        join.exists(view, seed, patterns)
         assert rows == join.bindings(state, seed, patterns)
         assert view.groups.read <= set(join.reads)
         try:
@@ -975,6 +974,45 @@ class TestReads:
             view = recording(state)
             projected(condition, view, v, patterns)
             assert view.groups.read <= reads
+
+
+def oracle_verdict(state, action, rule, pool):
+    """``"applies"`` when ``action``, a grounding of ``rule``, applies in
+    ``state`` by brute force, else the first of its conditions that fails:
+    each fresh parameter binds the lowest unused pool id, a ``transferIP``
+    needs the one-shot transfer unused, and the precondition has a solution
+    under the action's binding."""
+    binding = action.as_dict()
+    unused = [cid for cid in pool if cid not in state.companies()]
+    if any(not unused or binding[p] != unused[0] for p in rule.fresh_params):
+        return "fresh id"
+    if rule.name == "transferIP" and state.transfer_used:
+        return "transfer used"
+    if not oracle_match(state, rule.precondition, binding):
+        return "precondition"
+    return "applies"
+
+
+class TestApplicability:
+    """``apply_action`` accepts exactly the actions the brute-force oracle
+    finds applicable."""
+
+    def test_apply_action_agrees_with_the_oracle(self, corpus_ruleset, corpus_scenario):
+        rules, _ = search_world(corpus_ruleset.action_rules, corpus_scenario)
+        states = walk_states(corpus_ruleset, corpus_scenario, CORPUS_WALKS)
+        verdicts = set()
+        # each state with the actions grounded there and at the state before
+        for before, state in zip(states[:1] + states, states):
+            grounded = applicable_actions(before, rules) + applicable_actions(state, rules)
+            for action in dict.fromkeys(grounded):
+                rule = rules.ordered[rules.index[action.name, action.legal_ref]]
+                verdict = oracle_verdict(state, action, rule, rules.pool)
+                verdicts.add(verdict)
+                applied = outcome(lambda: apply_action(state, action, rules))
+                assert (applied[0] == "state") == (verdict == "applies"), (
+                    str(action), str(state), verdict,
+                )
+        assert verdicts == {"applies", "fresh id", "transfer used", "precondition"}
 
 
 @pytest.fixture(scope="module")
@@ -1034,6 +1072,21 @@ class TestSearchTables:
         with pytest.raises(KernelError, match="precondition .* does not hold"):
             apply_action(root, license_, rules)
         assert apply_action(with_c1, license_, rules) == licensed
+        # c1 is the lowest unused pool id at the root, c2 once c1 exists
+        skip = GroundedAction("addChild", "USA-incorp", (("Child", "c2"), ("Parent", "p")))
+        sale = GroundedAction(
+            "transferIP", "transfer", (("From", "p"), ("Ip", "ip1"), ("To", "c1"))
+        )
+        resale = GroundedAction(
+            "transferIP", "transfer", (("From", "c1"), ("Ip", "ip1"), ("To", "p"))
+        )
+        sold = apply_action(with_c1, sale, rules)
+        for _ in range(2):
+            with pytest.raises(KernelError, match="precondition .* does not hold"):
+                apply_action(root, skip, rules)
+            with pytest.raises(KernelError, match="precondition .* does not hold"):
+                apply_action(sold, resale, rules)  # the one-shot transfer is used
+        assert apply_action(with_c1, skip, rules).rows("exists") == (("c1",), ("c2",), ("p",))
 
     def test_two_pools_in_two_worlds_equal_fresh_worlds(
         self, corpus_ruleset, corpus_scenario

@@ -541,7 +541,7 @@ def composed_evaluation(state, scenario, reductions, rates, transfer):
         candidates = []
         for rule in reductions:
             seed = {SELF_VAR: company}
-            if CompiledCondition(rule.query, bound=seed).exists(state, seed, patterns):
+            if CompiledCondition(rule.query, bound=seed).bindings(state, seed, patterns):
                 candidates += applicable_reductions(company, base, rate, [rule])
         deductible = choose_reduction(
             [c for c in candidates if c[0].kind == "deductible"]
