@@ -246,6 +246,17 @@ class _Parser:
         expected = what or (value if value is not None else type_)
         raise _SyntaxError(f"expected {expected}, found {tok.value or tok.type!r}", tok)
 
+    def entity(self, what: str) -> Token:
+        """The next token, an identifier naming an entity, which must be a
+        constant, since states hold nothing else: a name that starts with an
+        uppercase letter is a variable, and ``_`` the wildcard (see
+        :func:`kernel.is_constant`).  One that is not is reported where it
+        stands."""
+        tok = self.expect("ident", what=what)
+        if not kernel.is_constant(tok.value):
+            self.error(f"{what} {tok.value!r} is not a constant", tok)
+        return tok
+
     def error(self, message: str, tok: Optional[Token] = None) -> None:
         tok = tok or self.peek()
         self.diagnostics.append(Diagnostic("error", message, tok.line, tok.col))
@@ -284,12 +295,12 @@ class _Parser:
         keyword = tok.value
         if keyword == "company":
             self.advance()
-            name = self.expect("ident", what="company id")
+            name = self.entity("company id")
             self.expect("op", ".")
             raw.companies.append((name.value, name))
         elif keyword == "ip":
             self.advance()
-            name = self.expect("ident", what="ip id")
+            name = self.entity("ip id")
             self.expect("op", ".")
             raw.ips.append((name.value, name))
         elif keyword == "fact":
@@ -306,7 +317,7 @@ class _Parser:
             raw.rates.append((country.value, float(value.value), country))
         elif keyword == "country":
             self.advance()
-            name = self.expect("ident", what="country id")
+            name = self.entity("country id")
             if self.accept("ident", "haven"):
                 revenue: Optional[float] = None
             else:
@@ -316,9 +327,9 @@ class _Parser:
             raw.countries.append((name.value, revenue, name))
         elif keyword == "pool":
             self.advance()
-            ids = [self.expect("ident", what="company id").value]
+            ids = [self.entity("company id").value]
             while self.check("ident"):
-                ids.append(self.advance().value)
+                ids.append(self.entity("company id").value)
             self.expect("op", ".")
             raw.pools.append((ids, tok))
         elif keyword == "set":

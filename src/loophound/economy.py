@@ -10,9 +10,10 @@ invariants keep acyclic.
 
 A state is settled in one pass: :func:`settle` finds the earning companies
 once, from one set of the companies with IP access, and builds each
-transaction once, with its ledger id.  The IP sale is a :class:`Transfer`:
-the step of the path's ``transferIP`` and its parties, read off the rule's
-``ownsIP`` effects, never off its parameter names.
+transaction once, with its ledger id.  The IP sale is the state's own
+:class:`~loophound.kernel.Transfer`: the step of the path's ``transferIP``
+and its parties, read off the rule's ``ownsIP`` effects, never off its
+parameter names.
 
 The result is a :class:`Ledger`: the transactions and, computed with them,
 everything evaluating a state reads of its money: each existing company's
@@ -27,7 +28,7 @@ Many states share a ledger: facts :func:`settle` never reads, such as
 ``isChildOf`` and ``managed``, leave it as it is.  A search hands
 :func:`settle` its :class:`Ledgers`, keyed on exactly what settling reads
 (the ``exists``, ``based``, ``ownsIP`` and ``rentsIP`` groups, the step
-count and the transfer), and each key is settled once.  The same table makes
+count and the sale), and each key is settled once.  The same table makes
 equal transactions, inflow tuples and rows one object across the search's
 ledgers: in the bench-shape search of the bundled corpus (seed 7, 50 x 60)
 its 3,600 ledgers hold 15,377 transactions, 1,129 of them distinct.
@@ -205,16 +206,6 @@ def royalty_transactions(
     ]
 
 
-class Transfer(NamedTuple):
-    """The one-shot IP sale on a state's path: the step of its
-    ``transferIP`` and its parties, taken from the rule's ``ownsIP``
-    effects (see :attr:`loophound.kernel.ActionRule.parties`)."""
-
-    step: int  # index of the transferIP action in the path
-    seller: str  # the old owner, who is paid
-    buyer: str  # the new owner, who pays
-
-
 class Ledger(NamedTuple):
     """A settled ledger and what evaluating a state reads of it, computed
     once, when the ledger is settled."""
@@ -257,41 +248,33 @@ _SETTLED_GROUPS = operator.itemgetter(
 
 
 def settle(
-    state: State,
-    scenario: ScenarioConfig,
-    transfer: Optional[Transfer] = None,
-    ledgers: Optional[Ledgers] = None,
+    state: State, scenario: ScenarioConfig, ledgers: Optional[Ledgers] = None
 ) -> Ledger:
-    """The :class:`Ledger` of ``state``, whose path's IP sale is
-    ``transfer``: commercial revenue, royalties, then the transfer payment.
+    """The :class:`Ledger` of ``state``: commercial revenue, royalties, then
+    the payment for the state's IP sale (``state.transfer``).
 
     Ids are sequential in the listed order, each given when its transaction
-    is built, making the ledger a pure function of the state and the
-    transfer.  ``ledgers``, when given, holds the ledgers already settled
-    under ``scenario``, keyed on exactly what settling reads: the
-    ``exists``, ``based``, ``ownsIP`` and ``rentsIP`` groups, the step
-    count and the transfer.  A key found there returns its ledger; a ledger
-    settled anew is added to it.
+    is built, making the ledger a pure function of the state.  ``ledgers``,
+    when given, holds the ledgers already settled under ``scenario``, keyed
+    on exactly what settling reads: the ``exists``, ``based``, ``ownsIP``
+    and ``rentsIP`` groups, the step count and the sale.  A key found there
+    returns its ledger; a ledger settled anew is added to it.
     """
     if ledgers is None:
-        return _settle(state, scenario, transfer, {})
-    key = (_SETTLED_GROUPS(state.groups), state.step_count, transfer)
+        return _settle(state, scenario, {})
+    key = (_SETTLED_GROUPS(state.groups), state.step_count, state.transfer)
     ledger = ledgers.get(key)
     if ledger is None:
-        ledger = ledgers[key] = _settle(state, scenario, transfer, ledgers.shared)
+        ledger = ledgers[key] = _settle(state, scenario, ledgers.shared)
     return ledger
 
 
-def _settle(
-    state: State,
-    scenario: ScenarioConfig,
-    transfer: Optional[Transfer],
-    shared: dict,
-) -> Ledger:
+def _settle(state: State, scenario: ScenarioConfig, shared: dict) -> Ledger:
     time = state.step_count
     commercial = commercial_transactions(state, scenario, time=time)
     royalties = royalty_transactions(state, scenario, commercial, time=time)
     sales = []
+    transfer = state.transfer
     if transfer is not None:
         # the new owner pays the old one, at the step after the sale
         sales.append(

@@ -25,11 +25,9 @@ iteration) and no step depends on set or hash order, so
 One search evaluates its states through one
 :class:`~loophound.taxation.EvaluationMemo`, so each distinct ledger and
 each distinct tax return is computed once, however many states share it.
-Settling reads one thing of a state's path, its IP sale
-(:class:`~loophound.economy.Transfer`); an expanded node finds its own by
-walking up to the node its ``transferIP`` made, and a child takes it, or
-makes it, so no node's path is built to evaluate it.  Only records rebuild
-their paths.
+A state carries the one thing of its path that settling reads, its IP sale
+(:class:`~loophound.kernel.Transfer`), so no node's path is built to
+evaluate it; only records rebuild their paths.
 It grounds and applies actions through one
 :class:`~loophound.kernel.ActionRules`, the world :func:`search_world`
 builds: the rules grounded over the scenario's companies and pool, sorted,
@@ -56,8 +54,8 @@ from typing import TYPE_CHECKING, Iterable, Optional, get_args, get_type_hints
 # completeness.  The name stays importable from this module, where
 # perfbench/traced_stage.py wraps it.
 from .economy import (
+    TRANSFER,
     Transaction,
-    Transfer,
     is_multinationally_complete,  # noqa: F401
 )
 from .kernel import (
@@ -68,6 +66,7 @@ from .kernel import (
     GroundedAction,
     KernelError,
     State,
+    Transfer,
     applicable_actions,
     apply_action,
     initial_state,
@@ -358,9 +357,8 @@ def _search(
     profit = np.empty(1024)
     utility = np.empty(1024)
 
-    def evaluate_node(index: int, node: _Node, transfer: Optional[Transfer]) -> None:
-        """Evaluate ``node``, whose path's IP sale is ``transfer``."""
-        ledger, _, p = evaluate_state(node.state, memo, transfer)
+    def evaluate_node(index: int, node: _Node) -> None:
+        ledger, _, p = evaluate_state(node.state, memo)
         node.complete = ledger.complete
         node.terminal = node.state.step_count >= params.max_steps
         depth[index] = node.state.step_count
@@ -368,7 +366,7 @@ def _search(
         utility[index] = trajectory_utility(p, node.state.step_count, cost)
 
     nodes.append(_Node(state=s0, parent=-1, action=None))
-    evaluate_node(0, nodes[0], None)
+    evaluate_node(0, nodes[0])
     seen: dict[tuple, int] = {s0.key(): 0}
     frontier = np.array([0], dtype=np.intp)  # node indices
 
@@ -396,16 +394,8 @@ def _search(
                 if node_index == 0:
                     root_deadend = True
                 continue
-            transfer = _transfer(nodes, node_index, rules)
             for act in acts:
                 child_state = apply_action(node.state, act, rules)
-                # the one-shot sale: a child's transfer is its parent's, or
-                # the action that makes it
-                child_transfer = transfer
-                if act.name == "transferIP":
-                    child_transfer = Transfer(
-                        node.state.step_count, *rules.transfer_parties(act)
-                    )
                 key = child_state.key()
                 existing = seen.get(key)
                 if existing is not None:
@@ -421,7 +411,7 @@ def _search(
                         other.state = child_state
                         other.parent = node_index
                         other.action = act
-                        evaluate_node(existing, other, child_transfer)
+                        evaluate_node(existing, other)
                         if not (was_open or other.terminal):
                             opened.append(existing)
                     continue
@@ -432,7 +422,7 @@ def _search(
                 child = _Node(state=child_state, parent=node_index, action=act)
                 nodes.append(child)
                 child_index = len(nodes) - 1
-                evaluate_node(child_index, child, child_transfer)
+                evaluate_node(child_index, child)
                 seen[key] = child_index
                 if not child.terminal:
                     opened.append(child_index)
@@ -449,9 +439,7 @@ def _search(
         if not (node.terminal or node.complete):
             continue
         actions = _path_actions(nodes, idx)
-        ledger, assessments, _ = evaluate_state(
-            node.state, memo, _transfer(nodes, idx, rules)
-        )
+        ledger, assessments, _ = evaluate_state(node.state, memo)
         p = float(profit[idx])
         trajectories.append(
             Trajectory(
@@ -469,17 +457,6 @@ def _search(
         )
 
     return tuple(trajectories), tuple(warnings)
-
-
-def _transfer(nodes: list[_Node], index: int, rules: ActionRules) -> Optional[Transfer]:
-    """The IP sale on the path to node ``index``, found by walking up to the
-    node its ``transferIP`` made; None when the path has none."""
-    node = nodes[index]
-    if not node.state.transfer_used:
-        return None
-    while node.action.name != "transferIP":  # type: ignore[union-attr]
-        node = nodes[node.parent]
-    return Transfer(node.state.step_count - 1, *rules.transfer_parties(node.action))
 
 
 def _path_actions(nodes: list[_Node], index: int) -> tuple[GroundedAction, ...]:
@@ -568,18 +545,40 @@ def _action_from_json(a: dict, table: dict) -> GroundedAction:
 
 def _trajectory_from_json(row: dict, table: dict) -> Trajectory:
     """The trajectory of one line, its actions, rows and groups ``table``'s
-    objects for their values.  A malformed row raises KeyError, IndexError,
+    objects for their values.  The final state's IP sale is read off the
+    one ``transfer`` payment, made the step after the ``transferIP`` action
+    by the buyer to the seller, two distinct values the action binds; which
+    of them sold is the payment's word, as a record does not name its rule's
+    parties.  A malformed row, one whose payments do not match its
+    ``transferIP`` actions included, raises KeyError, IndexError,
     TypeError, ValueError or AttributeError; a final state that is not a
     valid state of ground constants raises an :class:`ExplorerError` naming
     the trajectory."""
     actions = tuple(_action_from_json(a, table) for a in row["actions"])
     if row["length"] != len(actions):
         raise ValueError(f"length {row['length']!r} but {len(actions)} actions")
+    transactions = tuple(
+        _record(Transaction(*tx), _TRANSACTION_TYPES) for tx in row["transactions"]
+    )
+    # the buyer pays the seller the step after the sale, both of them
+    # values its transferIP binds
+    sales = [
+        Transfer(tx.time - 1, tx.receiver, tx.sender)
+        for tx in transactions
+        if tx.kind == TRANSFER
+    ]
+    steps = [step for step, a in enumerate(actions) if a.name == "transferIP"]
+    if len(sales) > 1 or [sale.step for sale in sales] != steps or any(
+        sale.seller == sale.buyer
+        or not {sale.seller, sale.buyer} <= {v for _, v in actions[sale.step].binding}
+        for sale in sales
+    ):
+        raise ValueError(f"transfer payments {sales}, transferIP at steps {steps}")
     try:
         final_state = State.from_facts(
             (Fact(r[0], tuple(r[1:])) for r in row["final_state"]),
             step_count=len(actions),
-            transfer_used=any(a.name == "transferIP" for a in actions),
+            transfer=sales[0] if sales else None,
             table=table,
         )
     except (KernelError, IndexError, TypeError) as exc:
@@ -588,9 +587,7 @@ def _trajectory_from_json(row: dict, table: dict) -> Trajectory:
         id=_field(row, "id", int),
         actions=actions,
         final_state=final_state,
-        transactions=tuple(
-            _record(Transaction(*tx), _TRANSACTION_TYPES) for tx in row["transactions"]
-        ),
+        transactions=transactions,
         assessments=tuple(
             _record(TaxAssessment(**a), _ASSESSMENT_TYPES) for a in row["assessments"]
         ),

@@ -402,7 +402,7 @@ class Metrics:
         values = astuple(self)
         if not (
             all(type(v) is int and v >= 0 for v in values[:4])
-            and all(v is None or type(v) is float for v in values[4:])
+            and all(v is None or type(v) is float and math.isfinite(v) for v in values[4:])
         ):
             raise InductionError(f"malformed metrics: {self}")
 
@@ -744,8 +744,11 @@ def read_hypothesis_json(path) -> tuple[Hypothesis, float, Metrics]:
             warnings=tuple(payload.get("warnings", [])),
         )
         overall = Metrics(**payload["overall_metrics"])
-        return hypothesis, float(payload["u_plus"]), overall
-    except (KeyError, TypeError, ValueError) as exc:
+        u_plus = payload["u_plus"]
+        if type(u_plus) not in (int, float) or not math.isfinite(u_plus):
+            raise InductionError(f"u_plus is {u_plus!r}, not a finite number")
+        return hypothesis, float(u_plus), overall
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InductionError(f"{type(exc).__name__}: {exc}") from exc
 
 

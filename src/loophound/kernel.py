@@ -39,6 +39,11 @@ one added ``ownsIP(Buyer, Ip)``, which name the parties of the sale
 every problem found, so a malformed rule never exists and applying an
 action does not check its effects again.
 
+A state carries the one-shot IP sale on its path, a :class:`Transfer`:
+applying a ``transferIP`` action records its step and the values its rule's
+``ownsIP`` effects bind, and every later successor keeps it, so nothing
+that reads a state walks its path back to find the sale.
+
 Variables follow the Prolog convention: identifiers starting with an
 uppercase letter are variables, everything else is a constant.  ``_`` is an
 anonymous wildcard, allowed only inside negated literals.
@@ -143,20 +148,30 @@ _BY_NAME = tuple(sorted(GROUP.items()))
 Rows = tuple[tuple[str, ...], ...]
 
 
+class Transfer(NamedTuple):
+    """The one-shot IP sale on a state's path: the step of its
+    ``transferIP`` and its parties, taken from the rule's ``ownsIP``
+    effects (see :attr:`ActionRule.parties`)."""
+
+    step: int  # index of the transferIP action in the path
+    seller: str  # the old owner, who is paid
+    buyer: str  # the new owner, who pays
+
+
 @dataclass(frozen=True, slots=True)
 class State:
-    """Immutable set of ground facts plus bookkeeping for the one-shot transfer.
+    """Immutable set of ground facts plus the one-shot IP sale on its path.
 
     ``groups`` holds, per predicate in :data:`PREDICATES` order, the sorted,
     distinct argument tuples of its facts.  The groups are the state's only
     copy of its facts: they are its deduplication key, and with the step
-    count and the transfer flag they define its equality.  The state's
-    invariants are checked once, when it is built.
+    count and the sale they define its equality.  The state's invariants
+    are checked once, when it is built.
     """
 
     groups: tuple[Rows, ...]
     step_count: int = 0
-    transfer_used: bool = False
+    transfer: Optional[Transfer] = None
 
     def __post_init__(self) -> None:
         if type(self.groups) is not tuple or len(self.groups) != len(PREDICATES):
@@ -178,7 +193,7 @@ class State:
         cls,
         facts: Iterable[Fact],
         step_count: int = 0,
-        transfer_used: bool = False,
+        transfer: Optional[Transfer] = None,
         table: Optional[dict] = None,
     ) -> State:
         """The state holding exactly ``facts``, duplicates merged.
@@ -205,21 +220,21 @@ class State:
             grouped[position].add(row)
         built = (tuple(sorted(rows)) for rows in grouped)
         groups = tuple(table.get(group, group) for group in built)
-        state = cls(groups, step_count, transfer_used)
+        state = cls(groups, step_count, transfer)
         for group in groups:
             table.setdefault(group, group)
         return state
 
     @staticmethod
     def _successor(
-        groups: tuple[Rows, ...], step_count: int, transfer_used: bool
+        groups: tuple[Rows, ...], step_count: int, transfer: Optional[Transfer]
     ) -> State:
         """A state from groups built sorted and distinct by :func:`apply_action`,
         each of which has passed its predicate's check."""
         child = object.__new__(State)
         object.__setattr__(child, "groups", groups)
         object.__setattr__(child, "step_count", step_count)
-        object.__setattr__(child, "transfer_used", transfer_used)
+        object.__setattr__(child, "transfer", transfer)
         return child
 
     def rows(self, predicate: str) -> Rows:
@@ -445,7 +460,8 @@ class ActionRule:
             "param_slots",
             tuple(ground_join.variables.index(p) for p in sorted(self.params)),
         )
-        object.__setattr__(self, "parties", _transfer_parties(self) or ())
+        sale = _sale_parties(self) if self.name == "transferIP" else None
+        object.__setattr__(self, "parties", sale or ())
 
     def _problems(self) -> list[str]:
         """Every shape problem of the rule."""
@@ -467,7 +483,7 @@ class ActionRule:
                 for v in lit.variables()
                 if v not in self.params
             ]
-        if self.name == "transferIP" and _transfer_parties(self) is None:
+        if self.name == "transferIP" and _sale_parties(self) is None:
             problems.append(
                 "transferIP must delete one ownsIP(Seller, Ip) and add one "
                 "ownsIP(Buyer, Ip), Seller and Buyer distinct parameters"
@@ -498,7 +514,7 @@ class ActionRule:
         return types
 
 
-def _transfer_parties(rule: ActionRule) -> Optional[tuple[str, str]]:
+def _sale_parties(rule: ActionRule) -> Optional[tuple[str, str]]:
     """(seller, buyer) parameters of a ``transferIP`` rule: the owner in its
     one deleted ``ownsIP`` effect and the owner in its one added ``ownsIP``
     effect, both of one IP.  None when the effects do not have that shape."""
@@ -569,8 +585,9 @@ class ActionRules:
       is a dict whose keys are the rule's actions in grounding order, so
       that :func:`apply_action` tests an action's membership in one lookup;
     - ``compiled`` holds, for each action :func:`apply_action` has applied,
-      its :data:`Delta`: per touched group its deleted and added rows and
-      the group they made of each parent group;
+      its :data:`Delta`, per touched group its deleted and added rows and
+      the group they made of each parent group, and the (seller, buyer)
+      values of a ``transferIP``, ``()`` for another action;
     - ``table`` holds every distinct row and checked group the search built,
       so equal rows and groups are one object and a read-set key compares
       by a few identity checks.
@@ -603,15 +620,7 @@ class ActionRules:
             {} for _ in self.ordered
         )
         self.table: dict[tuple, tuple] = {}
-        self.compiled: dict[GroundedAction, Delta] = {}
-
-    def transfer_parties(self, action: GroundedAction) -> tuple[str, str]:
-        """(seller, buyer) of a ``transferIP`` action: the values it binds to
-        the parameters its rule's ``ownsIP`` effects name (see
-        :attr:`ActionRule.parties`)."""
-        seller, buyer = self.ordered[self.index[action.name, action.legal_ref]].parties
-        binding = dict(action.binding)
-        return binding[seller], binding[buyer]
+        self.compiled: dict[GroundedAction, tuple[Delta, tuple[str, ...]]] = {}
 
 
 def _key(reads: Iterable[int]) -> Callable[[tuple[Rows, ...]], object]:
@@ -669,12 +678,12 @@ def rule_actions(
     This is the one definition of applicability: an action applies exactly
     when its rule's precondition holds under its binding, STRIPS semantics
     (Fikes and Nilsson, AIJ 1971), which :func:`ground_rule` enumerates.  A
-    ``transferIP`` rule has no action once the one-shot transfer is used.
+    ``transferIP`` rule has no action in a state that carries a sale.
     The rule is grounded once per distinct value of the groups it reads
     (see :class:`ActionRules`); the caller must not change the dict.
     """
     rule = rules.ordered[position]
-    if state.transfer_used and rule.name == "transferIP":
+    if state.transfer is not None and rule.name == "transferIP":
         return {}
     groundings = rules.groundings[position]
     read = rules.ground_keys[position](state.groups)
@@ -711,8 +720,9 @@ def apply_action(state: State, action: GroundedAction, rules: ActionRules) -> St
     and no other variable, sorted by variable name, under which the
     precondition holds, a free parameter bound to a value of its type's
     domain and a fresh one to the lowest unused pool id.  The first time
-    ``rules`` applies ``action`` it compiles its :data:`Delta` (see
-    :class:`ActionRules`).
+    ``rules`` applies ``action`` it compiles its :data:`Delta` and its sale
+    (see :class:`ActionRules`).  The successor carries ``state``'s
+    :class:`Transfer`, or the one a ``transferIP`` action makes.
 
     The successor shares every group the action's effects do not touch with
     ``state``.  Each touched group is built from the delta, deletions before
@@ -726,9 +736,10 @@ def apply_action(state: State, action: GroundedAction, rules: ActionRules) -> St
         raise KernelError(f"no rule for action {action}")
     if action not in rule_actions(state, rules, at):
         raise KernelError(f"precondition of {action} does not hold")
-    delta = rules.compiled.get(action)
-    if delta is None:
-        delta = rules.compiled[action] = _delta(rules.ordered[at], action, rules.table)
+    compiled = rules.compiled.get(action)
+    if compiled is None:
+        compiled = rules.compiled[action] = _delta(rules.ordered[at], action, rules.table)
+    delta, sale = compiled
     parents = state.groups
     groups = list(parents)
     for position, deleted, added, edited in delta:
@@ -737,11 +748,8 @@ def apply_action(state: State, action: GroundedAction, rules: ActionRules) -> St
         if group is None:
             group = edited[parent] = _edit(parent, position, deleted, added, rules.table)
         groups[position] = group
-    return State._successor(
-        tuple(groups),
-        state.step_count + 1,
-        state.transfer_used or action.name == "transferIP",
-    )
+    transfer = Transfer(state.step_count, *sale) if sale else state.transfer
+    return State._successor(tuple(groups), state.step_count + 1, transfer)
 
 
 def _edit(parent: Rows, position: int, deleted: Rows, added: Rows, table: dict) -> Rows:
@@ -755,9 +763,12 @@ def _edit(parent: Rows, position: int, deleted: Rows, added: Rows, table: dict) 
     return table.setdefault(group, group)
 
 
-def _delta(rule: ActionRule, action: GroundedAction, table: dict) -> Delta:
+def _delta(
+    rule: ActionRule, action: GroundedAction, table: dict
+) -> tuple[Delta, tuple[str, ...]]:
     """The :data:`Delta` of ``action``, a grounding of ``rule``, its added
-    rows ``table``'s objects."""
+    rows ``table``'s objects, and the values it binds to the rule's
+    :attr:`~ActionRule.parties`: (seller, buyer) of a sale, else ``()``."""
     binding = action.as_dict()
     # per touched group, deleted rows and added rows, the binding filled in
     edits: dict[int, tuple[list, list]] = {}
@@ -765,7 +776,8 @@ def _delta(rule: ActionRule, action: GroundedAction, table: dict) -> Delta:
         for lit in effects:
             row = tuple([binding.get(a, a) for a in lit.args])
             edits.setdefault(GROUP[lit.predicate], ([], []))[side].append(row)
-    return tuple(
+    delta = tuple(
         (position, tuple(deleted), tuple(table.setdefault(row, row) for row in added), {})
         for position, (deleted, added) in sorted(edits.items())
     )
+    return delta, tuple(binding[p] for p in rule.parties)

@@ -22,7 +22,8 @@ among ``commercial``, ``royalty`` and ``transfer``, it mentions ``Self``, and
 a deductible leaves the rate, an exemption the base, as it is.  It raises one
 :class:`~loophound.kernel.KernelError` naming every problem found.
 
-A state is evaluated in one pass (:func:`evaluate_state`).  Its
+A state is evaluated in one pass (:func:`evaluate_state`), from the state
+alone: it carries the IP sale on its path.  Its
 :class:`~loophound.economy.Ledger` is settled once per search and carries
 what assessment and profit read: each company's inflow, which is its base,
 the market sum, the completeness flag and the transaction rows by kind.
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import economy  # settle is looked up per call, where tracing can wrap it
-from .economy import Ledger, Ledgers, ScenarioConfig, Transfer
+from .economy import Ledger, Ledgers, ScenarioConfig
 from .kernel import GROUP, Condition, KernelError, Literal, State, condition_problems
 
 log = logging.getLogger(__name__)
@@ -353,10 +354,10 @@ class EvaluationMemo:
 
 
 def evaluate_state(
-    state: State, memo: EvaluationMemo, transfer: Optional[Transfer] = None
+    state: State, memo: EvaluationMemo
 ) -> tuple[Ledger, list[TaxAssessment], float]:
-    """Full economic evaluation of one state whose path's IP sale is
-    ``transfer``, in one pass: its ledger, its assessments (one per existing
+    """Full economic evaluation of one state, the IP sale it carries
+    included, in one pass: its ledger, its assessments (one per existing
     company, in sorted company order) and its profit.
 
     The ledger comes from ``memo`` when it was settled before; the
@@ -364,7 +365,7 @@ def evaluate_state(
     per memo.  The profit is the ledger's market sum minus each tax due, in
     assessment order.
     """
-    ledger = economy.settle(state, memo.scenario, transfer, memo.ledgers)
+    ledger = economy.settle(state, memo.scenario, memo.ledgers)
     applicable = applicability_map(state, ledger, memo)
     residence = residence_countries(state)
     returns = memo.returns

@@ -11,13 +11,14 @@ import itertools
 
 import numpy as np
 
-from loophound.economy import Transfer, company_flows, earning_companies, settle
+from loophound.economy import company_flows, earning_companies, settle
 from loophound.explorer import search_world
 from loophound.join import CompiledCondition
 from loophound.kernel import (
     TRANSACTION_KINDS,
     WILDCARD,
     Comparison,
+    Transfer,
     applicable_actions,
     apply_action,
 )
@@ -96,7 +97,7 @@ def oracle_match(state, condition, binding=None, extra_ground=None):
 
 
 def path_transfer(ruleset, actions):
-    """The :class:`~loophound.economy.Transfer` of an action path, read off
+    """The :class:`~loophound.kernel.Transfer` of an action path, read off
     its ``transferIP`` rule's effects: the owner its deleted ``ownsIP``
     names sells, the owner its added ``ownsIP`` names buys.  None when the
     path makes no sale."""
@@ -120,14 +121,14 @@ def _compiled(condition):
     return CompiledCondition(condition)
 
 
-def evaluate_from_scratch(state, scenario, reductions, rates, transfer):
+def evaluate_from_scratch(state, scenario, reductions, rates):
     """What ``evaluate_state`` gives, computed with nothing memoized: a ledger
-    settled anew, each rule's applicability from its condition's
-    ``bindings`` over the ledger's transactions, each return assessed, and
-    the profit summed as inflows minus outflows over the sorted companies,
-    then minus each tax.  Returns (transactions, assessments, profit,
-    complete)."""
-    transactions = settle(state, scenario, transfer).transactions
+    settled anew, with the sale ``state`` carries, each rule's applicability
+    from its condition's ``bindings`` over the ledger's transactions, each
+    return assessed, and the profit summed as inflows minus outflows over the
+    sorted companies, then minus each tax.  Returns (transactions,
+    assessments, profit, complete)."""
+    transactions = settle(state, scenario).transactions
     flows = company_flows(transactions)
     patterns = {"transaction": [(t.kind, t.sender, t.receiver) for t in transactions]}
     holders = []

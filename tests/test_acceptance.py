@@ -88,7 +88,7 @@ def _mk_trajectory(tid: int, utility: float, tax: float, extra_facts=()) -> Traj
     return Trajectory(
         id=tid,
         actions=(),
-        final_state=State.from_facts(facts, step_count=0, transfer_used=False),
+        final_state=State.from_facts(facts, step_count=0, transfer=None),
         transactions=(),
         assessments=(
             TaxAssessment(
@@ -273,11 +273,10 @@ def test_criterion_4_short_plans_attain_max_utility(
                 state.key(),
                 None if transfer is None else tuple(sorted(transfer.binding)),
             )
+            assert state.transfer == path_transfer(toy_ruleset, actions)
             if cache_key not in profit_cache:
                 _, _, p = evaluate_state(
-                    state,
-                    EvaluationMemo(scenario, toy_ruleset.reduction_rules, rates),
-                    path_transfer(toy_ruleset, actions),
+                    state, EvaluationMemo(scenario, toy_ruleset.reduction_rules, rates)
                 )
                 profit_cache[cache_key] = p
             utility = trajectory_utility(profit_cache[cache_key], len(actions), 1.0)

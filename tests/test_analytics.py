@@ -73,7 +73,7 @@ def oracle_cut_points(drops, height, min_distance):
 
 
 def mk_state(n_facts: int = 0) -> State:
-    return State.from_facts(frozenset(), step_count=0, transfer_used=False)
+    return State.from_facts(frozenset(), step_count=0, transfer=None)
 
 
 def mk_trajectory(
@@ -113,7 +113,7 @@ def mk_trajectory(
         final_state=State.from_facts(
             facts=frozenset({make_fact("exists", (f"e{k}",)) for k in range(facts)}),
             step_count=n,
-            transfer_used=False,
+            transfer=None,
         ),
         transactions=(),
         assessments=assessments,

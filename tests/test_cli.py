@@ -27,14 +27,29 @@ from conftest import TOY_RULESET, TOY_SCENARIO, read_policy_report
 
 
 def _replaced(doc, path, value):
-    """``doc`` with the item at the key ``path`` set to ``value``."""
+    """``doc`` with the item at the key ``path`` set to ``value``, or to
+    ``value(item)`` when ``value`` is a function."""
     if not path:
-        return value
+        return value(doc) if callable(value) else value
     target = doc
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    target[path[-1]] = value(target[path[-1]]) if callable(value) else value
     return doc
+
+
+def _sale_edited(edit):
+    """A defect of ``[header, *rows]``: ``edit`` applied to the transactions
+    of the first record whose path sells the IP."""
+
+    def defect(lines):
+        row = next(
+            r for r in lines[1:] if any(a["name"] == "transferIP" for a in r["actions"])
+        )
+        row["transactions"] = edit(row["transactions"])
+        return lines
+
+    return defect
 
 
 DESK_PARAMS = {"seed": 7, "iterations": 20, "expansions": 200, "beta": 0.01,
@@ -73,6 +88,30 @@ TRAJECTORY_DEFECTS = {
     ),
     "params-unknown-field": (
         (0, "params"), {**DESK_PARAMS, "threads": 1}, "params must be exactly"
+    ),
+    # a transaction is [id, time, kind, sender, receiver, amount]
+    "transfer-payment-removed": (
+        (),
+        _sale_edited(lambda txs: [tx for tx in txs if tx[2] != "transfer"]),
+        "transfer payments [], transferIP at steps",
+    ),
+    "transfer-payment-moved": (
+        (),
+        _sale_edited(
+            lambda txs: [
+                [tx[0], tx[1] + 1, *tx[2:]] if tx[2] == "transfer" else tx for tx in txs
+            ]
+        ),
+        "transferIP at steps",
+    ),
+    "transfer-payment-from-a-non-party": (
+        (),
+        _sale_edited(
+            lambda txs: [
+                [*tx[:3], "nobody", *tx[4:]] if tx[2] == "transfer" else tx for tx in txs
+            ]
+        ),
+        "buyer='nobody'",
     ),
 }
 
@@ -197,6 +236,8 @@ HYPOTHESIS_DEFECTS = {
     "wrong-arity": (("clauses", 0, "body", 0, "args"), ["A"]),
     "u_plus-null": (("u_plus",), None),
     "u_plus-nan": (("u_plus",), float("nan")),
+    "u_plus-too-large": (("u_plus",), "1e999"),
+    "f1-too-large": (("clauses", 0, "metrics", "f1"), "1e999"),
 }
 
 
@@ -411,13 +452,22 @@ class TestRunDirectoryIntegrity:
     def test_every_loader_rejects_a_mistyped_record_field(
         self, pipeline_dir, tmp_path, capsys, stage
     ):
+        """A mistyped field, and a transfer payment that is not the record's
+        sale, from which the final state's sale is read."""
         run = tmp_path / "run"
         shutil.copytree(pipeline_dir, run)
-        message = _write_defect(pipeline_dir, run, "assessment-tax-due-not-a-number")
-        assert main([stage, "--out", str(run)]) == 1
-        err = capsys.readouterr().err
-        assert "corrupt trajectory file" in err
-        assert message in err
+        for defect in (
+            "assessment-tax-due-not-a-number",
+            "transfer-payment-removed",
+            "transfer-payment-moved",
+            "transfer-payment-from-a-non-party",
+        ):
+            message = _write_defect(pipeline_dir, run, defect)
+            assert main([stage, "--out", str(run)]) == 1, defect
+            err = capsys.readouterr().err
+            assert "corrupt trajectory file" in err
+            assert message in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("defect", sorted(HYPOTHESIS_DEFECTS))
     @pytest.mark.parametrize("stage", ["graph", "policy"])
@@ -426,7 +476,10 @@ class TestRunDirectoryIntegrity:
     ):
         path, value = HYPOTHESIS_DEFECTS[defect]
         doc = json.loads((pipeline_dir / "hypothesis.json").read_text())
-        (tmp_path / "hypothesis.json").write_text(json.dumps(_replaced(doc, path, value)))
+        # "1e999" is written bare: a number too large for a float, which
+        # json reads as infinity
+        text = json.dumps(_replaced(doc, path, value)).replace('"1e999"', "1e999")
+        (tmp_path / "hypothesis.json").write_text(text)
         shutil.copy(pipeline_dir / "trajectories.jsonl", tmp_path)
         assert main([stage, "--out", str(tmp_path)]) == 1
         assert "corrupt hypothesis file" in capsys.readouterr().err
@@ -657,6 +710,19 @@ DOCUMENT_DEFECTS = {
         "  eff: ownsIP(To, Ip);\n"
         "}\n",
         "transferIP must delete one ownsIP(Seller, Ip) and add one ownsIP(Buyer, Ip)",
+    ),
+    # a state holds only constants: an entity name is reported where it
+    # stands, not when the search world is built
+    "pool-id-not-a-constant": (
+        "scenario.lhl", "pool c1 c2 c3.\n", "pool c1 c2 C3.\n",
+        "company id 'C3' is not a constant",
+    ),
+    "country-not-a-constant": (
+        "scenario.lhl", "", "country Atlantis haven.\n",
+        "country id 'Atlantis' is not a constant",
+    ),
+    "ip-not-a-constant": (
+        "scenario.lhl", "", "ip Patent.\n", "ip id 'Patent' is not a constant",
     ),
 }
 

@@ -243,6 +243,19 @@ class TestScenarioValidation:
         result = parse_scenario("country usa revenue 1.\nfact based(q, usa).\n")
         assert not result.ok
 
+    def test_entity_name_that_is_not_a_constant_is_reported_where_it_stands(self):
+        result = parse_scenario(
+            "country usa revenue 1.\ncountry Eire haven.\nip Patent.\n"
+            "company p.\nfact based(p, usa).\npool c1 C2 _.\n"
+        )
+        assert not result.ok
+        assert [(d.line, d.col, d.message.split(" is ")[0]) for d in result.errors()] == [
+            (2, 9, "country id 'Eire'"),
+            (3, 4, "ip id 'Patent'"),
+            (6, 9, "company id 'C2'"),
+            (6, 12, "company id '_'"),
+        ]
+
     def test_corpus_scenario_shape(self, corpus_scenario):
         scenario = corpus_scenario.scenario
         assert scenario.countries == (

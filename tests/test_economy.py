@@ -25,8 +25,7 @@ from loophound.economy import (
     royalty_transactions,
     settle,
 )
-from loophound.economy import Transfer
-from loophound.kernel import initial_state, make_fact
+from loophound.kernel import State, Transfer, initial_state, make_fact
 
 
 # ------------------------------------------------------------------ helpers
@@ -309,7 +308,8 @@ class TestTransfer:
         state = forest_state(["m1", "m2"], [None, None], scenario)
         plain = settle(state, scenario).transactions
         # the sale was the second action of the path
-        ledger = settle(state, scenario, Transfer(1, seller="a0", buyer="a1"))
+        sold = State(state.groups, state.step_count, Transfer(1, seller="a0", buyer="a1"))
+        ledger = settle(sold, scenario)
         *rest, t = ledger.transactions
         assert tuple(rest) == plain
         assert t.id == len(plain)

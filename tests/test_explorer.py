@@ -344,18 +344,15 @@ def renamed_corpus(corpus_ruleset_text):
 
 def assert_evaluates_to_its_record(ruleset, scenario_doc, t):
     """``t``'s path, replayed from the root with fresh tables, reaches its
-    final state, which evaluates to ``t``'s record with nothing memoized."""
+    final state, which carries the path's sale and evaluates to ``t``'s
+    record with nothing memoized."""
     state = replay(ruleset, scenario_doc, t.actions)
     final = t.final_state
     assert state.groups == final.groups
     assert state.step_count == final.step_count == t.length
-    assert state.transfer_used == final.transfer_used
+    assert state.transfer == final.transfer == path_transfer(ruleset, t.actions)
     transactions, assessments, p, complete = evaluate_from_scratch(
-        state,
-        scenario_doc.scenario,
-        ruleset.reduction_rules,
-        ruleset.rates(),
-        path_transfer(ruleset, t.actions),
+        state, scenario_doc.scenario, ruleset.reduction_rules, ruleset.rates()
     )
     assert transactions == t.transactions
     assert tuple(assessments) == t.assessments
@@ -437,9 +434,11 @@ class TestReplayOracle:
         ruleset, scenario_doc = result.document, parse_scenario(TOY_SCENARIO).document
         transfers: dict = {}  # state groups -> sale of each evaluation, in order
 
-        def spy(state, memo, transfer=None):
-            transfers.setdefault(state.groups, []).append((state.step_count, transfer))
-            return evaluate_state(state, memo, transfer)
+        def spy(state, memo):
+            transfers.setdefault(state.groups, []).append(
+                (state.step_count, state.transfer)
+            )
+            return evaluate_state(state, memo)
 
         monkeypatch.setattr(explorer_module, "evaluate_state", spy)
         params = SearchParams(seed=2, iterations=10, expansions=30, max_steps=6)
@@ -611,7 +610,7 @@ class TestShorterPath:
         assert tset.trajectories
         for t in tset.trajectories:
             state = assert_evaluates_to_its_record(ruleset, corpus_scenario, t)
-            # facts, step_count and transfer_used
+            # facts, step_count and transfer
             assert t.final_state == state
             if t.terminal and t.length < max_steps:
                 assert not applicable_actions(
@@ -812,13 +811,13 @@ def evaluations_against_the_oracle(ruleset, scenario_doc, monkeypatch):
     """Every evaluation of a desk-shape search at seed 7 of ``ruleset``,
     each compared with its evaluation with nothing memoized.  Returns the
     trajectory set, the search's one memo and the evaluations as (state,
-    sale, result)."""
+    result)."""
     calls = []
     memos = set()
 
-    def spy(state, memo, transfer=None):
-        result = evaluate_state(state, memo, transfer)
-        calls.append((state, transfer, result))
+    def spy(state, memo):
+        result = evaluate_state(state, memo)
+        calls.append((state, result))
         memos.add(memo)
         return result
 
@@ -829,8 +828,8 @@ def evaluations_against_the_oracle(ruleset, scenario_doc, monkeypatch):
     scenario = scenario_doc.scenario
     reductions = ruleset.reduction_rules
     rates = ruleset.rates()
-    for state, transfer, (ledger, assessments, p) in calls:
-        expected = evaluate_from_scratch(state, scenario, reductions, rates, transfer)
+    for state, (ledger, assessments, p) in calls:
+        expected = evaluate_from_scratch(state, scenario, reductions, rates)
         assert (ledger.transactions, assessments, p, ledger.complete) == expected
     return tset, memo, calls
 
@@ -845,11 +844,11 @@ class TestEvaluationMemo:
             corpus_ruleset, corpus_scenario, monkeypatch
         )
         recorded = {t.final_state.key() for t in tset.trajectories}
-        evaluated = {state.key() for state, _, _ in calls}
+        evaluated = {state.key() for state, _ in calls}
         assert recorded and evaluated - recorded
         # the memo was used: fewer ledgers and returns than evaluations
         assert len(memo.ledgers) < len(calls)
-        assert len(memo.returns) < sum(len(r[1]) for _, _, r in calls)
+        assert len(memo.returns) < sum(len(r[1]) for _, r in calls)
         # a ledger's transactions are one object per value across ledgers
         shared = [t for ledger in memo.ledgers.values() for t in ledger.transactions]
         assert len({id(t) for t in shared}) == len(set(shared)) < len(shared)

@@ -68,7 +68,7 @@ def mk_trajectory(tid: int, utility: float, extra_facts=(), *, complete=True):
     return Trajectory(
         id=tid,
         actions=(),
-        final_state=State.from_facts(facts, step_count=0, transfer_used=False),
+        final_state=State.from_facts(facts, step_count=0, transfer=None),
         transactions=(),
         assessments=(),
         p=utility,
@@ -375,7 +375,7 @@ class TestBuildBackground:
                     make_fact(p, a) for p, a in ROLE_FACTS if a[1] != "germany"
                 ),
                 step_count=0,
-                transfer_used=False,
+                transfer=None,
             ),
         )
         db = build_background(mk_tset([stripped]), self.config())

@@ -23,6 +23,7 @@ from loophound.kernel import (
     Literal,
     PREDICATES,
     State,
+    Transfer,
     WILDCARD,
     applicable_actions,
     apply_action,
@@ -33,8 +34,9 @@ from loophound.kernel import (
 from loophound.explorer import search_world
 from loophound.join import CompiledCondition, compile_projection
 from loophound.taxation import SELF_VAR
-from conftest import walk
-from oracles import kind_rows, oracle_match
+from loophound.dsl import parse_ruleset
+from conftest import TOY_RULESET, walk
+from oracles import kind_rows, oracle_match, path_transfer
 
 
 def projected(condition, state, var, patterns=None):
@@ -380,10 +382,11 @@ class TestApply:
         assert make_fact("ownsIP", ["c1", "ip1"]) in result.facts()
         assert make_fact("ownsIP", ["p", "ip1"]) not in result.facts()
         assert result.step_count == state.step_count + 1
-        assert result.transfer_used
+        # the sale at step 0: p, whose ownsIP the rule deletes, sells to c1
+        assert result.transfer == Transfer(0, seller="p", buyer="c1")
         # immutability of the source state
         assert make_fact("ownsIP", ["p", "ip1"]) in state.facts()
-        assert not state.transfer_used
+        assert state.transfer is None
 
     def test_transfer_is_one_shot(self, toy_ruleset, toy_scenario):
         state = initial_state(
@@ -402,6 +405,29 @@ class TestApply:
         assert "transferIP" not in names
         with pytest.raises(KernelError):
             apply_action(after, action, rules)
+
+    def test_an_ownsIP_move_of_another_rule_is_no_sale(self, toy_scenario):
+        """Only a transferIP sells: a rentIP rule whose effects move ownsIP
+        the way a sale does leaves the state without one, and the one-shot
+        transferIP still applies after it."""
+        move = (
+            'action rentIP(From, To, Ip) ref "move" {\n'
+            "  pre: ownsIP(From, Ip), exists(To), From != To;\n"
+            "  eff: not ownsIP(From, Ip), ownsIP(To, Ip);\n"
+            "}\n"
+        )
+        parsed = parse_ruleset(TOY_RULESET + move)
+        assert parsed.ok, [str(d) for d in parsed.diagnostics]
+        rules, state = search_world(parsed.document.action_rules, toy_scenario)
+        state = apply_action(state, applicable_actions(state, rules)[0], rules)
+        moved = next(a for a in applicable_actions(state, rules) if a.legal_ref == "move")
+        state = apply_action(state, moved, rules)
+        assert make_fact("ownsIP", ["c1", "ip1"]) in state.facts()
+        assert state.transfer is None
+        sale = next(a for a in applicable_actions(state, rules) if a.name == "transferIP")
+        after = apply_action(state, sale, rules)
+        seller, buyer = sale.as_dict()["From"], sale.as_dict()["To"]
+        assert after.transfer == Transfer(2, seller=seller, buyer=buyer)
 
     def test_inapplicable_action_rejected(self, toy_ruleset, toy_scenario):
         rules, state = search_world(toy_ruleset.action_rules, toy_scenario)
@@ -596,12 +622,12 @@ class TestStateInvariants:
         assert hash(twin) == hash(state)
         assert twin.key() == state.key()
         assert twin != State.from_facts(state.facts(), step_count=1)
-        assert twin != State.from_facts(state.facts(), transfer_used=True)
+        assert twin != State.from_facts(state.facts(), transfer=Transfer(0, "p", "c1"))
 
     def test_state_holds_no_dict_or_frozenset(self):
         state = small_state()
         assert not hasattr(state, "__dict__")
-        assert list(State.__slots__) == ["groups", "step_count", "transfer_used"]
+        assert list(State.__slots__) == ["groups", "step_count", "transfer"]
         assert type(state.groups) is tuple and len(state.groups) == len(PREDICATES)
         for rows in state.groups:
             assert type(rows) is tuple
@@ -633,18 +659,15 @@ def instantiated(lits, binding):
     }
 
 
-def scratch_successor(state, action, rules):
-    """The successor built from its fact set, with the effects applied by hand."""
+def scratch_successor(state, action, rules, transfer):
+    """The successor built from its fact set, with the effects applied by
+    hand, carrying ``transfer``."""
     rule = next(r for r in rules if r.key() == (action.name, action.legal_ref))
     binding = action.as_dict()
     facts = (set(state.facts()) - instantiated(rule.del_effects, binding)) | instantiated(
         rule.add_effects, binding
     )
-    return State.from_facts(
-        facts,
-        state.step_count + 1,
-        state.transfer_used or rule.name == "transferIP",
-    )
+    return State.from_facts(facts, state.step_count + 1, transfer)
 
 
 def outcome(build):
@@ -715,12 +738,15 @@ class TestSuccessor:
         self, corpus_ruleset, corpus_scenario, choices
     ):
         states, actions = walk(corpus_ruleset, corpus_scenario, choices)
-        for parent, action, child in zip(states, actions, states[1:]):
-            scratch = scratch_successor(parent, action, corpus_ruleset.action_rules)
+        for step, (parent, action, child) in enumerate(zip(states, actions, states[1:])):
+            sale = path_transfer(corpus_ruleset, actions[: step + 1])
+            scratch = scratch_successor(
+                parent, action, corpus_ruleset.action_rules, sale
+            )
             assert list(child.facts()) == list(scratch.facts())
             assert child.groups == scratch.groups
             assert child.step_count == scratch.step_count
-            assert child.transfer_used == scratch.transfer_used
+            assert child.transfer == scratch.transfer
 
     @given(choices=st.lists(st.integers(min_value=0), max_size=12))
     @settings(max_examples=50, deadline=None)
@@ -753,8 +779,9 @@ class TestSuccessor:
         incremental = outcome(
             lambda: apply_action(state, action, search_world(UNGUARDED, corpus_scenario)[0])
         )
+        # no unguarded rule sells: the successor keeps the state's sale
         assert incremental == outcome(
-            lambda: scratch_successor(state, action, UNGUARDED)
+            lambda: scratch_successor(state, action, UNGUARDED, state.transfer)
         )
         # one ActionRules for the whole walk: its tables already hold what
         # the action built, or failed to build, from every state before
@@ -908,7 +935,7 @@ class TestReads:
         rules, _ = search_world(corpus_ruleset.action_rules + (SPAWN,), corpus_scenario)
         domains, pool = rules.domains, rules.pool
         states = walk_states(corpus_ruleset, corpus_scenario, CORPUS_WALKS)
-        assert any(s.transfer_used for s in states)
+        assert any(s.transfer is not None for s in states)
         assert any(len(s.companies()) == 4 for s in states)
         grounded_somewhere = set()
         for state in states:
@@ -986,7 +1013,7 @@ def oracle_verdict(state, action, rule, pool):
     unused = [cid for cid in pool if cid not in state.companies()]
     if any(not unused or binding[p] != unused[0] for p in rule.fresh_params):
         return "fresh id"
-    if rule.name == "transferIP" and state.transfer_used:
+    if rule.name == "transferIP" and state.transfer is not None:
         return "transfer used"
     if not oracle_match(state, rule.precondition, binding):
         return "precondition"

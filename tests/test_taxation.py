@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loophound.economy import (
-    Transfer,
     company_flows,
     earning_companies,
     is_multinationally_complete,
@@ -30,6 +29,7 @@ from loophound.kernel import (
     KernelError,
     Literal,
     State,
+    Transfer,
     initial_state,
     make_fact,
 )
@@ -67,6 +67,11 @@ def corpus_memo(ruleset, scenario_doc):
 SANDWICH_TRANSFER = Transfer(3, seller="p", buyer="c1")
 
 
+def sold(state, transfer=SANDWICH_TRANSFER):
+    """``state`` carrying ``transfer``, the sale on its path."""
+    return State(state.groups, state.step_count, transfer)
+
+
 @pytest.fixture(scope="module")
 def sandwich(corpus_ruleset, corpus_scenario):
     """Final state and action history of the layered licensing arrangement.
@@ -89,7 +94,7 @@ def sandwich(corpus_ruleset, corpus_scenario):
         make_fact("rentsIP", ("c2", "c3", "ip1")),
         make_fact("rentsIP", ("c2", "p", "ip1")),
     ]
-    state = initial_state(facts, ("p", "c1", "c2", "c3"))
+    state = sold(initial_state(facts, ("p", "c1", "c2", "c3")))
     actions = (
         GroundedAction(
             "addChild", "I-incorp", (("Child", "c1"), ("Parent", "p"))
@@ -124,7 +129,7 @@ def sandwich(corpus_ruleset, corpus_scenario):
         ),
     )
     ledger, assessments, profit = evaluate_state(
-        state, corpus_memo(corpus_ruleset, corpus_scenario), SANDWICH_TRANSFER
+        state, corpus_memo(corpus_ruleset, corpus_scenario)
     )
     txns = ledger.transactions
     by_company = {a.company: a for a in assessments}
@@ -230,7 +235,7 @@ class TestSandwichFixture:
         """USA-wte applies to p yet loses to the cheaper election rate."""
         state, _, _, _, by_company, _ = sandwich
         memo = corpus_memo(corpus_ruleset, corpus_scenario)
-        ledger = settle(state, corpus_scenario.scenario, SANDWICH_TRANSFER)
+        ledger = settle(state, corpus_scenario.scenario)
         reductions = corpus_ruleset.reduction_rules
         amap = applicability_map(state, ledger, memo)
         assert "USA-wte" in [reductions[i].legal_ref for i in amap["p"]]
@@ -242,7 +247,7 @@ class TestSandwichFixture:
         state, _, txns, *_ = sandwich
         patterns = {"transaction": [(t.kind, t.sender, t.receiver) for t in txns]}
         memo = corpus_memo(corpus_ruleset, corpus_scenario)
-        ledger = settle(state, corpus_scenario.scenario, SANDWICH_TRANSFER)
+        ledger = settle(state, corpus_scenario.scenario)
         amap = applicability_map(state, ledger, memo)
         assert set(amap) <= set(state.companies())
         for company in state.companies():
@@ -514,7 +519,7 @@ class TestNetProfit:
         market = sum(t.amount for t in txns if t.kind == "commercial")
         assert total == pytest.approx(market, rel=1e-12)
         # the ledger's market sum, less each tax in assessment order
-        recomputed = settle(state, corpus_scenario.scenario, SANDWICH_TRANSFER).market
+        recomputed = settle(state, corpus_scenario.scenario).market
         for a in assessments:
             recomputed -= a.tax_due
         assert recomputed == 1100.125
@@ -523,12 +528,12 @@ class TestNetProfit:
 # ------------------------------------------------------ one-pass evaluation
 
 
-def composed_evaluation(state, scenario, reductions, rates, transfer):
+def composed_evaluation(state, scenario, reductions, rates):
     """Evaluation composed from its parts, rule by rule, without the one pass:
     a ledger settled anew, then each rule's applicability to each company on
     its own, from its condition's bindings, then candidate choice, then
     profit."""
-    ledger = settle(state, scenario, transfer).transactions
+    ledger = settle(state, scenario).transactions
     flows = company_flows(ledger)
     patterns = {"transaction": [(t.kind, t.sender, t.receiver) for t in ledger]}
     managed = {f.args[0]: f.args[1] for f in state.facts() if f.predicate == "managed"}
@@ -593,19 +598,20 @@ class TestEvaluationMemo:
         reductions = corpus_ruleset.reduction_rules
         rates = corpus_ruleset.rates()
         variants = [state] + [
-            initial_state(
-                [f for f in state.facts() if f.predicate != dropped], state.companies()
+            sold(
+                initial_state(
+                    [f for f in state.facts() if f.predicate != dropped],
+                    state.companies(),
+                )
             )
             for dropped in ("managed", "isChildOf")
         ]
         memo = EvaluationMemo(scenario, reductions, rates)
-        results = [evaluate_state(v, memo, SANDWICH_TRANSFER) for v in variants]
+        results = [evaluate_state(v, memo) for v in variants]
         assert len(memo.ledgers) == 1
         assert all(r[0] is results[0][0] for r in results)
         for variant, result in zip(variants, results):
-            fresh = evaluate_state(
-                variant, EvaluationMemo(scenario, reductions, rates), SANDWICH_TRANSFER
-            )
+            fresh = evaluate_state(variant, EvaluationMemo(scenario, reductions, rates))
             assert result == fresh
         seated = {a.company: a for a in results[0][1]}
         unseated = {a.company: a for a in results[1][1]}
@@ -624,20 +630,13 @@ class TestEvaluationMemo:
         later = State(
             groups=state.groups,
             step_count=state.step_count + 1,
-            transfer_used=state.transfer_used,
+            transfer=state.transfer,
         )
-        transfer_first = SANDWICH_TRANSFER._replace(step=0)
-        cases = [
-            (state, SANDWICH_TRANSFER),
-            (later, SANDWICH_TRANSFER),
-            (state, transfer_first),
-        ]
+        transfer_first = sold(state, SANDWICH_TRANSFER._replace(step=0))
         memo = EvaluationMemo(scenario, reductions, rates)
-        for case_state, transfer in cases:
-            result = evaluate_state(case_state, memo, transfer)
-            fresh = evaluate_state(
-                case_state, EvaluationMemo(scenario, reductions, rates), transfer
-            )
+        for case_state in (state, later, transfer_first):
+            result = evaluate_state(case_state, memo)
+            fresh = evaluate_state(case_state, EvaluationMemo(scenario, reductions, rates))
             assert result == fresh
         assert len(memo.ledgers) == 3
 
@@ -653,12 +652,12 @@ class TestOnePassEvaluation:
         reductions = corpus_ruleset.reduction_rules
         rates = corpus_ruleset.rates()
         state = states[-1]
-        transfer = path_transfer(corpus_ruleset, actions)
+        assert state.transfer == path_transfer(corpus_ruleset, actions)
         ledger, assessments, p = evaluate_state(
-            state, EvaluationMemo(scenario, reductions, rates), transfer
+            state, EvaluationMemo(scenario, reductions, rates)
         )
         transactions, expected, expected_p, complete = composed_evaluation(
-            state, scenario, reductions, rates, transfer
+            state, scenario, reductions, rates
         )
         assert ledger.transactions == transactions
         assert assessments == expected
@@ -666,7 +665,7 @@ class TestOnePassEvaluation:
         assert ledger.complete == complete
         assert is_multinationally_complete(transactions, scenario) == complete
         assert (transactions, assessments, p, complete) == evaluate_from_scratch(
-            state, scenario, reductions, rates, transfer
+            state, scenario, reductions, rates
         )
 
 
@@ -725,11 +724,12 @@ class TestGeneratedReductions:
         states, actions = walk(corpus_ruleset, corpus_scenario, choices)
         scenario = corpus_scenario.scenario
         rates = corpus_ruleset.rates()
-        state, transfer = states[-1], path_transfer(corpus_ruleset, actions)
+        state = states[-1]
+        assert state.transfer == path_transfer(corpus_ruleset, actions)
         memo = EvaluationMemo(scenario, reductions, rates)
-        ledger, assessments, p = evaluate_state(state, memo, transfer)
+        ledger, assessments, p = evaluate_state(state, memo)
         assert (ledger.transactions, assessments, p, ledger.complete) == (
-            evaluate_from_scratch(state, scenario, reductions, rates, transfer)
+            evaluate_from_scratch(state, scenario, reductions, rates)
         )
         patterns = {
             "transaction": [(t.kind, t.sender, t.receiver) for t in ledger.transactions]
@@ -789,7 +789,7 @@ class TestGeneratedReductions:
         applicable = compile_projection(
             [r.query for r in (earns_at_home, bought, parent)], SELF_VAR
         )
-        ledger = settle(state, corpus_scenario.scenario, SANDWICH_TRANSFER)
+        ledger = settle(state, corpus_scenario.scenario)
         # every company earns in its country of incorporation; c1 bought the
         # IP; p is every child's parent
         assert applicable(state.groups, ledger.rows) == {
