@@ -255,6 +255,11 @@ def write_stats_csv(table: FrequencyTable, path) -> None:
 
 
 def read_profile_csv(path) -> tuple[UtilityProfile, list[Segment]]:
+    """The profile and segments of a file written by :func:`write_profile_csv`.
+    A malformed row raises :class:`AnalyticsError`: one that is not four
+    numbers, an ``index`` other than the row's position, counting from 0,
+    or a ``utility`` that is not finite (``nan``, or ``1e999``, which reads
+    as infinity)."""
     values: list[float] = []
     ids: list[int] = []
     seg_ids: list[int] = []
@@ -265,12 +270,17 @@ def read_profile_csv(path) -> tuple[UtilityProfile, list[Segment]]:
             raise AnalyticsError("not a profile table")
         for row in reader:
             try:
-                _, value, tid, seg = row
-                values.append(float(value))
+                index, value, tid, seg = row
+                utility = float(value)
+                if int(index) != len(values):
+                    raise ValueError(f"index {index} out of sequence")
+                if not math.isfinite(utility):
+                    raise ValueError(f"utility {value} is not finite")
+                values.append(utility)
                 ids.append(int(tid))
                 seg_ids.append(int(seg))
             except ValueError as exc:
-                raise AnalyticsError(f"bad row {reader.line_num}: {row!r}") from exc
+                raise AnalyticsError(f"bad row {reader.line_num}: {row!r}: {exc}") from exc
     profile = UtilityProfile(values=tuple(values), index_map=tuple(ids))
     segments: list[Segment] = []
     if seg_ids:

@@ -13,9 +13,16 @@ utilities standardized by the frontier's interquartile range (floored at 1).
 States are deduplicated on their groups (see :class:`~loophound.kernel.State`),
 one-to-one with their fact sets: a node is expanded at most once,
 and an unexpanded node reached again by a shorter path moves onto it, taking
-that path's state and evaluation (a node the step cap had closed rejoins the
-frontier).  The nodes' depths, profits and utilities live in arrays indexed
-by node, so selection gathers them and a move updates them in place.  Every terminal node
+that path's sale, parent, action and evaluation (a node the step cap had
+closed rejoins the frontier).  A node is a row of a table held in columns
+indexed by node, as the state registry of Fast Downward (Helmert, JAIR 2006)
+stores each state once under an integer id: its groups, which are its key;
+its sale; its parent and the action from it; its depth, profit and utility;
+its complete, terminal and expanded flags.  Selection gathers depths and
+utilities, and a move rewrites a row in place.  A node's
+:class:`~loophound.kernel.State` is built from its row only when the node is
+expanded or recorded, and the successor each action yields is evaluated and
+dropped, so the search holds no State per node.  Every terminal node
 (no applicable action, or the step cap) and every multi-nationally complete
 node is recorded as a trajectory.  All randomness flows from (seed,
 iteration) and no step depends on set or hash order, so
@@ -32,11 +39,11 @@ It grounds and applies actions through one
 :class:`~loophound.kernel.ActionRules`, the world :func:`search_world`
 builds: the rules grounded over the scenario's companies and pool, sorted,
 its countries and its declared IPs.  The world's tables make its equal
-rows and groups one object each; with
+rows, groups and sales one object each; with
 them it grounds each rule and checks each precondition once per distinct
 value of the groups that step reads, and edits each group once per action
 and parent group.  The search pauses the cyclic
-garbage collector: its heap of nodes, states and records holds no reference
+garbage collector: its heap of rows, groups and records holds no reference
 cycles, so every collection would only traverse it, and the caller's
 setting is restored when the search ends.
 """
@@ -44,7 +51,6 @@ setting is restored when the search ends.
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -255,26 +261,14 @@ class TrajectorySet:
 
 
 def _doc_hash(text: str) -> str:
+    import hashlib  # only explore hashes: the stages that read its file skip OpenSSL
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ============================================================================
 # Search
 # ============================================================================
-
-
-@dataclass(slots=True)
-class _Node:
-    """One search node.  Its depth, profit and utility live in the search's
-    arrays, indexed by node: frontier selection reads depths and utilities,
-    and a record reads its profit."""
-
-    state: State  # its step_count is the node's depth
-    parent: int  # index into the node table, -1 for the root
-    action: Optional[GroundedAction]
-    complete: bool = False
-    terminal: bool = False
-    expanded: bool = False
 
 
 def search_world(
@@ -349,24 +343,39 @@ def _search(
     warnings: list[str] = []
     memo = EvaluationMemo(scenario, reductions, rates)
 
-    nodes: list[_Node] = []
-    # per-node depth, profit and utility, grown by doubling; frontier
-    # selection gathers depths and utilities by node index.  A float64 holds
-    # a Python float exactly, so a record reads its profit back unchanged.
+    # The node table: one row per node, in columns indexed by node.  A row
+    # holds the node's groups, its key in ``seen``; its IP sale; its parent
+    # (-1 for the root) and the action from it; its depth, profit and
+    # utility; and its complete, terminal and expanded flags, a byte each.
+    # The arrays grow by doubling.  Frontier selection gathers depths and
+    # utilities by node index, and a float64 holds a Python float exactly,
+    # so a record reads its profit back unchanged.  A node's State is built
+    # from its row only when it is expanded or recorded.
+    keys: list[tuple] = [s0.key()]
+    sales: list[Optional[Transfer]] = [s0.transfer]
+    via: list[Optional[GroundedAction]] = [None]
+    parent = np.full(1024, -1, dtype=np.intp)
     depth = np.empty(1024)
     profit = np.empty(1024)
     utility = np.empty(1024)
+    complete = bytearray(1024)
+    terminal = bytearray(1024)
+    expanded = bytearray(1024)
 
-    def evaluate_node(index: int, node: _Node) -> None:
-        ledger, _, p = evaluate_state(node.state, memo)
-        node.complete = ledger.complete
-        node.terminal = node.state.step_count >= params.max_steps
-        depth[index] = node.state.step_count
+    def evaluate_node(index: int, state: State) -> None:
+        """Evaluate ``state``, node ``index``'s state on its path, into the
+        node's row."""
+        ledger, _, p = evaluate_state(state, memo)
+        complete[index] = ledger.complete
+        terminal[index] = state.step_count >= params.max_steps
+        depth[index] = state.step_count
         profit[index] = p
-        utility[index] = trajectory_utility(p, node.state.step_count, cost)
+        utility[index] = trajectory_utility(p, state.step_count, cost)
 
-    nodes.append(_Node(state=s0, parent=-1, action=None))
-    evaluate_node(0, nodes[0])
+    def state_of(index: int) -> State:
+        return State.from_checked_groups(keys[index], int(depth[index]), sales[index])
+
+    evaluate_node(0, s0)
     seen: dict[tuple, int] = {s0.key(): 0}
     frontier = np.array([0], dtype=np.intp)  # node indices
 
@@ -385,46 +394,47 @@ def _search(
         opened: list[int] = []  # nodes joining the frontier, in creation order
 
         for node_index in chosen:
-            node = nodes[node_index]
-            node.expanded = True
+            expanded[node_index] = True
+            state = state_of(node_index)
             # the frontier holds no node at the step cap
-            acts = applicable_actions(node.state, rules)
+            acts = applicable_actions(state, rules)
             if not acts:
-                node.terminal = True
+                terminal[node_index] = True
                 if node_index == 0:
                     root_deadend = True
                 continue
             for act in acts:
-                child_state = apply_action(node.state, act, rules)
-                key = child_state.key()
+                child = apply_action(state, act, rules)
+                key = child.key()
                 existing = seen.get(key)
                 if existing is not None:
-                    other = nodes[existing]
-                    if (
-                        child_state.step_count < other.state.step_count
-                        and not other.expanded
-                    ):
+                    if not expanded[existing] and child.step_count < depth[existing]:
                         # a shorter path to an unexpanded node: the node
-                        # takes this path's state and evaluation; a node
-                        # the step cap had closed opens
-                        was_open = not other.terminal
-                        other.state = child_state
-                        other.parent = node_index
-                        other.action = act
-                        evaluate_node(existing, other)
-                        if not (was_open or other.terminal):
+                        # takes this path's sale, parent, action and
+                        # evaluation; a node the step cap had closed opens
+                        was_open = not terminal[existing]
+                        sales[existing] = child.transfer
+                        parent[existing] = node_index
+                        via[existing] = act
+                        evaluate_node(existing, child)
+                        if not (was_open or terminal[existing]):
                             opened.append(existing)
                     continue
-                if len(nodes) == depth.size:
-                    depth = np.concatenate([depth, np.empty_like(depth)])
-                    profit = np.concatenate([profit, np.empty_like(profit)])
-                    utility = np.concatenate([utility, np.empty_like(utility)])
-                child = _Node(state=child_state, parent=node_index, action=act)
-                nodes.append(child)
-                child_index = len(nodes) - 1
+                child_index = len(keys)
+                if child_index == depth.size:
+                    parent, depth, profit, utility = (
+                        np.concatenate([column, np.empty_like(column)])
+                        for column in (parent, depth, profit, utility)
+                    )
+                    for flags in (complete, terminal, expanded):
+                        flags.extend(bytes(len(flags)))
+                keys.append(key)
+                sales.append(child.transfer)
+                via.append(act)
+                parent[child_index] = node_index
                 evaluate_node(child_index, child)
                 seen[key] = child_index
-                if not child.terminal:
+                if not terminal[child_index]:
                     opened.append(child_index)
         frontier = np.concatenate([frontier, np.array(opened, dtype=np.intp)])
 
@@ -434,37 +444,40 @@ def _search(
     # nodes keep no evaluation: each record is evaluated again, and the memo
     # already holds its ledger and returns
     trajectories: list[Trajectory] = []
-    for idx in range(1, len(nodes)):  # the empty trajectory is excluded by definition
-        node = nodes[idx]
-        if not (node.terminal or node.complete):
+    for idx in range(1, len(keys)):  # the empty trajectory is excluded by definition
+        if not (terminal[idx] or complete[idx]):
             continue
-        actions = _path_actions(nodes, idx)
-        ledger, assessments, _ = evaluate_state(node.state, memo)
+        state = state_of(idx)
+        actions = _path_actions(parent, via, idx)
+        ledger, assessments, _ = evaluate_state(state, memo)
         p = float(profit[idx])
         trajectories.append(
             Trajectory(
                 id=len(trajectories),
                 actions=actions,
-                final_state=node.state,
+                final_state=state,
                 transactions=ledger.transactions,
                 assessments=tuple(assessments),
                 p=p,
                 phi=cost * len(actions),
                 utility=trajectory_utility(p, len(actions), cost),
-                complete=node.complete,
-                terminal=node.terminal,
+                complete=bool(complete[idx]),
+                terminal=bool(terminal[idx]),
             )
         )
 
     return tuple(trajectories), tuple(warnings)
 
 
-def _path_actions(nodes: list[_Node], index: int) -> tuple[GroundedAction, ...]:
+def _path_actions(
+    parent: np.ndarray, via: list[Optional[GroundedAction]], index: int
+) -> tuple[GroundedAction, ...]:
+    """The actions on the path from the root to node ``index``, read up the
+    node table's ``parent`` and ``via`` columns."""
     out: list[GroundedAction] = []
     while index > 0:
-        node = nodes[index]
-        out.append(node.action)  # type: ignore[arg-type]
-        index = node.parent
+        out.append(via[index])  # type: ignore[arg-type]
+        index = parent[index]
     return tuple(reversed(out))
 
 
@@ -495,12 +508,18 @@ def _trajectory_to_json(t: Trajectory) -> dict:
 _PARAM_FIELDS = tuple(f.name for f in fields(SearchParams))
 
 
-def _field(row: dict, key: str, *types: type):
-    """``row[key]``, which must be exactly of one of ``types``: JSON ``true``
-    is not a number."""
-    value = row[key]
+# the decoded JSON types of a number field
+_NUMBER = (int, float)
+
+
+def _checked(key: str, value, types: tuple[type, ...]):
+    """``value``, which must be exactly of one of ``types``: JSON ``true`` is
+    not a number.  A number must also be finite: JSON reads ``1e999`` as
+    infinity, and an int too large for a float raises OverflowError."""
     if type(value) not in types:
         raise TypeError(f"{key} is {value!r}")
+    if types is _NUMBER and not math.isfinite(value):
+        raise ValueError(f"{key} is {value!r}, not a finite number")
     return value
 
 
@@ -508,7 +527,7 @@ def _json_types(record_type) -> tuple[tuple[type, ...], ...]:
     """Per field, in order, the decoded JSON types a record field accepts: a
     float field takes any number, an Optional field null too."""
     return tuple(
-        (int, float) if hint is float else get_args(hint) or (hint,)
+        _NUMBER if hint is float else get_args(hint) or (hint,)
         for hint in get_type_hints(record_type).values()
     )
 
@@ -518,10 +537,12 @@ _ASSESSMENT_TYPES = _json_types(TaxAssessment)
 
 
 def _record(record, types: tuple[tuple[type, ...], ...]):
-    """``record``, each of whose fields must be exactly of one of its ``types``."""
+    """``record``, each of whose fields :func:`_checked` accepts for its
+    ``types``.  Records are most of a file, so the checks are inlined, and
+    :func:`_checked` runs only to raise."""
     for key, value, allowed in zip(record._fields, record, types):
-        if type(value) not in allowed:
-            raise TypeError(f"{key} is {value!r}")
+        if type(value) not in allowed or allowed is _NUMBER and not math.isfinite(value):
+            _checked(key, value, allowed)
     return record
 
 
@@ -530,7 +551,9 @@ def _action_from_json(a: dict, table: dict) -> GroundedAction:
     its value.  Each binding value must be a ground constant, checked once,
     when the table first meets the action."""
     action = GroundedAction(
-        _field(a, "name", str), _field(a, "ref", str), tuple(sorted(a["args"].items()))
+        _checked("name", a["name"], (str,)),
+        _checked("ref", a["ref"], (str,)),
+        tuple(sorted(a["args"].items())),
     )
     shared = table.get(action)
     if shared is None:
@@ -584,18 +607,18 @@ def _trajectory_from_json(row: dict, table: dict) -> Trajectory:
     except (KernelError, IndexError, TypeError) as exc:
         raise ExplorerError(f"final state of trajectory {row['id']}: {exc}") from exc
     return Trajectory(
-        id=_field(row, "id", int),
+        id=_checked("id", row["id"], (int,)),
         actions=actions,
         final_state=final_state,
         transactions=transactions,
         assessments=tuple(
             _record(TaxAssessment(**a), _ASSESSMENT_TYPES) for a in row["assessments"]
         ),
-        p=_field(row, "p", int, float),
-        phi=_field(row, "phi", int, float),
-        utility=_field(row, "utility", int, float),
-        complete=_field(row, "complete", bool),
-        terminal=_field(row, "terminal", bool),
+        p=_checked("p", row["p"], _NUMBER),
+        phi=_checked("phi", row["phi"], _NUMBER),
+        utility=_checked("utility", row["utility"], _NUMBER),
+        complete=_checked("complete", row["complete"], (bool,)),
+        terminal=_checked("terminal", row["terminal"], (bool,)),
     )
 
 
@@ -668,7 +691,9 @@ def read_jsonl(path) -> TrajectorySet:
             try:
                 row = json.loads(line, parse_constant=reject_constant)
                 trajectories.append(_trajectory_from_json(row, table))
-            except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+            except (
+                AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError
+            ) as exc:
                 raise ExplorerError(f"trajectory {n}: {type(exc).__name__}: {exc}") from exc
     if len(trajectories) != count:
         raise ExplorerError(

@@ -42,7 +42,8 @@ action does not check its effects again.
 A state carries the one-shot IP sale on its path, a :class:`Transfer`:
 applying a ``transferIP`` action records its step and the values its rule's
 ``ownsIP`` effects bind, and every later successor keeps it, so nothing
-that reads a state walks its path back to find the sale.
+that reads a state walks its path back to find the sale.  A search's table
+holds each distinct sale once, as it holds rows and groups.
 
 Variables follow the Prolog convention: identifiers starting with an
 uppercase letter are variables, everything else is a constant.  ``_`` is an
@@ -226,16 +227,17 @@ class State:
         return state
 
     @staticmethod
-    def _successor(
+    def from_checked_groups(
         groups: tuple[Rows, ...], step_count: int, transfer: Optional[Transfer]
     ) -> State:
-        """A state from groups built sorted and distinct by :func:`apply_action`,
-        each of which has passed its predicate's check."""
-        child = object.__new__(State)
-        object.__setattr__(child, "groups", groups)
-        object.__setattr__(child, "step_count", step_count)
-        object.__setattr__(child, "transfer", transfer)
-        return child
+        """A state from groups that are sorted and distinct and have passed
+        their predicates' checks, as :func:`apply_action` builds them or a
+        state already holds them; no check runs again."""
+        state = object.__new__(State)
+        object.__setattr__(state, "groups", groups)
+        object.__setattr__(state, "step_count", step_count)
+        object.__setattr__(state, "transfer", transfer)
+        return state
 
     def rows(self, predicate: str) -> Rows:
         """The argument tuples of the state's ``predicate`` facts, sorted."""
@@ -588,9 +590,9 @@ class ActionRules:
       its :data:`Delta`, per touched group its deleted and added rows and
       the group they made of each parent group, and the (seller, buyer)
       values of a ``transferIP``, ``()`` for another action;
-    - ``table`` holds every distinct row and checked group the search built,
-      so equal rows and groups are one object and a read-set key compares
-      by a few identity checks.
+    - ``table`` holds every distinct row, checked group and
+      :class:`Transfer` the search built, so equal rows, groups and sales
+      are one object and a read-set key compares by a few identity checks.
 
     The tables live as long as the search, so two searches share nothing.
     """
@@ -722,7 +724,8 @@ def apply_action(state: State, action: GroundedAction, rules: ActionRules) -> St
     domain and a fresh one to the lowest unused pool id.  The first time
     ``rules`` applies ``action`` it compiles its :data:`Delta` and its sale
     (see :class:`ActionRules`).  The successor carries ``state``'s
-    :class:`Transfer`, or the one a ``transferIP`` action makes.
+    :class:`Transfer`, or the one a ``transferIP`` action makes, as
+    ``rules.table``'s object for its value.
 
     The successor shares every group the action's effects do not touch with
     ``state``.  Each touched group is built from the delta, deletions before
@@ -748,8 +751,12 @@ def apply_action(state: State, action: GroundedAction, rules: ActionRules) -> St
         if group is None:
             group = edited[parent] = _edit(parent, position, deleted, added, rules.table)
         groups[position] = group
-    transfer = Transfer(state.step_count, *sale) if sale else state.transfer
-    return State._successor(tuple(groups), state.step_count + 1, transfer)
+    transfer = state.transfer
+    if sale:
+        transfer = Transfer(state.step_count, *sale)
+        # a sale starts with an int, so no row or group in the table equals it
+        transfer = rules.table.setdefault(transfer, transfer)
+    return State.from_checked_groups(tuple(groups), state.step_count + 1, transfer)
 
 
 def _edit(parent: Rows, position: int, deleted: Rows, added: Rows, table: dict) -> Rows:

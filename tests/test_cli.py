@@ -78,6 +78,16 @@ TRAJECTORY_DEFECTS = {
     "transaction-amount-not-a-number": (
         (1, "transactions", 0, 5), True, "amount is True"
     ),
+    # "1e999" is written bare (see _write_defect): a number too large for a
+    # float, which json reads as infinity
+    "utility-too-large": ((1, "utility"), "1e999", "utility is inf, not a finite"),
+    "transaction-amount-too-large": (
+        (1, "transactions", 0, 5), "1e999", "amount is inf, not a finite"
+    ),
+    "assessment-tax-due-too-large": (
+        (1, "assessments", 0, "tax_due"), "1e999", "tax_due is inf, not a finite"
+    ),
+    "p-int-too-large": ((1, "p"), 10**400, "int too large to convert to float"),
     "assessment-tax-due-not-a-number": (
         (1, "assessments", 0, "tax_due"), "x", "tax_due is 'x'"
     ),
@@ -118,12 +128,13 @@ TRAJECTORY_DEFECTS = {
 
 def _write_defect(pipeline_dir, out, defect):
     """Write ``out/trajectories.jsonl``: the pipeline's file with ``defect``
-    of TRAJECTORY_DEFECTS applied.  Returns the part of the message."""
+    of TRAJECTORY_DEFECTS applied, the string "1e999" written as a bare
+    number.  Returns the part of the message."""
     path, value, message = TRAJECTORY_DEFECTS[defect]
     text = (pipeline_dir / "trajectories.jsonl").read_text()
     lines = _replaced([json.loads(line) for line in text.splitlines()], path, value)
     (out / "trajectories.jsonl").write_text(
-        "".join(json.dumps(line) + "\n" for line in lines)
+        "".join(json.dumps(line).replace('"1e999"', "1e999") + "\n" for line in lines)
     )
     return message
 
@@ -168,19 +179,20 @@ def _loaded_modules(argv, modules):
     return int(code), set(loaded)
 
 
-# stage -> the modules its process must not import
+# stage -> the modules its process must not import; only explore hashes,
+# so only its process loads OpenSSL (_hashlib)
 STAGE_UNLOADED = {
     "check": ("loophound.explorer", "loophound.analytics", "loophound.induction",
-              "loophound.policy", "numpy"),
+              "loophound.policy", "numpy", "_hashlib"),
     "explore": ("numpy.ma", "loophound.analytics", "loophound.induction",
                 "loophound.policy"),
     "profile": ("loophound.dsl", "loophound.join", "loophound.induction",
-                "loophound.policy", "numpy"),
+                "loophound.policy", "numpy", "_hashlib"),
     "stats": ("loophound.dsl", "loophound.join", "loophound.induction",
-              "loophound.policy", "numpy"),
-    "induce": ("loophound.dsl", "loophound.join"),
-    "policy": ("loophound.dsl", "loophound.join"),
-    "graph": ("loophound.dsl", "loophound.join", "loophound.policy"),
+              "loophound.policy", "numpy", "_hashlib"),
+    "induce": ("loophound.dsl", "loophound.join", "_hashlib"),
+    "policy": ("loophound.dsl", "loophound.join", "_hashlib"),
+    "graph": ("loophound.dsl", "loophound.join", "loophound.policy", "_hashlib"),
 }
 
 
@@ -238,6 +250,19 @@ HYPOTHESIS_DEFECTS = {
     "u_plus-nan": (("u_plus",), float("nan")),
     "u_plus-too-large": (("u_plus",), "1e999"),
     "f1-too-large": (("clauses", 0, "metrics", "f1"), "1e999"),
+}
+
+
+PROFILE_HEADER = "index,utility,trajectory_id,segment_id\n"
+
+# defect -> the text of a malformed profile.csv
+PROFILE_DEFECTS = {
+    "wrong-header": "a,b\n1,2\n",
+    "short-row": PROFILE_HEADER + "0,5.0,3\n",
+    "non-numeric": PROFILE_HEADER + "0,five,3,0\n",
+    "utility-nan": PROFILE_HEADER + "0,5.0,3,0\n1,nan,4,1\n",
+    "utility-too-large": PROFILE_HEADER + "0,1e999,3,0\n1,2.0,4,1\n",
+    "index-out-of-sequence": PROFILE_HEADER + "0,5.0,3,0\n2,2.0,4,1\n",
 }
 
 
@@ -505,25 +530,30 @@ class TestRunDirectoryIntegrity:
         assert not (tmp_path / "trajectories.jsonl").exists()
         assert "explored" not in captured.out
 
-    @pytest.mark.parametrize(
-        "profile_text",
-        [
-            "a,b\n1,2\n",
-            "index,utility,trajectory_id,segment_id\n0,5.0,3\n",
-            "index,utility,trajectory_id,segment_id\n0,five,3,0\n",
-        ],
-        ids=["wrong-header", "short-row", "non-numeric"],
-    )
-    def test_malformed_profile_rejected(
-        self, toy_run_dir, tmp_path, capsys, profile_text
-    ):
+    def write_profile(self, toy_run_dir, tmp_path, defect):
+        """A run directory holding the toy run's trajectories and the
+        ``defect`` profile of PROFILE_DEFECTS."""
         run = tmp_path / "run"
         run.mkdir()
         (run / "trajectories.jsonl").write_bytes(
             (toy_run_dir / "trajectories.jsonl").read_bytes()
         )
-        (run / "profile.csv").write_text(profile_text)
+        (run / "profile.csv").write_text(PROFILE_DEFECTS[defect])
+        return run
+
+    @pytest.mark.parametrize("defect", sorted(PROFILE_DEFECTS))
+    def test_malformed_profile_rejected(self, toy_run_dir, tmp_path, capsys, defect):
+        run = self.write_profile(toy_run_dir, tmp_path, defect)
         assert main(["stats", "--out", str(run)]) == 1
+        assert "corrupt profile file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", sorted(PROFILE_DEFECTS))
+    def test_induce_rejects_a_malformed_profile(
+        self, toy_run_dir, tmp_path, capsys, defect
+    ):
+        # without --u-plus, induce reads its threshold off the profile
+        run = self.write_profile(toy_run_dir, tmp_path, defect)
+        assert main(["induce", "--out", str(run)]) == 1
         assert "corrupt profile file" in capsys.readouterr().err
 
     def test_stale_profile_is_a_stage_order_violation(self, tmp_path, toy_files, capsys):

@@ -22,6 +22,7 @@ from loophound.economy import settle
 from loophound.explorer import (
     ExplorerError,
     SearchParams,
+    Trajectory,
     depth_weight,
     explore,
     quartiles,
@@ -31,7 +32,7 @@ from loophound.explorer import (
     trajectory_utility,
     write_jsonl,
 )
-from loophound.kernel import KernelError, applicable_actions, apply_action
+from loophound.kernel import KernelError, State, Transfer, applicable_actions, apply_action
 from loophound.taxation import DEDUCTIBLE, EXEMPTION, evaluate_state
 
 from conftest import TOY_RULESET, TOY_SCENARIO
@@ -802,6 +803,57 @@ class TestSharing:
         write_jsonl(bench_run, path)
         for values in shared_parts(read_jsonl(path)):
             assert_one_object_per_value(values)
+
+    def test_one_sale_object_per_value_in_a_search(
+        self, corpus_ruleset, corpus_scenario, monkeypatch
+    ):
+        """The sales the states of a bench-shape search carry, each a
+        Transfer, never another tuple of the search's table."""
+        sales = []
+
+        def spy(state, memo):
+            if state.transfer is not None:
+                sales.append(state.transfer)
+            return evaluate_state(state, memo)
+
+        monkeypatch.setattr(explorer_module, "evaluate_state", spy)
+        params = SearchParams(seed=7, iterations=50, expansions=60)
+        explore(corpus_ruleset, corpus_scenario, params)
+        assert all(type(sale) is Transfer for sale in sales)
+        assert_one_object_per_value(sales)
+
+
+class TestNodeTable:
+    """The search keeps its nodes as rows of columns, not as States: a
+    node's State is built when the node is expanded or recorded, and the
+    one apply_action returns is evaluated and dropped."""
+
+    def test_few_states_live_when_the_first_record_is_built(
+        self, corpus_ruleset, corpus_scenario, monkeypatch
+    ):
+        def live_states():
+            return sum(type(o) is State for o in gc.get_objects())
+
+        nodes = set()  # the groups of every evaluated state: one per node
+        live = []  # live States when the first record is built
+
+        def spy(state, memo):
+            nodes.add(state.groups)
+            return evaluate_state(state, memo)
+
+        def record(**fields):
+            if not live:
+                live.append(live_states())
+            return Trajectory(**fields)
+
+        monkeypatch.setattr(explorer_module, "evaluate_state", spy)
+        before = live_states()
+        with monkeypatch.context() as patch:
+            patch.setattr(explorer_module, "Trajectory", record)
+            params = SearchParams(seed=7, iterations=20, expansions=200)
+            tset = explore(corpus_ruleset, corpus_scenario, params)
+        assert tset.trajectories and len(nodes) > 1000
+        assert live[0] - before < len(nodes) // 100
 
 
 # ------------------------------------------------------- evaluation memo
