@@ -9,12 +9,12 @@ frequency tables then show which legal references drive each family.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .explorer import TrajectorySet, percentile
+from .explorer import percentile
+from .runfiles import TrajectorySet
 
 REFERENCE_PEAK_HEIGHT = 3.85
 # interquartile range of the reference profile the 3.85 constant was tuned
@@ -220,78 +220,3 @@ def frequency_table(
         rows={k: tuple(v) for k, v in ordered.items()},
         segment_count=len(segments),
     )
-
-
-# ============================================================================
-# CSV output
-# ============================================================================
-
-
-def write_profile_csv(
-    profile: UtilityProfile,
-    segments: Sequence[Segment],
-    path,
-) -> None:
-    seg_of = {}
-    for seg in segments:
-        for i in range(seg.start, seg.stop):
-            seg_of[i] = seg.id
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "utility", "trajectory_id", "segment_id"])
-        for i, (u, tid) in enumerate(zip(profile.values, profile.index_map)):
-            w.writerow([i, repr(u), tid, seg_of[i]])
-
-
-def write_stats_csv(table: FrequencyTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["ref", "type"] + [
-            f"segment_{i}" for i in range(table.segment_count)
-        ]
-        w.writerow(header)
-        for (ref, kind), values in table.rows.items():
-            w.writerow([ref, kind] + [repr(v) for v in values])
-
-
-def read_profile_csv(path) -> tuple[UtilityProfile, list[Segment]]:
-    """The profile and segments of a file written by :func:`write_profile_csv`.
-    A malformed row raises :class:`AnalyticsError`: one that is not four
-    numbers, an ``index`` other than the row's position, counting from 0,
-    or a ``utility`` that is not finite (``nan``, or ``1e999``, which reads
-    as infinity)."""
-    values: list[float] = []
-    ids: list[int] = []
-    seg_ids: list[int] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["index", "utility", "trajectory_id", "segment_id"]:
-            raise AnalyticsError("not a profile table")
-        for row in reader:
-            try:
-                index, value, tid, seg = row
-                utility = float(value)
-                if int(index) != len(values):
-                    raise ValueError(f"index {index} out of sequence")
-                if not math.isfinite(utility):
-                    raise ValueError(f"utility {value} is not finite")
-                values.append(utility)
-                ids.append(int(tid))
-                seg_ids.append(int(seg))
-            except ValueError as exc:
-                raise AnalyticsError(f"bad row {reader.line_num}: {row!r}: {exc}") from exc
-    profile = UtilityProfile(values=tuple(values), index_map=tuple(ids))
-    segments: list[Segment] = []
-    if seg_ids:
-        start = 0
-        for i in range(1, len(seg_ids) + 1):
-            if i == len(seg_ids) or seg_ids[i] != seg_ids[start]:
-                slope = None
-                if start > 0:
-                    slope = values[start - 1] - values[start]
-                segments.append(Segment(len(segments), start, i, slope))
-                start = i
-    else:
-        segments.append(Segment(0, 0, 0, None))
-    return profile, segments

@@ -10,34 +10,39 @@ Each pipeline stage reads and writes files in a run directory (``--out``):
 * graph    -> scheme.dot, scheme_edges.csv (requires hypothesis.json)
 
 Every stage records itself in the single manifest.json of the run directory.
-Each stage input is read through one loader (:func:`_load`) and each file
-written through one writer (:func:`_write`), which writes a temporary
-sibling and moves it into place.  Exit codes: 0 success, 1 validation or
-usage error (a malformed input file included), 2 IO error, 3 stage-order
-violation (a prerequisite stage's output is missing).
+The files' names, formats, readers and writers live in
+:mod:`~loophound.runfiles`.  Each stage input is read through one loader
+(:func:`_load`) and each file written through one writer (:func:`_write`),
+which writes a temporary sibling and moves it into place.  Exit codes: 0
+success, 1 validation or usage error (a malformed input file included), 2
+IO error, 3 stage-order violation (a prerequisite stage's output is
+missing).
 
 A stage imports only the layers it runs, when it runs:
 
 * check    -> :mod:`~loophound.dsl` (with the kernel, economy, taxation and
   the join compiler its rules are built with)
-* explore  -> that, :mod:`~loophound.explorer` and numpy
-* profile, stats -> :mod:`~loophound.explorer` (the trajectory reader) and
-  :mod:`~loophound.analytics`
-* induce, graph  -> :mod:`~loophound.explorer` and :mod:`~loophound.induction`
-  (induce reads profile.csv with :mod:`~loophound.analytics` too)
+* explore  -> that, :mod:`~loophound.runfiles`, :mod:`~loophound.explorer`
+  and numpy
+* profile, stats -> :mod:`~loophound.runfiles` and
+  :mod:`~loophound.analytics` (with :mod:`~loophound.explorer`, whose
+  percentile it takes)
+* induce, graph  -> :mod:`~loophound.runfiles` and
+  :mod:`~loophound.induction` (induce reads profile.csv with
+  :mod:`~loophound.analytics` too)
 * policy   -> those and :mod:`~loophound.policy`
 
-The functions and classes the commands use are attributes of this module,
-imported and bound on their first lookup (the module ``__getattr__``), and
-the commands look them up on the module: a function set here in place of
-one, as ``perfbench/traced_stage.py`` sets its tracing wrappers, is what runs.
+The functions, classes and names the commands use are attributes of this
+module, imported and bound on their first lookup (the module
+``__getattr__``), and the commands look them up on the module: a function
+set here in place of one, as ``perfbench/traced_stage.py`` sets its tracing
+wrappers, is what runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import math
 import os
 import sys
@@ -53,30 +58,27 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_STAGE_ORDER = 3
 
-TRAJECTORIES_FILE = "trajectories.jsonl"
-PROFILE_FILE = "profile.csv"
-STATS_FILE = "stats.csv"
-HYPOTHESIS_JSON = "hypothesis.json"
-HYPOTHESIS_TEXT = "hypothesis.txt"
-POLICY_FILE = "policy_report.json"
-DOT_FILE = "scheme.dot"
-EDGES_FILE = "scheme_edges.csv"
-MANIFEST_FILE = "manifest.json"
-
-# the stage functions and classes the commands use, by the module that
-# defines them; the commands look each up through _cli, this module
+# the stage functions, classes and names the commands use, by the module
+# that defines them; the commands look each up through _cli, this module
 _LAZY = {
     "dsl": ("parse_ruleset", "parse_scenario", "rate_problem"),
-    "explorer": ("ExplorerError", "SearchParams", "explore", "read_jsonl", "write_jsonl"),
+    "explorer": ("ExplorerError", "explore"),
+    "runfiles": (
+        # the files of a run directory, and the search parameters it records
+        "TRAJECTORIES_FILE", "PROFILE_FILE", "STATS_FILE", "HYPOTHESIS_JSON",
+        "HYPOTHESIS_TEXT", "POLICY_FILE", "DOT_FILE", "EDGES_FILE", "MANIFEST_FILE",
+        "INPUTS", "SearchParams",
+        # their readers and writers
+        "read_jsonl", "write_jsonl", "read_profile_csv", "write_profile_csv",
+        "write_stats_csv", "read_hypothesis_json", "write_hypothesis_json",
+        "write_hypothesis_text", "write_policy_report", "write_dot", "write_edges_csv",
+        "read_manifest", "write_json",
+    ),
     "analytics": (
-        "AnalyticsError",
         "UnknownTrajectoryError",
         "detect_segments",
         "frequency_table",
-        "read_profile_csv",
         "utility_profile",
-        "write_profile_csv",
-        "write_stats_csv",
     ),
     "induction": (
         "InductionConfig",
@@ -85,21 +87,16 @@ _LAZY = {
         "evaluate",
         "induce",
         "label",
-        "read_hypothesis_json",
         "scheme_graph",
-        "write_dot",
-        "write_edges_csv",
-        "write_hypothesis_json",
-        "write_hypothesis_text",
     ),
-    "policy": ("PolicyError", "WelfareConfig", "delta_restriction", "write_policy_report"),
+    "policy": ("PolicyError", "WelfareConfig", "delta_restriction"),
 }
 _HOMES = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name: str):
-    """The stage function or class ``name``, imported with its module and
-    bound into this module on the first lookup."""
+    """The stage function, class or name ``name``, imported with its module
+    and bound into this module on the first lookup."""
     if name not in _HOMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{_HOMES[name]}", __package__), name)
@@ -108,15 +105,6 @@ def __getattr__(name: str):
 
 
 _cli = sys.modules[__name__]
-
-# per stage input: what it holds, as named in "corrupt <kind> file" errors;
-# the stage that writes it; the reader of it and the error that reader
-# raises on malformed content, both looked up through _cli
-_INPUTS = {
-    TRAJECTORIES_FILE: ("trajectory", "explore", "read_jsonl", "ExplorerError"),
-    PROFILE_FILE: ("profile", "profile", "read_profile_csv", "AnalyticsError"),
-    HYPOTHESIS_JSON: ("hypothesis", "induce", "read_hypothesis_json", "InductionError"),
-}
 
 _WELFARE_ALIASES = {
     "mean_tax": "mean_tax_collected",
@@ -162,49 +150,11 @@ def _parse_documents(ruleset_path: Path, scenario_path: Path):
     return ruleset, scenario
 
 
-def _read_manifest(out_dir: Path) -> dict:
-    """The run directory's manifest, checked before the stage does any work."""
-    path = out_dir / MANIFEST_FILE
-    if not path.exists():
-        return {"format": 1, "tool": "loophound", "version": __version__, "stages": {}}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
-    except ValueError as exc:
-        raise CliError(f"corrupt manifest file {path}: {exc}", EXIT_VALIDATION) from exc
-    if not isinstance(manifest, dict) or not isinstance(
-        manifest.setdefault("stages", {}), dict
-    ):
-        raise CliError(
-            f"corrupt manifest file {path}: expected a JSON object with a 'stages' object",
-            EXIT_VALIDATION,
-        )
-    manifest["version"] = __version__
-    return manifest
-
-
-def _write_manifest(
-    out_dir: Path,
-    manifest: dict,
-    stage: str,
-    record: dict,
-    hashes: Optional[dict] = None,
-) -> None:
+def _record_stage(out_dir: Path, manifest: dict, stage: str, record: dict) -> None:
     """Record the finished stage in ``manifest`` and write it back."""
-    if hashes:
-        manifest.update(hashes)
-    record = dict(record)
-    record["completed_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    manifest["stages"][stage] = record
-    _write(out_dir / MANIFEST_FILE, _write_json, manifest)
-
-
-def _write_json(payload: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    completed_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    manifest["stages"][stage] = {**record, "completed_at": completed_at}
+    _write(out_dir / _cli.MANIFEST_FILE, _cli.write_json, manifest)
 
 
 def _write(path: Path, writer, *args) -> None:
@@ -232,11 +182,11 @@ def _ensure_out_dir(raw: str) -> Path:
 
 def _load(out_dir: Path, name: str):
     """The content of the stage input ``name``, read by its reader (see
-    ``_INPUTS``): exit 3 when it is missing, 2 when it cannot be read, and 1
-    when its content is malformed."""
-    kind, producer, reader, error = _INPUTS[name]
+    ``runfiles.INPUTS``): exit 3 when a stage's output is missing, 2 when
+    the file cannot be read, and 1 when its content is malformed."""
+    kind, producer, reader = _cli.INPUTS[name]
     path = out_dir / name
-    if not path.exists():
+    if producer is not None and not path.exists():
         raise CliError(
             f"{path} not found; run the {producer} stage first", EXIT_STAGE_ORDER
         )
@@ -244,8 +194,9 @@ def _load(out_dir: Path, name: str):
         return getattr(_cli, reader)(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
-    # ValueError: bytes that are not UTF-8 text
-    except (ValueError, getattr(_cli, error)) as exc:
+    # ValueError: malformed content (runfiles.RunFileError), or bytes that
+    # are not UTF-8 text
+    except ValueError as exc:
         raise CliError(f"corrupt {kind} file {path}: {exc}", EXIT_VALIDATION) from exc
 
 
@@ -271,7 +222,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
             max_steps=args.max_steps,
             cost_coefficient=args.cost,
         )
-    except _cli.ExplorerError as exc:
+    except ValueError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from exc
     # the bundled documents, when no path is given, are looked up here, so
     # that a missing one fails this stage alone
@@ -283,17 +234,18 @@ def cmd_explore(args: argparse.Namespace) -> int:
     )
     ruleset, scenario = _parse_documents(ruleset_path, scenario_path)
     out_dir = _ensure_out_dir(args.out)
-    manifest = _read_manifest(out_dir)
+    manifest = _load(out_dir, _cli.MANIFEST_FILE)
     tset = _cli.explore(ruleset, scenario, params)
-    _write(out_dir / TRAJECTORIES_FILE, _cli.write_jsonl, tset)
+    _write(out_dir / _cli.TRAJECTORIES_FILE, _cli.write_jsonl, tset)
     for warning in tset.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     complete = sum(1 for t in tset.trajectories if t.complete)
     print(
         f"explored {len(tset.trajectories)} trajectories "
-        f"({complete} complete) -> {out_dir / TRAJECTORIES_FILE}"
+        f"({complete} complete) -> {out_dir / _cli.TRAJECTORIES_FILE}"
     )
-    _write_manifest(
+    manifest.update(ruleset_sha256=tset.ruleset_sha256, scenario_sha256=tset.scenario_sha256)
+    _record_stage(
         out_dir,
         manifest,
         "explore",
@@ -304,10 +256,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 "scenario": str(scenario_path),
             },
             **asdict(params),
-        },
-        hashes={
-            "ruleset_sha256": tset.ruleset_sha256,
-            "scenario_sha256": tset.scenario_sha256,
         },
     )
     return EXIT_OK
@@ -320,18 +268,18 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if height is not None and not (math.isfinite(height) and height > 0):
         raise CliError("--peak-height must be positive and finite", EXIT_VALIDATION)
     out_dir = _ensure_out_dir(args.out)
-    manifest = _read_manifest(out_dir)
-    tset = _load(out_dir, TRAJECTORIES_FILE)
+    manifest = _load(out_dir, _cli.MANIFEST_FILE)
+    tset = _load(out_dir, _cli.TRAJECTORIES_FILE)
     profile = _cli.utility_profile(tset)
     if len(profile.values) == 0:
         raise CliError("no complete trajectories; cannot build a profile", EXIT_VALIDATION)
     segments = _cli.detect_segments(profile, args.peak_height, args.min_distance)
-    _write(out_dir / PROFILE_FILE, _cli.write_profile_csv, profile, segments)
+    _write(out_dir / _cli.PROFILE_FILE, _cli.write_profile_csv, profile, segments)
     print(
         f"profile over {len(profile.values)} complete trajectories, "
-        f"{len(segments)} segment(s) -> {out_dir / PROFILE_FILE}"
+        f"{len(segments)} segment(s) -> {out_dir / _cli.PROFILE_FILE}"
     )
-    _write_manifest(
+    _record_stage(
         out_dir,
         manifest,
         "profile",
@@ -347,30 +295,30 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args.out)
-    manifest = _read_manifest(out_dir)
-    tset = _load(out_dir, TRAJECTORIES_FILE)
-    profile, segments = _load(out_dir, PROFILE_FILE)
+    manifest = _load(out_dir, _cli.MANIFEST_FILE)
+    tset = _load(out_dir, _cli.TRAJECTORIES_FILE)
+    profile, segments = _load(out_dir, _cli.PROFILE_FILE)
     try:
         table = _cli.frequency_table(tset, profile, segments)
     except _cli.UnknownTrajectoryError as exc:
         raise CliError(
-            f"{exc}; {PROFILE_FILE} is older than {TRAJECTORIES_FILE}, "
+            f"{exc}; {_cli.PROFILE_FILE} is older than {_cli.TRAJECTORIES_FILE}, "
             "run the profile stage again",
             EXIT_STAGE_ORDER,
         ) from exc
-    _write(out_dir / STATS_FILE, _cli.write_stats_csv, table)
+    _write(out_dir / _cli.STATS_FILE, _cli.write_stats_csv, table)
     print(
         f"legal-reference frequencies for {table.segment_count} segment(s) "
-        f"-> {out_dir / STATS_FILE}"
+        f"-> {out_dir / _cli.STATS_FILE}"
     )
-    _write_manifest(
+    _record_stage(
         out_dir, manifest, "stats", {"command": "stats", "rows": len(table.rows)}
     )
     return EXIT_OK
 
 
 def _default_u_plus(out_dir: Path) -> float:
-    profile, segments = _load(out_dir, PROFILE_FILE)
+    profile, segments = _load(out_dir, _cli.PROFILE_FILE)
     if len(segments) < 2:
         raise CliError(
             "profile has a single segment; supply --u-plus explicitly", EXIT_VALIDATION
@@ -380,8 +328,8 @@ def _default_u_plus(out_dir: Path) -> float:
 
 def cmd_induce(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args.out)
-    manifest = _read_manifest(out_dir)
-    tset = _load(out_dir, TRAJECTORIES_FILE)
+    manifest = _load(out_dir, _cli.MANIFEST_FILE)
+    tset = _load(out_dir, _cli.TRAJECTORIES_FILE)
     u_plus = args.u_plus if args.u_plus is not None else _default_u_plus(out_dir)
     try:
         config = _cli.InductionConfig(
@@ -399,18 +347,18 @@ def cmd_induce(args: argparse.Namespace) -> int:
     except _cli.InductionError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from exc
     _write(
-        out_dir / HYPOTHESIS_JSON, _cli.write_hypothesis_json, hypothesis, examples, overall
+        out_dir / _cli.HYPOTHESIS_JSON, _cli.write_hypothesis_json, hypothesis, examples, overall
     )
-    _write(out_dir / HYPOTHESIS_TEXT, _cli.write_hypothesis_text, hypothesis, overall)
+    _write(out_dir / _cli.HYPOTHESIS_TEXT, _cli.write_hypothesis_text, hypothesis, overall)
     for warning in hypothesis.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     accuracy = "undefined" if overall.accuracy is None else f"{overall.accuracy:.4f}"
     f1 = "undefined" if overall.f1 is None else f"{overall.f1:.4f}"
     print(
         f"{len(hypothesis.clauses)} clause(s), accuracy {accuracy}, f1 {f1} "
-        f"-> {out_dir / HYPOTHESIS_JSON}"
+        f"-> {out_dir / _cli.HYPOTHESIS_JSON}"
     )
-    _write_manifest(
+    _record_stage(
         out_dir,
         manifest,
         "induce",
@@ -428,9 +376,9 @@ def cmd_induce(args: argparse.Namespace) -> int:
 
 def cmd_policy(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args.out)
-    manifest = _read_manifest(out_dir)
-    tset = _load(out_dir, TRAJECTORIES_FILE)
-    hypothesis, u_plus, _overall = _load(out_dir, HYPOTHESIS_JSON)
+    manifest = _load(out_dir, _cli.MANIFEST_FILE)
+    tset = _load(out_dir, _cli.TRAJECTORIES_FILE)
+    hypothesis, u_plus, _overall = _load(out_dir, _cli.HYPOTHESIS_JSON)
     try:
         config = _cli.WelfareConfig(welfare_kind=_WELFARE_ALIASES[args.welfare])
         examples = _cli.label(tset, u_plus)
@@ -438,13 +386,13 @@ def cmd_policy(args: argparse.Namespace) -> int:
         report = _cli.delta_restriction(tset, hypothesis, examples, background, config)
     except (_cli.PolicyError, _cli.InductionError) as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from exc
-    _write(out_dir / POLICY_FILE, _cli.write_policy_report, report)
+    _write(out_dir / _cli.POLICY_FILE, _cli.write_policy_report, report)
     delta = "undefined" if report.delta_h is None else f"{report.delta_h:.6f}"
     print(
         f"welfare {report.welfare_kind}: Delta(H) = {delta}, verdict {report.verdict} "
-        f"-> {out_dir / POLICY_FILE}"
+        f"-> {out_dir / _cli.POLICY_FILE}"
     )
-    _write_manifest(
+    _record_stage(
         out_dir,
         manifest,
         "policy",
@@ -457,13 +405,13 @@ def cmd_graph(args: argparse.Namespace) -> int:
     if args.top_k < 1:
         raise CliError("--top-k must be at least 1", EXIT_VALIDATION)
     out_dir = _ensure_out_dir(args.out)
-    manifest = _read_manifest(out_dir)
-    hypothesis, _u_plus, _overall = _load(out_dir, HYPOTHESIS_JSON)
+    manifest = _load(out_dir, _cli.MANIFEST_FILE)
+    hypothesis, _u_plus, _overall = _load(out_dir, _cli.HYPOTHESIS_JSON)
     graph = _cli.scheme_graph(hypothesis, args.top_k)
-    _write(out_dir / DOT_FILE, _cli.write_dot, graph)
-    _write(out_dir / EDGES_FILE, _cli.write_edges_csv, graph)
-    print(f"{len(graph.edges)} edge(s) -> {out_dir / DOT_FILE}, {out_dir / EDGES_FILE}")
-    _write_manifest(
+    _write(out_dir / _cli.DOT_FILE, _cli.write_dot, graph)
+    _write(out_dir / _cli.EDGES_FILE, _cli.write_edges_csv, graph)
+    print(f"{len(graph.edges)} edge(s) -> {out_dir / _cli.DOT_FILE}, {out_dir / _cli.EDGES_FILE}")
+    _record_stage(
         out_dir,
         manifest,
         "graph",

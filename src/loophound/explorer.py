@@ -51,73 +51,35 @@ setting is restored when the search ends.
 from __future__ import annotations
 
 import gc
-import json
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING, Iterable, Optional, get_args, get_type_hints
+from typing import TYPE_CHECKING, Iterable, Optional
 
 # is_multinationally_complete is no longer called here: a ledger carries its
 # completeness.  The name stays importable from this module, where
 # perfbench/traced_stage.py wraps it.
-from .economy import (
-    TRANSFER,
-    Transaction,
-    is_multinationally_complete,  # noqa: F401
-)
+from .economy import is_multinationally_complete  # noqa: F401
 from .kernel import (
     ActionRule,
     ActionRules,
     Domains,
-    Fact,
     GroundedAction,
-    KernelError,
     State,
     Transfer,
     applicable_actions,
     apply_action,
     initial_state,
-    is_constant,
 )
-from .taxation import EvaluationMemo, TaxAssessment, evaluate_state
+from .runfiles import SearchParams, Trajectory, TrajectorySet
+from .taxation import EvaluationMemo, evaluate_state
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .dsl import RuleSetDoc, ScenarioDoc
 
-FORMAT_VERSION = 1
-
 
 class ExplorerError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class SearchParams:
-    seed: int = 0
-    iterations: int = 50
-    expansions: int = 1000
-    beta: float = 0.01
-    tau0: float = 5.0
-    max_steps: int = 12
-    cost_coefficient: float = 1.0
-
-    def __post_init__(self) -> None:
-        # nan slips through the range checks below (every comparison with it
-        # is false) and inf passes them, but either breaks the softmax
-        for name in ("beta", "tau0", "cost_coefficient"):
-            if not math.isfinite(getattr(self, name)):
-                raise ExplorerError(f"{name} must be finite")
-        if self.cost_coefficient <= 0:
-            raise ExplorerError("cost_coefficient must be positive")
-        if self.tau0 <= 0:
-            raise ExplorerError("tau0 must be positive")
-        if self.beta < 0:
-            raise ExplorerError("beta must be non-negative")
-        if self.iterations < 1 or self.expansions < 1:
-            raise ExplorerError("iterations and expansions must be at least 1")
-        if self.max_steps < 1:
-            raise ExplorerError("max_steps must be at least 1")
 
 
 def depth_weight(t: int, beta: float) -> float:
@@ -208,56 +170,6 @@ def trajectory_utility(p: float, length: int, cost_coefficient: float) -> float:
     if length < 0:
         raise ExplorerError("length must be non-negative")
     return p - cost_coefficient * length
-
-
-# ============================================================================
-# Trajectories
-# ============================================================================
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    id: int
-    actions: tuple[GroundedAction, ...]
-    final_state: State
-    transactions: tuple[Transaction, ...]
-    assessments: tuple[TaxAssessment, ...]
-    p: float
-    phi: float
-    utility: float
-    complete: bool
-    terminal: bool
-
-    @property
-    def length(self) -> int:
-        return len(self.actions)
-
-    def action_refs(self) -> list[str]:
-        return [a.legal_ref for a in self.actions]
-
-    def applied_reduction_refs(self) -> list[tuple[str, str]]:
-        out = []
-        for a in self.assessments:
-            out.extend(a.applied_refs())
-        return out
-
-    def total_tax(self) -> float:
-        total = 0.0
-        for a in self.assessments:
-            total += a.tax_due
-        return total
-
-
-@dataclass(frozen=True)
-class TrajectorySet:
-    params: SearchParams
-    ruleset_sha256: str
-    scenario_sha256: str
-    trajectories: tuple[Trajectory, ...]
-    warnings: tuple[str, ...] = ()
-
-    def complete_trajectories(self) -> list[Trajectory]:
-        return [t for t in self.trajectories if t.complete]
 
 
 def _doc_hash(text: str) -> str:
@@ -479,224 +391,3 @@ def _path_actions(
         out.append(via[index])  # type: ignore[arg-type]
         index = parent[index]
     return tuple(reversed(out))
-
-
-# ============================================================================
-# JSONL serialization (documented in docs/trajectories.md)
-# ============================================================================
-
-
-def _trajectory_to_json(t: Trajectory) -> dict:
-    return {
-        "id": t.id,
-        "complete": t.complete,
-        "terminal": t.terminal,
-        "length": t.length,
-        "p": t.p,
-        "phi": t.phi,
-        "utility": t.utility,
-        "actions": [
-            {"name": a.name, "ref": a.legal_ref, "args": dict(a.binding)}
-            for a in t.actions
-        ],
-        "final_state": [[f.predicate, *f.args] for f in t.final_state.facts()],
-        "transactions": [list(tx) for tx in t.transactions],
-        "assessments": [a._asdict() for a in t.assessments],
-    }
-
-
-_PARAM_FIELDS = tuple(f.name for f in fields(SearchParams))
-
-
-# the decoded JSON types of a number field
-_NUMBER = (int, float)
-
-
-def _checked(key: str, value, types: tuple[type, ...]):
-    """``value``, which must be exactly of one of ``types``: JSON ``true`` is
-    not a number.  A number must also be finite: JSON reads ``1e999`` as
-    infinity, and an int too large for a float raises OverflowError."""
-    if type(value) not in types:
-        raise TypeError(f"{key} is {value!r}")
-    if types is _NUMBER and not math.isfinite(value):
-        raise ValueError(f"{key} is {value!r}, not a finite number")
-    return value
-
-
-def _json_types(record_type) -> tuple[tuple[type, ...], ...]:
-    """Per field, in order, the decoded JSON types a record field accepts: a
-    float field takes any number, an Optional field null too."""
-    return tuple(
-        _NUMBER if hint is float else get_args(hint) or (hint,)
-        for hint in get_type_hints(record_type).values()
-    )
-
-
-_TRANSACTION_TYPES = _json_types(Transaction)
-_ASSESSMENT_TYPES = _json_types(TaxAssessment)
-
-
-def _record(record, types: tuple[tuple[type, ...], ...]):
-    """``record``, each of whose fields :func:`_checked` accepts for its
-    ``types``.  Records are most of a file, so the checks are inlined, and
-    :func:`_checked` runs only to raise."""
-    for key, value, allowed in zip(record._fields, record, types):
-        if type(value) not in allowed or allowed is _NUMBER and not math.isfinite(value):
-            _checked(key, value, allowed)
-    return record
-
-
-def _action_from_json(a: dict, table: dict) -> GroundedAction:
-    """The grounded action of one ``actions`` entry, as ``table``'s object for
-    its value.  Each binding value must be a ground constant, checked once,
-    when the table first meets the action."""
-    action = GroundedAction(
-        _checked("name", a["name"], (str,)),
-        _checked("ref", a["ref"], (str,)),
-        tuple(sorted(a["args"].items())),
-    )
-    shared = table.get(action)
-    if shared is None:
-        for variable, value in action.binding:
-            if type(value) is not str or not is_constant(value):
-                raise ValueError(
-                    f"{action.name} binds {variable} to {value!r}, not a constant"
-                )
-        shared = table[action] = action
-    return shared
-
-
-def _trajectory_from_json(row: dict, table: dict) -> Trajectory:
-    """The trajectory of one line, its actions, rows and groups ``table``'s
-    objects for their values.  The final state's IP sale is read off the
-    one ``transfer`` payment, made the step after the ``transferIP`` action
-    by the buyer to the seller, two distinct values the action binds; which
-    of them sold is the payment's word, as a record does not name its rule's
-    parties.  A malformed row, one whose payments do not match its
-    ``transferIP`` actions included, raises KeyError, IndexError,
-    TypeError, ValueError or AttributeError; a final state that is not a
-    valid state of ground constants raises an :class:`ExplorerError` naming
-    the trajectory."""
-    actions = tuple(_action_from_json(a, table) for a in row["actions"])
-    if row["length"] != len(actions):
-        raise ValueError(f"length {row['length']!r} but {len(actions)} actions")
-    transactions = tuple(
-        _record(Transaction(*tx), _TRANSACTION_TYPES) for tx in row["transactions"]
-    )
-    # the buyer pays the seller the step after the sale, both of them
-    # values its transferIP binds
-    sales = [
-        Transfer(tx.time - 1, tx.receiver, tx.sender)
-        for tx in transactions
-        if tx.kind == TRANSFER
-    ]
-    steps = [step for step, a in enumerate(actions) if a.name == "transferIP"]
-    if len(sales) > 1 or [sale.step for sale in sales] != steps or any(
-        sale.seller == sale.buyer
-        or not {sale.seller, sale.buyer} <= {v for _, v in actions[sale.step].binding}
-        for sale in sales
-    ):
-        raise ValueError(f"transfer payments {sales}, transferIP at steps {steps}")
-    try:
-        final_state = State.from_facts(
-            (Fact(r[0], tuple(r[1:])) for r in row["final_state"]),
-            step_count=len(actions),
-            transfer=sales[0] if sales else None,
-            table=table,
-        )
-    except (KernelError, IndexError, TypeError) as exc:
-        raise ExplorerError(f"final state of trajectory {row['id']}: {exc}") from exc
-    return Trajectory(
-        id=_checked("id", row["id"], (int,)),
-        actions=actions,
-        final_state=final_state,
-        transactions=transactions,
-        assessments=tuple(
-            _record(TaxAssessment(**a), _ASSESSMENT_TYPES) for a in row["assessments"]
-        ),
-        p=_checked("p", row["p"], _NUMBER),
-        phi=_checked("phi", row["phi"], _NUMBER),
-        utility=_checked("utility", row["utility"], _NUMBER),
-        complete=_checked("complete", row["complete"], (bool,)),
-        terminal=_checked("terminal", row["terminal"], (bool,)),
-    )
-
-
-def write_jsonl(tset: TrajectorySet, path) -> None:
-    header = {
-        "format": FORMAT_VERSION,
-        "kind": "trajectory-set",
-        "params": asdict(tset.params),
-        "ruleset_sha256": tset.ruleset_sha256,
-        "scenario_sha256": tset.scenario_sha256,
-        "trajectory_count": len(tset.trajectories),
-        "warnings": list(tset.warnings),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for t in tset.trajectories:
-            fh.write(
-                json.dumps(
-                    _trajectory_to_json(t), sort_keys=True, separators=(",", ":")
-                )
-                + "\n"
-            )
-
-
-def reject_constant(name: str):
-    """``parse_constant`` of the readers of trajectory and hypothesis files:
-    every number they hold is finite, so ``NaN``, ``Infinity`` and
-    ``-Infinity`` mark a file corrupt."""
-    raise ValueError(f"{name} is not a finite number")
-
-
-def read_jsonl(path) -> TrajectorySet:
-    """The trajectory set of a file written by :func:`write_jsonl`.  Malformed
-    content, a non-finite number included, raises one :class:`ExplorerError`
-    naming the header or the trajectory at fault.
-
-    The file is read one line at a time.  One table for the whole read makes
-    equal actions, final-state rows and final-state groups of all its
-    trajectories one object each (see :mod:`loophound.kernel`)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = (line for line in fh if line.strip())
-        first = next(lines, None)
-        if first is None:
-            raise ExplorerError("empty trajectory file")
-        try:
-            header = json.loads(first, parse_constant=reject_constant)
-        except ValueError as exc:
-            raise ExplorerError(f"header: {exc}") from exc
-        if not (
-            isinstance(header, dict)
-            and header.get("format") == FORMAT_VERSION
-            and header.get("kind") == "trajectory-set"
-        ):
-            raise ExplorerError(f"not a format-{FORMAT_VERSION} trajectory set")
-        params = header.get("params")
-        if not isinstance(params, dict) or set(params) != set(_PARAM_FIELDS):
-            raise ExplorerError(
-                f"header params must be exactly {', '.join(_PARAM_FIELDS)}"
-            )
-        try:
-            params = SearchParams(**params)
-            hashes = (header["ruleset_sha256"], header["scenario_sha256"])
-            count = header["trajectory_count"]
-            warnings = tuple(header.get("warnings", ()))
-        except (KeyError, TypeError) as exc:
-            raise ExplorerError(f"header: {type(exc).__name__}: {exc}") from exc
-        table: dict = {}
-        trajectories = []
-        for n, line in enumerate(lines):
-            try:
-                row = json.loads(line, parse_constant=reject_constant)
-                trajectories.append(_trajectory_from_json(row, table))
-            except (
-                AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError
-            ) as exc:
-                raise ExplorerError(f"trajectory {n}: {type(exc).__name__}: {exc}") from exc
-    if len(trajectories) != count:
-        raise ExplorerError(
-            f"header announces {count} trajectories, file holds {len(trajectories)}"
-        )
-    return TrajectorySet(params, *hashes, tuple(trajectories), warnings)

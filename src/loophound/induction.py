@@ -23,16 +23,13 @@ literal becomes an edge carrying its clause's F1 score.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
-from dataclasses import asdict, astuple, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .explorer import TrajectorySet, reject_constant
 from .kernel import PREDICATES, is_variable
+from .runfiles import TrajectorySet
 
 HEAD_PREDICATE = "taxScheme"
 HEAD_VARIABLES: tuple[str, ...] = ("A", "B", "C", "D")
@@ -398,14 +395,6 @@ class Metrics:
     sensitivity: Optional[float]
     f1: Optional[float]
 
-    def __post_init__(self) -> None:
-        values = astuple(self)
-        if not (
-            all(type(v) is int and v >= 0 for v in values[:4])
-            and all(v is None or type(v) is float and math.isfinite(v) for v in values[4:])
-        ):
-            raise InductionError(f"malformed metrics: {self}")
-
     @classmethod
     def from_counts(cls, tp: int, fp: int, tn: int, fn: int) -> "Metrics":
         total = tp + fp + tn + fn
@@ -669,98 +658,3 @@ def scheme_graph(hypothesis: Hypothesis, top_k: int = 10) -> SchemeGraph:
         key=lambda e: (-e.weight, e.source, e.label, e.target),
     )
     return SchemeGraph(edges=tuple(edges[:top_k]))
-
-
-def write_dot(graph: SchemeGraph, path) -> None:
-    lines = ["digraph scheme {"]
-    for edge in graph.edges:
-        lines.append(
-            f'  "{edge.source}" -> "{edge.target}" '
-            f'[label="{edge.label}", weight={edge.weight!r}];'
-        )
-    lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_edges_csv(graph: SchemeGraph, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["source", "target", "label", "weight"])
-        for edge in graph.edges:
-            writer.writerow([edge.source, edge.target, edge.label, repr(edge.weight)])
-
-
-def write_hypothesis_json(
-    hypothesis: Hypothesis,
-    examples: LabeledExamples,
-    overall: Metrics,
-    path,
-) -> None:
-    payload = {
-        "format": 1,
-        "kind": "hypothesis",
-        "u_plus": examples.u_plus,
-        "positives": len(examples.positives),
-        "negatives": len(examples.negatives),
-        "clauses": [
-            {"body": [{"predicate": lit.predicate, "args": list(lit.args)} for lit in clause.body],
-             "metrics": asdict(metrics)}
-            for clause, metrics in zip(hypothesis.clauses, hypothesis.clause_metrics)
-        ],
-        "overall_metrics": asdict(overall),
-        "warnings": list(hypothesis.warnings),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-
-
-def read_hypothesis_json(path) -> tuple[Hypothesis, float, Metrics]:
-    """Hypothesis, ``u_plus`` and overall metrics of a document written by
-    :func:`write_hypothesis_json`; a malformed document, a non-finite number
-    included, raises :class:`InductionError`."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        payload = json.loads(text, parse_constant=reject_constant)
-        if not isinstance(payload, dict) or payload.get("kind") != "hypothesis":
-            raise InductionError("not a hypothesis document")
-        clauses, metrics = [], []
-        for entry in payload["clauses"]:
-            body = tuple(
-                ClauseLiteral(item["predicate"], tuple(item["args"]))
-                for item in entry["body"]
-            )
-            for lit in body:
-                arity = len(PREDICATES.get(lit.predicate, ()))
-                if not arity or len(lit.args) != arity or any(
-                    type(a) is not str for a in lit.args
-                ):
-                    raise InductionError(f"malformed clause body literal {lit}")
-            clauses.append(Clause(body=body))
-            metrics.append(Metrics(**entry["metrics"]))
-        hypothesis = Hypothesis(
-            clauses=tuple(clauses),
-            clause_metrics=tuple(metrics),
-            warnings=tuple(payload.get("warnings", [])),
-        )
-        overall = Metrics(**payload["overall_metrics"])
-        u_plus = payload["u_plus"]
-        if type(u_plus) not in (int, float) or not math.isfinite(u_plus):
-            raise InductionError(f"u_plus is {u_plus!r}, not a finite number")
-        return hypothesis, float(u_plus), overall
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InductionError(f"{type(exc).__name__}: {exc}") from exc
-
-
-def write_hypothesis_text(hypothesis: Hypothesis, overall: Metrics, path) -> None:
-    lines = []
-    for clause, metrics in zip(hypothesis.clauses, hypothesis.clause_metrics):
-        f1 = "undefined" if metrics.f1 is None else f"{metrics.f1:.4f}"
-        lines.append(f"% clause f1 {f1}")
-        lines.append(clause.render())
-    if not hypothesis.clauses:
-        lines.append("% empty hypothesis")
-    f1 = "undefined" if overall.f1 is None else f"{overall.f1:.4f}"
-    acc = "undefined" if overall.accuracy is None else f"{overall.accuracy:.4f}"
-    lines.append(f"% overall accuracy {acc} f1 {f1}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -99,12 +99,17 @@ ACTION_NAMES = ("addChild", "rentIP", "transferIP")
 WILDCARD = "_"
 
 
+# a term is a name of the rule language: an ASCII letter or underscore, then
+# letters, digits and underscores; a variable's starts with an uppercase
+# letter, and the wildcard is neither a variable nor a constant
+
+
 def is_variable(term: str) -> bool:
-    return bool(term) and term != WILDCARD and (term[0].isupper())
+    return term.isidentifier() and term.isascii() and term[0].isupper()
 
 
 def is_constant(term: str) -> bool:
-    return bool(term) and term != WILDCARD and not term[0].isupper()
+    return term != WILDCARD and term.isidentifier() and term.isascii() and not term[0].isupper()
 
 
 class KernelError(Exception):

@@ -18,13 +18,12 @@ are permutation invariant and the decomposition identity holds exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .explorer import Trajectory, TrajectorySet
 from .induction import BackgroundDB, Hypothesis, LabeledExamples, covered_ids
+from .runfiles import Trajectory, TrajectorySet
 
 WELFARE_KINDS: tuple[str, ...] = (
     "mean_tax_collected",
@@ -184,49 +183,3 @@ def delta_restriction(
         delta_h=delta_h,
         verdict=verdict,
     )
-
-
-def write_policy_report(report: RestrictionReport, path) -> None:
-    undefined = [
-        name
-        for name, value in (
-            ("welfare_omega", report.welfare_omega),
-            ("delta_E", report.delta_e),
-            ("delta_H_pos", report.delta_h_pos),
-            ("delta_H_neg", report.delta_h_neg),
-            ("Delta_H", report.delta_h),
-        )
-        if value is None
-    ]
-    payload = {
-        "format": 1,
-        "kind": "policy-report",
-        "welfare": {
-            "kind": report.welfare_kind,
-            "description": report.welfare_description,
-        },
-        "omega": {
-            "definition": "complete trajectories of the sampled set",
-            "size": report.omega_size,
-        },
-        "labels": {
-            "u_plus": report.u_plus,
-            "positives": report.positives,
-            "negatives": report.negatives,
-        },
-        "coverage": {
-            "covered_positives": report.covered_positives,
-            "covered_negatives": report.covered_negatives,
-        },
-        "welfare_omega": report.welfare_omega,
-        "delta_E": report.delta_e,
-        "delta_H_pos": report.delta_h_pos,
-        "delta_H_neg": report.delta_h_neg,
-        "Delta_H": report.delta_h,
-        "undefined_quantities": undefined,
-        "verdict": report.verdict,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-

@@ -10,9 +10,10 @@ import pytest
 
 from loophound import corpus_path
 from loophound.dsl import parse_ruleset, parse_scenario
-from loophound.explorer import SearchParams, explore, search_world
+from loophound.explorer import explore, search_world
 from loophound.kernel import applicable_actions, apply_action
 from loophound.policy import PolicyError
+from loophound.runfiles import SearchParams
 
 # A small two-market world used by the exhaustive oracles.  The rules mirror
 # the bundled corpus subset needed for incorporation and licensing.

@@ -30,9 +30,6 @@ from loophound.economy import (
     royalty_transactions,
 )
 from loophound.explorer import (
-    SearchParams,
-    Trajectory,
-    TrajectorySet,
     depth_weight,
     explore,
     search_world,
@@ -59,6 +56,7 @@ from loophound.kernel import (
     make_fact,
 )
 from loophound.policy import WelfareConfig, delta_restriction
+from loophound.runfiles import SearchParams, Trajectory, TrajectorySet
 from loophound.taxation import EvaluationMemo, TaxAssessment, evaluate_state
 from oracles import bfs_oracle, path_transfer, recorded_sets
 

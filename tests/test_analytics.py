@@ -25,15 +25,21 @@ from loophound.analytics import (
     detect_segments,
     drop_series,
     frequency_table,
-    read_profile_csv,
     resolve_peak_height,
     select_cut_points,
     utility_profile,
+)
+from loophound.explorer import percentile
+from loophound.kernel import GroundedAction, State, make_fact
+from loophound.runfiles import (
+    RunFileError,
+    SearchParams,
+    Trajectory,
+    TrajectorySet,
+    read_profile_csv,
     write_profile_csv,
     write_stats_csv,
 )
-from loophound.explorer import Trajectory, TrajectorySet, SearchParams, percentile
-from loophound.kernel import GroundedAction, State, make_fact
 from loophound.taxation import TaxAssessment
 
 
@@ -449,7 +455,7 @@ class TestCsvRoundTrip:
     def test_profile_reader_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("a,b\n1,2\n")
-        with pytest.raises(AnalyticsError):
+        with pytest.raises(RunFileError):
             read_profile_csv(path)
 
     def test_stats_csv_shape(self, tmp_path, desk_run):

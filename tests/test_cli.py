@@ -21,7 +21,7 @@ import pytest
 
 from loophound import __version__, cli, corpus_path
 from loophound.cli import main
-from loophound.explorer import read_jsonl
+from loophound.runfiles import read_jsonl
 
 from conftest import TOY_RULESET, TOY_SCENARIO, read_policy_report
 
@@ -98,6 +98,21 @@ TRAJECTORY_DEFECTS = {
     ),
     "params-unknown-field": (
         (0, "params"), {**DESK_PARAMS, "threads": 1}, "params must be exactly"
+    ),
+    # each header field holds what SearchParams and TrajectorySet declare
+    "params-iterations-too-large": (
+        (0, "params", "iterations"), "1e999", "header: iterations is inf"
+    ),
+    "params-seed-a-string": ((0, "params", "seed"), "7", "header: seed is '7'"),
+    "params-max-steps-not-an-int": (
+        (0, "params", "max_steps"), 12.5, "header: max_steps is 12.5"
+    ),
+    "params-expansions-a-boolean": (
+        (0, "params", "expansions"), True, "header: expansions is True"
+    ),
+    "warnings-a-string": ((0, "warnings"), "abc", "header: warnings is 'abc'"),
+    "ruleset-hash-a-number": (
+        (0, "ruleset_sha256"), 123, "header: ruleset_sha256 is 123"
     ),
     # a transaction is [id, time, kind, sender, receiver, amount]
     "transfer-payment-removed": (
@@ -250,6 +265,13 @@ HYPOTHESIS_DEFECTS = {
     "u_plus-nan": (("u_plus",), float("nan")),
     "u_plus-too-large": (("u_plus",), "1e999"),
     "f1-too-large": (("clauses", 0, "metrics", "f1"), "1e999"),
+    "format-2": (("format",), 2),
+    "format-missing": ((), lambda doc: {k: v for k, v in doc.items() if k != "format"}),
+    "warnings-a-string": (("warnings",), "abc"),
+    "positives-not-a-count": (("positives",), "many"),
+    "negatives-negative": (("negatives",), -1),
+    "argument-empty": (("clauses", 0, "body", 0, "args", 0), ""),
+    "argument-not-a-name": (("clauses", 0, "body", 0, "args", 0), "x y"),
 }
 
 
@@ -263,6 +285,9 @@ PROFILE_DEFECTS = {
     "utility-nan": PROFILE_HEADER + "0,5.0,3,0\n1,nan,4,1\n",
     "utility-too-large": PROFILE_HEADER + "0,1e999,3,0\n1,2.0,4,1\n",
     "index-out-of-sequence": PROFILE_HEADER + "0,5.0,3,0\n2,2.0,4,1\n",
+    "first-segment-not-0": PROFILE_HEADER + "0,5.0,3,1\n1,2.0,4,2\n",
+    "segment-id-skips": PROFILE_HEADER + "0,5.0,3,0\n1,2.0,4,7\n",
+    "utility-ascending": PROFILE_HEADER + "0,2.0,3,0\n1,5.0,4,1\n",
 }
 
 
@@ -511,8 +536,20 @@ class TestRunDirectoryIntegrity:
 
     @pytest.mark.parametrize(
         "manifest_text",
-        ["[]\n", '{"stages": []}\n', '{"stages": [\n'],
-        ids=["not-an-object", "stages-not-an-object", "invalid-json"],
+        [
+            "[]\n",
+            '{"stages": []}\n',
+            '{"stages": [\n',
+            '{"format": 2}\n',
+            '{"format": 1, "stages": {}}\n',
+            '{"format": 1, "tool": "loophound", "version": "0", "stages": {"explore": 5}}\n',
+            '{"format": 1, "tool": "loophound", "version": "0", "stages": {}, "x": NaN}\n',
+            '{"format": 1, "tool": "loophound", "version": "0", "stages": {}, "x": 1e999}\n',
+        ],
+        ids=[
+            "not-an-object", "stages-not-an-object", "invalid-json", "format-2",
+            "tool-missing", "stage-not-an-object", "nan", "number-too-large",
+        ],
     )
     def test_corrupt_manifest_rejected_and_kept(
         self, toy_files, tmp_path, capsys, manifest_text
@@ -577,7 +614,7 @@ class TestRunDirectoryIntegrity:
 
 
 class TestAtomicWrites:
-    @pytest.mark.parametrize("writer", ["write_profile_csv", "_write_json"])
+    @pytest.mark.parametrize("writer", ["write_profile_csv", "write_json"])
     def test_failed_write_leaves_the_previous_file(
         self, pipeline_dir, tmp_path, monkeypatch, capsys, writer
     ):

@@ -21,18 +21,15 @@ from loophound.dsl import parse_ruleset, parse_scenario
 from loophound.economy import settle
 from loophound.explorer import (
     ExplorerError,
-    SearchParams,
-    Trajectory,
     depth_weight,
     explore,
     quartiles,
-    read_jsonl,
     search_world,
     selection_distribution,
     trajectory_utility,
-    write_jsonl,
 )
 from loophound.kernel import KernelError, State, Transfer, applicable_actions, apply_action
+from loophound.runfiles import RunFileError, SearchParams, Trajectory, read_jsonl, write_jsonl
 from loophound.taxation import DEDUCTIBLE, EXEMPTION, evaluate_state
 
 from conftest import TOY_RULESET, TOY_SCENARIO
@@ -70,10 +67,11 @@ class TestSearchParams:
             {"tau0": math.inf},
             {"cost_coefficient": math.nan},
             {"cost_coefficient": math.inf},
+            {"seed": -1},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
-        with pytest.raises(ExplorerError):
+        with pytest.raises(ValueError):
             SearchParams(**kwargs)
 
 
@@ -696,11 +694,11 @@ class TestReproducibility:
     def test_read_rejects_foreign_files(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"format": 99, "kind": "other"}\n')
-        with pytest.raises(ExplorerError):
+        with pytest.raises(RunFileError):
             read_jsonl(bad)
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        with pytest.raises(ExplorerError):
+        with pytest.raises(RunFileError):
             read_jsonl(empty)
 
     @pytest.mark.parametrize(
@@ -743,7 +741,7 @@ class TestReproducibility:
         assert row["actions"][0]["name"] == "addChild"
         edit(row)
         path.write_text("".join([header, json.dumps(row) + "\n", *rest]))
-        with pytest.raises(ExplorerError) as info:
+        with pytest.raises(RunFileError) as info:
             read_jsonl(path)
         assert message in str(info.value)
 

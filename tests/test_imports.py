@@ -157,3 +157,37 @@ def test_every_private_name_is_referenced_in_its_module():
         for line, name in unreferenced_private_names(path.read_text(encoding="utf-8"))
     ]
     assert unreferenced == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules ``source`` imports absolutely."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_the_scan_finds_a_json_or_csv_import():
+    source = (
+        "import json.decoder\n"
+        "def f():\n"
+        "    from csv import writer\n"
+        "    from . import runfiles\n"
+    )
+    assert imported_modules(source) == {"json", "csv"}
+
+
+def test_only_runfiles_reads_and_writes_json_and_csv():
+    """The run directory's formats have one reader and writer each, in
+    ``runfiles``.  ``formalizer`` speaks JSON to a remote model, not to a
+    file of the run directory."""
+    paths = sorted((ROOT / "src" / "loophound").rglob("*.py"))
+    importers = [
+        path.name
+        for path in paths
+        if imported_modules(path.read_text(encoding="utf-8")) & {"json", "csv"}
+    ]
+    assert importers == ["formalizer.py", "runfiles.py"]

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loophound.analytics import detect_segments, utility_profile
-from loophound.explorer import SearchParams, Trajectory, TrajectorySet, explore
+from loophound.explorer import explore
 from loophound.induction import (
     DEFAULT_ROLE_BINDING,
     DEFAULT_VOCABULARY,
@@ -40,14 +40,20 @@ from loophound.induction import (
     evaluate,
     induce,
     label,
-    read_hypothesis_json,
     scheme_graph,
+)
+from loophound.kernel import State, is_variable, make_fact
+from loophound.runfiles import (
+    RunFileError,
+    SearchParams,
+    Trajectory,
+    TrajectorySet,
+    read_hypothesis_json,
     write_dot,
     write_edges_csv,
     write_hypothesis_json,
     write_hypothesis_text,
 )
-from loophound.kernel import State, is_variable, make_fact
 
 
 # ------------------------------------------------------------------ helpers
@@ -839,7 +845,7 @@ class TestHypothesisSerialization:
     def test_json_reader_rejects_foreign_payload(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"kind": "something-else"}')
-        with pytest.raises(InductionError):
+        with pytest.raises(RunFileError):
             read_hypothesis_json(path)
 
     def test_text_rendering_carries_scores(self, tmp_path):

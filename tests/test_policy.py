@@ -11,7 +11,6 @@ import math
 
 import pytest
 
-from loophound.explorer import SearchParams, Trajectory, TrajectorySet
 from loophound.induction import (
     Clause,
     ClauseLiteral,
@@ -29,8 +28,8 @@ from loophound.policy import (
     delta_restriction,
     delta_set,
     welfare,
-    write_policy_report,
 )
+from loophound.runfiles import SearchParams, Trajectory, TrajectorySet, write_policy_report
 from loophound.taxation import TaxAssessment
 
 from conftest import read_policy_report
