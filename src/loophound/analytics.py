@@ -50,10 +50,6 @@ class Segment:
     stop: int
     boundary_slope: Optional[float]  # drop magnitude at the segment's lower edge
 
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
 
 @dataclass(frozen=True)
 class FrequencyTable:

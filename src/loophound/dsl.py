@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import kernel
 from .economy import EconomyError, ScenarioConfig
@@ -201,23 +201,21 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
 # ============================================================================
 
 
-@dataclass
-class _RawStatements:
-    companies: list[tuple[str, Token]]
-    ips: list[tuple[str, Token]]
-    facts: list[tuple[str, list[str], Token]]
-    rates: list[tuple[str, float, Token]]
-    countries: list[tuple[str, Optional[float], Token]]  # revenue None => haven
-    pools: list[tuple[list[str], Token]]
-    params: list[tuple[str, float, Token]]
-    actions: list[ActionRule]
-    reductions: list[ReductionRule]
+# the statements each document kind admits
+_RULESET = frozenset({"rate", "action", "reduction"})
+_STATE_SPEC = frozenset({"company", "ip", "fact"})
+_SCENARIO = _STATE_SPEC | {"country", "pool", "set"}
+_STATEMENTS = _RULESET | _SCENARIO
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, admitted: frozenset[str]):
         self.tokens, self.diagnostics = tokenize(text)
         self.pos = 0
+        # each admitted statement's entries in source order: a rule, a
+        # pool's ids, or a tuple whose first item is the name after the
+        # keyword and whose last is that name's (line, col)
+        self.statements: dict[str, list] = {keyword: [] for keyword in admitted}
 
     # ------------------------------------------------------------------ utils
 
@@ -278,78 +276,62 @@ class _Parser:
 
     # ------------------------------------------------------------- statements
 
-    def parse_document(self) -> _RawStatements:
-        raw = _RawStatements([], [], [], [], [], [], [], [], [])
+    def parse_document(self) -> tuple[dict[str, list], list[Diagnostic]]:
         while not self.check("eof"):
             try:
-                self.statement(raw)
+                self.statement()
             except _SyntaxError as exc:
                 self.error(exc.message, exc.token)
                 self.recover()
-        return raw
+        return self.statements, self.diagnostics
 
-    def statement(self, raw: _RawStatements) -> None:
+    def statement(self) -> None:
         tok = self.peek()
         if tok.type != "ident":
             raise _SyntaxError(f"expected a statement, found {tok.value!r}", tok)
         keyword = tok.value
-        if keyword == "company":
-            self.advance()
-            name = self.entity("company id")
-            self.expect("op", ".")
-            raw.companies.append((name.value, name))
-        elif keyword == "ip":
-            self.advance()
-            name = self.entity("ip id")
-            self.expect("op", ".")
-            raw.ips.append((name.value, name))
+        if keyword not in _STATEMENTS:
+            raise _SyntaxError(f"unknown statement keyword {keyword!r}", tok)
+        if keyword not in self.statements:
+            raise _SyntaxError(f"{keyword} statement not allowed here", tok)
+        if keyword in ("action", "reduction"):
+            # a rule checks itself when it is built; a malformed one is
+            # reported at its first token instead of kept
+            parse = self.parse_action if keyword == "action" else self.parse_reduction
+            try:
+                self.statements[keyword].append(parse())
+            except kernel.KernelError as exc:
+                self.error(f"{keyword}: {exc}", tok)
+            return
+        self.advance()
+        if keyword in ("company", "ip"):
+            name = self.entity(f"{keyword} id")
+            entry = (name.value, (name.line, name.col))
         elif keyword == "fact":
-            self.advance()
-            pred = self.expect("ident", what="predicate name")
-            args = self.parse_term_list()
-            self.expect("op", ".")
-            raw.facts.append((pred.value, args, pred))
+            name = self.expect("ident", what="predicate name")
+            entry = (name.value, self.parse_term_list(), (name.line, name.col))
         elif keyword == "rate":
-            self.advance()
-            country = self.expect("ident", what="country id")
-            value = self.expect("number", what="rate value")
-            self.expect("op", ".")
-            raw.rates.append((country.value, float(value.value), country))
+            name = self.entity("country id")
+            value = float(self.expect("number", what="rate value").value)
+            entry = (name.value, value, (name.line, name.col))
         elif keyword == "country":
-            self.advance()
             name = self.entity("country id")
             if self.accept("ident", "haven"):
                 revenue: Optional[float] = None
             else:
                 self.expect("ident", "revenue")
                 revenue = float(self.expect("number", what="revenue amount").value)
-            self.expect("op", ".")
-            raw.countries.append((name.value, revenue, name))
+            entry = (name.value, revenue, (name.line, name.col))
         elif keyword == "pool":
-            self.advance()
-            ids = [self.entity("company id").value]
+            entry = [self.entity("company id").value]
             while self.check("ident"):
-                ids.append(self.entity("company id").value)
-            self.expect("op", ".")
-            raw.pools.append((ids, tok))
-        elif keyword == "set":
-            self.advance()
-            name = self.expect("ident", what="parameter name")
-            value = self.expect("number", what="parameter value")
-            self.expect("op", ".")
-            raw.params.append((name.value, float(value.value), name))
-        elif keyword in ("action", "reduction"):
-            # a rule checks itself when it is built; a malformed one is
-            # reported at its first token instead of kept
-            try:
-                if keyword == "action":
-                    raw.actions.append(self.parse_action())
-                else:
-                    raw.reductions.append(self.parse_reduction())
-            except kernel.KernelError as exc:
-                self.error(f"{keyword}: {exc}", tok)
+                entry.append(self.entity("company id").value)
         else:
-            raise _SyntaxError(f"unknown statement keyword {keyword!r}", tok)
+            name = self.expect("ident", what="parameter name")
+            value = float(self.expect("number", what="parameter value").value)
+            entry = (name.value, value, (name.line, name.col))
+        self.expect("op", ".")
+        self.statements[keyword].append(entry)
 
     # ------------------------------------------------------------------ rules
 
@@ -558,107 +540,77 @@ class _SyntaxError(Exception):
 # ============================================================================
 
 
-def _reject(
-    raw: _RawStatements,
-    diagnostics: list[Diagnostic],
-    kinds: Sequence[tuple[str, Sequence]],
+def _result(diagnostics: list[Diagnostic], build: Callable[[], object]) -> ParseResult:
+    """The document ``build`` returns, called only while no diagnostic is an
+    error (it returns None after adding one), with the diagnostics in source
+    order."""
+    failed = any(d.severity == "error" for d in diagnostics)
+    document = None if failed else build()
+    return ParseResult(document, tuple(sorted(diagnostics, key=lambda d: (d.line, d.col))))
+
+
+def _distinct(
+    entries: Iterable[tuple], severity: str, message: str, diagnostics: list[Diagnostic]
+) -> dict:
+    """Each name's first entry, keyed by the name, in source order.  An entry
+    is a tuple whose first item is a name and whose last is its (line, col);
+    a later entry of the same name is reported there as
+    ``message.format(name)``."""
+    first: dict = {}
+    for entry in entries:
+        if entry[0] in first:
+            diagnostics.append(Diagnostic(severity, message.format(entry[0]), *entry[-1]))
+        else:
+            first[entry[0]] = entry
+    return first
+
+
+def _check_rule_keys(
+    rules: Iterable[ActionRule | ReductionRule], where: str, diagnostics: list[Diagnostic]
 ) -> None:
-    for label, items in kinds:
-        for item in items:
-            tok = item[-1] if isinstance(item, tuple) else None
-            line, col = (tok.line, tok.col) if isinstance(tok, Token) else (
-                getattr(item, "span", (0, 0))
-            )
-            diagnostics.append(
-                Diagnostic("error", f"{label} statement not allowed here", line, col)
-            )
+    """Report each rule whose key, (name, legal ref) or (kind, legal ref), an
+    earlier rule holds."""
+    keys = [(rule.key(), rule.span) for rule in rules]
+    _distinct(keys, "error", "duplicate rule {}" + where, diagnostics)
 
 
 def parse_ruleset(text: str) -> ParseResult:
     """Parse a ruleset document: action rules, reduction rules, rate table."""
-    parser = _Parser(text)
-    raw = parser.parse_document()
-    diagnostics = parser.diagnostics
-    _reject(
-        raw,
-        diagnostics,
-        [
-            ("company", raw.companies),
-            ("ip", raw.ips),
-            ("fact", raw.facts),
-            ("country", raw.countries),
-            ("pool", raw.pools),
-            ("set", raw.params),
-        ],
-    )
-
-    rate_table: dict[str, float] = {}
-    for country, value, tok in raw.rates:
+    statements, diagnostics = _Parser(text, _RULESET).parse_document()
+    for country, value, pos in statements["rate"]:
         if not 0.0 <= value <= 1.0:
             diagnostics.append(
-                Diagnostic(
-                    "error",
-                    f"rate for {country!r} outside [0, 1]: {value:g}",
-                    tok.line,
-                    tok.col,
-                )
+                Diagnostic("error", f"rate for {country!r} outside [0, 1]: {value:g}", *pos)
             )
-        if country in rate_table:
-            diagnostics.append(
-                Diagnostic(
-                    "error", f"duplicate rate for {country!r}", tok.line, tok.col
-                )
-            )
-        rate_table[country] = value
-
-    seen_keys: set[tuple[str, str]] = set()
-    for rule in list(raw.actions) + list(raw.reductions):
-        key = rule.key()
-        if key in seen_keys:
-            line, col = rule.span
-            diagnostics.append(
-                Diagnostic("error", f"duplicate rule {key}", line, col)
-            )
-        seen_keys.add(key)
-
-    if any(d.severity == "error" for d in diagnostics):
-        return ParseResult(None, tuple(diagnostics))
-    doc = RuleSetDoc(
-        action_rules=tuple(raw.actions),
-        reduction_rules=tuple(raw.reductions),
-        rate_table=tuple(sorted(rate_table.items())),
+    rates = _distinct(statements["rate"], "error", "duplicate rate for {!r}", diagnostics)
+    actions, reductions = statements["action"], statements["reduction"]
+    _check_rule_keys(actions + reductions, "", diagnostics)
+    return _result(
+        diagnostics,
+        lambda: RuleSetDoc(
+            action_rules=tuple(actions),
+            reduction_rules=tuple(reductions),
+            rate_table=tuple(sorted((c, v) for c, v, _ in rates.values())),
+        ),
     )
-    return ParseResult(doc, tuple(diagnostics))
 
 
 def _build_state_spec(
-    raw: _RawStatements, diagnostics: list[Diagnostic], countries: set[str]
-) -> Optional[StateSpec]:
-    companies: list[str] = []
-    for name, tok in raw.companies:
-        if name in companies:
-            diagnostics.append(
-                Diagnostic(
-                    "warning", f"company {name!r} declared twice", tok.line, tok.col
-                )
-            )
-        else:
-            companies.append(name)
-    ips: list[str] = []
-    for name, tok in raw.ips:
-        if name in ips:
-            diagnostics.append(
-                Diagnostic("warning", f"ip {name!r} declared twice", tok.line, tok.col)
-            )
-        else:
-            ips.append(name)
-
-    facts: list[Fact] = []
-    for pred, args, tok in raw.facts:
+    statements: dict[str, list], diagnostics: list[Diagnostic], countries: set[str]
+) -> StateSpec:
+    """The companies, ips and facts declared, each once; a fact about an
+    undeclared entity is an error, about a country only when ``countries``
+    is not empty."""
+    companies = _distinct(
+        statements["company"], "warning", "company {!r} declared twice", diagnostics
+    )
+    ips = _distinct(statements["ip"], "warning", "ip {!r} declared twice", diagnostics)
+    facts: list[tuple[Fact, tuple[int, int]]] = []
+    for pred, args, pos in statements["fact"]:
         try:
             fact = kernel.make_fact(pred, args)
         except kernel.KernelError as exc:
-            diagnostics.append(Diagnostic("error", str(exc), tok.line, tok.col))
+            diagnostics.append(Diagnostic("error", str(exc), *pos))
             continue
         for arg, ty in zip(fact.args, PREDICATES[fact.predicate]):
             known = (
@@ -670,151 +622,102 @@ def _build_state_spec(
             )
             if not known:
                 diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        f"fact references undeclared {ty} {arg!r}",
-                        tok.line,
-                        tok.col,
-                    )
+                    Diagnostic("error", f"fact references undeclared {ty} {arg!r}", *pos)
                 )
-        if fact in facts:
-            diagnostics.append(
-                Diagnostic("warning", f"duplicate fact {fact}", tok.line, tok.col)
-            )
-        else:
-            facts.append(fact)
-    if any(d.severity == "error" for d in diagnostics):
-        return None
+        facts.append((fact, pos))
+    distinct_facts = _distinct(facts, "warning", "duplicate fact {}", diagnostics)
     return StateSpec(
-        companies=tuple(companies), ips=tuple(ips), facts=tuple(facts)
+        companies=tuple(companies), ips=tuple(ips), facts=tuple(distinct_facts)
     )
 
 
 def parse_state_spec(text: str) -> ParseResult:
     """Parse a plain state document: company/ip declarations and facts."""
-    parser = _Parser(text)
-    raw = parser.parse_document()
-    diagnostics = parser.diagnostics
-    _reject(
-        raw,
-        diagnostics,
-        [
-            ("rate", raw.rates),
-            ("country", raw.countries),
-            ("pool", raw.pools),
-            ("set", raw.params),
-            ("action", raw.actions),
-            ("reduction", raw.reductions),
-        ],
-    )
-    spec = _build_state_spec(raw, diagnostics, countries=set())
-    if spec is None or any(d.severity == "error" for d in diagnostics):
-        return ParseResult(None, tuple(diagnostics))
-    return ParseResult(spec, tuple(diagnostics))
+    statements, diagnostics = _Parser(text, _STATE_SPEC).parse_document()
+    spec = _build_state_spec(statements, diagnostics, countries=set())
+    return _result(diagnostics, lambda: spec)
 
 
-def _check_initial_state(
-    raw: _RawStatements, spec: StateSpec, diagnostics: list[Diagnostic]
-) -> None:
-    """Every declared company has a residence, and the declared facts pass
-    the state invariants (see :mod:`loophound.kernel`)."""
+def _initial_state_problems(
+    spec: StateSpec, companies: list[tuple], pool: list[str]
+) -> list[Diagnostic]:
+    """A pool id that is a declared company, a declared company resident
+    nowhere, and a breach of the state invariants (see
+    :mod:`loophound.kernel`)."""
+    problems = [
+        Diagnostic("error", f"pool id {cid!r} is already a declared company", 1, 1)
+        for cid in pool
+        if cid in spec.companies
+    ]
     resident = {f.args[0] for f in spec.facts if f.predicate in ("based", "managed")}
-    for name, tok in raw.companies:
+    for name, pos in companies:
         if name not in resident:
             resident.add(name)  # one diagnostic per company
-            diagnostics.append(
+            problems.append(
                 Diagnostic(
                     "error",
                     f"company {name!r} is resident nowhere: "
                     "it needs a based or managed fact",
-                    tok.line,
-                    tok.col,
+                    *pos,
                 )
             )
     try:
         kernel.initial_state(spec.facts, spec.companies)
     except kernel.KernelError as exc:
-        diagnostics.append(Diagnostic("error", f"initial state: {exc}", 1, 1))
+        problems.append(Diagnostic("error", f"initial state: {exc}", 1, 1))
+    return problems
 
 
 def parse_scenario(text: str) -> ParseResult:
     """Parse a scenario document: state spec plus markets, pool and parameters."""
-    parser = _Parser(text)
-    raw = parser.parse_document()
-    diagnostics = parser.diagnostics
-    _reject(
-        raw,
-        diagnostics,
-        [("rate", raw.rates), ("action", raw.actions), ("reduction", raw.reductions)],
+    statements, diagnostics = _Parser(text, _SCENARIO).parse_document()
+    countries = _distinct(
+        statements["country"], "error", "country {!r} declared twice", diagnostics
     )
-
-    countries: list[str] = []
-    revenue: dict[str, float] = {}
-    havens: set[str] = set()
-    for name, rev, tok in raw.countries:
-        if name in countries:
-            diagnostics.append(
-                Diagnostic("error", f"country {name!r} declared twice", tok.line, tok.col)
-            )
-            continue
-        countries.append(name)
-        if rev is None:
-            havens.add(name)
-        else:
-            revenue[name] = rev
     if not countries:
         diagnostics.append(
             Diagnostic("error", "a scenario needs at least one country statement", 1, 1)
         )
-
-    pool: list[str] = []
-    for ids, tok in raw.pools:
-        pool.extend(ids)
-    params = {name: value for name, value, _ in raw.params}
-    for name, value, tok in raw.params:
+    for name, _, pos in statements["set"]:
         if name not in SCENARIO_PARAMS:
             diagnostics.append(
                 Diagnostic(
                     "error",
                     f"unknown scenario parameter {name!r} "
                     f"(expected one of {SCENARIO_PARAMS})",
-                    tok.line,
-                    tok.col,
+                    *pos,
                 )
             )
+    sets = _distinct(statements["set"], "error", "parameter {!r} set twice", diagnostics)
+    params = {name: value for name, value, _ in sets.values()}
+    pool = [cid for ids in statements["pool"] for cid in ids]
+    spec = _build_state_spec(statements, diagnostics, countries=set(countries))
 
-    spec = _build_state_spec(raw, diagnostics, countries=set(countries))
-    if spec is not None:
-        for cid in pool:
-            if cid in spec.companies:
-                diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        f"pool id {cid!r} is already a declared company",
-                        1,
-                        1,
-                    )
+    def document() -> Optional[ScenarioDoc]:
+        # checked only once every statement is sound: a fact in error would
+        # leave its company resident nowhere as well
+        problems = _initial_state_problems(spec, statements["company"], pool)
+        if not problems:
+            try:
+                scenario = ScenarioConfig(
+                    countries=tuple(countries),
+                    revenue_table={c: r for c, r, _ in countries.values() if r is not None},
+                    tax_havens=frozenset(c for c, r, _ in countries.values() if r is None),
+                    company_pool=tuple(pool),
+                    royalty_rate=params.get("royalty_rate", 0.9),
+                    transfer_price=params.get("transfer_price", 50.0),
+                    action_cost=params.get("action_cost", 1.0),
+                    declared_companies=spec.companies,
+                    declared_ips=spec.ips,
                 )
-        _check_initial_state(raw, spec, diagnostics)
-    if spec is None or any(d.severity == "error" for d in diagnostics):
-        return ParseResult(None, tuple(diagnostics))
+            except EconomyError as exc:
+                problems.append(Diagnostic("error", str(exc), 1, 1))
+            else:
+                return ScenarioDoc(state=spec, scenario=scenario)
+        diagnostics.extend(problems)
+        return None
 
-    try:
-        scenario = ScenarioConfig(
-            countries=tuple(countries),
-            revenue_table=revenue,
-            tax_havens=frozenset(havens),
-            company_pool=tuple(pool),
-            royalty_rate=params.get("royalty_rate", 0.9),
-            transfer_price=params.get("transfer_price", 50.0),
-            action_cost=params.get("action_cost", 1.0),
-            declared_companies=spec.companies,
-            declared_ips=spec.ips,
-        )
-    except EconomyError as exc:
-        diagnostics.append(Diagnostic("error", str(exc), 1, 1))
-        return ParseResult(None, tuple(diagnostics))
-    return ParseResult(ScenarioDoc(state=spec, scenario=scenario), tuple(diagnostics))
+    return _result(diagnostics, document)
 
 
 def merge_rulesets(docs: Sequence[RuleSetDoc]) -> ParseResult:
@@ -824,38 +727,20 @@ def merge_rulesets(docs: Sequence[RuleSetDoc]) -> ParseResult:
     error.
     """
     diagnostics: list[Diagnostic] = []
-    actions: list[ActionRule] = []
-    reductions: list[ReductionRule] = []
+    actions = [rule for doc in docs for rule in doc.action_rules]
+    reductions = [rule for doc in docs for rule in doc.reduction_rules]
+    _check_rule_keys(actions + reductions, " across files", diagnostics)
     rates: dict[str, float] = {}
-    seen: set[tuple[str, str]] = set()
     for doc in docs:
-        for rule in doc.action_rules:
-            if rule.key() in seen:
-                diagnostics.append(
-                    Diagnostic(
-                        "error", f"duplicate rule {rule.key()} across files", *rule.span
-                    )
-                )
-            seen.add(rule.key())
-            actions.append(rule)
-        for rule in doc.reduction_rules:
-            if rule.key() in seen:
-                diagnostics.append(
-                    Diagnostic(
-                        "error", f"duplicate rule {rule.key()} across files", *rule.span
-                    )
-                )
-            seen.add(rule.key())
-            reductions.append(rule)
-        rates.update(dict(doc.rate_table))
-    if any(d.severity == "error" for d in diagnostics):
-        return ParseResult(None, tuple(diagnostics))
-    merged = RuleSetDoc(
-        action_rules=tuple(actions),
-        reduction_rules=tuple(reductions),
-        rate_table=tuple(sorted(rates.items())),
+        rates.update(doc.rate_table)
+    return _result(
+        diagnostics,
+        lambda: RuleSetDoc(
+            action_rules=tuple(actions),
+            reduction_rules=tuple(reductions),
+            rate_table=tuple(sorted(rates.items())),
+        ),
     )
-    return ParseResult(merged, tuple(diagnostics))
 
 
 # ============================================================================

@@ -120,9 +120,6 @@ class ExampleBackground:
     facts: tuple[tuple[str, ...], ...]
     roles: tuple[tuple[str, str], ...]
 
-    def role_map(self) -> dict[str, str]:
-        return dict(self.roles)
-
 
 @dataclass(frozen=True)
 class BackgroundDB:
@@ -424,11 +421,6 @@ class Hypothesis:
     clauses: tuple[Clause, ...]
     clause_metrics: tuple[Metrics, ...]
     warnings: tuple[str, ...] = ()
-
-    def render(self) -> str:
-        if not self.clauses:
-            return "% empty hypothesis"
-        return "\n".join(clause.render() for clause in self.clauses)
 
 
 def evaluate(

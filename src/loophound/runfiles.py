@@ -386,8 +386,10 @@ def write_jsonl(tset: TrajectorySet, path) -> None:
 
 def read_jsonl(path) -> TrajectorySet:
     """The trajectory set of a file written by :func:`write_jsonl`.  Malformed
-    content, a non-finite number included, raises one :class:`RunFileError`
-    naming the header or the trajectory at fault.
+    content raises one :class:`RunFileError` naming the header or the
+    trajectory at fault: a non-finite number, JSON nested too deep to read,
+    or a trajectory ``id`` other than its record's position, counting from
+    0, included.
 
     The file is read one line at a time.  One table for the whole read makes
     equal actions, final-state rows and final-state groups of all its
@@ -401,16 +403,20 @@ def read_jsonl(path) -> TrajectorySet:
             header = json.loads(first, parse_constant=reject_constant)
             header = _document(header, _HEADER, f"format-{FORMAT_VERSION} trajectory set")
             params = SearchParams(**header["params"])
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise RunFileError(f"header: {exc}") from exc
         table: dict = {}
         trajectories = []
         for n, line in enumerate(lines):
             try:
                 row = json.loads(line, parse_constant=reject_constant)
-                trajectories.append(_trajectory_from_json(row, table))
+                trajectory = _trajectory_from_json(row, table)
+                if trajectory.id != n:
+                    raise ValueError(f"id {trajectory.id} is not its position {n}")
+                trajectories.append(trajectory)
             except (
-                AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError
+                AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError,
+                RecursionError,
             ) as exc:
                 raise RunFileError(f"trajectory {n}: {type(exc).__name__}: {exc}") from exc
     count = header["trajectory_count"]
@@ -448,13 +454,14 @@ def read_profile_csv(path) -> tuple[UtilityProfile, list[Segment]]:
     """The profile and segments of a file written by :func:`write_profile_csv`.
     A malformed row raises :class:`RunFileError`: one that is not four
     numbers of their columns' specs, an ``index`` other than the row's
-    position, counting from 0, a ``utility`` above the one before it, or a
-    ``segment_id`` that does not start at 0 and step by one where it
-    changes."""
+    position, counting from 0, a ``utility`` above the one before it, a
+    ``trajectory_id`` an earlier row names, or a ``segment_id`` that does
+    not start at 0 and step by one where it changes."""
     from .analytics import Segment, UtilityProfile
 
     values: list[float] = []
     ids: list[int] = []
+    seen: set[int] = set()  # the ids, each named once
     starts: list[int] = []  # the first position of each segment
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh)
@@ -470,6 +477,8 @@ def read_profile_csv(path) -> tuple[UtilityProfile, list[Segment]]:
                     raise ValueError(f"index {index} out of sequence")
                 if values and utility > values[-1]:
                     raise ValueError(f"utility {utility!r} above the row before")
+                if tid in seen:
+                    raise ValueError(f"trajectory_id {tid} repeated")
                 if seg == len(starts):
                     starts.append(index)
                 elif seg != len(starts) - 1:
@@ -478,6 +487,7 @@ def read_profile_csv(path) -> tuple[UtilityProfile, list[Segment]]:
                 raise RunFileError(f"bad row {rows.line_num}: {row!r}: {exc}") from exc
             values.append(utility)
             ids.append(tid)
+            seen.add(tid)
     bounds = [*starts, len(values)]
     segments = [
         Segment(n, start, stop, values[start - 1] - values[start] if start else None)
@@ -544,9 +554,9 @@ def write_hypothesis_json(
 def read_hypothesis_json(path) -> tuple[Hypothesis, float, Metrics]:
     """Hypothesis, ``u_plus`` and overall metrics of a document written by
     :func:`write_hypothesis_json`.  A document that does not match its
-    declaration, or a clause body literal of an unknown predicate, of
-    another arity or with an argument that is neither a variable nor a
-    constant, raises :class:`RunFileError`."""
+    declaration, JSON nested too deep to read, or a clause body literal of
+    an unknown predicate, of another arity or with an argument that is
+    neither a variable nor a constant, raises :class:`RunFileError`."""
     from .induction import Clause, ClauseLiteral, Hypothesis, Metrics
 
     text = Path(path).read_text(encoding="utf-8")
@@ -565,7 +575,7 @@ def read_hypothesis_json(path) -> tuple[Hypothesis, float, Metrics]:
                 ):
                     raise ValueError(f"malformed clause body literal {lit}")
             clauses.append(Clause(body=body))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise RunFileError(f"{type(exc).__name__}: {exc}") from exc
     hypothesis = Hypothesis(
         clauses=tuple(clauses),
@@ -666,7 +676,7 @@ def read_manifest(path) -> dict:
     """The manifest at ``path``, a new one when there is none, carrying this
     version's number.  One that is not an object holding the declared keys,
     whose ``stages`` hold an object each, or that holds a number that is not
-    finite, raises :class:`RunFileError`."""
+    finite or JSON nested too deep to read, raises :class:`RunFileError`."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
@@ -677,7 +687,7 @@ def read_manifest(path) -> dict:
         declared = {key: manifest.get(key) for key in _MANIFEST}
         _document(declared, _MANIFEST, f"format-{FORMAT_VERSION} loophound manifest")
         _matched("stages", list(manifest["stages"].values()), [(dict,)])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise RunFileError(f"{type(exc).__name__}: {exc}") from exc
     manifest["version"] = __version__
     return manifest

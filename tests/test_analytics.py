@@ -244,7 +244,7 @@ class TestDetectSegments:
         ]
         assert segments[0].boundary_slope is None
         assert segments[1].boundary_slope == 6.0
-        assert [s.size for s in segments] == [3, 2]
+        assert [s.stop - s.start for s in segments] == [3, 2]
 
     def test_three_plateaus_with_default_height(self):
         values = [100.0] * 150 + [95.0] * 150 + [91.0] * 10

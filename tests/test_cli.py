@@ -52,6 +52,19 @@ def _sale_edited(edit):
     return defect
 
 
+# a string of a defect's value that the file holds bare: "1e999", a number
+# too large for a float, which json reads as infinity, and "[nested]",
+# arrays nested deeper than json reads
+_BARE = {'"1e999"': "1e999", '"[nested]"': "[" * 100_000 + "]" * 100_000}
+
+
+def _bare(text):
+    """``text`` with each string of _BARE written bare."""
+    for string, bare in _BARE.items():
+        text = text.replace(string, bare)
+    return text
+
+
 DESK_PARAMS = {"seed": 7, "iterations": 20, "expansions": 200, "beta": 0.01,
                "tau0": 5.0, "max_steps": 12, "cost_coefficient": 1.0}
 
@@ -138,18 +151,27 @@ TRAJECTORY_DEFECTS = {
         ),
         "buyer='nobody'",
     ),
+    # a trajectory's id is its record's position, counting from 0
+    "id-repeated": ((2, "id"), 0, "trajectory 1: ValueError: id 0 is not its position 1"),
+    "id-out-of-order": (
+        (),
+        lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+        "trajectory 0: ValueError: id 1 is not its position 0",
+    ),
+    "header-nested": ((0,), "[nested]", "header: maximum recursion depth exceeded"),
+    "row-nested": ((1,), "[nested]", "trajectory 0: RecursionError"),
 }
 
 
 def _write_defect(pipeline_dir, out, defect):
     """Write ``out/trajectories.jsonl``: the pipeline's file with ``defect``
-    of TRAJECTORY_DEFECTS applied, the string "1e999" written as a bare
-    number.  Returns the part of the message."""
+    of TRAJECTORY_DEFECTS applied, the strings of _BARE written bare.
+    Returns the part of the message."""
     path, value, message = TRAJECTORY_DEFECTS[defect]
     text = (pipeline_dir / "trajectories.jsonl").read_text()
     lines = _replaced([json.loads(line) for line in text.splitlines()], path, value)
     (out / "trajectories.jsonl").write_text(
-        "".join(json.dumps(line).replace('"1e999"', "1e999") + "\n" for line in lines)
+        "".join(_bare(json.dumps(line)) + "\n" for line in lines)
     )
     return message
 
@@ -272,6 +294,7 @@ HYPOTHESIS_DEFECTS = {
     "negatives-negative": (("negatives",), -1),
     "argument-empty": (("clauses", 0, "body", 0, "args", 0), ""),
     "argument-not-a-name": (("clauses", 0, "body", 0, "args", 0), "x y"),
+    "clauses-nested": (("clauses",), "[nested]"),
 }
 
 
@@ -288,6 +311,7 @@ PROFILE_DEFECTS = {
     "first-segment-not-0": PROFILE_HEADER + "0,5.0,3,1\n1,2.0,4,2\n",
     "segment-id-skips": PROFILE_HEADER + "0,5.0,3,0\n1,2.0,4,7\n",
     "utility-ascending": PROFILE_HEADER + "0,2.0,3,0\n1,5.0,4,1\n",
+    "trajectory-id-repeated": PROFILE_HEADER + "0,5.0,3,0\n1,2.0,3,1\n",
 }
 
 
@@ -502,12 +526,13 @@ class TestRunDirectoryIntegrity:
     def test_every_loader_rejects_a_mistyped_record_field(
         self, pipeline_dir, tmp_path, capsys, stage
     ):
-        """A mistyped field, and a transfer payment that is not the record's
-        sale, from which the final state's sale is read."""
+        """A mistyped field, a repeated id, and a transfer payment that is not
+        the record's sale, from which the final state's sale is read."""
         run = tmp_path / "run"
         shutil.copytree(pipeline_dir, run)
         for defect in (
             "assessment-tax-due-not-a-number",
+            "id-repeated",
             "transfer-payment-removed",
             "transfer-payment-moved",
             "transfer-payment-from-a-non-party",
@@ -526,9 +551,7 @@ class TestRunDirectoryIntegrity:
     ):
         path, value = HYPOTHESIS_DEFECTS[defect]
         doc = json.loads((pipeline_dir / "hypothesis.json").read_text())
-        # "1e999" is written bare: a number too large for a float, which
-        # json reads as infinity
-        text = json.dumps(_replaced(doc, path, value)).replace('"1e999"', "1e999")
+        text = _bare(json.dumps(_replaced(doc, path, value)))
         (tmp_path / "hypothesis.json").write_text(text)
         shutil.copy(pipeline_dir / "trajectories.jsonl", tmp_path)
         assert main([stage, "--out", str(tmp_path)]) == 1
@@ -545,10 +568,11 @@ class TestRunDirectoryIntegrity:
             '{"format": 1, "tool": "loophound", "version": "0", "stages": {"explore": 5}}\n',
             '{"format": 1, "tool": "loophound", "version": "0", "stages": {}, "x": NaN}\n',
             '{"format": 1, "tool": "loophound", "version": "0", "stages": {}, "x": 1e999}\n',
+            _bare('{"stages": "[nested]"}\n'),
         ],
         ids=[
             "not-an-object", "stages-not-an-object", "invalid-json", "format-2",
-            "tool-missing", "stage-not-an-object", "nan", "number-too-large",
+            "tool-missing", "stage-not-an-object", "nan", "number-too-large", "nested",
         ],
     )
     def test_corrupt_manifest_rejected_and_kept(

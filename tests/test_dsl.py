@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -201,31 +202,43 @@ class TestRulesetValidation:
         assert not result.ok
         assert any("new_base" in m for m in errors_of(result))
 
-    def test_scenario_statements_rejected_in_rulesets(self):
-        result = parse_ruleset("country usa revenue 700.")
+    def test_rate_country_must_be_a_constant(self):
+        result = parse_ruleset("rate Usa 0.3.\nrate _ 0.2.\n")
         assert not result.ok
-        assert any("not allowed here" in m for m in errors_of(result))
-
-    def test_rule_statements_rejected_in_scenarios(self):
-        result = parse_scenario(
-            'country usa revenue 1.\ncompany p.\nfact based(p, usa).\n'
-            'action addChild(P, fresh C) ref "x" { pre: exists(P); eff: exists(C); }'
-        )
-        assert not result.ok
-        assert any("not allowed here" in m for m in errors_of(result))
+        assert errors_of(result) == [
+            "1:6: error: country id 'Usa' is not a constant",
+            "2:6: error: country id '_' is not a constant",
+        ]
 
     def test_duplicate_rule_key_rejected_on_merge(self, corpus_ruleset):
-        duplicate = parse_ruleset(
-            'reduction "DCITA1969" kind deductible '
-            "{ when: based(Self, netherlands); new_base: 0.5 * Base; }"
-        )
-        assert duplicate.ok
-        merged = merge_rulesets([corpus_ruleset, duplicate.document])
-        assert not merged.ok
-        assert any("duplicate" in str(d) for d in merged.diagnostics)
+        for text, key in [
+            (
+                'reduction "DCITA1969" kind deductible '
+                "{ when: based(Self, netherlands); new_base: 0.5 * Base; }",
+                "('deductible', 'DCITA1969')",
+            ),
+            (
+                'action addChild(Parent, fresh Child) ref "EU-incorp" '
+                "{ pre: exists(Parent); eff: exists(Child), based(Child, usa); }",
+                "('addChild', 'EU-incorp')",
+            ),
+        ]:
+            duplicate = parse_ruleset(text)
+            assert duplicate.ok, errors_of(duplicate)
+            merged = merge_rulesets([corpus_ruleset, duplicate.document])
+            assert not merged.ok
+            assert errors_of(merged) == [f"1:1: error: duplicate rule {key} across files"]
 
 
 class TestScenarioValidation:
+    def test_repeated_parameter_rejected(self):
+        result = parse_scenario(
+            "country usa revenue 1.\ncompany p.\nfact based(p, usa).\n"
+            "set royalty_rate 0.9.\nset royalty_rate 0.5.\n"
+        )
+        assert not result.ok
+        assert errors_of(result) == ["5:5: error: parameter 'royalty_rate' set twice"]
+
     def test_haven_must_not_carry_revenue(self):
         result = parse_scenario(
             "country bermuda haven.\ncountry bermuda revenue 5.\n"
@@ -278,6 +291,65 @@ class TestScenarioValidation:
         assert scenario.action_cost == 1.0
         assert corpus_scenario.state.companies == ("p",)
         assert corpus_scenario.state.ips == ("ip1",)
+
+
+# one statement of each keyword, and the keywords each document kind admits
+STATEMENTS = {
+    "company": "company p.",
+    "ip": "ip ip1.",
+    "fact": "fact based(p, usa).",
+    "rate": "rate usa 0.35.",
+    "country": "country usa revenue 700.",
+    "pool": "pool c1 c2.",
+    "set": "set royalty_rate 0.9.",
+    "action": 'action addChild(P, fresh C) ref "x" { pre: exists(P); eff: exists(C); }',
+    "reduction": 'reduction "r" kind deductible { when: based(Self, usa); new_base: 0.5 * Base; }',
+}
+KINDS = {
+    "ruleset": (parse_ruleset, {"rate", "action", "reduction"}),
+    "state": (parse_state_spec, {"company", "ip", "fact"}),
+    "scenario": (parse_scenario, {"company", "ip", "fact", "country", "pool", "set"}),
+}
+
+
+class TestAdmittedStatements:
+    @pytest.mark.parametrize("keyword", sorted(STATEMENTS))
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_statement_by_kind(self, kind, keyword):
+        parse, admitted = KINDS[kind]
+        result = parse("# one statement\n  " + STATEMENTS[keyword] + "\n")
+        refused = [m for m in errors_of(result) if "not allowed here" in m]
+        if keyword in admitted:
+            assert refused == []
+        else:
+            assert not result.ok
+            assert refused == [f"2:3: error: {keyword} statement not allowed here"]
+
+    def test_refused_statement_is_skipped(self):
+        # the refused rule is not parsed, so its malformed body adds nothing
+        result = parse_state_spec(
+            'company p.\naction addChild(P) ref "x" { pre: ; eff: ; }\nip Patent.\n'
+        )
+        assert errors_of(result) == [
+            "2:1: error: action statement not allowed here",
+            "3:4: error: ip id 'Patent' is not a constant",
+        ]
+
+    def test_diagnostics_come_in_source_order(self):
+        # a statement's own syntax error is found while parsing, the checks
+        # that span the document after it; both are reported by position
+        result = parse_scenario(
+            "country usa revenue 1.\ncountry usa revenue 2.\ncompany p.\n"
+            "fact based(p, usa).\nfact based(q, usa).\nset royalty_rate two.\n"
+            "rate usa 0.3.\n"
+        )
+        assert not result.ok
+        assert errors_of(result) == [
+            "2:9: error: country 'usa' declared twice",
+            "5:6: error: fact references undeclared company 'q'",
+            "6:18: error: expected parameter value, found 'two'",
+            "7:1: error: rate statement not allowed here",
+        ]
 
 
 class TestCorpusContent:

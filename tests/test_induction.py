@@ -134,7 +134,7 @@ def separable_instance():
 
 def oracle_covers(clause: Clause, example) -> bool:
     """Exhaustive check: try every assignment of non-role variables."""
-    binding = example.role_map()
+    binding = dict(example.roles)
     constants = sorted({term for atom in example.facts for term in atom[1:]})
     free = sorted(
         {
@@ -309,7 +309,7 @@ class TestLabel:
         assert len(segments) >= 2
         u_plus = profile.values[segments[0].stop]
         examples = label(desk_run, u_plus)
-        assert len(examples.positives) == segments[0].size
+        assert len(examples.positives) == segments[0].stop - segments[0].start
 
 
 # -------------------------------------------------------------- background
@@ -370,7 +370,7 @@ class TestBuildBackground:
             ]
         )
         db = build_background(tset, self.config())
-        roles = db.examples[0].role_map()
+        roles = dict(db.examples[0].roles)
         assert roles["A"] == "a1"
 
     def test_missing_role_country_excludes_with_warning(self):
