@@ -209,13 +209,14 @@ _STATEMENTS = _RULESET | _SCENARIO
 
 
 class _Parser:
-    def __init__(self, text: str, admitted: frozenset[str]):
+    def __init__(self, text: str, admitted: Iterable[str]):
         self.tokens, self.diagnostics = tokenize(text)
         self.pos = 0
-        # each admitted statement's entries in source order: a rule, a
-        # pool's ids, or a tuple whose first item is the name after the
-        # keyword and whose last is that name's (line, col)
-        self.statements: dict[str, list] = {keyword: [] for keyword in admitted}
+        self.admitted = frozenset(admitted)
+        # each statement's entries in source order: a rule, a pool's ids, or
+        # a tuple whose first item is the name after the keyword and whose
+        # last is that name's (line, col); a pool id is such a tuple too
+        self.statements: dict[str, list] = {keyword: [] for keyword in _STATEMENTS}
 
     # ------------------------------------------------------------------ utils
 
@@ -259,11 +260,18 @@ class _Parser:
         tok = tok or self.peek()
         self.diagnostics.append(Diagnostic("error", message, tok.line, tok.col))
 
-    def recover(self) -> None:
-        """Skip to just past the next '.' or '}' (panic-mode recovery)."""
+    def recover(self, start: int) -> None:
+        """Skip the statement begun at token ``start`` (panic-mode recovery):
+        to just past the '.' or '}' that ends it, or to the next statement
+        keyword that is the first token of its line, so a block left open
+        swallows no statement after it."""
         depth = 0
         while not self.check("eof"):
-            tok = self.advance()
+            tok = self.peek()
+            if self.pos > start and tok.line > self.tokens[self.pos - 1].line:
+                if tok.type == "ident" and tok.value in _STATEMENTS:
+                    return
+            self.advance()
             if tok.type == "op":
                 if tok.value == "{":
                     depth += 1
@@ -278,11 +286,12 @@ class _Parser:
 
     def parse_document(self) -> tuple[dict[str, list], list[Diagnostic]]:
         while not self.check("eof"):
+            start = self.pos
             try:
                 self.statement()
             except _SyntaxError as exc:
                 self.error(exc.message, exc.token)
-                self.recover()
+                self.recover(start)
         return self.statements, self.diagnostics
 
     def statement(self) -> None:
@@ -292,7 +301,7 @@ class _Parser:
         keyword = tok.value
         if keyword not in _STATEMENTS:
             raise _SyntaxError(f"unknown statement keyword {keyword!r}", tok)
-        if keyword not in self.statements:
+        if keyword not in self.admitted:
             raise _SyntaxError(f"{keyword} statement not allowed here", tok)
         if keyword in ("action", "reduction"):
             # a rule checks itself when it is built; a malformed one is
@@ -323,9 +332,10 @@ class _Parser:
                 revenue = float(self.expect("number", what="revenue amount").value)
             entry = (name.value, revenue, (name.line, name.col))
         elif keyword == "pool":
-            entry = [self.entity("company id").value]
-            while self.check("ident"):
-                entry.append(self.entity("company id").value)
+            entry = []
+            while not entry or self.check("ident"):
+                cid = self.entity("company id")
+                entry.append((cid.value, (cid.line, cid.col)))
         else:
             name = self.expect("ident", what="parameter name")
             value = float(self.expect("number", what="parameter value").value)
@@ -574,9 +584,11 @@ def _check_rule_keys(
     _distinct(keys, "error", "duplicate rule {}" + where, diagnostics)
 
 
-def parse_ruleset(text: str) -> ParseResult:
-    """Parse a ruleset document: action rules, reduction rules, rate table."""
-    statements, diagnostics = _Parser(text, _RULESET).parse_document()
+def parse_ruleset(text: str, admitted: Iterable[str] = _RULESET) -> ParseResult:
+    """Parse a ruleset document: action rules, reduction rules, rate table.
+    ``admitted`` names the ruleset statements the text may hold, by default
+    all three; any other statement is an error at its keyword."""
+    statements, diagnostics = _Parser(text, admitted).parse_document()
     for country, value, pos in statements["rate"]:
         if not 0.0 <= value <= 1.0:
             diagnostics.append(
@@ -596,15 +608,27 @@ def parse_ruleset(text: str) -> ParseResult:
 
 
 def _build_state_spec(
-    statements: dict[str, list], diagnostics: list[Diagnostic], countries: set[str]
-) -> StateSpec:
-    """The companies, ips and facts declared, each once; a fact about an
-    undeclared entity is an error, about a country only when ``countries``
-    is not empty."""
+    statements: dict[str, list],
+    diagnostics: list[Diagnostic],
+    countries: Iterable[str],
+    scenario_state: StateSpec = StateSpec((), (), ()),
+) -> tuple[StateSpec, list[tuple[int, int]]]:
+    """The companies, ips and facts declared, each once, and each fact's
+    (line, col).  A fact about an undeclared entity is an error, about a
+    country only when ``countries`` is not empty; so is a company or ip that
+    ``scenario_state`` already declares, at its declaration."""
     companies = _distinct(
         statements["company"], "warning", "company {!r} declared twice", diagnostics
     )
     ips = _distinct(statements["ip"], "warning", "ip {!r} declared twice", diagnostics)
+    taken = {"company": scenario_state.companies, "ip": scenario_state.ips}
+    for keyword, names in taken.items():
+        for name, pos in statements[keyword]:
+            if name in names:
+                diagnostics.append(
+                    Diagnostic("error", f"{keyword} {name!r} already declared", *pos)
+                )
+    countries = set(countries)
     facts: list[tuple[Fact, tuple[int, int]]] = []
     for pred, args, pos in statements["fact"]:
         try:
@@ -626,27 +650,38 @@ def _build_state_spec(
                 )
         facts.append((fact, pos))
     distinct_facts = _distinct(facts, "warning", "duplicate fact {}", diagnostics)
-    return StateSpec(
+    spec = StateSpec(
         companies=tuple(companies), ips=tuple(ips), facts=tuple(distinct_facts)
     )
+    return spec, [pos for _, pos in distinct_facts.values()]
 
 
-def parse_state_spec(text: str) -> ParseResult:
-    """Parse a plain state document: company/ip declarations and facts."""
+def parse_state_spec(text: str, scenario: Optional[ScenarioDoc] = None) -> ParseResult:
+    """Parse a plain state document: company/ip declarations and facts.
+    Against a ``scenario`` its facts may name only the scenario's countries,
+    and it may declare no company or ip the scenario declares."""
     statements, diagnostics = _Parser(text, _STATE_SPEC).parse_document()
-    spec = _build_state_spec(statements, diagnostics, countries=set())
+    if scenario is None:
+        spec, _ = _build_state_spec(statements, diagnostics, countries=())
+    else:
+        countries = scenario.scenario.countries
+        spec, _ = _build_state_spec(statements, diagnostics, countries, scenario.state)
     return _result(diagnostics, lambda: spec)
 
 
 def _initial_state_problems(
-    spec: StateSpec, companies: list[tuple], pool: list[str]
+    spec: StateSpec,
+    fact_positions: list[tuple[int, int]],
+    companies: list[tuple],
+    pool: list[tuple],
 ) -> list[Diagnostic]:
     """A pool id that is a declared company, a declared company resident
     nowhere, and a breach of the state invariants (see
-    :mod:`loophound.kernel`)."""
+    :mod:`loophound.kernel`), the last at the fact whose addition breaks
+    one: facts can only add breaches, never mend one."""
     problems = [
-        Diagnostic("error", f"pool id {cid!r} is already a declared company", 1, 1)
-        for cid in pool
+        Diagnostic("error", f"pool id {cid!r} is already a declared company", *pos)
+        for cid, pos in pool
         if cid in spec.companies
     ]
     resident = {f.args[0] for f in spec.facts if f.predicate in ("based", "managed")}
@@ -663,8 +698,13 @@ def _initial_state_problems(
             )
     try:
         kernel.initial_state(spec.facts, spec.companies)
-    except kernel.KernelError as exc:
-        problems.append(Diagnostic("error", f"initial state: {exc}", 1, 1))
+    except kernel.KernelError:
+        for end, pos in enumerate(fact_positions, 1):
+            try:
+                kernel.initial_state(spec.facts[:end], spec.companies)
+            except kernel.KernelError as exc:
+                problems.append(Diagnostic("error", f"initial state: {exc}", *pos))
+                break
     return problems
 
 
@@ -678,7 +718,7 @@ def parse_scenario(text: str) -> ParseResult:
         diagnostics.append(
             Diagnostic("error", "a scenario needs at least one country statement", 1, 1)
         )
-    for name, _, pos in statements["set"]:
+    for name, value, pos in statements["set"]:
         if name not in SCENARIO_PARAMS:
             diagnostics.append(
                 Diagnostic(
@@ -688,34 +728,37 @@ def parse_scenario(text: str) -> ParseResult:
                     *pos,
                 )
             )
+            continue
+        try:  # the parameter's own range, as the economy checks it
+            ScenarioConfig((), {}, frozenset(), (), **{name: value})
+        except EconomyError as exc:
+            diagnostics.append(Diagnostic("error", str(exc), *pos))
     sets = _distinct(statements["set"], "error", "parameter {!r} set twice", diagnostics)
     params = {name: value for name, value, _ in sets.values()}
-    pool = [cid for ids in statements["pool"] for cid in ids]
-    spec = _build_state_spec(statements, diagnostics, countries=set(countries))
+    pool = [entry for ids in statements["pool"] for entry in ids]
+    spec, fact_positions = _build_state_spec(statements, diagnostics, countries)
 
     def document() -> Optional[ScenarioDoc]:
         # checked only once every statement is sound: a fact in error would
         # leave its company resident nowhere as well
-        problems = _initial_state_problems(spec, statements["company"], pool)
-        if not problems:
-            try:
-                scenario = ScenarioConfig(
-                    countries=tuple(countries),
-                    revenue_table={c: r for c, r, _ in countries.values() if r is not None},
-                    tax_havens=frozenset(c for c, r, _ in countries.values() if r is None),
-                    company_pool=tuple(pool),
-                    royalty_rate=params.get("royalty_rate", 0.9),
-                    transfer_price=params.get("transfer_price", 50.0),
-                    action_cost=params.get("action_cost", 1.0),
-                    declared_companies=spec.companies,
-                    declared_ips=spec.ips,
-                )
-            except EconomyError as exc:
-                problems.append(Diagnostic("error", str(exc), 1, 1))
-            else:
-                return ScenarioDoc(state=spec, scenario=scenario)
-        diagnostics.extend(problems)
-        return None
+        problems = _initial_state_problems(
+            spec, fact_positions, statements["company"], pool
+        )
+        if problems:
+            diagnostics.extend(problems)
+            return None
+        scenario = ScenarioConfig(
+            countries=tuple(countries),
+            revenue_table={c: r for c, r, _ in countries.values() if r is not None},
+            tax_havens=frozenset(c for c, r, _ in countries.values() if r is None),
+            company_pool=tuple(cid for cid, _ in pool),
+            royalty_rate=params.get("royalty_rate", 0.9),
+            transfer_price=params.get("transfer_price", 50.0),
+            action_cost=params.get("action_cost", 1.0),
+            declared_companies=spec.companies,
+            declared_ips=spec.ips,
+        )
+        return ScenarioDoc(state=spec, scenario=scenario)
 
     return _result(diagnostics, document)
 

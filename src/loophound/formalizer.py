@@ -13,6 +13,14 @@ two are provided:
   protocol; endpoint, token and timeout come from configuration or
   environment variables.
 
+A request kind names the statements its candidate may hold: an
+``initial_state`` a state spec's (``company``, ``ip``, ``fact``), a
+``reduction_rule`` only ``reduction`` and an ``action_rule`` only
+``action``.  The parser alone enforces this, as it does for any document:
+a refused statement is an error at its keyword, and every other error is
+reported at its statement as well.  A candidate that holds no statement its
+kind admits is rejected as empty.
+
 Validation failures are fed back to the backend for a bounded number of
 retries.  Transport failures raise ``TransportError`` and are never confused
 with validation failures.
@@ -220,27 +228,9 @@ class RemoteBackend:
 # ============================================================================
 
 
-def _kind_mismatch_hint(text: str, kind: str) -> Optional[Diagnostic]:
-    """If the text parses cleanly under a different kind, say which."""
-    other_kinds = []
-    if kind != "initial_state" and parse_state_spec(text).ok:
-        other_kinds.append("initial_state")
-    if kind in ("initial_state",):
-        parsed = parse_ruleset(text)
-        if parsed.ok:
-            doc = parsed.document
-            if doc.reduction_rules:
-                other_kinds.append("reduction_rule")
-            if doc.action_rules:
-                other_kinds.append("action_rule")
-    if not other_kinds:
-        return None
-    return Diagnostic(
-        "error",
-        f"text parses as {other_kinds[0]}, not {kind} (kind mismatch)",
-        1,
-        1,
-    )
+# the one statement a rule request admits; an initial_state admits a state
+# spec's statements
+_RULE_STATEMENT = {"reduction_rule": "reduction", "action_rule": "action"}
 
 
 def validate_candidate(
@@ -249,70 +239,25 @@ def validate_candidate(
     ruleset: Optional[RuleSetDoc] = None,
     scenario: Optional[ScenarioDoc] = None,
 ) -> list[Diagnostic]:
-    """Parse per kind and check merge conflicts; empty list means acceptable."""
+    """The errors of ``text`` as a candidate of ``kind``; none means it is
+    acceptable.  The parser admits only the statements of the kind, checks
+    an initial state against ``scenario`` and reports every error at its
+    statement; a candidate that holds none of them is empty, and rules must
+    merge with ``ruleset``."""
     if kind not in REQUEST_KINDS:
         raise FormalizerError(f"unknown request kind {kind!r}")
-    if not text.strip():
-        return [Diagnostic("error", f"empty candidate text for kind {kind!r}", 1, 1)]
-    diagnostics: list[Diagnostic] = []
     if kind == "initial_state":
-        parsed = parse_state_spec(text)
-        if not parsed.ok:
-            diagnostics.extend(parsed.errors())
-            hint = _kind_mismatch_hint(text, kind)
-            if hint is not None:
-                diagnostics.append(hint)
-            return diagnostics
-        spec = parsed.document
-        if scenario is not None:
-            known_companies = set(scenario.state.companies)
-            known_ips = set(scenario.state.ips)
-            for company in spec.companies:
-                if company in known_companies:
-                    diagnostics.append(
-                        Diagnostic(
-                            "error", f"company {company!r} already declared", 1, 1
-                        )
-                    )
-            for ip in spec.ips:
-                if ip in known_ips:
-                    diagnostics.append(
-                        Diagnostic("error", f"ip {ip!r} already declared", 1, 1)
-                    )
-        return diagnostics
-
-    parsed = parse_ruleset(text)
-    if not parsed.ok:
-        diagnostics.extend(parsed.errors())
-        hint = _kind_mismatch_hint(text, kind)
-        if hint is not None:
-            diagnostics.append(hint)
-        return diagnostics
-    doc = parsed.document
-    if kind == "reduction_rule":
-        if doc.action_rules or not doc.reduction_rules or doc.rate_table:
-            diagnostics.append(
-                Diagnostic(
-                    "error",
-                    "kind reduction_rule expects reduction statements only (kind mismatch)",
-                    1,
-                    1,
-                )
-            )
+        parsed = parse_state_spec(text, scenario)
     else:
-        if doc.reduction_rules or not doc.action_rules or doc.rate_table:
-            diagnostics.append(
-                Diagnostic(
-                    "error",
-                    "kind action_rule expects action statements only (kind mismatch)",
-                    1,
-                    1,
-                )
-            )
-    if ruleset is not None and not diagnostics:
-        merged = merge_rulesets([ruleset, doc])
-        diagnostics.extend(d for d in merged.diagnostics if d.severity == "error")
-    return diagnostics
+        parsed = parse_ruleset(text, {_RULE_STATEMENT[kind]})
+    if not parsed.ok:
+        return parsed.errors()
+    # each field of a document holds what one kind of statement declared
+    if not any(vars(parsed.document).values()):
+        return [Diagnostic("error", f"empty candidate text for kind {kind!r}", 1, 1)]
+    if ruleset is not None and kind != "initial_state":
+        return merge_rulesets([ruleset, parsed.document]).errors()
+    return []
 
 
 def formalize(
@@ -329,14 +274,10 @@ def formalize(
     text = ""
     for attempt in range(1, max_attempts + 1):
         text = backend.generate(request, prior)
-        diagnostics = validate_candidate(text, request.kind, ruleset=ruleset, scenario=scenario)
-        errors = [d for d in diagnostics if d.severity == "error"]
+        errors = validate_candidate(text, request.kind, ruleset=ruleset, scenario=scenario)
         if not errors:
             return FormalizationResult(
-                dsl_text=text,
-                valid=True,
-                diagnostics=tuple(str(d) for d in diagnostics),
-                attempts=attempt,
+                dsl_text=text, valid=True, diagnostics=(), attempts=attempt
             )
         prior = tuple(str(d) for d in errors)
     return FormalizationResult(

@@ -1,5 +1,6 @@
-"""Shared fixtures and helpers: bundled corpus documents, reference search runs,
-random action paths and a reader for policy reports."""
+"""Shared fixtures and helpers: bundled corpus documents, one statement of
+each keyword, reference search runs, random action paths, synthetic
+trajectories and a reader for policy reports."""
 
 from __future__ import annotations
 
@@ -11,9 +12,10 @@ import pytest
 from loophound import corpus_path
 from loophound.dsl import parse_ruleset, parse_scenario
 from loophound.explorer import explore, search_world
-from loophound.kernel import applicable_actions, apply_action
+from loophound.kernel import State, applicable_actions, apply_action, make_fact
 from loophound.policy import PolicyError
-from loophound.runfiles import SearchParams
+from loophound.runfiles import SearchParams, Trajectory, TrajectorySet
+from loophound.taxation import TaxAssessment
 
 # A small two-market world used by the exhaustive oracles.  The rules mirror
 # the bundled corpus subset needed for incorporation and licensing.
@@ -56,6 +58,19 @@ fact based(p, usa).
 fact ownsIP(p, ip1).
 """
 
+# one statement of each keyword the rule language knows
+STATEMENTS = {
+    "company": "company p.",
+    "ip": "ip ip1.",
+    "fact": "fact based(p, usa).",
+    "rate": "rate usa 0.35.",
+    "country": "country usa revenue 700.",
+    "pool": "pool c1 c2.",
+    "set": "set royalty_rate 0.9.",
+    "action": 'action addChild(P, fresh C) ref "x" { pre: exists(P); eff: exists(C); }',
+    "reduction": 'reduction "r" kind deductible { when: based(Self, usa); new_base: 0.5 * Base; }',
+}
+
 
 def walk(ruleset, scenario_doc, choices):
     """The action path ``choices`` pick from the scenario's initial state.
@@ -74,6 +89,71 @@ def walk(ruleset, scenario_doc, choices):
         actions.append(acts[choice % len(acts)])
         states.append(apply_action(states[-1], actions[-1], rules))
     return states, tuple(actions)
+
+
+# one company of each role, resident in its country
+ROLE_FACTS = [
+    ("based", ("i0", "ireland")),
+    ("based", ("n0", "netherlands")),
+    ("based", ("u0", "usa")),
+    ("based", ("g0", "germany")),
+]
+
+
+def role_trajectory(
+    tid: int,
+    utility: float,
+    tax: float | None = None,
+    extra_facts=(),
+    *,
+    complete: bool = True,
+    p: float | None = None,
+) -> Trajectory:
+    """A trajectory of no actions whose final state holds ``ROLE_FACTS`` and
+    ``extra_facts``.  With a ``tax`` it carries one assessment, of that tax
+    due from i0 in ireland, and its profit ``p`` defaults to utility + 1;
+    without one it carries none, and ``p`` defaults to the utility."""
+    facts = frozenset(
+        make_fact(pred, args) for pred, args in [*ROLE_FACTS, *extra_facts]
+    )
+    assessments = ()
+    if tax is not None:
+        assessments = (
+            TaxAssessment(
+                company="i0",
+                country="ireland",
+                base=tax * 8.0,
+                rate=0.125,
+                reduced_base=tax * 8.0,
+                reduced_rate=0.125,
+                applied_reduction=None,
+                applied_exemption=None,
+                tax_due=tax,
+            ),
+        )
+    if p is None:
+        p = utility if tax is None else utility + 1.0
+    return Trajectory(
+        id=tid,
+        actions=(),
+        final_state=State.from_facts(facts, step_count=0, transfer=None),
+        transactions=(),
+        assessments=assessments,
+        p=p,
+        phi=1.0,
+        utility=utility,
+        complete=complete,
+        terminal=True,
+    )
+
+
+def mk_tset(trajectories) -> TrajectorySet:
+    return TrajectorySet(
+        params=SearchParams(),
+        ruleset_sha256="0" * 64,
+        scenario_sha256="0" * 64,
+        trajectories=tuple(trajectories),
+    )
 
 
 def read_policy_report(path) -> dict:

@@ -49,15 +49,15 @@ from loophound.induction import (
     scheme_graph,
 )
 from loophound.kernel import (
-    State,
     applicable_actions,
     apply_action,
     initial_state,
     make_fact,
 )
 from loophound.policy import WelfareConfig, delta_restriction
-from loophound.runfiles import SearchParams, Trajectory, TrajectorySet
-from loophound.taxation import EvaluationMemo, TaxAssessment, evaluate_state
+from loophound.runfiles import SearchParams
+from loophound.taxation import EvaluationMemo, evaluate_state
+from conftest import mk_tset, role_trajectory
 from oracles import bfs_oracle, path_transfer, recorded_sets
 
 
@@ -70,53 +70,6 @@ def announce(capsys, number: int, ok: bool, detail: str) -> None:
 
 # ---------------------------------------------------------------- builders
 # Synthetic trajectory pools with controllable utility, tax and structure.
-
-_ROLE_FACTS = [
-    ("based", ("i0", "ireland")),
-    ("based", ("n0", "netherlands")),
-    ("based", ("u0", "usa")),
-    ("based", ("g0", "germany")),
-]
-
-
-def _mk_trajectory(tid: int, utility: float, tax: float, extra_facts=()) -> Trajectory:
-    facts = frozenset(
-        make_fact(pred, args) for pred, args in [*_ROLE_FACTS, *extra_facts]
-    )
-    return Trajectory(
-        id=tid,
-        actions=(),
-        final_state=State.from_facts(facts, step_count=0, transfer=None),
-        transactions=(),
-        assessments=(
-            TaxAssessment(
-                company="i0",
-                country="ireland",
-                base=tax * 8.0,
-                rate=0.125,
-                reduced_base=tax * 8.0,
-                reduced_rate=0.125,
-                applied_reduction=None,
-                applied_exemption=None,
-                tax_due=tax,
-            ),
-        ),
-        p=utility + 1.0,
-        phi=1.0,
-        utility=utility,
-        complete=True,
-        terminal=True,
-    )
-
-
-def _mk_tset(trajectories) -> TrajectorySet:
-    return TrajectorySet(
-        params=SearchParams(),
-        ruleset_sha256="0" * 64,
-        scenario_sha256="0" * 64,
-        trajectories=tuple(trajectories),
-    )
-
 
 _MARKER = ("managed", ("i0", "bermuda"))
 
@@ -308,12 +261,12 @@ def test_criterion_5_restriction_gain(full_products, capsys):
 
     # separable synthetic pool: low-tax plans carry a marker, a perfect
     # classifier exists, and removing the covered plans raises mean tax
-    tset = _mk_tset(
+    tset = mk_tset(
         [
-            _mk_trajectory(0, 100.0, 1.0, [_MARKER]),
-            _mk_trajectory(1, 100.0, 1.0, [_MARKER]),
-            _mk_trajectory(2, 10.0, 50.0),
-            _mk_trajectory(3, 10.0, 50.0),
+            role_trajectory(0, 100.0, 1.0, [_MARKER]),
+            role_trajectory(1, 100.0, 1.0, [_MARKER]),
+            role_trajectory(2, 10.0, 50.0),
+            role_trajectory(3, 10.0, 50.0),
         ]
     )
     induction_config = InductionConfig(u_plus=50.0)
@@ -598,14 +551,14 @@ def test_criterion_9_metrics_identities(capsys):
         rows = []
         tid = 0
         for _ in range(tp):
-            rows.append(_mk_trajectory(tid, 100.0, 1.0, [_MARKER])); tid += 1
+            rows.append(role_trajectory(tid, 100.0, 1.0, [_MARKER])); tid += 1
         for _ in range(fn):
-            rows.append(_mk_trajectory(tid, 100.0, 1.0)); tid += 1
+            rows.append(role_trajectory(tid, 100.0, 1.0)); tid += 1
         for _ in range(fp):
-            rows.append(_mk_trajectory(tid, 10.0, 1.0, [_MARKER])); tid += 1
+            rows.append(role_trajectory(tid, 10.0, 1.0, [_MARKER])); tid += 1
         for _ in range(tn):
-            rows.append(_mk_trajectory(tid, 10.0, 1.0)); tid += 1
-        tset = _mk_tset(rows)
+            rows.append(role_trajectory(tid, 10.0, 1.0)); tid += 1
+        tset = mk_tset(rows)
         examples = label(tset, 50.0)
         background = build_background(tset, InductionConfig(u_plus=50.0))
         hypothesis = Hypothesis(

@@ -33,14 +33,14 @@ from loophound.explorer import percentile
 from loophound.kernel import GroundedAction, State, make_fact
 from loophound.runfiles import (
     RunFileError,
-    SearchParams,
     Trajectory,
-    TrajectorySet,
     read_profile_csv,
     write_profile_csv,
     write_stats_csv,
 )
 from loophound.taxation import TaxAssessment
+
+from conftest import mk_tset
 
 
 # ------------------------------------------------------------------ helpers
@@ -128,15 +128,6 @@ def mk_trajectory(
         utility=utility,
         complete=complete,
         terminal=True,
-    )
-
-
-def mk_tset(trajectories) -> TrajectorySet:
-    return TrajectorySet(
-        params=SearchParams(),
-        ruleset_sha256="0" * 64,
-        scenario_sha256="0" * 64,
-        trajectories=tuple(trajectories),
     )
 
 

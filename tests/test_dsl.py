@@ -17,6 +17,8 @@ from loophound.dsl import (
     render_scenario,
 )
 
+from conftest import STATEMENTS
+
 
 def errors_of(result):
     return [str(d) for d in result.errors()]
@@ -269,6 +271,31 @@ class TestScenarioValidation:
             (6, 12, "company id '_'"),
         ]
 
+    def test_pool_id_of_a_declared_company_is_reported_at_the_id(self):
+        result = parse_scenario(
+            "country usa revenue 1.\ncompany p.\nfact based(p, usa).\npool c1 p.\n"
+        )
+        assert errors_of(result) == [
+            "4:9: error: pool id 'p' is already a declared company"
+        ]
+
+    def test_invariant_breach_is_reported_at_the_fact_that_breaks_it(self):
+        result = parse_scenario(
+            "country usa revenue 1.\ncompany p.\ncompany q.\nip i.\n"
+            "fact based(p, usa).\nfact ownsIP(p, i).\nfact based(q, usa).\n"
+            "fact ownsIP(q, i).\nfact managed(q, usa).\n"
+        )
+        assert errors_of(result) == [
+            "8:6: error: initial state: ip 'i' has more than one owner"
+        ]
+
+    def test_parameter_out_of_range_is_reported_at_its_statement(self):
+        result = parse_scenario(
+            "country usa revenue 1.\ncompany p.\nfact based(p, usa).\n"
+            "set royalty_rate 2.\n"
+        )
+        assert errors_of(result) == ["4:5: error: royalty_rate outside [0, 1]: 2.0"]
+
     def test_corpus_scenario_shape(self, corpus_scenario):
         scenario = corpus_scenario.scenario
         assert scenario.countries == (
@@ -293,18 +320,7 @@ class TestScenarioValidation:
         assert corpus_scenario.state.ips == ("ip1",)
 
 
-# one statement of each keyword, and the keywords each document kind admits
-STATEMENTS = {
-    "company": "company p.",
-    "ip": "ip ip1.",
-    "fact": "fact based(p, usa).",
-    "rate": "rate usa 0.35.",
-    "country": "country usa revenue 700.",
-    "pool": "pool c1 c2.",
-    "set": "set royalty_rate 0.9.",
-    "action": 'action addChild(P, fresh C) ref "x" { pre: exists(P); eff: exists(C); }',
-    "reduction": 'reduction "r" kind deductible { when: based(Self, usa); new_base: 0.5 * Base; }',
-}
+# the keywords each document kind admits
 KINDS = {
     "ruleset": (parse_ruleset, {"rate", "action", "reduction"}),
     "state": (parse_state_spec, {"company", "ip", "fact"}),
@@ -333,6 +349,27 @@ class TestAdmittedStatements:
         assert errors_of(result) == [
             "2:1: error: action statement not allowed here",
             "3:4: error: ip id 'Patent' is not a constant",
+        ]
+
+    def test_unclosed_refused_block_swallows_no_later_statement(
+        self, corpus_scenario_text
+    ):
+        result = parse_scenario(
+            'action addChild(Parent, fresh Child) ref "BRM-incorp" {\n'
+            + corpus_scenario_text
+        )
+        assert errors_of(result) == ["1:1: error: action statement not allowed here"]
+
+    def test_recovery_stops_at_a_statement_that_starts_a_line(self):
+        # the broken reduction ends where the next line's rate begins, so
+        # that rate is parsed and checked
+        result = parse_ruleset(
+            'reduction "r" kind deductible {\n  when: based(Self, usa)\n'
+            "rate ireland 2.\n"
+        )
+        assert errors_of(result) == [
+            "3:1: error: expected ;, found 'rate'",
+            "3:6: error: rate for 'ireland' outside [0, 1]: 2",
         ]
 
     def test_diagnostics_come_in_source_order(self):

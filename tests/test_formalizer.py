@@ -17,6 +17,7 @@ import pytest
 from loophound.dsl import parse_ruleset, parse_state_spec
 from loophound.formalizer import (
     ENDPOINT_ENV,
+    REQUEST_KINDS,
     TIMEOUT_ENV,
     TOKEN_ENV,
     FormalizationRequest,
@@ -28,6 +29,8 @@ from loophound.formalizer import (
     validate_candidate,
 )
 
+from conftest import STATEMENTS
+
 
 VALID_REDUCTION = (
     'reduction "stub-relief" kind exemption {\n'
@@ -35,6 +38,18 @@ VALID_REDUCTION = (
     "  new_rate: 0.5 * Rate;\n"
     "}\n"
 )
+VALID_ACTION = (
+    'action rentIP(L, R, Ip) ref "x" {\n'
+    "  pre: ownsIP(L, Ip), exists(R), L != R, not rentsIP(_, R, Ip);\n"
+    "  eff: rentsIP(L, R, Ip);\n"
+    "}\n"
+)
+# the statements each request kind admits
+ADMITTED = {
+    "initial_state": {"company", "ip", "fact"},
+    "reduction_rule": {"reduction"},
+    "action_rule": {"action"},
+}
 
 
 class ScriptedBackend:
@@ -151,27 +166,44 @@ class TestValidation:
         assert len(diagnostics) == 1
         assert "empty candidate" in diagnostics[0].message
 
-    def test_kind_mismatch_hint_names_the_other_kind(self):
+    @pytest.mark.parametrize("kind", REQUEST_KINDS)
+    def test_comment_only_candidate_is_empty(self, kind):
+        assert [str(d) for d in validate_candidate("# nothing matched\n", kind)] == [
+            f"1:1: error: empty candidate text for kind {kind!r}"
+        ]
+
+    @pytest.mark.parametrize("keyword", sorted(STATEMENTS))
+    @pytest.mark.parametrize("kind", REQUEST_KINDS)
+    def test_statement_by_kind(self, kind, keyword):
+        text = "# one statement\n  " + STATEMENTS[keyword] + "\n"
+        refused = [
+            str(d)
+            for d in validate_candidate(text, kind)
+            if "not allowed here" in d.message
+        ]
+        if keyword in ADMITTED[kind]:
+            assert refused == []
+        else:
+            assert refused == [f"2:3: error: {keyword} statement not allowed here"]
+
+    def test_state_statements_refused_in_a_rule_candidate(self):
         text = "company p. fact based(p, usa)."
-        diagnostics = validate_candidate(text, "reduction_rule")
-        assert any(
-            d.message == "text parses as initial_state, not reduction_rule (kind mismatch)"
-            for d in diagnostics
-        )
+        assert [str(d) for d in validate_candidate(text, "reduction_rule")] == [
+            "1:1: error: company statement not allowed here",
+            "1:12: error: fact statement not allowed here",
+        ]
 
     def test_reduction_kind_rejects_action_statements(self):
-        text = (
-            'action rentIP(L, R, Ip) ref "x" {\n'
-            "  pre: ownsIP(L, Ip), exists(R), L != R, not rentsIP(_, R, Ip);\n"
-            "  eff: rentsIP(L, R, Ip);\n"
-            "}\n"
-        )
-        diagnostics = validate_candidate(text, "reduction_rule")
-        assert any("reduction statements only" in d.message for d in diagnostics)
+        diagnostics = validate_candidate(VALID_REDUCTION + VALID_ACTION, "reduction_rule")
+        assert [str(d) for d in diagnostics] == [
+            "5:1: error: action statement not allowed here"
+        ]
 
     def test_action_kind_rejects_reduction_statements(self):
-        diagnostics = validate_candidate(VALID_REDUCTION, "action_rule")
-        assert any("action statements only" in d.message for d in diagnostics)
+        diagnostics = validate_candidate(VALID_ACTION + VALID_REDUCTION, "action_rule")
+        assert [str(d) for d in diagnostics] == [
+            "5:1: error: reduction statement not allowed here"
+        ]
 
     def test_duplicate_legal_ref_detected_on_merge(self, corpus_ruleset):
         clash = (
@@ -198,6 +230,24 @@ class TestValidation:
         messages = [d.message for d in diagnostics]
         assert "company 'p' already declared" in messages
         assert "ip 'ip1' already declared" in messages
+
+    def test_scenario_conflicts_are_reported_at_their_declarations(
+        self, corpus_scenario
+    ):
+        text = "company q.\ncompany p. ip ip1.\nfact based(p, usa). fact based(q, usa).\n"
+        diagnostics = validate_candidate(text, "initial_state", scenario=corpus_scenario)
+        assert [str(d) for d in diagnostics] == [
+            "2:9: error: company 'p' already declared",
+            "2:15: error: ip 'ip1' already declared",
+        ]
+
+    def test_fact_names_only_scenario_countries(self, corpus_scenario):
+        text = "company q. fact based(q, narnia)."
+        diagnostics = validate_candidate(text, "initial_state", scenario=corpus_scenario)
+        assert [str(d) for d in diagnostics] == [
+            "1:17: error: fact references undeclared country 'narnia'"
+        ]
+        assert validate_candidate(text, "initial_state") == []
 
     def test_new_company_passes_against_scenario(self, corpus_scenario):
         text = "company q. fact based(q, usa)."

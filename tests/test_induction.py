@@ -45,9 +45,6 @@ from loophound.induction import (
 from loophound.kernel import State, is_variable, make_fact
 from loophound.runfiles import (
     RunFileError,
-    SearchParams,
-    Trajectory,
-    TrajectorySet,
     read_hypothesis_json,
     write_dot,
     write_edges_csv,
@@ -55,43 +52,10 @@ from loophound.runfiles import (
     write_hypothesis_text,
 )
 
+from conftest import ROLE_FACTS, mk_tset, role_trajectory
+
 
 # ------------------------------------------------------------------ helpers
-
-
-ROLE_FACTS = [
-    ("based", ("i0", "ireland")),
-    ("based", ("n0", "netherlands")),
-    ("based", ("u0", "usa")),
-    ("based", ("g0", "germany")),
-]
-
-
-def mk_trajectory(tid: int, utility: float, extra_facts=(), *, complete=True):
-    facts = frozenset(
-        make_fact(pred, args) for pred, args in [*ROLE_FACTS, *extra_facts]
-    )
-    return Trajectory(
-        id=tid,
-        actions=(),
-        final_state=State.from_facts(facts, step_count=0, transfer=None),
-        transactions=(),
-        assessments=(),
-        p=utility,
-        phi=1.0,
-        utility=utility,
-        complete=complete,
-        terminal=True,
-    )
-
-
-def mk_tset(trajectories) -> TrajectorySet:
-    return TrajectorySet(
-        params=SearchParams(),
-        ruleset_sha256="0" * 64,
-        scenario_sha256="0" * 64,
-        trajectories=tuple(trajectories),
-    )
 
 
 def small_instance():
@@ -106,12 +70,12 @@ def small_instance():
     reverse = ("rentsIP", ("n0", "i0", "ip1"))
     return mk_tset(
         [
-            mk_trajectory(0, 100.0, [bermuda, edge]),
-            mk_trajectory(1, 100.0, [bermuda, edge]),
-            mk_trajectory(2, 100.0, [bermuda]),
-            mk_trajectory(3, 10.0, [bermuda, edge]),
-            mk_trajectory(4, 10.0, [reverse]),
-            mk_trajectory(5, 10.0, []),
+            role_trajectory(0, 100.0, extra_facts=[bermuda, edge]),
+            role_trajectory(1, 100.0, extra_facts=[bermuda, edge]),
+            role_trajectory(2, 100.0, extra_facts=[bermuda]),
+            role_trajectory(3, 10.0, extra_facts=[bermuda, edge]),
+            role_trajectory(4, 10.0, extra_facts=[reverse]),
+            role_trajectory(5, 10.0, extra_facts=[]),
         ]
     )
 
@@ -121,10 +85,10 @@ def separable_instance():
     edge = ("rentsIP", ("i0", "n0", "ip1"))
     return mk_tset(
         [
-            mk_trajectory(0, 100.0, [bermuda, edge]),
-            mk_trajectory(1, 100.0, [bermuda]),
-            mk_trajectory(2, 10.0, [edge]),
-            mk_trajectory(3, 10.0, []),
+            role_trajectory(0, 100.0, extra_facts=[bermuda, edge]),
+            role_trajectory(1, 100.0, extra_facts=[bermuda]),
+            role_trajectory(2, 10.0, extra_facts=[edge]),
+            role_trajectory(3, 10.0, extra_facts=[]),
         ]
     )
 
@@ -272,7 +236,7 @@ class TestMetrics:
 
 class TestLabel:
     def test_threshold_split(self):
-        tset = mk_tset([mk_trajectory(0, 5.0), mk_trajectory(1, 1.0)])
+        tset = mk_tset([role_trajectory(0, 5.0), role_trajectory(1, 1.0)])
         examples = label(tset, 3.0)
         assert examples.positives == (0,)
         assert examples.negatives == (1,)
@@ -280,26 +244,26 @@ class TestLabel:
         assert examples.warnings == ()
 
     def test_boundary_utility_is_negative(self):
-        tset = mk_tset([mk_trajectory(0, 3.0), mk_trajectory(1, 5.0)])
+        tset = mk_tset([role_trajectory(0, 3.0), role_trajectory(1, 5.0)])
         examples = label(tset, 3.0)
         assert examples.positives == (1,)
         assert examples.negatives == (0,)
 
     def test_minus_infinity_marks_everything_positive(self):
-        tset = mk_tset([mk_trajectory(0, 5.0), mk_trajectory(1, -100.0)])
+        tset = mk_tset([role_trajectory(0, 5.0), role_trajectory(1, -100.0)])
         examples = label(tset, float("-inf"))
         assert examples.positives == (0, 1)
         assert examples.negatives == ()
 
     def test_threshold_above_maximum_warns(self):
-        tset = mk_tset([mk_trajectory(0, 5.0)])
+        tset = mk_tset([role_trajectory(0, 5.0)])
         examples = label(tset, 5.0)
         assert examples.positives == ()
         assert examples.warnings
         assert "at or above the maximum" in examples.warnings[0]
 
     def test_incomplete_only_raises(self):
-        tset = mk_tset([mk_trajectory(0, 5.0, complete=False)])
+        tset = mk_tset([role_trajectory(0, 5.0, complete=False)])
         with pytest.raises(InductionError, match="no complete"):
             label(tset, 1.0)
 
@@ -322,10 +286,10 @@ class TestBuildBackground:
     def test_hand_enumerated_facts(self):
         tset = mk_tset(
             [
-                mk_trajectory(
+                role_trajectory(
                     0,
                     100.0,
-                    [
+                    extra_facts=[
                         ("managed", ("i0", "bermuda")),
                         ("rentsIP", ("i0", "n0", "ip1")),
                         ("ownsIP", ("i0", "ip1")),
@@ -362,10 +326,13 @@ class TestBuildBackground:
     def test_shared_role_country_takes_lowest_company_id(self):
         tset = mk_tset(
             [
-                mk_trajectory(
+                role_trajectory(
                     0,
                     100.0,
-                    [("based", ("a9", "ireland")), ("based", ("a1", "ireland"))],
+                    extra_facts=[
+                        ("based", ("a9", "ireland")),
+                        ("based", ("a1", "ireland")),
+                    ],
                 )
             ]
         )
@@ -375,7 +342,7 @@ class TestBuildBackground:
 
     def test_missing_role_country_excludes_with_warning(self):
         stripped = dataclasses.replace(
-            mk_trajectory(7, 100.0),
+            role_trajectory(7, 100.0),
             final_state=State.from_facts(
                 facts=frozenset(
                     make_fact(p, a) for p, a in ROLE_FACTS if a[1] != "germany"
@@ -391,14 +358,14 @@ class TestBuildBackground:
 
     def test_empty_vocabulary_keeps_only_role_atoms(self):
         tset = mk_tset(
-            [mk_trajectory(0, 100.0, [("managed", ("i0", "bermuda"))])]
+            [role_trajectory(0, 100.0, extra_facts=[("managed", ("i0", "bermuda"))])]
         )
         db = build_background(tset, self.config(vocabulary=()))
         assert all(atom[0] == "role" for atom in db.examples[0].facts)
 
     def test_incomplete_trajectories_skipped(self):
         tset = mk_tset(
-            [mk_trajectory(0, 100.0), mk_trajectory(1, 100.0, complete=False)]
+            [role_trajectory(0, 100.0), role_trajectory(1, 100.0, complete=False)]
         )
         db = build_background(tset, self.config())
         assert [ex.trajectory_id for ex in db.examples] == [0]
@@ -660,8 +627,8 @@ class TestInduce:
         # positives and negatives are structurally identical
         tset = mk_tset(
             [
-                mk_trajectory(0, 100.0, [("managed", ("i0", "bermuda"))]),
-                mk_trajectory(1, 10.0, [("managed", ("i0", "bermuda"))]),
+                role_trajectory(0, 100.0, extra_facts=[("managed", ("i0", "bermuda"))]),
+                role_trajectory(1, 10.0, extra_facts=[("managed", ("i0", "bermuda"))]),
             ]
         )
         config, examples, db = self.setup(tset)

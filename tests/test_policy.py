@@ -20,7 +20,6 @@ from loophound.induction import (
     induce,
     label,
 )
-from loophound.kernel import State, make_fact
 from loophound.policy import (
     WELFARE_KINDS,
     PolicyError,
@@ -29,66 +28,9 @@ from loophound.policy import (
     delta_set,
     welfare,
 )
-from loophound.runfiles import SearchParams, Trajectory, TrajectorySet, write_policy_report
-from loophound.taxation import TaxAssessment
+from loophound.runfiles import write_policy_report
 
-from conftest import read_policy_report
-
-
-ROLE_FACTS = [
-    ("based", ("i0", "ireland")),
-    ("based", ("n0", "netherlands")),
-    ("based", ("u0", "usa")),
-    ("based", ("g0", "germany")),
-]
-
-
-def mk_trajectory(
-    tid: int,
-    utility: float,
-    tax: float,
-    extra_facts=(),
-    *,
-    complete: bool = True,
-    p: float | None = None,
-) -> Trajectory:
-    facts = frozenset(
-        make_fact(pred, args) for pred, args in [*ROLE_FACTS, *extra_facts]
-    )
-    profit = utility + 1.0 if p is None else p
-    return Trajectory(
-        id=tid,
-        actions=(),
-        final_state=State.from_facts(facts, step_count=0, transfer=None),
-        transactions=(),
-        assessments=(
-            TaxAssessment(
-                company="i0",
-                country="ireland",
-                base=tax * 8.0,
-                rate=0.125,
-                reduced_base=tax * 8.0,
-                reduced_rate=0.125,
-                applied_reduction=None,
-                applied_exemption=None,
-                tax_due=tax,
-            ),
-        ),
-        p=profit,
-        phi=1.0,
-        utility=utility,
-        complete=complete,
-        terminal=True,
-    )
-
-
-def mk_tset(trajectories) -> TrajectorySet:
-    return TrajectorySet(
-        params=SearchParams(),
-        ruleset_sha256="0" * 64,
-        scenario_sha256="0" * 64,
-        trajectories=tuple(trajectories),
-    )
+from conftest import mk_tset, read_policy_report, role_trajectory
 
 
 MEAN_TAX = WelfareConfig("mean_tax_collected")
@@ -102,7 +44,7 @@ UTILITARIAN = WelfareConfig("mean_utilitarian")
 class TestWelfare:
     def pool(self):
         return mk_tset(
-            [mk_trajectory(0, 100.0, 10.0), mk_trajectory(1, 50.0, 2.0)]
+            [role_trajectory(0, 100.0, 10.0), role_trajectory(1, 50.0, 2.0)]
         )
 
     def test_mean_tax(self):
@@ -117,8 +59,8 @@ class TestWelfare:
     def test_mean_utilitarian_adds_profit_and_tax(self):
         tset = mk_tset(
             [
-                mk_trajectory(0, 0.0, 10.0, p=90.0),
-                mk_trajectory(1, 0.0, 30.0, p=70.0),
+                role_trajectory(0, 0.0, 10.0, p=90.0),
+                role_trajectory(1, 0.0, 30.0, p=70.0),
             ]
         )
         assert welfare(tset, None, UTILITARIAN) == 100.0
@@ -134,8 +76,8 @@ class TestWelfare:
     def test_incomplete_trajectories_outside_omega(self):
         tset = mk_tset(
             [
-                mk_trajectory(0, 100.0, 10.0),
-                mk_trajectory(1, 50.0, 99.0, complete=False),
+                role_trajectory(0, 100.0, 10.0),
+                role_trajectory(1, 50.0, 99.0, complete=False),
             ]
         )
         assert welfare(tset, None, MEAN_TAX) == 10.0
@@ -148,14 +90,14 @@ class TestWelfare:
 
     def test_subset_order_and_duplicates_do_not_matter(self):
         tset = mk_tset(
-            [mk_trajectory(i, 10.0 * i, float(i)) for i in range(5)]
+            [role_trajectory(i, 10.0 * i, float(i)) for i in range(5)]
         )
         a = welfare(tset, [3, 1, 4], MEAN_TAX)
         b = welfare(tset, [4, 3, 1, 1, 3], MEAN_TAX)
         assert a == b
 
     def test_trajectory_listing_order_does_not_matter(self):
-        rows = [mk_trajectory(i, 10.0 * i, float(i) + 0.1) for i in range(6)]
+        rows = [role_trajectory(i, 10.0 * i, float(i) + 0.1) for i in range(6)]
         forward = mk_tset(rows)
         backward = mk_tset(list(reversed(rows)))
         for config in (MEAN_TAX, TOTAL_TAX, UTILITARIAN):
@@ -189,7 +131,7 @@ class TestWelfareConfig:
 class TestDeltaSet:
     def pool(self):
         return mk_tset(
-            [mk_trajectory(0, 100.0, 10.0), mk_trajectory(1, 50.0, 2.0)]
+            [role_trajectory(0, 100.0, 10.0), role_trajectory(1, 50.0, 2.0)]
         )
 
     def test_empty_restriction_is_exactly_zero(self):
@@ -221,10 +163,10 @@ def separable_pool():
     bermuda = ("managed", ("i0", "bermuda"))
     return mk_tset(
         [
-            mk_trajectory(0, 100.0, 1.0, [bermuda]),
-            mk_trajectory(1, 100.0, 1.0, [bermuda]),
-            mk_trajectory(2, 10.0, 50.0),
-            mk_trajectory(3, 10.0, 50.0),
+            role_trajectory(0, 100.0, 1.0, [bermuda]),
+            role_trajectory(1, 100.0, 1.0, [bermuda]),
+            role_trajectory(2, 10.0, 50.0),
+            role_trajectory(3, 10.0, 50.0),
         ]
     )
 
@@ -290,9 +232,9 @@ class TestDeltaRestriction:
         ghost = ("managed", ("n0", "usa"))  # marks exactly one negative
         tset = mk_tset(
             [
-                mk_trajectory(0, 100.0, 1.0, [bermuda]),
-                mk_trajectory(1, 10.0, 50.0, [ghost]),
-                mk_trajectory(2, 10.0, 44.0),
+                role_trajectory(0, 100.0, 1.0, [bermuda]),
+                role_trajectory(1, 10.0, 50.0, [ghost]),
+                role_trajectory(2, 10.0, 44.0),
             ]
         )
         _, examples, background = induced(tset)
@@ -312,7 +254,7 @@ class TestDeltaRestriction:
 
     def test_undefined_when_positives_cover_omega(self):
         tset = mk_tset(
-            [mk_trajectory(0, 100.0, 1.0), mk_trajectory(1, 90.0, 2.0)]
+            [role_trajectory(0, 100.0, 1.0), role_trajectory(1, 90.0, 2.0)]
         )
         u_plus = 50.0
         examples = label(tset, u_plus)
@@ -372,7 +314,7 @@ class TestPolicyReportFile:
 
     def test_undefined_quantities_listed(self, tmp_path):
         tset = mk_tset(
-            [mk_trajectory(0, 100.0, 1.0), mk_trajectory(1, 90.0, 2.0)]
+            [role_trajectory(0, 100.0, 1.0), role_trajectory(1, 90.0, 2.0)]
         )
         examples = label(tset, 50.0)
         config = InductionConfig(u_plus=50.0)
