@@ -212,18 +212,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    try:
-        params = _cli.SearchParams(
-            seed=args.seed,
-            iterations=args.iterations,
-            expansions=args.expansions,
-            beta=args.beta,
-            tau0=args.tau0,
-            max_steps=args.max_steps,
-            cost_coefficient=args.cost,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from exc
     # the bundled documents, when no path is given, are looked up here, so
     # that a missing one fails this stage alone
     ruleset_path = Path(
@@ -233,6 +221,18 @@ def cmd_explore(args: argparse.Namespace) -> int:
         corpus_path("scenario.lhl") if args.scenario is None else args.scenario
     )
     ruleset, scenario = _parse_documents(ruleset_path, scenario_path)
+    try:
+        params = _cli.SearchParams(
+            seed=args.seed,
+            iterations=args.iterations,
+            expansions=args.expansions,
+            beta=args.beta,
+            tau0=args.tau0,
+            max_steps=args.max_steps,
+            cost_coefficient=scenario.scenario.action_cost,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_VALIDATION) from exc
     out_dir = _ensure_out_dir(args.out)
     manifest = _load(out_dir, _cli.MANIFEST_FILE)
     tset = _cli.explore(ruleset, scenario, params)
@@ -458,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore_cmd.add_argument("--beta", type=float, default=0.01)
     explore_cmd.add_argument("--tau0", type=float, default=5.0)
     explore_cmd.add_argument("--max-steps", type=int, default=12)
-    explore_cmd.add_argument("--cost", type=float, default=1.0)
     # the search runs in one thread; the flag is accepted and ignored so that
     # existing command lines keep working (perfbench/workloads.py passes it)
     explore_cmd.add_argument("--threads", type=int, help=argparse.SUPPRESS)

@@ -614,9 +614,10 @@ def _build_state_spec(
     scenario_state: StateSpec = StateSpec((), (), ()),
 ) -> tuple[StateSpec, list[tuple[int, int]]]:
     """The companies, ips and facts declared, each once, and each fact's
-    (line, col).  A fact about an undeclared entity is an error, about a
-    country only when ``countries`` is not empty; so is a company or ip that
-    ``scenario_state`` already declares, at its declaration."""
+    (line, col).  A fact may name the companies and ips of
+    ``scenario_state`` too; one about an undeclared entity is an error,
+    about a country only when ``countries`` is not empty; so is a company or
+    ip that ``scenario_state`` already declares, at its declaration."""
     companies = _distinct(
         statements["company"], "warning", "company {!r} declared twice", diagnostics
     )
@@ -638,9 +639,9 @@ def _build_state_spec(
             continue
         for arg, ty in zip(fact.args, PREDICATES[fact.predicate]):
             known = (
-                arg in companies
+                arg in companies or arg in scenario_state.companies
                 if ty == "company"
-                else arg in ips
+                else arg in ips or arg in scenario_state.ips
                 if ty == "ip"
                 else (not countries or arg in countries)
             )
@@ -659,14 +660,26 @@ def _build_state_spec(
 def parse_state_spec(text: str, scenario: Optional[ScenarioDoc] = None) -> ParseResult:
     """Parse a plain state document: company/ip declarations and facts.
     Against a ``scenario`` its facts may name only the scenario's countries,
-    and it may declare no company or ip the scenario declares."""
+    and its companies and ips besides its own, and it may declare no company
+    or ip the scenario declares.  Together with the scenario's state, or
+    alone, it must be an initial state: each problem is reported at the
+    document's statement."""
     statements, diagnostics = _Parser(text, _STATE_SPEC).parse_document()
-    if scenario is None:
-        spec, _ = _build_state_spec(statements, diagnostics, countries=())
-    else:
-        countries = scenario.scenario.countries
-        spec, _ = _build_state_spec(statements, diagnostics, countries, scenario.state)
-    return _result(diagnostics, lambda: spec)
+    if scenario is None:  # no entity of its own, and any country
+        scenario = ScenarioDoc(StateSpec((), (), ()), ScenarioConfig((), {}, frozenset(), ()))
+    base, config = scenario.state, scenario.scenario
+    spec, fact_positions = _build_state_spec(statements, diagnostics, config.countries, base)
+
+    def document() -> Optional[StateSpec]:
+        joint = StateSpec(
+            base.companies + spec.companies, base.ips + spec.ips, base.facts + spec.facts
+        )
+        pool = [entry for entry in statements["company"] if entry[0] in config.company_pool]
+        problems = _initial_state_problems(joint, fact_positions, statements["company"], pool)
+        diagnostics.extend(problems)
+        return None if problems else spec
+
+    return _result(diagnostics, document)
 
 
 def _initial_state_problems(
@@ -678,7 +691,9 @@ def _initial_state_problems(
     """A pool id that is a declared company, a declared company resident
     nowhere, and a breach of the state invariants (see
     :mod:`loophound.kernel`), the last at the fact whose addition breaks
-    one: facts can only add breaches, never mend one."""
+    one: facts can only add breaches, never mend one.  ``fact_positions``
+    are those of the last facts of ``spec``; the facts before them hold
+    together."""
     problems = [
         Diagnostic("error", f"pool id {cid!r} is already a declared company", *pos)
         for cid, pos in pool
@@ -699,7 +714,8 @@ def _initial_state_problems(
     try:
         kernel.initial_state(spec.facts, spec.companies)
     except kernel.KernelError:
-        for end, pos in enumerate(fact_positions, 1):
+        held = len(spec.facts) - len(fact_positions)
+        for end, pos in enumerate(fact_positions, held + 1):
             try:
                 kernel.initial_state(spec.facts[:end], spec.companies)
             except kernel.KernelError as exc:

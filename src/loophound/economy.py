@@ -36,6 +36,7 @@ its 3,600 ledgers hold 15,377 transactions, 1,129 of them distinct.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -68,6 +69,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.royalty_rate <= 1.0:
             raise EconomyError(f"royalty_rate outside [0, 1]: {self.royalty_rate}")
+        # the search charges it per action, and a utility must be finite
+        if not 0.0 < self.action_cost < math.inf:
+            raise EconomyError(f"action_cost outside (0, inf): {self.action_cost}")
         for country, amount in self.revenue_table.items():
             if country not in self.countries:
                 raise EconomyError(f"revenue for undeclared country {country!r}")
@@ -99,9 +103,8 @@ def earning_companies(state: State, scenario: ScenarioConfig) -> list[tuple[str,
     access.update(renter for _, renter, _ in state.rows("rentsIP"))
     out = []
     for company in state.companies():  # sorted, one country each
+        # no haven is a key of revenue_table, nor None (based nowhere)
         country = based.get(company)
-        if country is None or country in scenario.tax_havens:
-            continue
         if country in scenario.revenue_table and company in access:
             out.append((company, country))
     return out

@@ -8,6 +8,16 @@ fact vocabulary; a trajectory is covered when some clause body matches its own
 background database.  Learning is greedy set cover with a beam search over
 linked clauses, scored by F1 on the not-yet-covered positives.
 
+A refinement adds one literal of a vocabulary predicate, each argument filled
+by the entity type :data:`~loophound.kernel.PREDICATES` declares for its
+position, as mode declarations type the refinements of Progol (Muggleton,
+1995): a company by a head variable, distinct within the literal; a country
+by a country the background holds at some country position; an ip by one of
+the clause's IP variables, one fresh variable (at most ``_MAX_FRESH_VARS``
+per clause), or an IP the background holds.  So any vocabulary of
+predicates, and any binding of the head variables to role countries, is
+searched by the same rule.
+
 Coverage is computed on example bitsets, sharing one table across all
 candidate clauses in the manner of the query packs of Blockeel et al. (JAIR
 2002).  Example ``k`` of a :class:`BackgroundDB` is bit ``k`` of an int
@@ -26,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .kernel import PREDICATES, is_variable
 from .runfiles import TrajectorySet
@@ -40,7 +50,6 @@ DEFAULT_ROLE_BINDING: tuple[tuple[str, str], ...] = (
     ("D", "germany"),
 )
 DEFAULT_VOCABULARY: tuple[str, ...] = ("ownsIP", "managed", "rentsIP")
-ROLE_PREDICATE = "role"
 
 # fresh variables are only introduced in IP argument positions; three are
 # enough for any body within the default literal budget
@@ -74,16 +83,13 @@ class InductionConfig:
                 raise InductionError(f"unknown vocabulary predicate {predicate!r}")
         seen: set[str] = set()
         for variable, country in self.role_binding:
-            if not is_variable(variable):
-                raise InductionError(f"role variable {variable!r} is not a variable")
+            if variable not in HEAD_VARIABLES:
+                raise InductionError(f"role variable {variable!r} is not a head variable")
             if variable in seen:
                 raise InductionError(f"duplicate role variable {variable!r}")
             seen.add(variable)
             if is_variable(country):
                 raise InductionError(f"role country {country!r} must be a constant")
-
-    def role_map(self) -> dict[str, str]:
-        return dict(self.role_binding)
 
 
 @dataclass(frozen=True)
@@ -163,8 +169,6 @@ class BackgroundDB:
             for variable, company in example.roles:
                 lifts.setdefault(company, []).append(variable)
             for atom in example.facts:
-                if atom[0] == ROLE_PREDICATE:
-                    continue
                 for position, value in enumerate(atom[1:]):
                     values.setdefault((atom[0], position), set()).add(value)
                 for args in itertools.product(
@@ -198,13 +202,12 @@ class BackgroundDB:
 
 
 def build_background(tset: TrajectorySet, config: InductionConfig) -> BackgroundDB:
-    """Per-trajectory databases: vocabulary facts plus role atoms.
+    """Per-trajectory databases: the vocabulary facts and the role binding.
 
     Trajectories lacking a company in some role country are excluded with a
     warning; ``based`` facts are read only to resolve roles.
     """
     vocabulary = set(config.vocabulary)
-    role_map = config.role_map()
     examples: list[ExampleBackground] = []
     excluded: list[int] = []
     warnings: list[str] = []
@@ -215,7 +218,7 @@ def build_background(tset: TrajectorySet, config: InductionConfig) -> Background
             based.setdefault(country, []).append(company)
         roles: list[tuple[str, str]] = []
         missing: Optional[str] = None
-        for variable, country in sorted(role_map.items()):
+        for variable, country in sorted(config.role_binding):
             candidates = based.get(country)
             if not candidates:
                 missing = country
@@ -233,7 +236,6 @@ def build_background(tset: TrajectorySet, config: InductionConfig) -> Background
             for predicate in vocabulary
             for args in state.rows(predicate)
         ]
-        atoms.extend((ROLE_PREDICATE, variable, company) for variable, company in roles)
         examples.append(
             ExampleBackground(
                 trajectory_id=trajectory.id,
@@ -447,43 +449,34 @@ def _score_clauses(
     )
 
 
-def _constant_pools(background: BackgroundDB) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Country and IP constants observed anywhere in the databases."""
-    values = background.position_values
-    empty: frozenset[str] = frozenset()
-    countries = values.get(("managed", 1), empty)
-    ips = values.get(("ownsIP", 1), empty) | values.get(("rentsIP", 2), empty)
-    return tuple(sorted(countries)), tuple(sorted(ips))
+def _constant_pools(background: BackgroundDB) -> dict[str, tuple[str, ...]]:
+    """Per entity type, the constants the background holds at any argument
+    position of that type, sorted."""
+    pools: dict[str, set[str]] = {}
+    for (predicate, position), values in background.position_values.items():
+        pools.setdefault(PREDICATES[predicate][position], set()).update(values)
+    return {kind: tuple(sorted(values)) for kind, values in pools.items()}
 
 
 def _candidate_literals(
-    clause: Clause,
-    vocabulary: Sequence[str],
-    countries: Sequence[str],
-    ips: Sequence[str],
-) -> Iterator[ClauseLiteral]:
-    """One-literal refinements; company positions use head variables only."""
-    in_use = sorted(v for v in clause.variables() if v not in HEAD_VARIABLES)
-    ip_terms: list[str] = list(in_use)
-    if len(in_use) < _MAX_FRESH_VARS:
-        ip_terms.append(f"Ip{len(in_use)}")
-    ip_terms.extend(ips)
+    ip_count: int, vocabulary: Sequence[str], pools: dict[str, tuple[str, ...]]
+) -> tuple[ClauseLiteral, ...]:
+    """The one-literal refinements of a clause with ``ip_count`` IP variables,
+    named ``Ip0``, ``Ip1``, ... as :func:`canonical_clause` names them, each
+    argument filled by its entity type: a company by a head variable,
+    distinct within the literal; a country by a pooled country; an ip by one
+    of the clause's IP variables, one fresh variable while fewer than
+    ``_MAX_FRESH_VARS`` are in use, or a pooled IP."""
+    ip_variables = [f"Ip{k}" for k in range(min(ip_count + 1, _MAX_FRESH_VARS))]
+    ips = (*ip_variables, *pools.get("ip", ()))
+    terms = {"company": HEAD_VARIABLES, "country": pools.get("country", ()), "ip": ips}
+    literals = []
     for predicate in vocabulary:
-        if predicate == "managed":
-            for company in HEAD_VARIABLES:
-                for country in countries:
-                    yield ClauseLiteral(predicate, (company, country))
-        elif predicate == "ownsIP":
-            for company in HEAD_VARIABLES:
-                for ip in ip_terms:
-                    yield ClauseLiteral(predicate, (company, ip))
-        elif predicate == "rentsIP":
-            for licensor in HEAD_VARIABLES:
-                for renter in HEAD_VARIABLES:
-                    if renter == licensor:
-                        continue
-                    for ip in ip_terms:
-                        yield ClauseLiteral(predicate, (licensor, renter, ip))
+        for args in itertools.product(*(terms[kind] for kind in PREDICATES[predicate])):
+            heads = [term for term in args if term in HEAD_VARIABLES]
+            if len(set(heads)) == len(heads):
+                literals.append(ClauseLiteral(predicate, args))
+    return tuple(literals)
 
 
 @dataclass(frozen=True)
@@ -510,8 +503,7 @@ def _search_clause(
     negatives: int,
     background: BackgroundDB,
     config: InductionConfig,
-    countries: Sequence[str],
-    ips: Sequence[str],
+    refinements: Sequence[tuple[ClauseLiteral, ...]],
 ) -> Optional[_Candidate]:
     """Beam search for the linked clause maximizing F1 on uncovered positives.
 
@@ -534,7 +526,8 @@ def _search_clause(
         pool: list[_Candidate] = []
         for parent in beam:
             body = parent.clause.body
-            for literal in _candidate_literals(parent.clause, config.vocabulary, countries, ips):
+            ip_count = len(parent.clause.variables().difference(HEAD_VARIABLES))
+            for literal in refinements[ip_count]:
                 if literal in body:
                     continue
                 clause = canonical_clause(body + (literal,))
@@ -585,12 +578,16 @@ def induce(
     negatives = background.mask(examples.negatives)
     if not positives:
         raise InductionError("all positive examples were excluded from the background")
-    countries, ips = _constant_pools(background)
+    # a clause's refinements depend only on how many IP variables it has
+    pools = _constant_pools(background)
+    refinements = [
+        _candidate_literals(n, config.vocabulary, pools) for n in range(_MAX_FRESH_VARS + 1)
+    ]
     uncovered = positives
     clauses: list[Clause] = []
     warnings: list[str] = []
     while uncovered and len(clauses) < config.max_clauses:
-        found = _search_clause(uncovered, negatives, background, config, countries, ips)
+        found = _search_clause(uncovered, negatives, background, config, refinements)
         if found is None or found.f1 <= 0.0:
             if not clauses:
                 warnings.append("no clause with positive score exists; hypothesis is empty")
@@ -639,9 +636,9 @@ def scheme_graph(hypothesis: Hypothesis, top_k: int = 10) -> SchemeGraph:
         if weight is None:
             continue
         for literal in clause.body:
-            label_ = _EDGE_LABELS.get(literal.predicate)
-            if label_ is None or len(literal.args) < 2:
+            if len(literal.args) < 2:
                 continue
+            label_ = _EDGE_LABELS.get(literal.predicate, literal.predicate)
             key = (literal.args[0], literal.args[1], label_)
             if key not in best or weight > best[key]:
                 best[key] = weight

@@ -388,8 +388,9 @@ def read_jsonl(path) -> TrajectorySet:
     """The trajectory set of a file written by :func:`write_jsonl`.  Malformed
     content raises one :class:`RunFileError` naming the header or the
     trajectory at fault: a non-finite number, JSON nested too deep to read,
-    or a trajectory ``id`` other than its record's position, counting from
-    0, included.
+    a trajectory ``id`` other than its record's position, counting from 0,
+    and a ``phi`` or ``utility`` other than ``explore`` computes from the
+    header's ``cost_coefficient``, the ``length`` and ``p`` included.
 
     The file is read one line at a time.  One table for the whole read makes
     equal actions, final-state rows and final-state groups of all its
@@ -413,6 +414,12 @@ def read_jsonl(path) -> TrajectorySet:
                 trajectory = _trajectory_from_json(row, table)
                 if trajectory.id != n:
                     raise ValueError(f"id {trajectory.id} is not its position {n}")
+                # explore's own arithmetic, bit for bit
+                phi = params.cost_coefficient * trajectory.length
+                if trajectory.phi != phi:
+                    raise ValueError(f"phi is not cost_coefficient * length, {phi!r}")
+                if trajectory.utility != trajectory.p - phi:
+                    raise ValueError(f"utility is not p - phi, {trajectory.p - phi!r}")
                 trajectories.append(trajectory)
             except (
                 AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError,

@@ -158,6 +158,13 @@ TRAJECTORY_DEFECTS = {
         lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
         "trajectory 0: ValueError: id 1 is not its position 0",
     ),
+    # phi and utility are explore's arithmetic on the header's cost_coefficient
+    "phi-not-cost-times-length": (
+        (1, "phi"), lambda phi: phi + 1.0, "phi is not cost_coefficient * length"
+    ),
+    "utility-not-p-minus-phi": (
+        (1, "utility"), lambda utility: utility + 5000.0, "utility is not p - phi"
+    ),
     "header-nested": ((0,), "[nested]", "header: maximum recursion depth exceeded"),
     "row-nested": ((1,), "[nested]", "trajectory 0: RecursionError"),
 }
@@ -727,14 +734,44 @@ class TestValidationErrors:
         assert "iterations" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag,value,field",
-        [("--beta", "inf", "beta"), ("--tau0", "nan", "tau0"), ("--cost", "nan", "cost")],
+        "flag,value,field", [("--beta", "inf", "beta"), ("--tau0", "nan", "tau0")]
     )
     def test_non_finite_search_parameter(self, tmp_path, capsys, flag, value, field):
         code = main(["explore", flag, value, "--out", str(tmp_path)])
         assert code == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "trajectories.jsonl").exists()
+
+    def _explore_toy(self, tmp_path, toy_files, action_cost):
+        """``explore`` over the toy world with its ``set action_cost``
+        statement replaced; returns the exit code."""
+        ruleset, _ = toy_files
+        scenario = tmp_path / "scenario.lhl"
+        scenario.write_text(
+            TOY_SCENARIO.replace("set action_cost 1.", f"set action_cost {action_cost}."),
+            encoding="utf-8",
+        )
+        return main(
+            ["explore", "--ruleset", str(ruleset), "--scenario", str(scenario),
+             "--seed", "3", "--iterations", "4", "--expansions", "20",
+             "--out", str(tmp_path / "run")]
+        )
+
+    def test_non_positive_action_cost(self, tmp_path, capsys, toy_files):
+        # the search's cost per action comes from the scenario, not a flag
+        assert self._explore_toy(tmp_path, toy_files, "0") == 1
+        err = capsys.readouterr().err
+        assert "9:5: error: action_cost outside (0, inf): 0.0" in err
+        assert not (tmp_path / "run" / "trajectories.jsonl").exists()
+
+    def test_action_cost_is_charged_per_action(self, tmp_path, toy_files):
+        assert self._explore_toy(tmp_path, toy_files, "2") == 0
+        tset = read_jsonl(tmp_path / "run" / "trajectories.jsonl")
+        assert tset.params.cost_coefficient == 2.0
+        assert tset.trajectories
+        for t in tset.trajectories:
+            assert t.phi == 2 * t.length
+            assert t.utility == t.p - t.phi
 
     def test_min_distance_below_one(self, tmp_path, capsys):
         assert main(["profile", "--min-distance", "0", "--out", str(tmp_path)]) == 1

@@ -12,6 +12,7 @@ import itertools
 
 import pytest
 
+from loophound.dsl import parse_scenario
 from loophound.economy import (
     COMMERCIAL,
     ROYALTY,
@@ -299,6 +300,19 @@ class TestCommercial:
         ]
         assert all(t.kind == COMMERCIAL for t in out)
 
+    def test_zero_revenue_market_pays_zero(self):
+        # a market of revenue 0 is a market, not a haven: its company with IP
+        # access earns a commercial transaction of 0.0
+        result = parse_scenario(
+            "country x revenue 0.\ncompany a.\nip i.\n"
+            "fact based(a, x).\nfact ownsIP(a, i).\n"
+        )
+        assert result.ok, [str(d) for d in result.diagnostics]
+        doc = result.document
+        state = initial_state(doc.state.facts, doc.state.companies)
+        out = commercial_transactions(state, doc.scenario)
+        assert [(t.sender, t.receiver, t.amount) for t in out] == [("x", "a", 0.0)]
+
 
 class TestTransfer:
     """The sale's payment in the ledger :func:`settle` builds."""
@@ -394,3 +408,8 @@ class TestScenarioValidation:
     def test_negative_revenue(self):
         with pytest.raises(EconomyError, match="negative"):
             make_scenario(revenue_table={"m1": -1.0})
+
+    @pytest.mark.parametrize("cost", [0.0, -1.0, float("nan"), float("inf")])
+    def test_action_cost_finite_and_positive(self, cost):
+        with pytest.raises(EconomyError, match="action_cost"):
+            make_scenario(action_cost=cost)

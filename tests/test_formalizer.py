@@ -253,6 +253,56 @@ class TestValidation:
         text = "company q. fact based(q, usa)."
         assert validate_candidate(text, "initial_state", scenario=corpus_scenario) == []
 
+    def test_facts_may_name_the_scenario_entities(self, corpus_scenario):
+        # p and ip1 are the scenario's
+        for text in (
+            "company q. fact based(q, usa). fact isChildOf(q, p).",
+            "company q. fact based(q, usa). fact rentsIP(p, q, ip1).",
+        ):
+            assert validate_candidate(text, "initial_state", scenario=corpus_scenario) == []
+
+    @pytest.mark.parametrize(
+        "text, diagnostic",
+        [
+            (
+                "company a. company b. ip i. fact based(a, usa). fact based(b, usa). "
+                "fact ownsIP(a, i). fact ownsIP(b, i).",
+                "1:93: error: initial state: ip 'i' has more than one owner",
+            ),
+            (
+                "company a. fact based(a, usa). fact based(a, ireland).",
+                "1:37: error: initial state: company 'a' is based in multiple countries",
+            ),
+            (
+                "company q.",
+                "1:9: error: company 'q' is resident nowhere: it needs a based or managed fact",
+            ),
+            # breaches that only the scenario's state together with the
+            # candidate's holds
+            (
+                "company q. fact based(q, usa). fact ownsIP(q, ip1).",
+                "1:37: error: initial state: ip 'ip1' has more than one owner",
+            ),
+            (
+                "fact based(p, germany).",
+                "1:6: error: initial state: company 'p' is based in multiple countries",
+            ),
+            (
+                "company c1. fact based(c1, usa).",
+                "1:9: error: pool id 'c1' is already a declared company",
+            ),
+        ],
+        ids=[
+            "two-owners", "two-countries", "resident-nowhere",
+            "owner-of-the-scenario-ip", "scenario-company-rebased", "pool-id",
+        ],
+    )
+    def test_candidate_and_scenario_form_an_initial_state(
+        self, corpus_scenario, text, diagnostic
+    ):
+        diagnostics = validate_candidate(text, "initial_state", scenario=corpus_scenario)
+        assert [str(d) for d in diagnostics] == [diagnostic]
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(FormalizerError, match="unknown request kind"):
             validate_candidate("x", "poetry")

@@ -24,7 +24,6 @@ from loophound.induction import (
     DEFAULT_ROLE_BINDING,
     DEFAULT_VOCABULARY,
     HEAD_VARIABLES,
-    ROLE_PREDICATE,
     Clause,
     ClauseLiteral,
     BackgroundDB,
@@ -33,6 +32,8 @@ from loophound.induction import (
     InductionConfig,
     InductionError,
     Metrics,
+    _candidate_literals,
+    _constant_pools,
     build_background,
     canonical_clause,
     clause_covers,
@@ -315,10 +316,6 @@ class TestBuildBackground:
                     ("managed", "i0", "bermuda"),
                     ("ownsIP", "i0", "ip1"),
                     ("rentsIP", "i0", "n0", "ip1"),
-                    ("role", "A", "i0"),
-                    ("role", "B", "n0"),
-                    ("role", "C", "u0"),
-                    ("role", "D", "g0"),
                 ]
             )
         )
@@ -356,12 +353,13 @@ class TestBuildBackground:
         assert db.excluded == (7,)
         assert "germany" in db.warnings[0]
 
-    def test_empty_vocabulary_keeps_only_role_atoms(self):
+    def test_empty_vocabulary_keeps_no_facts(self):
         tset = mk_tset(
             [role_trajectory(0, 100.0, extra_facts=[("managed", ("i0", "bermuda"))])]
         )
         db = build_background(tset, self.config(vocabulary=()))
-        assert all(atom[0] == "role" for atom in db.examples[0].facts)
+        assert db.examples[0].facts == ()
+        assert dict(db.examples[0].roles) == {"A": "i0", "B": "n0", "C": "u0", "D": "g0"}
 
     def test_incomplete_trajectories_skipped(self):
         tset = mk_tset(
@@ -458,7 +456,6 @@ def random_backgrounds(draw):
     for tid in range(draw(st.integers(min_value=1, max_value=6))):
         roles = tuple((v, draw(st.sampled_from(_COMPANIES))) for v in variables)
         facts = draw(st.sets(st.sampled_from(_VOCABULARY_FACTS), max_size=10))
-        facts |= {(ROLE_PREDICATE, v, company) for v, company in roles}
         examples.append(
             ExampleBackground(trajectory_id=tid, facts=tuple(sorted(facts)), roles=roles)
         )
@@ -639,6 +636,37 @@ class TestInduce:
         if hypothesis.clauses:
             assert hypothesis.clause_metrics[0].f1 == pytest.approx(2 / 3)
 
+    def test_candidates_fill_positions_by_entity_type(self):
+        """For the default vocabulary the typing rule yields exactly the
+        literals of the oracle's hand-written universe; one fresh variable
+        is offered to a clause that uses none."""
+        db = build_background(small_instance(), InductionConfig(u_plus=50.0))
+        pools = _constant_pools(db)
+        assert (pools["country"], pools["ip"]) == (("bermuda",), ("ip1",))
+        candidates = _candidate_literals(0, DEFAULT_VOCABULARY, pools)
+        assert len(candidates) == len(set(candidates))
+        assert set(candidates) == set(
+            oracle_literal_universe(["bermuda"], ["ip1"], DEFAULT_VOCABULARY, max_fresh=1)
+        )
+
+    def test_vocabulary_beyond_the_default_is_searched(self):
+        # B is a child of A in the positives only
+        child = ("isChildOf", ("n0", "i0"))
+        other = ("isChildOf", ("u0", "g0"))
+        tset = mk_tset(
+            [
+                role_trajectory(0, 100.0, extra_facts=[child]),
+                role_trajectory(1, 100.0, extra_facts=[child, other]),
+                role_trajectory(2, 10.0, extra_facts=[other]),
+                role_trajectory(3, 10.0, extra_facts=[]),
+            ]
+        )
+        config, examples, db = self.setup(tset, vocabulary=("isChildOf",))
+        hypothesis = induce(examples, db, config)
+        assert [c.serialize() for c in hypothesis.clauses] == ["isChildOf(B, A)"]
+        assert hypothesis.clause_metrics[0].f1 == 1.0
+        assert hypothesis.warnings == ()
+
     # Hypotheses learned from desk-scale runs of the bundled corpus (20
     # iterations x 200 expansions), at a percentile of the complete
     # utilities as u_plus, with the default configuration.  Each pins the
@@ -763,6 +791,16 @@ class TestSchemeGraph:
         graph = scheme_graph(hypothesis_with_f1(entries), top_k=3)
         assert [e.weight for e in graph.edges] == pytest.approx([0.6, 0.5, 0.4])
 
+    def test_every_binary_literal_is_an_edge(self):
+        lits = [
+            ClauseLiteral("isChildOf", ("B", "A")),
+            ClauseLiteral("based", ("C", "usa")),
+            ClauseLiteral("exists", ("D",)),
+        ]
+        graph = scheme_graph(hypothesis_with_f1([(lits, 0.5)]))
+        rows = [(e.source, e.label, e.target) for e in graph.edges]
+        assert rows == [("B", "isChildOf", "A"), ("C", "based", "usa")]
+
     def test_empty_hypothesis_empty_graph(self):
         graph = scheme_graph(Hypothesis(clauses=(), clause_metrics=()))
         assert graph.edges == ()
@@ -849,6 +887,8 @@ class TestInductionConfig:
             {"role_binding": (("A", "Var"),)},
             {"u_plus": float("nan")},
             {"u_plus": float("inf")},
+            # a role variable is a head variable, or it would bind nothing
+            {"role_binding": (("X", "ireland"),)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
