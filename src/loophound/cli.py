@@ -21,7 +21,7 @@ missing).
 A stage imports only the layers it runs, when it runs:
 
 * check    -> :mod:`~loophound.dsl` (with the kernel, economy, taxation and
-  the join compiler its rules are built with)
+  the join plan its rules are checked with; no code is generated)
 * explore  -> that, :mod:`~loophound.runfiles`, :mod:`~loophound.explorer`
   and numpy
 * profile, stats -> :mod:`~loophound.runfiles` and
@@ -229,7 +229,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             beta=args.beta,
             tau0=args.tau0,
             max_steps=args.max_steps,
-            cost_coefficient=scenario.scenario.action_cost,
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from exc
@@ -256,6 +255,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 "scenario": str(scenario_path),
             },
             **asdict(params),
+            "cost_coefficient": tset.cost_coefficient,
         },
     )
     return EXIT_OK

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .kernel import GROUP, TRANSACTION_KINDS, State
@@ -63,8 +63,6 @@ class ScenarioConfig:
     action_cost: float = 1.0
     declared_companies: tuple[str, ...] = ()
     declared_ips: tuple[str, ...] = ()
-    # the countries a multinationally complete state earns revenue in
-    non_havens: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.royalty_rate <= 1.0:
@@ -82,9 +80,6 @@ class ScenarioConfig:
                 raise EconomyError(f"haven {h!r} is not a declared country")
             if h in self.revenue_table:
                 raise EconomyError(f"haven {h!r} must not carry commercial revenue")
-        object.__setattr__(
-            self, "non_havens", frozenset(self.countries).difference(self.tax_havens)
-        )
 
 
 class Transaction(NamedTuple):
@@ -119,7 +114,8 @@ def is_multinationally_complete(
     transactions are sent by exactly the countries that host one.
     """
     covered = {t.sender for t in transactions if t.kind == COMMERCIAL}
-    return covered.issuperset(scenario.non_havens)
+    covered.update(scenario.tax_havens)
+    return covered.issuperset(scenario.countries)
 
 
 def commercial_transactions(

@@ -207,7 +207,9 @@ def explore(
     scenario_doc: ScenarioDoc,
     params: SearchParams,
 ) -> TrajectorySet:
-    """Run the search and return the recorded trajectory set.
+    """Run the search and return the recorded trajectory set.  Each action
+    costs the scenario's ``action_cost``, which the set records as its
+    ``cost_coefficient``.
 
     The documents are checked with :func:`loophound.dsl.rate_problem` before
     the search starts: a scenario country without a statutory rate raises
@@ -231,6 +233,7 @@ def explore(
             gc.enable()
     return TrajectorySet(
         params=params,
+        cost_coefficient=scenario_doc.scenario.action_cost,
         ruleset_sha256=_doc_hash(render_ruleset(ruleset)),
         scenario_sha256=_doc_hash(render_scenario(scenario_doc)),
         trajectories=trajectories,
@@ -250,7 +253,7 @@ def _search(
     rates = ruleset.rates()
     reductions = ruleset.reduction_rules
     rules, s0 = search_world(ruleset.action_rules, scenario_doc)
-    cost = params.cost_coefficient
+    cost = scenario.action_cost
 
     warnings: list[str] = []
     memo = EvaluationMemo(scenario, reductions, rates)

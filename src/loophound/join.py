@@ -2,14 +2,18 @@
 
 A :class:`CompiledCondition` turns a condition (see :mod:`loophound.kernel`)
 into Python source, one straight-line nest of ``for`` loops over the
-per-predicate tuples of a state, and ``exec``-s it once, when the rule that
-owns the condition is built.  This is the technique of Soufflé (Jordan,
-Scholz and Subotić, CAV 2016): compile each Datalog rule instead of
-interpreting it per call.  :func:`compile_projection` goes one step further
-and compiles a whole set of conditions that run together, a ruleset's
-reductions, into one function that binds each relation once and shares it
-across them, as multiple-query optimization shares the scans of queries
-evaluated together (Sellis, TODS 1988).
+per-predicate tuples of a state, and ``exec``-s it once, in the program that
+runs it: a search compiles each action rule's precondition once, on the
+rule's first grounding (see :class:`loophound.kernel.ActionRules`).  This is
+the technique of Soufflé (Jordan, Scholz and Subotić, CAV 2016): compile
+each Datalog rule instead of interpreting it per call.
+:func:`compile_projection` goes one step further and compiles a whole set of
+conditions that run together, a search's reductions, into one function that
+binds each relation once and shares it across them, as multiple-query
+optimization shares the scans of queries evaluated together (Sellis, TODS
+1988).  A rule generates no code when it is built: it checks its condition
+with :func:`plan`, the plan its compiled join follows, so the condition of
+a rule that exists compiles.
 
 * **Join order.**  A projection starts from a positive literal that binds
   the projected variable.  After that, the next literal is the one with the
@@ -25,11 +29,11 @@ evaluated together (Sellis, TODS 1988).
   deduplicated; the function that :func:`compile_projection` builds
   collects, per condition, the distinct values of one variable and leaves
   the inner loops as soon as a value is recorded.
-* **Reads.**  :attr:`~CompiledCondition.reads` lists the positions of the
-  state groups the generated code indexes, one per predicate of the
-  condition's literals.  Every entry point is a function of those groups,
-  the seed and the extra relations alone, so a caller may key a result on
-  the groups at ``reads`` (see :class:`loophound.kernel.ActionRules`).
+* **Reads.**  The generated code indexes a state's groups only at the
+  positions of the predicates the condition's literals name, negated or
+  not.  Every entry point is a function of those groups, the seed and the
+  extra relations alone, so a caller may key a result on them (see
+  :class:`loophound.kernel.ActionRules`).
 """
 
 from __future__ import annotations
@@ -67,29 +71,17 @@ class CompiledCondition:
     literal uses a variable that neither ``bound`` nor a positive literal
     binds.
 
-    ``reads`` holds, sorted, the position in a state's groups of each
-    predicate that a literal of the condition names, negated or not: the
-    generated code indexes the groups at these positions and nowhere else,
-    so two states whose groups agree there give :meth:`bindings` the same
-    result for the same seed and extra relations.
+    The generated code indexes a state's groups only at the positions of
+    the predicates the condition's literals name, negated or not.
     """
 
     def __init__(self, condition: Condition, bound: Iterable[str] = ()) -> None:
         entry = frozenset(bound)
-        self.reads: tuple[int, ...] = tuple(
-            sorted(
-                {
-                    GROUP[item.predicate]
-                    for item in condition
-                    if isinstance(item, Literal) and item.predicate in GROUP
-                }
-            )
-        )
         names = {v for item in condition for v in item.variables()} | entry
         # solution rows hold one value per variable, in this order
         self.variables: tuple[str, ...] = tuple(sorted(names))
         local = {v: f"v{i}" for i, v in enumerate(self.variables)}
-        order, placed = _plan(condition, entry)
+        order, placed = plan(condition, entry)
         relations: dict[str, str] = {}
         for lit in condition:
             if isinstance(lit, Literal) and lit.predicate not in relations:
@@ -167,7 +159,7 @@ def compile_projection(conditions: Sequence[Condition], target: str) -> Projecti
     for position, condition in enumerate(conditions):
         names = sorted({v for item in condition for v in item.variables()})
         local = {v: f"v{i}" for i, v in enumerate(names)}
-        order, placed = _plan(condition, frozenset(), target)
+        order, placed = plan(condition, frozenset(), target)
         order = [relation(lit) for lit in order]
         placed = _rename_checks(placed, relation)
         # checks on constants alone, and an empty relation a positive literal
@@ -205,20 +197,29 @@ def _every_kind(rows: Sequence[Sequence[tuple[str, str]]]) -> list[tuple[str, st
 def _compile(source: str, name: str, namespace: dict) -> Callable:
     """The function ``name`` that ``source`` defines.  The function is taken
     out of its namespace, so the two form no reference cycle."""
-    try:
-        exec(compile(source, "<condition>", "exec"), namespace)
-    except SyntaxError as exc:  # more nested loops than Python allows
-        raise KernelError(f"condition too large to compile: {exc.msg}") from exc
+    exec(compile(source, "<condition>", "exec"), namespace)
     return namespace.pop(name)
 
 
-def _plan(
+# CPython compiles at most 20 statically nested blocks into one function
+# (CO_MAXBLOCKS), and each loop of a generated join is one
+MAX_LOOPS = 20
+
+
+def plan(
     condition: Condition, entry: frozenset[str], target: Optional[str] = None
 ) -> tuple[list[Literal], dict[int, list]]:
     """The join order of the condition's positive literals, and its checks
-    by the step after which each runs (-1: on entry).
+    by the step after which each runs (-1: on entry): the plan the
+    generated join follows, with ``entry`` bound on entry.
 
     With a ``target`` the join starts from a positive literal that binds it.
+    Raises :class:`KernelError` when a check uses a variable that neither
+    ``entry`` nor a positive literal binds, when no positive literal binds
+    ``target``, or when the join would nest more than :data:`MAX_LOOPS`
+    loops, one per literal that binds a variable.  A rule checks its
+    condition with the plan its join follows, so a rule that is built
+    compiles.
     """
     positives = [it for it in condition if isinstance(it, Literal) and not it.negated]
     checks = [it for it in condition if not (isinstance(it, Literal) and not it.negated)]
@@ -250,6 +251,16 @@ def _plan(
         rest.remove(pick)
         order.append(pick)
         bound.update(pick.variables())
+
+    # a literal loops when it binds a variable (see _emit_join)
+    known, loops = set(entry), 0
+    for lit in order:
+        loops += not known.issuperset(lit.variables())
+        known.update(lit.variables())
+    if loops > MAX_LOOPS:
+        raise KernelError(
+            f"condition too large to compile: {loops} nested loops, at most {MAX_LOOPS}"
+        )
 
     # each check runs after the first step (-1: on entry) that binds its variables
     placed: dict[int, list] = {}

@@ -34,10 +34,10 @@ one ``fresh`` parameter, known predicates at their arity, no transaction
 pattern, wildcards only in negated literals and never in effects, every
 effect variable a parameter, since a grounded action binds only its
 parameters, and for ``transferIP`` one deleted ``ownsIP(Seller, Ip)`` and
-one added ``ownsIP(Buyer, Ip)``, which name the parties of the sale
-(:attr:`ActionRule.parties`).  It raises one :class:`KernelError` naming
-every problem found, so a malformed rule never exists and applying an
-action does not check its effects again.
+one added ``ownsIP(Buyer, Ip)``, which name the parties of the sale.  It
+raises one :class:`KernelError` naming every problem found, so a malformed
+rule never exists and applying an action does not check its effects again.
+A rule is a plain value: building it generates no code.
 
 A state carries the one-shot IP sale on its path, a :class:`Transfer`:
 applying a ``transferIP`` action records its step and the values its rule's
@@ -49,10 +49,12 @@ Variables follow the Prolog convention: identifiers starting with an
 uppercase letter are variables, everything else is a constant.  ``_`` is an
 anonymous wildcard, allowed only inside negated literals.
 
-Conditions are evaluated by :mod:`loophound.join`.  Each action rule
-compiles its precondition once, when it is built: literal order in the
-source never changes a result, the join order follows bound arguments, and
-comparisons and negations run as soon as their variables are bound.
+Conditions are evaluated by :mod:`loophound.join`.  A rule checks its
+precondition with the plan of the join that grounds it, and a search's
+:class:`ActionRules` compiles that join once, on the rule's first grounding:
+literal order in the source never changes a result, the join order follows
+bound arguments, and comparisons and negations run as soon as their
+variables are bound.
 Grounding lists a rule's actions in the product order of its free
 parameters' domains, then by the values of the sorted variable names.
 """
@@ -63,7 +65,6 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Iterable,
     Iterator,
@@ -71,9 +72,6 @@ from typing import (
     Optional,
     Sequence,
 )
-
-if TYPE_CHECKING:
-    from .join import CompiledCondition
 
 # ============================================================================
 # Predicate vocabulary
@@ -157,7 +155,7 @@ Rows = tuple[tuple[str, ...], ...]
 class Transfer(NamedTuple):
     """The one-shot IP sale on a state's path: the step of its
     ``transferIP`` and its parties, taken from the rule's ``ownsIP``
-    effects (see :attr:`ActionRule.parties`)."""
+    effects."""
 
     step: int  # index of the transferIP action in the path
     seller: str  # the old owner, who is paid
@@ -423,52 +421,23 @@ class ActionRule:
     add_effects: tuple[Literal, ...]
     del_effects: tuple[Literal, ...]
     span: tuple[int, int] = field(default=(0, 0), compare=False)
-    # parameters no positive literal binds: grounding enumerates the domain
-    # of each one's entity type
-    free_params: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    free_types: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    # precondition compiled for grounding (fresh and free parameters seeded)
-    ground_join: CompiledCondition = field(init=False, repr=False, compare=False)
-    # per parameter in sorted order, its index in a ground_join solution row
-    param_slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # of a transferIP rule, the (seller, buyer) parameters its effects name;
-    # () for the other rules
-    parties: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        from .join import CompiledCondition  # join builds on this module
+        from .join import plan  # join builds on this module
 
         problems = self._problems()
         if problems:
             raise KernelError(f"{self.name}/{self.legal_ref}: " + "; ".join(problems))
-        positive = {
-            v
-            for it in self.precondition
-            if isinstance(it, Literal) and not it.negated
-            for v in it.variables()
-        }
-        free = tuple(
-            p for p in self.params if p not in self.fresh_params and p not in positive
-        )
+        free = self.free_params()
         types = self.inferred_types()
         for p in free:
             if p not in types:
                 raise KernelError(
                     f"cannot infer a domain for parameter {p!r} in rule {self.key()}"
                 )
-        object.__setattr__(self, "free_params", free)
-        object.__setattr__(self, "free_types", tuple(types[p] for p in free))
-        ground_join = CompiledCondition(
-            self.precondition, bound=self.fresh_params | set(free)
-        )
-        object.__setattr__(self, "ground_join", ground_join)
-        object.__setattr__(
-            self,
-            "param_slots",
-            tuple(ground_join.variables.index(p) for p in sorted(self.params)),
-        )
-        sale = _sale_parties(self) if self.name == "transferIP" else None
-        object.__setattr__(self, "parties", sale or ())
+        # the plan of the join that grounds the rule, fresh and free
+        # parameters bound on entry: negation safety and the loop limit
+        plan(self.precondition, self.fresh_params | set(free))
 
     def _problems(self) -> list[str]:
         """Every shape problem of the rule."""
@@ -499,6 +468,19 @@ class ActionRule:
 
     def key(self) -> tuple[str, str]:
         return (self.name, self.legal_ref)
+
+    def free_params(self) -> tuple[str, ...]:
+        """The parameters neither fresh nor bound by a positive literal, in
+        order: grounding enumerates the domain of each one's entity type."""
+        positive = {
+            v
+            for it in self.precondition
+            if isinstance(it, Literal) and not it.negated
+            for v in it.variables()
+        }
+        return tuple(
+            p for p in self.params if p not in self.fresh_params and p not in positive
+        )
 
     def inferred_types(self) -> dict[str, str]:
         """Variable -> entity type, inferred from literal positions."""
@@ -586,11 +568,16 @@ class ActionRules:
     once per distinct read set, Michie's memo function ("Memo functions and
     machine learning", Nature 1968):
 
+    - ``grounders`` holds, per rule of ``ordered``, the rule compiled for
+      grounding (see :meth:`grounder`), from its first grounding on, and
+      None before it: most worlds a test builds ground a rule or two;
     - ``groundings`` holds, per rule of ``ordered``, its grounding by the
-      key ``ground_keys`` takes of a state's groups: those its precondition
-      reads, and ``exists`` for a rule with a fresh parameter.  A grounding
-      is a dict whose keys are the rule's actions in grounding order, so
-      that :func:`apply_action` tests an action's membership in one lookup;
+      key ``ground_keys`` takes of a state's groups: those its
+      precondition's literals name, which are all its compiled join reads
+      (see :mod:`loophound.join`), and ``exists`` for a rule with a fresh
+      parameter.  A grounding is a dict whose keys are the rule's actions
+      in grounding order, so that :func:`apply_action` tests an action's
+      membership in one lookup;
     - ``compiled`` holds, for each action :func:`apply_action` has applied,
       its :data:`Delta`, per touched group its deleted and added rows and
       the group they made of each parent group, and the (seller, buyer)
@@ -616,9 +603,10 @@ class ActionRules:
         for value in (*domains.companies, *domains.countries, *domains.ips, *self.pool):
             if type(value) is not str or not is_constant(value):
                 raise KernelError(f"domain value must be a ground constant: {value!r}")
+        self.grounders: list[Optional[tuple]] = [None] * len(self.ordered)
         self.ground_keys: tuple[Callable[[tuple[Rows, ...]], object], ...] = tuple(
             _key(
-                set(rule.ground_join.reads)
+                {GROUP[lit.predicate] for lit in rule.precondition if isinstance(lit, Literal)}
                 | ({GROUP["exists"]} if rule.fresh_params else set())
             )
             for rule in self.ordered
@@ -628,6 +616,25 @@ class ActionRules:
         )
         self.table: dict[tuple, tuple] = {}
         self.compiled: dict[GroundedAction, tuple[Delta, tuple[str, ...]]] = {}
+
+    def grounder(self, position: int) -> tuple:
+        """The rule at ``position`` of ``ordered`` compiled for grounding:
+        its precondition's :class:`~loophound.join.CompiledCondition` with
+        its fresh and free parameters bound on entry, its free parameters,
+        each one's domain, and per parameter in sorted order its slot in a
+        solution row.  The first call compiles it, and ``grounders`` keeps
+        it."""
+        grounder = self.grounders[position]
+        if grounder is None:
+            from .join import CompiledCondition  # join builds on this module
+
+            rule = self.ordered[position]
+            free, types = rule.free_params(), rule.inferred_types()
+            join = CompiledCondition(rule.precondition, bound=rule.fresh_params | set(free))
+            domains = tuple(self.domains.for_type(types[p]) for p in free)
+            slots = tuple(join.variables.index(p) for p in sorted(rule.params))
+            grounder = self.grounders[position] = (join, free, domains, slots)
+        return grounder
 
 
 def _key(reads: Iterable[int]) -> Callable[[tuple[Rows, ...]], object]:
@@ -647,26 +654,25 @@ def _lowest_unused_pool_id(state: State, pool: Sequence[str]) -> Optional[str]:
     return None
 
 
-def ground_rule(
-    rule: ActionRule, state: State, domains: Domains, pool: Sequence[str]
-) -> list[GroundedAction]:
-    """All groundings of one rule whose precondition holds in ``state``."""
+def ground_rule(state: State, rules: ActionRules, position: int) -> list[GroundedAction]:
+    """All groundings of the rule at ``position`` of ``rules.ordered`` whose
+    precondition holds in ``state``, through the rule's
+    :meth:`~ActionRules.grounder`."""
+    rule = rules.ordered[position]
     seed: dict[str, str] = {}
     for p in rule.fresh_params:
-        cid = _lowest_unused_pool_id(state, pool)
+        cid = _lowest_unused_pool_id(state, rules.pool)
         if cid is None:
             return []
         seed[p] = cid
 
-    free_domains = [domains.for_type(ty) for ty in rule.free_types]
+    join, free, domains, slots = rules.grounder(position)
     names = sorted(rule.params)
-    join = rule.ground_join
-    slots = rule.param_slots
     # distinct auxiliary-variable matches can collapse to the same parameter
     # values; the dict keeps the first of each, in order
     grounded: dict[tuple[str, ...], GroundedAction] = {}
-    for combo in itertools.product(*free_domains):
-        seed.update(zip(rule.free_params, combo))
+    for combo in itertools.product(*domains):
+        seed.update(zip(free, combo))
         for row in join.bindings(state, seed):
             values = tuple([row[i] for i in slots])
             if values not in grounded:
@@ -696,9 +702,7 @@ def rule_actions(
     read = rules.ground_keys[position](state.groups)
     grounded = groundings.get(read)
     if grounded is None:
-        grounded = groundings[read] = dict.fromkeys(
-            ground_rule(rule, state, rules.domains, rules.pool)
-        )
+        grounded = groundings[read] = dict.fromkeys(ground_rule(state, rules, position))
     return grounded
 
 
@@ -779,8 +783,8 @@ def _delta(
     rule: ActionRule, action: GroundedAction, table: dict
 ) -> tuple[Delta, tuple[str, ...]]:
     """The :data:`Delta` of ``action``, a grounding of ``rule``, its added
-    rows ``table``'s objects, and the values it binds to the rule's
-    :attr:`~ActionRule.parties`: (seller, buyer) of a sale, else ``()``."""
+    rows ``table``'s objects, and the values it binds to the parties of a
+    sale, (seller, buyer) of a ``transferIP``, else ``()``."""
     binding = action.as_dict()
     # per touched group, deleted rows and added rows, the binding filled in
     edits: dict[int, tuple[list, list]] = {}
@@ -792,4 +796,5 @@ def _delta(
         (position, tuple(deleted), tuple(table.setdefault(row, row) for row in added), {})
         for position, (deleted, added) in sorted(edits.items())
     )
-    return delta, tuple(binding[p] for p in rule.parties)
+    parties = _sale_parties(rule) if rule.name == "transferIP" else None
+    return delta, tuple(binding[p] for p in parties or ())

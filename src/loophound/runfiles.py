@@ -205,17 +205,16 @@ class SearchParams:
     beta: float = 0.01
     tau0: float = 5.0
     max_steps: int = 12
-    cost_coefficient: float = 1.0
 
     def __post_init__(self) -> None:
         # each field holds what the header declares: nan slips through the
         # range checks below (every comparison with it is false) and inf
         # passes them, but either breaks the softmax, and a negative seed
         # seeds no generator
-        for name, spec in _HEADER["params"].items():
+        for name, spec in _PARAMS.items():
             _checked(name, getattr(self, name), spec)
-        if min(self.tau0, self.cost_coefficient) <= 0:
-            raise ValueError("tau0 and cost_coefficient must be positive")
+        if self.tau0 <= 0:
+            raise ValueError("tau0 must be positive")
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
         if min(self.iterations, self.expansions, self.max_steps) < 1:
@@ -258,6 +257,7 @@ class Trajectory:
 @dataclass(frozen=True)
 class TrajectorySet:
     params: SearchParams
+    cost_coefficient: float  # the scenario's action_cost, charged per action
     ruleset_sha256: str
     scenario_sha256: str
     trajectories: tuple[Trajectory, ...]
@@ -267,13 +267,15 @@ class TrajectorySet:
         return [t for t in self.trajectories if t.complete]
 
 
-# the header line: the parameters, the hashes and the warnings of the set,
-# and how many trajectory lines follow
+# the header line: the search's parameters with the cost it charged, the
+# hashes and the warnings of the set, and how many trajectory lines follow
+_PARAMS = _json_types(SearchParams)
+_SET = _json_types(TrajectorySet)
 _HEADER = {
     "format": FORMAT_VERSION,
     "kind": "trajectory-set",
-    "params": _json_types(SearchParams),
-    **_json_types(TrajectorySet),
+    "params": {**_PARAMS, "cost_coefficient": _SET.pop("cost_coefficient")},
+    **_SET,
     "trajectory_count": _COUNT,
 }
 # a trajectory line holds these fields of its Trajectory, its length, and
@@ -371,7 +373,7 @@ def _trajectory_from_json(row: dict, table: dict) -> Trajectory:
 def write_jsonl(tset: TrajectorySet, path) -> None:
     header = _filled(
         _HEADER,
-        params=asdict(tset.params),
+        params={**asdict(tset.params), "cost_coefficient": tset.cost_coefficient},
         ruleset_sha256=tset.ruleset_sha256,
         scenario_sha256=tset.scenario_sha256,
         warnings=list(tset.warnings),
@@ -403,7 +405,11 @@ def read_jsonl(path) -> TrajectorySet:
         try:
             header = json.loads(first, parse_constant=reject_constant)
             header = _document(header, _HEADER, f"format-{FORMAT_VERSION} trajectory set")
-            params = SearchParams(**header["params"])
+            params = dict(header["params"])
+            cost = params.pop("cost_coefficient")
+            if cost <= 0:
+                raise ValueError(f"cost_coefficient is {cost!r}, not positive")
+            params = SearchParams(**params)
         except (TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise RunFileError(f"header: {exc}") from exc
         table: dict = {}
@@ -415,7 +421,7 @@ def read_jsonl(path) -> TrajectorySet:
                 if trajectory.id != n:
                     raise ValueError(f"id {trajectory.id} is not its position {n}")
                 # explore's own arithmetic, bit for bit
-                phi = params.cost_coefficient * trajectory.length
+                phi = cost * trajectory.length
                 if trajectory.phi != phi:
                     raise ValueError(f"phi is not cost_coefficient * length, {phi!r}")
                 if trajectory.utility != trajectory.p - phi:
@@ -432,7 +438,9 @@ def read_jsonl(path) -> TrajectorySet:
             f"header announces {count} trajectories, file holds {len(trajectories)}"
         )
     hashes = header["ruleset_sha256"], header["scenario_sha256"]
-    return TrajectorySet(params, *hashes, tuple(trajectories), tuple(header["warnings"]))
+    return TrajectorySet(
+        params, cost, *hashes, tuple(trajectories), tuple(header["warnings"])
+    )
 
 
 # ============================================================================

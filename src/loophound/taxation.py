@@ -20,14 +20,18 @@ built: its kind is valid, its condition uses known predicates at their
 arity, wildcards only in negated literals and constant transaction kinds
 among ``commercial``, ``royalty`` and ``transfer``, it mentions ``Self``, and
 a deductible leaves the rate, an exemption the base, as it is.  It raises one
-:class:`~loophound.kernel.KernelError` naming every problem found.
+:class:`~loophound.kernel.KernelError` naming every problem found.  It then
+checks its :meth:`~ReductionRule.query` with the plan of the projection that
+matches it (:func:`loophound.join.plan`), which rejects a check on a
+variable nothing binds and a condition too large to compile, and it
+generates no code.
 
 A state is evaluated in one pass (:func:`evaluate_state`), from the state
 alone: it carries the IP sale on its path.  Its
 :class:`~loophound.economy.Ledger` is settled once per search and carries
 what assessment and profit read: each company's inflow, which is its base,
 the market sum, the completeness flag and the transaction rows by kind.
-The search compiles all its reductions into one generated function
+The search compiles all its reductions, once, into one generated function
 (:func:`loophound.join.compile_projection`) that maps each company to the
 positions of the rules applicable to it, in rule order
 (:func:`applicability_map`); each return reads only its company's rules,
@@ -123,9 +127,6 @@ class ReductionRule:
     new_base: LinExpr = BASE_IDENTITY
     new_rate: LinExpr = RATE_IDENTITY
     span: tuple[int, int] = field(default=(0, 0), compare=False)
-    # the condition as it is matched: Self ranges over the existing companies
-    # when no positive literal binds it
-    query: Condition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         problems: list[str] = []
@@ -144,22 +145,27 @@ class ReductionRule:
             )
         if problems:
             raise KernelError(f"{self.kind}/{self.legal_ref}: " + "; ".join(problems))
-        condition = self.condition
-        if not any(
-            isinstance(it, Literal) and not it.negated and SELF_VAR in it.args
-            for it in condition
-        ):
-            # Self bound by no positive literal ranges over the existing companies
-            condition = (Literal("exists", (SELF_VAR,)),) + condition
-        # join is loaded where a condition compiles: stages that only read
+        # join is loaded where a rule is checked: stages that only read
         # recorded returns load this module without it
-        from .join import compile_projection
+        from .join import plan
 
-        compile_projection((condition,), SELF_VAR)  # raises on a bad condition
-        object.__setattr__(self, "query", condition)
+        # the plan of the projection that matches the rule: negation safety
+        # and the loop limit
+        plan(self.query(), frozenset(), SELF_VAR)
 
     def key(self) -> tuple[str, str]:
         return (self.kind, self.legal_ref)
+
+    def query(self) -> Condition:
+        """The condition as it is matched: ``exists(Self)`` first when no
+        positive literal binds ``Self``, which then ranges over the existing
+        companies."""
+        if any(
+            isinstance(it, Literal) and not it.negated and SELF_VAR in it.args
+            for it in self.condition
+        ):
+            return self.condition
+        return (Literal("exists", (SELF_VAR,)),) + self.condition
 
 
 TaxRateTable = Mapping[str, float]
@@ -347,7 +353,7 @@ class EvaluationMemo:
         self.reductions = tuple(reductions)
         self.rates = rates
         self.applicable = compile_projection(
-            [rule.query for rule in self.reductions], SELF_VAR
+            [rule.query() for rule in self.reductions], SELF_VAR
         )
         self.ledgers = Ledgers()
         self.returns: dict[tuple, TaxAssessment] = {}

@@ -150,6 +150,7 @@ def role_trajectory(
 def mk_tset(trajectories) -> TrajectorySet:
     return TrajectorySet(
         params=SearchParams(),
+        cost_coefficient=1.0,
         ruleset_sha256="0" * 64,
         scenario_sha256="0" * 64,
         trajectories=tuple(trajectories),

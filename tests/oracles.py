@@ -133,7 +133,7 @@ def evaluate_from_scratch(state, scenario, reductions, rates):
     patterns = {"transaction": [(t.kind, t.sender, t.receiver) for t in transactions]}
     holders = []
     for rule in reductions:
-        join = _compiled(rule.query)
+        join = _compiled(rule.query())
         column = join.variables.index(SELF_VAR)
         holders.append({row[column] for row in join.bindings(state, {}, patterns)})
     managed = dict(state.rows("managed"))

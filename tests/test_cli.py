@@ -158,6 +158,17 @@ TRAJECTORY_DEFECTS = {
         lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
         "trajectory 0: ValueError: id 1 is not its position 0",
     ),
+    # the cost explore charged per action, a positive finite number
+    "params-cost-zero": (
+        (0, "params", "cost_coefficient"), 0.0, "header: cost_coefficient is 0.0"
+    ),
+    "params-cost-negative": (
+        (0, "params", "cost_coefficient"), -1.0, "header: cost_coefficient is -1.0"
+    ),
+    "params-cost-nan": ((0, "params", "cost_coefficient"), math.nan, "header: NaN"),
+    "params-cost-infinite": (
+        (0, "params", "cost_coefficient"), math.inf, "header: Infinity"
+    ),
     # phi and utility are explore's arithmetic on the header's cost_coefficient
     "phi-not-cost-times-length": (
         (1, "phi"), lambda phi: phi + 1.0, "phi is not cost_coefficient * length"
@@ -767,7 +778,7 @@ class TestValidationErrors:
     def test_action_cost_is_charged_per_action(self, tmp_path, toy_files):
         assert self._explore_toy(tmp_path, toy_files, "2") == 0
         tset = read_jsonl(tmp_path / "run" / "trajectories.jsonl")
-        assert tset.params.cost_coefficient == 2.0
+        assert tset.cost_coefficient == 2.0
         assert tset.trajectories
         for t in tset.trajectories:
             assert t.phi == 2 * t.length

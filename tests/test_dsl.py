@@ -17,7 +17,11 @@ from loophound.dsl import (
     render_scenario,
 )
 
-from conftest import STATEMENTS
+from loophound.explorer import search_world
+from loophound.kernel import applicable_actions
+from loophound.taxation import SELF_VAR, EvaluationMemo, evaluate_state
+
+from conftest import STATEMENTS, TOY_RULESET, TOY_SCENARIO
 
 
 def errors_of(result):
@@ -39,6 +43,14 @@ class TestRoundTrip:
         rendered = parse_scenario(render_scenario(corpus_scenario))
         assert rendered.ok, errors_of(rendered)
         assert rendered.document == corpus_scenario
+
+    def test_constant_next_to_a_symbol_round_trips(self):
+        text = 'reduction "r" kind deductible { when: exists(Self); new_base: 0.5 * Base + 2; }'
+        parsed = parse_ruleset(text)
+        assert parsed.ok, errors_of(parsed)
+        rendered = render_ruleset(parsed.document)
+        assert "new_base: 0.5 * Base + 2;" in rendered
+        assert parse_ruleset(rendered).document == parsed.document
 
     def test_rendering_is_stable(self, corpus_ruleset):
         once = render_ruleset(corpus_ruleset)
@@ -98,6 +110,28 @@ class TestTotality:
 # ============================================================================
 # Validators
 # ============================================================================
+
+
+def chain_ruleset(literals):
+    """The toy ruleset with an action and a reduction whose conditions are
+    chains of ``literals`` literals.  Each literal of a chain binds one
+    variable, so its join nests one loop per literal, in either engine;
+    CPython compiles 20 nested blocks in one function, not 21."""
+
+    def chain(root):
+        links = [f"isChildOf(X{i}, X{i - 1})" for i in range(2, literals)]
+        return ", ".join([f"exists({root})", f"isChildOf(X1, {root})", *links])
+
+    return TOY_RULESET + (
+        'action addChild(Parent, fresh Child, Country) ref "chain" {\n'
+        f"  pre: {chain('Parent')};\n"
+        "  eff: exists(Child), based(Child, Country), isChildOf(Child, Parent);\n"
+        "}\n"
+        'reduction "chain" kind deductible {\n'
+        f"  when: {chain(SELF_VAR)};\n"
+        "  new_base: 0.5 * Base;\n"
+        "}\n"
+    )
 
 
 class TestRulesetValidation:
@@ -185,6 +219,52 @@ class TestRulesetValidation:
             and "'P' used with conflicting types" in m
             for m in errors_of(result)
         ), errors_of(result)
+
+    @pytest.mark.parametrize(
+        "params,pre,eff",
+        [
+            # sells one IP and buys another
+            ("From, To, Ip, Other", "ownsIP(From, Ip), ownsIP(To, Other)",
+             "not ownsIP(From, Ip), ownsIP(To, Other)"),
+            # sells to the seller
+            ("From, Ip", "ownsIP(From, Ip)", "not ownsIP(From, Ip), ownsIP(From, Ip)"),
+            # a constant seller
+            ("To, Ip", "ownsIP(p, Ip), exists(To)", "not ownsIP(p, Ip), ownsIP(To, Ip)"),
+        ],
+        ids=["two-ips", "to-itself", "constant-seller"],
+    )
+    def test_transfer_sells_one_ip_between_two_parameters(self, params, pre, eff):
+        text = f'action transferIP({params}) ref "x" {{ pre: {pre}; eff: {eff}; }}'
+        assert errors_of(parse_ruleset(text)) == [
+            "1:1: error: action: transferIP/x: transferIP must delete one "
+            "ownsIP(Seller, Ip) and add one ownsIP(Buyer, Ip), Seller and Buyer "
+            "distinct parameters"
+        ]
+
+    def test_a_twenty_loop_join_compiles_and_grounds(self):
+        parsed = parse_ruleset(chain_ruleset(20))
+        assert parsed.ok, errors_of(parsed)
+        # p is its own parent: the chain holds with every variable bound to p
+        scenario = parse_scenario(TOY_SCENARIO + "fact isChildOf(p, p).\n").document
+        rules, root = search_world(parsed.document.action_rules, scenario)
+        chained = [a for a in applicable_actions(root, rules) if a.legal_ref == "chain"]
+        assert [a.as_dict() for a in chained] == [
+            {"Child": "c1", "Country": country, "Parent": "p"}
+            for country in ("usa", "ireland")
+        ]
+        memo = EvaluationMemo(
+            scenario.scenario, parsed.document.reduction_rules, parsed.document.rates()
+        )
+        _, (assessment,), _ = evaluate_state(root, memo)
+        assert assessment.applied_reduction == "chain"
+
+    def test_a_join_of_more_than_twenty_loops_is_rejected_at_its_rule(self):
+        line = TOY_RULESET.count("\n") + 1
+        too_large = "condition too large to compile: 21 nested loops, at most 20"
+        assert errors_of(parse_ruleset(chain_ruleset(21))) == [
+            f"{line}:1: error: action: {too_large}",
+            f"{line + 4}:1: error: reduction: {too_large}",
+        ]
 
     def test_deductible_must_not_touch_rate(self):
         text = (

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loophound.explorer as explorer_module
+import loophound.join as join_module
 from loophound.dsl import parse_ruleset, parse_scenario
 from loophound.economy import settle
 from loophound.explorer import (
@@ -54,8 +55,6 @@ class TestSearchParams:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"cost_coefficient": 0.0},
-            {"cost_coefficient": -1.0},
             {"tau0": 0.0},
             {"beta": -0.5},
             {"iterations": 0},
@@ -65,8 +64,6 @@ class TestSearchParams:
             {"beta": math.nan},
             {"tau0": math.nan},
             {"tau0": math.inf},
-            {"cost_coefficient": math.nan},
-            {"cost_coefficient": math.inf},
             {"seed": -1},
         ],
     )
@@ -313,6 +310,43 @@ class TestSearchWorld:
         assert all(want)
 
 
+class TestCompiledOnce:
+    def test_parsing_generates_no_code_and_a_search_compiles_each_rule_once(
+        self, monkeypatch, corpus_ruleset_text, corpus_scenario_text
+    ):
+        """A rule is a checked value: parsing compiles nothing, and one search
+        compiles each action rule's grounding join once and its reductions
+        into one projection."""
+        compiled = []
+        compile_source = join_module._compile
+
+        def spy(source, name, namespace):
+            compiled.append(name)
+            return compile_source(source, name, namespace)
+
+        monkeypatch.setattr(join_module, "_compile", spy)
+        ruleset = parse_ruleset(corpus_ruleset_text).document
+        scenario_doc = parse_scenario(corpus_scenario_text).document
+        assert compiled == []
+        explore(ruleset, scenario_doc, SearchParams(seed=7, iterations=20, expansions=200))
+        assert len(ruleset.action_rules) == 7
+        assert sorted(compiled) == ["_project"] + ["_solve"] * 7
+
+
+class TestActionCost:
+    def test_library_explore_charges_the_scenario_action_cost(self, toy_ruleset):
+        scenario_doc = parse_scenario(
+            TOY_SCENARIO.replace("set action_cost 1.", "set action_cost 2.")
+        ).document
+        params = SearchParams(seed=3, iterations=6, expansions=40, max_steps=3)
+        tset = explore(toy_ruleset, scenario_doc, params)
+        assert tset.cost_coefficient == 2.0
+        assert {t.length for t in tset.trajectories} >= {2, 3}
+        for t in tset.trajectories:
+            assert t.phi == 2 * t.length
+            assert t.utility == t.p - t.phi
+
+
 def replay(ruleset, scenario_doc, actions):
     """The state an action path reaches from the scenario's initial state,
     each step applied in a fresh world."""
@@ -465,9 +499,9 @@ class TestTrajectoryInvariants:
         assert desk_run.trajectories
         for t in desk_run.trajectories:
             assert t.phi > 0.0
-            assert t.phi == desk_run.params.cost_coefficient * t.length
+            assert t.phi == desk_run.cost_coefficient * t.length
             assert t.utility == trajectory_utility(
-                t.p, t.length, desk_run.params.cost_coefficient
+                t.p, t.length, desk_run.cost_coefficient
             )
 
     def test_each_final_state_is_recorded_once(self, desk_run):

@@ -1,11 +1,12 @@
 """Every imported name is used, and every private name of the package is
 referenced where it is defined.
 
-Each ``.py`` file under ``src/``, ``tests/``, ``perfbench/`` and ``demos/``
-is parsed with ``ast``, and a name an import binds that the module never
-loads fails.  A name counts as used when the module loads it, names it in an
-annotation or lists it in ``__all__``; a line marked ``# noqa: F401`` keeps
-its name, for an import that exists to be re-exported.
+Each ``.py`` file under ``src/``, ``tests/``, ``perfbench/``, ``demos/``
+and ``tools/`` is parsed with ``ast``, and a name an import binds that the
+module never loads fails.  A name counts as used when the module loads it,
+names it in an annotation or lists it in ``__all__``; a line marked
+``# noqa: F401`` keeps its name, for an import that exists to be
+re-exported.
 
 In each module of ``src/loophound``, a private name (one underscore, not a
 dunder) that the module defines at its top level, as a function, a class or
@@ -111,7 +112,7 @@ def test_the_scan_finds_an_unused_import():
 
 
 def test_every_imported_name_is_used():
-    tops = ("src", "tests", "perfbench", "demos")
+    tops = ("src", "tests", "perfbench", "demos", "tools")
     paths = sorted(p for top in tops for p in (ROOT / top).rglob("*.py"))
     assert len(paths) > 20
     unused = [

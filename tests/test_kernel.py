@@ -330,20 +330,19 @@ class TestGrounding:
     def test_ground_rule_matches_enumeration_oracle(self, toy_ruleset, toy_scenario):
         rules, state = search_world(toy_ruleset.action_rules, toy_scenario)
         domains, pool = rules.domains, rules.pool
-        for rule in toy_ruleset.action_rules:
-            got = {g.binding for g in ground_rule(rule, state, domains, pool)}
+        for position, rule in enumerate(rules.ordered):
+            got = {g.binding for g in ground_rule(state, rules, position)}
             expected = oracle_groundings(rule, state, domains, pool)
             assert got == expected, rule.key()
 
     def test_fresh_binds_lowest_unused_pool_id(self, toy_ruleset, toy_scenario):
         rules, state = search_world(toy_ruleset.action_rules, toy_scenario)
-        domains, pool = rules.domains, rules.pool
-        incorp = next(r for r in toy_ruleset.action_rules if r.name == "addChild")
-        for action in ground_rule(incorp, state, domains, pool):
+        incorp = next(i for i, r in enumerate(rules.ordered) if r.name == "addChild")
+        for action in ground_rule(state, rules, incorp):
             assert action.as_dict()["Child"] == "c1"
-        first = ground_rule(incorp, state, domains, pool)[0]
+        first = ground_rule(state, rules, incorp)[0]
         second = apply_action(state, first, rules)
-        for action in ground_rule(incorp, second, domains, pool):
+        for action in ground_rule(second, rules, incorp):
             assert action.as_dict()["Child"] == "c2"
 
     def test_exhausted_pool_stops_incorporation(self, toy_ruleset, toy_scenario):
@@ -357,8 +356,8 @@ class TestGrounding:
                 make_fact("ownsIP", ["p", "ip1"]),
             ],
         )
-        incorp = next(r for r in toy_ruleset.action_rules if r.name == "addChild")
-        assert ground_rule(incorp, state, rules.domains, rules.pool) == []
+        incorp = next(i for i, r in enumerate(rules.ordered) if r.name == "addChild")
+        assert ground_rule(state, rules, incorp) == []
 
 
 class TestApply:
@@ -372,10 +371,10 @@ class TestApply:
             ],
         )
         rules, _ = search_world(toy_ruleset.action_rules, toy_scenario)
-        transfer = next(r for r in toy_ruleset.action_rules if r.name == "transferIP")
+        transfer = next(i for i, r in enumerate(rules.ordered) if r.name == "transferIP")
         action = next(
             a
-            for a in ground_rule(transfer, state, rules.domains, rules.pool)
+            for a in ground_rule(state, rules, transfer)
             if a.as_dict()["To"] == "c1"
         )
         result = apply_action(state, action, rules)
@@ -398,8 +397,8 @@ class TestApply:
             ],
         )
         rules, _ = search_world(toy_ruleset.action_rules, toy_scenario)
-        transfer = next(r for r in toy_ruleset.action_rules if r.name == "transferIP")
-        action = ground_rule(transfer, state, rules.domains, rules.pool)[0]
+        transfer = next(i for i, r in enumerate(rules.ordered) if r.name == "transferIP")
+        action = ground_rule(state, rules, transfer)[0]
         after = apply_action(state, action, rules)
         names = {a.name for a in applicable_actions(after, rules)}
         assert "transferIP" not in names
@@ -431,8 +430,8 @@ class TestApply:
 
     def test_inapplicable_action_rejected(self, toy_ruleset, toy_scenario):
         rules, state = search_world(toy_ruleset.action_rules, toy_scenario)
-        transfer = next(r for r in toy_ruleset.action_rules if r.name == "transferIP")
-        bogus = ground_rule(transfer, state, rules.domains, rules.pool)
+        transfer = next(i for i, r in enumerate(rules.ordered) if r.name == "transferIP")
+        bogus = ground_rule(state, rules, transfer)
         assert bogus == []  # nobody to transfer to
 
 
@@ -898,6 +897,17 @@ def recording(state):
     return SimpleNamespace(groups=RecordingGroups(state.groups))
 
 
+def condition_reads(condition):
+    """The positions of the groups of the state predicates that the
+    condition's literals name, negated or not: all a compiled join of it
+    may read."""
+    return {
+        GROUP[lit.predicate]
+        for lit in condition
+        if isinstance(lit, Literal) and lit.predicate in GROUP
+    }
+
+
 def key_reads(key, state):
     """The positions a table key function reads of ``state``'s groups."""
     groups = RecordingGroups(state.groups)
@@ -933,27 +943,26 @@ class TestReads:
         self, corpus_ruleset, corpus_scenario
     ):
         rules, _ = search_world(corpus_ruleset.action_rules + (SPAWN,), corpus_scenario)
-        domains, pool = rules.domains, rules.pool
+        pool = rules.pool
         states = walk_states(corpus_ruleset, corpus_scenario, CORPUS_WALKS)
         assert any(s.transfer is not None for s in states)
         assert any(len(s.companies()) == 4 for s in states)
         grounded_somewhere = set()
         for state in states:
-            for rule, key in zip(rules.ordered, rules.ground_keys):
+            for position, (rule, key) in enumerate(zip(rules.ordered, rules.ground_keys)):
                 view = recording(state)
-                actions = ground_rule(rule, view, domains, pool)
-                assert actions == ground_rule(rule, state, domains, pool)
+                actions = ground_rule(view, rules, position)
+                assert actions == ground_rule(state, rules, position)
                 assert view.groups.read <= key_reads(key, state), rule.key()
                 if actions:
                     grounded_somewhere.add(rule.key())
-                for free in itertools.product(
-                    *(domains.for_type(ty) for ty in rule.free_types)
-                ):
-                    seed = dict(zip(rule.free_params, free))
+                join, free_params, domains, _ = rules.grounder(position)
+                for free in itertools.product(*domains):
+                    seed = dict(zip(free_params, free))
                     seed.update((p, pool[0]) for p in rule.fresh_params)
                     view = recording(state)
-                    rule.ground_join.bindings(view, seed)
-                    assert view.groups.read <= set(rule.ground_join.reads)
+                    join.bindings(view, seed)
+                    assert view.groups.read <= condition_reads(rule.precondition)
         assert grounded_somewhere == {rule.key() for rule in rules.ordered}
 
     def test_corpus_reductions_read_only_their_reads(
@@ -971,14 +980,13 @@ class TestReads:
             reads = set()
             for reduction in corpus_ruleset.reduction_rules:
                 view = recording(state)
-                held = projected(reduction.query, view, SELF_VAR, patterns)
-                assert held == projected(reduction.query, state, SELF_VAR, patterns)
-                join = CompiledCondition(reduction.query)
-                assert view.groups.read <= set(join.reads), reduction.key()
-                reads.update(join.reads)
+                held = projected(reduction.query(), view, SELF_VAR, patterns)
+                assert held == projected(reduction.query(), state, SELF_VAR, patterns)
+                assert view.groups.read <= condition_reads(reduction.query()), reduction.key()
+                reads.update(condition_reads(reduction.query()))
             # the one function of all the reductions reads their groups alone
             applicable = compile_projection(
-                [r.query for r in corpus_ruleset.reduction_rules], SELF_VAR
+                [r.query() for r in corpus_ruleset.reduction_rules], SELF_VAR
             )
             view = recording(state)
             applicable(view.groups, kind_rows(patterns))
@@ -992,11 +1000,12 @@ class TestReads:
         view = recording(state)
         rows = join.bindings(view, seed, patterns)
         assert rows == join.bindings(state, seed, patterns)
-        assert view.groups.read <= set(join.reads)
+        assert view.groups.read <= condition_reads(condition)
         try:
-            reads = set(CompiledCondition(condition).reads)
+            CompiledCondition(condition)
         except KernelError:  # a check on a variable no positive literal binds
             return
+        reads = condition_reads(condition)
         for v in positive_variables(condition):
             view = recording(state)
             projected(condition, view, v, patterns)

@@ -288,7 +288,7 @@ class TestResidence:
 
 def applicable_without_transactions(state, company, reductions):
     """The reductions applicable to ``company`` in ``state``, with no ledger."""
-    applicable = compile_projection([r.query for r in reductions], SELF_VAR)
+    applicable = compile_projection([r.query() for r in reductions], SELF_VAR)
     amap = applicable(state.groups, ((), (), ()))
     return [reductions[i] for i in amap.get(company, ())]
 
@@ -399,6 +399,33 @@ class TestReductionRuleValidation:
         assert rule.condition == condition
 
 
+    def test_self_only_in_a_negated_literal_ranges_over_the_companies(self):
+        """``exists(Self)`` binds Self when no positive literal does, even
+        next to a positive literal without it."""
+        not_american = ReductionRule(
+            legal_ref="r",
+            kind="deductible",
+            condition=(
+                Literal("isChildOf", ("C", "P")),
+                Literal("based", (SELF_VAR, "usa"), negated=True),
+            ),
+            new_base=LinExpr(base_coef=0.5),
+        )
+        query = not_american.query()
+        assert query == (Literal("exists", (SELF_VAR,)), *not_american.condition)
+        state = initial_state(
+            [
+                make_fact("based", ("a", "usa")),
+                make_fact("based", ("b", "ireland")),
+                make_fact("based", ("c", "ireland")),
+                make_fact("isChildOf", ("b", "a")),
+            ],
+            ("a", "b", "c"),
+        )
+        applicable = compile_projection([query], SELF_VAR)
+        assert applicable(state.groups, ((), (), ())) == {"b": (0,), "c": (0,)}
+
+
 class TestChooseReduction:
     def test_lowest_tax_wins(self):
         a = (rule("zz", "deductible", base_coef=0.1), 10.0, 0.3)
@@ -445,6 +472,13 @@ class TestAdmission:
         assert out == []
         assert "increase the tax due" in logs
 
+    def test_rate_one_is_inside_the_unit_interval(self, caplog):
+        one = rule("one", "exemption", const=1.0)
+        with caplog.at_level(logging.WARNING, logger="loophound.taxation"):
+            out = applicable_reductions("a0", 100.0, 1.0, [one])
+        assert out == [(one, 100.0, 1.0)]
+        assert "outside [0, 1]" not in caplog.text
+
     def test_valid_candidate_admitted(self, caplog):
         good = rule("ok", "deductible", base_coef=0.1)
         out, _ = self.admitted(good, caplog)
@@ -487,6 +521,11 @@ class TestStrictImprovement:
         )
         assert a.applied_exemption is None
         assert a.reduced_rate == a.rate
+
+    def test_deductible_to_a_zero_base_applies(self):
+        zero = rule("zero", "deductible", const=0.0)  # new_base: 0
+        a = assess("a0", "usa", 200.0, [zero], {"usa": 0.35})
+        assert (a.reduced_base, a.applied_reduction, a.tax_due) == (0.0, "zero", 0.0)
 
     def test_channels_are_independent(self):
         """A deductible rewrites only the base, an exemption only the rate."""
@@ -546,7 +585,7 @@ def composed_evaluation(state, scenario, reductions, rates):
         candidates = []
         for rule in reductions:
             seed = {SELF_VAR: company}
-            if CompiledCondition(rule.query, bound=seed).bindings(state, seed, patterns):
+            if CompiledCondition(rule.query(), bound=seed).bindings(state, seed, patterns):
                 candidates += applicable_reductions(company, base, rate, [rule])
         deductible = choose_reduction(
             [c for c in candidates if c[0].kind == "deductible"]
@@ -739,7 +778,7 @@ class TestGeneratedReductions:
             expected = tuple(
                 i
                 for i, reduction in enumerate(reductions)
-                if oracle_match(state, reduction.query, {SELF_VAR: company}, patterns)
+                if oracle_match(state, reduction.query(), {SELF_VAR: company}, patterns)
             )
             assert amap.get(company, ()) == expected
 
@@ -755,7 +794,7 @@ class TestGeneratedReductions:
             (Literal("transaction", ("transfer", SELF_VAR, "R")),),
             base_coef=0.5,
         )
-        applicable = compile_projection([no_sale.query, sold.query], SELF_VAR)
+        applicable = compile_projection([no_sale.query(), sold.query()], SELF_VAR)
         companies = set(state.companies())
         # no transfer in the ledger: the negated literal holds for everyone,
         # the positive one is skipped
@@ -763,6 +802,22 @@ class TestGeneratedReductions:
         # c1 paid p for the IP
         paid = applicable(state.groups, ((), (), (("c1", "p"),)))
         assert paid == {**dict.fromkeys(companies - {"c1"}, (0,)), "c1": (1,)}
+
+    def test_negated_transaction_of_a_wildcard_kind(self):
+        pays_nothing = rule(
+            "quiet", "deductible",
+            (
+                Literal("exists", (SELF_VAR,)),
+                Literal("transaction", (WILDCARD, SELF_VAR, WILDCARD), negated=True),
+            ),
+            base_coef=0.5,
+        )
+        state = initial_state(
+            [make_fact("based", ("a", "usa")), make_fact("based", ("b", "usa"))], ("a", "b")
+        )
+        applicable = compile_projection([pays_nothing.query()], SELF_VAR)
+        # a pays b a royalty: only b pays nothing
+        assert applicable(state.groups, ((), (("a", "b"),), ())) == {"b": (0,)}
 
     def test_commercial_and_transfer_kinds_and_no_transaction_literal(
         self, sandwich, corpus_scenario
@@ -787,7 +842,7 @@ class TestGeneratedReductions:
             base_coef=0.5,
         )
         applicable = compile_projection(
-            [r.query for r in (earns_at_home, bought, parent)], SELF_VAR
+            [r.query() for r in (earns_at_home, bought, parent)], SELF_VAR
         )
         ledger = settle(state, corpus_scenario.scenario)
         # every company earns in its country of incorporation; c1 bought the
