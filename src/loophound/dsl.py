@@ -44,7 +44,9 @@ against a scenario.
 Parsing is total: any input produces either a document or at least one error
 diagnostic, never an exception.  The pretty-printer emits a canonical layout
 whose re-parse is structurally equal to the original document (comments and
-source positions are not preserved).
+source positions are not preserved): every number is written as a literal
+that reads back as the same float, and a negative term after the first as
+``- x``.
 """
 
 from __future__ import annotations
@@ -807,6 +809,32 @@ def merge_rulesets(docs: Sequence[RuleSetDoc]) -> ParseResult:
 # ============================================================================
 
 
+def _number(value: float) -> str:
+    """``value`` as a number literal that parses back to it: ``:g`` where
+    that is exact and has no exponent, else the shortest ``repr`` written
+    out in positional form."""
+    text = f"{value:g}"
+    if "e" in text or float(text) != value:
+        from decimal import Decimal  # imported on first use: most documents never need it
+
+        text = format(Decimal(repr(value)), "f")
+    return text
+
+
+def _render_expr(expr: LinExpr) -> str:
+    """``expr`` as the parser reads it: each nonzero term's magnitude after
+    its sign, ``+`` or ``-``, and no ``+`` before the first term."""
+    terms = [
+        (coef, symbol if abs(coef) == 1.0 else f"{_number(abs(coef))} * {symbol}")
+        for coef, symbol in ((expr.base_coef, "Base"), (expr.rate_coef, "Rate"))
+        if coef != 0.0
+    ]
+    if expr.const != 0.0 or not terms:
+        terms.append((expr.const, _number(abs(expr.const))))
+    out = "".join(f" - {text}" if coef < 0 else f" + {text}" for coef, text in terms)
+    return out[3:] if out.startswith(" + ") else "-" + out[3:]
+
+
 def _render_condition(cond: Condition) -> str:
     return ", ".join(str(item) for item in cond)
 
@@ -831,9 +859,9 @@ def _render_reduction(rule: ReductionRule) -> str:
         f"  when: {_render_condition(rule.condition)};",
     ]
     if not rule.new_base.is_base_identity():
-        lines.append(f"  new_base: {rule.new_base.render()};")
+        lines.append(f"  new_base: {_render_expr(rule.new_base)};")
     if not rule.new_rate.is_rate_identity():
-        lines.append(f"  new_rate: {rule.new_rate.render()};")
+        lines.append(f"  new_rate: {_render_expr(rule.new_rate)};")
     lines.append("}")
     return "\n".join(lines)
 
@@ -843,7 +871,7 @@ def render_ruleset(doc: RuleSetDoc) -> str:
     chunks = ["# ruleset"]
     if doc.rate_table:
         chunks.append(
-            "\n".join(f"rate {c} {v:g}." for c, v in doc.rate_table)
+            "\n".join(f"rate {c} {_number(v)}." for c, v in doc.rate_table)
         )
     for rule in doc.action_rules:
         chunks.append(_render_action(rule))
@@ -859,12 +887,12 @@ def render_scenario(doc: ScenarioDoc) -> str:
         if c in sc.tax_havens:
             lines.append(f"country {c} haven.")
         else:
-            lines.append(f"country {c} revenue {sc.revenue_table.get(c, 0):g}.")
+            lines.append(f"country {c} revenue {_number(sc.revenue_table.get(c, 0))}.")
     if sc.company_pool:
         lines.append(f"pool {' '.join(sc.company_pool)}.")
-    lines.append(f"set royalty_rate {sc.royalty_rate:g}.")
-    lines.append(f"set transfer_price {sc.transfer_price:g}.")
-    lines.append(f"set action_cost {sc.action_cost:g}.")
+    lines.append(f"set royalty_rate {_number(sc.royalty_rate)}.")
+    lines.append(f"set transfer_price {_number(sc.transfer_price)}.")
+    lines.append(f"set action_cost {_number(sc.action_cost)}.")
     spec = doc.state
     decls = [f"company {c}." for c in spec.companies]
     decls += [f"ip {i}." for i in spec.ips]

@@ -25,10 +25,11 @@ settled ledger again reads all of that back without a pass over its
 transactions.
 
 Many states share a ledger: facts :func:`settle` never reads, such as
-``isChildOf`` and ``managed``, leave it as it is.  A search hands
-:func:`settle` its :class:`Ledgers`, keyed on exactly what settling reads
-(the ``exists``, ``based``, ``ownsIP`` and ``rentsIP`` groups, the step
-count and the sale), and each key is settled once.  The same table makes
+``isChildOf`` and ``managed``, leave it as it is.  :func:`settle` has one
+path: its caller hands it a :class:`Ledgers`, keyed on exactly what
+settling reads (the ``exists``, ``based``, ``ownsIP`` and ``rentsIP``
+groups, the step count and the sale), and each key is settled once.  A
+search keeps one for all its states.  The same table makes
 equal transactions, inflow tuples and rows one object across the search's
 ledgers: in the bench-shape search of the bundled corpus (seed 7, 50 x 60)
 its 3,600 ledgers hold 15,377 transactions, 1,129 of them distinct.
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .kernel import GROUP, TRANSACTION_KINDS, State
 
@@ -246,21 +247,18 @@ _SETTLED_GROUPS = operator.itemgetter(
 )
 
 
-def settle(
-    state: State, scenario: ScenarioConfig, ledgers: Optional[Ledgers] = None
-) -> Ledger:
+def settle(state: State, scenario: ScenarioConfig, ledgers: Ledgers) -> Ledger:
     """The :class:`Ledger` of ``state``: commercial revenue, royalties, then
     the payment for the state's IP sale (``state.transfer``).
 
     Ids are sequential in the listed order, each given when its transaction
-    is built, making the ledger a pure function of the state.  ``ledgers``,
-    when given, holds the ledgers already settled under ``scenario``, keyed
-    on exactly what settling reads: the ``exists``, ``based``, ``ownsIP``
-    and ``rentsIP`` groups, the step count and the sale.  A key found there
-    returns its ledger; a ledger settled anew is added to it.
+    is built, making the ledger a pure function of the state.  ``ledgers``
+    holds the ledgers already settled under ``scenario``, keyed on exactly
+    what settling reads: the ``exists``, ``based``, ``ownsIP`` and
+    ``rentsIP`` groups, the step count and the sale.  A key found there
+    returns its ledger; a ledger settled anew is added to it.  A caller
+    that settles one state alone passes a fresh :class:`Ledgers`.
     """
-    if ledgers is None:
-        return _settle(state, scenario, {})
     key = (_SETTLED_GROUPS(state.groups), state.step_count, state.transfer)
     ledger = ledgers.get(key)
     if ledger is None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .kernel import PREDICATES, is_variable
@@ -127,9 +127,8 @@ class ExampleBackground:
     roles: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
 class BackgroundDB:
-    """The example backgrounds, indexed once for clause coverage.
+    """The example backgrounds, indexed once, when built, for clause coverage.
 
     Example ``k`` of ``examples`` is bit ``k`` of every example mask, and
     ``bit_of`` maps trajectory ids to bits.  ``fact_masks`` maps each lifted
@@ -139,24 +138,19 @@ class BackgroundDB:
     variables, ``role_variables``.
     """
 
-    examples: tuple[ExampleBackground, ...]
-    excluded: tuple[int, ...] = ()
-    warnings: tuple[str, ...] = ()
-    bit_of: dict[int, int] = field(init=False, repr=False, compare=False)
-    role_variables: frozenset[str] = field(init=False, repr=False, compare=False)
-    fact_masks: dict[tuple[str, ...], int] = field(init=False, repr=False, compare=False)
-    position_values: dict[tuple[str, int], frozenset[str]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        examples: tuple[ExampleBackground, ...],
+        excluded: tuple[int, ...] = (),
+        warnings: tuple[str, ...] = (),
+    ) -> None:
         role_variables = frozenset(
-            variable for variable, _ in (self.examples[0].roles if self.examples else ())
+            variable for variable, _ in (examples[0].roles if examples else ())
         )
         bit_of: dict[int, int] = {}
         fact_masks: dict[tuple[str, ...], int] = {}
         values: dict[tuple[str, int], set[str]] = {}
-        for bit, example in enumerate(self.examples):
+        for bit, example in enumerate(examples):
             if example.trajectory_id in bit_of:
                 raise InductionError(f"duplicate example id {example.trajectory_id}")
             if frozenset(variable for variable, _ in example.roles) != role_variables:
@@ -176,12 +170,9 @@ class BackgroundDB:
                 ):
                     key = (atom[0], *args)
                     fact_masks[key] = fact_masks.get(key, 0) | 1 << bit
-        object.__setattr__(self, "bit_of", bit_of)
-        object.__setattr__(self, "role_variables", role_variables)
-        object.__setattr__(self, "fact_masks", fact_masks)
-        object.__setattr__(
-            self, "position_values", {key: frozenset(v) for key, v in values.items()}
-        )
+        self.examples, self.excluded, self.warnings = examples, excluded, warnings
+        self.bit_of, self.role_variables, self.fact_masks = bit_of, role_variables, fact_masks
+        self.position_values = {key: frozenset(v) for key, v in values.items()}
 
     def mask(self, ids: Iterable[int]) -> int:
         """The mask of the examples with these trajectory ids; others are ignored."""

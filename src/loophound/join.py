@@ -25,15 +25,19 @@ a rule that exists compiles.
   bound is a membership test on its predicate's group of the state; a
   negated literal with a wildcard scans its relation.
 * **Entry points.**  :meth:`~CompiledCondition.bindings` lists every
-  solution, sorted by the values of the sorted variable names and
-  deduplicated; the function that :func:`compile_projection` builds
-  collects, per condition, the distinct values of one variable and leaves
-  the inner loops as soon as a value is recorded.
-* **Reads.**  The generated code indexes a state's groups only at the
-  positions of the predicates the condition's literals name, negated or
-  not.  Every entry point is a function of those groups, the seed and the
-  extra relations alone, so a caller may key a result on them (see
-  :class:`loophound.kernel.ActionRules`).
+  solution of an action rule's precondition, sorted by the values of the
+  sorted variable names and deduplicated; the function that
+  :func:`compile_projection` builds collects, per condition, the distinct
+  values of one variable and leaves the inner loops as soon as a value is
+  recorded.
+* **Reads.**  Each is compiled for the relations it reads, as Soufflé
+  compiles a rule.  The generated code indexes a state's groups only at
+  the positions of the predicates the condition's literals name, negated
+  or not; a precondition names no ``transaction``, so a
+  :class:`CompiledCondition` is a function of those groups and its seed
+  alone, and a caller may key a result on them (see
+  :class:`loophound.kernel.ActionRules`).  A projection reads the
+  transactions' rows too.
 """
 
 from __future__ import annotations
@@ -53,18 +57,9 @@ from .kernel import (
     is_variable,
 )
 
-# ground tuples of predicates that do not live in the state (transactions)
-Relations = Mapping[str, Sequence[tuple[str, ...]]]
-
-
-def _relation(extra: Optional[Relations], predicate: str) -> Sequence[tuple[str, ...]]:
-    if extra is None or predicate not in extra:
-        raise KernelError(f"unknown predicate in condition: {predicate!r}")
-    return extra[predicate]
-
-
 class CompiledCondition:
-    """One condition compiled into a generated join.
+    """One condition over a state's groups compiled into a generated join:
+    an action rule's precondition, which names no ``transaction``.
 
     Every seed passed to :meth:`bindings` binds exactly the variables in
     ``bound``.  Raises :class:`KernelError` when a comparison or negated
@@ -86,14 +81,11 @@ class CompiledCondition:
         for lit in condition:
             if isinstance(lit, Literal) and lit.predicate not in relations:
                 relations[lit.predicate] = f"r{len(relations)}"
-        lines = ["def _solve(groups, extra, seed):"]
+        lines = ["def _solve(groups, seed):"]
         for v in sorted(entry):
             lines.append(f"    {local[v]} = seed[{v!r}]")
         for pred, rel in relations.items():
-            if pred in GROUP:
-                lines.append(f"    {rel} = groups[{GROUP[pred]}]")
-            else:
-                lines.append(f"    {rel} = _relation(extra, {pred!r})")
+            lines.append(f"    {rel} = groups[{GROUP[pred]}]")
         lines.append("    out = []")
 
         def rename(lit: Literal) -> Literal:
@@ -105,13 +97,11 @@ class CompiledCondition:
         )
         lines.append(f"{indent}out.append({_tuple([local[v] for v in self.variables])})")
         lines.append("    return out")
-        self._solve = _compile("\n".join(lines) + "\n", "_solve", {"_relation": _relation})
+        self._solve = _compile("\n".join(lines) + "\n", "_solve", {})
 
-    def bindings(
-        self, state: State, seed: Mapping[str, str], extra: Optional[Relations] = None
-    ) -> list[tuple[str, ...]]:
+    def bindings(self, state: State, seed: Mapping[str, str]) -> list[tuple[str, ...]]:
         """Every solution as a row over :attr:`variables`, sorted and distinct."""
-        return sorted(set(self._solve(state.groups, extra, seed)))
+        return sorted(set(self._solve(state.groups, seed)))
 
 
 # per transaction kind, its position in the rows a projection is handed
@@ -324,12 +314,13 @@ def _emit_join(
     fail: str,
     skip: Optional[str] = None,
 ) -> tuple[str, list[str]]:
-    """Append to ``lines`` the loops of a join over ``order``, each literal's
-    predicate the local name of its relation, with the checks of ``placed``
-    after their steps; a check that fails runs ``fail`` outside every loop
-    and ``continue`` inside.  ``skip``, when given, is the first statement
-    of the outermost loop.  Returns the indentation of the innermost body
-    and the indentation of each loop, outermost first."""
+    """Append to ``lines`` the loops of a join over ``order``, positive
+    literals without a wildcard, each literal's predicate the local name of
+    its relation, with the checks of ``placed`` after their steps; a check
+    that fails runs ``fail`` outside every loop and ``continue`` inside.
+    ``skip``, when given, is the first statement of the outermost loop.
+    Returns the indentation of the innermost body and the indentation of
+    each loop, outermost first."""
     loops: list[str] = []
 
     def emit_checks(step: int) -> None:
@@ -347,8 +338,6 @@ def _emit_join(
                 if is_variable(a) and a not in known:
                     unpack.append(local[a])
                     known.add(a)
-                elif a == WILDCARD:
-                    unpack.append("_")
                 else:
                     unpack.append(f"_{step}_{i}")
                     tests.append(f"_{step}_{i} != {_term(a, local)}")

@@ -260,9 +260,6 @@ class State:
         """Deduplication key: the groups, one-to-one with the fact set."""
         return self.groups
 
-    def __str__(self) -> str:
-        return "{" + ", ".join(str(f) for f in self.facts()) + "}"
-
 
 def _one_owner_per_ip(rows: Rows) -> None:
     owners: set[str] = set()

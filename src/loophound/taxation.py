@@ -96,19 +96,6 @@ class LinExpr:
     def is_rate_identity(self) -> bool:
         return self == LinExpr(rate_coef=1.0)
 
-    def render(self) -> str:
-        parts: list[str] = []
-        for coef, symbol in ((self.base_coef, "Base"), (self.rate_coef, "Rate")):
-            if coef == 0.0:
-                continue
-            if coef == 1.0:
-                parts.append(symbol)
-            else:
-                parts.append(f"{coef:g} * {symbol}")
-        if self.const != 0.0 or not parts:
-            parts.append(f"{self.const:g}")
-        return " + ".join(parts)
-
 
 BASE_IDENTITY = LinExpr(base_coef=1.0)
 RATE_IDENTITY = LinExpr(rate_coef=1.0)

@@ -11,9 +11,9 @@ import itertools
 
 import numpy as np
 
-from loophound.economy import company_flows, earning_companies, settle
+from loophound.economy import Ledgers, company_flows, earning_companies, settle
 from loophound.explorer import search_world
-from loophound.join import CompiledCondition
+from loophound.join import compile_projection
 from loophound.kernel import (
     TRANSACTION_KINDS,
     WILDCARD,
@@ -116,26 +116,25 @@ def path_transfer(ruleset, actions):
 
 @functools.lru_cache(maxsize=256)
 def _compiled(condition):
-    """The condition compiled once per test session: compiling is not what
-    the oracle checks, and every evaluation of a search would repeat it."""
-    return CompiledCondition(condition)
+    """The one-condition projection on ``Self``, compiled once per test
+    session: compiling is not what the oracle checks, and every evaluation
+    of a search would repeat it."""
+    return compile_projection([condition], SELF_VAR)
 
 
 def evaluate_from_scratch(state, scenario, reductions, rates):
     """What ``evaluate_state`` gives, computed with nothing memoized: a ledger
     settled anew, with the sale ``state`` carries, each rule's applicability
-    from its condition's ``bindings`` over the ledger's transactions, each
-    return assessed, and the profit summed as inflows minus outflows over the
-    sorted companies, then minus each tax.  Returns (transactions,
+    from a projection of its condition alone over the ledger's transactions,
+    each return assessed, and the profit summed as inflows minus outflows
+    over the sorted companies, then minus each tax.  Returns (transactions,
     assessments, profit, complete)."""
-    transactions = settle(state, scenario).transactions
+    transactions = settle(state, scenario, Ledgers()).transactions
     flows = company_flows(transactions)
-    patterns = {"transaction": [(t.kind, t.sender, t.receiver) for t in transactions]}
-    holders = []
-    for rule in reductions:
-        join = _compiled(rule.query())
-        column = join.variables.index(SELF_VAR)
-        holders.append({row[column] for row in join.bindings(state, {}, patterns)})
+    rows = kind_rows(
+        {"transaction": [(t.kind, t.sender, t.receiver) for t in transactions]}
+    )
+    holders = [set(_compiled(rule.query())(state.groups, rows)) for rule in reductions]
     managed = dict(state.rows("managed"))
     based = dict(state.rows("based"))
     assessments = []
@@ -210,7 +209,7 @@ def bfs_oracle(ruleset, scenario_doc, max_steps):
             acts = applicable_actions(state, rules)
             if not acts and not is_root:
                 terminal.add(state.key())
-        if not is_root and settle(state, scenario).complete:
+        if not is_root and settle(state, scenario, Ledgers()).complete:
             complete.add(state.key())
         for act in acts:
             child = apply_action(state, act, rules)

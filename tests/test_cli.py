@@ -784,6 +784,19 @@ class TestValidationErrors:
             assert t.phi == 2 * t.length
             assert t.utility == t.p - t.phi
 
+    def test_profile_without_complete_trajectories(self, tmp_path, capsys, toy_files):
+        # the toy world needs two actions before both markets earn
+        ruleset, scenario = toy_files
+        out = tmp_path / "run"
+        argv = ["explore", "--ruleset", str(ruleset), "--scenario", str(scenario),
+                "--seed", "3", "--iterations", "4", "--expansions", "20",
+                "--max-steps", "1", "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["profile", "--out", str(out)]) == 1
+        assert "no complete trajectories" in capsys.readouterr().err
+        assert not (out / "profile.csv").exists()
+
     def test_min_distance_below_one(self, tmp_path, capsys):
         assert main(["profile", "--min-distance", "0", "--out", str(tmp_path)]) == 1
         assert "--min-distance" in capsys.readouterr().err

@@ -57,6 +57,52 @@ class TestRoundTrip:
         again = render_ruleset(parse_ruleset(once).document)
         assert once == again
 
+    @pytest.mark.parametrize(
+        "source, rendered",
+        [
+            ("Base - 2", "Base - 2"),
+            ("-Base + 2", "-Base + 2"),
+            ("0.5 * Base - 0.25", "0.5 * Base - 0.25"),
+            ("-2 * Base - 3", "-2 * Base - 3"),
+            # a term may start with its symbol
+            ("Base * 0.5 - 2", "0.5 * Base - 2"),
+            ("Rate * 0.25 + 0.01", "0.25 * Rate + 0.01"),
+            ("0.00001 * Base + 1234567", "0.00001 * Base + 1234567.0"),
+        ],
+    )
+    def test_linear_expressions_round_trip(self, source, rendered):
+        text = f'reduction "r" kind deductible {{ when: exists(Self); new_base: {source}; }}'
+        parsed = parse_ruleset(text)
+        assert parsed.ok, errors_of(parsed)
+        out = render_ruleset(parsed.document)
+        assert f"new_base: {rendered};" in out
+        again = parse_ruleset(out)
+        assert again.ok, errors_of(again)
+        assert again.document == parsed.document
+
+    def test_rates_round_trip_exactly(self):
+        parsed = parse_ruleset("rate usa 0.00001.\nrate ireland 0.1234567.")
+        assert parsed.ok, errors_of(parsed)
+        out = render_ruleset(parsed.document)
+        assert "rate usa 0.00001." in out and "rate ireland 0.1234567." in out
+        assert parse_ruleset(out).document == parsed.document
+
+    def test_scenario_numbers_round_trip_exactly(self):
+        def rendered(revenue):
+            doc = parse_scenario(
+                TOY_SCENARIO.replace("revenue 700", f"revenue {revenue}")
+                .replace("transfer_price 50", "transfer_price 123456789.5")
+            ).document
+            text = render_scenario(doc)
+            assert parse_scenario(text).document == doc
+            return text
+
+        one, two = rendered(1234567), rendered(1234568)
+        assert "country usa revenue 1234567.0." in one
+        assert "set transfer_price 123456789.5." in one
+        # the text a scenario's sha256 is taken over tells the two apart
+        assert one != two
+
 
 # ============================================================================
 # Totality: the parser reports, it never raises

@@ -18,6 +18,7 @@ from loophound.economy import (
     ROYALTY,
     TRANSFER,
     EconomyError,
+    Ledgers,
     ScenarioConfig,
     commercial_transactions,
     company_flows,
@@ -214,7 +215,7 @@ class TestRoyaltyCascade:
     def test_licences_crossing_two_ips_settle(self):
         """a licenses ip1 to b and b licenses ip2 to a: no royalty cycle."""
         scenario, state = self.two_ip_state([("a", "b", "ip1"), ("b", "a", "ip2")])
-        royalties = [t for t in settle(state, scenario).transactions if t.kind == ROYALTY]
+        royalties = [t for t in settle(state, scenario, Ledgers()).transactions if t.kind == ROYALTY]
         assert {(t.sender, t.receiver): t.amount for t in royalties} == {
             ("b", "a"): 270.0,
             ("a", "b"): 0.0,
@@ -232,6 +233,15 @@ class TestRoyaltyCascade:
         commercial = commercial_transactions(state, scenario)
         for t in royalty_transactions(state, scenario, commercial):
             assert t.amount == 0.0
+
+    def test_rate_one_forwards_everything(self):
+        # the closed upper end of [0, 1]: each renter forwards all it earns
+        scenario = make_scenario(royalty_rate=1.0)
+        state = forest_state(["m1", "m2"], [None, 0], scenario)
+        commercial = commercial_transactions(state, scenario)
+        (royalty,) = royalty_transactions(state, scenario, commercial)
+        earned = {t.receiver: t.amount for t in commercial}
+        assert royalty.amount == earned[royalty.sender] > 0.0
 
 
 # --------------------------------------------------------- earning / completeness
@@ -263,10 +273,10 @@ class TestEarning:
 
     def test_completeness_requires_every_market(self):
         scenario = make_scenario()
-        partial = settle(forest_state(["m1", "m1"], [None, 0], scenario), scenario)
+        partial = settle(forest_state(["m1", "m1"], [None, 0], scenario), scenario, Ledgers())
         assert not is_multinationally_complete(partial.transactions, scenario)
         assert not partial.complete
-        full = settle(forest_state(["m1", "m2"], [None, 0], scenario), scenario)
+        full = settle(forest_state(["m1", "m2"], [None, 0], scenario), scenario, Ledgers())
         assert is_multinationally_complete(full.transactions, scenario)
         assert full.complete
 
@@ -274,7 +284,7 @@ class TestEarning:
         scenario = make_scenario()
         state = forest_state(["m1", "m2"], [None, 0], scenario)
         # no company sits in h1, yet the state is complete
-        assert settle(state, scenario).complete
+        assert settle(state, scenario, Ledgers()).complete
 
     def test_corpus_scenario_initial_state_incomplete(self, corpus_scenario):
         config = corpus_scenario.scenario
@@ -282,7 +292,7 @@ class TestEarning:
             corpus_scenario.state.facts, corpus_scenario.state.companies
         )
         # only p exists, based in usa; four other markets are uncovered
-        assert not settle(state, config).complete
+        assert not settle(state, config, Ledgers()).complete
         assert earning_companies(state, config) == [("p", "usa")]
 
 
@@ -320,10 +330,10 @@ class TestTransfer:
     def test_buyer_pays_seller(self):
         scenario = make_scenario()
         state = forest_state(["m1", "m2"], [None, None], scenario)
-        plain = settle(state, scenario).transactions
+        plain = settle(state, scenario, Ledgers()).transactions
         # the sale was the second action of the path
         sold = State(state.groups, state.step_count, Transfer(1, seller="a0", buyer="a1"))
-        ledger = settle(sold, scenario)
+        ledger = settle(sold, scenario, Ledgers())
         *rest, t = ledger.transactions
         assert tuple(rest) == plain
         assert t.id == len(plain)
@@ -336,12 +346,12 @@ class TestTransfer:
         # the payment moves money inside the group: inflows change, the
         # market sum does not
         assert ledger.inflows == (100.0 + 50.0, 0.0)
-        assert ledger.market == settle(state, scenario).market == 100.0
+        assert ledger.market == settle(state, scenario, Ledgers()).market == 100.0
 
     def test_no_transfer_returns_none(self):
         scenario = make_scenario()
         state = forest_state(["m1", "m2"], [None, 0], scenario)
-        ledger = settle(state, scenario)
+        ledger = settle(state, scenario, Ledgers())
         assert all(t.kind != TRANSFER for t in ledger.transactions)
         assert ledger.rows[2] == ()
 
@@ -354,18 +364,18 @@ class TestSettle:
 
     def test_ids_sequential_and_ordered(self):
         scenario, state = self.build()
-        out = settle(state, scenario).transactions
+        out = settle(state, scenario, Ledgers()).transactions
         assert [t.id for t in out] == list(range(len(out)))
         kinds = [t.kind for t in out]
         assert kinds == sorted(kinds, key=[COMMERCIAL, ROYALTY, TRANSFER].index)
 
     def test_settle_is_deterministic(self):
         scenario, state = self.build()
-        assert settle(state, scenario) == settle(state, scenario)
+        assert settle(state, scenario, Ledgers()) == settle(state, scenario, Ledgers())
 
     def test_flows_conserve_commercial_inflow(self):
         scenario, state = self.build()
-        ledger = settle(state, scenario)
+        ledger = settle(state, scenario, Ledgers())
         out = ledger.transactions
         flows = company_flows(out)
         net = sum(fin - fout for fin, fout in flows.values())
@@ -382,7 +392,7 @@ class TestSettle:
 
     def test_internal_transfers_cancel(self):
         scenario, state = self.build()
-        out = settle(state, scenario).transactions
+        out = settle(state, scenario, Ledgers()).transactions
         flows = company_flows(out)
         for t in out:
             if t.kind != COMMERCIAL:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import loophound.explorer as explorer_module
 import loophound.join as join_module
 from loophound.dsl import parse_ruleset, parse_scenario
-from loophound.economy import settle
+from loophound.economy import Ledgers, settle
 from loophound.explorer import (
     ExplorerError,
     depth_weight,
@@ -521,7 +521,7 @@ class TestTrajectoryInvariants:
     def test_complete_means_all_markets_covered(self, desk_run, corpus_scenario):
         scenario = corpus_scenario.scenario
         for t in desk_run.trajectories[:50]:
-            assert t.complete == settle(t.final_state, scenario).complete
+            assert t.complete == settle(t.final_state, scenario, Ledgers()).complete
 
 
 class TestDeadEnds:

@@ -13,11 +13,17 @@ dunder) that the module defines at its top level, as a function, a class or
 an assigned name, or as a method of one of its classes, fails unless the
 module references it: loads it as a name, reads it as an attribute, or
 spells it as a string, as ``getattr`` and a generated function's namespace
-do."""
+do.
+
+A public function, class or method of ``src/loophound`` (not a dunder) fails
+unless ``src/``, ``demos/`` or ``perfbench/`` names it outside its own
+definition, so no library code is kept that only tests call; the one
+listed entry point, with its reason, is kept for a deployment."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -192,3 +198,127 @@ def test_only_runfiles_reads_and_writes_json_and_csv():
         if imported_modules(path.read_text(encoding="utf-8")) & {"json", "csv"}
     ]
     assert importers == ["formalizer.py", "runfiles.py"]
+
+
+# public definitions of src/loophound that nothing in the program names: each
+# is an entry point for a caller outside it, and what it names counts as named
+ENTRY_POINTS = {
+    "RemoteBackend.from_environment": (
+        "a deployment setting: a deployment builds the formalizer's remote "
+        "backend from its environment variables"
+    ),
+}
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[str, str, int, int]]:
+    """(qualified name, name, first line, last line) of each public
+    top-level function or class and each public method of those classes;
+    dunders are not public."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.name, node.lineno, node.end_lineno))
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    return [d for d in found if not d[1].startswith("_")]
+
+
+def namings(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each name ``tree`` loads or stores, each attribute,
+    each imported name, and each word of a string that is a dotted name, as
+    ``getattr`` and a traced name such as ``"economy.settle"`` spell one."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            found.append((node.name.split(".")[-1], node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[\w.]+", node.value):
+                found += [(word, node.lineno) for word in node.value.split(".")]
+    return found
+
+
+def unnamed_public_definitions(
+    sources: dict[str, str], checked: list[str], entry_points=()
+) -> list[str]:
+    """``file:line qualified-name`` of each public definition of a ``checked``
+    file that no file of ``sources`` names outside the definition itself.
+    A naming inside an ``entry_points`` definition counts."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    names = {path: namings(tree) for path, tree in trees.items()}
+    roots = {
+        (path, first, last)
+        for path in checked
+        for qualified, _, first, last in public_definitions(trees[path])
+        if qualified in entry_points
+    }
+
+    def named(name: str, path: str, first: int, last: int) -> bool:
+        return any(
+            word == name
+            and (
+                other != path
+                or not first <= line <= last
+                or any(root[0] == other and root[1] <= line <= root[2] for root in roots)
+            )
+            for other, found in names.items()
+            for word, line in found
+        )
+
+    return [
+        f"{path}:{first} {qualified}"
+        for path in checked
+        for qualified, name, first, last in public_definitions(trees[path])
+        if qualified not in entry_points and not named(name, path, first, last)
+    ]
+
+
+def test_the_scan_finds_a_public_name_nothing_else_names():
+    library = (
+        "def used():\n"
+        "    return 1\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "class Backend:\n"
+        "    def generate(self):\n"
+        "        return used()\n"
+        "    def spare(self):\n"
+        "        return self.generate()\n"
+        "    @classmethod\n"
+        "    def deployed(cls) -> 'Backend':\n"
+        "        return cls()\n"
+        "    def __repr__(self):\n"
+        "        return ''\n"
+        "def traced():\n"
+        "    return 2\n"
+        "def _private():\n"
+        "    return 3\n"
+    )
+    caller = "from lib import used\nTRACED = ('lib', 'traced')\n"
+    sources = {"lib.py": library, "caller.py": caller}
+    assert unnamed_public_definitions(sources, ["lib.py"]) == [
+        "lib.py:3 recursive", "lib.py:5 Backend", "lib.py:8 Backend.spare",
+        "lib.py:11 Backend.deployed",
+    ]
+    assert unnamed_public_definitions(sources, ["lib.py"], {"Backend.deployed"}) == [
+        "lib.py:3 recursive", "lib.py:8 Backend.spare",
+    ]
+
+
+def test_every_public_definition_is_named_by_the_program():
+    """No library code only tests call: each public function, class and
+    method of ``src/loophound`` is named in ``src/``, ``demos/`` or
+    ``perfbench/`` outside its own definition, or listed in ENTRY_POINTS
+    with its reason."""
+    paths = sorted(p for top in ("src", "demos", "perfbench") for p in (ROOT / top).rglob("*.py"))
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
+    checked = [path for path in sources if path.startswith("src/loophound/")]
+    assert len(checked) > 10
+    assert unnamed_public_definitions(sources, checked, ENTRY_POINTS) == []

@@ -620,6 +620,53 @@ class TestInduce:
         with pytest.raises(InductionError, match="empty positive"):
             induce(examples, db, config)
 
+    def test_positives_all_excluded_raises(self):
+        config, examples, db = self.setup(separable_instance())
+        negatives_only = BackgroundDB(
+            examples=tuple(
+                ex for ex in db.examples if ex.trajectory_id in examples.negatives
+            )
+        )
+        with pytest.raises(InductionError, match="all positive examples were excluded"):
+            induce(examples, negatives_only, config)
+
+    def test_positive_no_literal_covers_is_left_with_a_warning(self):
+        # positive 1 holds no vocabulary fact, so after the first clause no
+        # refinement covers it
+        tset = mk_tset(
+            [
+                role_trajectory(0, 100.0, extra_facts=[("managed", ("i0", "bermuda"))]),
+                role_trajectory(1, 100.0),
+                role_trajectory(2, 10.0),
+            ]
+        )
+        config, examples, db = self.setup(tset)
+        hypothesis = induce(examples, db, config)
+        assert [c.serialize() for c in hypothesis.clauses] == ["managed(A, bermuda)"]
+        assert hypothesis.warnings == (
+            "1 positive example(s) left uncovered; no further clause has positive score",
+        )
+
+    def test_clause_budget_warning(self):
+        # the two positives share no vocabulary fact: one clause each
+        tset = mk_tset(
+            [
+                role_trajectory(0, 100.0, extra_facts=[("managed", ("i0", "bermuda"))]),
+                role_trajectory(1, 100.0, extra_facts=[("ownsIP", ("n0", "ip1"))]),
+                role_trajectory(2, 10.0),
+            ]
+        )
+        config, examples, db = self.setup(tset, max_clauses=1)
+        hypothesis = induce(examples, db, config)
+        assert len(hypothesis.clauses) == 1
+        assert hypothesis.warnings == (
+            "clause budget 1 reached with 1 positive example(s) uncovered",
+        )
+        config, examples, db = self.setup(tset, max_clauses=2)
+        hypothesis = induce(examples, db, config)
+        assert len(hypothesis.clauses) == 2
+        assert hypothesis.warnings == ()
+
     def test_identical_structures_keep_false_positive(self):
         # positives and negatives are structurally identical
         tset = mk_tset(
@@ -801,6 +848,12 @@ class TestSchemeGraph:
         rows = [(e.source, e.label, e.target) for e in graph.edges]
         assert rows == [("B", "isChildOf", "A"), ("C", "based", "usa")]
 
+    def test_top_k_below_one_rejected(self):
+        hypothesis = hypothesis_with_f1([([ClauseLiteral("ownsIP", ("A", "Ip0"))], 0.5)])
+        with pytest.raises(InductionError, match="top_k must be at least 1"):
+            scheme_graph(hypothesis, top_k=0)
+        assert len(scheme_graph(hypothesis, top_k=1).edges) == 1
+
     def test_empty_hypothesis_empty_graph(self):
         graph = scheme_graph(Hypothesis(clauses=(), clause_metrics=()))
         assert graph.edges == ()
@@ -861,6 +914,15 @@ class TestHypothesisSerialization:
         assert "% clause f1" in text
         assert "taxScheme(A, B, C, D) :-" in text
         assert "% overall accuracy" in text
+
+    def test_text_rendering_of_an_empty_hypothesis(self, tmp_path):
+        path = tmp_path / "hypothesis.txt"
+        empty = Hypothesis(clauses=(), clause_metrics=())
+        write_hypothesis_text(empty, Metrics.from_counts(0, 0, 2, 2), path)
+        assert path.read_text().splitlines() == [
+            "% empty hypothesis",
+            "% overall accuracy 0.5000 f1 undefined",
+        ]
 
 
 # ---------------------------------------------------------- configuration

@@ -32,7 +32,7 @@ from loophound.kernel import (
     make_fact,
 )
 from loophound.explorer import search_world
-from loophound.join import CompiledCondition, compile_projection
+from loophound.join import CompiledCondition, compile_projection, plan
 from loophound.taxation import SELF_VAR
 from loophound.dsl import parse_ruleset
 from conftest import TOY_RULESET, walk
@@ -135,13 +135,11 @@ class TestMatchOracle:
             Literal("based", ("Self", "usa")),
             Literal("transaction", ("royalty", "X", "Self")),
         )
-        join = CompiledCondition(condition)
-        rows = join.bindings(state, {}, patterns)
+        rows = expected_rows(state, condition, extra_ground=patterns)
         assert rows == [("p", "c1")]
-        assert rows == expected_rows(state, condition, extra_ground=patterns)
         assert projected(condition, state, "Self", patterns) == {"p"}
-        with pytest.raises(KernelError, match="unknown predicate"):
-            join.bindings(state, {})
+        assert projected(condition, state, "X", patterns) == {"c1"}
+        assert projected(condition, state, "Self") == set()
 
     def test_checks_without_positive_literal_test_the_seed(self):
         state = small_state()
@@ -176,14 +174,16 @@ class TestMatchOracle:
 
 
 @st.composite
-def random_cases(draw):
+def random_cases(draw, transactions=True):
     """A state, transaction patterns, a condition and a seed for it.
 
     A condition has 0-4 positive literals and 0-4 checks (negations and
     comparisons).  Checks sit anywhere in the condition, before or after
     the literal that binds their variables; seeded variables may appear in
     checks without a positive binder, and with no positive literal the
-    checks use only constants and seeded variables.
+    checks use only constants and seeded variables.  Without
+    ``transactions`` the condition reads the state alone, as an action
+    rule's precondition does, and there are no patterns.
     """
     companies = ["p", "c1", "c2"]
     countries = ["usa", "ireland", "bermuda"]
@@ -219,7 +219,7 @@ def random_cases(draw):
                     st.sampled_from(companies),
                     st.sampled_from(companies),
                 ),
-                max_size=3,
+                max_size=3 if transactions else 0,
             )
         )
     }
@@ -228,8 +228,10 @@ def random_cases(draw):
     variables = ["X", "Y", "Z"]
     predicates = [
         ("based", 2), ("managed", 2), ("ownsIP", 2), ("rentsIP", 3),
-        ("exists", 1), ("isChildOf", 2), ("transaction", 3),
+        ("exists", 1), ("isChildOf", 2),
     ]
+    if transactions:
+        predicates.append(("transaction", 3))
     condition = []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         pred, arity = draw(st.sampled_from(predicates))
@@ -261,15 +263,15 @@ def random_cases(draw):
 
 class TestMatchProperties:
     @settings(max_examples=200, deadline=None)
-    @given(random_cases())
+    @given(random_cases(transactions=False))
     def test_random_conditions_agree_with_oracle(self, case):
-        state, patterns, condition, seed = case
+        state, _, condition, seed = case
         join = CompiledCondition(condition, bound=seed)
-        rows = join.bindings(state, seed, patterns)
-        assert rows == expected_rows(state, condition, seed, patterns)
+        rows = join.bindings(state, seed)
+        assert rows == expected_rows(state, condition, seed)
         # literal order in the source never changes a result
         reordered = CompiledCondition(tuple(reversed(condition)), bound=seed)
-        assert reordered.bindings(state, seed, patterns) == rows
+        assert reordered.bindings(state, seed) == rows
 
     @settings(max_examples=200, deadline=None)
     @given(random_cases())
@@ -284,15 +286,15 @@ class TestMatchProperties:
         }
         if not checked <= set(positive):
             with pytest.raises(KernelError):
-                CompiledCondition(condition)
+                plan(condition, frozenset())
             for v in positive:
                 with pytest.raises(KernelError):
                     compile_projection([condition], v)
             return
-        join = CompiledCondition(condition)
+        variables = sorted({v for item in condition for v in item.variables()})
         rows = expected_rows(state, condition, extra_ground=patterns)
         for v in positive:
-            i = join.variables.index(v)
+            i = variables.index(v)
             assert projected(condition, state, v, patterns) == {row[i] for row in rows}
 
 
@@ -993,13 +995,13 @@ class TestReads:
             assert view.groups.read <= reads
 
     @settings(max_examples=200, deadline=None)
-    @given(random_cases())
+    @given(random_cases(transactions=False))
     def test_random_conditions_read_only_their_reads(self, case):
-        state, patterns, condition, seed = case
+        state, _, condition, seed = case
         join = CompiledCondition(condition, bound=seed)
         view = recording(state)
-        rows = join.bindings(view, seed, patterns)
-        assert rows == join.bindings(state, seed, patterns)
+        rows = join.bindings(view, seed)
+        assert rows == join.bindings(state, seed)
         assert view.groups.read <= condition_reads(condition)
         try:
             CompiledCondition(condition)
@@ -1008,7 +1010,7 @@ class TestReads:
         reads = condition_reads(condition)
         for v in positive_variables(condition):
             view = recording(state)
-            projected(condition, view, v, patterns)
+            projected(condition, view, v)
             assert view.groups.read <= reads
 
 

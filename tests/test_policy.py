@@ -268,6 +268,37 @@ class TestDeltaRestriction:
         assert report.delta_e is None
         assert report.verdict == "undefined"
 
+    def test_delta_h_undefined_when_covered_positives_are_omega(self):
+        bermuda = ("managed", ("i0", "bermuda"))
+        tset = mk_tset(
+            [role_trajectory(0, 100.0, 1.0, [bermuda]), role_trajectory(1, 90.0, 2.0, [bermuda])]
+        )
+        hypothesis, examples, background = induced(tset)
+        report = delta_restriction(tset, hypothesis, examples, background, MEAN_TAX)
+        assert report.covered_positives == 2
+        # removing all of Omega leaves no mean
+        assert report.delta_h_pos is None
+        assert report.delta_h_neg == 0.0
+        assert report.delta_h is None
+
+    @pytest.mark.parametrize("positive_tax, delta_e", [(50.0, -24.5), (1.0, 0.0)])
+    def test_efficient_when_removing_positives_raises_no_welfare(
+        self, positive_tax, delta_e
+    ):
+        bermuda = ("managed", ("i0", "bermuda"))
+        tset = mk_tset(
+            [
+                role_trajectory(0, 100.0, positive_tax, [bermuda]),
+                role_trajectory(1, 100.0, positive_tax, [bermuda]),
+                role_trajectory(2, 10.0, 1.0),
+                role_trajectory(3, 10.0, 1.0),
+            ]
+        )
+        hypothesis, examples, background = induced(tset)
+        report = delta_restriction(tset, hypothesis, examples, background, MEAN_TAX)
+        assert report.delta_e == delta_e
+        assert report.verdict == "operationally_efficient"
+
     def test_report_counts(self):
         tset = separable_pool()
         hypothesis, examples, background = induced(tset)

@@ -16,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loophound.economy import (
+    Ledgers,
     company_flows,
     earning_companies,
     is_multinationally_complete,
     settle,
 )
-from loophound.join import CompiledCondition, compile_projection
+from loophound.join import compile_projection
 from loophound.kernel import (
     WILDCARD,
     Comparison,
@@ -50,7 +51,7 @@ from loophound.taxation import (
     residence_countries,
 )
 from conftest import walk
-from oracles import evaluate_from_scratch, oracle_match, path_transfer
+from oracles import evaluate_from_scratch, kind_rows, oracle_match, path_transfer
 
 
 # ------------------------------------------------------------------ fixture
@@ -235,7 +236,7 @@ class TestSandwichFixture:
         """USA-wte applies to p yet loses to the cheaper election rate."""
         state, _, _, _, by_company, _ = sandwich
         memo = corpus_memo(corpus_ruleset, corpus_scenario)
-        ledger = settle(state, corpus_scenario.scenario)
+        ledger = settle(state, corpus_scenario.scenario, Ledgers())
         reductions = corpus_ruleset.reduction_rules
         amap = applicability_map(state, ledger, memo)
         assert "USA-wte" in [reductions[i].legal_ref for i in amap["p"]]
@@ -247,7 +248,7 @@ class TestSandwichFixture:
         state, _, txns, *_ = sandwich
         patterns = {"transaction": [(t.kind, t.sender, t.receiver) for t in txns]}
         memo = corpus_memo(corpus_ruleset, corpus_scenario)
-        ledger = settle(state, corpus_scenario.scenario)
+        ledger = settle(state, corpus_scenario.scenario, Ledgers())
         amap = applicability_map(state, ledger, memo)
         assert set(amap) <= set(state.companies())
         for company in state.companies():
@@ -558,7 +559,7 @@ class TestNetProfit:
         market = sum(t.amount for t in txns if t.kind == "commercial")
         assert total == pytest.approx(market, rel=1e-12)
         # the ledger's market sum, less each tax in assessment order
-        recomputed = settle(state, corpus_scenario.scenario).market
+        recomputed = settle(state, corpus_scenario.scenario, Ledgers()).market
         for a in assessments:
             recomputed -= a.tax_due
         assert recomputed == 1100.125
@@ -569,12 +570,14 @@ class TestNetProfit:
 
 def composed_evaluation(state, scenario, reductions, rates):
     """Evaluation composed from its parts, rule by rule, without the one pass:
-    a ledger settled anew, then each rule's applicability to each company on
-    its own, from its condition's bindings, then candidate choice, then
-    profit."""
-    ledger = settle(state, scenario).transactions
+    a ledger settled anew, then each rule's applicability on its own, from a
+    projection of its condition alone, then candidate choice, then profit."""
+    ledger = settle(state, scenario, Ledgers()).transactions
     flows = company_flows(ledger)
-    patterns = {"transaction": [(t.kind, t.sender, t.receiver) for t in ledger]}
+    rows = kind_rows({"transaction": [(t.kind, t.sender, t.receiver) for t in ledger]})
+    holders = [
+        compile_projection([rule.query()], SELF_VAR)(state.groups, rows) for rule in reductions
+    ]
     managed = {f.args[0]: f.args[1] for f in state.facts() if f.predicate == "managed"}
     based = {f.args[0]: f.args[1] for f in state.facts() if f.predicate == "based"}
     assessments = []
@@ -583,9 +586,8 @@ def composed_evaluation(state, scenario, reductions, rates):
         base, _ = flows.get(company, (0.0, 0.0))
         rate = float(rates[country])
         candidates = []
-        for rule in reductions:
-            seed = {SELF_VAR: company}
-            if CompiledCondition(rule.query(), bound=seed).bindings(state, seed, patterns):
+        for rule, held in zip(reductions, holders):
+            if company in held:
                 candidates += applicable_reductions(company, base, rate, [rule])
         deductible = choose_reduction(
             [c for c in candidates if c[0].kind == "deductible"]
@@ -844,7 +846,7 @@ class TestGeneratedReductions:
         applicable = compile_projection(
             [r.query() for r in (earns_at_home, bought, parent)], SELF_VAR
         )
-        ledger = settle(state, corpus_scenario.scenario)
+        ledger = settle(state, corpus_scenario.scenario, Ledgers())
         # every company earns in its country of incorporation; c1 bought the
         # IP; p is every child's parent
         assert applicable(state.groups, ledger.rows) == {
