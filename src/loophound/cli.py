@@ -14,9 +14,10 @@ The files' names, formats, readers and writers live in
 :mod:`~loophound.runfiles`.  Each stage input is read through one loader
 (:func:`_load`) and each file written through one writer (:func:`_write`),
 which writes a temporary sibling and moves it into place.  Exit codes: 0
-success, 1 validation or usage error (a malformed input file included), 2
-IO error, 3 stage-order violation (a prerequisite stage's output is
-missing).
+success, 1 validation or usage error (a malformed input file included, and
+an error of a class the ``loophound`` package defines, raised in any
+stage), 2 IO error, 3 stage-order violation (a prerequisite stage's output
+is missing).
 
 A stage imports only the layers it runs, when it runs:
 
@@ -62,7 +63,7 @@ EXIT_STAGE_ORDER = 3
 # that defines them; the commands look each up through _cli, this module
 _LAZY = {
     "dsl": ("parse_ruleset", "parse_scenario", "rate_problem"),
-    "explorer": ("ExplorerError", "explore"),
+    "explorer": ("explore",),
     "runfiles": (
         # the files of a run directory, and the search parameters it records
         "TRAJECTORIES_FILE", "PROFILE_FILE", "STATS_FILE", "HYPOTHESIS_JSON",
@@ -82,14 +83,13 @@ _LAZY = {
     ),
     "induction": (
         "InductionConfig",
-        "InductionError",
         "build_background",
         "evaluate",
         "induce",
         "label",
         "scheme_graph",
     ),
-    "policy": ("PolicyError", "WelfareConfig", "delta_restriction"),
+    "policy": ("WELFARE_KINDS", "WelfareConfig", "delta_restriction"),
 }
 _HOMES = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -106,13 +106,17 @@ def __getattr__(name: str):
 
 _cli = sys.modules[__name__]
 
-_WELFARE_ALIASES = {
-    "mean_tax": "mean_tax_collected",
-    "total_tax": "total_tax_collected",
-    "mean_tax_collected": "mean_tax_collected",
-    "total_tax_collected": "total_tax_collected",
-    "mean_utilitarian": "mean_utilitarian",
-}
+
+class _WelfareKinds:
+    """The choices of ``policy --welfare``, ``policy.WELFARE_KINDS``, read
+    only when the option is checked or its help printed: building the
+    parser imports no stage's layer."""
+
+    def __iter__(self):
+        return iter(_cli.WELFARE_KINDS)
+
+    def __contains__(self, kind: object) -> bool:
+        return kind in _cli.WELFARE_KINDS
 
 
 class CliError(Exception):
@@ -331,21 +335,18 @@ def cmd_induce(args: argparse.Namespace) -> int:
     manifest = _load(out_dir, _cli.MANIFEST_FILE)
     tset = _load(out_dir, _cli.TRAJECTORIES_FILE)
     u_plus = args.u_plus if args.u_plus is not None else _default_u_plus(out_dir)
-    try:
-        config = _cli.InductionConfig(
-            u_plus=u_plus,
-            max_literals=args.max_literals,
-            beam_width=args.beam_width,
-            max_clauses=args.max_clauses,
-        )
-        examples = _cli.label(tset, u_plus)
-        background = _cli.build_background(tset, config)
-        for warning in list(examples.warnings) + list(background.warnings):
-            print(f"warning: {warning}", file=sys.stderr)
-        hypothesis = _cli.induce(examples, background, config)
-        overall = _cli.evaluate(hypothesis, examples, background)
-    except _cli.InductionError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from exc
+    config = _cli.InductionConfig(
+        u_plus=u_plus,
+        max_literals=args.max_literals,
+        beam_width=args.beam_width,
+        max_clauses=args.max_clauses,
+    )
+    examples = _cli.label(tset, u_plus)
+    background = _cli.build_background(tset, config)
+    for warning in list(examples.warnings) + list(background.warnings):
+        print(f"warning: {warning}", file=sys.stderr)
+    hypothesis = _cli.induce(examples, background, config)
+    overall = _cli.evaluate(hypothesis, examples, background)
     _write(
         out_dir / _cli.HYPOTHESIS_JSON, _cli.write_hypothesis_json, hypothesis, examples, overall
     )
@@ -379,13 +380,10 @@ def cmd_policy(args: argparse.Namespace) -> int:
     manifest = _load(out_dir, _cli.MANIFEST_FILE)
     tset = _load(out_dir, _cli.TRAJECTORIES_FILE)
     hypothesis, u_plus, _overall = _load(out_dir, _cli.HYPOTHESIS_JSON)
-    try:
-        config = _cli.WelfareConfig(welfare_kind=_WELFARE_ALIASES[args.welfare])
-        examples = _cli.label(tset, u_plus)
-        background = _cli.build_background(tset, _cli.InductionConfig(u_plus=u_plus))
-        report = _cli.delta_restriction(tset, hypothesis, examples, background, config)
-    except (_cli.PolicyError, _cli.InductionError) as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from exc
+    config = _cli.WelfareConfig(welfare_kind=args.welfare)
+    examples = _cli.label(tset, u_plus)
+    background = _cli.build_background(tset, _cli.InductionConfig(u_plus=u_plus))
+    report = _cli.delta_restriction(tset, hypothesis, examples, background, config)
     _write(out_dir / _cli.POLICY_FILE, _cli.write_policy_report, report)
     delta = "undefined" if report.delta_h is None else f"{report.delta_h:.6f}"
     print(
@@ -485,9 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     policy_cmd = commands.add_parser("policy", help="welfare effect of restricting H")
     policy_cmd.add_argument(
         "--welfare",
-        default="mean_tax",
-        choices=sorted(_WELFARE_ALIASES),
-        help="welfare evaluator (default: mean_tax)",
+        default="mean_tax_collected",
+        choices=_WelfareKinds(),
+        metavar="KIND",
+        help="welfare evaluator: one of %(choices)s (default: %(default)s)",
     )
     _add_out_flag(policy_cmd)
     policy_cmd.set_defaults(func=cmd_policy)
@@ -512,10 +511,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:
-        # a stage's own errors, looked up only when an exception gets this
-        # far: a stage that succeeds, --help and --version import none of
-        # their modules for them
-        if not isinstance(exc, (_cli.ExplorerError, _cli.InductionError, _cli.PolicyError)):
+        # an error of a class this package defines is the library refusing
+        # its input; any other is a fault, and raises
+        if not type(exc).__module__.startswith(f"{__package__}."):
             raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -27,8 +27,9 @@ Block statements::
     }
 
 Conditions are conjunctions of positive literals, negated literals (``not``)
-and ``==`` / ``!=`` comparisons.  Identifiers starting with an uppercase
-letter are variables; ``_`` is an anonymous wildcard (negated literals only).
+and ``==`` / ``!=`` comparisons.  A term is an identifier: one starting with
+an uppercase letter is a variable; ``_`` is an anonymous wildcard (negated
+literals only).  A number literal must be finite.
 In ``eff:`` a ``not`` prefix marks a fact deletion.  ``new_base``/``new_rate``
 are linear expressions over ``Base``, ``Rate`` and number literals; a
 ``deductible`` rule may only rewrite the base, an ``exemption`` only the rate.
@@ -51,6 +52,7 @@ that reads back as the same float, and a negative term after the first as
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -131,14 +133,27 @@ class ScenarioDoc:
 
 
 def rate_problem(ruleset: RuleSetDoc, scenario_doc: ScenarioDoc) -> Optional[str]:
-    """The problem naming every scenario country that has no statutory rate
-    in ``ruleset``, or None when each has one: a company may become resident
-    in any scenario country, and its return needs that country's rate."""
+    """The problems of ``ruleset`` against ``scenario_doc``, or None when it
+    has none: every scenario country that has no statutory rate in
+    ``ruleset``, since a company may become resident in any scenario country
+    and its return needs that country's rate; and, at its rule, every
+    action effect that names as a country a constant the scenario does not
+    declare, which no return has a rate for."""
+    countries = scenario_doc.scenario.countries
     rates = ruleset.rates()
-    missing = [c for c in scenario_doc.scenario.countries if c not in rates]
-    if not missing:
-        return None
-    return "no statutory rate for scenario country " + ", ".join(map(repr, missing))
+    missing = [c for c in countries if c not in rates]
+    problems = []
+    if missing:
+        problems.append("no statutory rate for scenario country " + ", ".join(map(repr, missing)))
+    for rule in ruleset.action_rules:
+        for lit in rule.add_effects + rule.del_effects:
+            for arg, ty in zip(lit.args, PREDICATES[lit.predicate]):
+                if ty == "country" and kernel.is_constant(arg) and arg not in countries:
+                    problems.append(
+                        f"{rule.span[0]}:{rule.span[1]}: action: {rule.name}/{rule.legal_ref}: "
+                        f"effect {lit} names country {arg!r}, which the scenario does not declare"
+                    )
+    return "; ".join(problems) or None
 
 
 # ============================================================================
@@ -258,6 +273,16 @@ class _Parser:
             self.error(f"{what} {tok.value!r} is not a constant", tok)
         return tok
 
+    def number(self, what: str) -> float:
+        """The value of the next token, a number literal, which must be
+        finite: one too large for a float is an error where it stands, and
+        a missing one is reported as the expected ``what``."""
+        tok = self.expect("number", what=what)
+        value = float(tok.value)
+        if not math.isfinite(value):
+            raise _SyntaxError("number too large to be finite", tok)
+        return value
+
     def error(self, message: str, tok: Optional[Token] = None) -> None:
         tok = tok or self.peek()
         self.diagnostics.append(Diagnostic("error", message, tok.line, tok.col))
@@ -323,7 +348,7 @@ class _Parser:
             entry = (name.value, self.parse_term_list(), (name.line, name.col))
         elif keyword == "rate":
             name = self.entity("country id")
-            value = float(self.expect("number", what="rate value").value)
+            value = self.number("rate value")
             entry = (name.value, value, (name.line, name.col))
         elif keyword == "country":
             name = self.entity("country id")
@@ -331,7 +356,7 @@ class _Parser:
                 revenue: Optional[float] = None
             else:
                 self.expect("ident", "revenue")
-                revenue = float(self.expect("number", what="revenue amount").value)
+                revenue = self.number("revenue amount")
             entry = (name.value, revenue, (name.line, name.col))
         elif keyword == "pool":
             entry = []
@@ -340,7 +365,7 @@ class _Parser:
                 entry.append((cid.value, (cid.line, cid.col)))
         else:
             name = self.expect("ident", what="parameter name")
-            value = float(self.expect("number", what="parameter value").value)
+            value = self.number("parameter value")
             entry = (name.value, value, (name.line, name.col))
         self.expect("op", ".")
         self.statements[keyword].append(entry)
@@ -428,13 +453,7 @@ class _Parser:
         terms: list[str] = []
         if not self.check("op", ")"):
             while True:
-                tok = self.peek()
-                if tok.type == "ident":
-                    terms.append(self.advance().value)
-                elif tok.type == "number":
-                    terms.append(self.advance().value)
-                else:
-                    raise _SyntaxError(f"expected a term, found {tok.value!r}", tok)
+                terms.append(self.expect("ident", what="a term").value)
                 if not self.accept("op", ","):
                     break
         self.expect("op", ")")
@@ -453,24 +472,14 @@ class _Parser:
             pred = self.expect("ident", what="predicate name")
             args = self.parse_term_list()
             return Literal(pred.value, tuple(args), negated=True)
-        first = self.peek()
-        if first.type not in ("ident", "number"):
-            raise _SyntaxError(
-                f"expected a literal or comparison, found {first.value!r}", first
-            )
-        head = self.advance()
+        head = self.expect("ident", what="a literal or comparison")
         if self.check("op", "("):
             args = self.parse_term_list()
             return Literal(head.value, tuple(args), negated=False)
         op = self.peek()
         if op.type == "op" and op.value in ("==", "!="):
             self.advance()
-            right = self.peek()
-            if right.type not in ("ident", "number"):
-                raise _SyntaxError(
-                    f"expected a term after {op.value}, found {right.value!r}", right
-                )
-            self.advance()
+            right = self.expect("ident", what=f"a term after {op.value}")
             return Comparison(head.value, op.value, right.value)
         raise _SyntaxError(
             f"expected '(' or a comparison operator after {head.value!r}", op
@@ -513,20 +522,16 @@ class _Parser:
         return LinExpr(base_coef=base, rate_coef=rate, const=const)
 
     def parse_linterm(self) -> tuple[float, float, float]:
-        tok = self.peek()
-        if tok.type == "number":
-            self.advance()
-            coef = float(tok.value)
+        if self.check("number"):
+            coef = self.number("a number coefficient")
             if self.accept("op", "*"):
                 sym = self.expect("ident", what="Base or Rate")
                 return self.symbol_term(sym, coef)
             return (0.0, 0.0, coef)
+        tok = self.peek()
         if tok.type == "ident":
             self.advance()
-            coef = 1.0
-            if self.accept("op", "*"):
-                num = self.expect("number", what="a number coefficient")
-                coef = float(num.value)
+            coef = self.number("a number coefficient") if self.accept("op", "*") else 1.0
             return self.symbol_term(tok, coef)
         raise _SyntaxError(f"expected an expression term, found {tok.value!r}", tok)
 

@@ -17,9 +17,11 @@ that path's sale, parent, action and evaluation (a node the step cap had
 closed rejoins the frontier).  A node is a row of a table held in columns
 indexed by node, as the state registry of Fast Downward (Helmert, JAIR 2006)
 stores each state once under an integer id: its groups, which are its key;
-its sale; its parent and the action from it; its depth, profit and utility;
-its complete, terminal and expanded flags.  Selection gathers depths and
-utilities, and a move rewrites a row in place.  A node's
+its sale; its parent and the action from it; its depth and utility; its
+complete, terminal and expanded flags.  Each column grows by one entry per
+new node; selection gathers depths and utilities through NumPy views of
+their columns, and a move rewrites a row in place.  A node keeps no profit:
+a record takes it from the evaluation it makes anyway.  A node's
 :class:`~loophound.kernel.State` is built from its row only when the node is
 expanded or recorded, and the successor each action yields is evaluated and
 dropped, so the search holds no State per node.  Every terminal node
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import gc
 import math
+from array import array
 from typing import TYPE_CHECKING, Iterable, Optional
 
 # is_multinationally_complete is no longer called here: a ledger carries its
@@ -260,47 +263,34 @@ def _search(
 
     # The node table: one row per node, in columns indexed by node.  A row
     # holds the node's groups, its key in ``seen``; its IP sale; its parent
-    # (-1 for the root) and the action from it; its depth, profit and
-    # utility; and its complete, terminal and expanded flags, a byte each.
-    # The arrays grow by doubling.  Frontier selection gathers depths and
-    # utilities by node index, and a float64 holds a Python float exactly,
-    # so a record reads its profit back unchanged.  A node's State is built
-    # from its row only when it is expanded or recorded.
+    # (-1 for the root) and the action from it; its depth and utility; and
+    # its complete, terminal and expanded flags, a byte each.  Each column
+    # grows by one entry per new node, and frontier selection gathers depths
+    # and utilities by node index through a NumPy view of their columns.  A
+    # node's State is built from its row only when it is expanded or
+    # recorded.  The root is below the step cap: max_steps is at least 1.
+    ledger, _, p = evaluate_state(s0, memo)
     keys: list[tuple] = [s0.key()]
     sales: list[Optional[Transfer]] = [s0.transfer]
     via: list[Optional[GroundedAction]] = [None]
-    parent = np.full(1024, -1, dtype=np.intp)
-    depth = np.empty(1024)
-    profit = np.empty(1024)
-    utility = np.empty(1024)
-    complete = bytearray(1024)
-    terminal = bytearray(1024)
-    expanded = bytearray(1024)
-
-    def evaluate_node(index: int, state: State) -> None:
-        """Evaluate ``state``, node ``index``'s state on its path, into the
-        node's row."""
-        ledger, _, p = evaluate_state(state, memo)
-        complete[index] = ledger.complete
-        terminal[index] = state.step_count >= params.max_steps
-        depth[index] = state.step_count
-        profit[index] = p
-        utility[index] = trajectory_utility(p, state.step_count, cost)
+    parent = array("q", [-1])
+    depth = array("d", [0.0])
+    utility = array("d", [trajectory_utility(p, 0, cost)])
+    complete = bytearray([ledger.complete])
+    terminal = bytearray(1)
+    expanded = bytearray(1)
 
     def state_of(index: int) -> State:
         return State.from_checked_groups(keys[index], int(depth[index]), sales[index])
 
-    evaluate_node(0, s0)
     seen: dict[tuple, int] = {s0.key(): 0}
     frontier = np.array([0], dtype=np.intp)  # node indices
 
-    root_deadend = False
     for t in range(params.iterations):
         if not frontier.size:
             break
-        probs = selection_distribution(
-            depth[frontier], utility[frontier], t, params.beta, params.tau0
-        )
+        depths, utilities = np.frombuffer(depth)[frontier], np.frombuffer(utility)[frontier]
+        probs = selection_distribution(depths, utilities, t, params.beta, params.tau0)
         k = min(params.expansions, frontier.size)
         rng = np.random.default_rng([params.seed, t])
         chosen_pos = rng.choice(frontier.size, size=k, replace=False, p=probs)
@@ -315,45 +305,45 @@ def _search(
             acts = applicable_actions(state, rules)
             if not acts:
                 terminal[node_index] = True
-                if node_index == 0:
-                    root_deadend = True
                 continue
             for act in acts:
                 child = apply_action(state, act, rules)
                 key = child.key()
+                steps = child.step_count
                 existing = seen.get(key)
-                if existing is not None:
-                    if not expanded[existing] and child.step_count < depth[existing]:
-                        # a shorter path to an unexpanded node: the node
-                        # takes this path's sale, parent, action and
-                        # evaluation; a node the step cap had closed opens
-                        was_open = not terminal[existing]
-                        sales[existing] = child.transfer
-                        parent[existing] = node_index
-                        via[existing] = act
-                        evaluate_node(existing, child)
-                        if not (was_open or terminal[existing]):
-                            opened.append(existing)
+                if existing is not None and (expanded[existing] or steps >= depth[existing]):
                     continue
-                child_index = len(keys)
-                if child_index == depth.size:
-                    parent, depth, profit, utility = (
-                        np.concatenate([column, np.empty_like(column)])
-                        for column in (parent, depth, profit, utility)
-                    )
-                    for flags in (complete, terminal, expanded):
-                        flags.extend(bytes(len(flags)))
-                keys.append(key)
-                sales.append(child.transfer)
-                via.append(act)
-                parent[child_index] = node_index
-                evaluate_node(child_index, child)
-                seen[key] = child_index
-                if not terminal[child_index]:
-                    opened.append(child_index)
+                ledger, _, p = evaluate_state(child, memo)
+                closed = steps >= params.max_steps
+                if existing is None:
+                    if not closed:
+                        opened.append(len(keys))
+                    seen[key] = len(keys)
+                    keys.append(key)
+                    sales.append(child.transfer)
+                    via.append(act)
+                    parent.append(node_index)
+                    depth.append(steps)
+                    utility.append(trajectory_utility(p, steps, cost))
+                    complete.append(ledger.complete)
+                    terminal.append(closed)
+                    expanded.append(False)
+                    continue
+                # a shorter path to an unexpanded node: the node takes this
+                # path's sale, parent, action and evaluation; a node the
+                # step cap had closed opens
+                if terminal[existing] and not closed:
+                    opened.append(existing)
+                sales[existing] = child.transfer
+                via[existing] = act
+                parent[existing] = node_index
+                depth[existing] = steps
+                utility[existing] = trajectory_utility(p, steps, cost)
+                complete[existing] = ledger.complete
+                terminal[existing] = closed
         frontier = np.concatenate([frontier, np.array(opened, dtype=np.intp)])
 
-    if root_deadend:
+    if terminal[0]:
         warnings.append("no applicable actions at the root state; empty result")
 
     # nodes keep no evaluation: each record is evaluated again, and the memo
@@ -364,8 +354,7 @@ def _search(
             continue
         state = state_of(idx)
         actions = _path_actions(parent, via, idx)
-        ledger, assessments, _ = evaluate_state(state, memo)
-        p = float(profit[idx])
+        ledger, assessments, p = evaluate_state(state, memo)
         trajectories.append(
             Trajectory(
                 id=len(trajectories),
@@ -385,7 +374,7 @@ def _search(
 
 
 def _path_actions(
-    parent: np.ndarray, via: list[Optional[GroundedAction]], index: int
+    parent: array, via: list[Optional[GroundedAction]], index: int
 ) -> tuple[GroundedAction, ...]:
     """The actions on the path from the root to node ``index``, read up the
     node table's ``parent`` and ``via`` columns."""

@@ -35,7 +35,9 @@ pattern, wildcards only in negated literals and never in effects, every
 effect variable a parameter, since a grounded action binds only its
 parameters, and for ``transferIP`` one deleted ``ownsIP(Seller, Ip)`` and
 one added ``ownsIP(Buyer, Ip)``, which name the parties of the sale.  It
-raises one :class:`KernelError` naming every problem found, so a malformed
+raises one :class:`KernelError` naming every problem found; a rule that
+adds ``exists(V)`` and no ``based`` or ``managed`` fact of ``V`` raises
+after them, since a company is taxed where it is resident.  So a malformed
 rule never exists and applying an action does not check its effects again.
 A rule is a plain value: building it generates no code.
 
@@ -435,6 +437,17 @@ class ActionRule:
         # the plan of the join that grounds the rule, fresh and free
         # parameters bound on entry: negation safety and the loop limit
         plan(self.precondition, self.fresh_params | set(free))
+        # a company is taxed where it is resident, so one the action adds
+        # needs a based or managed fact of its own
+        resident = {
+            lit.args[0] for lit in self.add_effects if lit.predicate in ("based", "managed")
+        }
+        for lit in self.add_effects:
+            if lit.predicate == "exists" and lit.args[0] not in resident:
+                raise KernelError(
+                    f"{self.name}/{self.legal_ref}: {lit} is added without "
+                    f"a based or managed fact of {lit.args[0]!r}"
+                )
 
     def _problems(self) -> list[str]:
         """Every shape problem of the rule."""

@@ -21,6 +21,7 @@ import pytest
 
 from loophound import __version__, cli, corpus_path
 from loophound.cli import main
+from loophound.policy import WELFARE_KINDS
 from loophound.runfiles import read_jsonl
 
 from conftest import TOY_RULESET, TOY_SCENARIO, read_policy_report
@@ -175,6 +176,14 @@ TRAJECTORY_DEFECTS = {
     ),
     "utility-not-p-minus-phi": (
         (1, "utility"), lambda utility: utility + 5000.0, "utility is not p - phi"
+    ),
+    # the header's constants hold their own type, not one equal to it
+    "format-true": ((0, "format"), True, "header: format is True, not 1"),
+    "format-a-float": ((0, "format"), 1.0, "header: format is 1.0, not 1"),
+    "length-a-float": ((1, "length"), float, ".0 but "),
+    # the message names the utility the record should hold
+    "p-off-by-a-half": (
+        (1,), lambda row: {**row, "p": row["phi"] + 0.5}, "utility is not p - phi, 0.5"
     ),
     "header-nested": ((0,), "[nested]", "header: maximum recursion depth exceeded"),
     "row-nested": ((1,), "[nested]", "trajectory 0: RecursionError"),
@@ -530,6 +539,29 @@ class TestRunDirectoryIntegrity:
         assert f"final state of trajectory {row['id']}: " in err
         assert message in err
 
+    def test_a_sale_of_a_constant_ip_reads_back(self, tmp_path, toy_files):
+        # the sale's two parties are all that its transferIP binds
+        _, scenario = toy_files
+        ruleset = tmp_path / "rules.lhl"
+        ruleset.write_text(
+            TOY_RULESET.split("action transferIP")[0]
+            + 'action transferIP(From, To) ref "transfer" {\n'
+            "  pre: ownsIP(From, ip1), exists(To), From != To,\n"
+            "       not rentsIP(From, _, ip1), not rentsIP(_, To, ip1);\n"
+            "  eff: not ownsIP(From, ip1), ownsIP(To, ip1);\n}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "run"
+        argv = ["explore", "--ruleset", str(ruleset), "--scenario", str(scenario),
+                "--seed", "3", "--iterations", "4", "--expansions", "20", "--out", str(out)]
+        assert main(argv) == 0
+        sales = [
+            t.final_state.transfer
+            for t in read_jsonl(out / "trajectories.jsonl").trajectories
+            if t.final_state.transfer is not None
+        ]
+        assert sales and all(sale.seller == "p" for sale in sales)
+
     @pytest.mark.parametrize("defect", sorted(TRAJECTORY_DEFECTS))
     def test_malformed_trajectory_file_rejected(
         self, pipeline_dir, tmp_path, capsys, defect
@@ -830,6 +862,26 @@ class TestValidationErrors:
         assert main(["policy", "--welfare", "gdp", "--out", str(tmp_path)]) == 1
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["mean_tax", "total_tax"])
+    def test_a_welfare_kind_has_one_spelling(self, tmp_path, capsys, kind):
+        # its policy.WELFARE_KINDS name
+        assert main(["policy", "--welfare", kind, "--out", str(tmp_path)]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_welfare_help_names_every_kind(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["policy", "--help"])
+        assert exited.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"one of {', '.join(WELFARE_KINDS)} (default: mean_tax_collected)" in help_text
+
+    @pytest.mark.parametrize("kind", WELFARE_KINDS)
+    def test_each_welfare_kind_scores_the_hypothesis(self, pipeline_dir, tmp_path, kind):
+        for name in ("manifest.json", "trajectories.jsonl", "hypothesis.json"):
+            shutil.copy(pipeline_dir / name, tmp_path / name)
+        assert main(["policy", "--welfare", kind, "--out", str(tmp_path)]) == 0
+        assert read_policy_report(tmp_path / "policy_report.json")["welfare"]["kind"] == kind
+
 
 # corpus edit -> (document, text removed, text appended, part of the message);
 # each edited pair of documents used to pass ``check`` and crash ``explore``
@@ -876,6 +928,18 @@ DOCUMENT_DEFECTS = {
     "ip-not-a-constant": (
         "scenario.lhl", "", "ip Patent.\n", "ip id 'Patent' is not a constant",
     ),
+    # a company is taxed where it is resident
+    "added-company-resident-nowhere": (
+        "table1.lhl", "",
+        'action addChild(P, fresh C) ref "x" {\n  pre: exists(P);\n  eff: exists(C);\n}\n',
+        "exists(C) is added without a based or managed fact of 'C'",
+    ),
+    "effect-country-undeclared": (
+        "table1.lhl", "",
+        'action addChild(P, fresh C) ref "x" {\n'
+        "  pre: exists(P);\n  eff: exists(C), based(C, narnia);\n}\n",
+        "effect based(C, narnia) names country 'narnia', which the scenario does not declare",
+    ),
 }
 
 
@@ -910,6 +974,79 @@ class TestDocumentDefects:
         assert "Traceback" not in err
         assert sum(message in line for line in err.splitlines()) == 1
         assert not (out / "trajectories.jsonl").exists()
+
+
+# an action that, with the toy scenario, ``check`` accepted and ``explore``
+# raised a library error on -> the line ``explore`` prints for it now
+LIBRARY_ERRORS = {
+    "added-company-resident-nowhere": (
+        "exists(C)", "error: input documents failed validation"
+    ),
+    "effect-country-undeclared": (
+        "exists(C), based(C, narnia)", "which the scenario does not declare"
+    ),
+    "parent-based-twice": (
+        "exists(C), based(C, K), based(P, K)",
+        "error: company 'p' is based in multiple countries",
+    ),
+}
+
+
+class TestLibraryErrors:
+    def _ruleset(self, tmp_path, effects):
+        ruleset = tmp_path / "rules.lhl"
+        params = "P, fresh C, K" if "K" in effects else "P, fresh C"
+        ruleset.write_text(
+            "rate usa 0.35.\nrate ireland 0.125.\n"
+            f'action addChild({params}) ref "x" {{ pre: exists(P); eff: {effects}; }}\n',
+            encoding="utf-8",
+        )
+        return str(ruleset)
+
+    @pytest.mark.parametrize(
+        "effects,line", LIBRARY_ERRORS.values(), ids=LIBRARY_ERRORS.keys()
+    )
+    def test_explore_exits_1_with_one_error_line(
+        self, tmp_path, toy_files, capsys, effects, line
+    ):
+        _, scenario = toy_files
+        argv = ["explore", "--ruleset", self._ruleset(tmp_path, effects),
+                "--scenario", str(scenario), "--iterations", "3", "--expansions", "10",
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (error,) = [row for row in err.splitlines() if row.startswith("error: ")]
+        assert line in error
+        assert not (tmp_path / "run" / "trajectories.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "effects,diagnostic",
+        [
+            (
+                "exists(C)",
+                "3:1: error: action: addChild/x: exists(C) is added without "
+                "a based or managed fact of 'C'",
+            ),
+            (
+                "exists(C), based(C, narnia)",
+                ": 3:1: action: addChild/x: effect based(C, narnia) names country "
+                "'narnia', which the scenario does not declare",
+            ),
+        ],
+    )
+    def test_check_reports_the_rule(self, tmp_path, toy_files, capsys, effects, diagnostic):
+        _, scenario = toy_files
+        assert main(["check", self._ruleset(tmp_path, effects), str(scenario)]) == 1
+        assert diagnostic in capsys.readouterr().err
+
+    def test_an_error_of_another_package_raises(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("a fault, not a refused input")
+
+        monkeypatch.setattr(cli, "explore", fail)
+        with pytest.raises(RuntimeError, match="a fault"):
+            main(["explore", "--iterations", "2", "--out", str(tmp_path)])
 
 
 class TestIoErrors:

@@ -80,6 +80,12 @@ class TestRoundTrip:
         assert again.ok, errors_of(again)
         assert again.document == parsed.document
 
+    def test_a_zero_expression_renders_unsigned(self):
+        text = 'reduction "r" kind deductible { when: exists(Self); new_base: 0; }'
+        parsed = parse_ruleset(text)
+        assert parsed.ok, errors_of(parsed)
+        assert "  new_base: 0;\n" in render_ruleset(parsed.document)
+
     def test_rates_round_trip_exactly(self):
         parsed = parse_ruleset("rate usa 0.00001.\nrate ireland 0.1234567.")
         assert parsed.ok, errors_of(parsed)
@@ -102,6 +108,73 @@ class TestRoundTrip:
         assert "set transfer_price 123456789.5." in one
         # the text a scenario's sha256 is taken over tells the two apart
         assert one != two
+
+
+# ============================================================================
+# Numbers and terms
+# ============================================================================
+
+# a number literal too large for a float: it would read as infinity
+HUGE = "1" + "0" * 400
+
+REDUCTION = 'reduction "r" kind deductible { when: exists(Self); new_base: EXPR; }'
+
+
+class TestNumbers:
+    @pytest.mark.parametrize(
+        "parse,text",
+        [
+            (parse_scenario, "country usa revenue HUGE."),
+            (parse_scenario, "set transfer_price HUGE."),
+            (parse_ruleset, "rate usa HUGE."),
+            (parse_ruleset, REDUCTION.replace("EXPR", "HUGE")),
+            (parse_ruleset, REDUCTION.replace("EXPR", "HUGE * Base")),
+            (parse_ruleset, REDUCTION.replace("EXPR", "Base * HUGE")),
+        ],
+        ids=["revenue", "parameter", "rate", "constant", "coefficient", "coefficient-after"],
+    )
+    def test_a_number_too_large_for_a_float_is_an_error_at_its_token(self, parse, text):
+        column = text.index("HUGE") + 1
+        errors = errors_of(parse(text.replace("HUGE", HUGE)))
+        # a scenario without a country and a company reports those too
+        assert f"1:{column}: error: number too large to be finite" in errors
+        assert sum("number" in message for message in errors) == 1
+
+    def test_the_largest_numbers_round_trip(self):
+        # 10**308 is finite, and renders written out in full
+        big = "1" + "0" * 308
+        doc = parse_scenario(TOY_SCENARIO.replace("revenue 700", f"revenue {big}")).document
+        assert doc.scenario.revenue_table["usa"] == 1e308
+        text = render_scenario(doc)
+        assert f"country usa revenue {big}." in text
+        assert parse_scenario(text).document == doc
+
+    @pytest.mark.parametrize(
+        "pre,eff,expected",
+        [
+            ("exists(P), based(P, 1)", "exists(C), based(C, usa)", "a term"),
+            ("exists(P), P == 1", "exists(C), based(C, usa)", "a term after =="),
+            ("exists(P), 1 != P", "exists(C), based(C, usa)", "a literal or comparison"),
+            ("exists(P)", "exists(C), based(C, 1)", "a term"),
+        ],
+    )
+    def test_a_term_is_a_name(self, pre, eff, expected):
+        text = f'action addChild(P, fresh C) ref "x" {{ pre: {pre}; eff: {eff}; }}'
+        column = text.index("1") + 1
+        assert errors_of(parse_ruleset(text)) == [
+            f"1:{column}: error: expected {expected}, found '1'"
+        ]
+
+    def test_a_fact_term_is_a_name(self):
+        result = parse_scenario("country usa revenue 1.\ncompany p.\nfact based(p, 1).\n")
+        assert errors_of(result) == ["3:15: error: expected a term, found '1'"]
+
+    def test_a_name_before_another_operator_is_an_error_at_the_operator(self):
+        text = 'action addChild(P, fresh C) ref "x" { pre: exists(P), P + C; eff: exists(C); }'
+        column = text.index("+") + 1
+        assert errors_of(parse_ruleset(text)) == [
+            f"1:{column}: error: expected '(' or a comparison operator after 'P'"
+        ]
 
 
 # ============================================================================
@@ -185,6 +258,22 @@ class TestRulesetValidation:
         result = parse_ruleset("rate usa 1.5.")
         assert not result.ok
         assert any("outside [0, 1]" in m for m in errors_of(result))
+
+    @pytest.mark.parametrize("rate", ["0", "1"])
+    def test_rate_bounds_are_inside_the_unit_interval(self, rate):
+        result = parse_ruleset(f"rate usa {rate}.")
+        assert result.ok, errors_of(result)
+        assert result.document.rates() == {"usa": float(rate)}
+
+    @pytest.mark.parametrize("residence", ["based(C, usa)", "managed(C, usa)"])
+    def test_an_added_company_needs_a_residence(self, residence):
+        rule = 'action addChild(P, fresh C) ref "x" {{ pre: exists(P); eff: exists(C){}; }}'
+        assert errors_of(parse_ruleset(rule.format(""))) == [
+            "1:1: error: action: addChild/x: exists(C) is added without "
+            "a based or managed fact of 'C'"
+        ]
+        result = parse_ruleset(rule.format(", " + residence))
+        assert result.ok, errors_of(result)
 
     def test_unknown_action_name_rejected(self):
         text = 'action fly(P) ref "x" { pre: exists(P); eff: exists(P); }'
@@ -496,6 +585,21 @@ class TestAdmittedStatements:
         assert errors_of(result) == [
             "3:1: error: expected ;, found 'rate'",
             "3:6: error: rate for 'ireland' outside [0, 1]: 2",
+        ]
+
+    def test_recovery_stops_at_the_end_of_the_statement(self):
+        # the statement keyword after the error, on the same line, is skipped
+        assert errors_of(parse_ruleset("rate usa x company.")) == [
+            "1:10: error: expected rate value, found 'x'"
+        ]
+
+    def test_recovery_skips_nested_blocks(self):
+        # a rule broken before its block ends at the brace that closes the
+        # block, so the rate after it is parsed and checked
+        result = parse_ruleset("action addChild(P) ref x { pre: { }; } rate usa 2.")
+        assert errors_of(result) == [
+            "1:24: error: expected legal reference string, found 'x'",
+            "1:45: error: rate for 'usa' outside [0, 1]: 2",
         ]
 
     def test_diagnostics_come_in_source_order(self):

@@ -71,6 +71,9 @@ class TestSearchParams:
         with pytest.raises(ValueError):
             SearchParams(**kwargs)
 
+    def test_zero_beta_keeps_the_breadth_first_prior(self):
+        assert SearchParams(beta=0.0).beta == 0.0
+
 
 # ------------------------------------------------------- selection weights
 
@@ -537,6 +540,9 @@ class TestDeadEnds:
         assert tset.trajectories == ()
         assert any("no applicable actions" in w for w in tset.warnings)
 
+    def test_a_root_with_actions_warns_nothing(self, desk_run):
+        assert desk_run.trajectories and desk_run.warnings == ()
+
 
 class TestMissingRates:
     @pytest.mark.parametrize(
@@ -571,6 +577,25 @@ class TestMissingRates:
             explore(result.document, corpus_scenario, params)
         assert str(raised.value) == message
         assert calls == []
+
+    def test_explore_rejects_an_effect_on_an_undeclared_country(
+        self, toy_ruleset, toy_scenario
+    ):
+        """A country an action's effect names must be one of the scenario's,
+        whose rates the ruleset holds."""
+        rule = parse_ruleset(
+            'action addChild(P, fresh C) ref "x" {\n'
+            "  pre: exists(P);\n  eff: exists(C), based(C, narnia);\n}\n"
+        ).document.action_rules[0]
+        ruleset = dataclasses.replace(
+            toy_ruleset, action_rules=toy_ruleset.action_rules + (rule,)
+        )
+        with pytest.raises(ExplorerError) as raised:
+            explore(ruleset, toy_scenario, SearchParams(seed=0, iterations=3, expansions=10))
+        assert str(raised.value) == (
+            "1:1: action: addChild/x: effect based(C, narnia) names country 'narnia', "
+            "which the scenario does not declare"
+        )
 
 
 class TestDuplicateRules:

@@ -915,6 +915,14 @@ class TestHypothesisSerialization:
         assert "taxScheme(A, B, C, D) :-" in text
         assert "% overall accuracy" in text
 
+    def test_text_rendering_of_a_clause_whose_f1_is_undefined(self, tmp_path):
+        path = tmp_path / "hypothesis.txt"
+        clause = Clause(body=(ClauseLiteral("managed", ("A", "bermuda")),))
+        undefined = Metrics.from_counts(0, 0, 2, 2)
+        hypothesis = Hypothesis(clauses=(clause,), clause_metrics=(undefined,))
+        write_hypothesis_text(hypothesis, undefined, path)
+        assert path.read_text().splitlines()[0] == "% clause f1 undefined"
+
     def test_text_rendering_of_an_empty_hypothesis(self, tmp_path):
         path = tmp_path / "hypothesis.txt"
         empty = Hypothesis(clauses=(), clause_metrics=())
