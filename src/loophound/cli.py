@@ -5,19 +5,22 @@ Each pipeline stage reads and writes files in a run directory (``--out``):
 * explore  -> trajectories.jsonl
 * profile  -> profile.csv           (requires trajectories.jsonl)
 * stats    -> stats.csv             (requires trajectories.jsonl, profile.csv)
-* induce   -> hypothesis.json/.txt  (requires trajectories.jsonl, profile.csv)
+* induce   -> hypothesis.json/.txt  (requires trajectories.jsonl, and profile.csv
+                                     unless --u-plus is given)
 * policy   -> policy_report.json    (requires trajectories.jsonl, hypothesis.json)
 * graph    -> scheme.dot, scheme_edges.csv (requires hypothesis.json)
 
 Every stage records itself in the single manifest.json of the run directory.
 The files' names, formats, readers and writers live in
-:mod:`~loophound.runfiles`.  Each stage input is read through one loader
-(:func:`_load`) and each file written through one writer (:func:`_write`),
-which writes a temporary sibling and moves it into place.  Exit codes: 0
-success, 1 validation or usage error (a malformed input file included, and
-an error of a class the ``loophound`` package defines, raised in any
-stage), 2 IO error, 3 stage-order violation (a prerequisite stage's output
-is missing).
+:mod:`~loophound.runfiles`.  One function (:func:`_run_stage`) runs every
+stage: a command checks its arguments, then hands it its inputs and its
+compute function.  It reads the manifest and each input through one loader
+(:func:`_load`) and calls the compute function.  It writes every
+output, and then the manifest, to a temporary sibling, and moves them into
+place only when all are written.  Exit codes: 0 success, 1 validation or
+usage error (a malformed input file included, and an error of a class the
+``loophound`` package defines, raised in any stage), 2 IO error, 3
+stage-order violation (a prerequisite stage's output is missing).
 
 A stage imports only the layers it runs, when it runs:
 
@@ -154,36 +157,6 @@ def _parse_documents(ruleset_path: Path, scenario_path: Path):
     return ruleset, scenario
 
 
-def _record_stage(out_dir: Path, manifest: dict, stage: str, record: dict) -> None:
-    """Record the finished stage in ``manifest`` and write it back."""
-    completed_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    manifest["stages"][stage] = {**record, "completed_at": completed_at}
-    _write(out_dir / _cli.MANIFEST_FILE, _cli.write_json, manifest)
-
-
-def _write(path: Path, writer, *args) -> None:
-    """``writer(*args, tmp)`` to a temporary sibling ``tmp`` of ``path``, then
-    moved onto ``path`` in one step: a write that fails leaves the previous
-    file as it was, and no temporary file behind."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        writer(*args, tmp)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _ensure_out_dir(raw: str) -> Path:
-    out_dir = Path(raw)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create output directory {out_dir}: {exc}", EXIT_IO) from exc
-    return out_dir
-
-
 def _load(out_dir: Path, name: str):
     """The content of the stage input ``name``, read by its reader (see
     ``runfiles.INPUTS``): exit 3 when a stage's output is missing, 2 when
@@ -202,6 +175,57 @@ def _load(out_dir: Path, name: str):
     # are not UTF-8 text
     except ValueError as exc:
         raise CliError(f"corrupt {kind} file {path}: {exc}", EXIT_VALIDATION) from exc
+
+
+def _warn(warnings) -> None:
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
+def _run_stage(args: argparse.Namespace, inputs: Sequence[str], compute) -> int:
+    """Run the stage ``args.command`` in the run directory ``args.out``.
+
+    ``compute(manifest, *loaded)`` takes the manifest (explore sets the
+    document hashes in it) and the stage's ``inputs``, each read by
+    :func:`_load`, in order, and returns the outputs as
+    ``(file name, writer name, writer args)``, the stage's manifest record
+    beside ``command``, its message line and its warnings.  Every output,
+    then the manifest, is written by ``writer(*args, tmp)`` to a temporary
+    sibling ``tmp``; only when all are written are they moved into place.
+    A write that fails leaves every previous file as it was, and no
+    temporary file behind.
+    """
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory {out_dir}: {exc}", EXIT_IO) from exc
+    manifest = _load(out_dir, _cli.MANIFEST_FILE)
+    outputs, record, message, warnings = compute(
+        manifest, *[_load(out_dir, name) for name in inputs]
+    )
+    completed_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    manifest["stages"][args.command] = {
+        "command": args.command, **record, "completed_at": completed_at
+    }
+    outputs = [*outputs, (_cli.MANIFEST_FILE, "write_json", (manifest,))]
+    moves = []
+    try:
+        for name, writer, writer_args in outputs:
+            path = out_dir / name
+            tmp = path.with_name(f".{name}.{os.getpid()}.tmp")
+            moves.append((tmp, path))
+            getattr(_cli, writer)(*writer_args, tmp)
+        for tmp, path in moves:
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
+    finally:
+        for tmp, _path in moves:
+            tmp.unlink(missing_ok=True)
+    _warn(warnings)
+    print(message)
+    return EXIT_OK
 
 
 # ============================================================================
@@ -236,33 +260,23 @@ def cmd_explore(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from exc
-    out_dir = _ensure_out_dir(args.out)
-    manifest = _load(out_dir, _cli.MANIFEST_FILE)
-    tset = _cli.explore(ruleset, scenario, params)
-    _write(out_dir / _cli.TRAJECTORIES_FILE, _cli.write_jsonl, tset)
-    for warning in tset.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    complete = sum(1 for t in tset.trajectories if t.complete)
-    print(
-        f"explored {len(tset.trajectories)} trajectories "
-        f"({complete} complete) -> {out_dir / _cli.TRAJECTORIES_FILE}"
-    )
-    manifest.update(ruleset_sha256=tset.ruleset_sha256, scenario_sha256=tset.scenario_sha256)
-    _record_stage(
-        out_dir,
-        manifest,
-        "explore",
-        {
-            "command": "explore",
-            "config_paths": {
-                "ruleset": str(ruleset_path),
-                "scenario": str(scenario_path),
-            },
+
+    def compute(manifest):
+        tset = _cli.explore(ruleset, scenario, params)
+        manifest.update(ruleset_sha256=tset.ruleset_sha256, scenario_sha256=tset.scenario_sha256)
+        complete = sum(1 for t in tset.trajectories if t.complete)
+        record = {
+            "config_paths": {"ruleset": str(ruleset_path), "scenario": str(scenario_path)},
             **asdict(params),
             "cost_coefficient": tset.cost_coefficient,
-        },
-    )
-    return EXIT_OK
+        }
+        message = (
+            f"explored {len(tset.trajectories)} trajectories ({complete} complete) "
+            f"-> {Path(args.out, _cli.TRAJECTORIES_FILE)}"
+        )
+        return [(_cli.TRAJECTORIES_FILE, "write_jsonl", (tset,))], record, message, tset.warnings
+
+    return _run_stage(args, [], compute)
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -271,151 +285,117 @@ def cmd_profile(args: argparse.Namespace) -> int:
     height = args.peak_height
     if height is not None and not (math.isfinite(height) and height > 0):
         raise CliError("--peak-height must be positive and finite", EXIT_VALIDATION)
-    out_dir = _ensure_out_dir(args.out)
-    manifest = _load(out_dir, _cli.MANIFEST_FILE)
-    tset = _load(out_dir, _cli.TRAJECTORIES_FILE)
-    profile = _cli.utility_profile(tset)
-    if len(profile.values) == 0:
-        raise CliError("no complete trajectories; cannot build a profile", EXIT_VALIDATION)
-    segments = _cli.detect_segments(profile, args.peak_height, args.min_distance)
-    _write(out_dir / _cli.PROFILE_FILE, _cli.write_profile_csv, profile, segments)
-    print(
-        f"profile over {len(profile.values)} complete trajectories, "
-        f"{len(segments)} segment(s) -> {out_dir / _cli.PROFILE_FILE}"
-    )
-    _record_stage(
-        out_dir,
-        manifest,
-        "profile",
-        {
-            "command": "profile",
-            "peak_height": args.peak_height,
-            "min_distance": args.min_distance,
-            "segments": len(segments),
-        },
-    )
-    return EXIT_OK
+
+    def compute(_manifest, tset):
+        profile = _cli.utility_profile(tset)
+        if len(profile.values) == 0:
+            raise CliError("no complete trajectories; cannot build a profile", EXIT_VALIDATION)
+        segments = _cli.detect_segments(profile, height, args.min_distance)
+        record = {"peak_height": height, "min_distance": args.min_distance,
+                  "segments": len(segments)}
+        message = (
+            f"profile over {len(profile.values)} complete trajectories, "
+            f"{len(segments)} segment(s) -> {Path(args.out, _cli.PROFILE_FILE)}"
+        )
+        return [(_cli.PROFILE_FILE, "write_profile_csv", (profile, segments))], record, message, ()
+
+    return _run_stage(args, [_cli.TRAJECTORIES_FILE], compute)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    out_dir = _ensure_out_dir(args.out)
-    manifest = _load(out_dir, _cli.MANIFEST_FILE)
-    tset = _load(out_dir, _cli.TRAJECTORIES_FILE)
-    profile, segments = _load(out_dir, _cli.PROFILE_FILE)
-    try:
-        table = _cli.frequency_table(tset, profile, segments)
-    except _cli.UnknownTrajectoryError as exc:
-        raise CliError(
-            f"{exc}; {_cli.PROFILE_FILE} is older than {_cli.TRAJECTORIES_FILE}, "
-            "run the profile stage again",
-            EXIT_STAGE_ORDER,
-        ) from exc
-    _write(out_dir / _cli.STATS_FILE, _cli.write_stats_csv, table)
-    print(
-        f"legal-reference frequencies for {table.segment_count} segment(s) "
-        f"-> {out_dir / _cli.STATS_FILE}"
-    )
-    _record_stage(
-        out_dir, manifest, "stats", {"command": "stats", "rows": len(table.rows)}
-    )
-    return EXIT_OK
-
-
-def _default_u_plus(out_dir: Path) -> float:
-    profile, segments = _load(out_dir, _cli.PROFILE_FILE)
-    if len(segments) < 2:
-        raise CliError(
-            "profile has a single segment; supply --u-plus explicitly", EXIT_VALIDATION
+    def compute(_manifest, tset, loaded_profile):
+        try:
+            table = _cli.frequency_table(tset, *loaded_profile)
+        except _cli.UnknownTrajectoryError as exc:
+            raise CliError(
+                f"{exc}; {_cli.PROFILE_FILE} is older than {_cli.TRAJECTORIES_FILE}, "
+                "run the profile stage again",
+                EXIT_STAGE_ORDER,
+            ) from exc
+        message = (
+            f"legal-reference frequencies for {table.segment_count} segment(s) "
+            f"-> {Path(args.out, _cli.STATS_FILE)}"
         )
-    return profile.values[segments[0].stop]
+        outputs = [(_cli.STATS_FILE, "write_stats_csv", (table,))]
+        return outputs, {"rows": len(table.rows)}, message, ()
+
+    return _run_stage(args, [_cli.TRAJECTORIES_FILE, _cli.PROFILE_FILE], compute)
 
 
 def cmd_induce(args: argparse.Namespace) -> int:
-    out_dir = _ensure_out_dir(args.out)
-    manifest = _load(out_dir, _cli.MANIFEST_FILE)
-    tset = _load(out_dir, _cli.TRAJECTORIES_FILE)
-    u_plus = args.u_plus if args.u_plus is not None else _default_u_plus(out_dir)
-    config = _cli.InductionConfig(
-        u_plus=u_plus,
-        max_literals=args.max_literals,
-        beam_width=args.beam_width,
-        max_clauses=args.max_clauses,
-    )
-    examples = _cli.label(tset, u_plus)
-    background = _cli.build_background(tset, config)
-    for warning in list(examples.warnings) + list(background.warnings):
-        print(f"warning: {warning}", file=sys.stderr)
-    hypothesis = _cli.induce(examples, background, config)
-    overall = _cli.evaluate(hypothesis, examples, background)
-    _write(
-        out_dir / _cli.HYPOTHESIS_JSON, _cli.write_hypothesis_json, hypothesis, examples, overall
-    )
-    _write(out_dir / _cli.HYPOTHESIS_TEXT, _cli.write_hypothesis_text, hypothesis, overall)
-    for warning in hypothesis.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    accuracy = "undefined" if overall.accuracy is None else f"{overall.accuracy:.4f}"
-    f1 = "undefined" if overall.f1 is None else f"{overall.f1:.4f}"
-    print(
-        f"{len(hypothesis.clauses)} clause(s), accuracy {accuracy}, f1 {f1} "
-        f"-> {out_dir / _cli.HYPOTHESIS_JSON}"
-    )
-    _record_stage(
-        out_dir,
-        manifest,
-        "induce",
-        {
-            "command": "induce",
-            "u_plus": u_plus,
-            "max_literals": args.max_literals,
-            "beam_width": args.beam_width,
-            "max_clauses": args.max_clauses,
-            "clauses": len(hypothesis.clauses),
-        },
-    )
-    return EXIT_OK
+    def compute(_manifest, tset, loaded_profile=None):
+        u_plus = args.u_plus
+        if loaded_profile is not None:
+            profile, segments = loaded_profile
+            if len(segments) < 2:
+                raise CliError(
+                    "profile has a single segment; supply --u-plus explicitly", EXIT_VALIDATION
+                )
+            u_plus = profile.values[segments[0].stop]
+        config = _cli.InductionConfig(
+            u_plus=u_plus, max_literals=args.max_literals, beam_width=args.beam_width,
+            max_clauses=args.max_clauses,
+        )
+        examples = _cli.label(tset, u_plus)
+        background = _cli.build_background(tset, config)
+        # printed before the search, which may refuse what they warn of
+        _warn(list(examples.warnings) + list(background.warnings))
+        hypothesis = _cli.induce(examples, background, config)
+        overall = _cli.evaluate(hypothesis, examples, background)
+        outputs = [
+            (_cli.HYPOTHESIS_JSON, "write_hypothesis_json", (hypothesis, examples, overall)),
+            (_cli.HYPOTHESIS_TEXT, "write_hypothesis_text", (hypothesis, overall)),
+        ]
+        record = {"u_plus": u_plus, "max_literals": args.max_literals,
+                  "beam_width": args.beam_width, "max_clauses": args.max_clauses,
+                  "clauses": len(hypothesis.clauses)}
+        accuracy = "undefined" if overall.accuracy is None else f"{overall.accuracy:.4f}"
+        f1 = "undefined" if overall.f1 is None else f"{overall.f1:.4f}"
+        message = (
+            f"{len(hypothesis.clauses)} clause(s), accuracy {accuracy}, f1 {f1} "
+            f"-> {Path(args.out, _cli.HYPOTHESIS_JSON)}"
+        )
+        return outputs, record, message, hypothesis.warnings
+
+    # profile.csv gives the default --u-plus, and is read only for it
+    if args.u_plus is None:
+        return _run_stage(args, [_cli.TRAJECTORIES_FILE, _cli.PROFILE_FILE], compute)
+    return _run_stage(args, [_cli.TRAJECTORIES_FILE], compute)
 
 
 def cmd_policy(args: argparse.Namespace) -> int:
-    out_dir = _ensure_out_dir(args.out)
-    manifest = _load(out_dir, _cli.MANIFEST_FILE)
-    tset = _load(out_dir, _cli.TRAJECTORIES_FILE)
-    hypothesis, u_plus, _overall = _load(out_dir, _cli.HYPOTHESIS_JSON)
-    config = _cli.WelfareConfig(welfare_kind=args.welfare)
-    examples = _cli.label(tset, u_plus)
-    background = _cli.build_background(tset, _cli.InductionConfig(u_plus=u_plus))
-    report = _cli.delta_restriction(tset, hypothesis, examples, background, config)
-    _write(out_dir / _cli.POLICY_FILE, _cli.write_policy_report, report)
-    delta = "undefined" if report.delta_h is None else f"{report.delta_h:.6f}"
-    print(
-        f"welfare {report.welfare_kind}: Delta(H) = {delta}, verdict {report.verdict} "
-        f"-> {out_dir / _cli.POLICY_FILE}"
-    )
-    _record_stage(
-        out_dir,
-        manifest,
-        "policy",
-        {"command": "policy", "welfare": config.welfare_kind, "verdict": report.verdict},
-    )
-    return EXIT_OK
+    def compute(_manifest, tset, loaded_hypothesis):
+        hypothesis, u_plus, _overall = loaded_hypothesis
+        config = _cli.WelfareConfig(welfare_kind=args.welfare)
+        examples = _cli.label(tset, u_plus)
+        background = _cli.build_background(tset, _cli.InductionConfig(u_plus=u_plus))
+        report = _cli.delta_restriction(tset, hypothesis, examples, background, config)
+        delta = "undefined" if report.delta_h is None else f"{report.delta_h:.6f}"
+        message = (
+            f"welfare {report.welfare_kind}: Delta(H) = {delta}, verdict {report.verdict} "
+            f"-> {Path(args.out, _cli.POLICY_FILE)}"
+        )
+        record = {"welfare": config.welfare_kind, "verdict": report.verdict}
+        return [(_cli.POLICY_FILE, "write_policy_report", (report,))], record, message, ()
+
+    return _run_stage(args, [_cli.TRAJECTORIES_FILE, _cli.HYPOTHESIS_JSON], compute)
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
     if args.top_k < 1:
         raise CliError("--top-k must be at least 1", EXIT_VALIDATION)
-    out_dir = _ensure_out_dir(args.out)
-    manifest = _load(out_dir, _cli.MANIFEST_FILE)
-    hypothesis, _u_plus, _overall = _load(out_dir, _cli.HYPOTHESIS_JSON)
-    graph = _cli.scheme_graph(hypothesis, args.top_k)
-    _write(out_dir / _cli.DOT_FILE, _cli.write_dot, graph)
-    _write(out_dir / _cli.EDGES_FILE, _cli.write_edges_csv, graph)
-    print(f"{len(graph.edges)} edge(s) -> {out_dir / _cli.DOT_FILE}, {out_dir / _cli.EDGES_FILE}")
-    _record_stage(
-        out_dir,
-        manifest,
-        "graph",
-        {"command": "graph", "top_k": args.top_k, "edges": len(graph.edges)},
-    )
-    return EXIT_OK
+
+    def compute(_manifest, loaded_hypothesis):
+        graph = _cli.scheme_graph(loaded_hypothesis[0], args.top_k)
+        outputs = [(_cli.DOT_FILE, "write_dot", (graph,)),
+                   (_cli.EDGES_FILE, "write_edges_csv", (graph,))]
+        message = (
+            f"{len(graph.edges)} edge(s) -> "
+            f"{Path(args.out, _cli.DOT_FILE)}, {Path(args.out, _cli.EDGES_FILE)}"
+        )
+        return outputs, {"top_k": args.top_k, "edges": len(graph.edges)}, message, ()
+
+    return _run_stage(args, [_cli.HYPOTHESIS_JSON], compute)
 
 
 # ============================================================================

@@ -22,6 +22,7 @@ from loophound.analytics import (
     REFERENCE_PEAK_HEIGHT,
     Segment,
     UtilityProfile,
+    _local_maxima,
     detect_segments,
     drop_series,
     frequency_table,
@@ -164,6 +165,8 @@ class TestCutPointOracle:
         # with min_distance 1 the distance filter keeps every candidate
         got = select_cut_points(np.asarray(drops, dtype=float), height, 1)
         assert got == [int(p) - 1 for p in peaks]
+        # unpadded, a series may end in a rise or on a plateau
+        assert _local_maxima(drops) == [int(p) for p in find_peaks(drops)[0]]
 
     def test_equal_drops_resolve_by_lowest_index(self):
         # two equal qualifying drops closer than min_distance: lowest wins

@@ -449,6 +449,28 @@ class TestPipeline:
         assert rows[0] == ["source", "target", "label", "weight"]
         assert len(rows) > 1
 
+    def test_stage_lines_report_the_outputs(self, pipeline_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        hypothesis = json.loads((run / "hypothesis.json").read_text(encoding="utf-8"))
+        overall = hypothesis["overall_metrics"]
+        assert main(["induce", "--out", str(run)]) == 0
+        assert capsys.readouterr().out == (
+            f"{len(hypothesis['clauses'])} clause(s), accuracy {overall['accuracy']:.4f}, "
+            f"f1 {overall['f1']:.4f} -> {run / 'hypothesis.json'}\n"
+        )
+        report = read_policy_report(run / "policy_report.json")
+        assert main(["policy", "--out", str(run)]) == 0
+        assert capsys.readouterr().out == (
+            f"welfare mean_tax_collected: Delta(H) = {report['Delta_H']:.6f}, "
+            f"verdict {report['verdict']} -> {run / 'policy_report.json'}\n"
+        )
+        # --top-k 1, the least the option accepts, keeps the best edge
+        assert main(["graph", "--top-k", "1", "--out", str(run)]) == 0
+        assert capsys.readouterr().out == (
+            f"1 edge(s) -> {run / 'scheme.dot'}, {run / 'scheme_edges.csv'}\n"
+        )
+
     def test_hypothesis_text_is_readable(self, pipeline_dir):
         text = (pipeline_dir / "hypothesis.txt").read_text()
         assert "taxScheme(A, B, C, D) :-" in text
@@ -688,9 +710,15 @@ class TestRunDirectoryIntegrity:
 
 
 class TestAtomicWrites:
-    @pytest.mark.parametrize("writer", ["write_profile_csv", "write_json"])
+    # writer that fails -> profile's --min-distance: 5 writes the run's own
+    # profile.csv again, 1 a profile of more segments than the run recorded
+    @pytest.mark.parametrize("writer, min_distance", [
+        pytest.param("write_profile_csv", "5", id="write_profile_csv"),
+        pytest.param("write_json", "5", id="write_json"),
+        pytest.param("write_json", "1", id="write_json-new-profile"),
+    ])
     def test_failed_write_leaves_the_previous_file(
-        self, pipeline_dir, tmp_path, monkeypatch, capsys, writer
+        self, pipeline_dir, tmp_path, monkeypatch, capsys, writer, min_distance
     ):
         run = tmp_path / "run"
         shutil.copytree(pipeline_dir, run)
@@ -700,11 +728,14 @@ class TestAtomicWrites:
             args[-1].write_text("index,utility,traj")
             raise OSError(28, "No space left on device")
 
-        # the stage writes profile.csv (to the same bytes), then manifest.json
+        # the stage writes profile.csv, then manifest.json
         monkeypatch.setattr(cli, writer, torn_write)
-        assert main(["profile", "--min-distance", "5", "--out", str(run)]) == 2
-        assert "No space left on device" in capsys.readouterr().err
+        assert main(["profile", "--min-distance", min_distance, "--out", str(run)]) == 2
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+        out, err = capsys.readouterr()
+        assert "No space left on device" in err
+        # nor does it print its success line
+        assert out == ""
 
 
 class TestTracedNames:
@@ -840,6 +871,25 @@ class TestValidationErrors:
             )
             assert code == 1
             assert "--peak-height" in capsys.readouterr().err
+
+    def test_induce_needs_two_segments_for_its_default_u_plus(
+        self, pipeline_dir, tmp_path, capsys
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        # a peak height above every drop cuts nowhere: one segment
+        assert main(["profile", "--peak-height", "1e9", "--out", str(run)]) == 0
+        assert main(["induce", "--out", str(run)]) == 1
+        assert "single segment; supply --u-plus" in capsys.readouterr().err
+        # one cut: the threshold is the top utility of the second segment
+        assert main(["profile", "--min-distance", "1000", "--out", str(run)]) == 0
+        with open(run / "profile.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert {row["segment_id"] for row in rows} == {"0", "1"}
+        assert main(["induce", "--out", str(run)]) == 0
+        top = next(float(row["utility"]) for row in rows if row["segment_id"] == "1")
+        manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["stages"]["induce"]["u_plus"] == top
 
     def test_graph_top_k_below_one(self, tmp_path, capsys):
         assert main(["graph", "--top-k", "0", "--out", str(tmp_path)]) == 1
